@@ -12,15 +12,21 @@ the weak Neumann problem on the whole box,
 
     sum_nodes w grad(phi) . grad(psi) = sum_nodes w U . grad(psi)  for all psi,
 
-by conjugate gradients with the constant mode projected out, giving a
+directly, by fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
+1964): with D the nodal derivative and w the trapezoid weights, the operator
+is the Kronecker sum over axes of K_a = D_a^T diag(w_a) D_a against the
+weights of the other axes, so one symmetric eigendecomposition per axis
+length diagonalizes it exactly.  The constant mode is dropped, giving a
 mean-zero potential and a remainder U - grad(phi) that is weakly divergence
-free.  Shell averages of the potential are what later corrects the
-monotonicity quantity.
+free; the remainder is never stored, it is derived from the flux when a
+check needs it.  Shell averages of the potential are what later corrects
+the monotonicity quantity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -40,7 +46,6 @@ from .fields import (
     sphere_quadrature,
     trapezoid_weights,
 )
-from .linalg import conjugate_gradient
 
 __all__ = [
     "FluxField",
@@ -84,10 +89,13 @@ class FluxField:
 
 @dataclass(frozen=True)
 class GhostFunction:
-    """Potential part of the flux splitting plus the leftover field."""
+    """Potential part of the flux splitting with its solve statistics.
+
+    residual is the checked relative residual of the weak Neumann system;
+    iterations is 0 for a zero load (exact zero potential) and 1 otherwise.
+    """
 
     potential: ScalarField
-    remainder: VectorField
     base_point: tuple[float, ...]
     f0: float
     cap_radius: float
@@ -189,53 +197,103 @@ def flux_bound_report(flux: FluxField, model: DensityModel, u: ScalarField) -> F
     )
 
 
-def _assemble_rhs(flux: FluxField, w: np.ndarray) -> np.ndarray:
-    grid = flux.grid
-    cell = grid.h**grid.dim
-    b = np.zeros(grid.node_shape)
-    for a in range(grid.dim):
-        b += gradient_transpose(w * flux.field.values[..., a], a, grid.h)
-    return cell * b
+def _weak_divergence(comps, w: np.ndarray, h: float) -> np.ndarray:
+    """h^dim sum_a D_a^T(w v_a) with its mean removed: the Galerkin load of v."""
+    out = np.zeros(w.shape)
+    for a, v in enumerate(comps):
+        out += gradient_transpose(w * v, a, h)
+    out *= h ** w.ndim
+    return out - out.mean()
 
 
-def neumann_solve(
-    flux: FluxField, tol: float = DEFAULT_TOL, max_iter: int | None = None
-) -> GhostFunction:
-    """Split the flux into a mean-zero potential gradient plus a remainder.
+def _relative_residual(flux: FluxField, phi: np.ndarray) -> float:
+    """||P(b - A phi)|| / ||P b||: weak divergence of U - grad(phi) over the load.
+
+    P removes the constant mode.  A zero load returns the absolute norm.
+    """
+    h = flux.grid.h
+    w = trapezoid_weights(flux.grid.node_shape)
+    u = np.moveaxis(flux.field.values, -1, 0)
+    b = _weak_divergence(u, w, h)
+    r = _weak_divergence([ua - da for ua, da in zip(u, gradient_arrays(phi, h))], w, h)
+    b_norm = float(np.linalg.norm(b))
+    r_norm = float(np.linalg.norm(r))
+    if b_norm == 0.0:
+        return r_norm
+    return r_norm / b_norm
+
+
+@lru_cache(maxsize=16)
+def _axis_modes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of S = w^{-1/2} D^T diag(w) D w^{-1/2} on m nodes at h = 1.
+
+    Returns (forward, inverse, eigenvalues) with forward = Q^T w^{-1/2} and
+    inverse = w^{-1/2} Q.  Eigenvalues ascend, so index 0 is the constant
+    mode w^{1/2}, the only null vector of the wide stencil.  At spacing h the
+    eigenvalues scale by 1/h^2.  Results are read-only; they are shared by
+    every solve on a grid with this axis length.
+    """
+    w = trapezoid_weights((m,))
+    d = gradient_arrays(np.eye(m), 1.0)[0]
+    k = gradient_transpose(w[:, None] * d, 0, 1.0)
+    scale = 1.0 / np.sqrt(w)
+    s = scale[:, None] * k * scale[None, :]
+    lam, q = np.linalg.eigh(0.5 * (s + s.T))
+    forward = q.T * scale[None, :]
+    inverse = scale[:, None] * q
+    for arr in (forward, inverse, lam):
+        arr.setflags(write=False)
+    return forward, inverse, lam
+
+
+def _apply_along(mat: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    return np.moveaxis(np.tensordot(mat, x, axes=(1, axis)), 0, axis)
+
+
+def _fast_diagonal_solve(b: np.ndarray, h: float) -> np.ndarray:
+    """Minimum-norm solve of the weak Neumann system for a load b.
+
+    phi = W^{-1/2} (x Q_a) (sum Lambda_a)^+ (x Q_a)^T W^{-1/2} b / h^dim,
+    with Lambda_a the spacing-h eigenvalues (the h = 1 ones over h^2),
+    applied one axis at a time; the constant mode's coefficient is zeroed.
+    """
+    modes = [_axis_modes(m) for m in b.shape]
+    c = b
+    for a, (forward, _, _) in enumerate(modes):
+        c = _apply_along(forward, c, a)
+    denom = reduce(np.add.outer, [lam for _, _, lam in modes])
+    origin = (0,) * b.ndim
+    denom[origin] = 1.0
+    c = c / denom
+    c[origin] = 0.0
+    for a, (_, inverse, _) in enumerate(modes):
+        c = _apply_along(inverse, c, a)
+    return c * h ** (2 - b.ndim)
+
+
+def neumann_solve(flux: FluxField, tol: float = DEFAULT_TOL) -> GhostFunction:
+    """Mean-zero potential whose gradient is the flux's gradient part.
 
     The weak Neumann system (natural boundary condition taken from the flux
-    itself) is singular with constant nullspace; CG runs with the constant
-    mode projected out every iteration.
+    itself) is singular with constant nullspace; it is solved directly by
+    fast diagonalization and the true residual is checked against tol.
+    A zero load short-circuits to an exactly zero potential in 0 iterations.
     """
     grid = flux.grid
     w = trapezoid_weights(grid.node_shape)
-    cell = grid.h**grid.dim
-
-    def apply_a(phi: np.ndarray) -> np.ndarray:
-        grads = gradient_arrays(phi, grid.h)
-        out = np.zeros_like(phi)
-        for a in range(grid.dim):
-            out += gradient_transpose(w * grads[a], a, grid.h)
-        return cell * out
-
-    def project(v: np.ndarray) -> np.ndarray:
-        return v - v.mean()
-
-    b = _assemble_rhs(flux, w)
-    if max_iter is None:
-        max_iter = max(2000, 80 * max(grid.node_shape))
-    phi, res, it = conjugate_gradient(apply_a, b, tol=tol, max_iter=max_iter, project=project)
-    if res > tol:
-        raise SolverError(
-            f"Neumann solve stalled: residual {res:.3e} > {tol:.1e} "
-            f"after {it} iterations"
-        )
-    phi = phi - phi.mean()
-    grads = gradient_arrays(phi, grid.h)
-    remainder = flux.field.values - np.stack(grads, axis=-1)
+    b = _weak_divergence(np.moveaxis(flux.field.values, -1, 0), w, grid.h)
+    if float(np.linalg.norm(b)) == 0.0:
+        phi, res, it = np.zeros(grid.node_shape), 0.0, 0
+    else:
+        phi = _fast_diagonal_solve(b, grid.h)
+        phi -= phi.mean()
+        res, it = _relative_residual(flux, phi), 1
+        if not res <= tol:
+            raise SolverError(
+                f"Neumann solve residual {res:.3e} exceeds tol {tol:.1e}"
+            )
     return GhostFunction(
         potential=ScalarField(grid, phi),
-        remainder=VectorField(grid, remainder),
         base_point=flux.base_point,
         f0=flux.f0,
         cap_radius=flux.cap_radius,
@@ -244,29 +302,17 @@ def neumann_solve(
     )
 
 
-def weak_divergence_residual(g: GhostFunction) -> float:
-    """Weak divergence of the remainder, relative to the flux load.
+def weak_divergence_residual(flux: FluxField, g: GhostFunction) -> float:
+    """Weak divergence of the remainder U - grad(phi), relative to the load.
 
-    Assembles the same Galerkin functional used by the solve; the value is
-    the norm of sum_a D^T(w h_a) over the norm of sum_a D^T(w U_a), both
-    with the constant mode removed.  Zero flux returns 0.
+    Assembles the same Galerkin functional the solve uses; the value is the
+    norm of sum_a D^T(w (U_a - D_a phi)) over the norm of sum_a D^T(w U_a),
+    both with the constant mode removed.  Zero flux returns the absolute
+    norm, 0 for the zero potential.
     """
-    grid = g.grid
-    w = trapezoid_weights(grid.node_shape)
-    cell = grid.h**grid.dim
-    dphi = gradient_arrays(g.potential.values, grid.h)
-    r = np.zeros(grid.node_shape)
-    b = np.zeros(grid.node_shape)
-    for a in range(grid.dim):
-        r += gradient_transpose(w * g.remainder.values[..., a], a, grid.h)
-        b += gradient_transpose(w * (g.remainder.values[..., a] + dphi[a]), a, grid.h)
-    r = cell * (r - r.mean())
-    b = cell * (b - b.mean())
-    b_norm = float(np.linalg.norm(b))
-    r_norm = float(np.linalg.norm(r))
-    if b_norm == 0.0:
-        return r_norm
-    return r_norm / b_norm
+    if g.grid != flux.grid:
+        raise ValueError("ghost and flux live on different grids")
+    return _relative_residual(flux, g.potential.values)
 
 
 @dataclass(frozen=True)

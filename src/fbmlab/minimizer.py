@@ -30,7 +30,6 @@ from .fields import (
     gradient_transpose,
     trapezoid_weights,
 )
-from .linalg import conjugate_gradient
 
 __all__ = [
     "BOUNDARY_KINDS",
@@ -162,18 +161,12 @@ class MinimizeReport:
     lipschitz: float
 
 
-_node_weights = trapezoid_weights
-
-
 def _ramp(t: np.ndarray, eps: float) -> np.ndarray:
     return np.clip(t / eps, 0.0, 1.0)
 
 
 def _ramp_slope(t: np.ndarray, eps: float) -> np.ndarray:
     return np.where((t > 0.0) & (t < eps), 1.0 / eps, 0.0)
-
-
-_grad_transpose = gradient_transpose
 
 
 def _require_on_grid(p: Problem, u: ScalarField) -> None:
@@ -195,7 +188,7 @@ def _energy_core(p: Problem, values: np.ndarray, w: np.ndarray) -> float:
 def energy(p: Problem, u: ScalarField) -> float:
     """Total smoothed energy of u on the problem box."""
     _require_on_grid(p, u)
-    w = _node_weights(p.grid.node_shape)
+    w = trapezoid_weights(p.grid.node_shape)
     return _energy_core(p, u.values, w)
 
 
@@ -206,7 +199,7 @@ def _gradient_core(p: Problem, values: np.ndarray, w: np.ndarray) -> np.ndarray:
     slope = p.model.df(q)
     out = np.zeros_like(values)
     for axis, g in enumerate(grads):
-        out += _grad_transpose(2.0 * w * slope * g, axis, h)
+        out += gradient_transpose(2.0 * w * slope * g, axis, h)
     out += w * p.lam * _ramp_slope(values, p.eps)
     out[p.fixed_mask] = 0.0
     return out
@@ -219,7 +212,7 @@ def energy_gradient(p: Problem, u: ScalarField) -> ScalarField:
     exact adjoint of the discrete derivative, and is zeroed on fixed nodes.
     """
     _require_on_grid(p, u)
-    w = _node_weights(p.grid.node_shape)
+    w = trapezoid_weights(p.grid.node_shape)
     return ScalarField(p.grid, _gradient_core(p, u.values, w))
 
 
@@ -242,7 +235,7 @@ def minimize(
     or the line search collapses.
     """
     _require_on_grid(p, u0)
-    w = _node_weights(p.grid.node_shape)
+    w = trapezoid_weights(p.grid.node_shape)
     u = u0.values.copy()
     e_now = _energy_core(p, u, w)
     if not np.isfinite(e_now):
@@ -294,50 +287,14 @@ def minimize(
     return out, report
 
 
-def initial_guess(
-    p: Problem,
-    mode: str = "profile",
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> ScalarField:
+def initial_guess(p: Problem, mode: str = "profile") -> ScalarField:
     """Starting iterate from the boundary generator.
 
-    "profile" evaluates the generator on every node.  "harmonic" keeps the
-    generator on the fixed nodes and solves the five/seven point Laplace
-    system on the free nodes.
+    "profile", the only mode, evaluates the generator on every node.
     """
-    vals = p.boundary.profile(p.grid)
-    if mode == "profile":
-        return ScalarField(p.grid, vals)
-    if mode != "harmonic":
+    if mode != "profile":
         raise ValueError(f"unknown initial guess mode {mode!r}")
-    free = ~p.fixed_mask
-    dim = p.grid.dim
-
-    def lap(full: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(full)
-        for a in range(dim):
-            mid = [slice(None)] * dim
-            hi = [slice(None)] * dim
-            lo = [slice(None)] * dim
-            mid[a] = slice(1, -1)
-            hi[a] = slice(2, None)
-            lo[a] = slice(None, -2)
-            out[tuple(mid)] += full[tuple(hi)] - 2.0 * full[tuple(mid)] + full[tuple(lo)]
-        return out
-
-    base = np.where(free, 0.0, vals)
-
-    def apply_a(x: np.ndarray) -> np.ndarray:
-        full = np.zeros(p.grid.node_shape)
-        full[free] = x
-        return -lap(full)[free]
-
-    rhs = lap(base)[free]
-    x, _, _ = conjugate_gradient(apply_a, rhs, tol=tol, max_iter=max_iter)
-    full = base.copy()
-    full[free] = x
-    return ScalarField(p.grid, full)
+    return ScalarField(p.grid, p.boundary.profile(p.grid))
 
 
 def domain_variation_residual(
@@ -352,7 +309,7 @@ def domain_variation_residual(
     _require_on_grid(p, u)
     h = p.grid.h
     dim = p.grid.dim
-    w = _node_weights(p.grid.node_shape)
+    w = trapezoid_weights(p.grid.node_shape)
     boundary = p.grid.boundary_mask()
     grads = np.stack(gradient_arrays(u.values, h), axis=-1)
     q = np.sum(grads * grads, axis=-1)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import GeometryError, ScenarioError, VerdictUnavailable
 from .blowup import build_sequence, regularity_verdict
 from .fieldio import read_field, write_csv, write_field, write_points_csv
-from .fields import ScalarField, VectorField, free_boundary_points
+from .fields import ScalarField, free_boundary_points
 from .ghost import (
     GhostFunction,
     flux_bound_report,
@@ -95,17 +95,17 @@ def select_points(s: Scenario, u: ScalarField) -> tuple[tuple[float, ...], ...]:
     """Points of interest with the radius ladder guaranteed to fit.
 
     Explicit points must all be feasible (GeometryError otherwise).  "auto"
-    takes every auto_stride-th free-boundary point in lexicographic order and
-    keeps the feasible ones; at least one must survive.
+    keeps the feasible free-boundary points, in lexicographic order, then
+    takes every auto_stride-th of them, so at least one survives whenever
+    any point is feasible.
     """
     need = s.r_max * (1.0 + RADIUS_MARGIN)
     if s.points != "auto":
         for z in s.points:
             s.grid.require_ball_inside(z, need)
         return tuple(s.points)
-    candidates = free_boundary_points(u)[:: s.auto_stride]
     keep = []
-    for z in candidates:
+    for z in free_boundary_points(u):
         try:
             s.grid.require_ball_inside(z, need)
         except GeometryError:
@@ -115,7 +115,7 @@ def select_points(s: Scenario, u: ScalarField) -> tuple[tuple[float, ...], ...]:
         raise GeometryError(
             f"no free-boundary point admits a ball of radius {need} inside the grid"
         )
-    return tuple(keep)
+    return tuple(keep[:: s.auto_stride])
 
 
 def stage_ghost(s: Scenario, u: ScalarField, z) -> tuple[GhostFunction, dict]:
@@ -131,7 +131,7 @@ def stage_ghost(s: Scenario, u: ScalarField, z) -> tuple[GhostFunction, dict]:
         "cap_radius": g.cap_radius,
         "residual": g.residual,
         "iterations": g.iterations,
-        "weak_divergence_residual": weak_divergence_residual(g),
+        "weak_divergence_residual": weak_divergence_residual(flux, g),
         "stability": {
             "phi_norm": stab.phi_norm,
             "flux_norm": stab.flux_norm,
@@ -201,8 +201,8 @@ def write_ghost(g: GhostFunction, path, report: dict | None = None) -> None:
 
     The sidecar JSON doubles as the ghost report: its meta block always
     carries the contract keys and, when given, the full diagnostic report.
-    The divergence-free remainder is not stored: every consumer of a ghost
-    file uses only the potential and the contract metadata.
+    The divergence-free remainder U - grad(phi) is not stored: it is derived
+    from the flux whenever a check needs it (see weak_divergence_residual).
     """
     meta = {
         "base_point": [float(c) for c in g.base_point],
@@ -220,10 +220,8 @@ def read_ghost(path) -> GhostFunction:
     phi, meta = read_field(path)
     if meta is None or any(k not in meta for k in GHOST_META_KEYS):
         raise ValueError(f"{path} is not a ghost file: missing contract metadata")
-    zeros = np.zeros(phi.grid.node_shape + (phi.grid.dim,))
     return GhostFunction(
         potential=phi,
-        remainder=VectorField(phi.grid, zeros),
         base_point=tuple(float(c) for c in meta["base_point"]),
         f0=float(meta["f0"]),
         cap_radius=float(meta["cap_radius"]),

@@ -18,7 +18,7 @@ import numpy as np
 from .density import DensityModel, bernoulli_lambda
 from .errors import ScenarioError
 from .fields import Grid, geometric_radii
-from .minimizer import BOUNDARY_KINDS, BoundaryData
+from .minimizer import BOUNDARY_KINDS, BoundaryData, Problem
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -232,15 +232,62 @@ def _schema_diagnostics(data) -> list[str]:
     return out
 
 
+def _typed(data: dict) -> tuple[Grid, DensityModel, BoundaryData]:
+    """Typed grid, density model and boundary data of a schema-valid dict.
+
+    Also builds the minimization Problem, so every constraint a run checks
+    is checked here.  A ValueError from a constructor becomes a
+    ScenarioError tagged with the scenario path it came from.
+    """
+
+    def build(path: str, make):
+        try:
+            return make()
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: {exc}") from exc
+
+    g, d, b = data["grid"], data["density"], data["boundary"]
+    grid = build("grid", lambda: Grid(tuple(g["lo"]), tuple(g["hi"]), tuple(g["n_cells"])))
+    model = build(
+        "density",
+        lambda: DensityModel(
+            kind=d["kind"],
+            alpha=float(d.get("alpha", 0.0)),
+            scale=float(d.get("scale", 1.0)),
+        ),
+    )
+    boundary = build(
+        "boundary",
+        lambda: BoundaryData(
+            kind=b["kind"],
+            direction=tuple(b["direction"]) if "direction" in b else None,
+            center=tuple(b["center"]) if "center" in b else None,
+            angle=float(b["angle"]) if "angle" in b else None,
+            path=b.get("path"),
+        ),
+    )
+    lam = float(data["lambda"]) if "lambda" in data else None
+    eps = float(data.get("eps_factor", _SOLVER_DEFAULTS["eps_factor"])) * grid.h
+    build("lambda", lambda: Problem(grid, model, boundary, lam=lam, eps=eps))
+    return grid, model, boundary
+
+
 def validate_dict(data) -> list[str]:
     """Schema and feasibility diagnostics for a raw scenario dictionary.
 
     Returns a list of human-readable problems; an empty list means the
-    scenario is valid.  Never raises.  Geometric feasibility of explicit
-    points is reported here but deferred to run time by `Scenario.from_dict`,
-    where it surfaces as a GeometryError.
+    scenario is valid.  Never raises.  A schema-valid dictionary is also
+    turned into the typed objects a run builds, so a constraint only they
+    enforce (e.g. a negative lambda) is reported here too.  Geometric
+    feasibility of explicit points is reported here but deferred to run
+    time by `Scenario.from_dict`, where it surfaces as a GeometryError.
     """
     out = _schema_diagnostics(data)
+    if not out:
+        try:
+            _typed(data)
+        except ScenarioError as exc:
+            out.append(str(exc))
     if isinstance(data, dict):
         out += _feasibility_diagnostics(data)
     return out
@@ -283,25 +330,7 @@ class Scenario:
         problems = _schema_diagnostics(data)
         if problems:
             raise ScenarioError("; ".join(problems))
-        grid = Grid(
-            tuple(data["grid"]["lo"]),
-            tuple(data["grid"]["hi"]),
-            tuple(data["grid"]["n_cells"]),
-        )
-        density = data["density"]
-        model = DensityModel(
-            kind=density["kind"],
-            alpha=float(density.get("alpha", 0.0)),
-            scale=float(density.get("scale", 1.0)),
-        )
-        b = data["boundary"]
-        boundary = BoundaryData(
-            kind=b["kind"],
-            direction=tuple(b["direction"]) if "direction" in b else None,
-            center=tuple(b["center"]) if "center" in b else None,
-            angle=float(b["angle"]) if "angle" in b else None,
-            path=b.get("path"),
-        )
+        grid, model, boundary = _typed(data)
         radii = data["radii"]
         points = data.get("points_of_interest", "auto")
         if points != "auto":

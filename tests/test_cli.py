@@ -73,6 +73,20 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "none.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides,path",
+        [
+            ({"density": {"kind": "linear", "alpha": 0.5}}, "density"),
+            ({"lambda": -1.0}, "lambda"),
+        ],
+    )
+    def test_rejects_what_pipeline_rejects(self, tmp_path, capsys, overrides, path):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"{path}: ") and "ok" not in out.split()
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+
     def test_broken_json(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{")

@@ -6,12 +6,16 @@ import pytest
 from fbmlab.density import arctan_density, bernoulli_lambda, linear_density
 from fbmlab.errors import GeometryError, SolverError
 from fbmlab.fieldio import write_field
-from fbmlab.fields import Grid, ScalarField, VectorField, gradient_arrays
+from fbmlab.fields import (
+    Grid,
+    ScalarField,
+    VectorField,
+    gradient_transpose,
+    trapezoid_weights,
+)
 from fbmlab.minimizer import (
     BoundaryData,
     Problem,
-    _grad_transpose,
-    _node_weights,
     default_step,
     domain_variation_residual,
     energy,
@@ -137,11 +141,11 @@ class TestAdjoint:
         v = rng.standard_normal(shape)
         d_q = np.gradient(q, h, axis=axis, edge_order=2)
         lhs = np.sum(d_q * v)
-        rhs = np.sum(q * _grad_transpose(v, axis, h))
+        rhs = np.sum(q * gradient_transpose(v, axis, h))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_node_weights_sum_counts_cells(self):
-        w = _node_weights((5, 9))
+        w = trapezoid_weights((5, 9))
         assert np.sum(w) == pytest.approx(4 * 8, rel=1e-14)
 
 
@@ -303,19 +307,6 @@ class TestInitialGuess:
         p = halfplane_problem(2, 12)
         u = initial_guess(p, mode="profile")
         assert np.array_equal(u.values, p.boundary.profile(p.grid))
-
-    def test_harmonic_interior_equation(self):
-        p = halfplane_problem(2, 16)
-        u = initial_guess(p, mode="harmonic", tol=1e-12)
-        vals = u.values
-        assert np.array_equal(vals[p.fixed_mask], p.boundary.profile(p.grid)[p.fixed_mask])
-        lap = (
-            vals[2:, 1:-1] + vals[:-2, 1:-1] + vals[1:-1, 2:] + vals[1:-1, :-2]
-            - 4.0 * vals[1:-1, 1:-1]
-        )
-        assert np.max(np.abs(lap)) <= 1e-9
-        assert vals.min() >= -1e-12
-        assert vals.max() <= 1.0 + 1e-12
 
     def test_unknown_mode(self):
         p = halfplane_problem(2, 8)

@@ -8,7 +8,6 @@ from fbmlab.errors import GeometryError
 from fbmlab.fields import (
     Grid,
     ScalarField,
-    VectorField,
     geometric_radii,
 )
 from fbmlab.ghost import GhostFunction, flux_field, neumann_solve
@@ -74,7 +73,6 @@ def halfplane_scan(halfplane3):
 def zero_ghost(grid: Grid, z, f0: float = 1.0) -> GhostFunction:
     return GhostFunction(
         potential=ScalarField(grid, np.zeros(grid.node_shape)),
-        remainder=VectorField(grid, np.zeros(grid.node_shape + (grid.dim,))),
         base_point=z,
         f0=f0,
         cap_radius=0.5 * grid.h,
@@ -297,7 +295,6 @@ class TestScan:
         step = 0.5 * np.clip((d - 0.24) / 0.02, 0.0, 1.0)
         bad = GhostFunction(
             potential=ScalarField(grid, step),
-            remainder=VectorField(grid, np.zeros(grid.node_shape + (2,))),
             base_point=ORIGIN2,
             f0=1.0,
             cap_radius=0.5 * grid.h,

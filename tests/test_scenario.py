@@ -130,6 +130,19 @@ class TestValidateDict:
         data["seed"] = 1.5
         assert any(d.startswith("seed") for d in validate_dict(data))
 
+    def test_linear_density_with_alpha(self):
+        data = good_dict()
+        data["density"] = {"kind": "linear", "alpha": 0.5}
+        assert validate_dict(data) == ["density: the linear density has no alpha parameter"]
+
+    def test_negative_lambda(self):
+        data = good_dict()
+        data["lambda"] = -1.0
+        diags = validate_dict(data)
+        assert len(diags) == 1 and diags[0].startswith("lambda: lam must be positive")
+        with pytest.raises(ScenarioError, match="lambda"):
+            Scenario.from_dict(data)
+
     def test_non_dict_top_level(self):
         assert validate_dict([1, 2]) == ["scenario: top level must be a JSON object"]
 
