@@ -8,10 +8,18 @@ Conventions used throughout the package:
   three-point stencils on the faces (exact on quadratics);
 * sphere integrals use equispaced angles in 2d and a Fibonacci spiral with
   equal weights in 3d, with field values taken by multilinear interpolation;
-* ball integrals sum cell midpoint values times h^dim times the fraction of
-  the cell inside the ball; the fraction is 1 or 0 for cells that are safely
-  inside or outside and is estimated by a deterministic subsample grid
-  (n_sub points per axis) for cells near the sphere.
+  the unit directions are built once per (dim, n) and shifted and scaled
+  per sphere;
+* ball integrals are fixed linear functionals of the data on the window of
+  cells meeting the ball.  A cell safely inside counts fully, one safely
+  outside not at all, and a cell near the sphere counts at the fraction of a
+  deterministic subsample grid (n_sub points per axis) that falls inside.
+  For nodal fields the integrand is the multilinear interpolant: a safe
+  cell gives each corner 1/2^dim (the cell midpoint value), a borderline
+  cell gives each corner the mean of its hat function over the inside
+  subsamples.  These weights depend only on (grid, z, r, exclude_radius,
+  n_sub); they are built once, cached, and every ball integral is one
+  weighted sum of h^dim times the values on the window.
 
 Fields are immutable after construction; operations return new arrays.
 """
@@ -21,6 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,6 +235,25 @@ def interpolate(f: ScalarField | VectorField, pts: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
+@lru_cache(maxsize=8)
+def _unit_sphere(dim: int, n: int) -> np.ndarray:
+    """Read-only unit directions of the n-point sphere rule, shape (n, dim)."""
+    if dim == 2:
+        theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+        omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    elif dim == 3:
+        i = np.arange(n) + 0.5
+        pol = np.arccos(1.0 - 2.0 * i / n)
+        az = math.pi * (1.0 + math.sqrt(5.0)) * i
+        omega = np.stack(
+            [np.cos(az) * np.sin(pol), np.sin(az) * np.sin(pol), np.cos(pol)], axis=-1
+        )
+    else:
+        raise ValueError(f"unsupported dimension {dim}")
+    omega.setflags(write=False)
+    return omega
+
+
 def sphere_quadrature(dim: int, z, r: float, n_points: int | None = None):
     """Points and weights for the surface integral over the sphere |x-z| = r.
 
@@ -237,21 +266,9 @@ def sphere_quadrature(dim: int, z, r: float, n_points: int | None = None):
     if n < 4:
         raise ValueError("need at least 4 quadrature points")
     z = np.asarray(z, dtype=float)
-    if dim == 2:
-        theta = 2.0 * math.pi * (np.arange(n) + 0.5) / n
-        omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        weights = np.full(n, 2.0 * math.pi * r / n)
-    elif dim == 3:
-        i = np.arange(n) + 0.5
-        pol = np.arccos(1.0 - 2.0 * i / n)
-        az = math.pi * (1.0 + math.sqrt(5.0)) * i
-        omega = np.stack(
-            [np.cos(az) * np.sin(pol), np.sin(az) * np.sin(pol), np.cos(pol)], axis=-1
-        )
-        weights = np.full(n, 4.0 * math.pi * r * r / n)
-    else:
-        raise ValueError(f"unsupported dimension {dim}")
-    return z[None, :] + r * omega, weights
+    omega = _unit_sphere(dim, n)
+    measure = 2.0 * math.pi * r if dim == 2 else 4.0 * math.pi * r * r
+    return z[None, :] + r * omega, np.full(n, measure / n)
 
 
 def shell_average(f: ScalarField, z, r: float, n_points: int | None = None) -> float:
@@ -267,58 +284,106 @@ def shell_average(f: ScalarField, z, r: float, n_points: int | None = None) -> f
     return float(r ** (1 - grid.dim) * np.dot(wts, vals))
 
 
-class _BallStencil:
-    """Window of cells meeting a ball, split into safe and borderline cells."""
+class BallWeights(NamedTuple):
+    """Quadrature weights of one ball on the windows of cells and nodes it meets.
 
-    def __init__(self, grid: Grid, z, r: float, exclude_radius: float, n_sub: int):
-        grid.require_ball_inside(z, r)
-        if exclude_radius != 0.0 and not (0.0 < exclude_radius < r):
-            raise GeometryError("exclude_radius must lie in [0, r)")
-        h = grid.h
-        dim = grid.dim
-        z = np.asarray(z, dtype=float)
-        win = []
-        for a in range(dim):
-            lo_i = max(0, int(math.floor((z[a] - r - grid.lo[a]) / h)) - 1)
-            hi_i = min(grid.n_cells[a], int(math.ceil((z[a] + r - grid.lo[a]) / h)) + 1)
-            win.append((lo_i, hi_i))
-        centers = [grid.axis_centers(a)[w[0] : w[1]] - z[a] for a, w in enumerate(win)]
-        d2 = np.zeros(tuple(c.size for c in centers))
-        for a, c in enumerate(centers):
-            shape = [1] * dim
-            shape[a] = c.size
-            d2 = d2 + (c**2).reshape(shape)
-        d = np.sqrt(d2)
-        half_diag = 0.5 * h * math.sqrt(dim)
-        self.sure_in = (d + half_diag <= r) & (d - half_diag >= exclude_radius)
-        sure_out = (d - half_diag > r) | (d + half_diag < exclude_radius)
-        self.near = ~(self.sure_in | sure_out)
-        self.window = tuple(slice(w[0], w[1]) for w in win)
-        self.z = z
-        self.grid = grid
-        self.r = r
-        self.exclude_radius = exclude_radius
-        self.n_sub = n_sub
-        self._centers = centers
+    cells weighs a piecewise constant cell field (1 for cells safely inside,
+    the subsampled inside fraction for borderline cells, 0 otherwise); nodes
+    weighs nodal values so that the sum reproduces the integral of the
+    multilinear interpolant under the same subsample rule.  Neither carries
+    the h^dim cell volume.  The arrays are read-only and shared.
+    """
 
-    def near_subsamples(self):
-        """Deterministic subsample points inside each borderline cell.
+    cell_window: tuple[slice, ...]
+    cells: np.ndarray
+    node_window: tuple[slice, ...]
+    nodes: np.ndarray
 
-        Returns absolute points of shape (n_near, n_sub^dim, dim) together
-        with the boolean inside-the-shell mask of the same leading shape.
-        """
-        dim = self.grid.dim
-        h = self.grid.h
-        cc = np.stack(np.meshgrid(*self._centers, indexing="ij"), axis=-1)[self.near]
-        offs_1d = ((np.arange(self.n_sub) + 0.5) / self.n_sub - 0.5) * h
-        offs = np.stack(np.meshgrid(*([offs_1d] * dim), indexing="ij"), axis=-1)
-        offs = offs.reshape(-1, dim)
-        rel = cc[:, None, :] + offs[None, :, :]
-        dd2 = np.sum(rel * rel, axis=-1)
-        inside = dd2 <= self.r * self.r
-        if self.exclude_radius > 0.0:
-            inside &= dd2 >= self.exclude_radius * self.exclude_radius
-        return rel + self.z[None, None, :], inside
+
+def _corner_hats(dim: int, n_sub: int) -> np.ndarray:
+    """Tensor-product hat values at the subsample offsets, (n_sub^dim, 2^dim).
+
+    Rows follow the subsample order of the ball rule (meshgrid "ij"), columns
+    the cell corners in itertools.product((0, 1), repeat=dim) order.
+    """
+    t = (np.arange(n_sub) + 0.5) / n_sub
+    hat = np.stack([1.0 - t, t], axis=-1)
+    out = hat
+    for _ in range(dim - 1):
+        out = np.einsum("ia,jb->ijab", out, hat).reshape(out.shape[0] * n_sub, -1)
+    return out
+
+
+@lru_cache(maxsize=32)
+def _ball_weights(
+    grid: Grid, z: tuple[float, ...], r: float, exclude_radius: float, n_sub: int
+) -> BallWeights:
+    """Build the cell and node weights of the ball |x-z| <= r (cached).
+
+    Cells whose bounding sphere lies inside the shell exclude_radius <= |x-z|
+    <= r are safe, cells whose bounding sphere misses it are out, and the rest
+    are borderline: each is split into n_sub^dim subsample points, of which
+    the inside ones count.  A safe cell gives 1/2^dim to each of its corners;
+    a borderline cell gives corner k the mean over inside subsamples of the
+    corner's hat function.  Results are read-only; the cache holds a few
+    dozen balls, enough for every radius of a scan and its blow-up scales.
+    """
+    grid.require_ball_inside(z, r)
+    if exclude_radius != 0.0 and not (0.0 < exclude_radius < r):
+        raise GeometryError("exclude_radius must lie in [0, r)")
+    h = grid.h
+    dim = grid.dim
+    zc = np.asarray(z, dtype=float)
+    win = []
+    for a in range(dim):
+        lo_i = max(0, int(math.floor((zc[a] - r - grid.lo[a]) / h)) - 1)
+        hi_i = min(grid.n_cells[a], int(math.ceil((zc[a] + r - grid.lo[a]) / h)) + 1)
+        win.append((lo_i, hi_i))
+    centers = [grid.axis_centers(a)[w[0] : w[1]] - zc[a] for a, w in enumerate(win)]
+    d2 = np.zeros(tuple(c.size for c in centers))
+    for a, c in enumerate(centers):
+        shape = [1] * dim
+        shape[a] = c.size
+        d2 = d2 + (c**2).reshape(shape)
+    d = np.sqrt(d2)
+    half_diag = 0.5 * h * math.sqrt(dim)
+    sure_in = (d + half_diag <= r) & (d - half_diag >= exclude_radius)
+    sure_out = (d - half_diag > r) | (d + half_diag < exclude_radius)
+    near = ~(sure_in | sure_out)
+
+    cc = np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1)[near]
+    offs_1d = ((np.arange(n_sub) + 0.5) / n_sub - 0.5) * h
+    offs = np.stack(np.meshgrid(*([offs_1d] * dim), indexing="ij"), axis=-1)
+    rel = cc[:, None, :] + offs.reshape(-1, dim)[None, :, :]
+    dd2 = np.sum(rel * rel, axis=-1)
+    inside = dd2 <= r * r
+    if exclude_radius > 0.0:
+        inside &= dd2 >= exclude_radius * exclude_radius
+    cells = sure_in.astype(float)
+    cells[near] = inside.mean(axis=1)
+    moments = (inside.astype(float) @ _corner_hats(dim, n_sub)) / n_sub**dim
+
+    corner_share = np.where(sure_in, 0.5**dim, 0.0)
+    nodes = np.zeros(tuple(n + 1 for n in near.shape))
+    for k, corner in enumerate(itertools.product((0, 1), repeat=dim)):
+        corner_share[near] = moments[:, k]
+        nodes[tuple(slice(c, c + n) for c, n in zip(corner, near.shape))] += corner_share
+    for arr in (cells, nodes):
+        arr.setflags(write=False)
+    return BallWeights(
+        cell_window=tuple(slice(lo, hi) for lo, hi in win),
+        cells=cells,
+        node_window=tuple(slice(lo, hi + 1) for lo, hi in win),
+        nodes=nodes,
+    )
+
+
+def ball_weights(
+    grid: Grid, z, r: float, exclude_radius: float = 0.0, n_sub: int = DEFAULT_SUBSAMPLES
+) -> BallWeights:
+    """Cached quadrature weights of the ball |x-z| <= r minus |x-z| < exclude_radius."""
+    key = tuple(float(c) for c in np.asarray(z, dtype=float))
+    return _ball_weights(grid, key, float(r), float(exclude_radius), int(n_sub))
 
 
 def ball_integral_cells(
@@ -336,13 +401,8 @@ def ball_integral_cells(
     """
     if cell_values.shape != grid.n_cells:
         raise ValueError("cell_values shape mismatch")
-    st = _BallStencil(grid, z, r, exclude_radius, n_sub)
-    vals = cell_values[st.window]
-    total = np.sum(vals[st.sure_in], dtype=float)
-    if np.any(st.near):
-        _, inside = st.near_subsamples()
-        total += np.sum(inside.mean(axis=1) * vals[st.near])
-    return float(grid.h**grid.dim * total)
+    bw = ball_weights(grid, z, r, exclude_radius, n_sub)
+    return float(grid.h**grid.dim * np.sum(bw.cells * cell_values[bw.cell_window]))
 
 
 def cell_midpoint_values(values: np.ndarray, ndim: int | None = None) -> np.ndarray:
@@ -366,29 +426,24 @@ def ball_integral(
 ) -> float:
     """Integral of f over the ball |x-z| <= r, optionally minus a small core.
 
-    Interior cells use the cell-midpoint (corner mean) value.  Borderline
-    cells are subsampled and the multilinear interpolant is evaluated at the
-    subsample points, which keeps the shell contribution second order.
-    exclude_radius drops the contribution of |x-z| < exclude_radius; pass it
-    explicitly when the integrand is singular at z.
+    One weighted sum of the nodal values on the ball's window: the weights
+    (see ball_weights) integrate the multilinear interpolant, with the
+    cell-midpoint rule on interior cells and the subsample rule on borderline
+    cells, which keeps the shell contribution second order.  They are built
+    once per (grid, z, r, exclude_radius, n_sub) and cached.  exclude_radius
+    drops the contribution of |x-z| < exclude_radius; pass it explicitly
+    when the integrand is singular at z.
     """
     grid = f.grid
-    cells = cell_midpoint_values(f.values, ndim=grid.dim)
-    st = _BallStencil(grid, z, r, exclude_radius, n_sub)
-    total = np.sum(cells[st.window][st.sure_in], dtype=float)
-    if np.any(st.near):
-        pts, inside = st.near_subsamples()
-        vals = _interp_core(f.values, grid, pts.reshape(-1, grid.dim))
-        vals = vals.reshape(inside.shape)
-        total += np.sum(np.mean(vals * inside, axis=1))
-    return float(grid.h**grid.dim * total)
+    bw = ball_weights(grid, z, r, exclude_radius, n_sub)
+    return float(grid.h**grid.dim * np.sum(bw.nodes * f.values[bw.node_window]))
 
 
 def ball_volume(
     grid: Grid, z, r: float, exclude_radius: float = 0.0, n_sub: int = DEFAULT_SUBSAMPLES
 ) -> float:
-    ones = np.ones(grid.n_cells)
-    return ball_integral_cells(ones, grid, z, r, exclude_radius, n_sub)
+    bw = ball_weights(grid, z, r, exclude_radius, n_sub)
+    return float(grid.h**grid.dim * np.sum(bw.cells))
 
 
 def smoothed_indicator(f: ScalarField, eps: float) -> ScalarField:

@@ -287,13 +287,8 @@ def minimize(
     return out, report
 
 
-def initial_guess(p: Problem, mode: str = "profile") -> ScalarField:
-    """Starting iterate from the boundary generator.
-
-    "profile", the only mode, evaluates the generator on every node.
-    """
-    if mode != "profile":
-        raise ValueError(f"unknown initial guess mode {mode!r}")
+def initial_guess(p: Problem) -> ScalarField:
+    """Starting iterate: the boundary generator evaluated on every node."""
     return ScalarField(p.grid, p.boundary.profile(p.grid))
 
 

@@ -31,9 +31,10 @@ from .fields import (
     DEFAULT_SPHERE_POINTS,
     Grid,
     ScalarField,
-    ball_integral,
+    VectorField,
+    _freeze,
     ball_integral_cells,
-    ball_volume,
+    ball_weights,
     cell_midpoint_values,
     gradient,
     interpolate,
@@ -78,12 +79,6 @@ CSV_COLUMNS = (
 
 TOL_MONO_FACTOR = 5.0
 BASE_POINT_ATOL = 1e-12
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 def _resolve_f0(model: DensityModel, f0: float | None) -> float:
@@ -193,18 +188,33 @@ def monotonicity_value(
     return core - shell_average(g.potential, z, r, n_points=n_sphere_points)
 
 
-def _sphere_samples(
-    u: ScalarField, z: np.ndarray, r: float, n_points: int | None
-):
-    """Quadrature weights plus interpolated (q, u, u_nu) on the sphere."""
-    grid = u.grid
-    pts, w = sphere_quadrature(grid.dim, z, r, n_points)
-    grads = interpolate(gradient(u), pts)
+def _sphere_terms(
+    u: ScalarField,
+    grad_u: VectorField,
+    model: DensityModel,
+    z: np.ndarray,
+    r: float,
+    f0: float,
+    n_points: int | None,
+) -> tuple[float, float]:
+    """The two (u_nu - u/r) sphere integrals of the scan at one radius.
+
+    Returns (A' formula, T):
+        (2/r^n)     int_{dB_r} F'(q) (u_nu - u/r)^2,
+        (2/r^{n-1}) int_{dB_r} (F'(q) - f0) (u/r^2) (u_nu - u/r),
+    with q = |grad u|^2 and grad_u = gradient(u), computed once by the caller.
+    """
+    n = u.grid.dim
+    pts, w = sphere_quadrature(n, z, r, n_points)
+    grads = interpolate(grad_u, pts)
     nu = (pts - z[None, :]) / r
     q = np.sum(grads * grads, axis=-1)
     uvals = interpolate(u, pts)
     u_nu = np.sum(grads * nu, axis=-1)
-    return w, q, uvals, u_nu
+    slope = model.df(q)
+    formula = 2.0 / r**n * np.sum(w * slope * (u_nu - uvals / r) ** 2)
+    t = 2.0 / r ** (n - 1) * np.sum(w * (slope - f0) * (uvals / r**2) * (u_nu - uvals / r))
+    return float(formula), float(t)
 
 
 def radial_derivative(
@@ -222,9 +232,7 @@ def radial_derivative(
     grid = u.grid
     z = _base_point(grid, z)
     grid.require_ball_inside(z, r)
-    w, q, uvals, u_nu = _sphere_samples(u, z, r, n_sphere_points)
-    integrand = model.df(q) * (u_nu - uvals / r) ** 2
-    return float(2.0 / r**grid.dim * np.sum(w * integrand))
+    return _sphere_terms(u, gradient(u), model, z, r, 0.0, n_sphere_points)[0]
 
 
 def error_term(
@@ -240,9 +248,7 @@ def error_term(
     z = _base_point(grid, z)
     f0 = _resolve_f0(model, f0)
     grid.require_ball_inside(z, r)
-    w, q, uvals, u_nu = _sphere_samples(u, z, r, n_sphere_points)
-    integrand = (model.df(q) - f0) * (uvals / r**2) * (u_nu - uvals / r)
-    return float(2.0 / r ** (grid.dim - 1) * np.sum(w * integrand))
+    return _sphere_terms(u, gradient(u), model, z, r, f0, n_sphere_points)[1]
 
 
 def error_term_flux(
@@ -334,18 +340,13 @@ def derivative_identity_report(
         [_bulk_integral(density, grid, z, radius) / radius**grid.dim for radius in r]
     )
     lhs_all = log_radius_derivative(bulk, r)
+    grad_u = gradient(u)
     out = []
     for i in range(1, r.size - 1):
         radius = float(r[i])
-        w, q, uvals, u_nu = _sphere_samples(u, z, radius, n_sphere_points)
-        slope = model.df(q)
-        first = 2.0 / radius**grid.dim * np.sum(w * slope * (u_nu - uvals / radius) ** 2)
-        second = (
-            2.0
-            / radius ** (grid.dim - 1)
-            * np.sum(w * slope * (uvals / radius**2) * (u_nu - uvals / radius))
-        )
-        rhs = float(first + second)
+        # f0 = 0 turns T into the full F' term of the identity
+        first, second = _sphere_terms(u, grad_u, model, z, radius, 0.0, n_sphere_points)
+        rhs = first + second
         lhs = float(lhs_all[i])
         out.append(IdentityRecord(r=radius, lhs=lhs, rhs=rhs, gap=lhs - rhs))
     return out
@@ -421,12 +422,12 @@ def oscillation_profile(phi: ScalarField, z, radii) -> np.ndarray:
     z = _base_point(grid, z)
     out = []
     for r in np.asarray(radii, dtype=float):
-        r = float(r)
-        grid.require_ball_inside(z, r)
-        vol = ball_volume(grid, z, r)
-        mean = ball_integral(phi, z, r) / vol
-        dev = ScalarField(grid, (phi.values - mean) ** 2)
-        out.append(ball_integral(dev, z, r) / vol)
+        bw = ball_weights(grid, z, float(r))
+        # ball means: the h^dim cell volume cancels between integral and volume
+        vol = np.sum(bw.cells)
+        window = phi.values[bw.node_window]
+        mean = np.sum(bw.nodes * window) / vol
+        out.append(np.sum(bw.nodes * (window - mean) ** 2) / vol)
     return np.array(out)
 
 
@@ -458,6 +459,7 @@ def scan(
     )
 
     density = cell_energy_density(u, model, lam)
+    grad_u = gradient(u)
     n = grid.dim
     core = np.empty(r.size)
     gt = np.empty(r.size)
@@ -469,14 +471,7 @@ def scan(
         surf = _surface_u2(u, z, radius, n_points)
         core[i] = bulk / radius**n - f0 * surf / radius ** (n + 1)
         gt[i] = shell_average(g.potential, z, radius, n_points=n_points)
-        w, q, uvals, u_nu = _sphere_samples(u, z, radius, n_points)
-        slope = model.df(q)
-        formula[i] = 2.0 / radius**n * np.sum(w * slope * (u_nu - uvals / radius) ** 2)
-        t_col[i] = (
-            2.0
-            / radius ** (n - 1)
-            * np.sum(w * (slope - f0) * (uvals / radius**2) * (u_nu - uvals / radius))
-        )
+        formula[i], t_col[i] = _sphere_terms(u, grad_u, model, z, radius, f0, n_points)
 
     a = core - gt
     a_prime_fd = log_radius_derivative(a, r)

@@ -65,7 +65,7 @@ def build_problem(s: Scenario) -> Problem:
 def stage_minimize(s: Scenario) -> tuple[ScalarField, dict]:
     """Descend from the boundary-data profile; report solver statistics."""
     p = build_problem(s)
-    u0 = initial_guess(p, mode="profile")
+    u0 = initial_guess(p)
     u, rep = minimize(p, u0, tol=s.tol, max_iter=s.max_iter)
     report = {
         "iterations": rep.iterations,

@@ -7,6 +7,7 @@ grid code is never checked against itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -19,8 +20,12 @@ from fbmlab.errors import GeometryError
 from fbmlab.fields import (
     Grid,
     ScalarField,
+    _ball_weights,
+    _unit_sphere,
     ball_integral,
+    ball_integral_cells,
     ball_volume,
+    ball_weights,
     free_boundary_points,
     geometric_radii,
     gradient,
@@ -255,6 +260,126 @@ class TestBallIntegral:
             errs.append(abs(ball_volume(g, (0, 0, 0), 0.7) - exact))
         assert errs[2] < errs[0]
         assert errs[2] < 0.6 * errs[0]
+
+
+def reference_ball_rule(grid, z, r, exclude_radius=0.0, n_sub=4):
+    """The per-call subsample rule the cached weights replace.
+
+    Returns the cell window, the safe and borderline masks, and for each
+    borderline cell its subsample points and inside mask.
+    """
+    h, dim = grid.h, grid.dim
+    z = np.asarray(z, dtype=float)
+    win = []
+    for a in range(dim):
+        lo_i = max(0, int(math.floor((z[a] - r - grid.lo[a]) / h)) - 1)
+        hi_i = min(grid.n_cells[a], int(math.ceil((z[a] + r - grid.lo[a]) / h)) + 1)
+        win.append(slice(lo_i, hi_i))
+    centers = [grid.axis_centers(a)[w] - z[a] for a, w in enumerate(win)]
+    mesh = np.meshgrid(*centers, indexing="ij")
+    d = np.sqrt(sum(m * m for m in mesh))
+    half_diag = 0.5 * h * math.sqrt(dim)
+    sure_in = (d + half_diag <= r) & (d - half_diag >= exclude_radius)
+    sure_out = (d - half_diag > r) | (d + half_diag < exclude_radius)
+    near = ~(sure_in | sure_out)
+    cc = np.stack(mesh, axis=-1)[near]
+    offs_1d = ((np.arange(n_sub) + 0.5) / n_sub - 0.5) * h
+    offs = np.stack(np.meshgrid(*([offs_1d] * dim), indexing="ij"), axis=-1)
+    rel = cc[:, None, :] + offs.reshape(-1, dim)[None, :, :]
+    dd2 = np.sum(rel * rel, axis=-1)
+    inside = (dd2 <= r * r) & ((exclude_radius == 0.0) | (dd2 >= exclude_radius**2))
+    return tuple(win), sure_in, near, rel + z, inside
+
+
+def reference_ball_integral(f, z, r, exclude_radius=0.0, n_sub=4):
+    """Cell midpoints on safe cells, the interpolant at inside subsamples elsewhere."""
+    grid = f.grid
+    win, sure_in, near, pts, inside = reference_ball_rule(grid, z, r, exclude_radius, n_sub)
+    cells = f.values
+    for a in range(grid.dim):
+        cells = 0.5 * (np.take(cells, range(cells.shape[a] - 1), axis=a)
+                       + np.take(cells, range(1, cells.shape[a]), axis=a))
+    total = np.sum(cells[win][sure_in])
+    vals = interpolate(f, pts.reshape(-1, grid.dim)).reshape(inside.shape)
+    total += np.sum(np.mean(vals * inside, axis=1))
+    return grid.h**grid.dim * total
+
+
+def reference_ball_integral_cells(cell_values, grid, z, r, exclude_radius=0.0, n_sub=4):
+    win, sure_in, near, _, inside = reference_ball_rule(grid, z, r, exclude_radius, n_sub)
+    vals = cell_values[win]
+    total = np.sum(vals[sure_in]) + np.sum(inside.mean(axis=1) * vals[near])
+    return grid.h**grid.dim * total
+
+
+BALL_CASES = [
+    # (dim, n, half, z, r, exclude_radius): off-node centres, an excluded
+    # core, and balls whose window reaches a box face
+    (2, 24, 1.0, (0.013, -0.271), 0.55, 0.0),
+    (2, 24, 1.0, (0.1, 0.05), 0.6, 0.17),
+    (2, 16, 1.0, (0.4, -0.1), 0.6, 0.0),
+    (3, 16, 1.0, (0.031, -0.047, 0.102), 0.5, 0.0),
+    (3, 16, 1.0, (0.0, 0.0, 0.0), 0.7, 0.15),
+    (3, 12, 1.0, (-0.3, 0.2, 0.05), 0.7, 0.0),
+]
+
+
+class TestBallWeights:
+    @staticmethod
+    def field(grid):
+        mesh = grid.node_mesh()
+        return ScalarField(grid, np.exp(0.7 * mesh[0]) * np.cos(mesh[1]) + sum(mesh) ** 2)
+
+    @pytest.mark.parametrize("dim,n,half,z,r,ex", BALL_CASES)
+    def test_matches_subsample_interpolant_rule(self, dim, n, half, z, r, ex):
+        g = box_grid(dim, n, half)
+        f = self.field(g)
+        cells = np.cos(np.arange(np.prod(g.n_cells), dtype=float)).reshape(g.n_cells)
+        ones = np.ones(g.n_cells)
+        want = reference_ball_integral(f, z, r, ex)
+        assert ball_integral(f, z, r, exclude_radius=ex) == pytest.approx(want, rel=1e-13)
+        want = reference_ball_integral_cells(cells, g, z, r, ex)
+        got = ball_integral_cells(cells, g, z, r, exclude_radius=ex)
+        assert got == pytest.approx(want, rel=1e-13)
+        want = reference_ball_integral_cells(ones, g, z, r, ex)
+        assert ball_volume(g, z, r, exclude_radius=ex) == pytest.approx(want, rel=1e-13)
+
+    def test_window_touches_box_face(self):
+        g = box_grid(2, 16)
+        bw = ball_weights(g, (0.4, -0.1), 0.6)
+        assert bw.node_window[0].stop == g.node_shape[0]
+        assert bw.cell_window[0].stop == g.n_cells[0]
+
+    def test_cache_hit_bitwise_and_read_only(self):
+        g = box_grid(3, 12)
+        f = self.field(g)
+        z, r = (0.05, -0.02, 0.11), 0.6
+        _ball_weights.cache_clear()
+        first = ball_integral(f, z, r)
+        assert _ball_weights.cache_info().misses == 1
+        second = ball_integral(f, z, r)
+        assert _ball_weights.cache_info().hits == 1
+        assert first == second
+        bw = ball_weights(g, np.asarray(z), r)
+        assert _ball_weights.cache_info().hits == 2
+        for arr in (bw.cells, bw.nodes):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * g.dim] = 1.0
+
+    def test_node_weights_sum_to_cell_weights(self):
+        # each cell hands its whole weight to its corners
+        g = box_grid(3, 12)
+        bw = ball_weights(g, (0.05, -0.02, 0.11), 0.6, exclude_radius=0.1)
+        assert np.sum(bw.nodes) == pytest.approx(np.sum(bw.cells), rel=1e-14)
+
+    def test_sphere_directions_cached_read_only(self):
+        pts, w = sphere_quadrature(3, (0.1, 0.0, 0.0), 0.5, 64)
+        omega = _unit_sphere(3, 64)
+        assert not omega.flags.writeable
+        assert np.array_equal(pts, 0.1 * np.eye(3)[0] + 0.5 * omega)
+        assert pts.flags.writeable and w.flags.writeable
+        assert np.all(w == 4.0 * math.pi * 0.5 * 0.5 / 64)
 
 
 class TestIndicatorAndCrossings:

@@ -163,7 +163,7 @@ class TestEnergy:
     def test_halfplane_bulk_value(self):
         # sharp limit: (f(1) + lam) * half-box volume = 8
         p = halfplane_problem(3, 64, eps=1e-8)
-        u = initial_guess(p, mode="profile")
+        u = initial_guess(p)
         assert energy(p, u) == pytest.approx(8.0, rel=2e-2)
 
     def test_grid_mismatch(self):
@@ -256,7 +256,7 @@ class TestMinimize:
 
     def test_descent_recovers_halfplane(self):
         p = halfplane_problem(2, 64)
-        profile = initial_guess(p, mode="profile")
+        profile = initial_guess(p)
         x, y = p.grid.node_mesh()
         bump = 0.05 * np.clip(1 - (2 * x) ** 2, 0, None) ** 2 * np.clip(1 - (2 * y) ** 2, 0, None) ** 2
         u0 = ScalarField(p.grid, profile.values + bump)
@@ -270,7 +270,7 @@ class TestMinimize:
     def test_boundary_bit_exact(self):
         p = halfplane_problem(2, 16, model=arctan_density(0.1))
         rng = np.random.default_rng(9)
-        vals = initial_guess(p, mode="profile").values + 0.05 * rng.standard_normal(
+        vals = initial_guess(p).values + 0.05 * rng.standard_normal(
             p.grid.node_shape
         )
         u0 = ScalarField(p.grid, vals)
@@ -305,13 +305,8 @@ class TestMinimize:
 class TestInitialGuess:
     def test_profile_matches_generator(self):
         p = halfplane_problem(2, 12)
-        u = initial_guess(p, mode="profile")
+        u = initial_guess(p)
         assert np.array_equal(u.values, p.boundary.profile(p.grid))
-
-    def test_unknown_mode(self):
-        p = halfplane_problem(2, 8)
-        with pytest.raises(ValueError):
-            initial_guess(p, mode="random")
 
 
 class TestDomainVariation:
@@ -330,13 +325,13 @@ class TestDomainVariation:
 
     def test_zero_test_field_exact(self):
         p = halfplane_problem(2, 12)
-        u = initial_guess(p, mode="profile")
+        u = initial_guess(p)
         phi = VectorField(p.grid, np.zeros(p.grid.node_shape + (2,)))
         assert domain_variation_residual(p, u, [phi]) == [0.0]
 
     def test_support_touching_boundary(self):
         p = halfplane_problem(2, 12)
-        u = initial_guess(p, mode="profile")
+        u = initial_guess(p)
         phi = VectorField(p.grid, np.ones(p.grid.node_shape + (2,)))
         with pytest.raises(GeometryError):
             domain_variation_residual(p, u, [phi])
@@ -345,7 +340,7 @@ class TestDomainVariation:
         vals = []
         for n in (16, 32, 64):
             p = halfplane_problem(2, n, eps=1e-10)
-            u = initial_guess(p, mode="profile")
+            u = initial_guess(p)
             (r,) = domain_variation_residual(p, u, [self.bump_field(p.grid)])
             vals.append(abs(r))
             assert abs(r) <= 6.0 * p.grid.h

@@ -13,6 +13,8 @@ from fbmlab.fields import (
 from fbmlab.ghost import GhostFunction, flux_field, neumann_solve
 from fbmlab.monotonicity import (
     CSV_COLUMNS,
+    MonotonicityReport,
+    VmoReport,
     cell_energy_density,
     derivative_identity_report,
     error_term,
@@ -306,6 +308,62 @@ class TestScan:
         assert rep.violations != ()
         i = rep.violations[0]
         assert rep.a[i + 1] < rep.a[i] - rep.tol_mono
+
+
+class TestSphereKernel:
+    def test_scan_columns_match_single_radius_terms(self):
+        # one sphere kernel serves the scan, radial_derivative and error_term
+        grid = box_grid(2, 96)
+        x, y = grid.node_mesh()
+        u = ScalarField(grid, np.maximum(x + 0.3 * y * y, 0.0) + 0.1 * x * y)
+        radii = geometric_radii(0.2, 0.5, 1.3)
+        g = zero_ghost(grid, ORIGIN2, f0=0.9)
+        rep = scan(u, ARCTAN, 0.7, ORIGIN2, radii, g, f0=0.9)
+        assert np.any(rep.t != 0.0)
+        for i, r in enumerate(radii):
+            assert rep.a_prime_formula[i] == pytest.approx(
+                radial_derivative(u, ARCTAN, ORIGIN2, r), rel=1e-13
+            )
+            assert rep.t[i] == pytest.approx(
+                error_term(u, ARCTAN, ORIGIN2, r, f0=0.9), rel=1e-13
+            )
+        records = derivative_identity_report(u, ARCTAN, 0.7, ORIGIN2, radii)
+        for rec in records:
+            want = radial_derivative(u, ARCTAN, ORIGIN2, rec.r) + error_term(
+                u, ARCTAN, ORIGIN2, rec.r, f0=0.0
+            )
+            assert rec.rhs == pytest.approx(want, rel=1e-13)
+
+
+class TestReportsCopyInputs:
+    def test_vmo_report_leaves_caller_array_writable(self):
+        profile = np.array([1.0, 0.5, 0.1])
+        rep = VmoReport(profile=profile, limit_estimate=0.1, floor=0.0, passed=True)
+        assert profile.flags.writeable
+        assert not rep.profile.flags.writeable
+        profile[0] = 7.0
+        assert rep.profile[0] == 1.0
+
+    def test_monotonicity_report_leaves_caller_arrays_writable(self, halfplane_scan):
+        cols = {
+            name: np.array(getattr(halfplane_scan, name))
+            for name in ("r", "weiss_core", "ghost_term", "a", "a_prime_fd",
+                         "a_prime_formula", "t", "mainid_gap", "osc")
+        }
+        rep = MonotonicityReport(
+            **cols, z=ORIGIN3, f0=1.0, lam=1.0, h=1.0 / 48.0,
+            n_sphere_points=4096, tol_mono=0.0, violations=(),
+        )
+        for name, arr in cols.items():
+            assert arr.flags.writeable, name
+            assert not getattr(rep, name).flags.writeable, name
+
+    def test_scan_leaves_radii_writable(self, halfplane3):
+        radii = np.array([0.2, 0.25])
+        g = zero_ghost(halfplane3.grid, ORIGIN3)
+        rep = scan(halfplane3, LINEAR, 1.0, ORIGIN3, radii, g)
+        assert radii.flags.writeable
+        assert not rep.r.flags.writeable
 
 
 class TestOscillation:

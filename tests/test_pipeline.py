@@ -8,7 +8,7 @@ import pytest
 
 from fbmlab.errors import GeometryError, ScenarioError
 from fbmlab.fieldio import read_csv, read_field, write_csv, write_field
-from fbmlab.fields import Grid, ScalarField
+from fbmlab.fields import Grid, ScalarField, _ball_weights, _unit_sphere
 from fbmlab.ghost import _axis_modes, flux_field, weak_divergence_residual
 from fbmlab.monotonicity import write_report_csv
 from fbmlab.pipeline import (
@@ -121,8 +121,8 @@ class TestDeterminism:
 
     def test_one_and_two_threads_byte_identical(self, first_run, tmp_path, monkeypatch):
         # two explicit points so the pool runs two Neumann solves at once;
-        # the per-axis eigendecomposition cache is emptied so both threads
-        # also race to fill it
+        # the eigendecomposition, ball weight and sphere direction caches
+        # are emptied so both threads also race to fill them
         out, _ = first_run
         s = tiny_scenario(
             field_path=str(out / "field.bin"),
@@ -132,6 +132,8 @@ class TestDeterminism:
         for threads in ("1", "2"):
             monkeypatch.setenv("FBMLAB_THREADS", threads)
             _axis_modes.cache_clear()
+            _ball_weights.cache_clear()
+            _unit_sphere.cache_clear()
             summary = run_pipeline(s, tmp_path / threads)
             assert summary["n_points"] == 2
             assert all(p["ghost"]["iterations"] == 1 for p in summary["per_point"])
