@@ -34,7 +34,7 @@ def main() -> int:
     if "final_energy" in mini:
         print(
             f"minimize : energy {mini['final_energy']:.8f} after "
-            f"{mini['iterations']} iterations (converged={mini['converged']})"
+            f"{mini['iterations']} iterations (stop: {mini['stop_reason']})"
         )
     else:
         print(f"minimize : field loaded from {mini['loaded_from']}")

@@ -159,6 +159,7 @@ class MinimizeReport:
     converged: bool
     energy_history: list[float]
     lipschitz: float
+    stop_reason: str
 
 
 def _ramp(t: np.ndarray, eps: float) -> np.ndarray:
@@ -174,28 +175,42 @@ def _require_on_grid(p: Problem, u: ScalarField) -> None:
         raise ValueError("field does not live on the problem grid")
 
 
-def _energy_core(p: Problem, values: np.ndarray, w: np.ndarray) -> float:
+def _derivatives(values: np.ndarray, h: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Nodal derivatives of values and the squared gradient modulus q."""
     with np.errstate(over="ignore", invalid="ignore"):
-        grads = gradient_arrays(values, p.grid.h)
+        grads = gradient_arrays(values, h)
         q = sum(g * g for g in grads)
+    return grads, q
+
+
+def _energy_core(
+    p: Problem, values: np.ndarray, w: np.ndarray
+) -> tuple[float, list[np.ndarray], np.ndarray]:
+    """Energy of values, with the derivatives it used (for the gradient)."""
+    grads, q = _derivatives(values, p.grid.h)
     if not np.all(np.isfinite(q)):
         # overflowing iterate; report +inf instead of tripping the model
-        return float("inf")
+        return float("inf"), grads, q
     integrand = p.model.f(q) + p.lam * _ramp(values, p.eps)
-    return float(p.grid.h**p.grid.dim * np.sum(w * integrand))
+    return float(p.grid.h**p.grid.dim * np.sum(w * integrand)), grads, q
 
 
 def energy(p: Problem, u: ScalarField) -> float:
     """Total smoothed energy of u on the problem box."""
     _require_on_grid(p, u)
     w = trapezoid_weights(p.grid.node_shape)
-    return _energy_core(p, u.values, w)
+    return _energy_core(p, u.values, w)[0]
 
 
-def _gradient_core(p: Problem, values: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _gradient_core(
+    p: Problem,
+    values: np.ndarray,
+    w: np.ndarray,
+    grads: list[np.ndarray],
+    q: np.ndarray,
+) -> np.ndarray:
+    """Energy gradient at values, given its derivatives grads and q."""
     h = p.grid.h
-    grads = gradient_arrays(values, h)
-    q = sum(g * g for g in grads)
     slope = p.model.df(q)
     out = np.zeros_like(values)
     for axis, g in enumerate(grads):
@@ -213,7 +228,8 @@ def energy_gradient(p: Problem, u: ScalarField) -> ScalarField:
     """
     _require_on_grid(p, u)
     w = trapezoid_weights(p.grid.node_shape)
-    return ScalarField(p.grid, _gradient_core(p, u.values, w))
+    grads, q = _derivatives(u.values, p.grid.h)
+    return ScalarField(p.grid, _gradient_core(p, u.values, w, grads, q))
 
 
 def default_step(p: Problem) -> float:
@@ -230,30 +246,43 @@ def minimize(
 ) -> tuple[ScalarField, MinimizeReport]:
     """Armijo gradient descent from u0; fixed nodes are never touched.
 
-    Stops when the sup-norm of the masked gradient drops to tol or after
-    max_iter accepted steps.  Raises SolverError if the energy is not finite
-    or the line search collapses.
+    Stops for one of three reasons, named in the report's stop_reason:
+
+      gradient_tol: the sup-norm of the masked gradient is at most tol
+                    (the only stop with converged=True);
+      stalled:      the last accepted step's Armijo decrease
+                    ARMIJO_C * step * h^dim |G|^2 was at most one ulp of the
+                    energy, so the test no longer certified a decrease, and
+                    the gradient at the new iterate still exceeds tol;
+      budget:       max_iter steps were taken (max_iter = 0 never converges).
+
+    gradient_norm is the masked gradient sup-norm at the returned iterate.
+    Raises SolverError if the energy is not finite or the line search
+    collapses.
     """
     _require_on_grid(p, u0)
     w = trapezoid_weights(p.grid.node_shape)
     u = u0.values.copy()
-    e_now = _energy_core(p, u, w)
+    e_now, grads, q = _energy_core(p, u, w)
     if not np.isfinite(e_now):
         raise SolverError("initial energy is not finite")
     cell = p.grid.h**p.grid.dim
     step = default_step(p) if step0 is None else float(step0)
     steps: list[float] = []
     energies = [e_now]
-    converged = False
+    stalled = False
     while True:
-        grad = _gradient_core(p, u, w)
+        grad = _gradient_core(p, u, w, grads, q)
         g_sup = float(np.max(np.abs(grad)))
         if len(steps) >= max_iter:
             # spent the budget; max_iter = 0 never claims convergence
-            converged = max_iter > 0 and g_sup <= tol
+            stop_reason = "gradient_tol" if max_iter > 0 and g_sup <= tol else "budget"
             break
         if g_sup <= tol:
-            converged = True
+            stop_reason = "gradient_tol"
+            break
+        if stalled:
+            stop_reason = "stalled"
             break
         with np.errstate(over="ignore"):
             # an infinite slope estimate is fine: the line search rejects it
@@ -262,27 +291,28 @@ def minimize(
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             trial = u - step * grad
-            e_trial = _energy_core(p, trial, w)
+            e_trial, trial_grads, trial_q = _energy_core(p, trial, w)
             if np.isfinite(e_trial) and e_trial <= e_now - ARMIJO_C * step * gg:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             raise SolverError("line search collapsed; energy may be diverging")
-        u = trial
-        e_now = e_trial
+        # a required decrease below one ulp of E certifies nothing (round-off)
+        stalled = ARMIJO_C * step * gg <= np.spacing(abs(e_now))
+        u, e_now, grads, q = trial, e_trial, trial_grads, trial_q
         steps.append(step)
         energies.append(e_now)
     out = ScalarField(p.grid, u)
-    lip = float(np.max(np.sqrt(sum(g * g for g in gradient_arrays(u, p.grid.h)))))
     report = MinimizeReport(
         iterations=len(steps),
         final_energy=e_now,
         gradient_norm=g_sup,
         step_history=steps,
-        converged=converged,
+        converged=stop_reason == "gradient_tol",
         energy_history=energies,
-        lipschitz=lip,
+        lipschitz=float(np.max(np.sqrt(q))),
+        stop_reason=stop_reason,
     )
     return out, report
 

@@ -72,6 +72,7 @@ def stage_minimize(s: Scenario) -> tuple[ScalarField, dict]:
         "final_energy": rep.final_energy,
         "gradient_norm": rep.gradient_norm,
         "converged": rep.converged,
+        "stop_reason": rep.stop_reason,
         "lipschitz": rep.lipschitz,
         "lambda": p.lam,
         "eps": p.eps,

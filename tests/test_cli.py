@@ -202,7 +202,10 @@ class TestMinimizeCommand:
         ])
         assert rc == 0
         rep = json.loads((tmp_path / "r.json").read_text())
-        for key in ("iterations", "final_energy", "gradient_norm", "converged", "lipschitz"):
+        for key in (
+            "iterations", "final_energy", "gradient_norm", "converged",
+            "stop_reason", "lipschitz",
+        ):
             assert key in rep
 
     def test_points_csv_roundtrips_through_z_flag(self, reference_run):

@@ -10,10 +10,13 @@ from fbmlab.fields import (
     Grid,
     ScalarField,
     VectorField,
+    gradient_arrays,
     gradient_transpose,
     trapezoid_weights,
 )
 from fbmlab.minimizer import (
+    ARMIJO_C,
+    MAX_BACKTRACKS,
     BoundaryData,
     Problem,
     default_step,
@@ -38,6 +41,67 @@ def halfplane_problem(dim, n, model=None, **kw):
     grid = box_grid(dim, n)
     e = (1.0,) + (0.0,) * (dim - 1)
     return Problem(grid, model, BoundaryData("halfplane", direction=e), **kw)
+
+
+def noisy_start(p, amplitude=0.05, seed=3):
+    """Boundary profile plus interior noise; boundary nodes keep their data."""
+    vals = initial_guess(p).values
+    noise = amplitude * np.random.default_rng(seed).standard_normal(vals.shape)
+    noise[p.fixed_mask] = 0.0
+    return ScalarField(p.grid, vals + noise)
+
+
+def reference_minimize(p, u0, tol, max_iter):
+    """Armijo descent without the stall stop: every trial and every gradient
+    differentiates its iterate afresh, and only tol or max_iter stop it.
+
+    Returns (field, energy_history, step_history, gradient sup-norm).
+    """
+    h, dim = p.grid.h, p.grid.dim
+    w = trapezoid_weights(p.grid.node_shape)
+
+    def energy_of(values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = sum(g * g for g in gradient_arrays(values, h))
+        if not np.all(np.isfinite(q)):
+            return float("inf")
+        ramp = np.clip(values / p.eps, 0.0, 1.0)
+        return float(h**dim * np.sum(w * (p.model.f(q) + p.lam * ramp)))
+
+    def gradient_of(values):
+        grads = gradient_arrays(values, h)
+        slope = p.model.df(sum(g * g for g in grads))
+        out = np.zeros_like(values)
+        for axis, g in enumerate(grads):
+            out += gradient_transpose(2.0 * w * slope * g, axis, h)
+        kink = np.where((values > 0.0) & (values < p.eps), 1.0 / p.eps, 0.0)
+        out += w * p.lam * kink
+        out[p.fixed_mask] = 0.0
+        return out
+
+    u = u0.values.copy()
+    e_now = energy_of(u)
+    step = default_step(p)
+    steps, energies = [], [e_now]
+    while True:
+        grad = gradient_of(u)
+        g_sup = float(np.max(np.abs(grad)))
+        if len(steps) >= max_iter or g_sup <= tol:
+            break
+        gg = h**dim * float(np.sum(grad * grad))
+        step *= 2.0
+        for _ in range(MAX_BACKTRACKS):
+            trial = u - step * grad
+            e_trial = energy_of(trial)
+            if np.isfinite(e_trial) and e_trial <= e_now - ARMIJO_C * step * gg:
+                break
+            step *= 0.5
+        else:
+            raise SolverError("reference line search collapsed")
+        u, e_now = trial, e_trial
+        steps.append(step)
+        energies.append(e_now)
+    return u, energies, steps, g_sup
 
 
 class TestBoundaryData:
@@ -235,6 +299,7 @@ class TestMinimize:
         u0 = ScalarField(p.grid, np.zeros(p.grid.node_shape))
         u, rep = minimize(p, u0, tol=1e-12, max_iter=50)
         assert rep.converged
+        assert rep.stop_reason == "gradient_tol"
         assert rep.iterations == 0
         assert np.array_equal(u.values, u0.values)
 
@@ -243,6 +308,7 @@ class TestMinimize:
         u0 = ScalarField(p.grid, np.zeros(p.grid.node_shape))
         u, rep = minimize(p, u0, tol=1e-12, max_iter=0)
         assert not rep.converged
+        assert rep.stop_reason == "budget"
         assert rep.iterations == 0
         assert np.array_equal(u.values, u0.values)
 
@@ -300,6 +366,50 @@ class TestMinimize:
     def test_default_step_positive(self):
         p = halfplane_problem(2, 16)
         assert default_step(p) > 0.0
+
+
+class TestStopping:
+    @pytest.mark.parametrize(
+        "dim,n,model,max_iter,reason",
+        [
+            (2, 24, arctan_density(0.1), 5000, "stalled"),
+            (3, 10, linear_density(), 40, "budget"),
+        ],
+    )
+    def test_iterates_match_reference_loop(self, dim, n, model, max_iter, reason):
+        p = halfplane_problem(dim, n, model=model)
+        u0 = noisy_start(p)
+        u, rep = minimize(p, u0, tol=1e-8, max_iter=max_iter)
+        assert rep.stop_reason == reason
+        assert not rep.converged
+        ref_u, ref_e, ref_s, ref_g = reference_minimize(p, u0, 1e-8, rep.iterations)
+        assert rep.energy_history == ref_e
+        assert rep.step_history == ref_s
+        assert u.values.tobytes() == ref_u.tobytes()
+        assert rep.gradient_norm == ref_g
+        assert rep.iterations < max_iter if reason == "stalled" else rep.iterations == max_iter
+
+    def test_restart_from_stalled_field_stops_quickly(self):
+        p = halfplane_problem(2, 24, model=arctan_density(0.1))
+        u1, rep1 = minimize(p, noisy_start(p), tol=1e-8, max_iter=10_000)
+        assert rep1.stop_reason == "stalled"
+        u2, rep2 = minimize(p, u1, tol=1e-8, max_iter=10_000)
+        assert rep2.stop_reason == "stalled"
+        assert rep2.iterations <= 100
+        assert np.all(np.diff(rep2.energy_history) <= 0.0)
+
+    @pytest.mark.parametrize("max_iter,reason", [(10_000, "stalled"), (7, "budget")])
+    def test_gradient_norm_is_at_returned_iterate(self, max_iter, reason):
+        p = halfplane_problem(2, 16, model=arctan_density(0.1))
+        u, rep = minimize(p, noisy_start(p), tol=1e-8, max_iter=max_iter)
+        assert rep.stop_reason == reason
+        assert rep.gradient_norm == float(np.max(np.abs(energy_gradient(p, u).values)))
+
+    def test_lipschitz_is_final_gradient_modulus(self):
+        p = halfplane_problem(2, 16, model=arctan_density(0.1))
+        u, rep = minimize(p, noisy_start(p), tol=1e-8, max_iter=15)
+        mod = np.sqrt(sum(g * g for g in gradient_arrays(u.values, p.grid.h)))
+        assert rep.lipschitz == float(np.max(mod))
 
 
 class TestInitialGuess:
