@@ -60,7 +60,6 @@ from .monotonicity import (
     derivative_identity_report,
     error_term,
     error_term_flux,
-    monotonicity_value,
     radial_derivative,
     regular_point_fit,
     scan,
@@ -125,7 +124,6 @@ __all__ = [
     "derivative_identity_report",
     "error_term",
     "error_term_flux",
-    "monotonicity_value",
     "radial_derivative",
     "regular_point_fit",
     "scan",

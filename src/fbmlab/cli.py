@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import GeometryError, ScenarioError, SolverError
-from .fieldio import _pair, read_field, write_csv, write_field
+from .fieldio import _pair, write_csv, write_field
 from .fields import ScalarField
 from .monotonicity import write_report_csv
 from .pipeline import (
@@ -91,10 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_field_for(s: Scenario, path: str) -> ScalarField:
-    u, _ = read_field(path)
-    if u.grid != s.grid:
-        raise ScenarioError(f"field file {path} lives on a different grid than the scenario")
-    return u
+    """The field stored at path, which must live on the scenario's grid."""
+    return obtain_field(replace(s, field_path=path))[0]
 
 
 def _cmd_minimize(args) -> int:

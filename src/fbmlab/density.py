@@ -50,6 +50,10 @@ class DensityModel:
     t_max: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.kind not in tuple(Kind):
+            raise ValueError(
+                f"kind must be one of {tuple(k.value for k in Kind)}, got {self.kind!r}"
+            )
         object.__setattr__(self, "kind", Kind(self.kind))
         if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")

@@ -55,11 +55,11 @@ class Grid:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "n_cells", nc)
         if len(lo) not in (2, 3) or len(hi) != len(lo) or len(nc) != len(lo):
-            raise ValueError("grid must be 2d or 3d with matching lo/hi/n_cells")
+            raise ValueError("lo, hi and n_cells need the same length, 2 or 3")
         if any(n < 1 for n in nc):
-            raise ValueError("need at least one cell per axis")
-        if any(b <= a for a, b in zip(lo, hi)):
-            raise ValueError("box must have positive extent on every axis")
+            raise ValueError("n_cells must be at least 1 on every axis")
+        if not all(math.isfinite(a) and b > a and math.isfinite(b) for a, b in zip(lo, hi)):
+            raise ValueError("hi must exceed lo on every axis, both finite")
         steps = [(b - a) / n for a, b, n in zip(lo, hi, nc)]
         h = steps[0]
         if any(abs(s - h) > 1e-12 * max(1.0, abs(h)) for s in steps):
@@ -111,7 +111,8 @@ class Grid:
     def require_ball_inside(self, z, r: float) -> None:
         s = _SLACK * max(self.h, 1.0)
         for a in range(self.dim):
-            if z[a] - r < self.lo[a] - s or z[a] + r > self.hi[a] + s:
+            # written so that a NaN coordinate or radius fails
+            if not (self.lo[a] - s <= z[a] - r and z[a] + r <= self.hi[a] + s):
                 raise GeometryError(
                     f"ball of radius {r} around {tuple(z)} leaves the box "
                     f"[{self.lo}, {self.hi}]"
@@ -446,13 +447,6 @@ def ball_volume(
     return float(grid.h**grid.dim * np.sum(bw.cells))
 
 
-def smoothed_indicator(f: ScalarField, eps: float) -> ScalarField:
-    """Ramp indicator: 0 for f <= 0, f/eps on (0, eps), 1 for f >= eps."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    return ScalarField(f.grid, np.clip(f.values / eps, 0.0, 1.0))
-
-
 def free_boundary_points(f: ScalarField) -> np.ndarray:
     """Zero crossings of f along grid edges, located by linear interpolation.
 
@@ -490,10 +484,17 @@ def free_boundary_points(f: ScalarField) -> np.ndarray:
 
 
 def geometric_radii(r_min: float, r_max: float, ratio: float) -> np.ndarray:
-    """Geometric radius ladder r_min * ratio^k clipped at r_max."""
-    if not (0.0 < r_min <= r_max):
-        raise ValueError("need 0 < r_min <= r_max")
-    if ratio <= 1.0:
+    """Geometric radius ladder r_min * ratio^k clipped at r_max.
+
+    Rejects NaN and infinite arguments with a ValueError.
+    """
+    if not 0.0 < r_min < math.inf:
+        raise ValueError(f"r_min must be positive and finite, got {r_min}")
+    if not r_min <= r_max < math.inf:
+        raise ValueError(f"r_max must be finite and at least r_min, got {r_max}")
+    if not ratio > 1.0:
         raise ValueError("ratio must exceed 1")
+    if not ratio < math.inf:
+        raise ValueError("ratio must be finite")
     n = int(math.floor(math.log(r_max / r_min) / math.log(ratio) + 1e-12)) + 1
     return r_min * ratio ** np.arange(n)

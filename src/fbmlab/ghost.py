@@ -120,13 +120,8 @@ def flux_field(
     z,
     f0: float | None = None,
     cap_radius: float | None = None,
-    squared_slope_arg: bool = True,
 ) -> FluxField:
-    """Nodewise flux of u about z with the singular denominator capped.
-
-    squared_slope_arg selects whether the slope f' is evaluated at
-    |grad u|^2 (default) or at |grad u|.
-    """
+    """Nodewise flux of u about z with the singular denominator capped."""
     grid = u.grid
     z = np.asarray(z, dtype=float)
     if z.size != grid.dim:
@@ -141,13 +136,11 @@ def flux_field(
         raise ValueError("cap_radius must be positive")
     grads = gradient_arrays(u.values, grid.h)
     q = sum(g * g for g in grads)
-    arg = q if squared_slope_arg else np.sqrt(q)
-    gap = model.df(arg) - f0
-    _, _, d = _capped_distance(grid, z, cap_radius)
-    mesh = grid.node_mesh()
+    gap = model.df(q) - f0
+    diffs, _, d = _capped_distance(grid, z, cap_radius)
     lead = gap * 2.0 * u.values / (d * d)
     comps = [
-        lead * (grads[a] - u.values * (mesh[a] - z[a]) / (d * d))
+        lead * (grads[a] - u.values * diffs[a] / (d * d))
         for a in range(grid.dim)
     ]
     return FluxField(
@@ -174,20 +167,11 @@ def flux_bound_report(flux: FluxField, model: DensityModel, u: ScalarField) -> F
     range and C_lip = 2 Lip (Lip + Lip^2) collects the Lipschitz factors.
     The check fails when the flux reference constant f0 is not f'(1).
     """
-    grid = u.grid
-    z = np.asarray(flux.base_point, dtype=float)
-    grads = gradient_arrays(u.values, grid.h)
+    grads = gradient_arrays(u.values, u.grid.h)
     lip = float(np.max(np.sqrt(sum(g * g for g in grads))))
     eps_star = slope_deviation(model, t_hi=max(1.0, lip * lip))
     c_lip = 2.0 * lip * (lip + lip * lip)
-    _, d_true, _ = _capped_distance(grid, z, flux.cap_radius)
-    mag = np.sqrt(np.sum(flux.field.values**2, axis=-1))
-    outside = d_true > flux.cap_radius
-    if np.any(outside):
-        worst = float(np.max(mag[outside] * d_true[outside]))
-    else:
-        worst = 0.0
-    violation = worst - eps_star * c_lip
+    violation = flux_reach(flux) - eps_star * c_lip
     return FluxBoundReport(
         max_violation=violation,
         eps_star=eps_star,
@@ -393,7 +377,6 @@ class RadialIdentityRecord:
     average_derivative: float
     radial_average: float
     gap: float
-    form: str
 
 
 def radial_identity_report(
@@ -401,17 +384,12 @@ def radial_identity_report(
     g: GhostFunction,
     radii,
     dr: float | None = None,
-    form: str = "corrected",
 ) -> list[RadialIdentityRecord]:
     """Ball-average derivative of the potential against radial flux averages.
 
-    form "printed" uses the unit radial direction (x-z)/|x-z| in the right
-    hand side; form "corrected" uses (x-z)/r.  Only the corrected form
-    closes the identity in the continuum; both are reported, neither is an
-    invariant here.
+    The right hand side averages U . (x-z)/r over the ball, the form that
+    closes the identity in the continuum; the gap is reported, not asserted.
     """
-    if form not in ("printed", "corrected"):
-        raise ValueError(f"unknown form {form!r}")
     grid = g.grid
     z = np.asarray(g.base_point, dtype=float)
     if dr is None:
@@ -419,7 +397,6 @@ def radial_identity_report(
     mesh = grid.node_mesh()
     diffs = [mesh[a] - z[a] for a in range(grid.dim)]
     radial = sum(flux.field.values[..., a] * diffs[a] for a in range(grid.dim))
-    d_true = np.sqrt(sum(d * d for d in diffs))
 
     def ball_mean(f: ScalarField, r: float) -> float:
         return ball_integral(f, z, r) / ball_volume(grid, z, r)
@@ -428,18 +405,13 @@ def radial_identity_report(
     for r in radii:
         r = float(r)
         grid.require_ball_inside(z, r + dr)
-        if form == "printed":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                integrand = np.where(d_true > 0.0, radial / d_true, 0.0)
-        else:
-            integrand = radial / r
-        rhs = ball_mean(ScalarField(grid, integrand), r)
+        rhs = ball_mean(ScalarField(grid, radial / r), r)
         hi = ball_mean(g.potential, r + dr)
         lo = ball_mean(g.potential, r - dr)
         lhs = (hi - lo) / (2.0 * dr)
         out.append(
             RadialIdentityRecord(
-                r=r, average_derivative=lhs, radial_average=rhs, gap=lhs - rhs, form=form
+                r=r, average_derivative=lhs, radial_average=rhs, gap=lhs - rhs
             )
         )
     return out
@@ -452,7 +424,6 @@ def rescaled_flux(
     theta: float,
     f0: float | None = None,
     ref_cells: int | None = None,
-    squared_slope_arg: bool = True,
 ) -> FluxField:
     """Flux of the rescaled field u(z + theta y)/theta on the unit box.
 
@@ -472,7 +443,6 @@ def rescaled_flux(
         (0.0,) * grid.dim,
         f0=f0,
         cap_radius=0.5 * ref.h,
-        squared_slope_arg=squared_slope_arg,
     )
 
 

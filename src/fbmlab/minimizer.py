@@ -70,40 +70,39 @@ class BoundaryData:
 
     def __post_init__(self) -> None:
         if self.kind not in BOUNDARY_KINDS:
-            raise ValueError(f"unknown boundary kind {self.kind!r}")
+            raise ValueError(f"kind must be one of {BOUNDARY_KINDS}, got {self.kind!r}")
         if self.kind == "halfplane":
-            if self.direction is None or not any(e != 0.0 for e in self.direction):
-                raise ValueError("halfplane needs a nonzero direction")
-            object.__setattr__(self, "direction", tuple(float(e) for e in self.direction))
+            e = () if self.direction is None else tuple(float(c) for c in self.direction)
+            if not (all(np.isfinite(e)) and any(c != 0.0 for c in e)):
+                raise ValueError("direction must be a finite nonzero vector")
+            object.__setattr__(self, "direction", e)
         elif self.kind == "radial":
-            if self.center is None:
-                raise ValueError("radial needs a center")
-            object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+            c = () if self.center is None else tuple(float(v) for v in self.center)
+            if not (c and all(np.isfinite(c))):
+                raise ValueError("center must be a finite point")
+            object.__setattr__(self, "center", c)
         elif self.kind == "wedge":
             if self.angle is None or not 0.0 < self.angle < 2.0 * np.pi:
-                raise ValueError("wedge needs an opening angle in (0, 2*pi)")
+                raise ValueError("angle must lie in (0, 2 pi)")
         elif self.kind == "file":
             if not self.path:
-                raise ValueError("file needs a path")
+                raise ValueError("path must name a stored field")
 
     def profile(self, grid: Grid) -> np.ndarray:
-        """Evaluate the generator at every grid node."""
+        """Evaluate the generator at every grid node.
+
+        The dimension checks live in Problem, which pairs data with a grid.
+        """
         mesh = grid.node_mesh()
         if self.kind == "halfplane":
             e = np.asarray(self.direction, dtype=float)
-            if e.size != grid.dim:
-                raise ValueError("direction dimension mismatch")
             e = e / np.linalg.norm(e)
             plane = sum(e[a] * mesh[a] for a in range(grid.dim))
             return np.maximum(plane, 0.0)
         if self.kind == "radial":
             c = np.asarray(self.center, dtype=float)
-            if c.size != grid.dim:
-                raise ValueError("center dimension mismatch")
             return np.sqrt(sum((mesh[a] - c[a]) ** 2 for a in range(grid.dim)))
         if self.kind == "wedge":
-            if grid.dim != 2:
-                raise ValueError("wedge data is 2D only")
             r = np.hypot(mesh[0], mesh[1])
             theta = np.arctan2(mesh[1], mesh[0])
             inside = np.abs(theta) < 0.5 * self.angle
@@ -118,34 +117,35 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class Problem:
-    """One minimization instance: geometry, density model, weights, pinning."""
+    """One minimization instance: geometry, density model, weights.
+
+    The box boundary nodes are pinned to the boundary data (fixed_mask).
+    """
 
     grid: Grid
     model: DensityModel
     boundary: BoundaryData
     lam: float | None = None
     eps: float | None = None
-    fixed_mask: np.ndarray | None = field(default=None, repr=False)
+    fixed_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        dim, b = self.grid.dim, self.boundary
+        if b.kind == "halfplane" and len(b.direction) != dim:
+            raise ValueError(f"direction must have {dim} components, got {len(b.direction)}")
+        if b.kind == "radial" and len(b.center) != dim:
+            raise ValueError(f"center must have {dim} coordinates, got {len(b.center)}")
+        if b.kind == "wedge" and dim != 2:
+            raise ValueError("wedge data is two dimensional only")
         if self.lam is None:
             object.__setattr__(self, "lam", bernoulli_lambda(self.model))
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0.0 < self.lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if self.eps is None:
             object.__setattr__(self, "eps", 2.0 * self.grid.h)
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        boundary = self.grid.boundary_mask()
-        if self.fixed_mask is None:
-            mask = boundary
-        else:
-            mask = np.asarray(self.fixed_mask, dtype=bool)
-            if mask.shape != self.grid.node_shape:
-                raise ValueError("fixed_mask shape mismatch")
-            if not np.all(mask[boundary]):
-                raise ValueError("fixed_mask must contain every box boundary node")
-            mask = mask.copy()
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        mask = self.grid.boundary_mask()
         mask.setflags(write=False)
         object.__setattr__(self, "fixed_mask", mask)
 

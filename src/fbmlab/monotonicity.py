@@ -20,13 +20,13 @@ independent.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .density import DensityModel
 from .errors import GeometryError
+from .fieldio import write_csv
 from .fields import (
     DEFAULT_SPHERE_POINTS,
     Grid,
@@ -51,7 +51,6 @@ __all__ = [
     "CSV_COLUMNS",
     "cell_energy_density",
     "weiss_core",
-    "monotonicity_value",
     "radial_derivative",
     "error_term",
     "error_term_flux",
@@ -62,7 +61,6 @@ __all__ = [
     "vmo_check",
     "regular_point_fit",
     "write_report_csv",
-    "read_report_csv",
 ]
 
 CSV_COLUMNS = (
@@ -163,29 +161,6 @@ def _check_ghost_contract(g: GhostFunction, z: np.ndarray, f0: float) -> None:
         )
     if abs(g.f0 - f0) > BASE_POINT_ATOL:
         raise ValueError(f"ghost reference slope {g.f0} does not match requested {f0}")
-
-
-def monotonicity_value(
-    u: ScalarField,
-    model: DensityModel,
-    lam: float,
-    z,
-    r: float,
-    g: GhostFunction,
-    f0: float | None = None,
-    n_sphere_points: int | None = None,
-) -> float:
-    """Ghost-corrected quantity: weiss_core minus the shell average of phi.
-
-    The ghost must have been built about the same base point with the same
-    reference slope F0; a mismatch is an API contract violation.
-    """
-    grid = u.grid
-    z = _base_point(grid, z)
-    f0 = _resolve_f0(model, f0)
-    _check_ghost_contract(g, z, f0)
-    core = weiss_core(u, model, lam, z, r, f0=f0, n_sphere_points=n_sphere_points)
-    return core - shell_average(g.potential, z, r, n_points=n_sphere_points)
 
 
 def _sphere_terms(
@@ -571,21 +546,7 @@ def write_report_csv(report: MonotonicityReport, path) -> None:
     """Write the scan as CSV with a fixed column order.
 
     Floats are written with repr (shortest round-trip form), so identical
-    scans produce byte-identical files.
+    scans produce byte-identical files; fieldio.read_csv reads them back.
     """
     cols = report.columns
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for i in range(report.r.size):
-            writer.writerow([repr(float(cols[name][i])) for name in CSV_COLUMNS])
-
-
-def read_report_csv(path) -> dict[str, np.ndarray]:
-    """Read a scan CSV back into column arrays keyed by header name."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.array(rows, dtype=float).reshape(len(rows), len(header))
-    return {name: data[:, j] for j, name in enumerate(header)}
+    write_csv(path, CSV_COLUMNS, list(zip(*(cols[name] for name in CSV_COLUMNS))))

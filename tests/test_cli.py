@@ -20,7 +20,6 @@ TINY = {
     "radii": {"r_min": 0.1, "r_max": 0.3, "ratio": 1.4},
     "tol": 1e-3,
     "max_iter": 150,
-    "seed": 0,
 }
 
 

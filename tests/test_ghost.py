@@ -152,13 +152,6 @@ class TestFluxField:
         assert flux.cap_radius == 0.5 * u.grid.h
         assert flux.base_point == (0.25, 0.0)
 
-    def test_slope_argument_flag_changes_values(self):
-        u = bump_field(32)
-        squared = flux_field(u, ARCTAN, (0.0, 0.0))
-        plain = flux_field(u, ARCTAN, (0.0, 0.0), squared_slope_arg=False)
-        gap = np.max(np.abs(squared.field.values - plain.field.values))
-        assert gap > 1e-6
-
     def test_finite_at_base_point(self):
         grid = box_grid(2, 32)
         x, y = grid.node_mesh()
@@ -413,20 +406,8 @@ class TestShellIdentity:
 class TestRadialIdentity:
     def test_corrected_form_closes(self, radial_solution):
         flux, g = radial_solution
-        for rec in radial_identity_report(flux, g, [0.2, 0.35, 0.5], form="corrected"):
+        for rec in radial_identity_report(flux, g, [0.2, 0.35, 0.5]):
             assert abs(rec.gap) <= 0.015 * abs(rec.average_derivative)
-
-    def test_printed_form_carries_radial_defect(self, radial_solution):
-        # replacing (x-z)/r by the unit radial direction leaves a gap of
-        # -n r / ((n+1)(n+2)) for the quadratic potential: -r/6 in the plane
-        flux, g = radial_solution
-        for rec in radial_identity_report(flux, g, [0.2, 0.35, 0.5], form="printed"):
-            assert rec.gap == pytest.approx(-rec.r / 6.0, rel=0.1)
-
-    def test_unknown_form_raises(self, radial_solution):
-        flux, g = radial_solution
-        with pytest.raises(ValueError):
-            radial_identity_report(flux, g, [0.2], form="exotic")
 
 
 class TestRescaledFlux:

@@ -120,9 +120,14 @@ class TestBoundaryData:
             BoundaryData("halfplane", direction=(0.0, 0.0))
 
     def test_dimension_mismatch(self):
+        # Problem pairs the data with a grid, so it checks the dimension
+        model = linear_density()
         b = BoundaryData("halfplane", direction=(1.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            b.profile(box_grid(2, 4))
+        with pytest.raises(ValueError, match="direction must have 2 components"):
+            Problem(box_grid(2, 4), model, b)
+        b = BoundaryData("radial", center=(0.0, 0.0))
+        with pytest.raises(ValueError, match="center must have 3 coordinates"):
+            Problem(box_grid(3, 4), model, b)
 
     def test_radial_cone(self):
         g = box_grid(2, 8)
@@ -152,8 +157,8 @@ class TestBoundaryData:
 
     def test_wedge_needs_2d(self):
         b = BoundaryData("wedge", angle=1.0)
-        with pytest.raises(ValueError):
-            b.profile(box_grid(3, 4))
+        with pytest.raises(ValueError, match="two dimensional"):
+            Problem(box_grid(3, 4), linear_density(), b)
 
     def test_invalid_kinds(self):
         with pytest.raises(ValueError):
@@ -182,18 +187,18 @@ class TestProblem:
         assert p.eps == 2.0 * p.grid.h
         assert np.array_equal(p.fixed_mask, p.grid.boundary_mask())
 
-    def test_fixed_mask_must_cover_boundary(self):
-        g = box_grid(2, 8)
-        mask = g.boundary_mask()
-        mask[0, 0] = False
-        with pytest.raises(ValueError):
-            halfplane_problem(2, 8, fixed_mask=mask)
+    def test_equal_inputs_compare_equal(self):
+        # the mask derives from the grid, so it takes no part in == or hash
+        p = halfplane_problem(2, 8)
+        assert p == halfplane_problem(2, 8) and hash(p) == hash(halfplane_problem(2, 8))
+        assert p != halfplane_problem(2, 8, lam=2.0)
 
     def test_bad_scalars(self):
-        with pytest.raises(ValueError):
-            halfplane_problem(2, 8, eps=0.0)
-        with pytest.raises(ValueError):
-            halfplane_problem(2, 8, lam=-1.0)
+        for name, value in [
+            ("eps", 0.0), ("eps", math.nan), ("lam", -1.0), ("lam", math.nan), ("lam", math.inf)
+        ]:
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                halfplane_problem(2, 8, **{name: value})
 
 
 class TestAdjoint:

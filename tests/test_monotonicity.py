@@ -5,6 +5,7 @@ import pytest
 
 from fbmlab.density import DensityModel
 from fbmlab.errors import GeometryError
+from fbmlab.fieldio import read_csv
 from fbmlab.fields import (
     Grid,
     ScalarField,
@@ -20,10 +21,8 @@ from fbmlab.monotonicity import (
     error_term,
     error_term_flux,
     log_radius_derivative,
-    monotonicity_value,
     oscillation_profile,
     radial_derivative,
-    read_report_csv,
     regular_point_fit,
     scan,
     vmo_check,
@@ -116,26 +115,27 @@ class TestWeissCore:
 
 
 class TestMonotonicityValue:
+    """The ghost-corrected value A(r), as scan computes it."""
+
     def test_linear_ghost_is_identity(self, halfplane3):
         g = zero_ghost(halfplane3.grid, ORIGIN3)
         core = weiss_core(halfplane3, LINEAR, 1.0, ORIGIN3, 0.25)
-        value = monotonicity_value(halfplane3, LINEAR, 1.0, ORIGIN3, 0.25, g)
-        assert value == core
+        assert scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.25], g).a[0] == core
 
     def test_zero_field(self, grid3):
         u = ScalarField(grid3, np.zeros(grid3.node_shape))
         g = zero_ghost(grid3, ORIGIN3)
-        assert monotonicity_value(u, LINEAR, 1.0, ORIGIN3, 0.3, g) == 0.0
+        assert scan(u, LINEAR, 1.0, ORIGIN3, [0.3], g).a[0] == 0.0
 
     def test_base_point_mismatch_raises(self, halfplane3):
         g = zero_ghost(halfplane3.grid, (0.25, 0.0, 0.0))
         with pytest.raises(ValueError, match="base point"):
-            monotonicity_value(halfplane3, LINEAR, 1.0, ORIGIN3, 0.25, g)
+            scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.25], g)
 
     def test_reference_slope_mismatch_raises(self, halfplane3):
         g = zero_ghost(halfplane3.grid, ORIGIN3, f0=2.0)
         with pytest.raises(ValueError, match="slope"):
-            monotonicity_value(halfplane3, LINEAR, 1.0, ORIGIN3, 0.25, g)
+            scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.25], g)
 
 
 class TestRadialDerivative:
@@ -288,6 +288,7 @@ class TestScan:
         g = zero_ghost(halfplane3.grid, ORIGIN3)
         with pytest.raises(ValueError, match="increasing"):
             scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.3, 0.2], g)
+
 
     def test_corrupted_ghost_flags_violation(self):
         grid = box_grid(2, 128)
@@ -475,7 +476,7 @@ class TestReportCsv:
         write_report_csv(halfplane_scan, path_a)
         write_report_csv(halfplane_scan, path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
-        data = read_report_csv(path_a)
-        assert tuple(data) == CSV_COLUMNS
-        for name, column in halfplane_scan.columns.items():
-            assert np.array_equal(data[name], column, equal_nan=True)
+        cols, data = read_csv(path_a)
+        assert tuple(cols) == CSV_COLUMNS
+        for j, name in enumerate(cols):
+            assert np.array_equal(data[:, j], halfplane_scan.columns[name], equal_nan=True)

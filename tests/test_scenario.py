@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fbmlab.cli import main
 from fbmlab.density import bernoulli_lambda
 from fbmlab.errors import ScenarioError
 from fbmlab.fields import geometric_radii
@@ -34,7 +35,6 @@ def good_dict() -> dict:
         "radii": {"r_min": 0.1, "r_max": 0.3, "ratio": 1.4},
         "tol": 1e-3,
         "max_iter": 100,
-        "seed": 0,
     }
 
 
@@ -125,11 +125,6 @@ class TestValidateDict:
         diags = validate_dict(data)
         assert any("points_of_interest[0]" in d and "margin" in d for d in diags)
 
-    def test_seed_type(self):
-        data = good_dict()
-        data["seed"] = 1.5
-        assert any(d.startswith("seed") for d in validate_dict(data))
-
     def test_linear_density_with_alpha(self):
         data = good_dict()
         data["density"] = {"kind": "linear", "alpha": 0.5}
@@ -147,6 +142,57 @@ class TestValidateDict:
         assert validate_dict([1, 2]) == ["scenario: top level must be a JSON object"]
 
 
+def with_changes(**changes) -> dict:
+    """good_dict() with top-level keys, or section__key entries, replaced."""
+    data = good_dict()
+    for key, value in changes.items():
+        section, _, sub = key.partition("__")
+        if sub:
+            data[section][sub] = value
+        else:
+            data[key] = value
+    return data
+
+
+GRID_3D = {"lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0], "n_cells": [16, 16, 16]}
+
+# (bad scenario, the path its diagnostic must start with)
+BAD_SCENARIOS = [
+    (with_changes(ghost_tol=math.nan), "ghost_tol"),
+    (with_changes(tol=math.nan), "tol"),
+    (with_changes(radii__r_max=math.nan), "radii.r_max"),
+    (with_changes(radii__ratio=math.nan), "radii.ratio"),
+    (with_changes(radii__r_max=math.inf), "radii.r_max"),
+    (with_changes(grid__n_cells=[32.0, 32]), "grid.n_cells"),
+    (with_changes(density__alpha=10**400), "density.alpha"),
+    (with_changes(**{"lambda": True}), "lambda"),
+    (with_changes(boundary__direction=[0.0, 1.0, 0.0]), "boundary.direction"),
+    (
+        with_changes(grid=GRID_3D, boundary={"kind": "wedge", "angle": 1.0}),
+        "boundary: wedge data is two dimensional only",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "data,path", BAD_SCENARIOS, ids=[path.split(":")[0] for _, path in BAD_SCENARIOS]
+)
+class TestBadScenarios:
+    def test_validate_dict_tags_the_path(self, data, path):
+        diags = validate_dict(data)
+        assert diags and any(d.startswith(path) for d in diags)
+
+    def test_from_dict_raises(self, data, path):
+        with pytest.raises(ScenarioError, match=path.split(":")[0]):
+            Scenario.from_dict(data)
+
+    def test_cli_validate_exits_2(self, data, path, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))  # NaN and Infinity as Python's json writes them
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert path in capsys.readouterr().out
+
+
 class TestFromDict:
     def test_roundtrip_fields(self):
         s = Scenario.from_dict(good_dict())
@@ -159,7 +205,6 @@ class TestFromDict:
         assert s.auto_stride == 4
         assert s.tol == 1e-3
         assert s.max_iter == 100
-        assert s.seed == 0
 
     def test_defaults_applied(self):
         data = good_dict()
