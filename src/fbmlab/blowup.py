@@ -55,7 +55,7 @@ def unit_box(dim: int, n_cells: int = DEFAULT_REF_CELLS) -> Grid:
 
 def rescale(u: ScalarField, z, r: float, ref_grid: Grid) -> ScalarField:
     """u_r(y) = u(z + r y) / r sampled onto ref_grid."""
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError(f"scale must be positive, got {r}")
     z = np.asarray(z, dtype=float)
     if z.size != u.grid.dim or ref_grid.dim != u.grid.dim:
@@ -170,7 +170,7 @@ class BlowupSequence:
     def __post_init__(self) -> None:
         if any(b >= a for a, b in zip(self.scales, self.scales[1:])):
             raise ValueError("scales must be strictly decreasing")
-        if any(s <= 0.0 for s in self.scales):
+        if not all(s > 0.0 for s in self.scales):
             raise ValueError("scales must be positive")
 
 

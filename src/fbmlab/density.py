@@ -66,23 +66,45 @@ class DensityModel:
         if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
 
-    def f(self, t):
-        """Density value f(t)."""
-        t = _check_t(t)
-        if self.kind is Kind.LINEAR:
-            base = t
-        else:
-            base = t + self.alpha * (t * np.arctan(t) - 0.5 * np.log1p(t * t))
-        return _like(t, self.scale * base)
+    def f(self, t, out=None, work=None):
+        """Density value f(t).
 
-    def df(self, t):
-        """First derivative f'(t)."""
+        out receives the values and work (arctan only) one intermediate;
+        with both given for an array t, no float array of its size is allocated.
+        """
         t = _check_t(t)
+        if out is None:
+            out = np.empty_like(t)
         if self.kind is Kind.LINEAR:
-            base = np.ones_like(t)
+            np.multiply(t, self.scale, out=out)
         else:
-            base = 1.0 + self.alpha * np.arctan(t)
-        return _like(t, self.scale * base)
+            # t + alpha * (t arctan(t) - log(1 + t^2) / 2), times scale
+            if work is None:
+                work = np.empty_like(t)
+            np.arctan(t, out=out)
+            out *= t
+            np.multiply(t, t, out=work)
+            np.log1p(work, out=work)
+            work *= 0.5
+            out -= work
+            out *= self.alpha
+            out += t
+            out *= self.scale
+        return _like(t, out)
+
+    def df(self, t, out=None):
+        """First derivative f'(t), written into out when given."""
+        t = _check_t(t)
+        if out is None:
+            out = np.empty_like(t)
+        if self.kind is Kind.LINEAR:
+            out.fill(self.scale)
+        else:
+            np.arctan(t, out=out)
+            out *= self.alpha
+            out += 1.0
+            out *= self.scale
+        return _like(t, out)
 
     def d2f(self, t):
         """Second derivative f''(t)."""

@@ -21,7 +21,8 @@ Conventions used throughout the package:
   n_sub); they are built once, cached, and every ball integral is one
   weighted sum of h^dim times the values on the window.
 
-Fields are immutable after construction; operations return new arrays.
+Fields are immutable after construction; operations return new arrays,
+except that the derivative stencils write into caller buffers given as out.
 """
 
 from __future__ import annotations
@@ -152,12 +153,34 @@ class VectorField:
         object.__setattr__(self, "values", vals)
 
 
-def gradient_arrays(values: np.ndarray, h: float) -> list[np.ndarray]:
-    """Per-axis second order nodal derivatives of a nodal array."""
-    grads = np.gradient(values, h, edge_order=2)
-    if isinstance(grads, np.ndarray):
-        return [grads]
-    return list(grads)
+def gradient_arrays(
+    values: np.ndarray, h: float, out: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
+    """Per-axis second order nodal derivatives of a nodal array.
+
+    Bitwise equal to np.gradient(values, h, edge_order=2): centered
+    differences inside, the coefficients -1.5/h, 2/h, -0.5/h on the faces.
+    With out (one array per axis, shaped like values) the derivatives are
+    written there and no array of that size is allocated.
+    """
+    values = np.asarray(values, dtype=float)
+    if out is None:
+        out = [np.empty_like(values) for _ in range(values.ndim)]
+    for axis, d in enumerate(out):
+        # swapping the axis to the front gives the same view of every array
+        f = values.swapaxes(0, axis)
+        d = d.swapaxes(0, axis)
+        if f.shape[0] < 3:
+            raise ValueError("a second order derivative needs 3 nodes on every axis")
+        np.subtract(f[2:], f[:-2], out=d[1:-1])
+        d[1:-1] /= 2.0 * h
+        np.multiply(f[0], -1.5 / h, out=d[0])
+        d[0] += (2.0 / h) * f[1]
+        d[0] += (-0.5 / h) * f[2]
+        np.multiply(f[-3], 0.5 / h, out=d[-1])
+        d[-1] += (-2.0 / h) * f[-2]
+        d[-1] += (1.5 / h) * f[-1]
+    return out
 
 
 def gradient(f: ScalarField) -> VectorField:
@@ -165,24 +188,38 @@ def gradient(f: ScalarField) -> VectorField:
     return VectorField(f.grid, np.stack(comps, axis=-1))
 
 
-def gradient_transpose(v: np.ndarray, axis: int, h: float) -> np.ndarray:
+def gradient_transpose(
+    v: np.ndarray,
+    axis: int,
+    h: float,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Exact adjoint of the second order nodal derivative along one axis.
 
     Satisfies sum(D q * v) == sum(q * gradient_transpose(v)) to round-off,
-    with D the np.gradient edge_order=2 stencil.
+    with D the np.gradient edge_order=2 stencil.  out receives the result
+    and work (shaped like v) holds the scaled interior of v; with both
+    given, no array of v's size is allocated.
     """
-    v = np.moveaxis(v, axis, 0)
-    out = np.zeros_like(v)
+    if out is None:
+        out = np.empty_like(v)
+    if work is None:
+        work = np.empty_like(v)
+    out.fill(0.0)
+    v = v.swapaxes(0, axis)
+    res = out.swapaxes(0, axis)
     c = 1.0 / (2.0 * h)
-    out[2:] += c * v[1:-1]
-    out[:-2] -= c * v[1:-1]
-    out[0] += -3.0 * c * v[0]
-    out[1] += 4.0 * c * v[0]
-    out[2] += -1.0 * c * v[0]
-    out[-1] += 3.0 * c * v[-1]
-    out[-2] += -4.0 * c * v[-1]
-    out[-3] += 1.0 * c * v[-1]
-    return np.moveaxis(out, 0, axis)
+    inner = np.multiply(v[1:-1], c, out=work.swapaxes(0, axis)[1:-1])
+    res[2:] += inner
+    res[:-2] -= inner
+    res[0] += -3.0 * c * v[0]
+    res[1] += 4.0 * c * v[0]
+    res[2] += -1.0 * c * v[0]
+    res[-1] += 3.0 * c * v[-1]
+    res[-2] += -4.0 * c * v[-1]
+    res[-3] += 1.0 * c * v[-1]
+    return out
 
 
 def trapezoid_weights(shape: tuple[int, ...]) -> np.ndarray:
@@ -261,7 +298,7 @@ def sphere_quadrature(dim: int, z, r: float, n_points: int | None = None):
     2d: equispaced angles, equal weights 2*pi*r/n.
     3d: Fibonacci spiral directions, equal weights 4*pi*r^2/n.
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise GeometryError(f"sphere radius must be positive, got {r}")
     n = DEFAULT_SPHERE_POINTS[dim] if n_points is None else int(n_points)
     if n < 4:

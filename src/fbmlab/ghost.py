@@ -78,7 +78,7 @@ class FluxField:
     cap_radius: float
 
     def __post_init__(self) -> None:
-        if self.cap_radius <= 0.0:
+        if not self.cap_radius > 0.0:
             raise ValueError("cap_radius must be positive")
         object.__setattr__(self, "base_point", tuple(float(c) for c in self.base_point))
 
@@ -132,7 +132,7 @@ def flux_field(
         f0 = float(model.df(1.0))
     if cap_radius is None:
         cap_radius = 0.5 * grid.h
-    if cap_radius <= 0.0:
+    if not cap_radius > 0.0:
         raise ValueError("cap_radius must be positive")
     grads = gradient_arrays(u.values, grid.h)
     q = sum(g * g for g in grads)
@@ -430,7 +430,7 @@ def rescaled_flux(
     Algebraically this equals theta * U(z + theta y); the reach statistic
     max |U_theta| * |y| is therefore expected to be theta-independent.
     """
-    if theta <= 0.0:
+    if not theta > 0.0:
         raise ValueError("theta must be positive")
     grid = u.grid
     if ref_cells is None:

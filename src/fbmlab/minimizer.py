@@ -12,6 +12,13 @@ to two grid spacings so the smeared band vanishes under refinement.
 The descent direction is the exact discrete adjoint of the energy, so the
 analytic gradient matches finite differences of E to round-off and Armijo
 line search inherits a true descent guarantee.
+
+One kernel evaluates E and, from the derivatives it just computed, the
+gradient.  A minimize call allocates its buffers once: two iterates (current
+and trial, each with its derivatives) that swap on acceptance, the gradient
+and two scratch arrays; the gradient also borrows the idle trial iterate.
+No Armijo trial and no gradient allocates an array of the grid's size, and
+the iterates are bitwise those of the plain formulas.
 """
 
 from __future__ import annotations
@@ -162,12 +169,12 @@ class MinimizeReport:
     stop_reason: str
 
 
-def _ramp(t: np.ndarray, eps: float) -> np.ndarray:
-    return np.clip(t / eps, 0.0, 1.0)
+def _ramp(t: np.ndarray, eps: float, out: np.ndarray | None = None) -> np.ndarray:
+    return np.clip(np.divide(t, eps, out=out), 0.0, 1.0, out=out)
 
 
-def _ramp_slope(t: np.ndarray, eps: float) -> np.ndarray:
-    return np.where((t > 0.0) & (t < eps), 1.0 / eps, 0.0)
+def _ramp_slope(t: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+    return np.multiply((t > 0.0) & (t < eps), 1.0 / eps, out=out)
 
 
 def _require_on_grid(p: Problem, u: ScalarField) -> None:
@@ -175,49 +182,85 @@ def _require_on_grid(p: Problem, u: ScalarField) -> None:
         raise ValueError("field does not live on the problem grid")
 
 
-def _derivatives(values: np.ndarray, h: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """Nodal derivatives of values and the squared gradient modulus q."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        grads = gradient_arrays(values, h)
-        q = sum(g * g for g in grads)
-    return grads, q
+class _Iterate:
+    """Nodal values and the derivatives of them the kernel last computed."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+        self.grads = [np.empty_like(values) for _ in range(values.ndim)]
+        self.q = np.empty_like(values)
 
 
-def _energy_core(
-    p: Problem, values: np.ndarray, w: np.ndarray
-) -> tuple[float, list[np.ndarray], np.ndarray]:
-    """Energy of values, with the derivatives it used (for the gradient)."""
-    grads, q = _derivatives(values, p.grid.h)
-    if not np.all(np.isfinite(q)):
-        # overflowing iterate; report +inf instead of tripping the model
-        return float("inf"), grads, q
-    integrand = p.model.f(q) + p.lam * _ramp(values, p.eps)
-    return float(p.grid.h**p.grid.dim * np.sum(w * integrand)), grads, q
+class _Kernel:
+    """Energy and energy gradient of one problem on buffers allocated once.
+
+    energy(s) differentiates s.values into s.grads and s.q and returns E;
+    gradient(s, out, adj, work) turns those same derivatives into the
+    gradient.  Two scratch arrays serve every call, so neither allocates a
+    float array of the grid's size (only boolean masks).  Each step keeps
+    the operation order of the plain formulas: q = (g0^2 + g1^2) + g2^2,
+    f(q) + lam H_eps(u) weighted and summed, and per axis an adjoint stencil
+    built in scratch, then added.
+    """
+
+    def __init__(self, p: Problem) -> None:
+        shape = p.grid.node_shape
+        self.p = p
+        self.w = trapezoid_weights(shape)
+        self.cell = p.grid.h**p.grid.dim
+        self.scratch = [np.empty(shape) for _ in range(2)]
+
+    def differentiate(self, s: _Iterate) -> bool:
+        """Fill s.grads and s.q; False if q overflowed."""
+        sq = self.scratch[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gradient_arrays(s.values, self.p.grid.h, out=s.grads)
+            np.multiply(s.grads[0], s.grads[0], out=s.q)
+            for g in s.grads[1:]:
+                s.q += np.multiply(g, g, out=sq)
+        return bool(np.all(np.isfinite(s.q)))
+
+    def energy(self, s: _Iterate) -> float:
+        """Energy of s.values; leaves its derivatives in s.grads and s.q."""
+        p = self.p
+        if not self.differentiate(s):
+            # overflowing iterate; report +inf instead of tripping the model
+            return float("inf")
+        integrand, ramp = self.scratch[:2]
+        p.model.f(s.q, out=integrand, work=ramp)
+        _ramp(s.values, p.eps, out=ramp)
+        ramp *= p.lam
+        integrand += ramp
+        integrand *= self.w
+        return float(self.cell * np.sum(integrand))
+
+    def gradient(
+        self, s: _Iterate, out: np.ndarray, adj: np.ndarray, work: np.ndarray
+    ) -> np.ndarray:
+        """Gradient at s.values from the derivatives s already holds.
+
+        adj and work are two more arrays of the grid's shape that the call
+        overwrites: minimize lends it the idle trial iterate's.
+        """
+        p, w = self.p, self.w
+        ws, v = self.scratch
+        p.model.df(s.q, out=ws)
+        ws *= np.multiply(w, 2.0, out=v)
+        out.fill(0.0)
+        for axis, g in enumerate(s.grads):
+            np.multiply(ws, g, out=v)
+            out += gradient_transpose(v, axis, p.grid.h, out=adj, work=work)
+        wl = np.multiply(w, p.lam, out=v)
+        wl *= _ramp_slope(s.values, p.eps, out=adj)
+        out += wl
+        out[p.fixed_mask] = 0.0
+        return out
 
 
 def energy(p: Problem, u: ScalarField) -> float:
     """Total smoothed energy of u on the problem box."""
     _require_on_grid(p, u)
-    w = trapezoid_weights(p.grid.node_shape)
-    return _energy_core(p, u.values, w)[0]
-
-
-def _gradient_core(
-    p: Problem,
-    values: np.ndarray,
-    w: np.ndarray,
-    grads: list[np.ndarray],
-    q: np.ndarray,
-) -> np.ndarray:
-    """Energy gradient at values, given its derivatives grads and q."""
-    h = p.grid.h
-    slope = p.model.df(q)
-    out = np.zeros_like(values)
-    for axis, g in enumerate(grads):
-        out += gradient_transpose(2.0 * w * slope * g, axis, h)
-    out += w * p.lam * _ramp_slope(values, p.eps)
-    out[p.fixed_mask] = 0.0
-    return out
+    return _Kernel(p).energy(_Iterate(u.values))
 
 
 def energy_gradient(p: Problem, u: ScalarField) -> ScalarField:
@@ -227,9 +270,10 @@ def energy_gradient(p: Problem, u: ScalarField) -> ScalarField:
     exact adjoint of the discrete derivative, and is zeroed on fixed nodes.
     """
     _require_on_grid(p, u)
-    w = trapezoid_weights(p.grid.node_shape)
-    grads, q = _derivatives(u.values, p.grid.h)
-    return ScalarField(p.grid, _gradient_core(p, u.values, w, grads, q))
+    kernel, s = _Kernel(p), _Iterate(u.values)
+    kernel.differentiate(s)
+    out, adj, work = (np.empty_like(s.values) for _ in range(3))
+    return ScalarField(p.grid, kernel.gradient(s, out, adj, work))
 
 
 def default_step(p: Problem) -> float:
@@ -259,21 +303,27 @@ def minimize(
     gradient_norm is the masked gradient sup-norm at the returned iterate.
     Raises SolverError if the energy is not finite or the line search
     collapses.
+
+    The buffers are allocated once per call: the current iterate and the
+    trial one, each with its derivatives, swap roles when a trial is
+    accepted, and no trial or gradient allocates an array of the grid's size.
     """
     _require_on_grid(p, u0)
-    w = trapezoid_weights(p.grid.node_shape)
-    u = u0.values.copy()
-    e_now, grads, q = _energy_core(p, u, w)
+    kernel = _Kernel(p)
+    scratch = kernel.scratch[0]
+    now = _Iterate(u0.values.copy())
+    trial = _Iterate(np.empty_like(now.values))
+    grad = np.empty_like(now.values)
+    e_now = kernel.energy(now)
     if not np.isfinite(e_now):
         raise SolverError("initial energy is not finite")
-    cell = p.grid.h**p.grid.dim
     step = default_step(p) if step0 is None else float(step0)
     steps: list[float] = []
     energies = [e_now]
     stalled = False
     while True:
-        grad = _gradient_core(p, u, w, grads, q)
-        g_sup = float(np.max(np.abs(grad)))
+        kernel.gradient(now, grad, trial.values, trial.q)
+        g_sup = float(np.max(np.abs(grad, out=scratch)))
         if len(steps) >= max_iter:
             # spent the budget; max_iter = 0 never claims convergence
             stop_reason = "gradient_tol" if max_iter > 0 and g_sup <= tol else "budget"
@@ -286,12 +336,12 @@ def minimize(
             break
         with np.errstate(over="ignore"):
             # an infinite slope estimate is fine: the line search rejects it
-            gg = cell * float(np.sum(grad * grad))
+            gg = kernel.cell * float(np.sum(np.multiply(grad, grad, out=scratch)))
         step *= 2.0
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            trial = u - step * grad
-            e_trial, trial_grads, trial_q = _energy_core(p, trial, w)
+            np.subtract(now.values, np.multiply(grad, step, out=trial.values), out=trial.values)
+            e_trial = kernel.energy(trial)
             if np.isfinite(e_trial) and e_trial <= e_now - ARMIJO_C * step * gg:
                 accepted = True
                 break
@@ -300,10 +350,11 @@ def minimize(
             raise SolverError("line search collapsed; energy may be diverging")
         # a required decrease below one ulp of E certifies nothing (round-off)
         stalled = ARMIJO_C * step * gg <= np.spacing(abs(e_now))
-        u, e_now, grads, q = trial, e_trial, trial_grads, trial_q
+        now, trial, e_now = trial, now, e_trial
         steps.append(step)
         energies.append(e_now)
-    out = ScalarField(p.grid, u)
+    lipschitz = float(np.max(np.sqrt(now.q, out=scratch)))
+    now.values.setflags(write=False)  # the returned field adopts it, uncopied
     report = MinimizeReport(
         iterations=len(steps),
         final_energy=e_now,
@@ -311,10 +362,10 @@ def minimize(
         step_history=steps,
         converged=stop_reason == "gradient_tol",
         energy_history=energies,
-        lipschitz=float(np.max(np.sqrt(q))),
+        lipschitz=lipschitz,
         stop_reason=stop_reason,
     )
-    return out, report
+    return ScalarField(p.grid, now.values), report
 
 
 def initial_guess(p: Problem) -> ScalarField:

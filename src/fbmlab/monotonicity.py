@@ -149,7 +149,11 @@ def weiss_core(
     density = cell_energy_density(u, model, lam)
     bulk = _bulk_integral(density, grid, z, r)
     surf = _surface_u2(u, z, r, n_sphere_points)
-    n = grid.dim
+    return _weiss(bulk, surf, f0, r, grid.dim)
+
+
+def _weiss(bulk: float, surf: float, f0: float, r: float, n: int) -> float:
+    """The Weiss combination of a ball integral and a sphere integral of u^2."""
     return bulk / r**n - f0 * surf / r ** (n + 1)
 
 
@@ -274,7 +278,7 @@ def _validate_radii(radii) -> np.ndarray:
         raise ValueError("radii must be a nonempty 1d sequence")
     if r.size > 1 and not np.all(np.diff(r) > 0.0):
         raise ValueError("radii must be strictly increasing")
-    if np.any(r <= 0.0):
+    if not np.all(r > 0.0):
         raise ValueError("radii must be positive")
     return r
 
@@ -435,7 +439,6 @@ def scan(
 
     density = cell_energy_density(u, model, lam)
     grad_u = gradient(u)
-    n = grid.dim
     core = np.empty(r.size)
     gt = np.empty(r.size)
     formula = np.empty(r.size)
@@ -444,7 +447,7 @@ def scan(
         radius = float(radius)
         bulk = _bulk_integral(density, grid, z, radius)
         surf = _surface_u2(u, z, radius, n_points)
-        core[i] = bulk / radius**n - f0 * surf / radius ** (n + 1)
+        core[i] = _weiss(bulk, surf, f0, radius, grid.dim)
         gt[i] = shell_average(g.potential, z, radius, n_points=n_points)
         formula[i], t_col[i] = _sphere_terms(u, grad_u, model, z, radius, f0, n_points)
 

@@ -32,7 +32,7 @@ from .ghost import (
 )
 from .minimizer import Problem, initial_guess, minimize
 from .monotonicity import MonotonicityReport, scan, write_report_csv
-from .scenario import RADIUS_MARGIN, Scenario
+from .scenario import Scenario
 
 __all__ = [
     "build_problem",
@@ -100,7 +100,7 @@ def select_points(s: Scenario, u: ScalarField) -> tuple[tuple[float, ...], ...]:
     takes every auto_stride-th of them, so at least one survives whenever
     any point is feasible.
     """
-    need = s.r_max * (1.0 + RADIUS_MARGIN)
+    need = s.reach
     if s.points != "auto":
         for z in s.points:
             s.grid.require_ball_inside(z, need)

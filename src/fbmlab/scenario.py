@@ -241,7 +241,7 @@ def validate_dict(data) -> list[str]:
     if s is not None and s.points != "auto":
         for i, z in enumerate(s.points):
             try:
-                s.grid.require_ball_inside(z, s.r_max * (1.0 + RADIUS_MARGIN))
+                s.grid.require_ball_inside(z, s.reach)
             except GeometryError as exc:
                 problems.append(f"points_of_interest[{i}]: with r_max (1 + margin), {exc}")
     return problems
@@ -274,6 +274,11 @@ class Scenario:
     @property
     def eps(self) -> float:
         return self.eps_factor * self.grid.h
+
+    @property
+    def reach(self) -> float:
+        """Radius of the ball every point of interest must fit: r_max (1 + margin)."""
+        return self.r_max * (1.0 + RADIUS_MARGIN)
 
     def radii(self) -> np.ndarray:
         return geometric_radii(self.r_min, self.r_max, self.ratio)

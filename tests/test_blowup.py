@@ -67,6 +67,13 @@ class TestRescale:
         with pytest.raises(GeometryError):
             rescale(u, (0.5, 0.0), 1.0, g)
 
+    @pytest.mark.parametrize("r", [-0.5, float("nan")])
+    def test_nan_scale_raises_like_negative(self, r):
+        g = box_grid(2, 16)
+        u = sample(g, lambda x, y: x)
+        with pytest.raises(ValueError, match="scale must be positive"):
+            rescale(u, (0.0, 0.0), r, g)
+
 
 class TestHomogeneityDeviation:
     def test_quadratic_oracle_3d(self):
@@ -136,6 +143,11 @@ class TestSequence:
     def test_scales_must_decrease(self):
         with pytest.raises(ValueError):
             BlowupSequence((0.0, 0.0), (0.2, 0.4), (), (), (), ())
+
+    @pytest.mark.parametrize("s", [-0.5, float("nan")])
+    def test_nan_scale_raises_like_negative(self, s):
+        with pytest.raises(ValueError, match="scales must be positive"):
+            BlowupSequence((0.0, 0.0), (0.4, s), (), (), (), ())
 
     def test_default_scales_ladder(self):
         g = box_grid(2, 64)

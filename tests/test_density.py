@@ -75,6 +75,25 @@ class TestValues:
             m.f(np.array([0.0, -1e-12]))
 
 
+    @pytest.mark.parametrize("model", [linear_density(2.0), arctan_density(0.3, scale=1.5)])
+    def test_out_path_is_the_plain_formula(self, model):
+        t = np.random.default_rng(5).uniform(0.0, 4.0, (7, 9))
+        a = model.scale * (t + model.alpha * (t * np.arctan(t) - 0.5 * np.log1p(t * t)))
+        da = model.scale * (1.0 + model.alpha * np.arctan(t))
+        out, work = np.empty_like(t), np.empty_like(t)
+        assert model.f(t, out=out, work=work) is out
+        assert out.tobytes() == a.tobytes() == model.f(t).tobytes()
+        assert model.df(t, out=out) is out
+        assert out.tobytes() == da.tobytes() == model.df(t).tobytes()
+
+    def test_out_path_checks_the_argument(self):
+        m = arctan_density(0.1)
+        t = np.array([0.5, float("nan")])
+        with pytest.raises(ValueError, match="finite"):
+            m.f(t, out=np.empty(2), work=np.empty(2))
+        with pytest.raises(ValueError, match=">= 0"):
+            m.df(-t[:1], out=np.empty(1))
+
 class TestDerivatives:
     def test_df_matches_central_differences_dense(self):
         # Finite-difference oracle on a dense grid, both models.

@@ -136,6 +136,11 @@ class TestInterpolation:
 
 
 class TestSphereQuadrature:
+    @pytest.mark.parametrize("r", [-0.5, float("nan")])
+    def test_nan_radius_raises_like_negative(self, r):
+        with pytest.raises(GeometryError, match="sphere radius must be positive"):
+            sphere_quadrature(2, (0.0, 0.0), r)
+
     def test_weights_sum_to_surface_measure(self):
         for dim, area in ((2, 2 * math.pi * 0.7), (3, 4 * math.pi * 0.49)):
             _, w = sphere_quadrature(dim, (0,) * dim, 0.7, 2000)

@@ -164,6 +164,19 @@ class TestFluxField:
         with pytest.raises(ValueError):
             flux_field(u, ARCTAN, (0.0, 0.0), cap_radius=0.0)
 
+    @pytest.mark.parametrize("cap", [-0.5, float("nan")])
+    def test_nan_cap_raises_like_negative(self, cap):
+        u = bump_field(16)
+        with pytest.raises(ValueError, match="cap_radius must be positive"):
+            flux_field(u, ARCTAN, (0.0, 0.0), cap_radius=cap)
+
+    @pytest.mark.parametrize("cap", [-0.5, float("nan")])
+    def test_flux_field_record_rejects_nan_cap_like_negative(self, cap):
+        grid = box_grid(2, 8)
+        field = VectorField(grid, np.zeros(grid.node_shape + (2,)))
+        with pytest.raises(ValueError, match="cap_radius must be positive"):
+            FluxField(field=field, base_point=(0.0, 0.0), f0=1.0, cap_radius=cap)
+
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -454,6 +467,12 @@ class TestRescaledFlux:
         u = bump_field(16)
         with pytest.raises(ValueError):
             rescaled_flux(u, ARCTAN, (0.0, 0.0), 0.0)
+
+    @pytest.mark.parametrize("theta", [-0.5, float("nan")])
+    def test_nan_theta_raises_like_negative(self, theta):
+        u = bump_field(16)
+        with pytest.raises(ValueError, match="theta must be positive"):
+            rescaled_flux(u, ARCTAN, (0.0, 0.0), theta)
 
 
 class TestProfiles:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,9 +52,32 @@ def noisy_start(p, amplitude=0.05, seed=3):
     return ScalarField(p.grid, vals + noise)
 
 
+def frozen_derivatives(values, h):
+    """The derivative stencil the minimizer must reproduce: np.gradient's."""
+    grads = np.gradient(values, h, edge_order=2)
+    return [grads] if isinstance(grads, np.ndarray) else list(grads)
+
+
+def frozen_transpose(v, axis, h):
+    """The adjoint stencil as first written, with fresh arrays throughout."""
+    v = np.moveaxis(v, axis, 0)
+    out = np.zeros_like(v)
+    c = 1.0 / (2.0 * h)
+    out[2:] += c * v[1:-1]
+    out[:-2] -= c * v[1:-1]
+    out[0] += -3.0 * c * v[0]
+    out[1] += 4.0 * c * v[0]
+    out[2] += -1.0 * c * v[0]
+    out[-1] += 3.0 * c * v[-1]
+    out[-2] += -4.0 * c * v[-1]
+    out[-3] += 1.0 * c * v[-1]
+    return np.moveaxis(out, 0, axis)
+
+
 def reference_minimize(p, u0, tol, max_iter):
     """Armijo descent without the stall stop: every trial and every gradient
-    differentiates its iterate afresh, and only tol or max_iter stop it.
+    differentiates its iterate afresh with the frozen stencils, allocating
+    as it goes, and only tol or max_iter stop it.
 
     Returns (field, energy_history, step_history, gradient sup-norm).
     """
@@ -62,18 +86,18 @@ def reference_minimize(p, u0, tol, max_iter):
 
     def energy_of(values):
         with np.errstate(over="ignore", invalid="ignore"):
-            q = sum(g * g for g in gradient_arrays(values, h))
+            q = sum(g * g for g in frozen_derivatives(values, h))
         if not np.all(np.isfinite(q)):
             return float("inf")
         ramp = np.clip(values / p.eps, 0.0, 1.0)
         return float(h**dim * np.sum(w * (p.model.f(q) + p.lam * ramp)))
 
     def gradient_of(values):
-        grads = gradient_arrays(values, h)
+        grads = frozen_derivatives(values, h)
         slope = p.model.df(sum(g * g for g in grads))
         out = np.zeros_like(values)
         for axis, g in enumerate(grads):
-            out += gradient_transpose(2.0 * w * slope * g, axis, h)
+            out += frozen_transpose(2.0 * w * slope * g, axis, h)
         kink = np.where((values > 0.0) & (values < p.eps), 1.0 / p.eps, 0.0)
         out += w * p.lam * kink
         out[p.fixed_mask] = 0.0
@@ -212,6 +236,31 @@ class TestAdjoint:
         lhs = np.sum(d_q * v)
         rhs = np.sum(q * gradient_transpose(v, axis, h))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(9, 7), (5, 6, 4)])
+    def test_derivatives_are_np_gradient_bytes(self, shape):
+        rng = np.random.default_rng(7)
+        h = 0.13
+        values = rng.standard_normal(shape)
+        out = [np.full(shape, np.nan) for _ in shape]
+        got = gradient_arrays(values, h, out=out)
+        assert got is out
+        for axis in range(len(shape)):
+            want = np.gradient(values, h, axis=axis, edge_order=2)
+            assert got[axis].tobytes() == want.tobytes()
+            assert gradient_arrays(values, h)[axis].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(9, 7), (5, 6, 4)])
+    def test_transpose_into_buffers_is_frozen_stencil_bytes(self, shape):
+        rng = np.random.default_rng(8)
+        h = 0.13
+        v = rng.standard_normal(shape)
+        out, work = np.full(shape, np.nan), np.full(shape, np.nan)
+        for axis in range(len(shape)):
+            want = frozen_transpose(v, axis, h)
+            assert gradient_transpose(v, axis, h, out=out, work=work) is out
+            assert out.tobytes() == want.tobytes()
+            assert gradient_transpose(v, axis, h).tobytes() == want.tobytes()
 
     def test_node_weights_sum_counts_cells(self):
         w = trapezoid_weights((5, 9))
@@ -379,6 +428,7 @@ class TestStopping:
         [
             (2, 24, arctan_density(0.1), 5000, "stalled"),
             (3, 10, linear_density(), 40, "budget"),
+            (3, 10, arctan_density(0.1), 40, "budget"),
         ],
     )
     def test_iterates_match_reference_loop(self, dim, n, model, max_iter, reason):
@@ -415,6 +465,26 @@ class TestStopping:
         u, rep = minimize(p, noisy_start(p), tol=1e-8, max_iter=15)
         mod = np.sqrt(sum(g * g for g in gradient_arrays(u.values, p.grid.h)))
         assert rep.lipschitz == float(np.max(mod))
+
+
+class TestBuffers:
+    @pytest.mark.parametrize("dim,n", [(2, 256), (3, 40)])
+    def test_minimize_holds_one_fixed_buffer_set(self, dim, n):
+        # two iterates with their dim derivatives and q, the gradient, the
+        # weights and two scratch arrays; one more array's worth covers
+        # numpy's fixed-size ufunc buffers and boolean masks.  A trial or
+        # gradient that allocated a grid-sized array would exceed it.
+        p = halfplane_problem(dim, n, model=arctan_density(0.1))
+        u0 = noisy_start(p)
+        budget = (2 * (dim + 2) + 4 + 1) * u0.values.nbytes
+        tracemalloc.start()
+        try:
+            _, rep = minimize(p, u0, tol=1e-8, max_iter=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.iterations == 10
+        assert peak < budget
 
 
 class TestInitialGuess:

@@ -289,6 +289,12 @@ class TestScan:
         with pytest.raises(ValueError, match="increasing"):
             scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.3, 0.2], g)
 
+    @pytest.mark.parametrize("r", [-0.5, float("nan")])
+    def test_nan_radius_raises_like_negative(self, halfplane3, r):
+        g = zero_ghost(halfplane3.grid, ORIGIN3)
+        with pytest.raises(ValueError, match="radii must be positive"):
+            scan(halfplane3, LINEAR, 1.0, ORIGIN3, [r], g)
+
 
     def test_corrupted_ghost_flags_violation(self):
         grid = box_grid(2, 128)

@@ -251,6 +251,10 @@ class TestFromDict:
         assert RADIUS_MARGIN == 0.05
         assert SCHEMA_VERSION == 1
 
+    def test_reach_is_r_max_with_margin(self):
+        s = Scenario.from_dict(good_dict())
+        assert s.reach == s.r_max * (1.0 + RADIUS_MARGIN)
+
 
 class TestLoadScenario:
     def test_bundled_files_load(self):
