@@ -8,16 +8,20 @@ fixed reference box.  Two scalar diagnostics track the limit behaviour:
   deficit    gamma(r) = inf over unit e of sup over B_1/2 of |u_r - (x.e)+|,
              the distance to the nearest half-plane profile.
 
+The deficit is fitted by a coarse scan over unit directions, then refined
+one spherical coordinate at a time by Brent's bounded minimizer (Brent,
+Algorithms for Minimization without Derivatives, 1973, ch. 5).
+
 Small values of both at the finest scales support calling z a regular
 boundary point; the converse direction is deliberately never claimed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .density import DensityModel, flatness_report
 from .errors import GeometryError, VerdictUnavailable
@@ -44,7 +48,11 @@ __all__ = [
 
 DEFAULT_REF_CELLS = 32
 MIN_SCALE_CELLS = 8
+REF_BALL_RADIUS = 0.5
 COARSE_DIRECTIONS = 256
+REFINE_ROUNDS = 3
+BRENT_XATOL = 1e-5
+BRENT_MAX_EVALS = 500
 DEV_THRESHOLD = 0.05
 DEFICIT_THRESHOLD = 0.1
 
@@ -83,7 +91,8 @@ class FlatnessFit:
     deficit: float
 
 
-def _coarse_directions(dim: int, n: int) -> np.ndarray:
+def _coarse_directions(dim: int) -> np.ndarray:
+    n = COARSE_DIRECTIONS
     if dim == 2:
         ang = 2.0 * np.pi * (np.arange(n) + 0.5) / n
         return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
@@ -105,26 +114,95 @@ def _unit_to_spherical(e: np.ndarray) -> np.ndarray:
     return np.array([np.arccos(np.clip(e[2], -1.0, 1.0)), np.arctan2(e[1], e[0])])
 
 
-def flatness_deficit(
-    u: ScalarField,
-    ref_ball_radius: float = 0.5,
-    n_directions: int = COARSE_DIRECTIONS,
-    refine_rounds: int = 3,
-) -> FlatnessFit:
-    """Best half-plane profile fit on the ball of ref_ball_radius.
+def _bounded_min(func, lo: float, hi: float) -> tuple[float, float, int]:
+    """Brent's bounded minimization of func on [lo, hi]: (x, func(x), evaluations).
+
+    Golden-section steps with parabolic interpolation, stopped at absolute
+    tolerance BRENT_XATOL or after BRENT_MAX_EVALS evaluations.  The steps are
+    those of scipy's minimize_scalar(method="bounded") with its default
+    options, operation for operation, so every probe point is bitwise the same.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + BRENT_XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        si = 1.0 if rat >= 0.0 else -1.0
+        x = xf + si * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + BRENT_XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= BRENT_MAX_EVALS:
+            break
+    return xf, fx, num
+
+
+def flatness_deficit(u: ScalarField) -> FlatnessFit:
+    """Best half-plane profile fit on the ball of REF_BALL_RADIUS.
 
     The sup norm runs over grid nodes inside the ball plus points sampled on
     its sphere, so inter-node peaks of the kinked profile are not missed.
-    Coarse direction scan first, then bracketed refinement of the spherical
-    coordinates.
+    Coarse direction scan first, then REFINE_ROUNDS rounds of bounded Brent
+    refinement of each spherical coordinate in a shrinking bracket.
     """
     grid = u.grid
-    grid.require_ball_inside((0.0,) * grid.dim, ref_ball_radius)
+    grid.require_ball_inside((0.0,) * grid.dim, REF_BALL_RADIUS)
     mesh = grid.node_mesh()
     r2 = sum(m * m for m in mesh)
-    inside = r2 <= ref_ball_radius**2
+    inside = r2 <= REF_BALL_RADIUS**2
     node_pts = np.stack([m[inside] for m in mesh], axis=-1)
-    sphere_pts, _ = sphere_quadrature(grid.dim, (0.0,) * grid.dim, ref_ball_radius)
+    sphere_pts, _ = sphere_quadrature(grid.dim, (0.0,) * grid.dim, REF_BALL_RADIUS)
     pts = np.concatenate([node_pts, sphere_pts], axis=0)
     vals = np.concatenate([u.values[inside], interpolate(u, sphere_pts)])
 
@@ -132,26 +210,25 @@ def flatness_deficit(
         plane = np.maximum(pts @ e, 0.0)
         return float(np.max(np.abs(vals - plane)))
 
-    cand = _coarse_directions(grid.dim, n_directions)
+    cand = _coarse_directions(grid.dim)
     sups = np.max(
         np.abs(vals[:, None] - np.maximum(pts @ cand.T, 0.0)), axis=0
     )
     best = int(np.argmin(sups))
     e = cand[best]
-    gap = 2.0 * np.pi / n_directions if grid.dim == 2 else 2.5 * np.sqrt(4.0 * np.pi / n_directions)
+    if grid.dim == 2:
+        width = 2.0 * np.pi / COARSE_DIRECTIONS
+    else:
+        width = 2.5 * np.sqrt(4.0 * np.pi / COARSE_DIRECTIONS)
     coords = _unit_to_spherical(e)
-    width = gap
-    for _ in range(refine_rounds):
+    for _ in range(REFINE_ROUNDS):
         for k in range(coords.size):
             def line(t, k=k):
                 c = coords.copy()
                 c[k] = t
                 return deficit_of(_spherical_to_unit(c))
 
-            res = minimize_scalar(
-                line, bounds=(coords[k] - width, coords[k] + width), method="bounded"
-            )
-            coords[k] = float(res.x)
+            coords[k] = _bounded_min(line, coords[k] - width, coords[k] + width)[0]
         width *= 0.25
     e = _spherical_to_unit(coords)
     e = e / np.linalg.norm(e)
@@ -188,7 +265,7 @@ def default_scales(grid: Grid, z, min_cells: int = MIN_SCALE_CELLS) -> tuple[flo
         r *= 0.5
     if not out:
         raise GeometryError(
-            f"no usable scale at {tuple(z)}: reach {reach:.3g} below {r_min:.3g}"
+            f"no usable scale at {tuple(float(c) for c in z)}: reach {reach:.3g} below {r_min:.3g}"
         )
     return tuple(out)
 

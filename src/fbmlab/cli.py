@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,14 +40,16 @@ EXIT_SOLVER = 3
 EXIT_GEOMETRY = 4
 
 
-def parse_point(text: str) -> tuple[float, ...]:
-    """Parse "0,0,0" style coordinates."""
+def parse_point(text: str, dim: int) -> tuple[float, ...]:
+    """Parse "0,0,0" style coordinates of a point in dim dimensions."""
     try:
         coords = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise ScenarioError(f"--z must be comma-separated numbers, got {text!r}") from exc
-    if not coords:
-        raise ScenarioError("--z must contain at least one coordinate")
+    if len(coords) != dim:
+        raise ScenarioError(f"--z must have {dim} coordinates, got {len(coords)} in {text!r}")
+    if not all(math.isfinite(c) for c in coords):
+        raise ScenarioError(f"--z coordinates must be finite, got {text!r}")
     return coords
 
 
@@ -107,8 +110,8 @@ def _cmd_minimize(args) -> int:
 
 def _cmd_ghost(args) -> int:
     s = load_scenario(args.config)
+    z = parse_point(args.z, s.grid.dim)
     u = _load_field_for(s, args.field)
-    z = parse_point(args.z)
     g, report = stage_ghost(s, u, z)
     write_ghost(g, args.out, report=report)
     sidecar = _pair(args.out)[0]
@@ -132,8 +135,8 @@ def _cmd_monotonicity(args) -> int:
 
 def _cmd_blowup(args) -> int:
     s = load_scenario(args.config)
+    z = parse_point(args.z, s.grid.dim)
     u = _load_field_for(s, args.field)
-    z = parse_point(args.z)
     blow = stage_blowup(s, u, z)
     write_csv(args.out, blowup_columns(u.grid.dim), blowup_rows(blow))
     return EXIT_OK

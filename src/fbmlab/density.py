@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,12 +157,17 @@ class FlatnessReport:
     n_samples: int
 
 
+@lru_cache(maxsize=8)
 def _t_samples(t_max: float, n: int, extra: tuple[float, ...] = ()) -> np.ndarray:
+    """Read-only sorted distinct sample points of [0, t_max] (cached)."""
     # t = 0 must be in the scan: the model densities attain their slope and
     # curvature extrema there.
     body = np.geomspace(t_max * 1e-10, t_max, n - 1)
-    pts = np.concatenate(([0.0], body, [e for e in extra if 0.0 <= e <= t_max]))
-    return np.unique(pts)
+    pts = np.sort(np.concatenate(([0.0], body, [e for e in extra if 0.0 <= e <= t_max])))
+    # drop repeats with a mask rather than np.unique, whose first call imports numpy.ma
+    pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
+    pts.setflags(write=False)
+    return pts
 
 
 def structural_report(model: DensityModel, n_samples: int = DEFAULT_SAMPLES) -> StructuralReport:
@@ -216,10 +222,13 @@ def slope_deviation(model: DensityModel, t_hi: float = 1.0, n_samples: int = DEF
 
 def _check_t(t):
     arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("density argument must be finite")
-    if np.any(arr < 0.0):
-        raise ValueError("density argument must be >= 0")
+    if arr.size:
+        # min and max propagate NaN, so these two reductions see every bad entry
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("density argument must be finite")
+        if lo < 0.0:
+            raise ValueError("density argument must be >= 0")
     return arr
 
 

@@ -115,7 +115,7 @@ class Grid:
             # written so that a NaN coordinate or radius fails
             if not (self.lo[a] - s <= z[a] - r and z[a] + r <= self.hi[a] + s):
                 raise GeometryError(
-                    f"ball of radius {r} around {tuple(z)} leaves the box "
+                    f"ball of radius {r} around {tuple(float(c) for c in z)} leaves the box "
                     f"[{self.lo}, {self.hi}]"
                 )
 

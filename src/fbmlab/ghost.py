@@ -127,7 +127,7 @@ def flux_field(
     if z.size != grid.dim:
         raise ValueError("base point dimension mismatch")
     if not bool(grid.contains_points(z[None, :])[0]):
-        raise GeometryError(f"base point {tuple(z)} outside the grid box")
+        raise GeometryError(f"base point {tuple(float(c) for c in z)} outside the grid box")
     if f0 is None:
         f0 = float(model.df(1.0))
     if cap_radius is None:

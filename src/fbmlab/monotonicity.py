@@ -161,7 +161,8 @@ def _check_ghost_contract(g: GhostFunction, z: np.ndarray, f0: float) -> None:
     gz = np.asarray(g.base_point, dtype=float)
     if gz.size != z.size or np.max(np.abs(gz - z)) > BASE_POINT_ATOL:
         raise ValueError(
-            f"ghost base point {g.base_point} does not match requested {tuple(z)}"
+            f"ghost base point {g.base_point} does not match requested "
+            f"{tuple(float(c) for c in z)}"
         )
     if abs(g.f0 - f0) > BASE_POINT_ATOL:
         raise ValueError(f"ghost reference slope {g.f0} does not match requested {f0}")

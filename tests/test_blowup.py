@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+from fbmlab import blowup
 from fbmlab.blowup import (
     BlowupSequence,
     build_sequence,
@@ -137,6 +139,77 @@ class TestFlatnessDeficit:
         fit_rot = flatness_deficit(ScalarField(ref, rot_vals))
         rotated = np.array([-fit.direction[1], fit.direction[0]])
         assert float(np.dot(fit_rot.direction, rotated)) >= 1.0 - 1e-3
+
+
+def scipy_bounded_min(func, lo, hi):
+    """The reference the port follows: scipy's bounded Brent with default options."""
+    res = minimize_scalar(func, bounds=(lo, hi), method="bounded")
+    return res.x, res.fun, res.nfev
+
+
+def bits(x, fun, nfev):
+    return np.float64(x).tobytes(), np.float64(fun).tobytes(), int(nfev)
+
+
+def fit_bits(fit):
+    return np.array(fit.direction).tobytes(), np.float64(fit.deficit).tobytes()
+
+
+class TestBoundedMin:
+    @pytest.mark.parametrize(
+        "func,lo,hi",
+        [
+            (lambda t: (t - 0.3) ** 2, -1.0, 2.0),
+            (lambda t: abs(t - 0.123456789), -1.0, 1.0),
+            (lambda t: 2.5, 0.0, 1.0),
+            (lambda t: 0.0 if t > 0.42 else 1.0, 0.0, 1.0),
+            (lambda t: 1.0 if t > 0.42 else 0.0, 0.0, 1.0),
+            # a bracket this wide overflows the parabola arithmetic to inf and
+            # NaN and runs into the evaluation cap; scipy's numpy scalars warn
+            pytest.param(
+                lambda t: abs(t - 1.0), -1e300, 1e300,
+                marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+            ),
+        ],
+        ids=["quadratic", "kink", "constant", "step-down", "step-up", "cap"],
+    )
+    def test_matches_scipy_bitwise(self, func, lo, hi):
+        assert bits(*blowup._bounded_min(func, lo, hi)) == bits(*scipy_bounded_min(func, lo, hi))
+
+    def test_evaluation_cap(self):
+        assert blowup._bounded_min(lambda t: abs(t - 1.0), -1e300, 1e300)[2] == 500
+
+
+def halfplane_blowup(dim):
+    """A tilted, slightly curved half-plane field rescaled at a boundary point."""
+    g = box_grid(dim, 24)
+    e = np.array([0.3, -0.2, 1.0][-dim:])
+    e /= np.linalg.norm(e)
+    u = sample(g, lambda *x: np.maximum(sum(c * xa for c, xa in zip(e, x)) + 0.2 * x[0] ** 2, 0.0))
+    return rescale(u, (0.0,) * dim, 0.5, unit_box(dim))
+
+
+class TestFlatnessFitMatchesScipy:
+    """The fit with the ported minimizer is bitwise the fit that calls scipy."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fit_and_every_line_search(self, monkeypatch, dim):
+        u = halfplane_blowup(dim)
+        fit = flatness_deficit(u)
+        port = blowup._bounded_min
+        searches = []
+
+        def reference(func, lo, hi):
+            # compare on the fit's own line function, before the fit moves on
+            searches.append((bits(*port(func, lo, hi)), bits(*scipy_bounded_min(func, lo, hi))))
+            return scipy_bounded_min(func, lo, hi)
+
+        monkeypatch.setattr(blowup, "_bounded_min", reference)
+        ref = flatness_deficit(u)
+        assert len(searches) == blowup.REFINE_ROUNDS * (dim - 1)
+        for got, want in searches:
+            assert got == want
+        assert fit_bits(fit) == fit_bits(ref)
 
 
 class TestSequence:

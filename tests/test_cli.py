@@ -47,12 +47,12 @@ def write_config(tmp_path, **overrides):
 
 class TestParsePoint:
     def test_parses_coordinates(self):
-        assert parse_point("0,0,0") == (0.0, 0.0, 0.0)
-        assert parse_point("-0.5,1e-3") == (-0.5, 0.001)
+        assert parse_point("0,0,0", 3) == (0.0, 0.0, 0.0)
+        assert parse_point("-0.5,1e-3", 2) == (-0.5, 0.001)
 
     def test_rejects_garbage(self):
         with pytest.raises(ScenarioError, match="comma-separated"):
-            parse_point("a,b")
+            parse_point("a,b", 2)
 
 
 class TestValidate:
@@ -111,10 +111,43 @@ class TestExitCodes:
             "--out", str(tmp_path / "g.bin"),
         ])
         assert rc == 4
+        assert "base point (5.0, 5.0) outside the grid box" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ghost", "blowup"])
+    @pytest.mark.parametrize(
+        "z,message",
+        [
+            ("0,0,0", "--z must have 2 coordinates, got 3"),
+            ("0", "--z must have 2 coordinates, got 1"),
+            ("nan,0", "--z coordinates must be finite"),
+            ("0,-inf", "--z coordinates must be finite"),
+        ],
+    )
+    def test_bad_z_exits_2(self, config_path, reference_run, tmp_path, capsys, command, z, message):
+        out, _ = reference_run
+        rc = main([
+            command, "--config", str(config_path),
+            "--field", str(out / "field.bin"),
+            f"--z={z}",
+            "--out", str(tmp_path / "o.bin"),
+        ])
+        assert rc == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+
+    def test_2d_z_on_3d_scenario_exits_2_before_reading_field(self, tmp_path, capsys):
+        rc = main([
+            "blowup", "--config", "scenarios/halfplane_linear_3d.json",
+            "--field", str(tmp_path / "absent.bin"),
+            "--z", "0,0",
+            "--out", str(tmp_path / "b.csv"),
+        ])
+        assert rc == 2
+        assert "--z must have 3 coordinates, got 2" in capsys.readouterr().err
 
     def test_infeasible_explicit_point_exits_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path, points_of_interest=[[0.7, 0.0]])
         assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert "around (0.7, 0.0) leaves the box" in capsys.readouterr().err
 
     def test_diverging_solver_exits_3(self, tmp_path, capsys):
         # an overflowing lambda makes the initial energy non-finite
@@ -211,4 +244,4 @@ class TestMinimizeCommand:
         out, summary = reference_run
         cols, data = read_csv(out / "points.csv")
         z = summary["per_point"][0]["z"]
-        assert parse_point(",".join(repr(float(c)) for c in data[0])) == tuple(z)
+        assert parse_point(",".join(repr(float(c)) for c in data[0]), 2) == tuple(z)

@@ -94,6 +94,33 @@ class TestValues:
         with pytest.raises(ValueError, match=">= 0"):
             m.df(-t[:1], out=np.empty(1))
 
+    @pytest.mark.parametrize(
+        "t,message",
+        [
+            (float("nan"), "must be finite"),
+            (np.array([0.5, np.inf]), "must be finite"),
+            (np.array([-np.inf, 0.5]), "must be finite"),
+            (np.array([-1.0, np.nan, 2.0]), "must be finite"),
+            (-1e-12, "must be >= 0"),
+            (np.array([[0.0, 2.0], [-3.0, 1.0]]), "must be >= 0"),
+            (np.empty(0), None),
+            (np.empty((0, 3)), None),
+            (np.array(0.25), None),
+            (0.0, None),
+        ],
+        ids=["nan", "+inf", "-inf", "nan-and-negative", "negative", "negative-2d",
+             "empty", "empty-2d", "0-d", "zero"],
+    )
+    def test_argument_check(self, t, message):
+        for model in (linear_density(), arctan_density(0.1)):
+            for fn in (model.f, model.df, model.d2f, model.psi):
+                if message is None:
+                    assert np.shape(fn(t)) == np.shape(t)
+                else:
+                    with pytest.raises(ValueError, match=f"density argument {message}"):
+                        fn(t)
+
+
 class TestDerivatives:
     def test_df_matches_central_differences_dense(self):
         # Finite-difference oracle on a dense grid, both models.
