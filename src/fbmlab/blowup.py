@@ -50,6 +50,7 @@ DEFAULT_REF_CELLS = 32
 MIN_SCALE_CELLS = 8
 REF_BALL_RADIUS = 0.5
 COARSE_DIRECTIONS = 256
+COARSE_BLOCK = 32
 REFINE_ROUNDS = 3
 BRENT_XATOL = 1e-5
 BRENT_MAX_EVALS = 500
@@ -98,6 +99,22 @@ def _coarse_directions(dim: int) -> np.ndarray:
         return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     pts, _ = sphere_quadrature(3, (0.0, 0.0, 0.0), 1.0, n_points=n)
     return pts
+
+
+def _coarse_sups(pts: np.ndarray, vals: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """sup over points of |vals - (pts . e)+| for every candidate direction e.
+
+    Runs over COARSE_BLOCK directions at a time in one reused buffer; a max
+    is exact, so this equals the one-shot (points x directions) expression.
+    """
+    sups = np.empty(cand.shape[0])
+    for j in range(0, cand.shape[0], COARSE_BLOCK):
+        block = pts @ cand[j : j + COARSE_BLOCK].T
+        np.maximum(block, 0.0, out=block)
+        np.subtract(vals[:, None], block, out=block)
+        np.abs(block, out=block)
+        np.max(block, axis=0, out=sups[j : j + COARSE_BLOCK])
+    return sups
 
 
 def _spherical_to_unit(coords: np.ndarray) -> np.ndarray:
@@ -211,10 +228,7 @@ def flatness_deficit(u: ScalarField) -> FlatnessFit:
         return float(np.max(np.abs(vals - plane)))
 
     cand = _coarse_directions(grid.dim)
-    sups = np.max(
-        np.abs(vals[:, None] - np.maximum(pts @ cand.T, 0.0)), axis=0
-    )
-    best = int(np.argmin(sups))
+    best = int(np.argmin(_coarse_sups(pts, vals, cand)))
     e = cand[best]
     if grid.dim == 2:
         width = 2.0 * np.pi / COARSE_DIRECTIONS

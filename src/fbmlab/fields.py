@@ -10,6 +10,14 @@ Conventions used throughout the package:
   equal weights in 3d, with field values taken by multilinear interpolation;
   the unit directions are built once per (dim, n) and shifted and scaled
   per sphere;
+* multilinear interpolation is one gather kernel over a component-major
+  (k, n_nodes) stack of nodal arrays: per point set it computes the flat
+  base node and the per-axis fractions once, then takes all k rows at each
+  of the 2^dim cell corners.  A sphere diagnostic stacks every field its
+  formulas need (u, grad u and the ghost potential for the scan; the flux
+  for the shell identity) and samples each sphere in one pass.  Each sphere
+  formula has one implementation, which reads the sampled rows.  Nothing
+  is cached between spheres;
 * ball integrals are fixed linear functionals of the data on the window of
   cells meeting the ball.  A cell safely inside counts fully, one safely
   outside not at all, and a cell near the sphere counts at the fraction of a
@@ -233,11 +241,25 @@ def trapezoid_weights(shape: tuple[int, ...]) -> np.ndarray:
     return w
 
 
-def _interp_core(values: np.ndarray, grid: Grid, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of nodal data at points of shape (m, dim).
+def _node_rows(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Component-major (k, n_nodes) layout of nodal data, the gather kernel's input.
 
-    Trailing axes of `values` beyond the node axes are carried through, so the
-    same kernel serves scalar and vector fields.
+    values is shaped node_shape or node_shape + (k,).  A scalar array comes
+    back as a one-row view; a vector array is copied so that each component
+    is one contiguous row (a point-major stack makes every gather strided).
+    """
+    return np.ascontiguousarray(np.moveaxis(values.reshape(grid.n_nodes, -1), -1, 0))
+
+
+def _interp_core(rows: np.ndarray, grid: Grid, pts: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of component-major nodal data, shape (k, m).
+
+    rows is (k, n_nodes), each row one nodal array flattened in C order (see
+    _node_rows); pts is (m, dim).  The flat base node and the per-axis
+    fractions are computed once, then each of the 2^dim cell corners is one
+    gather of all k rows.  Corners are summed in itertools.product order
+    with weights multiplied in axis order, so row j equals the
+    interpolation of field j alone, bit for bit.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[1] != grid.dim:
@@ -246,30 +268,32 @@ def _interp_core(values: np.ndarray, grid: Grid, pts: np.ndarray) -> np.ndarray:
         raise GeometryError("interpolation point outside the grid box")
     h = grid.h
     idx = []
-    frac = []
+    hats = []
     for a in range(grid.dim):
         x = (pts[:, a] - grid.lo[a]) / h
         i = np.clip(np.floor(x).astype(np.int64), 0, grid.n_cells[a] - 1)
+        frac = np.clip(x - i, 0.0, 1.0)
         idx.append(i)
-        frac.append(np.clip(x - i, 0.0, 1.0))
-    extra = values.ndim - grid.dim
-    out = np.zeros(pts.shape[0:1] + values.shape[grid.dim:], dtype=float)
+        hats.append((1.0 - frac, frac))
+    base = np.ravel_multi_index(idx, grid.node_shape)
+    out = np.zeros((rows.shape[0], pts.shape[0]))
+    vals = np.empty_like(out)
     for corner in itertools.product((0, 1), repeat=grid.dim):
-        w = np.ones(pts.shape[0])
+        w = 1.0
         for a, c in enumerate(corner):
-            w = w * (frac[a] if c else 1.0 - frac[a])
-        take = tuple(idx[a] + corner[a] for a in range(grid.dim))
-        vals = values[take]
-        if extra:
-            w = w.reshape((-1,) + (1,) * extra)
-        out += w * vals
+            w = w * hats[a][c]
+        offset = np.ravel_multi_index(corner, grid.node_shape)
+        np.take(rows, base + offset, axis=1, out=vals, mode="clip")
+        vals *= w
+        out += vals
     return out
 
 
 def interpolate(f: ScalarField | VectorField, pts: np.ndarray) -> np.ndarray:
     """Multilinear interpolation; returns (m,) for scalars, (m, dim) for vectors."""
     single = np.asarray(pts).ndim == 1
-    out = _interp_core(f.values, f.grid, pts)
+    out = _interp_core(_node_rows(f.values, f.grid), f.grid, pts)
+    out = out[0] if f.values.ndim == f.grid.dim else np.ascontiguousarray(out.T)
     return out[0] if single else out
 
 
@@ -309,6 +333,31 @@ def sphere_quadrature(dim: int, z, r: float, n_points: int | None = None):
     return z[None, :] + r * omega, np.full(n, measure / n)
 
 
+def _sphere_samples(rows: np.ndarray, grid: Grid, z, r: float, n_points: int | None = None):
+    """Quadrature points, weights and the (k, m) samples of rows on |x-z| = r.
+
+    rows is a component-major stack (see _node_rows); every field a sphere
+    formula needs is sampled in this one gather.
+    """
+    pts, wts = sphere_quadrature(grid.dim, z, r, n_points)
+    return pts, wts, _interp_core(rows, grid, pts)
+
+
+def _shell_mean(wts: np.ndarray, vals: np.ndarray, r: float, dim: int) -> float:
+    """r^(1-dim) times the sphere quadrature of sampled values.
+
+    vals must be a contiguous row: np.dot may round a strided one differently.
+    """
+    return float(r ** (1 - dim) * np.dot(wts, vals))
+
+
+def _sphere_flux(z: np.ndarray, r: float, pts: np.ndarray, wts: np.ndarray, samples) -> float:
+    """r^(1-dim) times the sphere quadrature of V . nu from the (dim, m) samples of V."""
+    vals = np.ascontiguousarray(samples.T)
+    nu = (pts - z[None, :]) / r
+    return float(r ** (1 - pts.shape[1]) * np.sum(wts * np.sum(vals * nu, axis=-1)))
+
+
 def shell_average(f: ScalarField, z, r: float, n_points: int | None = None) -> float:
     """r^(1-dim) times the surface integral of f over the sphere |x-z| = r.
 
@@ -317,9 +366,8 @@ def shell_average(f: ScalarField, z, r: float, n_points: int | None = None) -> f
     """
     grid = f.grid
     grid.require_ball_inside(z, r)
-    pts, wts = sphere_quadrature(grid.dim, z, r, n_points)
-    vals = _interp_core(f.values, grid, pts)
-    return float(r ** (1 - grid.dim) * np.dot(wts, vals))
+    _, wts, vals = _sphere_samples(_node_rows(f.values, grid), grid, z, r, n_points)
+    return _shell_mean(wts, vals[0], r, grid.dim)
 
 
 class BallWeights(NamedTuple):

@@ -37,12 +37,15 @@ from .fields import (
     Grid,
     ScalarField,
     VectorField,
+    _interp_core,
+    _node_rows,
+    _shell_mean,
+    _sphere_flux,
+    _sphere_samples,
     ball_integral,
     ball_volume,
     gradient_arrays,
     gradient_transpose,
-    interpolate,
-    shell_average,
     sphere_quadrature,
     trapezoid_weights,
 )
@@ -190,15 +193,12 @@ def _weak_divergence(comps, w: np.ndarray, h: float) -> np.ndarray:
     return out - out.mean()
 
 
-def _relative_residual(flux: FluxField, phi: np.ndarray) -> float:
+def _relative_residual(u, b: np.ndarray, phi: np.ndarray, w: np.ndarray, h: float) -> float:
     """||P(b - A phi)|| / ||P b||: weak divergence of U - grad(phi) over the load.
 
+    u holds the flux components and b = _weak_divergence(u, w, h) their load;
     P removes the constant mode.  A zero load returns the absolute norm.
     """
-    h = flux.grid.h
-    w = trapezoid_weights(flux.grid.node_shape)
-    u = np.moveaxis(flux.field.values, -1, 0)
-    b = _weak_divergence(u, w, h)
     r = _weak_divergence([ua - da for ua, da in zip(u, gradient_arrays(phi, h))], w, h)
     b_norm = float(np.linalg.norm(b))
     r_norm = float(np.linalg.norm(r))
@@ -265,13 +265,14 @@ def neumann_solve(flux: FluxField, tol: float = DEFAULT_TOL) -> GhostFunction:
     """
     grid = flux.grid
     w = trapezoid_weights(grid.node_shape)
-    b = _weak_divergence(np.moveaxis(flux.field.values, -1, 0), w, grid.h)
+    u = np.moveaxis(flux.field.values, -1, 0)
+    b = _weak_divergence(u, w, grid.h)
     if float(np.linalg.norm(b)) == 0.0:
         phi, res, it = np.zeros(grid.node_shape), 0.0, 0
     else:
         phi = _fast_diagonal_solve(b, grid.h)
         phi -= phi.mean()
-        res, it = _relative_residual(flux, phi), 1
+        res, it = _relative_residual(u, b, phi, w, grid.h), 1
         if not res <= tol:
             raise SolverError(
                 f"Neumann solve residual {res:.3e} exceeds tol {tol:.1e}"
@@ -294,9 +295,13 @@ def weak_divergence_residual(flux: FluxField, g: GhostFunction) -> float:
     both with the constant mode removed.  Zero flux returns the absolute
     norm, 0 for the zero potential.
     """
-    if g.grid != flux.grid:
+    grid = flux.grid
+    if g.grid != grid:
         raise ValueError("ghost and flux live on different grids")
-    return _relative_residual(flux, g.potential.values)
+    w = trapezoid_weights(grid.node_shape)
+    u = np.moveaxis(flux.field.values, -1, 0)
+    b = _weak_divergence(u, w, grid.h)
+    return _relative_residual(u, b, g.potential.values, w, grid.h)
 
 
 @dataclass(frozen=True)
@@ -349,16 +354,21 @@ def shell_identity_report(
     z = np.asarray(g.base_point, dtype=float)
     if dr is None:
         dr = 0.5 * grid.h
+    flux_rows = _node_rows(flux.field.values, flux.grid)
+    phi_rows = _node_rows(g.potential.values, grid)
     out = []
     for r in radii:
         r = float(r)
         grid.require_ball_inside(z, r + dr)
-        pts, wts = sphere_quadrature(grid.dim, z, r)
-        nu = (pts - z[None, :]) / r
-        uvals = interpolate(flux.field, pts)
-        flux_side = float(r ** (1 - grid.dim) * np.sum(wts * np.sum(uvals * nu, axis=-1)))
-        hi = shell_average(g.potential, z, r + dr)
-        lo = shell_average(g.potential, z, r - dr)
+        pts, wts, samples = _sphere_samples(flux_rows, flux.grid, z, r)
+        flux_side = _sphere_flux(z, r, pts, wts, samples)
+        # both shifted shells in one gather
+        pts_hi, w_hi = sphere_quadrature(grid.dim, z, r + dr)
+        pts_lo, w_lo = sphere_quadrature(grid.dim, z, r - dr)
+        phi = _interp_core(phi_rows, grid, np.concatenate([pts_hi, pts_lo]))[0]
+        m = w_hi.size
+        hi = _shell_mean(w_hi, phi[:m], r + dr, grid.dim)
+        lo = _shell_mean(w_lo, phi[m:], r - dr, grid.dim)
         potential_side = (hi - lo) / (2.0 * dr)
         out.append(
             ShellIdentityRecord(

@@ -31,15 +31,16 @@ from .fields import (
     DEFAULT_SPHERE_POINTS,
     Grid,
     ScalarField,
-    VectorField,
     _freeze,
+    _node_rows,
+    _shell_mean,
+    _sphere_flux,
+    _sphere_samples,
     ball_integral_cells,
     ball_weights,
     cell_midpoint_values,
-    gradient,
-    interpolate,
+    gradient_arrays,
     shell_average,
-    sphere_quadrature,
 )
 from .ghost import FluxField, GhostFunction
 
@@ -126,10 +127,20 @@ def _bulk_integral(density: np.ndarray, grid: Grid, z: np.ndarray, r: float) -> 
     return ball_integral_cells(density, grid, z, r)
 
 
-def _surface_u2(u: ScalarField, z: np.ndarray, r: float, n_points: int | None) -> float:
-    pts, w = sphere_quadrature(u.grid.dim, z, r, n_points)
-    vals = interpolate(u, pts)
-    return float(np.sum(w * vals * vals))
+def _sphere_rows(u: ScalarField, *extra: ScalarField) -> np.ndarray:
+    """Component-major rows [u, d_1 u, ..., d_n u, extra...] for one sphere gather.
+
+    The derivative rows are the gradient stencil written in place, so
+    sampling them equals sampling gradient(u).
+    """
+    grid = u.grid
+    rows = np.empty((1 + grid.dim + len(extra), grid.n_nodes))
+    nodal = rows.reshape((-1,) + grid.node_shape)
+    nodal[0] = u.values
+    gradient_arrays(u.values, grid.h, out=list(nodal[1 : 1 + grid.dim]))
+    for j, f in enumerate(extra):
+        nodal[1 + grid.dim + j] = f.values
+    return rows
 
 
 def weiss_core(
@@ -148,16 +159,22 @@ def weiss_core(
     grid.require_ball_inside(z, r)
     density = cell_energy_density(u, model, lam)
     bulk = _bulk_integral(density, grid, z, r)
-    surf = _surface_u2(u, z, r, n_sphere_points)
-    return _weiss(bulk, surf, f0, r, grid.dim)
+    _, w, samples = _sphere_samples(_node_rows(u.values, grid), grid, z, r, n_sphere_points)
+    return _weiss(bulk, w, samples[0], f0, r, grid.dim)
 
 
-def _weiss(bulk: float, surf: float, f0: float, r: float, n: int) -> float:
-    """The Weiss combination of a ball integral and a sphere integral of u^2."""
+def _weiss(bulk: float, w: np.ndarray, uvals: np.ndarray, f0: float, r: float, n: int) -> float:
+    """The Weiss combination of a ball integral and the sphere integral of u^2.
+
+    w are the sphere quadrature weights and uvals the sampled u.
+    """
+    surf = float(np.sum(w * uvals * uvals))
     return bulk / r**n - f0 * surf / r ** (n + 1)
 
 
-def _check_ghost_contract(g: GhostFunction, z: np.ndarray, f0: float) -> None:
+def _check_ghost_contract(g: GhostFunction, grid: Grid, z: np.ndarray, f0: float) -> None:
+    if g.grid != grid:
+        raise ValueError("ghost and field live on different grids")
     gz = np.asarray(g.base_point, dtype=float)
     if gz.size != z.size or np.max(np.abs(gz - z)) > BASE_POINT_ATOL:
         raise ValueError(
@@ -169,32 +186,43 @@ def _check_ghost_contract(g: GhostFunction, z: np.ndarray, f0: float) -> None:
 
 
 def _sphere_terms(
-    u: ScalarField,
-    grad_u: VectorField,
     model: DensityModel,
     z: np.ndarray,
     r: float,
     f0: float,
-    n_points: int | None,
+    pts: np.ndarray,
+    w: np.ndarray,
+    samples: np.ndarray,
 ) -> tuple[float, float]:
     """The two (u_nu - u/r) sphere integrals of the scan at one radius.
 
     Returns (A' formula, T):
         (2/r^n)     int_{dB_r} F'(q) (u_nu - u/r)^2,
         (2/r^{n-1}) int_{dB_r} (F'(q) - f0) (u/r^2) (u_nu - u/r),
-    with q = |grad u|^2 and grad_u = gradient(u), computed once by the caller.
+    with q = |grad u|^2, from samples of the rows [u, grad u, ...] of
+    _sphere_rows at the quadrature points pts.
     """
-    n = u.grid.dim
-    pts, w = sphere_quadrature(n, z, r, n_points)
-    grads = interpolate(grad_u, pts)
+    n = pts.shape[1]
+    uvals = samples[0]
+    grads = np.ascontiguousarray(samples[1 : 1 + n].T)
     nu = (pts - z[None, :]) / r
     q = np.sum(grads * grads, axis=-1)
-    uvals = interpolate(u, pts)
     u_nu = np.sum(grads * nu, axis=-1)
     slope = model.df(q)
     formula = 2.0 / r**n * np.sum(w * slope * (u_nu - uvals / r) ** 2)
     t = 2.0 / r ** (n - 1) * np.sum(w * (slope - f0) * (uvals / r**2) * (u_nu - uvals / r))
     return float(formula), float(t)
+
+
+def _sphere_terms_of(
+    u: ScalarField, model: DensityModel, z, r: float, f0: float, n_points: int | None
+) -> tuple[float, float]:
+    """_sphere_terms of u on one sphere, checked to lie inside the box."""
+    grid = u.grid
+    z = _base_point(grid, z)
+    grid.require_ball_inside(z, r)
+    pts, w, samples = _sphere_samples(_sphere_rows(u), grid, z, r, n_points)
+    return _sphere_terms(model, z, r, f0, pts, w, samples)
 
 
 def radial_derivative(
@@ -209,10 +237,7 @@ def radial_derivative(
     A quadrature of a nonnegative integrand with positive weights: the
     result is nonnegative exactly, not just up to round-off.
     """
-    grid = u.grid
-    z = _base_point(grid, z)
-    grid.require_ball_inside(z, r)
-    return _sphere_terms(u, gradient(u), model, z, r, 0.0, n_sphere_points)[0]
+    return _sphere_terms_of(u, model, z, r, 0.0, n_sphere_points)[0]
 
 
 def error_term(
@@ -224,11 +249,8 @@ def error_term(
     n_sphere_points: int | None = None,
 ) -> float:
     """(2/r^{n-1}) int_{dB_r} (F'(|grad u|^2) - F0) (u/r^2) (u_nu - u/r)."""
-    grid = u.grid
-    z = _base_point(grid, z)
     f0 = _resolve_f0(model, f0)
-    grid.require_ball_inside(z, r)
-    return _sphere_terms(u, gradient(u), model, z, r, f0, n_sphere_points)[1]
+    return _sphere_terms_of(u, model, z, r, f0, n_sphere_points)[1]
 
 
 def error_term_flux(
@@ -248,10 +270,10 @@ def error_term_flux(
             f"radius {r} does not clear the capped core {flux.cap_radius}"
         )
     grid.require_ball_inside(z, r)
-    pts, w = sphere_quadrature(grid.dim, z, r, n_sphere_points)
-    nu = (pts - z[None, :]) / r
-    vals = interpolate(flux.field, pts)
-    return float(r ** (1 - grid.dim) * np.sum(w * np.sum(vals * nu, axis=-1)))
+    pts, w, samples = _sphere_samples(
+        _node_rows(flux.field.values, grid), grid, z, r, n_sphere_points
+    )
+    return _sphere_flux(z, r, pts, w, samples)
 
 
 def log_radius_derivative(values, radii) -> np.ndarray:
@@ -320,12 +342,13 @@ def derivative_identity_report(
         [_bulk_integral(density, grid, z, radius) / radius**grid.dim for radius in r]
     )
     lhs_all = log_radius_derivative(bulk, r)
-    grad_u = gradient(u)
+    rows = _sphere_rows(u)
     out = []
     for i in range(1, r.size - 1):
         radius = float(r[i])
+        pts, w, samples = _sphere_samples(rows, grid, z, radius, n_sphere_points)
         # f0 = 0 turns T into the full F' term of the identity
-        first, second = _sphere_terms(u, grad_u, model, z, radius, 0.0, n_sphere_points)
+        first, second = _sphere_terms(model, z, radius, 0.0, pts, w, samples)
         rhs = first + second
         lhs = float(lhs_all[i])
         out.append(IdentityRecord(r=radius, lhs=lhs, rhs=rhs, gap=lhs - rhs))
@@ -430,7 +453,7 @@ def scan(
     grid = u.grid
     z = _base_point(grid, z)
     f0 = _resolve_f0(model, f0)
-    _check_ghost_contract(g, z, f0)
+    _check_ghost_contract(g, grid, z, f0)
     r = _validate_radii(radii)
     for radius in r:
         grid.require_ball_inside(z, radius)
@@ -439,18 +462,19 @@ def scan(
     )
 
     density = cell_energy_density(u, model, lam)
-    grad_u = gradient(u)
+    # one gather per radius samples u, grad u and phi together
+    rows = _sphere_rows(u, g.potential)
     core = np.empty(r.size)
     gt = np.empty(r.size)
     formula = np.empty(r.size)
     t_col = np.empty(r.size)
     for i, radius in enumerate(r):
         radius = float(radius)
+        pts, w, samples = _sphere_samples(rows, grid, z, radius, n_points)
         bulk = _bulk_integral(density, grid, z, radius)
-        surf = _surface_u2(u, z, radius, n_points)
-        core[i] = _weiss(bulk, surf, f0, radius, grid.dim)
-        gt[i] = shell_average(g.potential, z, radius, n_points=n_points)
-        formula[i], t_col[i] = _sphere_terms(u, grad_u, model, z, radius, f0, n_points)
+        core[i] = _weiss(bulk, w, samples[0], f0, radius, grid.dim)
+        gt[i] = _shell_mean(w, samples[-1], radius, grid.dim)
+        formula[i], t_col[i] = _sphere_terms(model, z, radius, f0, pts, w, samples)
 
     a = core - gt
     a_prime_fd = log_radius_derivative(a, r)

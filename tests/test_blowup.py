@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,33 @@ class TestFlatnessFitMatchesScipy:
         for got, want in searches:
             assert got == want
         assert fit_bits(fit) == fit_bits(ref)
+
+
+class TestCoarseScan:
+    """The blocked direction scan against the one-shot (points x directions) form."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_blocked_scan_bitwise_equal_to_one_shot(self, dim):
+        rng = np.random.default_rng(dim)
+        cand = blowup._coarse_directions(dim)
+        # a point count that leaves a ragged last block of rows is covered too
+        for n in (1, 777, 6241):
+            pts = rng.uniform(-0.5, 0.5, (n, dim))
+            vals = rng.uniform(0.0, 0.5, n)
+            want = np.max(np.abs(vals[:, None] - np.maximum(pts @ cand.T, 0.0)), axis=0)
+            assert blowup._coarse_sups(pts, vals, cand).tobytes() == want.tobytes()
+
+    def test_flatness_fit_peak_allocation_3d(self):
+        u = halfplane_blowup(3)
+        assert u.grid == unit_box(3)
+        flatness_deficit(u)
+        tracemalloc.start()
+        try:
+            flatness_deficit(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestSequence:

@@ -20,7 +20,10 @@ from fbmlab.errors import GeometryError
 from fbmlab.fields import (
     Grid,
     ScalarField,
+    VectorField,
     _ball_weights,
+    _interp_core,
+    _node_rows,
     _unit_sphere,
     ball_integral,
     ball_integral_cells,
@@ -133,6 +136,96 @@ class TestInterpolation:
         f = sample(g, lambda x, y, z: x + y + z)
         v = interpolate(f, np.array([0.1, 0.2, -0.3]))
         assert np.ndim(v) == 0 or isinstance(v, float)
+
+
+def frozen_interp(values, grid, pts):
+    """The per-corner fancy-indexing interpolation the gather kernel replaced."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    h = grid.h
+    idx = []
+    frac = []
+    for a in range(grid.dim):
+        x = (pts[:, a] - grid.lo[a]) / h
+        i = np.clip(np.floor(x).astype(np.int64), 0, grid.n_cells[a] - 1)
+        idx.append(i)
+        frac.append(np.clip(x - i, 0.0, 1.0))
+    extra = values.ndim - grid.dim
+    out = np.zeros(pts.shape[0:1] + values.shape[grid.dim :], dtype=float)
+    for corner in itertools.product((0, 1), repeat=grid.dim):
+        w = np.ones(pts.shape[0])
+        for a, c in enumerate(corner):
+            w = w * (frac[a] if c else 1.0 - frac[a])
+        vals = values[tuple(idx[a] + corner[a] for a in range(grid.dim))]
+        if extra:
+            w = w.reshape((-1,) + (1,) * extra)
+        out += w * vals
+    return out
+
+
+def kernel_points(grid, rng, m=500):
+    """Random interior points plus face, hi-corner and slack-band points."""
+    lo, hi = np.array(grid.lo), np.array(grid.hi)
+    pts = [rng.uniform(lo, hi, (m, grid.dim)), hi[None, :], lo[None, :]]
+    band = 0.5e-9 * grid.h
+    for a in range(grid.dim):
+        face = rng.uniform(lo, hi, (8, grid.dim))
+        face[:4, a] = lo[a]
+        face[4:, a] = hi[a]
+        pts.append(face)
+        slack = rng.uniform(lo, hi, (2, grid.dim))
+        slack[0, a] = lo[a] - band
+        slack[1, a] = hi[a] + band
+        pts.append(slack)
+    return np.concatenate(pts)
+
+
+class TestGatherKernel:
+    """The component-major gather kernel against the per-field kernel it replaced."""
+
+    @pytest.mark.parametrize("dim, n", [(2, 13), (3, 7)])
+    def test_bitwise_equal_to_frozen_kernel(self, dim, n):
+        rng = np.random.default_rng(dim)
+        grid = Grid((-1.3,) * dim, (0.7,) * dim, (n,) * dim)
+        scalar = rng.standard_normal(grid.node_shape)
+        vector = rng.standard_normal(grid.node_shape + (dim,))
+        pts = kernel_points(grid, rng)
+        want_s = frozen_interp(scalar, grid, pts)
+        want_v = frozen_interp(vector, grid, pts)
+        got_s = interpolate(ScalarField(grid, scalar), pts)
+        got_v = interpolate(VectorField(grid, vector), pts)
+        assert got_s.tobytes() == want_s.tobytes()
+        assert got_v.tobytes() == want_v.tobytes()
+        rows = np.empty((dim + 2, grid.n_nodes))
+        rows[0] = scalar.ravel()
+        rows[1 : dim + 1] = _node_rows(vector, grid)
+        rows[-1] = -scalar.ravel()
+        stacked = _interp_core(rows, grid, pts)
+        assert stacked[0].tobytes() == want_s.tobytes()
+        assert np.ascontiguousarray(stacked[1 : dim + 1].T).tobytes() == want_v.tobytes()
+        assert stacked[-1].tobytes() == frozen_interp(-scalar, grid, pts).tobytes()
+
+    def test_node_rows_layout(self):
+        grid = box_grid(3, 4)
+        vector = np.arange(grid.n_nodes * 3, dtype=float).reshape(grid.node_shape + (3,))
+        rows = _node_rows(vector, grid)
+        assert rows.shape == (3, grid.n_nodes) and rows.flags.c_contiguous
+        for a in range(3):
+            assert np.array_equal(rows[a], vector[..., a].ravel())
+
+    @pytest.mark.parametrize(
+        "bad", [[1.0 + 1e-6, 0.0], [0.0, -1.0 - 1e-6], [float("nan"), 0.0], [0.0, float("inf")]]
+    )
+    def test_outside_or_nan_points_raise(self, bad):
+        grid = box_grid(2, 4)
+        rows = _node_rows(np.zeros(grid.node_shape), grid)
+        with pytest.raises(GeometryError):
+            _interp_core(rows, grid, np.array([[0.1, 0.2], bad]))
+
+    def test_wrong_column_count_raises(self):
+        grid = box_grid(3, 4)
+        rows = _node_rows(np.zeros(grid.node_shape), grid)
+        with pytest.raises(ValueError):
+            _interp_core(rows, grid, np.zeros((5, 2)))
 
 
 class TestSphereQuadrature:

@@ -14,6 +14,8 @@ from fbmlab.fields import (
     gradient_arrays,
     gradient_transpose,
     interpolate,
+    shell_average,
+    sphere_quadrature,
     trapezoid_weights,
 )
 from fbmlab.ghost import (
@@ -29,6 +31,7 @@ from fbmlab.ghost import (
     stability_report,
     weak_divergence_residual,
 )
+from fbmlab.monotonicity import error_term_flux
 
 ARCTAN = DensityModel(kind="arctan", alpha=0.1)
 LINEAR = DensityModel(kind="linear")
@@ -414,6 +417,32 @@ class TestShellIdentity:
         flux, g = radial_solution
         with pytest.raises(GeometryError):
             shell_identity_report(flux, g, [1.5])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equals_per_shell_reference(self, dim):
+        # one flux gather and one two-shell potential gather per radius give
+        # the same bits as sampling every shell on its own
+        grid = box_grid(dim, 64 if dim == 2 else 20)
+        mesh = grid.node_mesh()
+        u = ScalarField(grid, np.maximum(mesh[0] + 0.3 * mesh[1] ** 2, 0.0))
+        z = (0.05,) + (0.0,) * (dim - 1)
+        flux = flux_field(u, ARCTAN, z)
+        g = neumann_solve(flux)
+        radii = [0.3, 0.45, 0.6]
+        dr = 0.5 * grid.h
+        records = shell_identity_report(flux, g, radii)
+        zc = np.asarray(z)
+        for rec, r in zip(records, radii):
+            pts, w = sphere_quadrature(dim, zc, r)
+            nu = (pts - zc[None, :]) / r
+            vals = interpolate(flux.field, pts)
+            flux_side = float(r ** (1 - dim) * np.sum(w * np.sum(vals * nu, axis=-1)))
+            hi = shell_average(g.potential, zc, r + dr)
+            lo = shell_average(g.potential, zc, r - dr)
+            assert rec.flux_side == flux_side == error_term_flux(flux, r)
+            assert rec.potential_side == (hi - lo) / (2.0 * dr)
+            assert rec.gap == rec.flux_side - rec.potential_side
+            assert flux_side != 0.0
 
 
 class TestRadialIdentity:

@@ -10,6 +10,7 @@ from fbmlab.fields import (
     Grid,
     ScalarField,
     geometric_radii,
+    shell_average,
 )
 from fbmlab.ghost import GhostFunction, flux_field, neumann_solve
 from fbmlab.monotonicity import (
@@ -317,29 +318,59 @@ class TestScan:
         assert rep.a[i + 1] < rep.a[i] - rep.tol_mono
 
 
+def arctan_case_2d():
+    grid = box_grid(2, 96)
+    x, y = grid.node_mesh()
+    u = ScalarField(grid, np.maximum(x + 0.3 * y * y, 0.0) + 0.1 * x * y)
+    phi = ScalarField(grid, 0.05 * np.cos(3.0 * x) * np.sin(2.0 * y))
+    return u, ORIGIN2, phi, geometric_radii(0.2, 0.5, 1.3)
+
+
+def arctan_case_3d():
+    grid = box_grid(3, 24)
+    x, y, z = grid.node_mesh()
+    u = ScalarField(grid, np.maximum(x + 0.2 * y * z, 0.0) + 0.1 * x * y)
+    phi = ScalarField(grid, 0.05 * np.cos(2.0 * x) * np.sin(y + z))
+    return u, (0.05, -0.02, 0.0), phi, geometric_radii(0.3, 0.6, 1.25)
+
+
+def assert_columns_match_single_radius_terms(u, z, phi, radii):
+    # one gather per radius in the scan; the standalone functions share its
+    # sphere formulas, so every column agrees bit for bit
+    g = GhostFunction(
+        potential=phi, base_point=z, f0=0.9, cap_radius=0.5 * u.grid.h,
+        residual=0.0, iterations=0,
+    )
+    rep = scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9)
+    assert np.any(rep.t != 0.0) and np.any(rep.ghost_term != 0.0)
+    for i, r in enumerate(radii):
+        assert rep.weiss_core[i] == weiss_core(u, ARCTAN, 0.7, z, r, f0=0.9)
+        assert rep.ghost_term[i] == shell_average(phi, z, r)
+        assert rep.a_prime_formula[i] == radial_derivative(u, ARCTAN, z, r)
+        assert rep.t[i] == error_term(u, ARCTAN, z, r, f0=0.9)
+
+
 class TestSphereKernel:
     def test_scan_columns_match_single_radius_terms(self):
-        # one sphere kernel serves the scan, radial_derivative and error_term
-        grid = box_grid(2, 96)
-        x, y = grid.node_mesh()
-        u = ScalarField(grid, np.maximum(x + 0.3 * y * y, 0.0) + 0.1 * x * y)
-        radii = geometric_radii(0.2, 0.5, 1.3)
-        g = zero_ghost(grid, ORIGIN2, f0=0.9)
-        rep = scan(u, ARCTAN, 0.7, ORIGIN2, radii, g, f0=0.9)
-        assert np.any(rep.t != 0.0)
-        for i, r in enumerate(radii):
-            assert rep.a_prime_formula[i] == pytest.approx(
-                radial_derivative(u, ARCTAN, ORIGIN2, r), rel=1e-13
-            )
-            assert rep.t[i] == pytest.approx(
-                error_term(u, ARCTAN, ORIGIN2, r, f0=0.9), rel=1e-13
-            )
-        records = derivative_identity_report(u, ARCTAN, 0.7, ORIGIN2, radii)
+        assert_columns_match_single_radius_terms(*arctan_case_2d())
+
+    def test_scan_columns_match_single_radius_terms_3d(self):
+        assert_columns_match_single_radius_terms(*arctan_case_3d())
+
+    def test_derivative_identity_uses_the_same_terms(self):
+        u, z, _, radii = arctan_case_2d()
+        records = derivative_identity_report(u, ARCTAN, 0.7, z, radii)
         for rec in records:
-            want = radial_derivative(u, ARCTAN, ORIGIN2, rec.r) + error_term(
-                u, ARCTAN, ORIGIN2, rec.r, f0=0.0
+            want = radial_derivative(u, ARCTAN, z, rec.r) + error_term(
+                u, ARCTAN, z, rec.r, f0=0.0
             )
-            assert rec.rhs == pytest.approx(want, rel=1e-13)
+            assert rec.rhs == want
+
+    def test_ghost_on_another_grid_raises(self):
+        u, z, phi, radii = arctan_case_2d()
+        g = zero_ghost(box_grid(2, 48), z, f0=0.9)
+        with pytest.raises(ValueError, match="different grids"):
+            scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9)
 
 
 class TestReportsCopyInputs:
