@@ -30,6 +30,7 @@ from .fields import (
     geometric_radii,
     gradient,
     interpolate,
+    lipschitz,
     shell_average,
     sphere_quadrature,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "geometric_radii",
     "gradient",
     "interpolate",
+    "lipschitz",
     "shell_average",
     "sphere_quadrature",
     "read_field",

@@ -31,6 +31,7 @@ from .fields import (
     ball_integral,
     gradient_arrays,
     interpolate,
+    lipschitz,
     sphere_quadrature,
 )
 
@@ -298,13 +299,15 @@ def build_sequence(
     scales = tuple(float(s) for s in scales)
     if ref_grid is None:
         ref_grid = unit_box(grid.dim)
-    lip = float(np.max(np.sqrt(sum(g * g for g in gradient_arrays(u.values, grid.h)))))
     u_at_z = float(interpolate(u, np.asarray(z)[None, :])[0])
-    if abs(u_at_z) > max(lip, 1.0) * grid.h:
-        raise ValueError(
-            f"base point value {u_at_z:.3g} too large for a boundary point "
-            f"(limit {max(lip, 1.0) * grid.h:.3g})"
-        )
+    # the limit max(Lip, 1) h is at least h, so only a larger |u(z)| needs Lip
+    if abs(u_at_z) > grid.h:
+        limit = max(lipschitz(u), 1.0) * grid.h
+        if abs(u_at_z) > limit:
+            raise ValueError(
+                f"base point value {u_at_z:.3g} too large for a boundary point "
+                f"(limit {limit:.3g})"
+            )
     fields = []
     devs = []
     deficits = []

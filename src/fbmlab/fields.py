@@ -5,7 +5,9 @@ Conventions used throughout the package:
 * grids are boxes [lo, hi] in dimension 2 or 3 with the same spacing h on
   every axis; fields store one float64 per node, row-major;
 * gradients are second order: centered differences inside, one-sided
-  three-point stencils on the faces (exact on quadratics);
+  three-point stencils on the faces (exact on quadratics).  The derivative
+  and its adjoint treat the interior of each axis as contiguous passes over
+  the flattened C-order array, offset by the axis stride;
 * sphere integrals use equispaced angles in 2d and a Fibonacci spiral with
   equal weights in 3d, with field values taken by multilinear interpolation;
   the unit directions are built once per (dim, n) and shifted and scaled
@@ -161,6 +163,22 @@ class VectorField:
         object.__setattr__(self, "values", vals)
 
 
+def _require_three_nodes(shape: tuple[int, ...]) -> None:
+    if any(n < 3 for n in shape):
+        raise ValueError("a second order derivative needs 3 nodes on every axis")
+
+
+def _flat(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """a as one C-order row without a copy; a must be C-contiguous and shaped like shape.
+
+    reshape would silently copy a strided array, and writes into the copy
+    would be lost.
+    """
+    if a.shape != shape or not a.flags.c_contiguous:
+        raise ValueError(f"buffers must be C-contiguous arrays of shape {shape}")
+    return a.reshape(-1)
+
+
 def gradient_arrays(
     values: np.ndarray, h: float, out: list[np.ndarray] | None = None
 ) -> list[np.ndarray]:
@@ -168,20 +186,28 @@ def gradient_arrays(
 
     Bitwise equal to np.gradient(values, h, edge_order=2): centered
     differences inside, the coefficients -1.5/h, 2/h, -0.5/h on the faces.
-    With out (one array per axis, shaped like values) the derivatives are
-    written there and no array of that size is allocated.
+    With out (one C-contiguous array per axis, shaped like values; anything
+    else raises ValueError) the derivatives are written there and no array
+    of that size is allocated.
+
+    The centered difference along an axis with stride s (in elements) is one
+    contiguous pass over the flattened array, flat[k + s] - flat[k - s] for
+    every k in [s, size - s).  On the axis's two face planes that pairs
+    nodes of different lines; the face formulas overwrite those planes.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.ascontiguousarray(values, dtype=float)
+    _require_three_nodes(values.shape)
     if out is None:
         out = [np.empty_like(values) for _ in range(values.ndim)]
-    for axis, d in enumerate(out):
+    flat = values.reshape(-1)
+    rows = [_flat(d, values.shape) for d in out]
+    for axis, (d, row) in enumerate(zip(out, rows)):
+        s = values.strides[axis] // values.itemsize
+        inner = np.subtract(flat[2 * s :], flat[: -2 * s], out=row[s:-s])
+        inner /= 2.0 * h
         # swapping the axis to the front gives the same view of every array
         f = values.swapaxes(0, axis)
         d = d.swapaxes(0, axis)
-        if f.shape[0] < 3:
-            raise ValueError("a second order derivative needs 3 nodes on every axis")
-        np.subtract(f[2:], f[:-2], out=d[1:-1])
-        d[1:-1] /= 2.0 * h
         np.multiply(f[0], -1.5 / h, out=d[0])
         d[0] += (2.0 / h) * f[1]
         d[0] += (-0.5 / h) * f[2]
@@ -196,6 +222,11 @@ def gradient(f: ScalarField) -> VectorField:
     return VectorField(f.grid, np.stack(comps, axis=-1))
 
 
+def lipschitz(f: ScalarField) -> float:
+    """max over nodes of |grad f|, the discrete Lipschitz constant of f."""
+    return float(np.max(np.sqrt(sum(g * g for g in gradient_arrays(f.values, f.grid.h)))))
+
+
 def gradient_transpose(
     v: np.ndarray,
     axis: int,
@@ -207,20 +238,34 @@ def gradient_transpose(
 
     Satisfies sum(D q * v) == sum(q * gradient_transpose(v)) to round-off,
     with D the np.gradient edge_order=2 stencil.  out receives the result
-    and work (shaped like v) holds the scaled interior of v; with both
-    given, no array of v's size is allocated.
+    and work holds c v = v / (2h) with its two face planes along the axis
+    zeroed; both must be C-contiguous and shaped like v (anything else
+    raises ValueError).  With both given, no array of v's size is allocated.
+
+    The interior terms are two contiguous passes over the flattened arrays,
+    offset by the axis stride s: out[k] += work[k - s], out[k] -= work[k + s].
+    A pair that crosses from one line to the next reads a zeroed face value,
+    and x + 0.0, x - 0.0 leave every x unchanged (signed zeros included), so
+    each node gets the same value as the per-line stencil.
     """
+    v = np.ascontiguousarray(v, dtype=float)
+    _require_three_nodes((v.shape[axis],))
     if out is None:
         out = np.empty_like(v)
     if work is None:
         work = np.empty_like(v)
+    out_row, work_row = _flat(out, v.shape), _flat(work, v.shape)
+    s = v.strides[axis] // v.itemsize
+    c = 1.0 / (2.0 * h)
+    np.multiply(v.reshape(-1), c, out=work_row)
+    faces = work.swapaxes(0, axis)
+    faces[0] = 0.0
+    faces[-1] = 0.0
     out.fill(0.0)
+    out_row[s:] += work_row[:-s]
+    out_row[:-s] -= work_row[s:]
     v = v.swapaxes(0, axis)
     res = out.swapaxes(0, axis)
-    c = 1.0 / (2.0 * h)
-    inner = np.multiply(v[1:-1], c, out=work.swapaxes(0, axis)[1:-1])
-    res[2:] += inner
-    res[:-2] -= inner
     res[0] += -3.0 * c * v[0]
     res[1] += 4.0 * c * v[0]
     res[2] += -1.0 * c * v[0]

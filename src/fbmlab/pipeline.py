@@ -19,7 +19,7 @@ import numpy as np
 from .errors import GeometryError, ScenarioError, VerdictUnavailable
 from .blowup import build_sequence, regularity_verdict
 from .fieldio import read_field, write_csv, write_field, write_points_csv
-from .fields import ScalarField, free_boundary_points
+from .fields import ScalarField, free_boundary_points, lipschitz
 from .ghost import (
     GhostFunction,
     flux_bound_report,
@@ -118,12 +118,18 @@ def select_points(s: Scenario, u: ScalarField) -> tuple[tuple[float, ...], ...]:
     return tuple(keep[:: s.auto_stride])
 
 
-def stage_ghost(s: Scenario, u: ScalarField, z) -> tuple[GhostFunction, dict]:
-    """Flux at z, its gradient potential, and the certification report."""
+def stage_ghost(
+    s: Scenario, u: ScalarField, z, lip: float | None = None
+) -> tuple[GhostFunction, dict]:
+    """Flux at z, its gradient potential, and the certification report.
+
+    lip is lipschitz(u); run_pipeline computes it once for all points, and
+    it is computed here when not given.
+    """
     flux = flux_field(u, s.model, z)
     g = neumann_solve(flux, tol=s.ghost_tol)
     stab = stability_report(flux, g)
-    bound = flux_bound_report(flux, s.model, u)
+    bound = flux_bound_report(flux, s.model, lipschitz(u) if lip is None else lip)
     shells = shell_identity_report(flux, g, s.radii())
     report = {
         "base_point": [float(c) for c in g.base_point],
@@ -240,8 +246,8 @@ def _thread_count() -> int:
     return max(1, n)
 
 
-def _point_job(s: Scenario, u: ScalarField, z) -> dict:
-    g, ghost_report = stage_ghost(s, u, z)
+def _point_job(s: Scenario, u: ScalarField, lip: float, z) -> dict:
+    g, ghost_report = stage_ghost(s, u, z, lip)
     scan_report = stage_scan(s, u, g)
     blow = stage_blowup(s, u, z)
     return {"ghost": g, "ghost_report": ghost_report, "scan": scan_report, "blowup": blow}
@@ -267,12 +273,13 @@ def run_pipeline(s: Scenario, out_dir=None) -> dict:
     points = select_points(s, u)
     write_points_csv(np.asarray(points, dtype=float), out / "points.csv")
 
+    lip = lipschitz(u)
     threads = _thread_count()
     if threads > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda z: _point_job(s, u, z), points))
+            results = list(pool.map(lambda z: _point_job(s, u, lip, z), points))
     else:
-        results = [_point_job(s, u, z) for z in points]
+        results = [_point_job(s, u, lip, z) for z in points]
 
     per_point = []
     for i, (z, res) in enumerate(zip(points, results)):

@@ -18,7 +18,7 @@ from fbmlab.blowup import (
 )
 from fbmlab.density import arctan_density, linear_density
 from fbmlab.errors import GeometryError, VerdictUnavailable
-from fbmlab.fields import Grid, ScalarField
+from fbmlab.fields import Grid, ScalarField, lipschitz
 
 
 def box_grid(dim, n, half=1.0):
@@ -269,6 +269,16 @@ class TestSequence:
         u = sample(g, lambda x, y: np.maximum(x, 0.0) + 0.5)
         with pytest.raises(ValueError):
             build_sequence(u, (0.0, 0.0), scales=(0.5, 0.25))
+
+    def test_base_point_limit_scales_with_lipschitz(self):
+        # slope 3, so |u(z)| may reach 3h; the message names that limit
+        g = box_grid(2, 32)
+        near = sample(g, lambda x, y: 3.0 * np.maximum(x, 0.0) + 2.0 * g.h)
+        build_sequence(near, (0.0, 0.0), scales=(0.5,))
+        far = sample(g, lambda x, y: 3.0 * np.maximum(x, 0.0) + 4.0 * g.h)
+        limit = max(lipschitz(far), 1.0) * g.h
+        with pytest.raises(ValueError, match=rf"\(limit {limit:.3g}\)"):
+            build_sequence(far, (0.0, 0.0), scales=(0.5,))
 
     def test_halfplane_sequence_metrics(self):
         g = box_grid(2, 64)

@@ -32,6 +32,8 @@ from fbmlab.fields import (
     free_boundary_points,
     geometric_radii,
     gradient,
+    gradient_arrays,
+    gradient_transpose,
     interpolate,
     shell_average,
     sphere_quadrature,
@@ -96,6 +98,124 @@ class TestGradient:
         mesh = g.node_mesh()
         for k in range(3):
             assert np.max(np.abs(G[..., k] - 2.0 * mesh[k])) < 1e-10
+
+
+def frozen_gradient_arrays(values, h):
+    """The derivative stencil as it stood before the flat-offset pass: per-axis swapaxes views."""
+    values = np.asarray(values, dtype=float)
+    out = [np.empty_like(values) for _ in range(values.ndim)]
+    for axis, d in enumerate(out):
+        f = values.swapaxes(0, axis)
+        d = d.swapaxes(0, axis)
+        np.subtract(f[2:], f[:-2], out=d[1:-1])
+        d[1:-1] /= 2.0 * h
+        np.multiply(f[0], -1.5 / h, out=d[0])
+        d[0] += (2.0 / h) * f[1]
+        d[0] += (-0.5 / h) * f[2]
+        np.multiply(f[-3], 0.5 / h, out=d[-1])
+        d[-1] += (-2.0 / h) * f[-2]
+        d[-1] += (1.5 / h) * f[-1]
+    return out
+
+
+def frozen_gradient_transpose(v, axis, h):
+    """The adjoint stencil as it stood before the flat-offset pass."""
+    out = np.zeros_like(v)
+    v = v.swapaxes(0, axis)
+    res = out.swapaxes(0, axis)
+    c = 1.0 / (2.0 * h)
+    inner = np.multiply(v[1:-1], c)
+    res[2:] += inner
+    res[:-2] -= inner
+    res[0] += -3.0 * c * v[0]
+    res[1] += 4.0 * c * v[0]
+    res[2] += -1.0 * c * v[0]
+    res[-1] += 3.0 * c * v[-1]
+    res[-2] += -4.0 * c * v[-1]
+    res[-3] += 1.0 * c * v[-1]
+    return out
+
+
+def signed_zero_input(shape, seed):
+    """Normal samples with about a third of the nodes set to +0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    x[x > 1.0] = 0.0
+    x[x < -1.0] = -0.0
+    return x
+
+
+def stencil_inputs(shape, seed):
+    """signed_zero_input, and an input of only +0.0 and -0.0 nodes, where
+    every sum a stencil forms is a sum of signed zeros."""
+    x = signed_zero_input(shape, seed)
+    return [x, np.where(x > 0.0, 0.0, -0.0)]
+
+
+STENCIL_SHAPES = [(3, 4), (129, 129), (3, 3, 3), (5, 7, 9), (41, 41, 41)]
+
+
+class TestFlatOffsetStencils:
+    @pytest.mark.parametrize("shape", STENCIL_SHAPES)
+    def test_derivative_bytes_equal_frozen_stencil(self, shape):
+        h = 0.07
+        for values in stencil_inputs(shape, 11):
+            want = frozen_gradient_arrays(values, h)
+            out = [np.full(shape, np.nan) for _ in shape]
+            assert gradient_arrays(values, h, out=out) is out
+            for axis, fresh in enumerate(gradient_arrays(values, h)):
+                assert out[axis].tobytes() == want[axis].tobytes()
+                assert fresh.tobytes() == want[axis].tobytes()
+
+    @pytest.mark.parametrize("shape", STENCIL_SHAPES)
+    def test_adjoint_bytes_equal_frozen_stencil(self, shape):
+        h = 0.07
+        out, work = np.full(shape, np.nan), np.full(shape, np.nan)
+        for v in stencil_inputs(shape, 12):
+            for axis in range(len(shape)):
+                want = frozen_gradient_transpose(v, axis, h).tobytes()
+                assert gradient_transpose(v, axis, h, out=out, work=work) is out
+                assert out.tobytes() == want
+                assert gradient_transpose(v, axis, h).tobytes() == want
+
+    def test_non_contiguous_input_view(self):
+        h = 0.05
+        stack = signed_zero_input((5, 7, 9, 2), 13)
+        view = stack[..., 1]
+        assert not view.flags.c_contiguous
+        dense = np.ascontiguousarray(view)
+        for got, want in zip(gradient_arrays(view, h), frozen_gradient_arrays(dense, h)):
+            assert got.tobytes() == want.tobytes()
+        for axis in range(3):
+            got = gradient_transpose(view, axis, h)
+            assert got.tobytes() == frozen_gradient_transpose(dense, axis, h).tobytes()
+        transposed = dense.T
+        for got, want in zip(gradient_arrays(transposed, h), frozen_gradient_arrays(transposed, h)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_non_contiguous_buffers_raise(self):
+        shape = (5, 6)
+        values = signed_zero_input(shape, 14)
+        strided = np.zeros((5, 12))[:, ::2]
+        fortran = np.zeros(shape, order="F")
+        for bad in (strided, fortran, np.zeros((5, 7))):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                gradient_arrays(values, 0.1, out=[np.zeros(shape), bad])
+            with pytest.raises(ValueError, match="C-contiguous"):
+                gradient_transpose(values, 0, 0.1, out=bad, work=np.zeros(shape))
+            with pytest.raises(ValueError, match="C-contiguous"):
+                gradient_transpose(values, 1, 0.1, out=np.zeros(shape), work=bad)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 4), (4, 4, 2)])
+    def test_short_axis_raises_before_any_write(self, shape):
+        v = np.ones(shape)
+        short = shape.index(2)
+        with pytest.raises(ValueError, match="needs 3 nodes on every axis"):
+            gradient_arrays(v, 0.1)
+        out, work = np.full(shape, 7.0), np.full(shape, 7.0)
+        with pytest.raises(ValueError, match="needs 3 nodes on every axis"):
+            gradient_transpose(v, short, 0.1, out=out, work=work)
+        assert np.all(out == 7.0) and np.all(work == 7.0)
 
 
 class TestInterpolation:

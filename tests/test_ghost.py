@@ -14,6 +14,7 @@ from fbmlab.fields import (
     gradient_arrays,
     gradient_transpose,
     interpolate,
+    lipschitz,
     shell_average,
     sphere_quadrature,
     trapezoid_weights,
@@ -198,7 +199,7 @@ class TestFluxBound:
     def test_bound_holds_for_matched_reference(self):
         u = bump_field(96)
         flux = flux_field(u, ARCTAN, (0.0, 0.0))
-        report = flux_bound_report(flux, ARCTAN, u)
+        report = flux_bound_report(flux, ARCTAN, lipschitz(u))
         assert report.passed
         assert report.max_violation < 0.0
 
@@ -206,14 +207,14 @@ class TestFluxBound:
         u = bump_field(96)
         bad_f0 = float(ARCTAN.df(1.0)) + 10.0
         flux = flux_field(u, ARCTAN, (0.0, 0.0), f0=bad_f0)
-        report = flux_bound_report(flux, ARCTAN, u)
+        report = flux_bound_report(flux, ARCTAN, lipschitz(u))
         assert not report.passed
         assert report.max_violation > 1.0
 
     def test_eps_star_matches_model(self):
         u = bump_field(48)
         flux = flux_field(u, ARCTAN, (0.0, 0.0))
-        report = flux_bound_report(flux, ARCTAN, u)
+        report = flux_bound_report(flux, ARCTAN, lipschitz(u))
         expected = slope_deviation(ARCTAN, t_hi=max(1.0, report.lip**2))
         assert report.eps_star == expected
         assert report.c_lip == 2.0 * report.lip * (report.lip + report.lip**2)
