@@ -51,7 +51,6 @@ from .ghost import (
     flux_bound_report,
     flux_field,
     neumann_solve,
-    rescaled_flux,
     shell_identity_report,
     stability_report,
     weak_divergence_residual,
@@ -118,7 +117,6 @@ __all__ = [
     "flux_bound_report",
     "flux_field",
     "neumann_solve",
-    "rescaled_flux",
     "shell_identity_report",
     "stability_report",
     "weak_divergence_residual",

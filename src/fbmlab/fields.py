@@ -27,9 +27,12 @@ Conventions used throughout the package:
   For nodal fields the integrand is the multilinear interpolant: a safe
   cell gives each corner 1/2^dim (the cell midpoint value), a borderline
   cell gives each corner the mean of its hat function over the inside
-  subsamples.  These weights depend only on (grid, z, r, exclude_radius,
-  n_sub); they are built once, cached, and every ball integral is one
-  weighted sum of h^dim times the values on the window.
+  subsamples.  A subsample's squared distance to z is summed from per-axis
+  squares in axis order, ((x_0^2 + x_1^2) + x_2^2), which is bitwise the
+  per-subsample sum over its coordinates, so no (cells, subsamples, dim)
+  array is formed.  These weights depend only on (grid, z, r,
+  exclude_radius, n_sub); they are built once, cached, and every ball
+  integral is one weighted sum of h^dim times the values on the window.
 
 Fields are immutable after construction; operations return new arrays,
 except that the derivative stencils write into caller buffers given as out.
@@ -205,15 +208,17 @@ def gradient_arrays(
         s = values.strides[axis] // values.itemsize
         inner = np.subtract(flat[2 * s :], flat[: -2 * s], out=row[s:-s])
         inner /= 2.0 * h
-        # swapping the axis to the front gives the same view of every array
+        # swapping the axis to the front gives the same view of every array;
+        # the face planes are length-1 slices so that 1-d input gives arrays
         f = values.swapaxes(0, axis)
         d = d.swapaxes(0, axis)
-        np.multiply(f[0], -1.5 / h, out=d[0])
-        d[0] += (2.0 / h) * f[1]
-        d[0] += (-0.5 / h) * f[2]
-        np.multiply(f[-3], 0.5 / h, out=d[-1])
-        d[-1] += (-2.0 / h) * f[-2]
-        d[-1] += (1.5 / h) * f[-1]
+        first, last = d[:1], d[-1:]
+        np.multiply(f[:1], -1.5 / h, out=first)
+        first += (2.0 / h) * f[1:2]
+        first += (-0.5 / h) * f[2:3]
+        np.multiply(f[-3:-2], 0.5 / h, out=last)
+        last += (-2.0 / h) * f[-2:-1]
+        last += (1.5 / h) * f[-1:]
     return out
 
 
@@ -458,6 +463,13 @@ def _ball_weights(
     a borderline cell gives corner k the mean over inside subsamples of the
     corner's hat function.  Results are read-only; the cache holds a few
     dozen balls, enough for every radius of a scan and its blow-up scales.
+
+    Each subsample coordinate along axis a is one addition, cell centre plus
+    offset, taken on a (borderline cells, n_sub) array per axis.  The squared
+    distances are the per-axis squares broadcast along their own subsample
+    axes and added in axis order; that is the order in which numpy reduces
+    the coordinates of one subsample, so every distance, and every weight,
+    is bitwise what the per-subsample sum gives.
     """
     grid.require_ball_inside(z, r)
     if exclude_radius != 0.0 and not (0.0 < exclude_radius < r):
@@ -482,11 +494,16 @@ def _ball_weights(
     sure_out = (d - half_diag > r) | (d + half_diag < exclude_radius)
     near = ~(sure_in | sure_out)
 
-    cc = np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1)[near]
+    idx = np.nonzero(near)
+    n_near = idx[0].size
     offs_1d = ((np.arange(n_sub) + 0.5) / n_sub - 0.5) * h
-    offs = np.stack(np.meshgrid(*([offs_1d] * dim), indexing="ij"), axis=-1)
-    rel = cc[:, None, :] + offs.reshape(-1, dim)[None, :, :]
-    dd2 = np.sum(rel * rel, axis=-1)
+    dd2 = 0.0
+    for a, c in enumerate(centers):
+        s = c[idx[a]][:, None] + offs_1d[None, :]
+        shape = [n_near] + [1] * dim
+        shape[1 + a] = n_sub
+        dd2 = dd2 + (s * s).reshape(shape)
+    dd2 = dd2.reshape(n_near, n_sub**dim)
     inside = dd2 <= r * r
     if exclude_radius > 0.0:
         inside &= dd2 >= exclude_radius * exclude_radius

@@ -30,7 +30,6 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .blowup import rescale, unit_box
 from .density import DensityModel, slope_deviation
 from .errors import GeometryError, SolverError
 from .fields import (
@@ -43,7 +42,6 @@ from .fields import (
     _sphere_flux,
     _sphere_samples,
     ball_integral,
-    ball_volume,
     gradient_arrays,
     gradient_transpose,
     sphere_quadrature,
@@ -56,15 +54,12 @@ __all__ = [
     "FluxBoundReport",
     "StabilityReport",
     "ShellIdentityRecord",
-    "RadialIdentityRecord",
     "flux_field",
     "flux_bound_report",
     "neumann_solve",
     "weak_divergence_residual",
     "stability_report",
     "shell_identity_report",
-    "radial_identity_report",
-    "rescaled_flux",
     "flux_reach",
     "flux_l2_profile",
 ]
@@ -379,81 +374,6 @@ def shell_identity_report(
             )
         )
     return out
-
-
-@dataclass(frozen=True)
-class RadialIdentityRecord:
-    r: float
-    average_derivative: float
-    radial_average: float
-    gap: float
-
-
-def radial_identity_report(
-    flux: FluxField,
-    g: GhostFunction,
-    radii,
-    dr: float | None = None,
-) -> list[RadialIdentityRecord]:
-    """Ball-average derivative of the potential against radial flux averages.
-
-    The right hand side averages U . (x-z)/r over the ball, the form that
-    closes the identity in the continuum; the gap is reported, not asserted.
-    """
-    grid = g.grid
-    z = np.asarray(g.base_point, dtype=float)
-    if dr is None:
-        dr = grid.h
-    mesh = grid.node_mesh()
-    diffs = [mesh[a] - z[a] for a in range(grid.dim)]
-    radial = sum(flux.field.values[..., a] * diffs[a] for a in range(grid.dim))
-
-    def ball_mean(f: ScalarField, r: float) -> float:
-        return ball_integral(f, z, r) / ball_volume(grid, z, r)
-
-    out = []
-    for r in radii:
-        r = float(r)
-        grid.require_ball_inside(z, r + dr)
-        rhs = ball_mean(ScalarField(grid, radial / r), r)
-        hi = ball_mean(g.potential, r + dr)
-        lo = ball_mean(g.potential, r - dr)
-        lhs = (hi - lo) / (2.0 * dr)
-        out.append(
-            RadialIdentityRecord(
-                r=r, average_derivative=lhs, radial_average=rhs, gap=lhs - rhs
-            )
-        )
-    return out
-
-
-def rescaled_flux(
-    u: ScalarField,
-    model: DensityModel,
-    z,
-    theta: float,
-    f0: float | None = None,
-    ref_cells: int | None = None,
-) -> FluxField:
-    """Flux of the rescaled field u(z + theta y)/theta on the unit box.
-
-    Algebraically this equals theta * U(z + theta y); the reach statistic
-    max |U_theta| * |y| is therefore expected to be theta-independent.
-    """
-    if not theta > 0.0:
-        raise ValueError("theta must be positive")
-    grid = u.grid
-    if ref_cells is None:
-        ref_cells = int(min(grid.n_cells))
-    ref = unit_box(grid.dim, ref_cells)
-    v = rescale(u, z, theta, ref)
-    return flux_field(
-        v,
-        model,
-        (0.0,) * grid.dim,
-        f0=f0,
-        cap_radius=0.5 * ref.h,
-    )
 
 
 def flux_reach(flux: FluxField) -> float:

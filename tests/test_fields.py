@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,20 @@ class TestFlatOffsetStencils:
         with pytest.raises(ValueError, match="needs 3 nodes on every axis"):
             gradient_transpose(v, short, 0.1, out=out, work=work)
         assert np.all(out == 7.0) and np.all(work == 7.0)
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_one_dimensional_input(self, n):
+        h = 0.13
+        rng = np.random.default_rng(n)
+        values, v = rng.standard_normal(n), rng.standard_normal(n)
+        (d,) = gradient_arrays(values, h)
+        assert d.tobytes() == np.gradient(values, h, edge_order=2).tobytes()
+        out = [np.full(n, np.nan)]
+        assert gradient_arrays(np.arange(float(n)), 1.0, out=out) is out
+        assert out[0].tobytes() == np.gradient(np.arange(float(n)), edge_order=2).tobytes()
+        transpose = gradient_transpose(v, 0, h)
+        assert transpose.tobytes() == frozen_gradient_transpose(v, 0, h).tobytes()
+        assert np.sum(d * v) == pytest.approx(np.sum(values * transpose), rel=1e-12, abs=1e-12)
 
 
 class TestInterpolation:
@@ -598,6 +613,78 @@ class TestBallWeights:
         assert np.array_equal(pts, 0.1 * np.eye(3)[0] + 0.5 * omega)
         assert pts.flags.writeable and w.flags.writeable
         assert np.all(w == 4.0 * math.pi * 0.5 * 0.5 / 64)
+
+
+def frozen_ball_weights(grid, z, r, exclude_radius, n_sub):
+    """The cached weights as built before per-axis distances: reference_ball_rule's
+    (near, n_sub^dim, dim) coordinates, squared and summed over their last axis,
+    then the corner-hat moments and the node scatter."""
+    win, sure_in, near, _, inside = reference_ball_rule(grid, z, r, exclude_radius, n_sub)
+    dim = grid.dim
+    cells = sure_in.astype(float)
+    cells[near] = inside.mean(axis=1)
+    t = (np.arange(n_sub) + 0.5) / n_sub
+    hat = np.stack([1.0 - t, t], axis=-1)
+    hats = hat
+    for _ in range(dim - 1):
+        hats = np.einsum("ia,jb->ijab", hats, hat).reshape(hats.shape[0] * n_sub, -1)
+    moments = (inside.astype(float) @ hats) / n_sub**dim
+    corner_share = np.where(sure_in, 0.5**dim, 0.0)
+    nodes = np.zeros(tuple(n + 1 for n in near.shape))
+    for k, corner in enumerate(itertools.product((0, 1), repeat=dim)):
+        corner_share[near] = moments[:, k]
+        nodes[tuple(slice(c, c + n) for c, n in zip(corner, near.shape))] += corner_share
+    return win, cells, tuple(slice(w.start, w.stop + 1) for w in win), nodes
+
+
+# (dim, n, half, z, r): off-node centres, balls whose window is clipped at a
+# box face, the ball of radius 0.4 on the 40^3 box of the linear3d workload,
+# and a ball with a subsample whose squared distance rounds to r*r exactly
+# when summed in axis order and above it when summed in reverse order
+PER_AXIS_CASES = [
+    (3, 16, 1.0, (0.055, -0.092, -0.184), 0.5870470993668225),
+    (2, 24, 1.0, (0.013, -0.271), 0.55),
+    (2, 16, 1.0, (0.4, -0.1), 0.6),
+    (2, 64, 1.0, (-0.9, 0.9), 0.1),
+    (3, 16, 1.0, (0.031, -0.047, 0.102), 0.5),
+    (3, 12, 1.0, (-0.3, 0.2, 0.05), 0.7),
+    (3, 16, 1.0, (0.0, 0.0, 0.0), 1.0),
+    (3, 40, 0.625, (0.0, 0.0, -0.03125), 0.4),
+]
+
+
+class TestBallWeightsPerAxisDistances:
+    @pytest.mark.parametrize("n_sub", [2, 4, 5])
+    @pytest.mark.parametrize("dim,n,half,z,r", PER_AXIS_CASES)
+    def test_bytes_equal_frozen_rule(self, dim, n, half, z, r, n_sub):
+        g = box_grid(dim, n, half)
+        for ex in (0.0, 0.3 * r):
+            want = frozen_ball_weights(g, z, r, ex, n_sub)
+            got = _ball_weights(g, z, r, ex, n_sub)
+            assert got.cell_window == want[0] and got.node_window == want[2]
+            for arr, ref in ((got.cells, want[1]), (got.nodes, want[3])):
+                assert arr.shape == ref.shape
+                assert arr.tobytes() == ref.tobytes()
+
+    def test_window_clipped_at_every_face(self):
+        # the unit ball of PER_AXIS_CASES: its window is the whole box
+        g = box_grid(3, 16)
+        bw = _ball_weights(g, (0.0, 0.0, 0.0), 1.0, 0.0, 4)
+        assert bw.cell_window == (slice(0, 16),) * 3
+        assert bw.node_window == (slice(0, 17),) * 3
+
+    def test_build_peak_memory(self):
+        # the (near, n_sub^3, 3) coordinate array and its square took 13.7 MB
+        # at peak for this ball; the per-axis build stays below 6 MB
+        g = box_grid(3, 40, 0.625)
+        _ball_weights.cache_clear()
+        tracemalloc.start()
+        try:
+            _ball_weights(g, (0.0, 0.0, -0.03125), 0.4, 0.0, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestIndicatorAndCrossings:
