@@ -10,7 +10,9 @@ fixed reference box.  Two scalar diagnostics track the limit behaviour:
 
 The deficit is fitted by a coarse scan over unit directions, then refined
 one spherical coordinate at a time by Brent's bounded minimizer (Brent,
-Algorithms for Minimization without Derivatives, 1973, ch. 5).
+Algorithms for Minimization without Derivatives, 1973, ch. 5).  Each step
+reads only the nodes it needs (the ball's window, the reference nodes the
+fit reads) and gives the same bits as on the full grid.
 
 Small values of both at the finest scales support calling z a regular
 boundary point; the converse direction is deliberately never claimed.
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .errors import GeometryError, VerdictUnavailable
 from .fields import (
     Grid,
     ScalarField,
-    ball_integral,
+    ball_weights,
     gradient_arrays,
     interpolate,
     lipschitz,
@@ -52,6 +56,8 @@ MIN_SCALE_CELLS = 8
 REF_BALL_RADIUS = 0.5
 COARSE_DIRECTIONS = 256
 COARSE_BLOCK = 32
+COARSE_STRIDE = 8
+COARSE_MARGIN = 1e-12
 REFINE_ROUNDS = 3
 BRENT_XATOL = 1e-5
 BRENT_MAX_EVALS = 500
@@ -63,28 +69,95 @@ def unit_box(dim: int, n_cells: int = DEFAULT_REF_CELLS) -> Grid:
     return Grid((-1.0,) * dim, (1.0,) * dim, (n_cells,) * dim)
 
 
-def rescale(u: ScalarField, z, r: float, ref_grid: Grid) -> ScalarField:
-    """u_r(y) = u(z + r y) / r sampled onto ref_grid."""
+class _Reference(NamedTuple):
+    """What the flatness fit reads on one reference grid (read-only, cached).
+
+    inside masks the nodes of the ball of REF_BALL_RADIUS about the origin;
+    pts are the fit points, those nodes followed by the sphere points.
+    window is the box of nodes with |y_a| <= REF_BALL_RADIUS + 1.5 h on
+    every axis: the ball nodes and every corner of the cells that hold
+    sphere points lie within REF_BALL_RADIUS + h, and the extra half cell
+    absorbs rounding.  window_pts are its nodes in C order.  extent holds
+    the first and the last node of each axis, two corners of the box.
+    """
+
+    inside: np.ndarray
+    sphere: np.ndarray
+    pts: np.ndarray
+    window: tuple[slice, ...]
+    window_pts: np.ndarray
+    extent: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _reference(grid: Grid) -> _Reference:
+    grid.require_ball_inside((0.0,) * grid.dim, REF_BALL_RADIUS)
+    mesh = grid.node_mesh()
+    r2 = sum(m * m for m in mesh)
+    inside = r2 <= REF_BALL_RADIUS**2
+    node_pts = np.stack([m[inside] for m in mesh], axis=-1)
+    sphere, _ = sphere_quadrature(grid.dim, (0.0,) * grid.dim, REF_BALL_RADIUS)
+    window = []
+    for a in range(grid.dim):
+        near = np.nonzero(np.abs(grid.axis_nodes(a)) <= REF_BALL_RADIUS + 1.5 * grid.h)[0]
+        window.append(slice(int(near[0]), int(near[-1]) + 1))
+    window = tuple(window)
+    window_pts = np.stack([m[window] for m in mesh], axis=-1).reshape(-1, grid.dim)
+    extent = np.array([[grid.axis_nodes(a)[end] for a in range(grid.dim)] for end in (0, -1)])
+    ref = _Reference(
+        inside=inside,
+        sphere=sphere,
+        pts=np.concatenate([node_pts, sphere], axis=0),
+        window=window,
+        window_pts=window_pts,
+        extent=extent,
+    )
+    for arr in (ref.inside, ref.sphere, ref.pts, ref.window_pts, ref.extent):
+        arr.setflags(write=False)
+    return ref
+
+
+def _rescaled_values(u: ScalarField, z, r: float, ref_grid: Grid, y: np.ndarray) -> np.ndarray:
+    """u(z + r y) / r at the (m, dim) reference points y, checked like rescale."""
     if not r > 0.0:
         raise ValueError(f"scale must be positive, got {r}")
     z = np.asarray(z, dtype=float)
     if z.size != u.grid.dim or ref_grid.dim != u.grid.dim:
         raise ValueError("dimension mismatch between field, point and reference grid")
-    mesh = ref_grid.node_mesh()
-    pts = np.stack([z[a] + r * mesh[a] for a in range(ref_grid.dim)], axis=-1)
-    vals = interpolate(u, pts.reshape(-1, ref_grid.dim)) / r
+    return interpolate(u, z[None, :] + r * y) / r
+
+
+def rescale(u: ScalarField, z, r: float, ref_grid: Grid) -> ScalarField:
+    """u_r(y) = u(z + r y) / r sampled onto ref_grid."""
+    y = np.stack(ref_grid.node_mesh(), axis=-1).reshape(-1, ref_grid.dim)
+    vals = _rescaled_values(u, z, r, ref_grid, y)
     return ScalarField(ref_grid, vals.reshape(ref_grid.node_shape))
 
 
 def homogeneity_deviation(u: ScalarField, z, r: float) -> float:
-    """Normalized L1 distance of u from its own tangent cone at z."""
+    """Normalized L1 distance of u from its own tangent cone at z.
+
+    r^-(dim+1) times the ball integral of |u - grad u . (x - z)| over B_r(z),
+    weighted like ball_integral.  The integrand is formed only on the ball's
+    node window.  The derivative runs on that window padded by one node per
+    side, clipped at the box, so the window's nodes see the centered
+    difference they see on the full grid and the face formula only where
+    the window meets a box face: every value is bitwise the full-grid one.
+    """
     grid = u.grid
     z = np.asarray(z, dtype=float)
-    grads = gradient_arrays(u.values, grid.h)
-    mesh = grid.node_mesh()
-    radial = sum(g * (mesh[a] - z[a]) for a, g in enumerate(grads))
-    integrand = ScalarField(grid, np.abs(u.values - radial))
-    return float(r ** -(grid.dim + 1) * ball_integral(integrand, z, r))
+    bw = ball_weights(grid, z, r)
+    pad = tuple(
+        slice(max(w.start - 1, 0), min(w.stop + 1, n))
+        for w, n in zip(bw.node_window, grid.node_shape)
+    )
+    inner = tuple(slice(w.start - p.start, w.stop - p.start) for w, p in zip(bw.node_window, pad))
+    grads = gradient_arrays(u.values[pad], grid.h)
+    offsets = grid.node_offsets(z, bw.node_window)
+    radial = sum(g[inner] * x for g, x in zip(grads, offsets))
+    integrand = np.abs(u.values[bw.node_window] - radial)
+    ball = float(grid.h**grid.dim * np.sum(bw.nodes * integrand))
+    return float(r ** -(grid.dim + 1) * ball)
 
 
 @dataclass(frozen=True)
@@ -116,6 +189,32 @@ def _coarse_sups(pts: np.ndarray, vals: np.ndarray, cand: np.ndarray) -> np.ndar
         np.abs(block, out=block)
         np.max(block, axis=0, out=sups[j : j + COARSE_BLOCK])
     return sups
+
+
+def _coarse_best(pts: np.ndarray, vals: np.ndarray, cand: np.ndarray) -> int:
+    """int(np.argmin(_coarse_sups(pts, vals, cand))), without scanning every block.
+
+    The sups over every COARSE_STRIDE-th point bound each direction's sup
+    from below.  Blocks of COARSE_BLOCK directions are evaluated exactly by
+    _coarse_sups, in the order of their least bound, until no bound left
+    comes within COARSE_MARGIN of the best exact sup, relative to that sup
+    plus REF_BALL_RADIUS (which bounds every |p . e|).  The margin dwarfs the
+    rounding of a three-term dot product (about 1e-16), so every direction
+    skipped has a sup strictly above the best: the argmin, the first index
+    among ties, is that of the full scan.
+    """
+    lower = _coarse_sups(pts[::COARSE_STRIDE], vals[::COARSE_STRIDE], cand)
+    starts = np.arange(0, cand.shape[0], COARSE_BLOCK)
+    block_lower = np.minimum.reduceat(lower, starts)
+    sups = np.full(cand.shape[0], np.inf)
+    best = np.inf
+    for k in np.argsort(block_lower, kind="stable"):
+        if block_lower[k] > best + COARSE_MARGIN * (best + REF_BALL_RADIUS):
+            break
+        block = slice(starts[k], starts[k] + COARSE_BLOCK)
+        sups[block] = _coarse_sups(pts, vals, cand[block])
+        best = min(best, float(np.min(sups[block])))
+    return int(np.argmin(sups))
 
 
 def _spherical_to_unit(coords: np.ndarray) -> np.ndarray:
@@ -210,27 +309,22 @@ def flatness_deficit(u: ScalarField) -> FlatnessFit:
     """Best half-plane profile fit on the ball of REF_BALL_RADIUS.
 
     The sup norm runs over grid nodes inside the ball plus points sampled on
-    its sphere, so inter-node peaks of the kinked profile are not missed.
-    Coarse direction scan first, then REFINE_ROUNDS rounds of bounded Brent
-    refinement of each spherical coordinate in a shrinking bracket.
+    its sphere, so inter-node peaks of the kinked profile are not missed;
+    u is read nowhere else (see _Reference).  Coarse direction scan first,
+    then REFINE_ROUNDS rounds of bounded Brent refinement of each spherical
+    coordinate in a shrinking bracket.
     """
     grid = u.grid
-    grid.require_ball_inside((0.0,) * grid.dim, REF_BALL_RADIUS)
-    mesh = grid.node_mesh()
-    r2 = sum(m * m for m in mesh)
-    inside = r2 <= REF_BALL_RADIUS**2
-    node_pts = np.stack([m[inside] for m in mesh], axis=-1)
-    sphere_pts, _ = sphere_quadrature(grid.dim, (0.0,) * grid.dim, REF_BALL_RADIUS)
-    pts = np.concatenate([node_pts, sphere_pts], axis=0)
-    vals = np.concatenate([u.values[inside], interpolate(u, sphere_pts)])
+    ref = _reference(grid)
+    pts = ref.pts
+    vals = np.concatenate([u.values[ref.inside], interpolate(u, ref.sphere)])
 
     def deficit_of(e: np.ndarray) -> float:
         plane = np.maximum(pts @ e, 0.0)
         return float(np.max(np.abs(vals - plane)))
 
     cand = _coarse_directions(grid.dim)
-    best = int(np.argmin(_coarse_sups(pts, vals, cand)))
-    e = cand[best]
+    e = cand[_coarse_best(pts, vals, cand)]
     if grid.dim == 2:
         width = 2.0 * np.pi / COARSE_DIRECTIONS
     else:
@@ -252,9 +346,16 @@ def flatness_deficit(u: ScalarField) -> FlatnessFit:
 
 @dataclass(frozen=True)
 class BlowupSequence:
+    """Per-scale blow-up metrics at one base point.
+
+    Entry i of deviations, deficits and directions belongs to scales[i]
+    (strictly decreasing): homogeneity_deviation of u at that scale, and the
+    flatness_deficit fit of the rescaled field u(z + r y) / r.  The rescaled
+    fields themselves are not kept.
+    """
+
     base_point: tuple[float, ...]
     scales: tuple[float, ...]
-    fields: tuple[ScalarField, ...]
     deviations: tuple[float, ...]
     deficits: tuple[float, ...]
     directions: tuple[tuple[float, ...], ...]
@@ -291,7 +392,13 @@ def build_sequence(
     scales=None,
     ref_grid: Grid | None = None,
 ) -> BlowupSequence:
-    """Rescalings of u about z with per-scale deviation and deficit."""
+    """Rescalings of u about z with per-scale deviation and deficit.
+
+    Each scale samples u only at the reference window the flatness fit reads
+    (see _Reference), into a reference-shaped buffer that is NaN elsewhere,
+    so the fit reads the values rescale would give.  The whole reference box
+    must still fit in the grid box at every scale, as rescale requires.
+    """
     grid = u.grid
     z = np.asarray(z, dtype=float)
     if scales is None:
@@ -308,21 +415,25 @@ def build_sequence(
                 f"base point value {u_at_z:.3g} too large for a boundary point "
                 f"(limit {limit:.3g})"
             )
-    fields = []
+    ref = _reference(ref_grid)
+    window_shape = tuple(w.stop - w.start for w in ref.window)
     devs = []
     deficits = []
     dirs = []
     for r in scales:
-        ur = rescale(u, z, r, ref_grid)
-        fit = flatness_deficit(ur)
-        fields.append(ur)
+        vals = _rescaled_values(u, z, r, ref_grid, ref.window_pts)
+        if not bool(np.all(grid.contains_points(z[None, :] + r * ref.extent))):
+            raise GeometryError("interpolation point outside the grid box")
+        buf = np.full(ref_grid.node_shape, np.nan)
+        buf[ref.window] = vals.reshape(window_shape)
+        buf.setflags(write=False)
+        fit = flatness_deficit(ScalarField(ref_grid, buf))
         devs.append(homogeneity_deviation(u, z, r))
         deficits.append(fit.deficit)
         dirs.append(fit.direction)
     return BlowupSequence(
         base_point=tuple(float(c) for c in z),
         scales=scales,
-        fields=tuple(fields),
         deviations=tuple(devs),
         deficits=tuple(deficits),
         directions=tuple(dirs),

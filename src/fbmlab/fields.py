@@ -104,6 +104,21 @@ class Grid:
     def node_mesh(self) -> list[np.ndarray]:
         return np.meshgrid(*[self.axis_nodes(a) for a in range(self.dim)], indexing="ij")
 
+    def node_offsets(self, z, window: tuple[slice, ...] | None = None) -> list[np.ndarray]:
+        """x_a - z_a on the nodes of window (default: all), one array per axis.
+
+        An open mesh: axis a's array has length along axis a and 1 elsewhere,
+        so arithmetic on the arrays broadcasts to the window's shape and each
+        node gets the same bits as from node_mesh.
+        """
+        out = []
+        for a in range(self.dim):
+            sl = slice(None) if window is None else window[a]
+            shape = [1] * self.dim
+            shape[a] = -1
+            out.append((self.axis_nodes(a)[sl] - z[a]).reshape(shape))
+        return out
+
     def boundary_mask(self) -> np.ndarray:
         mask = np.zeros(self.node_shape, dtype=bool)
         for a in range(self.dim):
@@ -254,6 +269,8 @@ def gradient_transpose(
     each node gets the same value as the per-line stencil.
     """
     v = np.ascontiguousarray(v, dtype=float)
+    if not -v.ndim <= axis < v.ndim:
+        raise ValueError(f"axis {axis} is out of range for an array with ndim {v.ndim}")
     _require_three_nodes((v.shape[axis],))
     if out is None:
         out = np.empty_like(v)

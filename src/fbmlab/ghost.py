@@ -26,7 +26,7 @@ the monotonicity quantity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -66,6 +66,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 BOUND_SLACK = 1e-8
+BASE_POINT_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,13 @@ class FluxField:
     @property
     def grid(self) -> Grid:
         return self.field.grid
+
+    @cached_property
+    def norm_sq(self) -> np.ndarray:
+        """Nodewise |U|^2, computed once per flux and shared by its reports (read-only)."""
+        out = np.sum(self.field.values**2, axis=-1)
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -105,9 +113,28 @@ class GhostFunction:
         return self.potential.grid
 
 
+def _check_ghost_contract(g: GhostFunction, grid: Grid, z, f0: float) -> None:
+    """Raise ValueError unless g was built on grid, about z, with reference slope f0."""
+    if g.grid != grid:
+        raise ValueError("ghost and field live on different grids")
+    z = np.asarray(z, dtype=float)
+    gz = np.asarray(g.base_point, dtype=float)
+    if gz.size != z.size or np.max(np.abs(gz - z)) > BASE_POINT_ATOL:
+        raise ValueError(
+            f"ghost base point {g.base_point} does not match requested "
+            f"{tuple(float(c) for c in z)}"
+        )
+    if abs(g.f0 - f0) > BASE_POINT_ATOL:
+        raise ValueError(f"ghost reference slope {g.f0} does not match requested {f0}")
+
+
 def _capped_distance(grid: Grid, z: np.ndarray, cap: float):
-    mesh = grid.node_mesh()
-    diffs = [mesh[a] - z[a] for a in range(grid.dim)]
+    """Open-mesh offsets x - z, the distance |x - z| and its value capped below at cap.
+
+    The squares are summed in axis order as over a full mesh, so every
+    distance has the same bits.
+    """
+    diffs = grid.node_offsets(z)
     d_true = np.sqrt(sum(d * d for d in diffs))
     return diffs, d_true, np.maximum(d_true, cap)
 
@@ -288,11 +315,10 @@ def weak_divergence_residual(flux: FluxField, g: GhostFunction) -> float:
     Assembles the same Galerkin functional the solve uses; the value is the
     norm of sum_a D^T(w (U_a - D_a phi)) over the norm of sum_a D^T(w U_a),
     both with the constant mode removed.  Zero flux returns the absolute
-    norm, 0 for the zero potential.
+    norm, 0 for the zero potential.  g must be the potential of this flux.
     """
+    _check_ghost_contract(g, flux.grid, flux.base_point, flux.f0)
     grid = flux.grid
-    if g.grid != grid:
-        raise ValueError("ghost and flux live on different grids")
     w = trapezoid_weights(grid.node_shape)
     u = np.moveaxis(flux.field.values, -1, 0)
     b = _weak_divergence(u, w, grid.h)
@@ -312,8 +338,9 @@ def stability_report(flux: FluxField, g: GhostFunction, s: float = 1.5) -> Stabi
 
     The ratio tracks the stability constant of the splitting; it is a
     regression statistic, not an asserted bound.  s must sit strictly
-    between 1 and the dimension.
+    between 1 and the dimension.  g must be the potential of this flux.
     """
+    _check_ghost_contract(g, flux.grid, flux.base_point, flux.f0)
     grid = g.grid
     if not 1.0 < s < grid.dim:
         raise ValueError(f"s must lie in (1, {grid.dim}), got {s}")
@@ -322,7 +349,7 @@ def stability_report(flux: FluxField, g: GhostFunction, s: float = 1.5) -> Stabi
     phi = g.potential.values
     dphi = np.sqrt(sum(d * d for d in gradient_arrays(phi, grid.h)))
     phi_norm = float((cell * np.sum(w * (np.abs(phi) ** s + dphi**s))) ** (1.0 / s))
-    mag = np.sqrt(np.sum(flux.field.values**2, axis=-1))
+    mag = np.sqrt(flux.norm_sq)
     flux_norm = float((cell * np.sum(w * mag**s)) ** (1.0 / s))
     ratio = phi_norm / flux_norm if flux_norm > 0.0 else 0.0
     return StabilityReport(phi_norm=phi_norm, flux_norm=flux_norm, ratio=ratio, s=s)
@@ -343,8 +370,10 @@ def shell_identity_report(
 
     Compares r^{1-n} * surface integral of U . nu with the centered finite
     difference of shell_average(potential) in r.  The remainder drops out of
-    the flux side because its weak divergence vanishes.
+    the flux side because its weak divergence vanishes.  g must be the
+    potential of this flux.
     """
+    _check_ghost_contract(g, flux.grid, flux.base_point, flux.f0)
     grid = g.grid
     z = np.asarray(g.base_point, dtype=float)
     if dr is None:
@@ -381,7 +410,7 @@ def flux_reach(flux: FluxField) -> float:
     grid = flux.grid
     z = np.asarray(flux.base_point, dtype=float)
     _, d_true, _ = _capped_distance(grid, z, flux.cap_radius)
-    mag = np.sqrt(np.sum(flux.field.values**2, axis=-1))
+    mag = np.sqrt(flux.norm_sq)
     outside = d_true > flux.cap_radius
     if not np.any(outside):
         return 0.0
@@ -397,7 +426,7 @@ def flux_l2_profile(flux: FluxField, radii) -> list[tuple[float, float]]:
     """
     grid = flux.grid
     z = np.asarray(flux.base_point, dtype=float)
-    mag2 = ScalarField(grid, np.sum(flux.field.values**2, axis=-1))
+    mag2 = ScalarField(grid, flux.norm_sq)
     out = []
     for r in radii:
         r = float(r)

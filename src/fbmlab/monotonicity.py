@@ -36,13 +36,12 @@ from .fields import (
     _shell_mean,
     _sphere_flux,
     _sphere_samples,
-    ball_integral_cells,
     ball_weights,
     cell_midpoint_values,
     gradient_arrays,
     shell_average,
 )
-from .ghost import FluxField, GhostFunction
+from .ghost import FluxField, GhostFunction, _check_ghost_contract
 
 __all__ = [
     "MonotonicityReport",
@@ -77,7 +76,6 @@ CSV_COLUMNS = (
 )
 
 TOL_MONO_FACTOR = 5.0
-BASE_POINT_ATOL = 1e-12
 
 
 def _resolve_f0(model: DensityModel, f0: float | None) -> float:
@@ -117,14 +115,40 @@ def cell_energy_density(u: ScalarField, model: DensityModel, lam: float) -> np.n
     the limit functional, not the ramped one used during minimization.
     Cell centering keeps phase boundaries that lie on node planes exact.
     """
-    grads = _cell_gradient_arrays(u.values, u.grid.h)
+    return _energy_density(u.values, u.grid.h, model, lam)
+
+
+def _energy_density(values: np.ndarray, h: float, model: DensityModel, lam: float) -> np.ndarray:
+    """cell_energy_density of the cells spanned by a nodal array."""
+    grads = _cell_gradient_arrays(values, h)
     q = sum(g * g for g in grads)
-    centers = cell_midpoint_values(u.values, ndim=u.grid.dim)
+    centers = cell_midpoint_values(values)
     return model.f(q) + lam * (centers > 0.0)
 
 
-def _bulk_integral(density: np.ndarray, grid: Grid, z: np.ndarray, r: float) -> float:
-    return ball_integral_cells(density, grid, z, r)
+def _ball_energies(
+    u: ScalarField, model: DensityModel, lam: float, z: np.ndarray, radii
+) -> list[float]:
+    """int_{B_r(z)} [F + lam 1{u>0}] for each radius, by the cell ball rule.
+
+    The density is evaluated only on the cell window of the largest ball.  A
+    cell's value depends on its own corners alone, so it is bitwise the value
+    of cell_energy_density there; every smaller ball's window lies inside
+    that one and is sliced at its offset.
+    """
+    grid = u.grid
+    outer = ball_weights(grid, z, float(max(radii))).cell_window
+    density = _energy_density(
+        u.values[tuple(slice(w.start, w.stop + 1) for w in outer)], grid.h, model, lam
+    )
+    out = []
+    for r in radii:
+        bw = ball_weights(grid, z, float(r))
+        win = tuple(
+            slice(w.start - o.start, w.stop - o.start) for w, o in zip(bw.cell_window, outer)
+        )
+        out.append(float(grid.h**grid.dim * np.sum(bw.cells * density[win])))
+    return out
 
 
 def _sphere_rows(u: ScalarField, *extra: ScalarField) -> np.ndarray:
@@ -157,8 +181,7 @@ def weiss_core(
     z = _base_point(grid, z)
     f0 = _resolve_f0(model, f0)
     grid.require_ball_inside(z, r)
-    density = cell_energy_density(u, model, lam)
-    bulk = _bulk_integral(density, grid, z, r)
+    bulk = _ball_energies(u, model, lam, z, [r])[0]
     _, w, samples = _sphere_samples(_node_rows(u.values, grid), grid, z, r, n_sphere_points)
     return _weiss(bulk, w, samples[0], f0, r, grid.dim)
 
@@ -170,19 +193,6 @@ def _weiss(bulk: float, w: np.ndarray, uvals: np.ndarray, f0: float, r: float, n
     """
     surf = float(np.sum(w * uvals * uvals))
     return bulk / r**n - f0 * surf / r ** (n + 1)
-
-
-def _check_ghost_contract(g: GhostFunction, grid: Grid, z: np.ndarray, f0: float) -> None:
-    if g.grid != grid:
-        raise ValueError("ghost and field live on different grids")
-    gz = np.asarray(g.base_point, dtype=float)
-    if gz.size != z.size or np.max(np.abs(gz - z)) > BASE_POINT_ATOL:
-        raise ValueError(
-            f"ghost base point {g.base_point} does not match requested "
-            f"{tuple(float(c) for c in z)}"
-        )
-    if abs(g.f0 - f0) > BASE_POINT_ATOL:
-        raise ValueError(f"ghost reference slope {g.f0} does not match requested {f0}")
 
 
 def _sphere_terms(
@@ -337,9 +347,8 @@ def derivative_identity_report(
         raise ValueError("need at least 3 radii for centered differences")
     for radius in r:
         grid.require_ball_inside(z, radius)
-    density = cell_energy_density(u, model, lam)
     bulk = np.array(
-        [_bulk_integral(density, grid, z, radius) / radius**grid.dim for radius in r]
+        [b / radius**grid.dim for b, radius in zip(_ball_energies(u, model, lam, z, r), r)]
     )
     lhs_all = log_radius_derivative(bulk, r)
     rows = _sphere_rows(u)
@@ -461,7 +470,7 @@ def scan(
         DEFAULT_SPHERE_POINTS[grid.dim] if n_sphere_points is None else n_sphere_points
     )
 
-    density = cell_energy_density(u, model, lam)
+    bulks = _ball_energies(u, model, lam, z, r)
     # one gather per radius samples u, grad u and phi together
     rows = _sphere_rows(u, g.potential)
     core = np.empty(r.size)
@@ -471,8 +480,7 @@ def scan(
     for i, radius in enumerate(r):
         radius = float(radius)
         pts, w, samples = _sphere_samples(rows, grid, z, radius, n_points)
-        bulk = _bulk_integral(density, grid, z, radius)
-        core[i] = _weiss(bulk, w, samples[0], f0, radius, grid.dim)
+        core[i] = _weiss(bulks[i], w, samples[0], f0, radius, grid.dim)
         gt[i] = _shell_mean(w, samples[-1], radius, grid.dim)
         formula[i], t_col[i] = _sphere_terms(model, z, radius, f0, pts, w, samples)
 

@@ -18,7 +18,16 @@ from fbmlab.blowup import (
 )
 from fbmlab.density import arctan_density, linear_density
 from fbmlab.errors import GeometryError, VerdictUnavailable
-from fbmlab.fields import Grid, ScalarField, lipschitz
+from fbmlab.fields import (
+    Grid,
+    ScalarField,
+    ball_integral,
+    ball_weights,
+    gradient_arrays,
+    interpolate,
+    lipschitz,
+    sphere_quadrature,
+)
 
 
 def box_grid(dim, n, half=1.0):
@@ -181,13 +190,13 @@ class TestBoundedMin:
         assert blowup._bounded_min(lambda t: abs(t - 1.0), -1e300, 1e300)[2] == 500
 
 
-def halfplane_blowup(dim):
+def halfplane_blowup(dim, ref_grid=None):
     """A tilted, slightly curved half-plane field rescaled at a boundary point."""
     g = box_grid(dim, 24)
     e = np.array([0.3, -0.2, 1.0][-dim:])
     e /= np.linalg.norm(e)
     u = sample(g, lambda *x: np.maximum(sum(c * xa for c, xa in zip(e, x)) + 0.2 * x[0] ** 2, 0.0))
-    return rescale(u, (0.0,) * dim, 0.5, unit_box(dim))
+    return rescale(u, (0.0,) * dim, 0.5, unit_box(dim) if ref_grid is None else ref_grid)
 
 
 class TestFlatnessFitMatchesScipy:
@@ -240,15 +249,233 @@ class TestCoarseScan:
         assert peak < 8e6
 
 
+def frozen_homogeneity_deviation(u, z, r):
+    """The deviation on the full grid, as homogeneity_deviation computed it before."""
+    grid = u.grid
+    z = np.asarray(z, dtype=float)
+    grads = gradient_arrays(u.values, grid.h)
+    mesh = grid.node_mesh()
+    radial = sum(g * (mesh[a] - z[a]) for a, g in enumerate(grads))
+    integrand = ScalarField(grid, np.abs(u.values - radial))
+    return float(r ** -(grid.dim + 1) * ball_integral(integrand, z, r))
+
+
+def frozen_rescale(u, z, r, ref_grid):
+    """rescale on every reference node, as it computed it before."""
+    z = np.asarray(z, dtype=float)
+    mesh = ref_grid.node_mesh()
+    pts = np.stack([z[a] + r * mesh[a] for a in range(ref_grid.dim)], axis=-1)
+    vals = interpolate(u, pts.reshape(-1, ref_grid.dim)) / r
+    return ScalarField(ref_grid, vals.reshape(ref_grid.node_shape))
+
+
+def frozen_flatness_deficit(u):
+    """flatness_deficit with the full coarse scan and per-call geometry, as before."""
+    grid = u.grid
+    radius = blowup.REF_BALL_RADIUS
+    mesh = grid.node_mesh()
+    inside = sum(m * m for m in mesh) <= radius**2
+    node_pts = np.stack([m[inside] for m in mesh], axis=-1)
+    sphere_pts, _ = sphere_quadrature(grid.dim, (0.0,) * grid.dim, radius)
+    pts = np.concatenate([node_pts, sphere_pts], axis=0)
+    vals = np.concatenate([u.values[inside], interpolate(u, sphere_pts)])
+
+    def deficit_of(e):
+        return float(np.max(np.abs(vals - np.maximum(pts @ e, 0.0))))
+
+    cand = blowup._coarse_directions(grid.dim)
+    e = cand[int(np.argmin(blowup._coarse_sups(pts, vals, cand)))]
+    n = blowup.COARSE_DIRECTIONS
+    width = 2.0 * np.pi / n if grid.dim == 2 else 2.5 * np.sqrt(4.0 * np.pi / n)
+    coords = blowup._unit_to_spherical(e)
+    for _ in range(blowup.REFINE_ROUNDS):
+        for k in range(coords.size):
+            def line(t, k=k):
+                c = coords.copy()
+                c[k] = t
+                return deficit_of(blowup._spherical_to_unit(c))
+
+            coords[k] = blowup._bounded_min(line, coords[k] - width, coords[k] + width)[0]
+        width *= 0.25
+    e = blowup._spherical_to_unit(coords)
+    e = e / np.linalg.norm(e)
+    return tuple(float(c) for c in e), deficit_of(e)
+
+
+def curved_surface(*x):
+    out = 0.1 * np.cos(np.pi * x[0] + 0.7)
+    return out * np.cos(np.pi * x[1] + 1.9) if len(x) == 2 else out
+
+
+def curved_boundary_field(dim, n):
+    """A positive phase above a curved graph, like perfbench's stored 3D field."""
+    g = box_grid(dim, n)
+    mesh = g.node_mesh()
+    surface = curved_surface(*mesh[:-1])
+    return ScalarField(g, np.maximum(mesh[-1] - surface, 0.0) + 0.05 * mesh[0] * mesh[-1])
+
+
+class TestDeviationWindow:
+    """The windowed deviation against the full-grid original, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "dim,z,r",
+        [
+            (2, (0.1, -0.03), 0.45),
+            (2, (0.013, 0.2), 0.15),
+            # balls whose window, or its one-node halo, is clipped at a face
+            (2, (0.55, -0.2), 0.45),
+            (2, (-0.2, -0.6), 0.4),
+            (3, (0.05, -0.1, 0.02), 0.4),
+            (3, (-0.55, 0.1, 0.5), 0.45),
+            (3, (0.0, 0.0, 0.0), 1.0),
+        ],
+    )
+    def test_bytes_equal_full_grid(self, dim, z, r):
+        u = curved_boundary_field(dim, 48 if dim == 2 else 24)
+        got = homogeneity_deviation(u, z, r)
+        assert np.float64(got).tobytes() == np.float64(frozen_homogeneity_deviation(u, z, r)).tobytes()
+        assert got > 0.0
+
+    def test_face_cases_reach_the_face(self):
+        u = curved_boundary_field(2, 48)
+        window = ball_weights(u.grid, (0.55, -0.2), 0.45).node_window
+        assert window[0].stop == u.grid.node_shape[0]
+        window = ball_weights(u.grid, (-0.2, -0.6), 0.4).node_window
+        assert window[1].start == 0
+
+
+class TestSequenceWindow:
+    """build_sequence against the full rescale and the full fit, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "dim,n,x,scales,ref_cells",
+        [
+            (2, 64, (0.1,), (0.6, 0.3), 32),
+            (2, 48, (-0.3,), (0.55, 0.2), 32),
+            (3, 40, (0.3, -0.2), (0.65, 0.4), 32),
+            # 27 cells: the ball's rim lies 3/4 of a cell short of the next node
+            (2, 64, (0.1,), (0.6, 0.3), 27),
+            (3, 40, (0.3, -0.2), (0.65, 0.4), 27),
+        ],
+    )
+    def test_bytes_equal_full_rescale(self, dim, n, x, scales, ref_cells):
+        u = curved_boundary_field(dim, n)
+        z = np.array(x + (float(curved_surface(*x)),))
+        ref = unit_box(dim, ref_cells)
+        seq = build_sequence(u, z, scales=scales, ref_grid=ref)
+        for i, r in enumerate(scales):
+            direction, deficit = frozen_flatness_deficit(frozen_rescale(u, z, r, ref))
+            assert np.float64(seq.deficits[i]).tobytes() == np.float64(deficit).tobytes()
+            assert np.array(seq.directions[i]).tobytes() == np.array(direction).tobytes()
+            want = frozen_homogeneity_deviation(u, z, r)
+            assert np.float64(seq.deviations[i]).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("dim,cells", [(2, 27), (3, 32), (3, 27)])
+    def test_fit_reads_only_the_window(self, dim, cells):
+        # NaN outside the window must not reach the fit of a rescaled field
+        u = halfplane_blowup(dim, unit_box(dim, cells))
+        ref = blowup._reference(u.grid)
+        masked = np.full(u.grid.node_shape, np.nan)
+        masked[ref.window] = u.values[ref.window]
+        want = flatness_deficit(u)
+        got = flatness_deficit(ScalarField(u.grid, masked))
+        assert fit_bits(got) == fit_bits(want)
+        assert np.isnan(masked).any()
+
+    def test_reference_box_must_fit(self):
+        # as with rescale, the whole reference box must fit at every scale,
+        # though the fit reads only its middle
+        g = box_grid(2, 32)
+        u = sample(g, lambda x, y: np.maximum(x, 0.0))
+        with pytest.raises(GeometryError, match="outside the grid box"):
+            build_sequence(u, (0.0, 0.0), scales=(1.2,))
+
+
+class TestPrunedCoarseScan:
+    """The pruned coarse index against argmin of the full scan."""
+
+    @staticmethod
+    def full_argmin(pts, vals, cand):
+        return int(np.argmin(blowup._coarse_sups(pts, vals, cand)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_fits(self, dim, monkeypatch):
+        rng = np.random.default_rng(10 + dim)
+        cand = blowup._coarse_directions(dim)
+        scans = []
+        full = blowup._coarse_sups
+
+        def counting(pts, vals, c):
+            scans.append(c.shape[0])
+            return full(pts, vals, c)
+
+        for seed in range(12):
+            n = int(rng.integers(50, 5000))
+            pts = rng.uniform(-0.5, 0.5, (n, dim))
+            if seed % 2:
+                vals = rng.uniform(0.0, 0.5, n)
+            else:
+                # near a half-plane profile, as a blow-up of a regular point
+                e = rng.standard_normal(dim)
+                e /= np.linalg.norm(e)
+                vals = np.maximum(pts @ e, 0.0) + 0.01 * rng.standard_normal(n)
+            want = self.full_argmin(pts, vals, cand)
+            monkeypatch.setattr(blowup, "_coarse_sups", counting)
+            scans.clear()
+            assert blowup._coarse_best(pts, vals, cand) == want
+            monkeypatch.setattr(blowup, "_coarse_sups", full)
+            if seed % 2 == 0:
+                # the subsampled bounds leave most blocks unscanned
+                assert sum(scans[1:]) < cand.shape[0] // 2
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_constant_field_all_ties(self, dim):
+        rng = np.random.default_rng(dim)
+        cand = blowup._coarse_directions(dim)
+        pts = np.concatenate([np.zeros((1, dim)), rng.uniform(-0.35, 0.35, (999, dim))])
+        vals = np.ones(1000)
+        sups = blowup._coarse_sups(pts, vals, cand)
+        assert np.all(sups == sups[0])
+        assert blowup._coarse_best(pts, vals, cand) == 0
+
+    @pytest.mark.parametrize("first,second", [(5, 200), (40, 230), (33, 34)])
+    def test_two_way_exact_tie(self, first, second):
+        # a fit symmetric under y -> -y and a mirrored pair of candidates
+        # nearest to the symmetric direction: their sups tie exactly
+        rng = np.random.default_rng(first)
+        half = rng.uniform(-0.5, 0.5, (600, 2))
+        pts = np.concatenate([half, half * np.array([1.0, -1.0])])
+        vals = np.maximum(pts[:, 0], 0.0) + 0.001 * np.concatenate([half[:, 1] ** 2] * 2)
+        ang = rng.uniform(0.3, 2.0 * np.pi - 0.3, 256)
+        cand = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        cand[first] = (np.cos(0.05), np.sin(0.05))
+        cand[second] = cand[first] * np.array([1.0, -1.0])
+        for a, b in ((first, second), (second, first)):
+            # the subsample holds the point where direction a attains its sup
+            # but not its mirror, so a's bound is exact and b's lies below:
+            # b's block is scanned first, and a's block still has to be
+            resid = np.abs(vals[:, None] - np.maximum(pts @ cand[[a, b]].T, 0.0))
+            at_a, at_b = np.argmax(resid, axis=0)
+            order = [at_a, at_b] + [i for i in range(pts.shape[0]) if i not in (at_a, at_b)]
+            p, v = pts[order], vals[order]
+            sups = blowup._coarse_sups(p, v, cand)
+            assert sups[first] == sups[second] == np.min(sups)
+            assert np.count_nonzero(sups == np.min(sups)) == 2
+            lower = blowup._coarse_sups(p[:: blowup.COARSE_STRIDE], v[:: blowup.COARSE_STRIDE], cand)
+            assert lower[a] == sups[a] and lower[b] < sups[b]
+            assert blowup._coarse_best(p, v, cand) == first == self.full_argmin(p, v, cand)
+
+
 class TestSequence:
     def test_scales_must_decrease(self):
         with pytest.raises(ValueError):
-            BlowupSequence((0.0, 0.0), (0.2, 0.4), (), (), (), ())
+            BlowupSequence((0.0, 0.0), (0.2, 0.4), (), (), ())
 
     @pytest.mark.parametrize("s", [-0.5, float("nan")])
     def test_nan_scale_raises_like_negative(self, s):
         with pytest.raises(ValueError, match="scales must be positive"):
-            BlowupSequence((0.0, 0.0), (0.4, s), (), (), (), ())
+            BlowupSequence((0.0, 0.0), (0.4, s), (), (), ())
 
     def test_default_scales_ladder(self):
         g = box_grid(2, 64)

@@ -52,6 +52,23 @@ def sample(grid, fn):
 
 
 class TestGrid:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_node_offsets_bytes_equal_mesh(self, dim):
+        g = Grid((-0.3,) * dim, (0.9,) * dim, (12,) * dim)
+        z = np.array([0.1, -0.07, 0.33][:dim])
+        mesh = g.node_mesh()
+        window = (slice(2, 9), slice(0, 13), slice(5, 6))[:dim]
+        for win in (None, window):
+            offsets = g.node_offsets(z, win)
+            assert [o.ndim for o in offsets] == [dim] * dim
+            sq = sum(o * o for o in offsets)
+            want_sq = sum((m - z[a]) ** 2 for a, m in enumerate(mesh))
+            sl = (slice(None),) * dim if win is None else win
+            for a, o in enumerate(offsets):
+                full = np.broadcast_to(o, sq.shape)
+                assert full.tobytes() == np.ascontiguousarray((mesh[a] - z[a])[sl]).tobytes()
+            assert sq.tobytes() == np.ascontiguousarray(want_sq[sl]).tobytes()
+
     def test_spacing_uniformity_enforced(self):
         with pytest.raises(ValueError):
             Grid((-1.0, -1.0), (1.0, 2.0), (16, 16))
@@ -217,6 +234,21 @@ class TestFlatOffsetStencils:
         with pytest.raises(ValueError, match="needs 3 nodes on every axis"):
             gradient_transpose(v, short, 0.1, out=out, work=work)
         assert np.all(out == 7.0) and np.all(work == 7.0)
+
+    @pytest.mark.parametrize("shape,axis", [((4, 5), 2), ((4, 5), -3), ((3, 4, 5), 3), ((5,), 1)])
+    def test_axis_out_of_range_raises_before_any_write(self, shape, axis):
+        v = np.ones(shape)
+        out, work = np.full(shape, 7.0), np.full(shape, 7.0)
+        msg = rf"axis {axis} is out of range for an array with ndim {len(shape)}"
+        with pytest.raises(ValueError, match=msg):
+            gradient_transpose(v, axis, 0.1, out=out, work=work)
+        assert np.all(out == 7.0) and np.all(work == 7.0)
+
+    def test_negative_axis_in_range_is_that_axis(self):
+        v = signed_zero_input((5, 7, 9), 15)
+        for axis in range(3):
+            want = gradient_transpose(v, axis, 0.1).tobytes()
+            assert gradient_transpose(v, axis - 3, 0.1).tobytes() == want
 
     @pytest.mark.parametrize("n", [3, 5, 9])
     def test_one_dimensional_input(self, n):

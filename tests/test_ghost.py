@@ -12,6 +12,7 @@ from fbmlab.fields import (
     Grid,
     ScalarField,
     VectorField,
+    ball_integral,
     gradient_arrays,
     gradient_transpose,
     interpolate,
@@ -192,6 +193,95 @@ class TestFluxField:
         model = DensityModel(kind="linear", scale=scale)
         flux = flux_field(u, model, (0.0, 0.0))
         assert np.all(flux.field.values == 0.0)
+
+
+def frozen_flux_values(u, model, z, f0, cap):
+    """The flux formula on a full node mesh, as flux_field evaluated it before."""
+    grid = u.grid
+    grads = gradient_arrays(u.values, grid.h)
+    q = sum(g * g for g in grads)
+    gap = model.df(q) - f0
+    mesh = grid.node_mesh()
+    diffs = [mesh[a] - z[a] for a in range(grid.dim)]
+    d_true = np.sqrt(sum(d * d for d in diffs))
+    d = np.maximum(d_true, cap)
+    lead = gap * 2.0 * u.values / (d * d)
+    comps = [lead * (grads[a] - u.values * diffs[a] / (d * d)) for a in range(grid.dim)]
+    return np.stack(comps, axis=-1), d_true
+
+
+class TestOpenMesh:
+    """Flux and its reports on open-mesh offsets against the full-mesh formulas."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bytes_equal_full_mesh(self, dim):
+        grid = Grid((-0.6,) * dim, (0.9,) * dim, (30 if dim == 2 else 14,) * dim)
+        mesh = grid.node_mesh()
+        u = ScalarField(grid, np.maximum(mesh[0] + 0.4 * mesh[-1] ** 2, 0.0) + 0.05 * mesh[1])
+        z = np.array([0.13, -0.05, 0.2][:dim])
+        flux = flux_field(u, ARCTAN, z)
+        want, d_true = frozen_flux_values(u, ARCTAN, z, flux.f0, flux.cap_radius)
+        assert flux.field.values.tobytes() == want.tobytes()
+
+        mag = np.sqrt(np.sum(want**2, axis=-1))
+        outside = d_true > flux.cap_radius
+        assert flux_reach(flux) == float(np.max(mag[outside] * d_true[outside]))
+        g = neumann_solve(flux)
+        s = 1.5 if dim == 3 else 1.25
+        w = trapezoid_weights(grid.node_shape)
+        norm = float((grid.h**dim * np.sum(w * mag**s)) ** (1.0 / s))
+        assert stability_report(flux, g, s=s).flux_norm == norm
+        mag2 = ScalarField(grid, np.sum(want**2, axis=-1))
+        for r, value in flux_l2_profile(flux, [0.2, 0.35]):
+            assert value == float(ball_integral(mag2, z, r) / r)
+
+    def test_squared_magnitude_computed_once_read_only(self):
+        flux = flux_field(bump_field(32), ARCTAN, (0.0, 0.0))
+        sq = flux.norm_sq
+        assert flux.norm_sq is sq
+        assert not sq.flags.writeable
+        assert sq.tobytes() == np.sum(flux.field.values**2, axis=-1).tobytes()
+
+
+class TestGhostContract:
+    """Reports that pair a flux with a ghost check they belong together."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        u = bump_field(32)
+        flux = flux_field(u, ARCTAN, (0.0, 0.0))
+        return u, flux, neumann_solve(flux)
+
+    def test_other_base_point_raises(self, pair):
+        u, flux, _ = pair
+        shifted = neumann_solve(flux_field(u, ARCTAN, (0.3, 0.0)))
+        with pytest.raises(ValueError, match="base point"):
+            shell_identity_report(flux, shifted, [0.2, 0.3])
+        with pytest.raises(ValueError, match="base point"):
+            stability_report(flux, shifted)
+        with pytest.raises(ValueError, match="base point"):
+            weak_divergence_residual(flux, shifted)
+
+    def test_other_reference_slope_raises(self, pair):
+        u, flux, _ = pair
+        other = neumann_solve(flux_field(u, ARCTAN, (0.0, 0.0), f0=1.2))
+        with pytest.raises(ValueError, match="reference slope"):
+            shell_identity_report(flux, other, [0.2])
+        with pytest.raises(ValueError, match="reference slope"):
+            stability_report(flux, other)
+
+    def test_other_grid_raises(self, pair):
+        _, flux, _ = pair
+        other = neumann_solve(flux_field(bump_field(16), ARCTAN, (0.0, 0.0)))
+        with pytest.raises(ValueError, match="different grids"):
+            shell_identity_report(flux, other, [0.2])
+        with pytest.raises(ValueError, match="different grids"):
+            stability_report(flux, other)
+
+    def test_matching_pair_accepted(self, pair):
+        _, flux, g = pair
+        assert len(shell_identity_report(flux, g, [0.2, 0.3])) == 2
+        assert stability_report(flux, g).ratio > 0.0
 
 
 class TestFluxBound:

@@ -6,9 +6,12 @@ import pytest
 from fbmlab.density import DensityModel
 from fbmlab.errors import GeometryError
 from fbmlab.fieldio import read_csv
+from fbmlab import monotonicity
 from fbmlab.fields import (
     Grid,
     ScalarField,
+    ball_integral_cells,
+    ball_weights,
     geometric_radii,
     shell_average,
 )
@@ -371,6 +374,46 @@ class TestSphereKernel:
         g = zero_ghost(box_grid(2, 48), z, f0=0.9)
         with pytest.raises(ValueError, match="different grids"):
             scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9)
+
+
+def full_grid_ball_energies(u, model, lam, z, radii):
+    """The bulk integrals from the full-grid density, as the scan formed them before."""
+    density = cell_energy_density(u, model, lam)
+    return [ball_integral_cells(density, u.grid, z, r) for r in radii]
+
+
+def face_case_2d():
+    # the largest ball's window is clipped at the face x = 1
+    u, _, phi, _ = arctan_case_2d()
+    return u, (0.55, 0.1), phi, geometric_radii(0.2, 0.44, 1.3)
+
+
+class TestDensityWindow:
+    """Scan, Weiss core and identity report on the window of the largest ball
+    against the full-grid density path, byte for byte."""
+
+    @pytest.mark.parametrize("case", [arctan_case_2d, arctan_case_3d, face_case_2d])
+    def test_bytes_equal_full_grid_density(self, case, monkeypatch):
+        u, z, phi, radii = case()
+        g = GhostFunction(
+            potential=phi, base_point=z, f0=0.9, cap_radius=0.5 * u.grid.h,
+            residual=0.0, iterations=0,
+        )
+        got = scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9)
+        cores = [weiss_core(u, ARCTAN, 0.7, z, r, f0=0.9) for r in radii]
+        identity = derivative_identity_report(u, ARCTAN, 0.7, z, radii)
+        monkeypatch.setattr(monotonicity, "_ball_energies", full_grid_ball_energies)
+        want = scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9)
+        for name, col in want.columns.items():
+            assert got.columns[name].tobytes() == col.tobytes(), name
+        assert cores == [weiss_core(u, ARCTAN, 0.7, z, r, f0=0.9) for r in radii]
+        assert identity == derivative_identity_report(u, ARCTAN, 0.7, z, radii)
+        assert cores == list(got.weiss_core)
+
+    def test_face_case_reaches_the_face(self):
+        u, z, _, radii = face_case_2d()
+        window = ball_weights(u.grid, z, float(radii[-1])).cell_window
+        assert window[0].stop == u.grid.n_cells[0]
 
 
 class TestReportsCopyInputs:
