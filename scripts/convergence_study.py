@@ -52,7 +52,7 @@ def halfplane_constancy(n: int) -> tuple[float, float]:
     u = ScalarField(grid, np.maximum(grid.node_mesh()[2], 0.0))
     g = neumann_solve(flux_field(u, model, (0.0, 0.0, 0.0)))
     rep = scan(
-        u, model, 1.0, (0.0, 0.0, 0.0), geometric_radii(0.15, 0.4, 1.1), g
+        u, model, 1.0, (0.0, 0.0, 0.0), geometric_radii(0.15, 0.4, 1.1), g, level=0.0
     )
     med = float(np.median(rep.a))
     return med, float(np.max(np.abs(rep.a - med)))

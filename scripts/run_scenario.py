@@ -34,7 +34,8 @@ def main() -> int:
     if "final_energy" in mini:
         print(
             f"minimize : energy {mini['final_energy']:.8f} after "
-            f"{mini['iterations']} iterations (stop: {mini['stop_reason']})"
+            f"{mini['iterations']} Newton steps, {mini['cg_iterations']} CG iterations "
+            f"(stop: {mini['stop_reason']})"
         )
     else:
         print(f"minimize : field loaded from {mini['loaded_from']}")

@@ -107,14 +107,20 @@ class DensityModel:
             out *= self.scale
         return _like(t, out)
 
-    def d2f(self, t):
-        """Second derivative f''(t)."""
+    def d2f(self, t, out=None):
+        """Second derivative f''(t), written into out when given."""
         t = _check_t(t)
+        if out is None:
+            out = np.empty_like(t)
         if self.kind is Kind.LINEAR:
-            base = np.zeros_like(t)
+            out.fill(0.0)
         else:
-            base = self.alpha / (1.0 + t * t)
-        return _like(t, self.scale * base)
+            # alpha / (1 + t^2), times scale
+            np.multiply(t, t, out=out)
+            out += 1.0
+            np.divide(self.alpha, out, out=out)
+            out *= self.scale
+        return _like(t, out)
 
     def psi(self, t):
         """psi(t) = 2*t*f'(t) - f(t), the free boundary balance quantity."""

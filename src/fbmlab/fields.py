@@ -8,6 +8,10 @@ Conventions used throughout the package:
   three-point stencils on the faces (exact on quadratics).  The derivative
   and its adjoint treat the interior of each axis as contiguous passes over
   the flattened C-order array, offset by the axis stride;
+* the minimized energy reads the squared gradient from edge quotients
+  instead (edge_gradient_square): at a node it is the mean over the two
+  edges along each axis, so no mode but the constant escapes it.  Its
+  stencils and their exact adjoints live here beside the centered ones;
 * sphere integrals use equispaced angles in 2d and a Fibonacci spiral with
   equal weights in 3d, with field values taken by multilinear interpolation;
   the unit directions are built once per (dim, n) and shifted and scaled
@@ -297,6 +301,86 @@ def gradient_transpose(
     return out
 
 
+def _row_stride(a: np.ndarray, axis: int) -> tuple[np.ndarray, int]:
+    """a as one C-order row (checked, no copy) and the stride of axis in elements."""
+    return _flat(a, a.shape), a.strides[axis] // a.itemsize
+
+
+def edge_differences(u: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
+    """Edge quotients (u[k + e] - u[k]) / h along axis, stored at each edge's lower node.
+
+    The last node plane along axis has no edge; it is set to zero, which
+    edge_differences_transpose and the edge means rely on.  u and out are
+    C-contiguous arrays of one shape.
+    """
+    uf, s = _row_stride(u, axis)
+    of = _flat(out, u.shape)
+    np.subtract(uf[s:], uf[:-s], out=of[:-s])
+    of[:-s] *= 1.0 / h
+    out.swapaxes(0, axis)[-1] = 0.0
+    return out
+
+
+def edge_differences_transpose(e: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
+    """Adjoint of edge_differences: out[k] = (e[k - e_axis] - e[k]) / h.
+
+    e must be zero on its last plane along axis; the flat shift then reads
+    that zero wherever it crosses from one line to the next.
+    """
+    ef, s = _row_stride(e, axis)
+    np.negative(e, out=out)
+    _flat(out, e.shape)[s:] += ef[:-s]
+    out *= 1.0 / h
+    return out
+
+
+def add_edge_means(t: np.ndarray, axis: int, acc: np.ndarray) -> None:
+    """acc += the mean of the two edges along axis at each node (the one edge on a face).
+
+    t holds edge values (zero on its last plane); it is halved in place.
+    """
+    tf, s = _row_stride(t, axis)
+    t *= 0.5
+    acc += t
+    _flat(acc, t.shape)[s:] += tf[:-s]
+    nodes, edges = acc.swapaxes(0, axis), t.swapaxes(0, axis)
+    nodes[0] += edges[0]
+    nodes[-1] += edges[-2]
+
+
+def edge_means_transpose(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """Adjoint of add_edge_means: each edge takes half of each interior end node
+    and all of a face end node."""
+    xf, s = _row_stride(x, axis)
+    of = _flat(out, x.shape)
+    np.add(xf[:-s], xf[s:], out=of[:-s])
+    of[:-s] *= 0.5
+    edges, nodes = out.swapaxes(0, axis), x.swapaxes(0, axis)
+    edges[0] += 0.5 * nodes[0]
+    edges[-2] += 0.5 * nodes[-1]
+    edges[-1] = 0.0
+    return out
+
+
+def edge_gradient_square(
+    u: np.ndarray, h: float, edges: list[np.ndarray], q: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """q = sum_a A_a[(E_a u)^2], the squared gradient of the minimized energy.
+
+    E_a u are the edge quotients along axis a (written into edges, one array
+    per axis) and A_a takes the mean of the two edges at a node (a face node
+    takes its one edge).  For a smooth u, q = |grad u|^2 + O(h^2).  Unlike
+    the centered difference of gradient_arrays, which skips a node and so
+    cannot see (-1)^k along an axis, the edges see every mode but the
+    constant.  work is one more array of u's shape.
+    """
+    q.fill(0.0)
+    for axis, ea in enumerate(edges):
+        edge_differences(u, axis, h, out=ea)
+        add_edge_means(np.multiply(ea, ea, out=work), axis, q)
+    return q
+
+
 def trapezoid_weights(shape: tuple[int, ...]) -> np.ndarray:
     """Trapezoid rule nodal weights: corner-averaged cell sums as nodal sums."""
     w = np.ones(shape)
@@ -546,40 +630,16 @@ def _ball_weights(
 def ball_weights(
     grid: Grid, z, r: float, exclude_radius: float = 0.0, n_sub: int = DEFAULT_SUBSAMPLES
 ) -> BallWeights:
-    """Cached quadrature weights of the ball |x-z| <= r minus |x-z| < exclude_radius."""
-    key = tuple(float(c) for c in np.asarray(z, dtype=float))
-    return _ball_weights(grid, key, float(r), float(exclude_radius), int(n_sub))
+    """Cached quadrature weights of the ball |x-z| <= r minus |x-z| < exclude_radius.
 
-
-def ball_integral_cells(
-    cell_values: np.ndarray,
-    grid: Grid,
-    z,
-    r: float,
-    exclude_radius: float = 0.0,
-    n_sub: int = DEFAULT_SUBSAMPLES,
-) -> float:
-    """Integral over the ball |x-z| <= r of a piecewise constant cell field.
-
-    Borderline cells contribute their value times the inside fraction
-    estimated from the subsample grid.
+    z must give one coordinate per grid axis (ValueError otherwise).
     """
-    if cell_values.shape != grid.n_cells:
-        raise ValueError("cell_values shape mismatch")
-    bw = ball_weights(grid, z, r, exclude_radius, n_sub)
-    return float(grid.h**grid.dim * np.sum(bw.cells * cell_values[bw.cell_window]))
-
-
-def cell_midpoint_values(values: np.ndarray, ndim: int | None = None) -> np.ndarray:
-    """Average the 2^dim corner values of every cell (midpoint of the interpolant)."""
-    out = values
-    for a in range(values.ndim if ndim is None else ndim):
-        lo = [slice(None)] * values.ndim
-        hi = [slice(None)] * values.ndim
-        lo[a] = slice(None, -1)
-        hi[a] = slice(1, None)
-        out = 0.5 * (out[tuple(lo)] + out[tuple(hi)])
-    return out
+    key = tuple(float(c) for c in np.asarray(z, dtype=float).reshape(-1))
+    if len(key) != grid.dim:
+        raise ValueError(
+            f"base point dimension mismatch: {len(key)} coordinates on a {grid.dim}D grid"
+        )
+    return _ball_weights(grid, key, float(r), float(exclude_radius), int(n_sub))
 
 
 def ball_integral(
@@ -611,14 +671,17 @@ def ball_volume(
     return float(grid.h**grid.dim * np.sum(bw.cells))
 
 
-def free_boundary_points(f: ScalarField) -> np.ndarray:
-    """Zero crossings of f along grid edges, located by linear interpolation.
+def free_boundary_points(f: ScalarField, level: float) -> np.ndarray:
+    """Crossings of f = level along grid edges, located by linear interpolation.
 
-    An edge contributes when one endpoint has f > 0 and the other f <= 0.
-    Returns unique points sorted lexicographically, shape (m, dim).
+    An edge contributes when one endpoint has f > level and the other
+    f <= level.  level is the field's phase level (Scenario.phase_level):
+    0 for a field with an exact zero phase, minimizer.ramp_free_boundary
+    for a minimizer of the ramped energy.  Returns unique points sorted
+    lexicographically, shape (m, dim).
     """
     grid = f.grid
-    vals = f.values
+    vals = f.values - level
     dim = grid.dim
     pts = []
     for a in range(dim):

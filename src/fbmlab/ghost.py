@@ -12,11 +12,9 @@ the weak Neumann problem on the whole box,
 
     sum_nodes w grad(phi) . grad(psi) = sum_nodes w U . grad(psi)  for all psi,
 
-directly, by fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6,
-1964): with D the nodal derivative and w the trapezoid weights, the operator
-is the Kronecker sum over axes of K_a = D_a^T diag(w_a) D_a against the
-weights of the other axes, so one symmetric eigendecomposition per axis
-length diagonalizes it exactly.  The constant mode is dropped, giving a
+directly, by the Neumann variant of fast diagonalization (see fastdiag):
+one symmetric eigendecomposition per axis length diagonalizes the weighted
+operator exactly.  The constant mode is dropped, giving a
 mean-zero potential and a remainder U - grad(phi) that is weakly divergence
 free; the remainder is never stored, it is derived from the flux when a
 check needs it.  Shell averages of the potential are what later corrects
@@ -26,12 +24,13 @@ the monotonicity quantity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property
 
 import numpy as np
 
 from .density import DensityModel, slope_deviation
 from .errors import GeometryError, SolverError
+from .fastdiag import neumann_solve as fast_neumann_solve
 from .fields import (
     Grid,
     ScalarField,
@@ -229,54 +228,6 @@ def _relative_residual(u, b: np.ndarray, phi: np.ndarray, w: np.ndarray, h: floa
     return r_norm / b_norm
 
 
-@lru_cache(maxsize=16)
-def _axis_modes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs of S = w^{-1/2} D^T diag(w) D w^{-1/2} on m nodes at h = 1.
-
-    Returns (forward, inverse, eigenvalues) with forward = Q^T w^{-1/2} and
-    inverse = w^{-1/2} Q.  Eigenvalues ascend, so index 0 is the constant
-    mode w^{1/2}, the only null vector of the wide stencil.  At spacing h the
-    eigenvalues scale by 1/h^2.  Results are read-only; they are shared by
-    every solve on a grid with this axis length.
-    """
-    w = trapezoid_weights((m,))
-    d = gradient_arrays(np.eye(m), 1.0)[0]
-    k = gradient_transpose(w[:, None] * d, 0, 1.0)
-    scale = 1.0 / np.sqrt(w)
-    s = scale[:, None] * k * scale[None, :]
-    lam, q = np.linalg.eigh(0.5 * (s + s.T))
-    forward = q.T * scale[None, :]
-    inverse = scale[:, None] * q
-    for arr in (forward, inverse, lam):
-        arr.setflags(write=False)
-    return forward, inverse, lam
-
-
-def _apply_along(mat: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(mat, x, axes=(1, axis)), 0, axis)
-
-
-def _fast_diagonal_solve(b: np.ndarray, h: float) -> np.ndarray:
-    """Minimum-norm solve of the weak Neumann system for a load b.
-
-    phi = W^{-1/2} (x Q_a) (sum Lambda_a)^+ (x Q_a)^T W^{-1/2} b / h^dim,
-    with Lambda_a the spacing-h eigenvalues (the h = 1 ones over h^2),
-    applied one axis at a time; the constant mode's coefficient is zeroed.
-    """
-    modes = [_axis_modes(m) for m in b.shape]
-    c = b
-    for a, (forward, _, _) in enumerate(modes):
-        c = _apply_along(forward, c, a)
-    denom = reduce(np.add.outer, [lam for _, _, lam in modes])
-    origin = (0,) * b.ndim
-    denom[origin] = 1.0
-    c = c / denom
-    c[origin] = 0.0
-    for a, (_, inverse, _) in enumerate(modes):
-        c = _apply_along(inverse, c, a)
-    return c * h ** (2 - b.ndim)
-
-
 def neumann_solve(flux: FluxField, tol: float = DEFAULT_TOL) -> GhostFunction:
     """Mean-zero potential whose gradient is the flux's gradient part.
 
@@ -292,7 +243,7 @@ def neumann_solve(flux: FluxField, tol: float = DEFAULT_TOL) -> GhostFunction:
     if float(np.linalg.norm(b)) == 0.0:
         phi, res, it = np.zeros(grid.node_shape), 0.0, 0
     else:
-        phi = _fast_diagonal_solve(b, grid.h)
+        phi = fast_neumann_solve(b, grid.h)
         phi -= phi.mean()
         res, it = _relative_residual(u, b, phi, w, grid.h), 1
         if not res <= tol:

@@ -1,40 +1,54 @@
 """Discrete local minimizers of the smoothed one-phase energy.
 
-The energy of a nodal field u is
+The energy of a nodal field u is the trapezoid-weighted nodal sum
 
-    E(u) = sum_cells [ f(|grad u|^2) + lam * H_eps(u) ] * h^dim
+    E(u) = sum_nodes w [ f(q) + lam * H_eps(u) ] * h^dim,
+    q = sum_a A_a[(D_a u)^2],
 
-with cell values obtained by corner averaging of the nodal integrand, which
-is the same thing as a trapezoid-weighted nodal sum.  H_eps is a piecewise
-linear ramp standing in for the positivity indicator; its width eps defaults
-to two grid spacings so the smeared band vanishes under refinement.
+with q the edge-quotient squared gradient of fields.edge_gradient_square:
+D_a u are the edge quotients along axis a and A_a takes the mean of the
+two edges at a node.  A converged minimizer of f(|centered grad u|^2)
+instead settles into a staircase of two decoupled sublattices with offsets
+of about h, since the centered difference cannot see (-1)^k.
 
-The descent direction is the exact discrete adjoint of the energy, so the
-analytic gradient matches finite differences of E to round-off and Armijo
-line search inherits a true descent guarantee.
+H_eps is the C^1 ramp s^2 (3 - 2 s), s = clip(u / eps, 0, 1), standing in
+for the positivity indicator; its width eps defaults to two grid spacings
+so the smeared band vanishes under refinement.  The sharp free boundary
+a minimizer approximates sits at the level ramp_free_boundary(eps).  One implementation (ramp)
+gives H_eps and its first two derivatives to the energy, the gradient and
+the Hessian.  The gradient and the Hessian-vector product are the exact
+first and second derivatives of E, zeroed on the fixed boundary nodes.
 
-One kernel evaluates E and, from the derivatives it just computed, the
-gradient.  A minimize call allocates its buffers once: two iterates (current
-and trial, each with its derivatives) that swap on acceptance, the gradient
-and two scratch arrays; the gradient also borrows the idle trial iterate.
-No Armijo trial and no gradient allocates an array of the grid's size, and
-the iterates are bitwise those of the plain formulas.
+minimize is a truncated Newton method (Nocedal & Wright, Numerical
+Optimization, ch. 7.1): each step solves the Newton system inexactly by
+conjugate gradients preconditioned with the edge Laplacian on the interior
+nodes, which fast diagonalization inverts directly (Lynch, Rice & Thomas
+1964), and then backtracks until the Armijo test certifies a decrease.
+The ramp is C^1, so the gradient is continuous and can reach the
+tolerance; a piecewise linear ramp kept the gradient's sup-norm near
+lam w / eps at its kinks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DensityModel, bernoulli_lambda
+from .density import DensityModel, Kind, bernoulli_lambda
 from .errors import GeometryError, SolverError
+from .fastdiag import DirichletSolver
 from .fields import (
     Grid,
     ScalarField,
     VectorField,
+    add_edge_means,
+    edge_differences,
+    edge_differences_transpose,
+    edge_gradient_square,
+    edge_means_transpose,
     gradient_arrays,
-    gradient_transpose,
     trapezoid_weights,
 )
 
@@ -45,7 +59,10 @@ __all__ = [
     "MinimizeReport",
     "energy",
     "energy_gradient",
+    "hessian_product",
     "minimize",
+    "ramp",
+    "ramp_free_boundary",
     "initial_guess",
     "domain_variation_residual",
 ]
@@ -54,6 +71,8 @@ BOUNDARY_KINDS = ("halfplane", "radial", "wedge", "file")
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 60
+CG_RTOL = 0.1
+CG_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -167,14 +186,65 @@ class MinimizeReport:
     energy_history: list[float]
     lipschitz: float
     stop_reason: str
+    cg_iterations: int
 
 
-def _ramp(t: np.ndarray, eps: float, out: np.ndarray | None = None) -> np.ndarray:
-    return np.clip(np.divide(t, eps, out=out), 0.0, 1.0, out=out)
+def ramp(
+    t: np.ndarray,
+    eps: float,
+    order: int = 0,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """The C^1 ramp H_eps(t) = s^2 (3 - 2 s), s = clip(t / eps, 0, 1), or a derivative.
+
+    order 0 gives H_eps, order 1 H_eps' = 6 s (1 - s) / eps (zero outside
+    (0, eps) because s is clipped), order 2 H_eps'' = 6 (1 - 2 s) / eps^2 on
+    0 < t < eps and zero elsewhere; H_eps'' jumps at 0 and eps.  out
+    receives the values and work holds s; with both given for an array t,
+    no float array of its size is allocated.
+    """
+    t = np.asarray(t, dtype=float)
+    if out is None:
+        out = np.empty_like(t)
+    if work is None:
+        work = np.empty_like(t)
+    s = np.clip(np.divide(t, eps, out=work), 0.0, 1.0, out=work)
+    if order == 0:
+        np.multiply(s, -2.0, out=out)
+        out += 3.0
+        out *= s
+        out *= s
+    elif order == 1:
+        np.subtract(1.0, s, out=out)
+        out *= s
+        out *= 6.0 / eps
+    else:
+        np.multiply(s, -2.0, out=out)
+        out += 1.0
+        out *= 6.0 / (eps * eps)
+        out *= (t > 0.0) & (t < eps)
+    return out
 
 
-def _ramp_slope(t: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
-    return np.multiply((t > 0.0) & (t < eps), 1.0 / eps, out=out)
+# s* = 1.5 / cosh^2(sqrt(3)/2 + artanh(1/sqrt(3))), see ramp_free_boundary
+_RAMP_EDGE = 1.5 / math.cosh(0.5 * math.sqrt(3.0) + math.atanh(1.0 / math.sqrt(3.0))) ** 2
+
+
+def ramp_free_boundary(eps: float) -> float:
+    """The level s* eps (s* = 0.2593) at which a ramped minimizer's sharp free boundary sits.
+
+    Across a flat free boundary, a minimizer of |u'|^2 + lam H_eps(u)
+    satisfies u'^2 = lam H_eps(u): it is affine where u >= eps and below
+    that decays towards 0 without reaching it, so it has no zero phase and
+    its zero level is round-off.  Its affine part, the sharp half-plane
+    profile it approximates, vanishes where u = s* eps with
+    int_{s*}^1 ds / sqrt(s^2 (3 - 2 s)) = 1, which integrates in closed
+    form to the s* above.  s* belongs to this ramp's shape (ramp) and
+    must follow it; it does not depend on lam.  For a curved density the
+    profile bends slightly and s* is its linear-density estimate.
+    """
+    return _RAMP_EDGE * eps
 
 
 def _require_on_grid(p: Problem, u: ScalarField) -> None:
@@ -182,103 +252,193 @@ def _require_on_grid(p: Problem, u: ScalarField) -> None:
         raise ValueError("field does not live on the problem grid")
 
 
-class _Iterate:
-    """Nodal values and the derivatives of them the kernel last computed."""
-
-    def __init__(self, values: np.ndarray) -> None:
-        self.values = values
-        self.grads = [np.empty_like(values) for _ in range(values.ndim)]
-        self.q = np.empty_like(values)
+def _weigh(x: np.ndarray) -> np.ndarray:
+    """x times the trapezoid weights, in place: each face plane is halved."""
+    for axis in range(x.ndim):
+        faces = x.swapaxes(0, axis)
+        faces[0] *= 0.5
+        faces[-1] *= 0.5
+    return x
 
 
 class _Kernel:
-    """Energy and energy gradient of one problem on buffers allocated once.
+    """Energy, gradient and Hessian-vector product of one problem.
 
-    energy(s) differentiates s.values into s.grads and s.q and returns E;
-    gradient(s, out, adj, work) turns those same derivatives into the
-    gradient.  Two scratch arrays serve every call, so neither allocates a
-    float array of the grid's size (only boolean masks).  Each step keeps
-    the operation order of the plain formulas: q = (g0^2 + g1^2) + g2^2,
-    f(q) + lam H_eps(u) weighted and summed, and per axis an adjoint stencil
-    built in scratch, then added.
+    The squared gradient at a node is q = sum_a A_a[(D_a u)^2]: D_a u are
+    the edge quotients along axis a and A_a averages the two edges at a node
+    (a face node takes its one edge).  Every method writes into arrays the
+    caller owns and allocates no float array of the grid's size (only
+    boolean masks and face planes).  energy() leaves D u in g and q in q;
+    gradient() and hessian_setup() read them.
     """
 
     def __init__(self, p: Problem) -> None:
-        shape = p.grid.node_shape
         self.p = p
-        self.w = trapezoid_weights(shape)
+        self.h = p.grid.h
         self.cell = p.grid.h**p.grid.dim
-        self.scratch = [np.empty(shape) for _ in range(2)]
+        self.curved = p.model.kind is not Kind.LINEAR
 
-    def differentiate(self, s: _Iterate) -> bool:
-        """Fill s.grads and s.q; False if q overflowed."""
-        sq = self.scratch[0]
+    def differentiate(self, u, g, q, work) -> bool:
+        """Fill g with D u and q; False if q overflowed."""
         with np.errstate(over="ignore", invalid="ignore"):
-            gradient_arrays(s.values, self.p.grid.h, out=s.grads)
-            np.multiply(s.grads[0], s.grads[0], out=s.q)
-            for g in s.grads[1:]:
-                s.q += np.multiply(g, g, out=sq)
-        return bool(np.all(np.isfinite(s.q)))
+            edge_gradient_square(u, self.h, g, q, work)
+        return bool(np.all(np.isfinite(q)))
 
-    def energy(self, s: _Iterate) -> float:
-        """Energy of s.values; leaves its derivatives in s.grads and s.q."""
+    def energy(self, u, g, q, work) -> float:
+        """E(u) from three work arrays; leaves D u in g and q in q."""
         p = self.p
-        if not self.differentiate(s):
-            # overflowing iterate; report +inf instead of tripping the model
+        integrand, a, b = work
+        if not self.differentiate(u, g, q, work=a):
+            # an overflowing iterate reports +inf instead of tripping the model
             return float("inf")
-        integrand, ramp = self.scratch[:2]
-        p.model.f(s.q, out=integrand, work=ramp)
-        _ramp(s.values, p.eps, out=ramp)
-        ramp *= p.lam
-        integrand += ramp
-        integrand *= self.w
-        return float(self.cell * np.sum(integrand))
+        p.model.f(q, out=integrand, work=a)
+        integrand += np.multiply(ramp(u, p.eps, out=a, work=b), p.lam, out=a)
+        return float(self.cell * np.sum(_weigh(integrand)))
 
-    def gradient(
-        self, s: _Iterate, out: np.ndarray, adj: np.ndarray, work: np.ndarray
-    ) -> np.ndarray:
-        """Gradient at s.values from the derivatives s already holds.
+    def gradient(self, u, g, q, out, work) -> np.ndarray:
+        """G = sum_a D_a^T[2 D_a u A_a^T(w f'(q))] + lam w H_eps'(u), zero on fixed nodes.
 
-        adj and work are two more arrays of the grid's shape that the call
-        overwrites: minimize lends it the idle trial iterate's.
+        Reads the g and q that energy() left for u; work is three arrays.
         """
-        p, w = self.p, self.w
-        ws, v = self.scratch
-        p.model.df(s.q, out=ws)
-        ws *= np.multiply(w, 2.0, out=v)
+        p = self.p
+        ws, v, adj = work
+        _weigh(np.multiply(p.model.df(q, out=ws), 2.0, out=ws))
         out.fill(0.0)
-        for axis, g in enumerate(s.grads):
-            np.multiply(ws, g, out=v)
-            out += gradient_transpose(v, axis, p.grid.h, out=adj, work=work)
-        wl = np.multiply(w, p.lam, out=v)
-        wl *= _ramp_slope(s.values, p.eps, out=adj)
-        out += wl
+        for axis, ga in enumerate(g):
+            edge_means_transpose(ws, axis, out=v)
+            v *= ga
+            out += edge_differences_transpose(v, axis, self.h, out=adj)
+        ramp(u, p.eps, order=1, out=v, work=adj)
+        out += _weigh(np.multiply(v, p.lam, out=v))
         out[p.fixed_mask] = 0.0
         return out
+
+    def hessian_setup(self, u, q, hcurv, fcurv, work) -> None:
+        """Turn an iterate's q into the Hessian's coefficients, in place.
+
+        q becomes 2 w f'(q), hcurv lam w H_eps''(u) and, for a curved
+        density, fcurv w f''(q); the linear density's f'' is identically
+        zero, so its fcurv is None and its term is skipped.
+        """
+        p = self.p
+        if fcurv is not None:
+            _weigh(p.model.d2f(q, out=fcurv))
+        _weigh(np.multiply(p.model.df(q, out=q), 2.0, out=q))
+        _weigh(np.multiply(ramp(u, p.eps, order=2, out=hcurv, work=work), p.lam, out=hcurv))
+
+    def hessian_product(self, coef, g, fcurv, hcurv, v, out, work) -> np.ndarray:
+        """Hv, zero on fixed nodes, for the coefficients of hessian_setup.
+
+        Hv = sum_a D_a^T[A_a^T(coef) D_a v + 2 D_a u A_a^T(fcurv dq)]
+        + hcurv v, with dq = sum_b A_b[2 D_b u D_b v] the first variation of
+        q along v and g = D u.  work is dim + 2 arrays.
+        """
+        h, dim = self.h, len(g)
+        dv, s, t = work[:dim], work[dim], work[dim + 1]
+        for axis, da in enumerate(dv):
+            edge_differences(v, axis, h, out=da)
+        if fcurv is not None:
+            s.fill(0.0)
+            for axis, (ga, da) in enumerate(zip(g, dv)):
+                np.multiply(ga, da, out=t)
+                t *= 2.0
+                add_edge_means(t, axis, s)
+            s *= fcurv
+        for axis, da in enumerate(dv):
+            edge_means_transpose(coef, axis, out=t)
+            t *= da
+            if fcurv is not None:
+                edge_means_transpose(s, axis, out=da)
+                da *= g[axis]
+                da *= 2.0
+                t += da
+            if axis == 0:
+                edge_differences_transpose(t, axis, h, out=out)
+            else:
+                out += edge_differences_transpose(t, axis, h, out=da)
+        out += np.multiply(hcurv, v, out=t)
+        out[self.p.fixed_mask] = 0.0
+        return out
+
+
+def _buffers(shape: tuple[int, ...], count: int) -> list[np.ndarray]:
+    return [np.empty(shape) for _ in range(count)]
 
 
 def energy(p: Problem, u: ScalarField) -> float:
     """Total smoothed energy of u on the problem box."""
     _require_on_grid(p, u)
-    return _Kernel(p).energy(_Iterate(u.values))
+    shape, dim = p.grid.node_shape, p.grid.dim
+    return _Kernel(p).energy(u.values, _buffers(shape, dim), np.empty(shape), _buffers(shape, 3))
 
 
 def energy_gradient(p: Problem, u: ScalarField) -> ScalarField:
     """Nodal energy gradient G with <G, v> h^dim the first variation of E.
 
     G realizes -2 div(f'(|grad u|^2) grad u) + lam H_eps'(u) through the
-    exact adjoint of the discrete derivative, and is zeroed on fixed nodes.
+    exact adjoint of the discrete energy, and is zeroed on fixed nodes.
     """
     _require_on_grid(p, u)
-    kernel, s = _Kernel(p), _Iterate(u.values)
-    kernel.differentiate(s)
-    out, adj, work = (np.empty_like(s.values) for _ in range(3))
-    return ScalarField(p.grid, kernel.gradient(s, out, adj, work))
+    kernel = _Kernel(p)
+    shape = p.grid.node_shape
+    g, q, work = _buffers(shape, p.grid.dim), np.empty(shape), _buffers(shape, 3)
+    kernel.differentiate(u.values, g, q, work[0])
+    return ScalarField(p.grid, kernel.gradient(u.values, g, q, np.empty(shape), work))
 
 
-def default_step(p: Problem) -> float:
-    # explicit-descent stability scale for diffusion coefficient <= 2 C0
-    return p.grid.h**2 / (8.0 * p.grid.dim * p.model.C0)
+def hessian_product(p: Problem, u: ScalarField, v: ScalarField) -> ScalarField:
+    """Hv with <Hv, v'> h^dim the second variation of E at u along v and v'.
+
+    Fixed nodes are zeroed in Hv; v should vanish there.
+    """
+    _require_on_grid(p, u)
+    _require_on_grid(p, v)
+    kernel = _Kernel(p)
+    shape, dim = p.grid.node_shape, p.grid.dim
+    g, q, hcurv = _buffers(shape, dim), np.empty(shape), np.empty(shape)
+    fcurv = np.empty(shape) if kernel.curved else None
+    work = _buffers(shape, dim + 2)
+    kernel.differentiate(u.values, g, q, work[0])
+    kernel.hessian_setup(u.values, q, hcurv, fcurv, work[0])
+    out = kernel.hessian_product(q, g, fcurv, hcurv, v.values, np.empty(shape), work)
+    return ScalarField(p.grid, out)
+
+
+def _newton_direction(kernel, precond, hessian, grad, d, cg, work) -> int:
+    """d ~ H^{-1} grad by preconditioned CG from d = 0; returns the inner iterations.
+
+    hessian is the (coef, g, fcurv, hcurv) tuple of hessian_product.
+    Stops when |r| <= CG_RTOL |grad| or after CG_MAX_ITER Hessian products.
+    On nonpositive curvature it keeps the current d, or takes d = P^{-1}
+    grad if the first product meets it.  cg is three arrays (residual,
+    search direction, and the preconditioned residual, which also holds the
+    Hessian product); work is the Hessian product's dim + 2 arrays, whose
+    first two also serve the preconditioner.
+    """
+    r, pdir, z = cg
+    np.copyto(r, grad)
+    precond.solve(r, z, work[:2])
+    rz = float(np.vdot(r, z))
+    np.copyto(pdir, z)
+    d.fill(0.0)
+    stop = CG_RTOL * float(np.linalg.norm(grad.reshape(-1)))
+    for k in range(1, CG_MAX_ITER + 1):
+        hp = kernel.hessian_product(*hessian, pdir, z, work)
+        php = float(np.vdot(pdir, hp))
+        if not php > 0.0:
+            if k == 1:
+                np.copyto(d, pdir)
+            return k
+        alpha = rz / php
+        d += np.multiply(pdir, alpha, out=work[0])
+        r -= np.multiply(hp, alpha, out=work[0])
+        if float(np.linalg.norm(r.reshape(-1))) <= stop:
+            return k
+        precond.solve(r, z, work[:2])
+        rz, rz_old = float(np.vdot(r, z)), rz
+        pdir *= rz / rz_old
+        pdir += z
+    return CG_MAX_ITER
 
 
 def minimize(
@@ -286,44 +446,76 @@ def minimize(
     u0: ScalarField,
     tol: float = 1e-6,
     max_iter: int = 10_000,
-    step0: float | None = None,
 ) -> tuple[ScalarField, MinimizeReport]:
-    """Armijo gradient descent from u0; fixed nodes are never touched.
+    """Truncated Newton-PCG from u0; fixed nodes are never touched.
+
+    Each outer step solves H d = G by preconditioned CG to the relative
+    residual CG_RTOL, in at most CG_MAX_ITER inner iterations (see
+    _newton_direction), then backtracks from u - d by halving the step until
+    E(u - step d) <= E(u) - ARMIJO_C step h^dim <G, d>.  The preconditioner
+    is P = 2 c0 sum_a D_a^T W D_a on the interior nodes, the Hessian of the
+    linear density's bulk term with c0 the density's lower slope bound,
+    solved by fast diagonalization (fastdiag.DirichletSolver).
 
     Stops for one of three reasons, named in the report's stop_reason:
 
       gradient_tol: the sup-norm of the masked gradient is at most tol
                     (the only stop with converged=True);
       stalled:      the last accepted step's Armijo decrease
-                    ARMIJO_C * step * h^dim |G|^2 was at most one ulp of the
+                    ARMIJO_C * step * h^dim <G, d> was at most one ulp of the
                     energy, so the test no longer certified a decrease, and
                     the gradient at the new iterate still exceeds tol;
-      budget:       max_iter steps were taken (max_iter = 0 never converges).
+      budget:       max_iter outer steps were taken (max_iter = 0 never
+                    converges).
 
-    gradient_norm is the masked gradient sup-norm at the returned iterate.
-    Raises SolverError if the energy is not finite or the line search
-    collapses.
+    iterations counts outer steps, step_history their accepted steps, and
+    cg_iterations the inner iterations of all of them.  gradient_norm is the
+    masked gradient sup-norm at the returned iterate, and lipschitz the
+    largest |grad u| of fields.gradient there.  Raises SolverError if the
+    energy is not finite or the line search collapses.
 
-    The buffers are allocated once per call: the current iterate and the
-    trial one, each with its derivatives, swap roles when a trial is
-    accepted, and no trial or gradient allocates an array of the grid's size.
+    Buffers are allocated once per call: 2 dim + 11 arrays of the grid's
+    size for a curved density, dim + 10 for the linear one, and one
+    interior-sized array (18 in all for a curved density in 3D, 14 for the
+    linear one):
+      u, g (dim), q          the iterate, its edge quotients D u and q; during
+                             the inner solve q holds 2 w f'(q), and the line
+                             search writes each trial's D u into g;
+      grad, d                the gradient and the Newton direction;
+      r, pdir, z             the inner solve's vectors, and the work of the
+                             gradient and of the trial energies;
+      hcurv                  lam w H_eps''(u);
+      spare (2)              the trial iterate and its q, which swap with u
+                             and q on acceptance; in the inner solve the
+                             Hessian product's last two work arrays and the
+                             preconditioner's work;
+      fcurv, dv (dim)        curved density only: w f''(q) and the Hessian
+                             product's D v (the linear one writes D v into g);
+      one interior-sized     the preconditioner's reciprocal eigenvalue sums.
     """
     _require_on_grid(p, u0)
+    shape, dim = p.grid.node_shape, p.grid.dim
     kernel = _Kernel(p)
-    scratch = kernel.scratch[0]
-    now = _Iterate(u0.values.copy())
-    trial = _Iterate(np.empty_like(now.values))
-    grad = np.empty_like(now.values)
-    e_now = kernel.energy(now)
+    precond = DirichletSolver(shape, p.grid.h, 2.0 * p.model.c0)
+    u = u0.values.copy()
+    g, q = _buffers(shape, dim), np.empty(shape)
+    grad, d, hcurv = _buffers(shape, 3)
+    cg, spare = _buffers(shape, 3), _buffers(shape, 2)
+    if kernel.curved:
+        fcurv, dv = np.empty(shape), _buffers(shape, dim)
+    else:
+        # the linear Hessian product never reads g, so it may overwrite it
+        fcurv, dv = None, g
+    e_now = kernel.energy(u, g, q, cg)
     if not np.isfinite(e_now):
         raise SolverError("initial energy is not finite")
-    step = default_step(p) if step0 is None else float(step0)
     steps: list[float] = []
     energies = [e_now]
+    inner = 0
     stalled = False
     while True:
-        kernel.gradient(now, grad, trial.values, trial.q)
-        g_sup = float(np.max(np.abs(grad, out=scratch)))
+        kernel.gradient(u, g, q, grad, cg)
+        g_sup = float(np.max(np.abs(grad, out=d)))
         if len(steps) >= max_iter:
             # spent the budget; max_iter = 0 never claims convergence
             stop_reason = "gradient_tol" if max_iter > 0 and g_sup <= tol else "budget"
@@ -334,27 +526,35 @@ def minimize(
         if stalled:
             stop_reason = "stalled"
             break
-        with np.errstate(over="ignore"):
-            # an infinite slope estimate is fine: the line search rejects it
-            gg = kernel.cell * float(np.sum(np.multiply(grad, grad, out=scratch)))
-        step *= 2.0
-        accepted = False
+        kernel.hessian_setup(u, q, hcurv, fcurv, spare[0])
+        hessian = (q, g, fcurv, hcurv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a direction or slope that overflows fails every Armijo test below
+            inner += _newton_direction(kernel, precond, hessian, grad, d, cg, [*dv, *spare])
+            slope = kernel.cell * float(np.vdot(grad, d))
+        # the direction is found, so g is spent: trials write their D u there
+        values, trial_q = spare
+        step = 1.0
         for _ in range(MAX_BACKTRACKS):
-            np.subtract(now.values, np.multiply(grad, step, out=trial.values), out=trial.values)
-            e_trial = kernel.energy(trial)
-            if np.isfinite(e_trial) and e_trial <= e_now - ARMIJO_C * step * gg:
-                accepted = True
+            np.subtract(u, np.multiply(d, step, out=values), out=values)
+            e_trial = kernel.energy(values, g, trial_q, cg)
+            if np.isfinite(e_trial) and e_trial <= e_now - ARMIJO_C * step * slope:
                 break
             step *= 0.5
-        if not accepted:
+        else:
             raise SolverError("line search collapsed; energy may be diverging")
         # a required decrease below one ulp of E certifies nothing (round-off)
-        stalled = ARMIJO_C * step * gg <= np.spacing(abs(e_now))
-        now, trial, e_now = trial, now, e_trial
+        stalled = ARMIJO_C * step * slope <= np.spacing(abs(e_now))
+        spare, u, q = [u, q], values, trial_q
+        e_now = e_trial
         steps.append(step)
         energies.append(e_now)
-    lipschitz = float(np.max(np.sqrt(now.q, out=scratch)))
-    now.values.setflags(write=False)  # the returned field adopts it, uncopied
+    nodal = gradient_arrays(u, p.grid.h, out=cg[:dim])
+    modulus = np.multiply(nodal[0], nodal[0], out=d)
+    for ga in nodal[1:]:
+        modulus += np.multiply(ga, ga, out=hcurv)
+    lipschitz = float(np.sqrt(np.max(modulus)))
+    u.setflags(write=False)  # the returned field adopts it, uncopied
     report = MinimizeReport(
         iterations=len(steps),
         final_energy=e_now,
@@ -364,8 +564,9 @@ def minimize(
         energy_history=energies,
         lipschitz=lipschitz,
         stop_reason=stop_reason,
+        cg_iterations=inner,
     )
-    return ScalarField(p.grid, now.values), report
+    return ScalarField(p.grid, u), report
 
 
 def initial_guess(p: Problem) -> ScalarField:
@@ -378,19 +579,21 @@ def domain_variation_residual(
 ) -> list[float]:
     """Inner variation residuals R(phi) certifying a variational solution.
 
-    R(phi) = sum_cells [2 f'(|g|^2) g . (Dphi g) - (f(|g|^2) + lam H_eps(u))
-    div phi] h^dim with g = grad u; a minimizer drives |R| to O(h) |phi|.
-    Every test field must vanish on the box boundary.
+    R(phi) = sum_nodes w [2 f'(q) g . (Dphi g) - (f(q) + lam H_eps(u))
+    div phi] h^dim with g = grad u and q the energy's edge-quotient squared
+    gradient (fields.edge_gradient_square); a minimizer drives |R| to
+    O(h) |phi|.  Every test field must vanish on the box boundary.
     """
     _require_on_grid(p, u)
     h = p.grid.h
     dim = p.grid.dim
-    w = trapezoid_weights(p.grid.node_shape)
+    shape = p.grid.node_shape
+    w = trapezoid_weights(shape)
     boundary = p.grid.boundary_mask()
     grads = np.stack(gradient_arrays(u.values, h), axis=-1)
-    q = np.sum(grads * grads, axis=-1)
+    q = edge_gradient_square(u.values, h, _buffers(shape, dim), np.empty(shape), np.empty(shape))
     slope = p.model.df(q)
-    bulk = p.model.f(q) + p.lam * _ramp(u.values, p.eps)
+    bulk = p.model.f(q) + p.lam * ramp(u.values, p.eps)
     out = []
     for phi in test_fields:
         if phi.grid != p.grid:

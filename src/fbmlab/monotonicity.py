@@ -3,12 +3,17 @@ oscillation/regular-point diagnostics.
 
 The scanned quantity is
 
-    A(z, r) = r^{-n} int_{B_r(z)} [F(|grad u|^2) + lam 1{u>0}]
-              - F0 r^{-n-1} int_{dB_r(z)} u^2
+    A(z, r) = r^{-n} int_{B_r(z)} [F(|grad u|^2) + lam] 1{u>l}
+              - F0 r^{-n-1} int_{dB_r(z)} ((u - l)^+)^2
               - r^{1-n} int_{dB_r(z)} phi,
 
-where phi is the potential part of the flux splitting about z.  For
-energy-critical fields A is nondecreasing in r, with derivative
+where phi is the potential part of the flux splitting about z and l is
+the field's phase level (Scenario.phase_level): 0 for a field with an
+exact zero phase, and for a minimizer of the ramped energy, whose zero
+phase is a positive tail that decays node by node, the level where its
+affine part vanishes (minimizer.ramp_free_boundary).  So A is the Weiss
+quantity of the sharp field (u - l)^+.  For energy-critical fields A is
+nondecreasing in r, with derivative
 
     A'(z, r) = (2/r^n) int_{dB_r} F'(|grad u|^2) (u_nu - u/r)^2 >= 0,
 
@@ -37,7 +42,6 @@ from .fields import (
     _sphere_flux,
     _sphere_samples,
     ball_weights,
-    cell_midpoint_values,
     gradient_arrays,
     shell_average,
 )
@@ -107,29 +111,57 @@ def _cell_gradient_arrays(values: np.ndarray, h: float) -> list[np.ndarray]:
     return out
 
 
-def cell_energy_density(u: ScalarField, model: DensityModel, lam: float) -> np.ndarray:
-    """F(|grad u|^2) + lam 1{u>0} sampled per cell.
+def cell_energy_density(
+    u: ScalarField, model: DensityModel, lam: float, level: float
+) -> np.ndarray:
+    """[F(|grad u|^2) + lam] theta sampled per cell, theta the cell's phase fraction.
 
-    Gradients are cell-centered and the indicator takes the sharp sign of
-    the cell-center value (no smoothing): the quantity diagnosed here is
-    the limit functional, not the ramped one used during minimization.
-    Cell centering keeps phase boundaries that lie on node planes exact.
+    Gradients are cell-centered.  theta = sum (v_c)^+ / sum |v_c| over the
+    cell's corners c, v = u - level (0 where every v_c is zero), is the
+    fraction of the cell above the phase level: exact for a linear u across
+    an axis-aligned cut, 1 on a cell with no corner below the level and
+    some corner above it, 0 on a cell with none above.  For a field with
+    an exact zero phase (level 0, u >= 0) it is therefore the indicator of
+    a positive cell center, and cell centering keeps phase boundaries that
+    lie on node planes exact.  The quantity diagnosed here is the sharp
+    functional, not the ramped one used during minimization.
     """
-    return _energy_density(u.values, u.grid.h, model, lam)
+    return _energy_density(u.values, u.grid.h, model, lam, level)
 
 
-def _energy_density(values: np.ndarray, h: float, model: DensityModel, lam: float) -> np.ndarray:
+def _phase_fraction(values: np.ndarray, level: float) -> np.ndarray:
+    """theta of cell_energy_density for the cells spanned by a nodal array."""
+    dim = values.ndim
+    above = np.zeros(tuple(m - 1 for m in values.shape))
+    total = np.zeros_like(above)
+    for corner in range(2**dim):
+        v = values[
+            tuple(slice(1, None) if (corner >> a) & 1 else slice(None, -1) for a in range(dim))
+        ] - level
+        above += np.maximum(v, 0.0)
+        total += np.abs(v)
+    return np.divide(above, total, out=np.zeros_like(above), where=total > 0.0)
+
+
+def _energy_density(
+    values: np.ndarray, h: float, model: DensityModel, lam: float, level: float
+) -> np.ndarray:
     """cell_energy_density of the cells spanned by a nodal array."""
     grads = _cell_gradient_arrays(values, h)
     q = sum(g * g for g in grads)
-    centers = cell_midpoint_values(values)
-    return model.f(q) + lam * (centers > 0.0)
+    return _phase_fraction(values, level) * (model.f(q) + lam)
+
+
+def _above(samples: np.ndarray, level: float) -> np.ndarray:
+    """Sphere samples whose u row (row 0) becomes (u - level)^+, in place."""
+    np.maximum(np.subtract(samples[0], level, out=samples[0]), 0.0, out=samples[0])
+    return samples
 
 
 def _ball_energies(
-    u: ScalarField, model: DensityModel, lam: float, z: np.ndarray, radii
+    u: ScalarField, model: DensityModel, lam: float, level: float, z: np.ndarray, radii
 ) -> list[float]:
-    """int_{B_r(z)} [F + lam 1{u>0}] for each radius, by the cell ball rule.
+    """int_{B_r(z)} [F + lam] 1{u>level} for each radius, by the cell ball rule.
 
     The density is evaluated only on the cell window of the largest ball.  A
     cell's value depends on its own corners alone, so it is bitwise the value
@@ -139,7 +171,7 @@ def _ball_energies(
     grid = u.grid
     outer = ball_weights(grid, z, float(max(radii))).cell_window
     density = _energy_density(
-        u.values[tuple(slice(w.start, w.stop + 1) for w in outer)], grid.h, model, lam
+        u.values[tuple(slice(w.start, w.stop + 1) for w in outer)], grid.h, model, lam, level
     )
     out = []
     for r in radii:
@@ -175,15 +207,17 @@ def weiss_core(
     r: float,
     f0: float | None = None,
     n_sphere_points: int | None = None,
+    *,
+    level: float,
 ) -> float:
-    """r^{-n} int_{B_r} [F + lam 1{u>0}]  -  F0 r^{-n-1} int_{dB_r} u^2."""
+    """r^{-n} int_{B_r} [F + lam] 1{u>l}  -  F0 r^{-n-1} int_{dB_r} ((u - l)^+)^2, l = level."""
     grid = u.grid
     z = _base_point(grid, z)
     f0 = _resolve_f0(model, f0)
     grid.require_ball_inside(z, r)
-    bulk = _ball_energies(u, model, lam, z, [r])[0]
+    bulk = _ball_energies(u, model, lam, level, z, [r])[0]
     _, w, samples = _sphere_samples(_node_rows(u.values, grid), grid, z, r, n_sphere_points)
-    return _weiss(bulk, w, samples[0], f0, r, grid.dim)
+    return _weiss(bulk, w, _above(samples, level)[0], f0, r, grid.dim)
 
 
 def _weiss(bulk: float, w: np.ndarray, uvals: np.ndarray, f0: float, r: float, n: int) -> float:
@@ -225,14 +259,20 @@ def _sphere_terms(
 
 
 def _sphere_terms_of(
-    u: ScalarField, model: DensityModel, z, r: float, f0: float, n_points: int | None
+    u: ScalarField,
+    model: DensityModel,
+    z,
+    r: float,
+    f0: float,
+    n_points: int | None,
+    level: float,
 ) -> tuple[float, float]:
-    """_sphere_terms of u on one sphere, checked to lie inside the box."""
+    """_sphere_terms of (u - level)^+ on one sphere, checked to lie inside the box."""
     grid = u.grid
     z = _base_point(grid, z)
     grid.require_ball_inside(z, r)
     pts, w, samples = _sphere_samples(_sphere_rows(u), grid, z, r, n_points)
-    return _sphere_terms(model, z, r, f0, pts, w, samples)
+    return _sphere_terms(model, z, r, f0, pts, w, _above(samples, level))
 
 
 def radial_derivative(
@@ -241,13 +281,15 @@ def radial_derivative(
     z,
     r: float,
     n_sphere_points: int | None = None,
+    *,
+    level: float,
 ) -> float:
-    """(2/r^n) int_{dB_r} F'(|grad u|^2) (u_nu - u/r)^2.
+    """(2/r^n) int_{dB_r} F'(|grad u|^2) (u_nu - u/r)^2, with (u - level)^+ for u.
 
     A quadrature of a nonnegative integrand with positive weights: the
     result is nonnegative exactly, not just up to round-off.
     """
-    return _sphere_terms_of(u, model, z, r, 0.0, n_sphere_points)[0]
+    return _sphere_terms_of(u, model, z, r, 0.0, n_sphere_points, level)[0]
 
 
 def error_term(
@@ -257,10 +299,12 @@ def error_term(
     r: float,
     f0: float | None = None,
     n_sphere_points: int | None = None,
+    *,
+    level: float,
 ) -> float:
-    """(2/r^{n-1}) int_{dB_r} (F'(|grad u|^2) - F0) (u/r^2) (u_nu - u/r)."""
+    """(2/r^{n-1}) int_{dB_r} (F'(|grad u|^2) - F0) (u/r^2) (u_nu - u/r), (u - level)^+ for u."""
     f0 = _resolve_f0(model, f0)
-    return _sphere_terms_of(u, model, z, r, f0, n_sphere_points)[1]
+    return _sphere_terms_of(u, model, z, r, f0, n_sphere_points, level)[1]
 
 
 def error_term_flux(
@@ -331,11 +375,14 @@ def derivative_identity_report(
     z,
     radii,
     n_sphere_points: int | None = None,
+    *,
+    level: float,
 ) -> list[IdentityRecord]:
     """Derivative of the rescaled bulk energy against its sphere identity.
 
-    lhs: centered log-r differences of D(r) = r^{-n} int_{B_r} [F + lam 1].
-    rhs: radial_derivative plus (2/r^{n-1}) int F' (u/r^2)(u_nu - u/r).
+    lhs: centered log-r differences of D(r) = r^{-n} int_{B_r} [F + lam] 1{u>l}.
+    rhs: radial_derivative plus (2/r^{n-1}) int F' (u/r^2)(u_nu - u/r), with
+    (u - l)^+ for u on the sphere (l = level, see scan).
     The identity holds for energy-critical fields; the gap measures the
     distance from criticality plus discretization error.  Endpoint radii
     are dropped (no centered difference there).
@@ -348,7 +395,10 @@ def derivative_identity_report(
     for radius in r:
         grid.require_ball_inside(z, radius)
     bulk = np.array(
-        [b / radius**grid.dim for b, radius in zip(_ball_energies(u, model, lam, z, r), r)]
+        [
+            b / radius**grid.dim
+            for b, radius in zip(_ball_energies(u, model, lam, level, z, r), r)
+        ]
     )
     lhs_all = log_radius_derivative(bulk, r)
     rows = _sphere_rows(u)
@@ -357,7 +407,7 @@ def derivative_identity_report(
         radius = float(r[i])
         pts, w, samples = _sphere_samples(rows, grid, z, radius, n_sphere_points)
         # f0 = 0 turns T into the full F' term of the identity
-        first, second = _sphere_terms(model, z, radius, 0.0, pts, w, samples)
+        first, second = _sphere_terms(model, z, radius, 0.0, pts, w, _above(samples, level))
         rhs = first + second
         lhs = float(lhs_all[i])
         out.append(IdentityRecord(r=radius, lhs=lhs, rhs=rhs, gap=lhs - rhs))
@@ -452,12 +502,17 @@ def scan(
     g: GhostFunction,
     f0: float | None = None,
     n_sphere_points: int | None = None,
+    *,
+    level: float,
 ) -> MonotonicityReport:
     """Evaluate the corrected quantity and its diagnostics on a radius ladder.
 
-    Flags transitions where A drops by more than tol_mono, the O(h/r_min)
-    quadrature ceiling 5 (h/r_min) |A(r_max)|.  The stored violation
-    indices point at the left radius of each offending pair.
+    level is the field's phase level (see the module docstring): the bulk
+    counts the cells' fractions above it and the sphere terms read
+    (u - level)^+ for u.  Flags transitions where A drops by more than
+    tol_mono, the O(h/r_min) quadrature ceiling 5 (h/r_min) |A(r_max)|.
+    The stored violation indices point at the left radius of each
+    offending pair.
     """
     grid = u.grid
     z = _base_point(grid, z)
@@ -470,7 +525,7 @@ def scan(
         DEFAULT_SPHERE_POINTS[grid.dim] if n_sphere_points is None else n_sphere_points
     )
 
-    bulks = _ball_energies(u, model, lam, z, r)
+    bulks = _ball_energies(u, model, lam, level, z, r)
     # one gather per radius samples u, grad u and phi together
     rows = _sphere_rows(u, g.potential)
     core = np.empty(r.size)
@@ -480,6 +535,7 @@ def scan(
     for i, radius in enumerate(r):
         radius = float(radius)
         pts, w, samples = _sphere_samples(rows, grid, z, radius, n_points)
+        _above(samples, level)
         core[i] = _weiss(bulks[i], w, samples[0], f0, radius, grid.dim)
         gt[i] = _shell_mean(w, samples[-1], radius, grid.dim)
         formula[i], t_col[i] = _sphere_terms(model, z, radius, f0, pts, w, samples)

@@ -68,6 +68,7 @@ def stage_minimize(s: Scenario) -> tuple[ScalarField, dict]:
     u, rep = minimize(p, u0, tol=s.tol, max_iter=s.max_iter)
     report = {
         "iterations": rep.iterations,
+        "cg_iterations": rep.cg_iterations,
         "final_energy": rep.final_energy,
         "gradient_norm": rep.gradient_norm,
         "converged": rep.converged,
@@ -95,9 +96,11 @@ def select_points(s: Scenario, u: ScalarField) -> tuple[tuple[float, ...], ...]:
     """Points of interest with the radius ladder guaranteed to fit.
 
     Explicit points must all be feasible (GeometryError otherwise).  "auto"
-    keeps the feasible free-boundary points, in lexicographic order, then
-    takes every auto_stride-th of them, so at least one survives whenever
-    any point is feasible.
+    keeps the feasible free-boundary points, the crossings of the
+    scenario's phase level (Scenario.phase_level), in lexicographic order,
+    then takes every auto_stride-th of them, so at least one survives
+    whenever any point is feasible.  Round-off in a minimized field's zero
+    phase cannot move the crossings.
     """
     need = s.reach
     if s.points != "auto":
@@ -105,7 +108,7 @@ def select_points(s: Scenario, u: ScalarField) -> tuple[tuple[float, ...], ...]:
             s.grid.require_ball_inside(z, need)
         return tuple(s.points)
     keep = []
-    for z in free_boundary_points(u):
+    for z in free_boundary_points(u, s.phase_level):
         try:
             s.grid.require_ball_inside(z, need)
         except GeometryError:
@@ -167,7 +170,9 @@ def stage_ghost(
 
 
 def stage_scan(s: Scenario, u: ScalarField, g: GhostFunction) -> MonotonicityReport:
-    return scan(u, s.model, s.lam_value, g.base_point, s.radii(), g, f0=g.f0)
+    return scan(
+        u, s.model, s.lam_value, g.base_point, s.radii(), g, f0=g.f0, level=s.phase_level
+    )
 
 
 def stage_blowup(s: Scenario, u: ScalarField, z) -> dict:

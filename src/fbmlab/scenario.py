@@ -20,7 +20,7 @@ import numpy as np
 from .density import DensityModel, bernoulli_lambda
 from .errors import GeometryError, ScenarioError
 from .fields import Grid, geometric_radii
-from .minimizer import BoundaryData, Problem
+from .minimizer import BoundaryData, Problem, ramp_free_boundary
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -274,6 +274,19 @@ class Scenario:
     @property
     def eps(self) -> float:
         return self.eps_factor * self.grid.h
+
+    @property
+    def phase_level(self) -> float:
+        """The level that separates the field's phases for the diagnostics.
+
+        A scenario that names a field file diagnoses a field with an exact
+        zero phase: 0.  Otherwise the field is the minimizer of the ramped
+        energy, whose zero phase is a positive tail, and the level is
+        minimizer.ramp_free_boundary(eps), where the affine part of the
+        ramped profile vanishes.  A field read back with --field belongs to
+        the scenario, so it gets the scenario's level.
+        """
+        return 0.0 if self.field_path is not None else ramp_free_boundary(self.eps)
 
     @property
     def reach(self) -> float:

@@ -79,7 +79,7 @@ def halfplane_scan(n: int):
     u = ScalarField(grid, np.maximum(grid.node_mesh()[2], 0.0))
     flux = flux_field(u, LINEAR, ORIGIN3)
     g = neumann_solve(flux)
-    report = scan(u, LINEAR, 1.0, ORIGIN3, geometric_radii(0.15, 0.4, 1.1), g)
+    report = scan(u, LINEAR, 1.0, ORIGIN3, geometric_radii(0.15, 0.4, 1.1), g, level=0.0)
     return u, g, report, perf_counter() - t0
 
 
@@ -146,7 +146,7 @@ def test_02_derivative_smallness_and_cone_oracle(halfplane48, quad3d):
     bound = 0.05 * np.abs(rep.a) / rep.r
     worst_formula = float(np.max(np.abs(rep.a_prime_formula) / bound))
     worst_fd = float(np.max(np.abs(rep.a_prime_fd) / bound))
-    ap = radial_derivative(uq, LINEAR, ORIGIN3, 0.5)
+    ap = radial_derivative(uq, LINEAR, ORIGIN3, 0.5, level=0.0)
     target = 4.0 * math.pi
     cone_rel = abs(ap - target) / target
     elapsed = dt48 + dtq + (perf_counter() - t0)
@@ -173,7 +173,7 @@ def test_03_linear_density_degeneration():
     u = ScalarField(grid, np.sin(2.0 * x) + 0.5 * np.cos(3.0 * y))
     flux = flux_field(u, LINEAR, ORIGIN2)
     g = neumann_solve(flux)
-    rep = scan(u, LINEAR, 0.7, ORIGIN2, geometric_radii(0.1, 0.4, 1.3), g)
+    rep = scan(u, LINEAR, 0.7, ORIGIN2, geometric_radii(0.1, 0.4, 1.3), g, level=0.0)
     flux_zero = not np.any(flux.field.values)
     phi_zero = not np.any(g.potential.values) and g.iterations == 0
     t_zero = not np.any(rep.t)
@@ -285,7 +285,7 @@ def test_05_error_term_form_equivalence(minimized2d):
         flux = flux_field(u, s.model, z)
         for r in radii:
             gap = abs(
-                error_term(u, s.model, z, r, f0=f0) - error_term_flux(flux, r)
+                error_term(u, s.model, z, r, f0=f0, level=0.0) - error_term_flux(flux, r)
             )
             tol_q = interp_sensitivity(u, s.model, f0, flux, z, r)
             ok = ok and gap <= 2.0 * tol_q

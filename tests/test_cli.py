@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fbmlab.cli import main, parse_point
 from fbmlab.errors import ScenarioError
-from fbmlab.fieldio import read_csv
+from fbmlab.fieldio import read_csv, write_field
+from fbmlab.fields import Grid, ScalarField
 from fbmlab.pipeline import run_pipeline
 from fbmlab.scenario import Scenario
 
@@ -158,6 +160,18 @@ class TestExitCodes:
         ])
         assert rc == 3
         assert "solver" in capsys.readouterr().err
+
+    def test_nonfinite_start_exits_3(self, tmp_path, capsys):
+        # a stored start with a NaN node: the minimizer reports a solver
+        # failure, no density error escapes
+        grid = Grid((-0.75, -0.75), (0.75, 0.75), (48, 48))
+        values = np.maximum(grid.node_mesh()[1], 0.0)
+        values[24, 24] = np.nan
+        write_field(ScalarField(grid, values), tmp_path / "start.bin")
+        cfg = write_config(tmp_path, boundary={"kind": "file", "path": str(tmp_path / "start.bin")})
+        rc = main(["minimize", "--config", str(cfg), "--out", str(tmp_path / "f.bin")])
+        assert rc == 3
+        assert "not finite" in capsys.readouterr().err
 
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2

@@ -17,17 +17,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
+from fbmlab.blowup import homogeneity_deviation
 from fbmlab.errors import GeometryError
 from fbmlab.fields import (
     Grid,
     ScalarField,
     VectorField,
     _ball_weights,
+    add_edge_means,
+    edge_differences,
+    edge_differences_transpose,
+    edge_gradient_square,
+    edge_means_transpose,
     _interp_core,
     _node_rows,
     _unit_sphere,
     ball_integral,
-    ball_integral_cells,
     ball_volume,
     ball_weights,
     free_boundary_points,
@@ -39,7 +44,7 @@ from fbmlab.fields import (
     shell_average,
     sphere_quadrature,
 )
-from fbmlab.minimizer import _ramp
+from fbmlab.minimizer import ramp, ramp_free_boundary
 
 
 def box_grid(dim, n, half=1.0):
@@ -263,6 +268,50 @@ class TestFlatOffsetStencils:
         transpose = gradient_transpose(v, 0, h)
         assert transpose.tobytes() == frozen_gradient_transpose(v, 0, h).tobytes()
         assert np.sum(d * v) == pytest.approx(np.sum(values * transpose), rel=1e-12, abs=1e-12)
+
+
+class TestEdgeStencils:
+    """The minimized energy's edge quotients, their node means and adjoints."""
+
+    @pytest.mark.parametrize("shape", [(7, 9), (5, 6, 8)])
+    def test_adjoints(self, shape):
+        rng = np.random.default_rng(3)
+        u, x = rng.standard_normal(shape), rng.standard_normal(shape)
+        for axis in range(len(shape)):
+            e = edge_differences(u, axis, 0.3, out=np.empty(shape))
+            assert not np.any(e.swapaxes(0, axis)[-1])
+            v = edge_differences(x, axis, 0.3, out=np.empty(shape))
+            back = edge_differences_transpose(v, axis, 0.3, out=np.empty(shape))
+            assert np.vdot(e, v) == pytest.approx(np.vdot(u, back), rel=1e-12)
+            acc = np.zeros(shape)
+            add_edge_means(e.copy(), axis, acc)
+            spread = edge_means_transpose(x, axis, out=np.empty(shape))
+            assert np.vdot(acc, x) == pytest.approx(np.vdot(e, spread), rel=1e-12)
+
+    def test_square_gradient_sees_the_checkerboard(self):
+        # the centered difference of (-1)^k is zero inside; the edges see it
+        shape = (9, 9)
+        i, j = np.indices(shape)
+        u = (-1.0) ** (i + j)
+        inside = (slice(1, -1),) * 2
+        assert not np.any(sum(g * g for g in gradient_arrays(u, 1.0))[inside])
+        q = edge_gradient_square(u, 1.0, [np.empty(shape) for _ in range(2)], np.empty(shape),
+                                 np.empty(shape))
+        assert np.all(q == 8.0)
+
+    def test_square_gradient_of_an_affine_field(self):
+        g = box_grid(3, 6)
+        x, y, z = g.node_mesh()
+        u = 0.5 * x - 2.0 * y + z
+        shape = g.node_shape
+        q = edge_gradient_square(u, g.h, [np.empty(shape) for _ in range(3)], np.empty(shape),
+                                 np.empty(shape))
+        assert np.allclose(q, 5.25, rtol=1e-12)
+
+    def test_rejects_strided_buffers(self):
+        u = np.zeros((6, 6))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            edge_differences(u, 0, 1.0, out=np.zeros((6, 12))[:, ::2])
 
 
 class TestInterpolation:
@@ -604,10 +653,23 @@ class TestBallWeights:
         want = reference_ball_integral(f, z, r, ex)
         assert ball_integral(f, z, r, exclude_radius=ex) == pytest.approx(want, rel=1e-13)
         want = reference_ball_integral_cells(cells, g, z, r, ex)
-        got = ball_integral_cells(cells, g, z, r, exclude_radius=ex)
+        bw = ball_weights(g, z, r, exclude_radius=ex)
+        got = g.h**dim * np.sum(bw.cells * cells[bw.cell_window])
         assert got == pytest.approx(want, rel=1e-13)
         want = reference_ball_integral_cells(ones, g, z, r, ex)
         assert ball_volume(g, z, r, exclude_radius=ex) == pytest.approx(want, rel=1e-13)
+
+    def test_base_point_needs_one_coordinate_per_axis(self):
+        # an extra coordinate used to be dropped silently
+        g = box_grid(2, 16)
+        f = self.field(g)
+        for z in [(0.1, 0.0, 7.0), (0.1,)]:
+            with pytest.raises(ValueError, match="base point dimension mismatch"):
+                ball_integral(f, z, 0.5)
+            with pytest.raises(ValueError, match="base point dimension mismatch"):
+                ball_volume(g, z, 0.5)
+            with pytest.raises(ValueError, match="base point dimension mismatch"):
+                homogeneity_deviation(f, z, 0.5)
 
     def test_window_touches_box_face(self):
         g = box_grid(2, 16)
@@ -721,18 +783,44 @@ class TestBallWeightsPerAxisDistances:
 
 class TestIndicatorAndCrossings:
     def test_ramp_values(self):
-        # the minimizer's smoothed indicator of {u > 0}
-        f = sample(box_grid(2, 4), lambda x, y: x).values
-        ind = _ramp(f, 0.5)
+        # the minimizer's C^1 indicator of {u > 0}: s^2 (3 - 2 s), s = u / eps
+        f = sample(box_grid(2, 8), lambda x, y: x).values
+        eps = 0.5
+        ind = ramp(f, eps)
         assert np.all(ind[f <= 0] == 0.0)
-        assert np.all(ind[f >= 0.5] == 1.0)
-        mid = (f > 0) & (f < 0.5)
-        assert np.allclose(ind[mid], f[mid] / 0.5)
+        assert np.all(ind[f >= eps] == 1.0)
+        mid = (f > 0) & (f < eps)
+        s = f[mid] / eps
+        assert np.allclose(ind[mid], s * s * (3.0 - 2.0 * s), rtol=0, atol=1e-15)
+
+    def test_free_boundary_level_is_where_the_affine_part_vanishes(self):
+        # the ramped profile u' = sqrt(H(u)) climbs from s* eps to eps over
+        # exactly the width eps that its affine part needs from 0 to eps
+        s_star = ramp_free_boundary(1.0)
+        width, _ = integrate.quad(lambda u: 1.0 / np.sqrt(ramp(np.array(u), 1.0)), s_star, 1.0)
+        assert width == pytest.approx(1.0, rel=1e-9)
+        assert ramp_free_boundary(0.25) == 0.25 * s_star
+
+    def test_ramp_derivatives_match_differences(self):
+        eps = 0.3
+        t = np.linspace(-0.1, 0.4, 1001)
+        t = t[np.min(np.abs(t[:, None] - np.array([0.0, eps])), axis=1) > 1e-3]
+        d = 1e-6
+        for order in (1, 2):
+            fd = (ramp(t + d, eps, order - 1) - ramp(t - d, eps, order - 1)) / (2 * d)
+            assert np.allclose(ramp(t, eps, order), fd, rtol=0, atol=1e-4 / eps**order)
+
+    def test_midpoint_level_crossings(self):
+        # the crossings of u = level of the half-plane profile x sit at x = level
+        g = box_grid(2, 16)
+        pts = free_boundary_points(sample(g, lambda x, y: x), level=0.3)
+        assert pts.shape == (g.n_cells[1] + 1, 2)
+        assert np.max(np.abs(pts[:, 0] - 0.3)) < 1e-12
 
     def test_halfplane_crossings(self):
         g = box_grid(2, 16)
         f = sample(g, lambda x, y: x)
-        pts = free_boundary_points(f)
+        pts = free_boundary_points(f, 0.0)
         # one crossing per horizontal edge row, all on the line x = 0
         assert pts.shape == (g.n_cells[1] + 1, 2)
         assert np.max(np.abs(pts[:, 0])) < 1e-12
@@ -742,12 +830,12 @@ class TestIndicatorAndCrossings:
     def test_positive_field_no_crossings(self):
         g = box_grid(2, 8)
         f = sample(g, lambda x, y: np.ones_like(x))
-        assert free_boundary_points(f).shape == (0, 2)
+        assert free_boundary_points(f, 0.0).shape == (0, 2)
 
     def test_circle_crossings_near_radius(self):
         g = box_grid(2, 64)
         f = sample(g, lambda x, y: np.sqrt(x * x + y * y) - 0.5)
-        pts = free_boundary_points(f)
+        pts = free_boundary_points(f, 0.0)
         assert len(pts) > 50
         radii = np.linalg.norm(pts, axis=1)
         assert np.max(np.abs(radii - 0.5)) < g.h
@@ -758,7 +846,7 @@ class TestIndicatorAndCrossings:
         vals[:, :] = -1.0
         vals[0, :] = 3.0  # crossing on the first x-edge at t = 3/4
         f = ScalarField(g, vals)
-        pts = free_boundary_points(f)
+        pts = free_boundary_points(f, 0.0)
         xs = np.unique(pts[:, 0])
         assert xs == pytest.approx([0.75 * 0.25], abs=1e-12)
 

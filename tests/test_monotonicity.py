@@ -10,7 +10,6 @@ from fbmlab import monotonicity
 from fbmlab.fields import (
     Grid,
     ScalarField,
-    ball_integral_cells,
     ball_weights,
     geometric_radii,
     shell_average,
@@ -72,7 +71,7 @@ def halfplane_scan(halfplane3):
     flux = flux_field(halfplane3, LINEAR, ORIGIN3)
     g = neumann_solve(flux)
     radii = geometric_radii(0.15, 0.4, 1.1)
-    return scan(halfplane3, LINEAR, 1.0, ORIGIN3, radii, g)
+    return scan(halfplane3, LINEAR, 1.0, ORIGIN3, radii, g, level=0.0)
 
 
 def zero_ghost(grid: Grid, z, f0: float = 1.0) -> GhostFunction:
@@ -89,33 +88,64 @@ def zero_ghost(grid: Grid, z, f0: float = 1.0) -> GhostFunction:
 class TestWeissCore:
     def test_zero_field(self, grid3):
         u = ScalarField(grid3, np.zeros(grid3.node_shape))
-        assert weiss_core(u, LINEAR, 1.0, ORIGIN3, 0.3) == 0.0
+        assert weiss_core(u, LINEAR, 1.0, ORIGIN3, 0.3, level=0.0) == 0.0
 
     def test_halfplane_value(self, halfplane3):
         # bulk (F(1)+lam) over the half ball minus the surface moment of
         # (w.e)+^2 gives (|B1|/2)(F(1)+lam-F0) = 2 pi/3 here
         target = 2.0 * np.pi / 3.0
         for r in (0.15, 0.25, 0.4):
-            value = weiss_core(halfplane3, LINEAR, 1.0, ORIGIN3, r)
+            value = weiss_core(halfplane3, LINEAR, 1.0, ORIGIN3, r, level=0.0)
             assert value == pytest.approx(target, rel=1e-2)
 
     def test_scale_invariance_for_degree_one(self, halfplane3):
-        a = weiss_core(halfplane3, LINEAR, 1.0, ORIGIN3, 0.2)
-        b = weiss_core(halfplane3, LINEAR, 1.0, ORIGIN3, 0.4)
+        a = weiss_core(halfplane3, LINEAR, 1.0, ORIGIN3, 0.2, level=0.0)
+        b = weiss_core(halfplane3, LINEAR, 1.0, ORIGIN3, 0.4, level=0.0)
         assert abs(a - b) <= 0.01
 
     def test_ball_must_fit(self, halfplane3):
         with pytest.raises(GeometryError):
-            weiss_core(halfplane3, LINEAR, 1.0, ORIGIN3, 1.5)
+            weiss_core(halfplane3, LINEAR, 1.0, ORIGIN3, 1.5, level=0.0)
 
     def test_cell_density_halfplane_exact(self, halfplane3):
         # phase boundary on a node plane: cell gradients and signs are exact
-        density = cell_energy_density(halfplane3, LINEAR, 1.0)
+        density = cell_energy_density(halfplane3, LINEAR, 1.0, 0.0)
         n_half = density.shape[0] // 2
         assert np.all(density[:n_half] == 0.0)
         # the indicator part is exact; F(|grad u|^2) carries only the ulp
         # noise of the node coordinates themselves
         assert np.allclose(density[n_half:], 2.0, rtol=0.0, atol=1e-12)
+
+    def test_cell_density_of_an_exact_zero_phase_is_the_center_sign_rule(self):
+        # u >= 0 at level 0: the phase fraction is 1 on a cell with a positive
+        # corner and 0 elsewhere, bit for bit the indicator of a positive center
+        grid = box_grid(3, 24)
+        x, y, z = grid.node_mesh()
+        u = ScalarField(grid, np.maximum(z - 0.1 * np.cos(3.0 * x) * np.sin(2.0 * y), 0.0))
+        density = cell_energy_density(u, ARCTAN, 0.7, 0.0)
+        grads = monotonicity._cell_gradient_arrays(u.values, grid.h)
+        centers = u.values
+        for a in range(3):
+            lo = [slice(None)] * 3
+            hi = [slice(None)] * 3
+            lo[a], hi[a] = slice(None, -1), slice(1, None)
+            centers = 0.5 * (centers[tuple(lo)] + centers[tuple(hi)])
+        want = ARCTAN.f(sum(g * g for g in grads)) + 0.7 * (centers > 0.0)
+        assert density.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("level", [0.0, 0.03])
+    def test_cell_density_counts_the_fraction_above_the_level(self, level):
+        # u - level is linear across z, cut inside one cell layer: that layer
+        # counts the share of its height above the level
+        grid = box_grid(3, 8)
+        z = grid.node_mesh()[2]
+        cut = 0.1
+        u = ScalarField(grid, z - cut + level)
+        density = cell_energy_density(u, LINEAR, 1.0, level)
+        lower = grid.axis_nodes(2)[:-1]
+        share = np.clip((lower + grid.h - cut) / grid.h, 0.0, 1.0)
+        assert 0.0 < share[4] < 1.0
+        assert np.allclose(density, 2.0 * share[None, None, :], rtol=0.0, atol=1e-12)
 
 
 class TestMonotonicityValue:
@@ -123,44 +153,44 @@ class TestMonotonicityValue:
 
     def test_linear_ghost_is_identity(self, halfplane3):
         g = zero_ghost(halfplane3.grid, ORIGIN3)
-        core = weiss_core(halfplane3, LINEAR, 1.0, ORIGIN3, 0.25)
-        assert scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.25], g).a[0] == core
+        core = weiss_core(halfplane3, LINEAR, 1.0, ORIGIN3, 0.25, level=0.0)
+        assert scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.25], g, level=0.0).a[0] == core
 
     def test_zero_field(self, grid3):
         u = ScalarField(grid3, np.zeros(grid3.node_shape))
         g = zero_ghost(grid3, ORIGIN3)
-        assert scan(u, LINEAR, 1.0, ORIGIN3, [0.3], g).a[0] == 0.0
+        assert scan(u, LINEAR, 1.0, ORIGIN3, [0.3], g, level=0.0).a[0] == 0.0
 
     def test_base_point_mismatch_raises(self, halfplane3):
         g = zero_ghost(halfplane3.grid, (0.25, 0.0, 0.0))
         with pytest.raises(ValueError, match="base point"):
-            scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.25], g)
+            scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.25], g, level=0.0)
 
     def test_reference_slope_mismatch_raises(self, halfplane3):
         g = zero_ghost(halfplane3.grid, ORIGIN3, f0=2.0)
         with pytest.raises(ValueError, match="slope"):
-            scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.25], g)
+            scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.25], g, level=0.0)
 
 
 class TestRadialDerivative:
     def test_quadratic_oracle(self, quadratic3):
         # u = |x|^2: u_nu - u/r = 2r - r = r, so the value is 8 pi r F'(4 r^2)
-        value = radial_derivative(quadratic3, LINEAR, ORIGIN3, 0.5)
+        value = radial_derivative(quadratic3, LINEAR, ORIGIN3, 0.5, level=0.0)
         assert value == pytest.approx(4.0 * np.pi, rel=2e-2)
 
     def test_quadratic_oracle_perturbed_model(self, quadratic3):
         r = 0.5
         target = 8.0 * np.pi * r * float(ARCTAN.df(4.0 * r * r))
-        value = radial_derivative(quadratic3, ARCTAN, ORIGIN3, r)
+        value = radial_derivative(quadratic3, ARCTAN, ORIGIN3, r, level=0.0)
         assert value == pytest.approx(target, rel=2e-2)
 
     def test_degree_one_vanishes(self, cone3):
         for r in (0.2, 0.35):
-            assert radial_derivative(cone3, LINEAR, ORIGIN3, r) <= 1e-2
+            assert radial_derivative(cone3, LINEAR, ORIGIN3, r, level=0.0) <= 1e-2
 
     def test_zero_field(self, grid3):
         u = ScalarField(grid3, np.zeros(grid3.node_shape))
-        assert radial_derivative(u, LINEAR, ORIGIN3, 0.3) == 0.0
+        assert radial_derivative(u, LINEAR, ORIGIN3, 0.3, level=0.0) == 0.0
 
     def test_nonnegative_for_arbitrary_fields(self):
         grid = box_grid(2, 24)
@@ -168,16 +198,16 @@ class TestRadialDerivative:
         for _ in range(10):
             u = ScalarField(grid, rng.normal(size=grid.node_shape))
             # sum of nonnegative quadrature terms: nonnegative exactly
-            assert radial_derivative(u, ARCTAN, ORIGIN2, 0.4) >= 0.0
+            assert radial_derivative(u, ARCTAN, ORIGIN2, 0.4, level=0.0) >= 0.0
 
 
 class TestErrorTerm:
     def test_linear_model_exact_zero(self, quadratic3):
-        assert error_term(quadratic3, LINEAR, ORIGIN3, 0.5) == 0.0
+        assert error_term(quadratic3, LINEAR, ORIGIN3, 0.5, level=0.0) == 0.0
 
     def test_degree_one_vanishes(self, cone3):
         for r in (0.2, 0.35):
-            assert abs(error_term(cone3, ARCTAN, ORIGIN3, r)) <= 1e-3
+            assert abs(error_term(cone3, ARCTAN, ORIGIN3, r, level=0.0)) <= 1e-3
 
     def test_quadratic_closed_form(self):
         grid = box_grid(2, 192)
@@ -187,7 +217,7 @@ class TestErrorTerm:
         # u_nu - u/r = r and u/r^2 = 1 on the sphere, so
         # T = 4 pi r (F'(4 r^2) - F'(1))
         target = 4.0 * np.pi * r * (float(ARCTAN.df(4 * r * r)) - float(ARCTAN.df(1.0)))
-        assert error_term(u, ARCTAN, ORIGIN2, r) == pytest.approx(target, rel=1e-6)
+        assert error_term(u, ARCTAN, ORIGIN2, r, level=0.0) == pytest.approx(target, rel=1e-6)
 
     def test_flux_form_agrees(self):
         grid = box_grid(2, 192)
@@ -195,7 +225,7 @@ class TestErrorTerm:
         u = ScalarField(grid, x * x + y * y)
         flux = flux_field(u, ARCTAN, ORIGIN2)
         for r in (0.4, 0.6):
-            a = error_term(u, ARCTAN, ORIGIN2, r)
+            a = error_term(u, ARCTAN, ORIGIN2, r, level=0.0)
             b = error_term_flux(flux, r)
             assert b == pytest.approx(a, rel=1e-3)
 
@@ -211,12 +241,13 @@ class TestErrorTerm:
 class TestDerivativeIdentity:
     def test_zero_field_exact(self, grid3):
         u = ScalarField(grid3, np.zeros(grid3.node_shape))
-        for rec in derivative_identity_report(u, LINEAR, 1.0, ORIGIN3, [0.2, 0.25, 0.3]):
+        radii = [0.2, 0.25, 0.3]
+        for rec in derivative_identity_report(u, LINEAR, 1.0, ORIGIN3, radii, level=0.0):
             assert rec.lhs == 0.0 and rec.rhs == 0.0 and rec.gap == 0.0
 
     def test_halfplane_both_sides_small(self, halfplane3):
         radii = geometric_radii(0.15, 0.4, 1.1)
-        records = derivative_identity_report(halfplane3, LINEAR, 1.0, ORIGIN3, radii)
+        records = derivative_identity_report(halfplane3, LINEAR, 1.0, ORIGIN3, radii, level=0.0)
         assert records
         for rec in records:
             assert abs(rec.lhs) <= 0.3
@@ -226,12 +257,12 @@ class TestDerivativeIdentity:
         # |x|^2 is not energy critical; the defect has the closed form
         # -48 pi r / 5, and the report must show it rather than hide it
         radii = np.array([0.4, 0.45, 0.5, 0.55, 0.6])
-        for rec in derivative_identity_report(quadratic3, LINEAR, 1.0, ORIGIN3, radii):
+        for rec in derivative_identity_report(quadratic3, LINEAR, 1.0, ORIGIN3, radii, level=0.0):
             assert rec.gap == pytest.approx(-48.0 * np.pi * rec.r / 5.0, rel=0.05)
 
     def test_needs_three_radii(self, halfplane3):
         with pytest.raises(ValueError):
-            derivative_identity_report(halfplane3, LINEAR, 1.0, ORIGIN3, [0.2, 0.3])
+            derivative_identity_report(halfplane3, LINEAR, 1.0, ORIGIN3, [0.2, 0.3], level=0.0)
 
 
 class TestLogRadiusDerivative:
@@ -283,7 +314,7 @@ class TestScan:
 
     def test_single_radius(self, halfplane3):
         g = zero_ghost(halfplane3.grid, ORIGIN3)
-        rep = scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.25], g)
+        rep = scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.25], g, level=0.0)
         assert rep.r.size == 1
         assert rep.violations == ()
         assert np.isnan(rep.a_prime_fd[0])
@@ -291,13 +322,13 @@ class TestScan:
     def test_unsorted_radii_raise(self, halfplane3):
         g = zero_ghost(halfplane3.grid, ORIGIN3)
         with pytest.raises(ValueError, match="increasing"):
-            scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.3, 0.2], g)
+            scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.3, 0.2], g, level=0.0)
 
     @pytest.mark.parametrize("r", [-0.5, float("nan")])
     def test_nan_radius_raises_like_negative(self, halfplane3, r):
         g = zero_ghost(halfplane3.grid, ORIGIN3)
         with pytest.raises(ValueError, match="radii must be positive"):
-            scan(halfplane3, LINEAR, 1.0, ORIGIN3, [r], g)
+            scan(halfplane3, LINEAR, 1.0, ORIGIN3, [r], g, level=0.0)
 
 
     def test_corrupted_ghost_flags_violation(self):
@@ -315,7 +346,7 @@ class TestScan:
             iterations=0,
         )
         radii = geometric_radii(0.15, 0.39, 1.1)
-        rep = scan(u, LINEAR, 1.0, ORIGIN2, radii, bad)
+        rep = scan(u, LINEAR, 1.0, ORIGIN2, radii, bad, level=0.0)
         assert rep.violations != ()
         i = rep.violations[0]
         assert rep.a[i + 1] < rep.a[i] - rep.tol_mono
@@ -344,13 +375,13 @@ def assert_columns_match_single_radius_terms(u, z, phi, radii):
         potential=phi, base_point=z, f0=0.9, cap_radius=0.5 * u.grid.h,
         residual=0.0, iterations=0,
     )
-    rep = scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9)
+    rep = scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9, level=0.0)
     assert np.any(rep.t != 0.0) and np.any(rep.ghost_term != 0.0)
     for i, r in enumerate(radii):
-        assert rep.weiss_core[i] == weiss_core(u, ARCTAN, 0.7, z, r, f0=0.9)
+        assert rep.weiss_core[i] == weiss_core(u, ARCTAN, 0.7, z, r, f0=0.9, level=0.0)
         assert rep.ghost_term[i] == shell_average(phi, z, r)
-        assert rep.a_prime_formula[i] == radial_derivative(u, ARCTAN, z, r)
-        assert rep.t[i] == error_term(u, ARCTAN, z, r, f0=0.9)
+        assert rep.a_prime_formula[i] == radial_derivative(u, ARCTAN, z, r, level=0.0)
+        assert rep.t[i] == error_term(u, ARCTAN, z, r, f0=0.9, level=0.0)
 
 
 class TestSphereKernel:
@@ -362,10 +393,10 @@ class TestSphereKernel:
 
     def test_derivative_identity_uses_the_same_terms(self):
         u, z, _, radii = arctan_case_2d()
-        records = derivative_identity_report(u, ARCTAN, 0.7, z, radii)
+        records = derivative_identity_report(u, ARCTAN, 0.7, z, radii, level=0.0)
         for rec in records:
-            want = radial_derivative(u, ARCTAN, z, rec.r) + error_term(
-                u, ARCTAN, z, rec.r, f0=0.0
+            want = radial_derivative(u, ARCTAN, z, rec.r, level=0.0) + error_term(
+                u, ARCTAN, z, rec.r, f0=0.0, level=0.0
             )
             assert rec.rhs == want
 
@@ -373,13 +404,17 @@ class TestSphereKernel:
         u, z, phi, radii = arctan_case_2d()
         g = zero_ghost(box_grid(2, 48), z, f0=0.9)
         with pytest.raises(ValueError, match="different grids"):
-            scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9)
+            scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9, level=0.0)
 
 
-def full_grid_ball_energies(u, model, lam, z, radii):
+def full_grid_ball_energies(u, model, lam, level, z, radii):
     """The bulk integrals from the full-grid density, as the scan formed them before."""
-    density = cell_energy_density(u, model, lam)
-    return [ball_integral_cells(density, u.grid, z, r) for r in radii]
+    density = cell_energy_density(u, model, lam, level)
+    out = []
+    for r in radii:
+        bw = ball_weights(u.grid, z, r)
+        out.append(float(u.grid.h**u.grid.dim * np.sum(bw.cells * density[bw.cell_window])))
+    return out
 
 
 def face_case_2d():
@@ -399,16 +434,23 @@ class TestDensityWindow:
             potential=phi, base_point=z, f0=0.9, cap_radius=0.5 * u.grid.h,
             residual=0.0, iterations=0,
         )
-        got = scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9)
-        cores = [weiss_core(u, ARCTAN, 0.7, z, r, f0=0.9) for r in radii]
-        identity = derivative_identity_report(u, ARCTAN, 0.7, z, radii)
-        monkeypatch.setattr(monotonicity, "_ball_energies", full_grid_ball_energies)
-        want = scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9)
-        for name, col in want.columns.items():
-            assert got.columns[name].tobytes() == col.tobytes(), name
-        assert cores == [weiss_core(u, ARCTAN, 0.7, z, r, f0=0.9) for r in radii]
-        assert identity == derivative_identity_report(u, ARCTAN, 0.7, z, radii)
-        assert cores == list(got.weiss_core)
+        # a cell's phase fraction reads only its own corners, at any level
+        for level in (0.0, 0.05):
+            with monkeypatch.context() as m:
+                got = scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9, level=level)
+                cores = [weiss_core(u, ARCTAN, 0.7, z, r, f0=0.9, level=level) for r in radii]
+                identity = derivative_identity_report(u, ARCTAN, 0.7, z, radii, level=level)
+                m.setattr(monotonicity, "_ball_energies", full_grid_ball_energies)
+                want = scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9, level=level)
+                for name, col in want.columns.items():
+                    assert got.columns[name].tobytes() == col.tobytes(), name
+                assert cores == [
+                    weiss_core(u, ARCTAN, 0.7, z, r, f0=0.9, level=level) for r in radii
+                ]
+                assert identity == derivative_identity_report(
+                    u, ARCTAN, 0.7, z, radii, level=level
+                )
+                assert cores == list(got.weiss_core)
 
     def test_face_case_reaches_the_face(self):
         u, z, _, radii = face_case_2d()
@@ -442,7 +484,7 @@ class TestReportsCopyInputs:
     def test_scan_leaves_radii_writable(self, halfplane3):
         radii = np.array([0.2, 0.25])
         g = zero_ghost(halfplane3.grid, ORIGIN3)
-        rep = scan(halfplane3, LINEAR, 1.0, ORIGIN3, radii, g)
+        rep = scan(halfplane3, LINEAR, 1.0, ORIGIN3, radii, g, level=0.0)
         assert radii.flags.writeable
         assert not rep.r.flags.writeable
 

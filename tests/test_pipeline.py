@@ -9,7 +9,8 @@ import pytest
 from fbmlab.errors import GeometryError, ScenarioError
 from fbmlab.fieldio import read_csv, read_field, write_csv, write_field
 from fbmlab.fields import Grid, ScalarField, _ball_weights, _unit_sphere
-from fbmlab.ghost import _axis_modes, flux_field, weak_divergence_residual
+from fbmlab.fastdiag import neumann_modes
+from fbmlab.ghost import flux_field, weak_divergence_residual
 from fbmlab.monotonicity import write_report_csv
 from fbmlab.pipeline import (
     _thread_count,
@@ -25,7 +26,8 @@ from fbmlab.pipeline import (
     stage_scan,
     write_ghost,
 )
-from fbmlab.scenario import Scenario
+from fbmlab.minimizer import ramp_free_boundary
+from fbmlab.scenario import Scenario, load_scenario
 
 TINY = {
     "schema_version": 1,
@@ -125,12 +127,12 @@ class TestDeterminism:
         out, _ = first_run
         s = tiny_scenario(
             field_path=str(out / "field.bin"),
-            points_of_interest=[[-0.25, 0.0], [0.25, 0.03125]],
+            points_of_interest=[[-0.25, 0.0], [0.25, -0.03125]],
         )
         trees = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("FBMLAB_THREADS", threads)
-            _axis_modes.cache_clear()
+            neumann_modes.cache_clear()
             _ball_weights.cache_clear()
             _unit_sphere.cache_clear()
             summary = run_pipeline(s, tmp_path / threads)
@@ -207,6 +209,19 @@ class TestSelectPoints:
         for z in pts:
             assert abs(z[1]) < 4 * s.grid.h
 
+    def test_round_off_does_not_move_auto_points(self, first_run):
+        # the zero phase holds round-off of either sign; the crossings of the
+        # ramp midpoint eps/2 lie far above it
+        out, _ = first_run
+        u, _ = read_field(out / "field.bin")
+        s = tiny_scenario()
+        noise = 1e-11 * np.random.default_rng(0).standard_normal(u.values.shape)
+        base = np.asarray(select_points(s, u))
+        for sign in (1.0, -1.0):
+            pts = np.asarray(select_points(s, ScalarField(u.grid, u.values + sign * noise)))
+            assert pts.shape == base.shape
+            assert np.allclose(pts, base, rtol=0.0, atol=1e-9)
+
     def test_auto_stride_applies_after_feasibility(self):
         # 49 crossings along y = 0; the two ends are infeasible, and a stride
         # taken before the feasibility filter would land on nothing else
@@ -263,3 +278,31 @@ class TestThreadCount:
     def test_unset_is_serial(self, monkeypatch):
         monkeypatch.delenv("FBMLAB_THREADS", raising=False)
         assert _thread_count() == 1
+
+
+SCENARIO_3D = Path(__file__).resolve().parent.parent / "scenarios" / "halfplane_linear_3d.json"
+
+
+class TestPhaseLevel:
+    def test_minimized_scenario_uses_the_ramped_free_boundary(self, tmp_path):
+        s = tiny_scenario()
+        assert s.phase_level == ramp_free_boundary(s.eps)
+        assert 0.0 < s.phase_level < s.eps
+        stored = tiny_scenario(field_path=str(tmp_path / "u.bin"))
+        assert stored.phase_level == 0.0
+
+    def test_bundled_3d_minimizer_scans_to_the_half_plane_value(self):
+        # the minimized field has no zero phase (a positive tail decays below
+        # the free boundary); scanned at the phase level, A(r) is constant at
+        # every auto point and sits near the half-plane value 2 pi / 3
+        s = load_scenario(SCENARIO_3D)
+        u, report = stage_minimize(s)
+        assert report["stop_reason"] == "gradient_tol"
+        points = select_points(s, u)
+        assert len(points) >= 3
+        for z in points:
+            g, _ = stage_ghost(s, u, z)
+            a = stage_scan(s, u, g).a
+            med = float(np.median(a))
+            assert np.max(np.abs(a - med)) <= 0.025 * med
+            assert med == pytest.approx(2.0 * np.pi / 3.0, rel=0.05)
