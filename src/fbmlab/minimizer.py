@@ -21,9 +21,11 @@ first and second derivatives of E, zeroed on the fixed boundary nodes.
 
 minimize is a truncated Newton method (Nocedal & Wright, Numerical
 Optimization, ch. 7.1): each step solves the Newton system inexactly by
-conjugate gradients preconditioned with the edge Laplacian on the interior
-nodes, which fast diagonalization inverts directly (Lynch, Rice & Thomas
-1964), and then backtracks until the Armijo test certifies a decrease.
+conjugate gradients and then backtracks until the Armijo test certifies a
+decrease.  The preconditioner is the nearest separable operator to the
+Newton system (Concus & Golub 1973): the edge Laplacian on the interior
+nodes plus the additive part of the ramp curvature, which fast
+diagonalization inverts directly (Lynch, Rice & Thomas 1964).
 The ramp is C^1, so the gradient is continuous and can reach the
 tolerance; a piecewise linear ramp kept the gradient's sup-norm near
 lam w / eps at its kinks.
@@ -187,6 +189,7 @@ class MinimizeReport:
     lipschitz: float
     stop_reason: str
     cg_iterations: int
+    cg_history: list[int]
 
 
 def ramp(
@@ -453,9 +456,12 @@ def minimize(
     residual CG_RTOL, in at most CG_MAX_ITER inner iterations (see
     _newton_direction), then backtracks from u - d by halving the step until
     E(u - step d) <= E(u) - ARMIJO_C step h^dim <G, d>.  The preconditioner
-    is P = 2 c0 sum_a D_a^T W D_a on the interior nodes, the Hessian of the
-    linear density's bulk term with c0 the density's lower slope bound,
-    solved by fast diagonalization (fastdiag.DirichletSolver).
+    is P = 2 c0 sum_a D_a^T W D_a + diag(sum_a sigma_a(x_a)) + delta on the
+    interior nodes: the Hessian of the linear density's bulk term, with c0
+    the density's lower slope bound, plus the plane means sigma_a of the
+    step's ramp curvature lam w H_eps''(u), shifted so that its smallest
+    eigenvalue is at least the edge Laplacian's.  It is refit at every step
+    and solved by fast diagonalization (fastdiag.DirichletSolver).
 
     Stops for one of three reasons, named in the report's stop_reason:
 
@@ -468,16 +474,17 @@ def minimize(
       budget:       max_iter outer steps were taken (max_iter = 0 never
                     converges).
 
-    iterations counts outer steps, step_history their accepted steps, and
-    cg_iterations the inner iterations of all of them.  gradient_norm is the
-    masked gradient sup-norm at the returned iterate, and lipschitz the
-    largest |grad u| of fields.gradient there.  Raises SolverError if the
-    energy is not finite or the line search collapses.
+    iterations counts outer steps, step_history their accepted steps,
+    cg_history their inner iterations and cg_iterations the sum of those.
+    gradient_norm is the masked gradient sup-norm at the returned iterate,
+    and lipschitz the largest |grad u| of fields.gradient there.  Raises
+    SolverError if the energy is not finite or the line search collapses.
 
     Buffers are allocated once per call: 2 dim + 11 arrays of the grid's
-    size for a curved density, dim + 10 for the linear one, and one
+    size for a curved density, dim + 10 for the linear one, one
     interior-sized array (18 in all for a curved density in 3D, 14 for the
-    linear one):
+    linear one), and the preconditioner's per-axis eigenvector matrices of
+    (m - 2)^2 entries, which each step's refit replaces one at a time:
       u, g (dim), q          the iterate, its edge quotients D u and q; during
                              the inner solve q holds 2 w f'(q), and the line
                              search writes each trial's D u into g;
@@ -491,7 +498,9 @@ def minimize(
                              preconditioner's work;
       fcurv, dv (dim)        curved density only: w f''(q) and the Hessian
                              product's D v (the linear one writes D v into g);
-      one interior-sized     the preconditioner's reciprocal eigenvalue sums.
+      one interior-sized     the preconditioner's reciprocal eigenvalue sums,
+                             and during a refit each axis matrix it
+                             diagonalizes.
     """
     _require_on_grid(p, u0)
     shape, dim = p.grid.node_shape, p.grid.dim
@@ -511,7 +520,7 @@ def minimize(
         raise SolverError("initial energy is not finite")
     steps: list[float] = []
     energies = [e_now]
-    inner = 0
+    cg_counts: list[int] = []
     stalled = False
     while True:
         kernel.gradient(u, g, q, grad, cg)
@@ -527,10 +536,11 @@ def minimize(
             stop_reason = "stalled"
             break
         kernel.hessian_setup(u, q, hcurv, fcurv, spare[0])
+        precond.update(hcurv)
         hessian = (q, g, fcurv, hcurv)
         with np.errstate(over="ignore", invalid="ignore"):
             # a direction or slope that overflows fails every Armijo test below
-            inner += _newton_direction(kernel, precond, hessian, grad, d, cg, [*dv, *spare])
+            cg_counts.append(_newton_direction(kernel, precond, hessian, grad, d, cg, [*dv, *spare]))
             slope = kernel.cell * float(np.vdot(grad, d))
         # the direction is found, so g is spent: trials write their D u there
         values, trial_q = spare
@@ -564,7 +574,8 @@ def minimize(
         energy_history=energies,
         lipschitz=lipschitz,
         stop_reason=stop_reason,
-        cg_iterations=inner,
+        cg_iterations=sum(cg_counts),
+        cg_history=cg_counts,
     )
     return ScalarField(p.grid, u), report
 

@@ -69,6 +69,7 @@ def stage_minimize(s: Scenario) -> tuple[ScalarField, dict]:
     report = {
         "iterations": rep.iterations,
         "cg_iterations": rep.cg_iterations,
+        "cg_history": rep.cg_history,
         "final_energy": rep.final_energy,
         "gradient_norm": rep.gradient_norm,
         "converged": rep.converged,

@@ -250,9 +250,11 @@ class TestMinimizeCommand:
         rep = json.loads((tmp_path / "r.json").read_text())
         for key in (
             "iterations", "final_energy", "gradient_norm", "converged",
-            "stop_reason", "lipschitz",
+            "stop_reason", "lipschitz", "cg_iterations", "cg_history",
         ):
             assert key in rep
+        assert len(rep["cg_history"]) == rep["iterations"]
+        assert sum(rep["cg_history"]) == rep["cg_iterations"]
 
     def test_points_csv_roundtrips_through_z_flag(self, reference_run):
         out, summary = reference_run

@@ -1,14 +1,17 @@
 """Fast diagonalization: the Neumann variant against its frozen original, the
-Dirichlet variant against dense solves and against the minimizer's Hessian."""
+Dirichlet variant against its sine-mode original, dense solves and the
+minimizer's Hessian."""
 
 import itertools
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fbmlab.density import linear_density
-from fbmlab.fastdiag import DirichletSolver, dirichlet_modes, neumann_solve
+from fbmlab.fastdiag import DirichletSolver, neumann_solve
 from fbmlab.fields import (
     Grid,
     ScalarField,
@@ -46,6 +49,66 @@ def frozen_neumann_solve(b, h):
     for a, (_, inverse, _) in enumerate(modes):
         c = apply_along(inverse, c, a)
     return c * h ** (2 - b.ndim)
+
+
+def frozen_dirichlet_solve(r, h, c):
+    """The sigma = 0 Dirichlet solve as first written, on the closed-form sine modes."""
+    modes = []
+    for m in r.shape:
+        k = np.arange(1, m - 1)
+        angle = np.pi / (m - 1)
+        q = np.sqrt(2.0 / (m - 1)) * np.sin(angle * np.outer(k, k))
+        modes.append((q, 2.0 - 2.0 * np.cos(angle * k)))
+    interior = (slice(1, -1),) * r.ndim
+    x = r[interior]
+    for a, (q, _) in enumerate(modes):
+        x = np.moveaxis(np.tensordot(q.T, x, axes=(1, a)), 0, a)
+    x = x / (reduce(np.add.outer, [lam for _, lam in modes]) * c / h**2)
+    for a, (q, _) in enumerate(modes):
+        x = np.moveaxis(np.tensordot(q, x, axes=(1, a)), 0, a)
+    out = np.zeros(r.shape)
+    out[interior] = x
+    return out
+
+
+def dense_preconditioner(shape, h, c, curv):
+    """The operator update(curv) should build, assembled densely on the interior.
+
+    sigma_a are the plane means of curv's interior minus mu (dim - 1) / dim;
+    the shift lifts the smallest eigenvalue to that of the sigma = 0 operator.
+    """
+    inner = [m - 2 for m in shape]
+    dim = len(shape)
+    core = curv[(slice(1, -1),) * dim]
+    mu = core.mean()
+    stiff = c / h**2
+    axis_ops, low = [], 0.0
+    for a, n in enumerate(inner):
+        sigma = core.mean(axis=tuple(b for b in range(dim) if b != a)) - mu * (dim - 1) / dim
+        t = stiff * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) + np.diag(sigma)
+        axis_ops.append(t)
+        low += np.linalg.eigvalsh(t)[0]
+    floor = sum(stiff * (2.0 - 2.0 * np.cos(np.pi / (m - 1))) for m in shape)
+    size = int(np.prod(inner))
+    mat = max(0.0, floor - low) * np.eye(size)
+    for a, t in enumerate(axis_ops):
+        factors = [np.eye(n) for n in inner]
+        factors[a] = t
+        mat += reduce(np.kron, factors)
+    return mat, floor
+
+
+def solver_inverse(solver, shape):
+    """P^{-1} on the interior nodes as a dense matrix, one unit load at a time."""
+    interior = (slice(1, -1),) * len(shape)
+    inner = tuple(m - 2 for m in shape)
+    cols = []
+    work = [np.empty(shape), np.empty(shape)]
+    for i in range(int(np.prod(inner))):
+        r = np.zeros(shape)
+        r[tuple(j + 1 for j in np.unravel_index(i, inner))] = 1.0
+        cols.append(solver.solve(r, np.empty(shape), work)[interior].reshape(-1))
+    return np.array(cols).T
 
 
 def dense_edge_laplacian(shape, h, c):
@@ -101,11 +164,66 @@ class TestDirichlet:
         assert np.all(got[~interior] == 0.0)
 
     def test_modes_are_read_only_and_orthonormal(self):
-        forward, inverse, lam = dirichlet_modes(12)
-        assert np.allclose(forward @ inverse, np.eye(10), atol=1e-13)
-        assert np.all(lam > 0.0)
-        for arr in (forward, inverse, lam):
-            assert not arr.flags.writeable
+        shape = (12, 9)
+        solver = DirichletSolver(shape, 0.1, 1.0)
+        curv = np.random.default_rng(1).standard_normal(shape) * 300.0
+        for state in (None, curv):
+            solver.update(state)
+            for q, m in zip(solver.vectors, shape):
+                assert q.shape == (m - 2, m - 2)
+                assert np.allclose(q.T @ q, np.eye(m - 2), atol=1e-13)
+                assert not q.flags.writeable
+            assert np.all(solver.inv_denom > 0.0)
+
+    @pytest.mark.parametrize("shape", [(7, 9), (33, 33), (5, 6, 8), (17, 17, 17)])
+    def test_zero_curvature_matches_sine_solve(self, shape):
+        # sigma = 0 is the initial state and what update of a zero diagonal
+        # gives back: the eigh modes reproduce the closed-form sine solve
+        rng = np.random.default_rng(len(shape) + shape[0])
+        h, c = 0.05, 1.7
+        r = rng.standard_normal(shape)
+        want = frozen_dirichlet_solve(r, h, c)
+        solver = DirichletSolver(shape, h, c)
+        work = [np.empty(shape), np.empty(shape)]
+        for state in (None, np.zeros(shape)):
+            solver.update(state)
+            got = solver.solve(r, np.empty(shape), work)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("shape", [(6, 8), (5, 6, 7)])
+    @pytest.mark.parametrize("offset", [0.0, 3000.0])
+    def test_update_matches_dense_separable_operator(self, shape, offset):
+        # a large positive offset leaves the shift off, so the grand mean's
+        # share in each sigma_a shows
+        rng = np.random.default_rng(sum(shape))
+        h, c = 0.2, 2.0
+        curv = offset + 400.0 * rng.standard_normal(shape)
+        solver = DirichletSolver(shape, h, c)
+        solver.update(curv)
+        mat, _ = dense_preconditioner(shape, h, c, curv)
+        inv = solver_inverse(solver, shape)
+        assert np.allclose(inv @ mat, np.eye(mat.shape[0]), atol=1e-10)
+
+    @given(
+        dims=st.sampled_from([(5, 7), (8, 6), (4, 5, 6)]),
+        scale=st.floats(0.0, 2000.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shifted_operator_is_spd_above_the_edge_laplacian_floor(self, dims, scale, seed):
+        # random diagonals, many of them strongly negative where a bound
+        # state would make the unshifted operator indefinite
+        rng = np.random.default_rng(seed)
+        h, c = 0.25, 2.0
+        curv = scale * rng.standard_normal(dims) - scale * rng.random()
+        solver = DirichletSolver(dims, h, c)
+        solver.update(curv)
+        _, floor = dense_preconditioner(dims, h, c, curv)
+        inv = solver_inverse(solver, dims)
+        r = rng.standard_normal(inv.shape[0])
+        assert r @ inv @ r > 0.0
+        eig = np.linalg.eigvalsh(0.5 * (inv + inv.T))
+        assert eig[0] > 0.0
+        assert 1.0 / eig[-1] >= floor * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("dim,n", [(2, 10), (3, 6)])
     def test_inverts_linear_bulk_hessian(self, dim, n):

@@ -6,7 +6,6 @@ import pytest
 
 from fbmlab.density import arctan_density, bernoulli_lambda, linear_density
 from fbmlab.errors import GeometryError, SolverError
-from fbmlab.fastdiag import dirichlet_modes
 from fbmlab.fieldio import write_field
 from fbmlab.fields import (
     Grid,
@@ -411,19 +410,53 @@ class TestMinimize:
         assert rep.stop_reason == "gradient_tol" and rep.converged
         assert rep.iterations <= 20
         assert rep.cg_iterations >= rep.iterations
-        assert len(rep.step_history) == rep.iterations
+        assert len(rep.cg_history) == len(rep.step_history) == rep.iterations
+        assert sum(rep.cg_history) == rep.cg_iterations
+        assert min(rep.cg_history) >= 1
         assert len(rep.energy_history) == rep.iterations + 1
         assert np.all(np.diff(rep.energy_history) <= 0.0)
         assert rep.gradient_norm == float(np.max(np.abs(energy_gradient(p, u).values)))
         assert rep.gradient_norm <= 1e-3
 
+    @pytest.mark.parametrize("dim,n", [(2, 64), (3, 24)])
+    def test_curvature_preconditioner_needs_few_cg_iterations(self, dim, n):
+        # the ramp curvature of an axis-aligned half-plane is nearly a
+        # function of one coordinate, which the preconditioner's additive
+        # part carries.  Not every grid keeps this bound: where the refit
+        # operator's separable part is indefinite, the shift lifts many modes
+        # (linear density from the boundary profile: one step of 3 at 32^2
+        # and 40^3, up to 7 at 128^2 and up to 19 at 192^2).
+        p = halfplane_problem(dim, n)
+        _, rep = minimize(p, initial_guess(p), tol=1e-3, max_iter=50)
+        assert rep.stop_reason == "gradient_tol"
+        assert max(rep.cg_history[1:]) <= 2
+
+    @pytest.mark.parametrize(
+        "dim,data",
+        [
+            (2, BoundaryData("halfplane", direction=(1.0, 1.0))),
+            (3, BoundaryData("halfplane", direction=(1.0, 1.0, 1.0))),
+            (2, BoundaryData("radial", center=(0.1, 0.0))),
+            (2, BoundaryData("wedge", angle=2.0)),
+        ],
+        ids=["diagonal2d", "diagonal3d", "radial2d", "wedge2d"],
+    )
+    def test_off_axis_curvature_still_reaches_gradient_tol(self, dim, data):
+        # there the ramp curvature is far from additive, and the
+        # preconditioner carries only its plane means
+        p = Problem(box_grid(dim, 64 if dim == 2 else 16), arctan_density(0.1), data)
+        _, rep = minimize(p, initial_guess(p), tol=1e-3, max_iter=50)
+        assert rep.stop_reason == "gradient_tol"
+        assert np.all(np.diff(rep.energy_history) <= 0.0)
+
 
 class TestStopping:
     def test_restart_from_stalled_field_stops_quickly(self):
+        # 1e-12 lies below what round-off lets the gradient reach here
         p = halfplane_problem(2, 24, model=arctan_density(0.1))
-        u1, rep1 = minimize(p, noisy_start(p), tol=1e-8, max_iter=10_000)
+        u1, rep1 = minimize(p, noisy_start(p), tol=1e-12, max_iter=10_000)
         assert rep1.stop_reason == "stalled"
-        u2, rep2 = minimize(p, u1, tol=1e-8, max_iter=10_000)
+        u2, rep2 = minimize(p, u1, tol=1e-12, max_iter=10_000)
         assert rep2.stop_reason == "stalled"
         assert rep2.iterations <= 100
         assert np.all(np.diff(rep2.energy_history) <= 0.0)
@@ -443,19 +476,17 @@ class TestStopping:
 
 
 def traced_minimize_peak(p, u0, max_iter=3):
-    """tracemalloc peak of one minimize call and its report.
-
-    The per-axis eigenvectors are cached across calls (in 2D one n x n
-    matrix is as big as the grid), so they are built before tracing starts.
-    """
-    dirichlet_modes(p.grid.node_shape[0])
+    """tracemalloc peak of one minimize call, its report, and the bytes of the
+    preconditioner's per-axis eigenvector matrices (in 2D one (n - 1)^2
+    matrix is about as big as the grid)."""
+    modes = sum((m - 2) ** 2 for m in p.grid.node_shape) * u0.values.itemsize
     tracemalloc.start()
     try:
         _, rep = minimize(p, u0, tol=1e-8, max_iter=max_iter)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, rep
+    return peak, rep, modes
 
 
 class TestBuffers:
@@ -466,25 +497,26 @@ class TestBuffers:
         # direction; the three CG vectors; lam w H'' and w f''; the trial
         # iterate and its q; the Hessian product's dim edge quotients of v.
         # One more for the preconditioner's interior-sized eigenvalue sums,
-        # and one array's worth for numpy's fixed-size ufunc buffers, boolean
-        # masks and face planes.  An energy, gradient, Hessian product or
-        # preconditioner solve that allocated a grid-sized array would
-        # exceed it.
+        # one array's worth for numpy's fixed-size ufunc buffers, boolean
+        # masks and face planes, and the preconditioner's per-axis
+        # eigenvector matrices.  An energy, gradient, Hessian product,
+        # preconditioner update or solve that allocated a grid-sized array
+        # would exceed it.
         p = halfplane_problem(dim, n, model=arctan_density(0.1))
         u0 = noisy_start(p)
-        peak, rep = traced_minimize_peak(p, u0)
+        peak, rep, modes = traced_minimize_peak(p, u0)
         assert rep.iterations == 3
         assert rep.cg_iterations > 3
-        assert peak < (2 * dim + 11 + 1 + 1) * u0.values.nbytes
+        assert peak < (2 * dim + 11 + 1 + 1) * u0.values.nbytes + modes
 
     def test_linear_density_needs_fewer_buffers(self):
         # no w f'' and no separate D v: the linear Hessian product writes D v
         # into the iterate's edge quotients, dim + 10 arrays in all
         p = halfplane_problem(3, 40, model=linear_density())
         u0 = noisy_start(p)
-        peak, rep = traced_minimize_peak(p, u0)
+        peak, rep, modes = traced_minimize_peak(p, u0)
         assert rep.iterations == 3
-        assert peak < (3 + 10 + 1 + 1) * u0.values.nbytes
+        assert peak < (3 + 10 + 1 + 1) * u0.values.nbytes + modes
 
 
 class TestInitialGuess:
