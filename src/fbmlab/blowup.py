@@ -466,12 +466,12 @@ def regularity_verdict(
     thresholds at the two smallest scales.  There is deliberately no
     "singular" verdict.
     """
+    if u.grid.dim != 3:
+        raise VerdictUnavailable("regularity verdict is only available in 3D")
     if not flatness_report(model).passed:
         raise VerdictUnavailable(
             "density model fails the flatness condition; no verdict"
         )
-    if u.grid.dim != 3:
-        raise VerdictUnavailable("regularity verdict is only available in 3D")
     seq = build_sequence(u, z, scales=scales)
     finest = np.argsort(seq.scales)[:2]
     ok = all(

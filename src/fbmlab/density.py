@@ -12,7 +12,10 @@ multiplied by a positive scale factor, which scales the whole energy.
 Structural quantities (slope bounds, curvature-to-slope ratio, sup of the
 slope deviation) are estimated by dense sampling on a log-spaced grid that
 always contains t = 0 and the interval endpoints; the model densities attain
-their extrema at those points, so the sampled value is exact there.
+their extrema at those points, so the sampled value is exact there.  A
+DensityModel is frozen, so the flatness report and the slope deviation,
+which the blow-up and ghost stages read at every point, are cached per
+model and arguments.
 """
 
 from __future__ import annotations
@@ -199,6 +202,7 @@ def structural_report(model: DensityModel, n_samples: int = DEFAULT_SAMPLES) -> 
     )
 
 
+@lru_cache(maxsize=16)
 def flatness_report(model: DensityModel, n_samples: int = DEFAULT_SAMPLES) -> FlatnessReport:
     """Improvement-of-flatness condition: 1 + 2*sup(f''/f') < 4 on [0, t_max].
 
@@ -212,6 +216,7 @@ def flatness_report(model: DensityModel, n_samples: int = DEFAULT_SAMPLES) -> Fl
     return FlatnessReport(passed=lhs < 4.0, sup_ratio=sup, lhs=lhs, n_samples=t.size)
 
 
+@lru_cache(maxsize=16)
 def slope_deviation(model: DensityModel, t_hi: float = 1.0, n_samples: int = DEFAULT_SAMPLES) -> float:
     """sup of |f'(t) - f'(1)| over [0, t_hi].
 

@@ -115,13 +115,14 @@ class DirichletSolver:
     with K_a the tridiagonal (-1, 2, -1) along axis a, the interior block of
     E_a^T E_a with the boundary values pinned to zero, and sigma_a a function
     of the axis-a coordinate alone.  It starts at sigma = 0, delta = 0, the
-    edge Laplacian P_0.  update(curv) sets sigma_a to the additive part of a
-    diagonal curv, the ANOVA main effects of its interior values (sigma_a =
-    the mean over the other axes - mu (dim - 1) / dim, mu the grand mean),
-    and redoes one eigh per axis.  delta = max(0, lambda_min(P_0) - sum_a
-    lambda_min(c/h^2 K_a + diag(sigma_a))) keeps the smallest eigenvalue at
-    least lambda_min(P_0), so P stays positive definite where a negative
-    sigma_a binds a mode.
+    edge Laplacian P_0, fit by the first solve unless update ran before it
+    (the minimizer refits before every solve).  update(curv) sets sigma_a to
+    the additive part of a diagonal curv, the ANOVA main effects of its
+    interior values (sigma_a = the mean over the other axes - mu (dim - 1) /
+    dim, mu the grand mean), and redoes one eigh per axis.  delta = max(0,
+    lambda_min(P_0) - sum_a lambda_min(c/h^2 K_a + diag(sigma_a))) keeps the
+    smallest eigenvalue at least lambda_min(P_0), so P stays positive
+    definite where a negative sigma_a binds a mode.
 
     solve(r, out, work) reads r's interior and writes x into out, zero on
     the boundary.  work is two arrays of at least the interior's size (any
@@ -139,7 +140,6 @@ class DirichletSolver:
         self.floor = sum(self.stiffness * (2.0 - 2.0 * np.cos(np.pi / (m - 1))) for m in shape)
         self.inv_denom = np.empty(self.inner)
         self.vectors: list[np.ndarray | None] = [None] * len(shape)
-        self.update(None)
 
     def update(self, curv: np.ndarray | None) -> None:
         """Take sigma from curv's interior (a grid-sized diagonal), or sigma = 0 for None."""
@@ -173,6 +173,8 @@ class DirichletSolver:
         np.reciprocal(denom, out=denom)
 
     def solve(self, r: np.ndarray, out: np.ndarray, work: list[np.ndarray]) -> np.ndarray:
+        if self.vectors[0] is None:
+            self.update(None)
         size = self.inv_denom.size
         a, b = (buf.reshape(-1)[:size].reshape(self.inner) for buf in work)
         np.copyto(a, r[self.interior])

@@ -141,6 +141,19 @@ class Grid:
             ok &= (pts[:, a] >= self.lo[a] - s) & (pts[:, a] <= self.hi[a] + s)
         return ok
 
+    def balls_inside(self, centers: np.ndarray, r: float) -> np.ndarray:
+        """Whether the ball of radius r about each row of centers fits the box.
+
+        One array pass with require_ball_inside's slack and comparisons, so
+        the mask is True exactly where that check passes; NaN fails.
+        """
+        s = _SLACK * max(self.h, 1.0)
+        c = np.asarray(centers, dtype=float).reshape(-1, self.dim)
+        ok = np.ones(c.shape[0], dtype=bool)
+        for a in range(self.dim):
+            ok &= (self.lo[a] - s <= c[:, a] - r) & (c[:, a] + r <= self.hi[a] + s)
+        return ok
+
     def require_ball_inside(self, z, r: float) -> None:
         s = _SLACK * max(self.h, 1.0)
         for a in range(self.dim):
@@ -467,14 +480,19 @@ def _unit_sphere(dim: int, n: int) -> np.ndarray:
     return omega
 
 
+def require_positive_radius(r: float) -> None:
+    """Raise GeometryError unless the sphere radius r is positive (NaN fails)."""
+    if not r > 0.0:
+        raise GeometryError(f"sphere radius must be positive, got {r}")
+
+
 def sphere_quadrature(dim: int, z, r: float, n_points: int | None = None):
     """Points and weights for the surface integral over the sphere |x-z| = r.
 
     2d: equispaced angles, equal weights 2*pi*r/n.
     3d: Fibonacci spiral directions, equal weights 4*pi*r^2/n.
     """
-    if not r > 0.0:
-        raise GeometryError(f"sphere radius must be positive, got {r}")
+    require_positive_radius(r)
     n = DEFAULT_SPHERE_POINTS[dim] if n_points is None else int(n_points)
     if n < 4:
         raise ValueError("need at least 4 quadrature points")

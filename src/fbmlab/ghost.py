@@ -7,8 +7,11 @@ For a field u and base point z the flux
 
 measures how far the density slope wanders from the reference constant f0
 along u.  A linear density makes U vanish identically; perturbed densities
-produce an O(eps/d) field.  The potential part of U is recovered by solving
-the weak Neumann problem on the whole box,
+produce an O(eps/d) field.  flux_field decides once, from the slope gap
+f'(q) - f0, whether U is identically zero (FluxField.is_zero); the solve and
+every report then return their exact zeros without a pass over the grid.
+The potential part of U is recovered by solving the weak Neumann problem on
+the whole box,
 
     sum_nodes w grad(phi) . grad(psi) = sum_nodes w U . grad(psi)  for all psi,
 
@@ -43,6 +46,7 @@ from .fields import (
     ball_integral,
     gradient_arrays,
     gradient_transpose,
+    require_positive_radius,
     sphere_quadrature,
     trapezoid_weights,
 )
@@ -70,10 +74,20 @@ BASE_POINT_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class FluxField:
+    """Nodewise flux U about base_point.
+
+    is_zero records that the slope gap f'(q) - f0 has no nonzero entry, so
+    U is +-0 at every node; flux_field then leaves U unassembled (field
+    holds +0 everywhere), and neumann_solve and the reports return their
+    exact zeros without sampling or a pass over the grid.  flux_field sets
+    it; a flux built by hand keeps False and takes the full path.
+    """
+
     field: VectorField
     base_point: tuple[float, ...]
     f0: float
     cap_radius: float
+    is_zero: bool = False
 
     def __post_init__(self) -> None:
         if not self.cap_radius > 0.0:
@@ -145,7 +159,12 @@ def flux_field(
     f0: float | None = None,
     cap_radius: float | None = None,
 ) -> FluxField:
-    """Nodewise flux of u about z with the singular denominator capped."""
+    """Nodewise flux of u about z with the singular denominator capped.
+
+    A slope gap without a nonzero entry makes U +-0 at every node, since u
+    and its gradient are finite wherever the density accepted q; the flux
+    is then marked is_zero and not assembled.
+    """
     grid = u.grid
     z = np.asarray(z, dtype=float)
     if z.size != grid.dim:
@@ -161,17 +180,25 @@ def flux_field(
     grads = gradient_arrays(u.values, grid.h)
     q = sum(g * g for g in grads)
     gap = model.df(q) - f0
-    diffs, _, d = _capped_distance(grid, z, cap_radius)
-    lead = gap * 2.0 * u.values / (d * d)
-    comps = [
-        lead * (grads[a] - u.values * diffs[a] / (d * d))
-        for a in range(grid.dim)
-    ]
+    is_zero = not np.any(gap)
+    if is_zero:
+        # read-only, so the field keeps the lazily zeroed pages uncopied
+        values = np.zeros(grid.node_shape + (grid.dim,))
+        values.setflags(write=False)
+    else:
+        diffs, _, d = _capped_distance(grid, z, cap_radius)
+        lead = gap * 2.0 * u.values / (d * d)
+        comps = [
+            lead * (grads[a] - u.values * diffs[a] / (d * d))
+            for a in range(grid.dim)
+        ]
+        values = np.stack(comps, axis=-1)
     return FluxField(
-        field=VectorField(grid, np.stack(comps, axis=-1)),
+        field=VectorField(grid, values),
         base_point=tuple(float(c) for c in z),
         f0=float(f0),
         cap_radius=float(cap_radius),
+        is_zero=is_zero,
     )
 
 
@@ -234,14 +261,17 @@ def neumann_solve(flux: FluxField, tol: float = DEFAULT_TOL) -> GhostFunction:
     The weak Neumann system (natural boundary condition taken from the flux
     itself) is singular with constant nullspace; it is solved directly by
     fast diagonalization and the true residual is checked against tol.
-    A zero load short-circuits to an exactly zero potential in 0 iterations.
+    A zero flux or a zero load short-circuits to an exactly zero potential
+    in 0 iterations; a zero flux skips assembling the load as well.
     """
     grid = flux.grid
-    w = trapezoid_weights(grid.node_shape)
-    u = np.moveaxis(flux.field.values, -1, 0)
-    b = _weak_divergence(u, w, grid.h)
-    if float(np.linalg.norm(b)) == 0.0:
+    if not flux.is_zero:
+        w = trapezoid_weights(grid.node_shape)
+        u = np.moveaxis(flux.field.values, -1, 0)
+        b = _weak_divergence(u, w, grid.h)
+    if flux.is_zero or float(np.linalg.norm(b)) == 0.0:
         phi, res, it = np.zeros(grid.node_shape), 0.0, 0
+        phi.setflags(write=False)  # the potential keeps the zero pages uncopied
     else:
         phi = fast_neumann_solve(b, grid.h)
         phi -= phi.mean()
@@ -295,6 +325,8 @@ def stability_report(flux: FluxField, g: GhostFunction, s: float = 1.5) -> Stabi
     grid = g.grid
     if not 1.0 < s < grid.dim:
         raise ValueError(f"s must lie in (1, {grid.dim}), got {s}")
+    if flux.is_zero:
+        return StabilityReport(phi_norm=0.0, flux_norm=0.0, ratio=0.0, s=s)
     w = trapezoid_weights(grid.node_shape)
     cell = grid.h**grid.dim
     phi = g.potential.values
@@ -322,28 +354,35 @@ def shell_identity_report(
     Compares r^{1-n} * surface integral of U . nu with the centered finite
     difference of shell_average(potential) in r.  The remainder drops out of
     the flux side because its weak divergence vanishes.  g must be the
-    potential of this flux.
+    potential of this flux.  A zero flux samples nothing: every side is the
+    +0.0 its sphere sums would give, after the same radius checks.
     """
     _check_ghost_contract(g, flux.grid, flux.base_point, flux.f0)
     grid = g.grid
     z = np.asarray(g.base_point, dtype=float)
     if dr is None:
         dr = 0.5 * grid.h
-    flux_rows = _node_rows(flux.field.values, flux.grid)
-    phi_rows = _node_rows(g.potential.values, grid)
+    if not flux.is_zero:
+        flux_rows = _node_rows(flux.field.values, flux.grid)
+        phi_rows = _node_rows(g.potential.values, grid)
     out = []
     for r in radii:
         r = float(r)
         grid.require_ball_inside(z, r + dr)
-        pts, wts, samples = _sphere_samples(flux_rows, flux.grid, z, r)
-        flux_side = _sphere_flux(z, r, pts, wts, samples)
-        # both shifted shells in one gather
-        pts_hi, w_hi = sphere_quadrature(grid.dim, z, r + dr)
-        pts_lo, w_lo = sphere_quadrature(grid.dim, z, r - dr)
-        phi = _interp_core(phi_rows, grid, np.concatenate([pts_hi, pts_lo]))[0]
-        m = w_hi.size
-        hi = _shell_mean(w_hi, phi[:m], r + dr, grid.dim)
-        lo = _shell_mean(w_lo, phi[m:], r - dr, grid.dim)
+        if flux.is_zero:
+            for rad in (r, r + dr, r - dr):
+                require_positive_radius(rad)
+            flux_side = hi = lo = 0.0
+        else:
+            pts, wts, samples = _sphere_samples(flux_rows, flux.grid, z, r)
+            flux_side = _sphere_flux(z, r, pts, wts, samples)
+            # both shifted shells in one gather
+            pts_hi, w_hi = sphere_quadrature(grid.dim, z, r + dr)
+            pts_lo, w_lo = sphere_quadrature(grid.dim, z, r - dr)
+            phi = _interp_core(phi_rows, grid, np.concatenate([pts_hi, pts_lo]))[0]
+            m = w_hi.size
+            hi = _shell_mean(w_hi, phi[:m], r + dr, grid.dim)
+            lo = _shell_mean(w_lo, phi[m:], r - dr, grid.dim)
         potential_side = (hi - lo) / (2.0 * dr)
         out.append(
             ShellIdentityRecord(
@@ -357,7 +396,9 @@ def shell_identity_report(
 
 
 def flux_reach(flux: FluxField) -> float:
-    """max |U(x)| * |x - z| over nodes outside the capped core."""
+    """max |U(x)| * |x - z| over nodes outside the capped core (0.0 for a zero flux)."""
+    if flux.is_zero:
+        return 0.0
     grid = flux.grid
     z = np.asarray(flux.base_point, dtype=float)
     _, d_true, _ = _capped_distance(grid, z, flux.cap_radius)
@@ -377,9 +418,16 @@ def flux_l2_profile(flux: FluxField, radii) -> list[tuple[float, float]]:
     """
     grid = flux.grid
     z = np.asarray(flux.base_point, dtype=float)
-    mag2 = ScalarField(grid, flux.norm_sq)
+    if not flux.is_zero:
+        mag2 = ScalarField(grid, flux.norm_sq)
     out = []
     for r in radii:
         r = float(r)
-        out.append((r, float(ball_integral(mag2, z, r) / r)))
+        if flux.is_zero:
+            # the ball must fit all the same; its integral of +0 is 0.0
+            grid.require_ball_inside(z, r)
+            integral = 0.0
+        else:
+            integral = ball_integral(mag2, z, r)
+        out.append((r, float(integral / r)))
     return out

@@ -108,18 +108,13 @@ def select_points(s: Scenario, u: ScalarField) -> tuple[tuple[float, ...], ...]:
         for z in s.points:
             s.grid.require_ball_inside(z, need)
         return tuple(s.points)
-    keep = []
-    for z in free_boundary_points(u, s.phase_level):
-        try:
-            s.grid.require_ball_inside(z, need)
-        except GeometryError:
-            continue
-        keep.append(tuple(float(c) for c in z))
-    if not keep:
+    crossings = free_boundary_points(u, s.phase_level)
+    keep = crossings[s.grid.balls_inside(crossings, need)]
+    if not keep.size:
         raise GeometryError(
             f"no free-boundary point admits a ball of radius {need} inside the grid"
         )
-    return tuple(keep[:: s.auto_stride])
+    return tuple(tuple(float(c) for c in z) for z in keep[:: s.auto_stride])
 
 
 def stage_ghost(

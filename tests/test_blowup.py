@@ -545,6 +545,19 @@ class TestVerdict:
         with pytest.raises(VerdictUnavailable):
             regularity_verdict(u, linear_density(), (0.0, 0.0))
 
+    def test_dim_gate_skips_the_flatness_scan(self, monkeypatch):
+        # a 2D field gets no verdict whatever the model, so its flatness
+        # report is never computed
+        def no_scan(model):
+            raise AssertionError("flatness_report called for a 2D field")
+
+        monkeypatch.setattr(blowup, "flatness_report", no_scan)
+        g = box_grid(2, 32)
+        u = sample(g, lambda x, y: np.maximum(x, 0.0))
+        for model in (linear_density(), arctan_density(2.0)):
+            with pytest.raises(VerdictUnavailable, match="only available in 3D"):
+                regularity_verdict(u, model, (0.0, 0.0))
+
     def test_model_gate(self):
         g = box_grid(3, 16)
         u = sample(g, lambda x, y, z: np.maximum(x, 0.0))

@@ -136,6 +136,21 @@ class TestExitCodes:
         assert rc == 2
         assert f"configuration error: {message}" in capsys.readouterr().err
 
+    def test_zero_flux_ghost_with_infeasible_ladder_exits_4(self, tmp_path, capsys):
+        # the zero path samples no sphere, yet checks that every shell fits
+        cfg = write_config(tmp_path, density={"kind": "linear"})
+        grid = Grid((-0.75, -0.75), (0.75, 0.75), (48, 48))
+        write_field(ScalarField(grid, np.maximum(grid.node_mesh()[1], 0.0)), tmp_path / "f.bin")
+        rc = main([
+            "ghost", "--config", str(cfg),
+            "--field", str(tmp_path / "f.bin"),
+            "--z", "0.6,0.0",
+            "--out", str(tmp_path / "g.bin"),
+        ])
+        assert rc == 4
+        assert "around (0.6, 0.0) leaves the box" in capsys.readouterr().err
+        assert not (tmp_path / "g.bin").exists()
+
     def test_2d_z_on_3d_scenario_exits_2_before_reading_field(self, tmp_path, capsys):
         rc = main([
             "blowup", "--config", "scenarios/halfplane_linear_3d.json",
@@ -194,8 +209,15 @@ class TestStageChain:
         got = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert got == ref
 
-    def test_stage_chain_matches_pipeline(self, config_path, reference_run, tmp_path, capsys):
-        out, summary = reference_run
+    @pytest.mark.parametrize("density", ["arctan", "linear"])
+    def test_stage_chain_matches_pipeline(self, tmp_path, capsys, density):
+        # the linear density's flux vanishes identically: its ghost stage
+        # takes the zero path, which must write the same files
+        config_path = write_config(
+            tmp_path, density=TINY["density"] if density == "arctan" else {"kind": "linear"}
+        )
+        out = tmp_path / "ref"
+        summary = run_pipeline(Scenario.from_dict(json.loads(config_path.read_text())), out)
         field = tmp_path / "field.bin"
         rc = main([
             "minimize", "--config", str(config_path),

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from fbmlab.density import (
     DensityModel,
     Kind,
+    _t_samples,
     arctan_density,
     bernoulli_lambda,
     flatness_report,
@@ -267,6 +268,34 @@ class TestSlopeDeviation:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             slope_deviation(linear_density(), t_hi=0.0)
+
+
+class TestCachedConstants:
+    """The per-point density constants are computed once per model and arguments."""
+
+    def test_slope_deviation_cached_bitwise(self):
+        model = arctan_density(0.1, t_max=2.0)
+        t = _t_samples(1.7, 100_000, extra=(1.0,))
+        fresh = float(np.max(np.abs(np.asarray(model.df(t)) - model.df(1.0))))
+        first = slope_deviation(model, t_hi=1.7)
+        hits = slope_deviation.cache_info().hits
+        # an equal model built anew hits the same entry
+        again = slope_deviation(arctan_density(0.1, t_max=2.0), t_hi=1.7)
+        assert slope_deviation.cache_info().hits == hits + 1
+        assert first == again == fresh
+
+    def test_flatness_report_cached(self):
+        model = arctan_density(0.3)
+        first = flatness_report(model)
+        hits = flatness_report.cache_info().hits
+        assert flatness_report(arctan_density(0.3)) is first
+        assert flatness_report.cache_info().hits == hits + 1
+        assert flatness_report(arctan_density(0.4)).sup_ratio > first.sup_ratio
+
+    def test_invalid_interval_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                slope_deviation(linear_density(), t_hi=float("nan"))
 
 
 class TestModelValidation:

@@ -177,16 +177,19 @@ class TestDirichlet:
 
     @pytest.mark.parametrize("shape", [(7, 9), (33, 33), (5, 6, 8), (17, 17, 17)])
     def test_zero_curvature_matches_sine_solve(self, shape):
-        # sigma = 0 is the initial state and what update of a zero diagonal
-        # gives back: the eigh modes reproduce the closed-form sine solve
+        # sigma = 0 is the initial state, fit by the first solve, and what
+        # update of a zero diagonal gives back: the eigh modes reproduce the
+        # closed-form sine solve
         rng = np.random.default_rng(len(shape) + shape[0])
         h, c = 0.05, 1.7
         r = rng.standard_normal(shape)
         want = frozen_dirichlet_solve(r, h, c)
         solver = DirichletSolver(shape, h, c)
+        assert all(q is None for q in solver.vectors)
         work = [np.empty(shape), np.empty(shape)]
-        for state in (None, np.zeros(shape)):
-            solver.update(state)
+        for state in ("initial", np.zeros(shape)):
+            if not isinstance(state, str):
+                solver.update(state)
             got = solver.solve(r, np.empty(shape), work)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 

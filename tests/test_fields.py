@@ -74,6 +74,35 @@ class TestGrid:
                 assert full.tobytes() == np.ascontiguousarray((mesh[a] - z[a])[sl]).tobytes()
             assert sq.tobytes() == np.ascontiguousarray(want_sq[sl]).tobytes()
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_balls_inside_matches_require_ball_inside(self, dim):
+        # centres on, and one ulp either side of, every face's fit boundary,
+        # random ones, and a NaN coordinate
+        g = Grid((-0.7,) * dim, (1.1,) * dim, (18,) * dim)
+        r = 0.37
+        slack = 1e-9 * max(g.h, 1.0)
+        rng = np.random.default_rng(dim)
+        pts = [rng.uniform(-0.8, 1.2, size=dim) for _ in range(200)]
+        for a in range(dim):
+            for edge in (g.lo[a] - slack + r, g.hi[a] + slack - r):
+                for c in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                    z = np.full(dim, 0.2)
+                    z[a] = c
+                    pts.append(z)
+        pts.append(np.array([np.nan] + [0.2] * (dim - 1)))
+        pts = np.array(pts)
+        want = []
+        for z in pts:
+            try:
+                g.require_ball_inside(z, r)
+                want.append(True)
+            except GeometryError:
+                want.append(False)
+        got = g.balls_inside(pts, r)
+        assert got.dtype == bool
+        assert got.tolist() == want
+        assert 0 < sum(want) < len(want)
+
     def test_spacing_uniformity_enforced(self):
         with pytest.raises(ValueError):
             Grid((-1.0, -1.0), (1.0, 2.0), (16, 16))

@@ -1,5 +1,8 @@
 """Flux field construction, Neumann splitting, and identity diagnostics."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,7 +35,10 @@ from fbmlab.ghost import (
     stability_report,
     weak_divergence_residual,
 )
+from fbmlab import pipeline
 from fbmlab.monotonicity import error_term_flux
+from fbmlab.pipeline import run_pipeline
+from fbmlab.scenario import Scenario
 
 ARCTAN = DensityModel(kind="arctan", alpha=0.1)
 LINEAR = DensityModel(kind="linear")
@@ -597,3 +603,125 @@ class TestProfiles:
     def test_flux_reach_corner_value(self):
         flux = radial_load(64)
         assert flux_reach(flux) == pytest.approx(2.0, rel=1e-12)
+
+
+def assembled(flux: FluxField, u: ScalarField, model: DensityModel) -> FluxField:
+    """flux with U assembled by the full formula and the zero mark cleared.
+
+    Every consumer then takes the path it took before zero fluxes were
+    recognized, so this is the reference for the zero path's bytes.
+    """
+    values, _ = frozen_flux_values(
+        u, model, np.asarray(flux.base_point), flux.f0, flux.cap_radius
+    )
+    return replace(flux, field=VectorField(u.grid, values), is_zero=False)
+
+
+def linear_scenario(dim: int) -> Scenario:
+    """A small minimized half-plane run with the linear density."""
+    return Scenario.from_dict({
+        "schema_version": 1,
+        "grid": {"lo": [-0.75] * dim, "hi": [0.75] * dim, "n_cells": [48 if dim == 2 else 24] * dim},
+        "density": {"kind": "linear"},
+        "boundary": {"kind": "halfplane", "direction": [0.0] * (dim - 1) + [1.0]},
+        "points_of_interest": [[0.0] * dim, [0.1] + [-0.05] * (dim - 2) + [-0.02]],
+        "radii": {"r_min": 0.15, "r_max": 0.3, "ratio": 1.4},
+        "tol": 1e-3,
+        "max_iter": 20,
+    })
+
+
+def curved_linear_field(dim: int) -> ScalarField:
+    """A field with a varying gradient and both signs, on which U still vanishes for f(t) = t."""
+    grid = Grid((-0.6,) * dim, (0.9,) * dim, (30 if dim == 2 else 14,) * dim)
+    mesh = grid.node_mesh()
+    return ScalarField(grid, mesh[0] + 0.4 * mesh[-1] ** 2 - 0.05 * mesh[1] ** 3)
+
+
+class TestZeroFlux:
+    """A slope gap without a nonzero entry: exact zero reports without sampling."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_linear_flux_marked_zero_and_unassembled(self, dim):
+        u = curved_linear_field(dim)
+        flux = flux_field(u, LINEAR, (0.13, -0.05, 0.2)[:dim])
+        assert flux.is_zero
+        assert not np.any(flux.field.values)
+        assert np.signbit(flux.field.values).sum() == 0
+        # the assembled formula is +-0 everywhere, with both signs present
+        full = assembled(flux, u, LINEAR).field.values
+        assert not np.any(full)
+        assert np.any(np.signbit(full))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_reports_equal_full_path_bit_for_bit(self, dim):
+        u = curved_linear_field(dim)
+        z = (0.13, -0.05, 0.2)[:dim]
+        radii = [0.2, 0.28, 0.35]
+        zero = flux_field(u, LINEAR, z)
+        full = assembled(zero, u, LINEAR)
+        g_zero, g_full = neumann_solve(zero), neumann_solve(full)
+        assert g_zero.potential.values.tobytes() == g_full.potential.values.tobytes()
+        assert (g_zero.residual, g_zero.iterations) == (g_full.residual, g_full.iterations) == (0.0, 0)
+        lip = lipschitz(u)
+        # repr spells out every float, -0.0 included
+        for report in (
+            lambda f, g: stability_report(f, g),
+            lambda f, g: flux_bound_report(f, LINEAR, lip),
+            lambda f, g: shell_identity_report(f, g, radii),
+            lambda f, g: flux_l2_profile(f, radii),
+            lambda f, g: flux_reach(f),
+        ):
+            assert repr(report(zero, g_zero)) == repr(report(full, g_full))
+        records = shell_identity_report(zero, g_zero, radii)
+        assert all(
+            np.signbit([rec.flux_side, rec.potential_side, rec.gap]).sum() == 0
+            for rec in records
+        )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f, g, h: shell_identity_report(f, g, [0.3, 0.8]),
+            lambda f, g, h: shell_identity_report(f, g, [0.3, 0.6 - 0.25 * h]),
+            lambda f, g, h: shell_identity_report(f, g, [0.25 * h]),
+            lambda f, g, h: shell_identity_report(f, g, [0.3], dr=-0.5),
+            lambda f, g, h: flux_l2_profile(f, [0.3, 0.7]),
+        ],
+        ids=["ball_leaves_box", "shifted_ball_leaves_box", "inner_shell_empty", "outer_shell_empty", "l2_ball_leaves_box"],
+    )
+    def test_infeasible_radius_raises_like_full_path(self, call):
+        u = curved_linear_field(2)
+        zero = flux_field(u, LINEAR, (0.2, 0.3))
+        full = assembled(zero, u, LINEAR)
+        h = u.grid.h
+        with pytest.raises(GeometryError) as want:
+            call(full, neumann_solve(full), h)
+        with pytest.raises(GeometryError, match=f"^{re.escape(str(want.value))}$"):
+            call(zero, neumann_solve(zero), h)
+
+    def test_arctan_flux_takes_full_path(self):
+        u = curved_linear_field(2)
+        flux = flux_field(u, ARCTAN, (0.2, 0.3))
+        assert not flux.is_zero
+        g = neumann_solve(flux)
+        assert g.iterations == 1
+        records = shell_identity_report(flux, g, [0.2, 0.3])
+        assert all(rec.flux_side != 0.0 and rec.potential_side != 0.0 for rec in records)
+        assert flux_reach(flux) > 0.0
+        assert stability_report(flux, g).flux_norm > 0.0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_pipeline_artifacts_equal_full_computation(self, dim, tmp_path, monkeypatch):
+        s = linear_scenario(dim)
+        run_pipeline(s, tmp_path / "zero")
+
+        def full_flux(u, model, z):
+            return assembled(flux_field(u, model, z), u, model)
+
+        monkeypatch.setattr(pipeline, "flux_field", full_flux)
+        run_pipeline(s, tmp_path / "full")
+        zero = {p.name: p.read_bytes() for p in (tmp_path / "zero").iterdir()}
+        full = {p.name: p.read_bytes() for p in (tmp_path / "full").iterdir()}
+        assert {"ghost_0.bin", "ghost_0.json", "scan_0.csv", "ghost_1.json"} <= set(zero)
+        assert zero == full

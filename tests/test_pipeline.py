@@ -8,7 +8,14 @@ import pytest
 
 from fbmlab.errors import GeometryError, ScenarioError
 from fbmlab.fieldio import read_csv, read_field, write_csv, write_field
-from fbmlab.fields import Grid, ScalarField, _ball_weights, _unit_sphere
+from fbmlab.fields import (
+    _SLACK,
+    Grid,
+    ScalarField,
+    _ball_weights,
+    _unit_sphere,
+    free_boundary_points,
+)
 from fbmlab.fastdiag import neumann_modes
 from fbmlab.ghost import flux_field, weak_divergence_residual
 from fbmlab.monotonicity import write_report_csv
@@ -27,7 +34,7 @@ from fbmlab.pipeline import (
     write_ghost,
 )
 from fbmlab.minimizer import ramp_free_boundary
-from fbmlab.scenario import Scenario, load_scenario
+from fbmlab.scenario import RADIUS_MARGIN, Scenario, load_scenario
 
 TINY = {
     "schema_version": 1,
@@ -231,6 +238,44 @@ class TestSelectPoints:
         pts = select_points(s, u)
         assert len(pts) == 1
         s.grid.require_ball_inside(pts[0], s.r_max * 1.05)
+
+    def test_auto_points_match_per_point_loop_on_the_fit_boundary(self):
+        # crossings of the phase level along y sit at node abscissae; r_max
+        # is picked so that one crossing's ball touches the left face exactly
+        base = tiny_scenario(auto_stride=1)
+        grid = base.grid
+        u = ScalarField(grid, np.maximum(grid.node_mesh()[1], 0.0))
+        crossings = free_boundary_points(u, base.phase_level)
+        face = grid.lo[0] - _SLACK * max(grid.h, 1.0)
+
+        def with_radius(r_max, stride=1):
+            return tiny_scenario(
+                auto_stride=stride, radii={"r_min": 0.1, "r_max": float(r_max), "ratio": 1.4}
+            )
+
+        for touching in crossings[crossings[:, 0] > -0.45, 0]:
+            r_max = (touching - face) / (1.0 + RADIUS_MARGIN)
+            for _ in range(8):
+                s = with_radius(r_max)
+                if touching - s.reach == face:
+                    break
+                r_max = np.nextafter(r_max, np.inf if touching - s.reach > face else -np.inf)
+            else:
+                continue
+            break
+        assert touching - s.reach == face
+
+        want = []
+        for z in crossings:
+            try:
+                grid.require_ball_inside(z, s.reach)
+            except GeometryError:
+                continue
+            want.append(tuple(float(c) for c in z))
+        assert select_points(s, u) == tuple(want)
+        assert min(z[0] for z in want) == touching
+        for stride in (2, 7):
+            assert select_points(with_radius(r_max, stride), u) == tuple(want[::stride])
 
     def test_auto_none_feasible_raises(self, first_run):
         out, _ = first_run
