@@ -13,12 +13,9 @@ from __future__ import annotations
 from .density import (
     DensityModel,
     Kind,
-    arctan_density,
     bernoulli_lambda,
     flatness_report,
-    linear_density,
     slope_deviation,
-    structural_report,
 )
 from .errors import GeometryError, ScenarioError, SolverError, VerdictUnavailable
 from .fields import (
@@ -39,7 +36,6 @@ from .minimizer import (
     BoundaryData,
     MinimizeReport,
     Problem,
-    domain_variation_residual,
     energy,
     energy_gradient,
     initial_guess,
@@ -57,7 +53,6 @@ from .ghost import (
 )
 from .monotonicity import (
     MonotonicityReport,
-    derivative_identity_report,
     error_term,
     error_term_flux,
     radial_derivative,
@@ -81,12 +76,9 @@ from .pipeline import run_pipeline
 __all__ = [
     "DensityModel",
     "Kind",
-    "arctan_density",
     "bernoulli_lambda",
     "flatness_report",
-    "linear_density",
     "slope_deviation",
-    "structural_report",
     "GeometryError",
     "ScenarioError",
     "SolverError",
@@ -107,7 +99,6 @@ __all__ = [
     "BoundaryData",
     "MinimizeReport",
     "Problem",
-    "domain_variation_residual",
     "energy",
     "energy_gradient",
     "initial_guess",
@@ -121,7 +112,6 @@ __all__ = [
     "stability_report",
     "weak_divergence_residual",
     "MonotonicityReport",
-    "derivative_identity_report",
     "error_term",
     "error_term_flux",
     "radial_derivative",

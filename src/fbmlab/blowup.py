@@ -367,14 +367,14 @@ class BlowupSequence:
             raise ValueError("scales must be positive")
 
 
-def default_scales(grid: Grid, z, min_cells: int = MIN_SCALE_CELLS) -> tuple[float, ...]:
-    """Halving ladder from the largest centered reach down to min_cells * h."""
+def default_scales(grid: Grid, z) -> tuple[float, ...]:
+    """Halving ladder from the largest centered reach down to MIN_SCALE_CELLS * h."""
     z = np.asarray(z, dtype=float)
     reach = min(
         min(z[a] - grid.lo[a], grid.hi[a] - z[a]) for a in range(grid.dim)
     )
     r = 0.999 * reach
-    r_min = min_cells * grid.h
+    r_min = MIN_SCALE_CELLS * grid.h
     out = []
     while r >= r_min:
         out.append(r)
@@ -450,21 +450,14 @@ class RegularityReport:
     verdict: str
 
 
-def regularity_verdict(
-    u: ScalarField,
-    model: DensityModel,
-    z,
-    scales=None,
-    dev_threshold: float = DEV_THRESHOLD,
-    deficit_threshold: float = DEFICIT_THRESHOLD,
-) -> RegularityReport:
+def regularity_verdict(u: ScalarField, model: DensityModel, z, scales=None) -> RegularityReport:
     """Classify z as "regular" or "inconclusive" from the blow-up metrics.
 
     The regular verdict needs the density to satisfy the structural flatness
     condition and a 3D field (the flat-implies-smooth step holds in R^3);
     otherwise VerdictUnavailable is raised.  Both metrics must clear their
-    thresholds at the two smallest scales.  There is deliberately no
-    "singular" verdict.
+    thresholds (DEV_THRESHOLD, DEFICIT_THRESHOLD) at the two smallest
+    scales.  There is deliberately no "singular" verdict.
     """
     if u.grid.dim != 3:
         raise VerdictUnavailable("regularity verdict is only available in 3D")
@@ -475,7 +468,7 @@ def regularity_verdict(
     seq = build_sequence(u, z, scales=scales)
     finest = np.argsort(seq.scales)[:2]
     ok = all(
-        seq.deviations[i] < dev_threshold and seq.deficits[i] < deficit_threshold
+        seq.deviations[i] < DEV_THRESHOLD and seq.deficits[i] < DEFICIT_THRESHOLD
         for i in finest
     )
     return RegularityReport(

@@ -27,16 +27,16 @@ Conventions used throughout the package:
 * ball integrals are fixed linear functionals of the data on the window of
   cells meeting the ball.  A cell safely inside counts fully, one safely
   outside not at all, and a cell near the sphere counts at the fraction of a
-  deterministic subsample grid (n_sub points per axis) that falls inside.
+  deterministic subsample grid (SUBSAMPLES points per axis) that falls inside.
   For nodal fields the integrand is the multilinear interpolant: a safe
   cell gives each corner 1/2^dim (the cell midpoint value), a borderline
   cell gives each corner the mean of its hat function over the inside
   subsamples.  A subsample's squared distance to z is summed from per-axis
   squares in axis order, ((x_0^2 + x_1^2) + x_2^2), which is bitwise the
   per-subsample sum over its coordinates, so no (cells, subsamples, dim)
-  array is formed.  These weights depend only on (grid, z, r,
-  exclude_radius, n_sub); they are built once, cached, and every ball
-  integral is one weighted sum of h^dim times the values on the window.
+  array is formed.  These weights depend only on (grid, z, r); they are
+  built once, cached, and every ball integral is one weighted sum of h^dim
+  times the values on the window.
 
 Fields are immutable after construction; operations return new arrays,
 except that the derivative stencils write into caller buffers given as out.
@@ -55,7 +55,7 @@ import numpy as np
 from .errors import GeometryError
 
 DEFAULT_SPHERE_POINTS = {2: 1024, 3: 4096}
-DEFAULT_SUBSAMPLES = 4
+SUBSAMPLES = 4
 _SLACK = 1e-9
 
 
@@ -502,13 +502,13 @@ def sphere_quadrature(dim: int, z, r: float, n_points: int | None = None):
     return z[None, :] + r * omega, np.full(n, measure / n)
 
 
-def _sphere_samples(rows: np.ndarray, grid: Grid, z, r: float, n_points: int | None = None):
+def _sphere_samples(rows: np.ndarray, grid: Grid, z, r: float):
     """Quadrature points, weights and the (k, m) samples of rows on |x-z| = r.
 
     rows is a component-major stack (see _node_rows); every field a sphere
     formula needs is sampled in this one gather.
     """
-    pts, wts = sphere_quadrature(grid.dim, z, r, n_points)
+    pts, wts = sphere_quadrature(grid.dim, z, r)
     return pts, wts, _interp_core(rows, grid, pts)
 
 
@@ -527,7 +527,7 @@ def _sphere_flux(z: np.ndarray, r: float, pts: np.ndarray, wts: np.ndarray, samp
     return float(r ** (1 - pts.shape[1]) * np.sum(wts * np.sum(vals * nu, axis=-1)))
 
 
-def shell_average(f: ScalarField, z, r: float, n_points: int | None = None) -> float:
+def shell_average(f: ScalarField, z, r: float) -> float:
     """r^(1-dim) times the surface integral of f over the sphere |x-z| = r.
 
     Note the normalization: for f equal to a constant c this returns
@@ -535,7 +535,7 @@ def shell_average(f: ScalarField, z, r: float, n_points: int | None = None) -> f
     """
     grid = f.grid
     grid.require_ball_inside(z, r)
-    _, wts, vals = _sphere_samples(_node_rows(f.values, grid), grid, z, r, n_points)
+    _, wts, vals = _sphere_samples(_node_rows(f.values, grid), grid, z, r)
     return _shell_mean(wts, vals[0], r, grid.dim)
 
 
@@ -555,44 +555,40 @@ class BallWeights(NamedTuple):
     nodes: np.ndarray
 
 
-def _corner_hats(dim: int, n_sub: int) -> np.ndarray:
-    """Tensor-product hat values at the subsample offsets, (n_sub^dim, 2^dim).
+def _corner_hats(dim: int) -> np.ndarray:
+    """Tensor-product hat values at the subsample offsets, (SUBSAMPLES^dim, 2^dim).
 
     Rows follow the subsample order of the ball rule (meshgrid "ij"), columns
     the cell corners in itertools.product((0, 1), repeat=dim) order.
     """
-    t = (np.arange(n_sub) + 0.5) / n_sub
+    t = (np.arange(SUBSAMPLES) + 0.5) / SUBSAMPLES
     hat = np.stack([1.0 - t, t], axis=-1)
     out = hat
     for _ in range(dim - 1):
-        out = np.einsum("ia,jb->ijab", out, hat).reshape(out.shape[0] * n_sub, -1)
+        out = np.einsum("ia,jb->ijab", out, hat).reshape(out.shape[0] * SUBSAMPLES, -1)
     return out
 
 
 @lru_cache(maxsize=32)
-def _ball_weights(
-    grid: Grid, z: tuple[float, ...], r: float, exclude_radius: float, n_sub: int
-) -> BallWeights:
+def _ball_weights(grid: Grid, z: tuple[float, ...], r: float) -> BallWeights:
     """Build the cell and node weights of the ball |x-z| <= r (cached).
 
-    Cells whose bounding sphere lies inside the shell exclude_radius <= |x-z|
-    <= r are safe, cells whose bounding sphere misses it are out, and the rest
-    are borderline: each is split into n_sub^dim subsample points, of which
-    the inside ones count.  A safe cell gives 1/2^dim to each of its corners;
-    a borderline cell gives corner k the mean over inside subsamples of the
-    corner's hat function.  Results are read-only; the cache holds a few
-    dozen balls, enough for every radius of a scan and its blow-up scales.
+    Cells whose bounding sphere lies inside the ball are safe, cells whose
+    bounding sphere misses it are out, and the rest are borderline: each is
+    split into SUBSAMPLES^dim subsample points, of which the inside ones
+    count.  A safe cell gives 1/2^dim to each of its corners; a borderline
+    cell gives corner k the mean over inside subsamples of the corner's hat
+    function.  Results are read-only; the cache holds a few dozen balls,
+    enough for every radius of a scan and its blow-up scales.
 
     Each subsample coordinate along axis a is one addition, cell centre plus
-    offset, taken on a (borderline cells, n_sub) array per axis.  The squared
-    distances are the per-axis squares broadcast along their own subsample
-    axes and added in axis order; that is the order in which numpy reduces
+    offset, taken on a (borderline cells, SUBSAMPLES) array per axis.  The
+    squared distances are the per-axis squares broadcast along their own
+    subsample axes and added in axis order; that is the order in which numpy reduces
     the coordinates of one subsample, so every distance, and every weight,
     is bitwise what the per-subsample sum gives.
     """
     grid.require_ball_inside(z, r)
-    if exclude_radius != 0.0 and not (0.0 < exclude_radius < r):
-        raise GeometryError("exclude_radius must lie in [0, r)")
     h = grid.h
     dim = grid.dim
     zc = np.asarray(z, dtype=float)
@@ -609,26 +605,23 @@ def _ball_weights(
         d2 = d2 + (c**2).reshape(shape)
     d = np.sqrt(d2)
     half_diag = 0.5 * h * math.sqrt(dim)
-    sure_in = (d + half_diag <= r) & (d - half_diag >= exclude_radius)
-    sure_out = (d - half_diag > r) | (d + half_diag < exclude_radius)
-    near = ~(sure_in | sure_out)
+    sure_in = d + half_diag <= r
+    near = ~sure_in & (d - half_diag <= r)
 
     idx = np.nonzero(near)
     n_near = idx[0].size
-    offs_1d = ((np.arange(n_sub) + 0.5) / n_sub - 0.5) * h
+    offs_1d = ((np.arange(SUBSAMPLES) + 0.5) / SUBSAMPLES - 0.5) * h
     dd2 = 0.0
     for a, c in enumerate(centers):
         s = c[idx[a]][:, None] + offs_1d[None, :]
         shape = [n_near] + [1] * dim
-        shape[1 + a] = n_sub
+        shape[1 + a] = SUBSAMPLES
         dd2 = dd2 + (s * s).reshape(shape)
-    dd2 = dd2.reshape(n_near, n_sub**dim)
+    dd2 = dd2.reshape(n_near, SUBSAMPLES**dim)
     inside = dd2 <= r * r
-    if exclude_radius > 0.0:
-        inside &= dd2 >= exclude_radius * exclude_radius
     cells = sure_in.astype(float)
     cells[near] = inside.mean(axis=1)
-    moments = (inside.astype(float) @ _corner_hats(dim, n_sub)) / n_sub**dim
+    moments = (inside.astype(float) @ _corner_hats(dim)) / SUBSAMPLES**dim
 
     corner_share = np.where(sure_in, 0.5**dim, 0.0)
     nodes = np.zeros(tuple(n + 1 for n in near.shape))
@@ -645,10 +638,8 @@ def _ball_weights(
     )
 
 
-def ball_weights(
-    grid: Grid, z, r: float, exclude_radius: float = 0.0, n_sub: int = DEFAULT_SUBSAMPLES
-) -> BallWeights:
-    """Cached quadrature weights of the ball |x-z| <= r minus |x-z| < exclude_radius.
+def ball_weights(grid: Grid, z, r: float) -> BallWeights:
+    """Cached quadrature weights of the ball |x-z| <= r.
 
     z must give one coordinate per grid axis (ValueError otherwise).
     """
@@ -657,36 +648,21 @@ def ball_weights(
         raise ValueError(
             f"base point dimension mismatch: {len(key)} coordinates on a {grid.dim}D grid"
         )
-    return _ball_weights(grid, key, float(r), float(exclude_radius), int(n_sub))
+    return _ball_weights(grid, key, float(r))
 
 
-def ball_integral(
-    f: ScalarField,
-    z,
-    r: float,
-    exclude_radius: float = 0.0,
-    n_sub: int = DEFAULT_SUBSAMPLES,
-) -> float:
-    """Integral of f over the ball |x-z| <= r, optionally minus a small core.
+def ball_integral(f: ScalarField, z, r: float) -> float:
+    """Integral of f over the ball |x-z| <= r.
 
     One weighted sum of the nodal values on the ball's window: the weights
     (see ball_weights) integrate the multilinear interpolant, with the
     cell-midpoint rule on interior cells and the subsample rule on borderline
     cells, which keeps the shell contribution second order.  They are built
-    once per (grid, z, r, exclude_radius, n_sub) and cached.  exclude_radius
-    drops the contribution of |x-z| < exclude_radius; pass it explicitly
-    when the integrand is singular at z.
+    once per (grid, z, r) and cached.
     """
     grid = f.grid
-    bw = ball_weights(grid, z, r, exclude_radius, n_sub)
+    bw = ball_weights(grid, z, r)
     return float(grid.h**grid.dim * np.sum(bw.nodes * f.values[bw.node_window]))
-
-
-def ball_volume(
-    grid: Grid, z, r: float, exclude_radius: float = 0.0, n_sub: int = DEFAULT_SUBSAMPLES
-) -> float:
-    bw = ball_weights(grid, z, r, exclude_radius, n_sub)
-    return float(grid.h**grid.dim * np.sum(bw.cells))
 
 
 def free_boundary_points(f: ScalarField, level: float) -> np.ndarray:
@@ -725,7 +701,10 @@ def free_boundary_points(f: ScalarField, level: float) -> np.ndarray:
     # is reported once even when several edges meet there
     q = 1e-9 * grid.h
     allpts = np.round(np.vstack(pts) / q) * q
-    return np.unique(allpts, axis=0)
+    # sort and drop repeated rows with a mask rather than np.unique, whose
+    # first call imports numpy.ma
+    allpts = allpts[np.lexsort(allpts.T[::-1])]
+    return allpts[np.concatenate(([True], np.any(allpts[1:] != allpts[:-1], axis=1)))]
 
 
 def geometric_radii(r_min: float, r_max: float, ratio: float) -> np.ndarray:

@@ -70,6 +70,7 @@ __all__ = [
 DEFAULT_TOL = 1e-8
 BOUND_SLACK = 1e-8
 BASE_POINT_ATOL = 1e-12
+STABILITY_EXPONENT = 1.5
 
 
 @dataclass(frozen=True)
@@ -314,17 +315,16 @@ class StabilityReport:
     s: float
 
 
-def stability_report(flux: FluxField, g: GhostFunction, s: float = 1.5) -> StabilityReport:
-    """W^{1,s} norm of the potential over the L^s norm of the flux.
+def stability_report(flux: FluxField, g: GhostFunction) -> StabilityReport:
+    """W^{1,s} norm of the potential over the L^s norm of the flux, s = STABILITY_EXPONENT.
 
     The ratio tracks the stability constant of the splitting; it is a
-    regression statistic, not an asserted bound.  s must sit strictly
-    between 1 and the dimension.  g must be the potential of this flux.
+    regression statistic, not an asserted bound.  s lies strictly between 1
+    and the dimension.  g must be the potential of this flux.
     """
     _check_ghost_contract(g, flux.grid, flux.base_point, flux.f0)
     grid = g.grid
-    if not 1.0 < s < grid.dim:
-        raise ValueError(f"s must lie in (1, {grid.dim}), got {s}")
+    s = STABILITY_EXPONENT
     if flux.is_zero:
         return StabilityReport(phi_norm=0.0, flux_norm=0.0, ratio=0.0, s=s)
     w = trapezoid_weights(grid.node_shape)
@@ -346,22 +346,20 @@ class ShellIdentityRecord:
     gap: float
 
 
-def shell_identity_report(
-    flux: FluxField, g: GhostFunction, radii, dr: float | None = None
-) -> list[ShellIdentityRecord]:
+def shell_identity_report(flux: FluxField, g: GhostFunction, radii) -> list[ShellIdentityRecord]:
     """Flux through spheres against the radial derivative of shell averages.
 
     Compares r^{1-n} * surface integral of U . nu with the centered finite
-    difference of shell_average(potential) in r.  The remainder drops out of
-    the flux side because its weak divergence vanishes.  g must be the
-    potential of this flux.  A zero flux samples nothing: every side is the
-    +0.0 its sphere sums would give, after the same radius checks.
+    difference of shell_average(potential) in r, with step dr = h/2.  The
+    remainder drops out of the flux side because its weak divergence
+    vanishes.  g must be the potential of this flux.  A zero flux samples
+    nothing: every side is the +0.0 its sphere sums would give, after the
+    same radius checks.
     """
     _check_ghost_contract(g, flux.grid, flux.base_point, flux.f0)
     grid = g.grid
     z = np.asarray(g.base_point, dtype=float)
-    if dr is None:
-        dr = 0.5 * grid.h
+    dr = 0.5 * grid.h
     if not flux.is_zero:
         flux_rows = _node_rows(flux.field.values, flux.grid)
         phi_rows = _node_rows(g.potential.values, grid)

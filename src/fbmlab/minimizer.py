@@ -39,19 +39,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import DensityModel, Kind, bernoulli_lambda
-from .errors import GeometryError, SolverError
+from .errors import SolverError
 from .fastdiag import DirichletSolver
 from .fields import (
     Grid,
     ScalarField,
-    VectorField,
     add_edge_means,
     edge_differences,
     edge_differences_transpose,
     edge_gradient_square,
     edge_means_transpose,
     gradient_arrays,
-    trapezoid_weights,
 )
 
 __all__ = [
@@ -66,7 +64,6 @@ __all__ = [
     "ramp",
     "ramp_free_boundary",
     "initial_guess",
-    "domain_variation_residual",
 ]
 
 BOUNDARY_KINDS = ("halfplane", "radial", "wedge", "file")
@@ -456,12 +453,12 @@ def minimize(
     residual CG_RTOL, in at most CG_MAX_ITER inner iterations (see
     _newton_direction), then backtracks from u - d by halving the step until
     E(u - step d) <= E(u) - ARMIJO_C step h^dim <G, d>.  The preconditioner
-    is P = 2 c0 sum_a D_a^T W D_a + diag(sum_a sigma_a(x_a)) + delta on the
-    interior nodes: the Hessian of the linear density's bulk term, with c0
-    the density's lower slope bound, plus the plane means sigma_a of the
-    step's ramp curvature lam w H_eps''(u), shifted so that its smallest
-    eigenvalue is at least the edge Laplacian's.  It is refit at every step
-    and solved by fast diagonalization (fastdiag.DirichletSolver).
+    is P = 2 f'(0) sum_a D_a^T W D_a + diag(sum_a sigma_a(x_a)) + delta on
+    the interior nodes: the Hessian of the linear density's bulk term, with
+    f'(0) = scale the density's smallest slope, plus the plane means sigma_a
+    of the step's ramp curvature lam w H_eps''(u), shifted so that its
+    smallest eigenvalue is at least the edge Laplacian's.  It is refit at
+    every step and solved by fast diagonalization (fastdiag.DirichletSolver).
 
     Stops for one of three reasons, named in the report's stop_reason:
 
@@ -505,7 +502,7 @@ def minimize(
     _require_on_grid(p, u0)
     shape, dim = p.grid.node_shape, p.grid.dim
     kernel = _Kernel(p)
-    precond = DirichletSolver(shape, p.grid.h, 2.0 * p.model.c0)
+    precond = DirichletSolver(shape, p.grid.h, 2.0 * p.model.df(0.0))
     u = u0.values.copy()
     g, q = _buffers(shape, dim), np.empty(shape)
     grad, d, hcurv = _buffers(shape, 3)
@@ -583,43 +580,3 @@ def minimize(
 def initial_guess(p: Problem) -> ScalarField:
     """Starting iterate: the boundary generator evaluated on every node."""
     return ScalarField(p.grid, p.boundary.profile(p.grid))
-
-
-def domain_variation_residual(
-    p: Problem, u: ScalarField, test_fields: list[VectorField]
-) -> list[float]:
-    """Inner variation residuals R(phi) certifying a variational solution.
-
-    R(phi) = sum_nodes w [2 f'(q) g . (Dphi g) - (f(q) + lam H_eps(u))
-    div phi] h^dim with g = grad u and q the energy's edge-quotient squared
-    gradient (fields.edge_gradient_square); a minimizer drives |R| to
-    O(h) |phi|.  Every test field must vanish on the box boundary.
-    """
-    _require_on_grid(p, u)
-    h = p.grid.h
-    dim = p.grid.dim
-    shape = p.grid.node_shape
-    w = trapezoid_weights(shape)
-    boundary = p.grid.boundary_mask()
-    grads = np.stack(gradient_arrays(u.values, h), axis=-1)
-    q = edge_gradient_square(u.values, h, _buffers(shape, dim), np.empty(shape), np.empty(shape))
-    slope = p.model.df(q)
-    bulk = p.model.f(q) + p.lam * ramp(u.values, p.eps)
-    out = []
-    for phi in test_fields:
-        if phi.grid != p.grid:
-            raise ValueError("test field does not live on the problem grid")
-        if np.any(phi.values[boundary] != 0.0):
-            raise GeometryError("test field support touches the box boundary")
-        jac = np.stack(
-            [
-                np.stack(gradient_arrays(phi.values[..., i], h), axis=-1)
-                for i in range(dim)
-            ],
-            axis=-2,
-        )
-        quad = np.einsum("...i,...ij,...j->...", grads, jac, grads)
-        div = np.einsum("...ii->...", jac)
-        integrand = 2.0 * slope * quad - bulk * div
-        out.append(float(h**dim * np.sum(w * integrand)))
-    return out

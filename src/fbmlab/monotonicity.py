@@ -33,7 +33,6 @@ from .density import DensityModel
 from .errors import GeometryError
 from .fieldio import write_csv
 from .fields import (
-    DEFAULT_SPHERE_POINTS,
     Grid,
     ScalarField,
     _freeze,
@@ -49,7 +48,6 @@ from .ghost import FluxField, GhostFunction, _check_ghost_contract
 
 __all__ = [
     "MonotonicityReport",
-    "IdentityRecord",
     "VmoReport",
     "RegularPointFit",
     "CSV_COLUMNS",
@@ -58,7 +56,6 @@ __all__ = [
     "radial_derivative",
     "error_term",
     "error_term_flux",
-    "derivative_identity_report",
     "log_radius_derivative",
     "scan",
     "oscillation_profile",
@@ -206,7 +203,6 @@ def weiss_core(
     z,
     r: float,
     f0: float | None = None,
-    n_sphere_points: int | None = None,
     *,
     level: float,
 ) -> float:
@@ -216,7 +212,7 @@ def weiss_core(
     f0 = _resolve_f0(model, f0)
     grid.require_ball_inside(z, r)
     bulk = _ball_energies(u, model, lam, level, z, [r])[0]
-    _, w, samples = _sphere_samples(_node_rows(u.values, grid), grid, z, r, n_sphere_points)
+    _, w, samples = _sphere_samples(_node_rows(u.values, grid), grid, z, r)
     return _weiss(bulk, w, _above(samples, level)[0], f0, r, grid.dim)
 
 
@@ -264,14 +260,13 @@ def _sphere_terms_of(
     z,
     r: float,
     f0: float,
-    n_points: int | None,
     level: float,
 ) -> tuple[float, float]:
     """_sphere_terms of (u - level)^+ on one sphere, checked to lie inside the box."""
     grid = u.grid
     z = _base_point(grid, z)
     grid.require_ball_inside(z, r)
-    pts, w, samples = _sphere_samples(_sphere_rows(u), grid, z, r, n_points)
+    pts, w, samples = _sphere_samples(_sphere_rows(u), grid, z, r)
     return _sphere_terms(model, z, r, f0, pts, w, _above(samples, level))
 
 
@@ -280,7 +275,6 @@ def radial_derivative(
     model: DensityModel,
     z,
     r: float,
-    n_sphere_points: int | None = None,
     *,
     level: float,
 ) -> float:
@@ -289,7 +283,7 @@ def radial_derivative(
     A quadrature of a nonnegative integrand with positive weights: the
     result is nonnegative exactly, not just up to round-off.
     """
-    return _sphere_terms_of(u, model, z, r, 0.0, n_sphere_points, level)[0]
+    return _sphere_terms_of(u, model, z, r, 0.0, level)[0]
 
 
 def error_term(
@@ -298,18 +292,15 @@ def error_term(
     z,
     r: float,
     f0: float | None = None,
-    n_sphere_points: int | None = None,
     *,
     level: float,
 ) -> float:
     """(2/r^{n-1}) int_{dB_r} (F'(|grad u|^2) - F0) (u/r^2) (u_nu - u/r), (u - level)^+ for u."""
     f0 = _resolve_f0(model, f0)
-    return _sphere_terms_of(u, model, z, r, f0, n_sphere_points, level)[1]
+    return _sphere_terms_of(u, model, z, r, f0, level)[1]
 
 
-def error_term_flux(
-    flux: FluxField, r: float, n_sphere_points: int | None = None
-) -> float:
+def error_term_flux(flux: FluxField, r: float) -> float:
     """The same error term as the sphere flux r^{1-n} int_{dB_r} U . nu.
 
     An independent route: the integrand form evaluates slope, height and
@@ -324,9 +315,7 @@ def error_term_flux(
             f"radius {r} does not clear the capped core {flux.cap_radius}"
         )
     grid.require_ball_inside(z, r)
-    pts, w, samples = _sphere_samples(
-        _node_rows(flux.field.values, grid), grid, z, r, n_sphere_points
-    )
+    pts, w, samples = _sphere_samples(_node_rows(flux.field.values, grid), grid, z, r)
     return _sphere_flux(z, r, pts, w, samples)
 
 
@@ -361,60 +350,6 @@ def _validate_radii(radii) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class IdentityRecord:
-    r: float
-    lhs: float
-    rhs: float
-    gap: float
-
-
-def derivative_identity_report(
-    u: ScalarField,
-    model: DensityModel,
-    lam: float,
-    z,
-    radii,
-    n_sphere_points: int | None = None,
-    *,
-    level: float,
-) -> list[IdentityRecord]:
-    """Derivative of the rescaled bulk energy against its sphere identity.
-
-    lhs: centered log-r differences of D(r) = r^{-n} int_{B_r} [F + lam] 1{u>l}.
-    rhs: radial_derivative plus (2/r^{n-1}) int F' (u/r^2)(u_nu - u/r), with
-    (u - l)^+ for u on the sphere (l = level, see scan).
-    The identity holds for energy-critical fields; the gap measures the
-    distance from criticality plus discretization error.  Endpoint radii
-    are dropped (no centered difference there).
-    """
-    grid = u.grid
-    z = _base_point(grid, z)
-    r = _validate_radii(radii)
-    if r.size < 3:
-        raise ValueError("need at least 3 radii for centered differences")
-    for radius in r:
-        grid.require_ball_inside(z, radius)
-    bulk = np.array(
-        [
-            b / radius**grid.dim
-            for b, radius in zip(_ball_energies(u, model, lam, level, z, r), r)
-        ]
-    )
-    lhs_all = log_radius_derivative(bulk, r)
-    rows = _sphere_rows(u)
-    out = []
-    for i in range(1, r.size - 1):
-        radius = float(r[i])
-        pts, w, samples = _sphere_samples(rows, grid, z, radius, n_sphere_points)
-        # f0 = 0 turns T into the full F' term of the identity
-        first, second = _sphere_terms(model, z, radius, 0.0, pts, w, _above(samples, level))
-        rhs = first + second
-        lhs = float(lhs_all[i])
-        out.append(IdentityRecord(r=radius, lhs=lhs, rhs=rhs, gap=lhs - rhs))
-    return out
-
-
-@dataclass(frozen=True)
 class MonotonicityReport:
     """Radius scan of the ghost-corrected quantity with its diagnostics.
 
@@ -438,7 +373,6 @@ class MonotonicityReport:
     f0: float
     lam: float
     h: float
-    n_sphere_points: int
     tol_mono: float
     violations: tuple[int, ...]
 
@@ -501,7 +435,6 @@ def scan(
     radii,
     g: GhostFunction,
     f0: float | None = None,
-    n_sphere_points: int | None = None,
     *,
     level: float,
 ) -> MonotonicityReport:
@@ -521,9 +454,6 @@ def scan(
     r = _validate_radii(radii)
     for radius in r:
         grid.require_ball_inside(z, radius)
-    n_points = (
-        DEFAULT_SPHERE_POINTS[grid.dim] if n_sphere_points is None else n_sphere_points
-    )
 
     bulks = _ball_energies(u, model, lam, level, z, r)
     # one gather per radius samples u, grad u and phi together
@@ -534,7 +464,7 @@ def scan(
     t_col = np.empty(r.size)
     for i, radius in enumerate(r):
         radius = float(radius)
-        pts, w, samples = _sphere_samples(rows, grid, z, radius, n_points)
+        pts, w, samples = _sphere_samples(rows, grid, z, radius)
         _above(samples, level)
         core[i] = _weiss(bulks[i], w, samples[0], f0, radius, grid.dim)
         gt[i] = _shell_mean(w, samples[-1], radius, grid.dim)
@@ -564,7 +494,6 @@ def scan(
         f0=f0,
         lam=float(lam),
         h=grid.h,
-        n_sphere_points=n_points,
         tol_mono=tol_mono,
         violations=violations,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -129,37 +130,13 @@ def stage_ghost(
     g = neumann_solve(flux, tol=s.ghost_tol)
     stab = stability_report(flux, g)
     bound = flux_bound_report(flux, s.model, lipschitz(u) if lip is None else lip)
-    shells = shell_identity_report(flux, g, s.radii())
     report = {
-        "base_point": [float(c) for c in g.base_point],
-        "f0": g.f0,
-        "cap_radius": g.cap_radius,
-        "residual": g.residual,
-        "iterations": g.iterations,
+        **_ghost_contract(g),
         # the solve's checked residual is this same weak-divergence ratio
         "weak_divergence_residual": g.residual,
-        "stability": {
-            "phi_norm": stab.phi_norm,
-            "flux_norm": stab.flux_norm,
-            "ratio": stab.ratio,
-            "s": stab.s,
-        },
-        "flux_bound": {
-            "max_violation": bound.max_violation,
-            "eps_star": bound.eps_star,
-            "lip": bound.lip,
-            "c_lip": bound.c_lip,
-            "passed": bound.passed,
-        },
-        "shell_identity": [
-            {
-                "r": rec.r,
-                "flux_side": rec.flux_side,
-                "potential_side": rec.potential_side,
-                "gap": rec.gap,
-            }
-            for rec in shells
-        ],
+        "stability": asdict(stab),
+        "flux_bound": asdict(bound),
+        "shell_identity": [asdict(rec) for rec in shell_identity_report(flux, g, s.radii())],
         "flux_l2_profile": [{"r": r, "value": v} for r, v in flux_l2_profile(flux, s.radii())],
     }
     return g, report
@@ -212,16 +189,17 @@ def write_ghost(g: GhostFunction, path, report: dict | None = None) -> None:
     The divergence-free remainder U - grad(phi) is not stored: it is derived
     from the flux whenever a check needs it (see weak_divergence_residual).
     """
-    meta = {
-        "base_point": [float(c) for c in g.base_point],
-        "f0": g.f0,
-        "cap_radius": g.cap_radius,
-        "residual": g.residual,
-        "iterations": g.iterations,
-    }
+    meta = _ghost_contract(g)
     if report is not None:
         meta = {**meta, **report}
     write_field(g.potential, path, meta=meta)
+
+
+def _ghost_contract(g: GhostFunction) -> dict:
+    """The GHOST_META_KEYS of g, with the base point as a list of floats."""
+    meta = {key: getattr(g, key) for key in GHOST_META_KEYS}
+    meta["base_point"] = [float(c) for c in g.base_point]
+    return meta
 
 
 def read_ghost(path) -> GhostFunction:

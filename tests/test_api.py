@@ -18,20 +18,24 @@ MODULES = ["fbmlab"] + [
 
 TINY_2D = {
     "schema_version": 1,
-    "grid": {"lo": [-0.75, -0.75], "hi": [0.75, 0.75], "n_cells": [32, 32]},
+    "grid": {"lo": [-0.75, -0.75], "hi": [0.75, 0.75], "n_cells": [64, 64]},
     "density": {"kind": "arctan", "alpha": 0.1},
     "boundary": {"kind": "halfplane", "direction": [0.0, 1.0]},
-    "points_of_interest": [[0.0, 0.0]],
+    "points_of_interest": "auto",
+    "auto_stride": 16,
     "radii": {"r_min": 0.1, "r_max": 0.3, "ratio": 1.4},
     "tol": 1e-3,
     "max_iter": 20,
 }
 
-# Runs every stage, blow-up included, then lists the scipy modules it loaded.
+# Runs every stage, auto point selection and blow-up included, checks that
+# numpy.ma (which np.unique imports on its first call) stayed unloaded, then
+# lists the scipy modules it loaded.
 PROBE = """
 import sys
 import fbmlab, fbmlab.cli
 assert fbmlab.cli.main(["pipeline", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 

@@ -16,7 +16,7 @@ from fbmlab.blowup import (
     rescale,
     unit_box,
 )
-from fbmlab.density import arctan_density, linear_density
+from fbmlab.density import DensityModel
 from fbmlab.errors import GeometryError, VerdictUnavailable
 from fbmlab.fields import (
     Grid,
@@ -521,7 +521,7 @@ class TestVerdict:
     def test_halfplane_regular(self):
         g = box_grid(3, 48)
         u = sample(g, lambda x, y, z: np.maximum(x, 0.0))
-        rep = regularity_verdict(u, linear_density(), (0.0, 0.0, 0.0))
+        rep = regularity_verdict(u, DensityModel(kind="linear"), (0.0, 0.0, 0.0))
         assert rep.verdict == "regular"
         assert len(rep.scales) >= 2
 
@@ -530,20 +530,21 @@ class TestVerdict:
         g = Grid((6.5, -1.5, -1.5), (9.5, 1.5, 1.5), (48, 48, 48))
         x, y, z = g.node_mesh()
         u = ScalarField(g, np.clip(np.sqrt(x * x + y * y + z * z) - 8.0, 0.0, None))
-        rep = regularity_verdict(u, linear_density(), (8.0, 0.0, 0.0), scales=(0.75, 0.5))
+        model = DensityModel(kind="linear")
+        rep = regularity_verdict(u, model, (8.0, 0.0, 0.0), scales=(0.75, 0.5))
         assert rep.verdict == "regular"
 
     def test_cone_inconclusive(self):
         g = box_grid(3, 32)
         u = sample(g, lambda x, y, z: np.sqrt(x * x + y * y + z * z))
-        rep = regularity_verdict(u, linear_density(), (0.0, 0.0, 0.0))
+        rep = regularity_verdict(u, DensityModel(kind="linear"), (0.0, 0.0, 0.0))
         assert rep.verdict == "inconclusive"
 
     def test_dim_gate(self):
         g = box_grid(2, 32)
         u = sample(g, lambda x, y: np.maximum(x, 0.0))
         with pytest.raises(VerdictUnavailable):
-            regularity_verdict(u, linear_density(), (0.0, 0.0))
+            regularity_verdict(u, DensityModel(kind="linear"), (0.0, 0.0))
 
     def test_dim_gate_skips_the_flatness_scan(self, monkeypatch):
         # a 2D field gets no verdict whatever the model, so its flatness
@@ -554,7 +555,7 @@ class TestVerdict:
         monkeypatch.setattr(blowup, "flatness_report", no_scan)
         g = box_grid(2, 32)
         u = sample(g, lambda x, y: np.maximum(x, 0.0))
-        for model in (linear_density(), arctan_density(2.0)):
+        for model in (DensityModel(kind="linear"), DensityModel(kind="arctan", alpha=2.0)):
             with pytest.raises(VerdictUnavailable, match="only available in 3D"):
                 regularity_verdict(u, model, (0.0, 0.0))
 
@@ -562,4 +563,4 @@ class TestVerdict:
         g = box_grid(3, 16)
         u = sample(g, lambda x, y, z: np.maximum(x, 0.0))
         with pytest.raises(VerdictUnavailable):
-            regularity_verdict(u, arctan_density(2.0), (0.0, 0.0, 0.0))
+            regularity_verdict(u, DensityModel(kind="arctan", alpha=2.0), (0.0, 0.0, 0.0))

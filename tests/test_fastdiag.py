@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fbmlab.density import linear_density
+from fbmlab.density import DensityModel
 from fbmlab.fastdiag import DirichletSolver, neumann_solve
 from fbmlab.fields import (
     Grid,
@@ -231,9 +231,9 @@ class TestDirichlet:
     @pytest.mark.parametrize("dim,n", [(2, 10), (3, 6)])
     def test_inverts_linear_bulk_hessian(self, dim, n):
         # away from the ramp the linear density's Hessian on interior nodes
-        # is exactly the preconditioned operator with c = 2 c0
+        # is exactly the preconditioned operator with c = 2 f'(0)
         grid = Grid((-1.0,) * dim, (1.0,) * dim, (n,) * dim)
-        model = linear_density(scale=1.5)
+        model = DensityModel(kind="linear", scale=1.5)
         p = Problem(grid, model, BoundaryData("halfplane", direction=(1.0,) + (0.0,) * (dim - 1)))
         u = ScalarField(grid, 3.0 + grid.node_mesh()[0])
         rng = np.random.default_rng(dim)
@@ -241,7 +241,7 @@ class TestDirichlet:
         v[p.fixed_mask] = 0.0
         hv = hessian_product(p, u, ScalarField(grid, v)).values
         shape = grid.node_shape
-        back = DirichletSolver(shape, grid.h, 2.0 * model.c0).solve(
+        back = DirichletSolver(shape, grid.h, 2.0 * model.df(0.0)).solve(
             hv, np.empty(shape), [np.empty(shape), np.empty(shape)]
         )
         assert np.allclose(back, v, rtol=0.0, atol=1e-12)

@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
+from fbmlab import fields
 from fbmlab.blowup import homogeneity_deviation
 from fbmlab.errors import GeometryError
 from fbmlab.fields import (
@@ -33,7 +34,6 @@ from fbmlab.fields import (
     _node_rows,
     _unit_sphere,
     ball_integral,
-    ball_volume,
     ball_weights,
     free_boundary_points,
     geometric_radii,
@@ -534,15 +534,19 @@ class TestShellAverage:
             shell_average(f, (0.8, 0.0), 0.5)
 
 
+def ones(grid):
+    return ScalarField(grid, np.ones(grid.node_shape))
+
+
 class TestBallIntegral:
     def test_unit_ball_volume_3d(self):
         g = box_grid(3, 32, half=1.05)
-        got = ball_volume(g, (0, 0, 0), 1.0)
+        got = ball_integral(ones(g), (0, 0, 0), 1.0)
         assert got == pytest.approx(4 * math.pi / 3, rel=2e-3)
 
     def test_disc_area_2d(self):
         g = box_grid(2, 64, half=1.05)
-        got = ball_volume(g, (0, 0), 1.0)
+        got = ball_integral(ones(g), (0, 0), 1.0)
         assert got == pytest.approx(math.pi, rel=2e-3)
 
     def test_half_space_indicator(self):
@@ -572,13 +576,6 @@ class TestBallIntegral:
         assert errs[1] < 0.4 * errs[0]
         assert errs[2] < 0.4 * errs[1]
 
-    def test_excluded_core(self):
-        g = box_grid(2, 64)
-        f = sample(g, lambda x, y: np.ones_like(x))
-        r, ex = 0.8, 0.2
-        got = ball_integral(f, (0, 0), r, exclude_radius=ex)
-        assert got == pytest.approx(math.pi * (r * r - ex * ex), rel=3e-3)
-
     def test_ball_leaves_box(self):
         g = box_grid(2, 16)
         f = sample(g, lambda x, y: x)
@@ -600,16 +597,18 @@ class TestBallIntegral:
         errs = []
         for n in (16, 32, 64):
             g = box_grid(3, n)
-            errs.append(abs(ball_volume(g, (0, 0, 0), 0.7) - exact))
+            errs.append(abs(ball_integral(ones(g), (0, 0, 0), 0.7) - exact))
         assert errs[2] < errs[0]
         assert errs[2] < 0.6 * errs[0]
 
 
-def reference_ball_rule(grid, z, r, exclude_radius=0.0, n_sub=4):
+def reference_ball_rule(grid, z, r, n_sub=fields.SUBSAMPLES, core=False):
     """The per-call subsample rule the cached weights replace.
 
     Returns the cell window, the safe and borderline masks, and for each
-    borderline cell its subsample points and inside mask.
+    borderline cell its subsample points and inside mask.  core keeps the
+    rule as it stood with an excluded core of radius 0: the cells within
+    half a diagonal of z are borderline, not safe.
     """
     h, dim = grid.h, grid.dim
     z = np.asarray(z, dtype=float)
@@ -622,22 +621,23 @@ def reference_ball_rule(grid, z, r, exclude_radius=0.0, n_sub=4):
     mesh = np.meshgrid(*centers, indexing="ij")
     d = np.sqrt(sum(m * m for m in mesh))
     half_diag = 0.5 * h * math.sqrt(dim)
-    sure_in = (d + half_diag <= r) & (d - half_diag >= exclude_radius)
-    sure_out = (d - half_diag > r) | (d + half_diag < exclude_radius)
-    near = ~(sure_in | sure_out)
+    sure_in = d + half_diag <= r
+    if core:
+        sure_in &= d - half_diag >= 0.0
+    near = ~sure_in & (d - half_diag <= r)
     cc = np.stack(mesh, axis=-1)[near]
     offs_1d = ((np.arange(n_sub) + 0.5) / n_sub - 0.5) * h
     offs = np.stack(np.meshgrid(*([offs_1d] * dim), indexing="ij"), axis=-1)
     rel = cc[:, None, :] + offs.reshape(-1, dim)[None, :, :]
     dd2 = np.sum(rel * rel, axis=-1)
-    inside = (dd2 <= r * r) & ((exclude_radius == 0.0) | (dd2 >= exclude_radius**2))
+    inside = dd2 <= r * r
     return tuple(win), sure_in, near, rel + z, inside
 
 
-def reference_ball_integral(f, z, r, exclude_radius=0.0, n_sub=4):
+def reference_ball_integral(f, z, r):
     """Cell midpoints on safe cells, the interpolant at inside subsamples elsewhere."""
     grid = f.grid
-    win, sure_in, near, pts, inside = reference_ball_rule(grid, z, r, exclude_radius, n_sub)
+    win, sure_in, near, pts, inside = reference_ball_rule(grid, z, r)
     cells = f.values
     for a in range(grid.dim):
         cells = 0.5 * (np.take(cells, range(cells.shape[a] - 1), axis=a)
@@ -648,22 +648,22 @@ def reference_ball_integral(f, z, r, exclude_radius=0.0, n_sub=4):
     return grid.h**grid.dim * total
 
 
-def reference_ball_integral_cells(cell_values, grid, z, r, exclude_radius=0.0, n_sub=4):
-    win, sure_in, near, _, inside = reference_ball_rule(grid, z, r, exclude_radius, n_sub)
+def reference_ball_integral_cells(cell_values, grid, z, r):
+    win, sure_in, near, _, inside = reference_ball_rule(grid, z, r)
     vals = cell_values[win]
     total = np.sum(vals[sure_in]) + np.sum(inside.mean(axis=1) * vals[near])
     return grid.h**grid.dim * total
 
 
 BALL_CASES = [
-    # (dim, n, half, z, r, exclude_radius): off-node centres, an excluded
-    # core, and balls whose window reaches a box face
-    (2, 24, 1.0, (0.013, -0.271), 0.55, 0.0),
-    (2, 24, 1.0, (0.1, 0.05), 0.6, 0.17),
-    (2, 16, 1.0, (0.4, -0.1), 0.6, 0.0),
-    (3, 16, 1.0, (0.031, -0.047, 0.102), 0.5, 0.0),
-    (3, 16, 1.0, (0.0, 0.0, 0.0), 0.7, 0.15),
-    (3, 12, 1.0, (-0.3, 0.2, 0.05), 0.7, 0.0),
+    # (dim, n, half, z, r): off-node centres, a node-aligned centre, and
+    # balls whose window reaches a box face
+    (2, 24, 1.0, (0.013, -0.271), 0.55),
+    (2, 24, 1.0, (0.1, 0.05), 0.6),
+    (2, 16, 1.0, (0.4, -0.1), 0.6),
+    (3, 16, 1.0, (0.031, -0.047, 0.102), 0.5),
+    (3, 16, 1.0, (0.0, 0.0, 0.0), 0.7),
+    (3, 12, 1.0, (-0.3, 0.2, 0.05), 0.7),
 ]
 
 
@@ -673,20 +673,17 @@ class TestBallWeights:
         mesh = grid.node_mesh()
         return ScalarField(grid, np.exp(0.7 * mesh[0]) * np.cos(mesh[1]) + sum(mesh) ** 2)
 
-    @pytest.mark.parametrize("dim,n,half,z,r,ex", BALL_CASES)
-    def test_matches_subsample_interpolant_rule(self, dim, n, half, z, r, ex):
+    @pytest.mark.parametrize("dim,n,half,z,r", BALL_CASES)
+    def test_matches_subsample_interpolant_rule(self, dim, n, half, z, r):
         g = box_grid(dim, n, half)
         f = self.field(g)
         cells = np.cos(np.arange(np.prod(g.n_cells), dtype=float)).reshape(g.n_cells)
-        ones = np.ones(g.n_cells)
-        want = reference_ball_integral(f, z, r, ex)
-        assert ball_integral(f, z, r, exclude_radius=ex) == pytest.approx(want, rel=1e-13)
-        want = reference_ball_integral_cells(cells, g, z, r, ex)
-        bw = ball_weights(g, z, r, exclude_radius=ex)
+        want = reference_ball_integral(f, z, r)
+        assert ball_integral(f, z, r) == pytest.approx(want, rel=1e-13)
+        want = reference_ball_integral_cells(cells, g, z, r)
+        bw = ball_weights(g, z, r)
         got = g.h**dim * np.sum(bw.cells * cells[bw.cell_window])
         assert got == pytest.approx(want, rel=1e-13)
-        want = reference_ball_integral_cells(ones, g, z, r, ex)
-        assert ball_volume(g, z, r, exclude_radius=ex) == pytest.approx(want, rel=1e-13)
 
     def test_base_point_needs_one_coordinate_per_axis(self):
         # an extra coordinate used to be dropped silently
@@ -696,7 +693,7 @@ class TestBallWeights:
             with pytest.raises(ValueError, match="base point dimension mismatch"):
                 ball_integral(f, z, 0.5)
             with pytest.raises(ValueError, match="base point dimension mismatch"):
-                ball_volume(g, z, 0.5)
+                ball_weights(g, z, 0.5)
             with pytest.raises(ValueError, match="base point dimension mismatch"):
                 homogeneity_deviation(f, z, 0.5)
 
@@ -726,7 +723,7 @@ class TestBallWeights:
     def test_node_weights_sum_to_cell_weights(self):
         # each cell hands its whole weight to its corners
         g = box_grid(3, 12)
-        bw = ball_weights(g, (0.05, -0.02, 0.11), 0.6, exclude_radius=0.1)
+        bw = ball_weights(g, (0.05, -0.02, 0.11), 0.6)
         assert np.sum(bw.nodes) == pytest.approx(np.sum(bw.cells), rel=1e-14)
 
     def test_sphere_directions_cached_read_only(self):
@@ -738,11 +735,11 @@ class TestBallWeights:
         assert np.all(w == 4.0 * math.pi * 0.5 * 0.5 / 64)
 
 
-def frozen_ball_weights(grid, z, r, exclude_radius, n_sub):
+def frozen_ball_weights(grid, z, r, n_sub, core=False):
     """The cached weights as built before per-axis distances: reference_ball_rule's
     (near, n_sub^dim, dim) coordinates, squared and summed over their last axis,
     then the corner-hat moments and the node scatter."""
-    win, sure_in, near, _, inside = reference_ball_rule(grid, z, r, exclude_radius, n_sub)
+    win, sure_in, near, _, inside = reference_ball_rule(grid, z, r, n_sub, core)
     dim = grid.dim
     cells = sure_in.astype(float)
     cells[near] = inside.mean(axis=1)
@@ -779,20 +776,33 @@ PER_AXIS_CASES = [
 class TestBallWeightsPerAxisDistances:
     @pytest.mark.parametrize("n_sub", [2, 4, 5])
     @pytest.mark.parametrize("dim,n,half,z,r", PER_AXIS_CASES)
-    def test_bytes_equal_frozen_rule(self, dim, n, half, z, r, n_sub):
+    def test_bytes_equal_frozen_rule(self, dim, n, half, z, r, n_sub, monkeypatch):
+        # the per-axis build is exact for any subsample count, not only for
+        # the SUBSAMPLES the package uses; the uncached build sees the patch
         g = box_grid(dim, n, half)
-        for ex in (0.0, 0.3 * r):
-            want = frozen_ball_weights(g, z, r, ex, n_sub)
-            got = _ball_weights(g, z, r, ex, n_sub)
-            assert got.cell_window == want[0] and got.node_window == want[2]
-            for arr, ref in ((got.cells, want[1]), (got.nodes, want[3])):
-                assert arr.shape == ref.shape
-                assert arr.tobytes() == ref.tobytes()
+        want = frozen_ball_weights(g, z, r, n_sub)
+        monkeypatch.setattr(fields, "SUBSAMPLES", n_sub)
+        got = _ball_weights.__wrapped__(g, z, r)
+        assert got.cell_window == want[0] and got.node_window == want[2]
+        for arr, ref in ((got.cells, want[1]), (got.nodes, want[3])):
+            assert arr.shape == ref.shape
+            assert arr.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dim,n,half,z,r", PER_AXIS_CASES)
+    def test_dropped_core_clause_is_bitwise_neutral(self, dim, n, half, z, r):
+        # the cells within half a diagonal of z, which the rule with a core
+        # subsampled, are wholly inside; at 4 subsamples per axis every hat
+        # mean is an exact binary fraction, so they get the safe weights
+        g = box_grid(dim, n, half)
+        want = frozen_ball_weights(g, z, r, fields.SUBSAMPLES, core=True)
+        got = _ball_weights(g, z, r)
+        for arr, ref in ((got.cells, want[1]), (got.nodes, want[3])):
+            assert arr.tobytes() == ref.tobytes()
 
     def test_window_clipped_at_every_face(self):
         # the unit ball of PER_AXIS_CASES: its window is the whole box
         g = box_grid(3, 16)
-        bw = _ball_weights(g, (0.0, 0.0, 0.0), 1.0, 0.0, 4)
+        bw = _ball_weights(g, (0.0, 0.0, 0.0), 1.0)
         assert bw.cell_window == (slice(0, 16),) * 3
         assert bw.node_window == (slice(0, 17),) * 3
 
@@ -803,7 +813,7 @@ class TestBallWeightsPerAxisDistances:
         _ball_weights.cache_clear()
         tracemalloc.start()
         try:
-            _ball_weights(g, (0.0, 0.0, -0.03125), 0.4, 0.0, 4)
+            _ball_weights(g, (0.0, 0.0, -0.03125), 0.4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -868,6 +878,42 @@ class TestIndicatorAndCrossings:
         assert len(pts) > 50
         radii = np.linalg.norm(pts, axis=1)
         assert np.max(np.abs(radii - 0.5)) < g.h
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_dedup_matches_np_unique(self, dim):
+        # values in {-1, 0, 1} put many crossings exactly on nodes, where
+        # several edges report the same point; a +-1e-13 jitter of the
+        # zeros puts crossings a round-off away from the zero coordinate
+        # planes of a box centred at the origin, which snap to +0.0 or -0.0
+        g = box_grid(dim, 8 if dim == 2 else 6)
+        rng = np.random.default_rng(dim)
+        vals = rng.integers(-1, 2, size=g.node_shape).astype(float)
+        jittered = vals + np.where(vals == 0.0, rng.choice([-1e-13, 1e-13], g.node_shape), 0.0)
+        for values in (vals, jittered):
+            f = ScalarField(g, values)
+            snapped = self.crossings(f)
+            want = np.unique(snapped, axis=0)
+            got = free_boundary_points(f, 0.0)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert len(want) < len(snapped)
+        assert np.any((snapped == 0.0) & np.signbit(snapped))
+        assert np.any((snapped == 0.0) & ~np.signbit(snapped))
+
+    @staticmethod
+    def crossings(f):
+        """Every edge crossing of f = 0, snapped as free_boundary_points does, unsorted."""
+        grid, pts = f.grid, []
+        for a in range(grid.dim):
+            va = np.moveaxis(f.values, a, 0)[:-1]
+            vb = np.moveaxis(f.values, a, 0)[1:]
+            cross = (va > 0.0) != (vb > 0.0)
+            index = np.moveaxis(np.indices(f.values.shape), a + 1, 1)[:, :-1][:, cross].T
+            coords = np.asarray(grid.lo) + grid.h * index.astype(float)
+            coords[:, a] += grid.h * va[cross] / (va[cross] - vb[cross])
+            pts.append(coords)
+        q = 1e-9 * grid.h
+        return np.round(np.vstack(pts) / q) * q
 
     def test_interpolated_crossing_location(self):
         g = Grid((0.0, 0.0), (1.0, 1.0), (4, 4))

@@ -4,13 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fbmlab.density import arctan_density, bernoulli_lambda, linear_density
-from fbmlab.errors import GeometryError, SolverError
+from fbmlab.density import DensityModel, bernoulli_lambda
+from fbmlab.errors import SolverError
 from fbmlab.fieldio import write_field
 from fbmlab.fields import (
     Grid,
     ScalarField,
-    VectorField,
     gradient_arrays,
     gradient_transpose,
     trapezoid_weights,
@@ -18,7 +17,6 @@ from fbmlab.fields import (
 from fbmlab.minimizer import (
     BoundaryData,
     Problem,
-    domain_variation_residual,
     energy,
     energy_gradient,
     hessian_product,
@@ -36,7 +34,7 @@ def sample(grid, fn):
 
 
 def halfplane_problem(dim, n, model=None, **kw):
-    model = model or linear_density()
+    model = model or DensityModel(kind="linear")
     grid = box_grid(dim, n)
     e = (1.0,) + (0.0,) * (dim - 1)
     return Problem(grid, model, BoundaryData("halfplane", direction=e), **kw)
@@ -83,7 +81,7 @@ class TestBoundaryData:
 
     def test_dimension_mismatch(self):
         # Problem pairs the data with a grid, so it checks the dimension
-        model = linear_density()
+        model = DensityModel(kind="linear")
         b = BoundaryData("halfplane", direction=(1.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="direction must have 2 components"):
             Problem(box_grid(2, 4), model, b)
@@ -120,7 +118,7 @@ class TestBoundaryData:
     def test_wedge_needs_2d(self):
         b = BoundaryData("wedge", angle=1.0)
         with pytest.raises(ValueError, match="two dimensional"):
-            Problem(box_grid(3, 4), linear_density(), b)
+            Problem(box_grid(3, 4), DensityModel(kind="linear"), b)
 
     def test_invalid_kinds(self):
         with pytest.raises(ValueError):
@@ -143,7 +141,7 @@ class TestBoundaryData:
 
 class TestProblem:
     def test_defaults(self):
-        model = arctan_density(0.1)
+        model = DensityModel(kind="arctan", alpha=0.1)
         p = halfplane_problem(2, 16, model=model)
         assert p.lam == bernoulli_lambda(model)
         assert p.eps == 2.0 * p.grid.h
@@ -212,7 +210,7 @@ class TestEnergy:
         assert energy(p, u) == 0.0
 
     def test_constant_above_ramp(self):
-        p = halfplane_problem(2, 8, model=arctan_density(0.3))
+        p = halfplane_problem(2, 8, model=DensityModel(kind="arctan", alpha=0.3))
         u = ScalarField(p.grid, np.full(p.grid.node_shape, p.eps))
         assert energy(p, u) == pytest.approx(p.lam * 4.0, rel=1e-12)
 
@@ -234,15 +232,16 @@ class TestEnergy:
         grid = box_grid(2, 12)
         vals = rng.standard_normal(grid.node_shape)
         e = (1.0, 0.0)
-        p1 = Problem(grid, arctan_density(0.1, scale=1.0), BoundaryData("halfplane", direction=e))
-        p4 = Problem(grid, arctan_density(0.1, scale=4.0), BoundaryData("halfplane", direction=e))
+        b = BoundaryData("halfplane", direction=e)
+        p1 = Problem(grid, DensityModel(kind="arctan", alpha=0.1, scale=1.0), b)
+        p4 = Problem(grid, DensityModel(kind="arctan", alpha=0.1, scale=4.0), b)
         u = ScalarField(grid, vals)
         assert energy(p4, u) == 4.0 * energy(p1, u)
 
 
 class TestEnergyGradient:
     def test_negative_constant_is_critical(self):
-        p = halfplane_problem(2, 10, model=arctan_density(0.2))
+        p = halfplane_problem(2, 10, model=DensityModel(kind="arctan", alpha=0.2))
         u = ScalarField(p.grid, np.full(p.grid.node_shape, -1.0))
         g = energy_gradient(p, u)
         assert np.all(g.values == 0.0)
@@ -267,7 +266,7 @@ class TestEnergyGradient:
     def test_matches_finite_differences(self, seed):
         # the C^1 ramp makes E differentiable everywhere: no kink dodging
         rng = np.random.default_rng(1000 + seed)
-        model = arctan_density(0.15) if seed % 2 else linear_density()
+        model = DensityModel(kind="arctan", alpha=0.15) if seed % 2 else DensityModel(kind="linear")
         p = halfplane_problem(2, 12, model=model)
         vals = rng.standard_normal(p.grid.node_shape)
         u = ScalarField(p.grid, vals)
@@ -297,7 +296,7 @@ class TestHessian:
     @pytest.mark.parametrize("kind", ["linear", "arctan"])
     def test_matches_gradient_differences(self, dim, n, kind):
         rng = np.random.default_rng(17 + dim)
-        model = linear_density() if kind == "linear" else arctan_density(0.15)
+        model = DensityModel(kind="linear") if kind == "linear" else DensityModel(kind="arctan", alpha=0.15)
         p = halfplane_problem(dim, n, model=model)
         for _ in range(3):
             vals = p.eps * rng.standard_normal(p.grid.node_shape)
@@ -314,7 +313,7 @@ class TestHessian:
 
     def test_symmetric(self):
         rng = np.random.default_rng(4)
-        p = halfplane_problem(3, 6, model=arctan_density(0.2))
+        p = halfplane_problem(3, 6, model=DensityModel(kind="arctan", alpha=0.2))
         u = ScalarField(p.grid, p.eps * rng.standard_normal(p.grid.node_shape))
         a, b = (rng.standard_normal(p.grid.node_shape) for _ in range(2))
         a[p.fixed_mask] = 0.0
@@ -365,7 +364,7 @@ class TestMinimize:
         assert np.max(err[inner]) <= 3.0 * p.grid.h
 
     def test_boundary_bit_exact(self):
-        p = halfplane_problem(2, 16, model=arctan_density(0.1))
+        p = halfplane_problem(2, 16, model=DensityModel(kind="arctan", alpha=0.1))
         rng = np.random.default_rng(9)
         vals = initial_guess(p).values + 0.05 * rng.standard_normal(
             p.grid.node_shape
@@ -386,24 +385,25 @@ class TestMinimize:
         outs = []
         reports = []
         for s in (1.0, 4.0):
-            p = Problem(grid, arctan_density(0.1, scale=s), BoundaryData("halfplane", direction=e))
+            model = DensityModel(kind="arctan", alpha=0.1, scale=s)
+            p = Problem(grid, model, BoundaryData("halfplane", direction=e))
             u, rep = minimize(p, ScalarField(grid, u0_vals), tol=0.0, max_iter=25)
             outs.append(u)
             reports.append(rep)
-        # the Newton step is scale free; the preconditioner scales with c0
+        # the Newton step is scale free; the preconditioner scales with f'(0)
         assert np.array_equal(outs[0].values, outs[1].values)
         assert reports[1].step_history == reports[0].step_history
         assert reports[1].energy_history == [4.0 * e for e in reports[0].energy_history]
 
     def test_nonfinite_entries_raise_solver_error(self):
-        p = halfplane_problem(2, 8, model=arctan_density(0.1))
+        p = halfplane_problem(2, 8, model=DensityModel(kind="arctan", alpha=0.1))
         for bad in (np.nan, np.inf):
             vals = initial_guess(p).values.copy()
             vals[4, 4] = bad
             with pytest.raises(SolverError, match="not finite"):
                 minimize(p, ScalarField(p.grid, vals), tol=1e-8, max_iter=10)
 
-    @pytest.mark.parametrize("dim,n,model", [(2, 32, arctan_density(0.1)), (3, 12, linear_density())])
+    @pytest.mark.parametrize("dim,n,model", [(2, 32, DensityModel(kind="arctan", alpha=0.1)), (3, 12, DensityModel(kind="linear"))])
     def test_newton_reaches_gradient_tol(self, dim, n, model):
         p = halfplane_problem(dim, n, model=model)
         u, rep = minimize(p, noisy_start(p), tol=1e-3, max_iter=50)
@@ -444,7 +444,7 @@ class TestMinimize:
     def test_off_axis_curvature_still_reaches_gradient_tol(self, dim, data):
         # there the ramp curvature is far from additive, and the
         # preconditioner carries only its plane means
-        p = Problem(box_grid(dim, 64 if dim == 2 else 16), arctan_density(0.1), data)
+        p = Problem(box_grid(dim, 64 if dim == 2 else 16), DensityModel(kind="arctan", alpha=0.1), data)
         _, rep = minimize(p, initial_guess(p), tol=1e-3, max_iter=50)
         assert rep.stop_reason == "gradient_tol"
         assert np.all(np.diff(rep.energy_history) <= 0.0)
@@ -453,7 +453,7 @@ class TestMinimize:
 class TestStopping:
     def test_restart_from_stalled_field_stops_quickly(self):
         # 1e-12 lies below what round-off lets the gradient reach here
-        p = halfplane_problem(2, 24, model=arctan_density(0.1))
+        p = halfplane_problem(2, 24, model=DensityModel(kind="arctan", alpha=0.1))
         u1, rep1 = minimize(p, noisy_start(p), tol=1e-12, max_iter=10_000)
         assert rep1.stop_reason == "stalled"
         u2, rep2 = minimize(p, u1, tol=1e-12, max_iter=10_000)
@@ -463,13 +463,13 @@ class TestStopping:
 
     @pytest.mark.parametrize("max_iter,reason", [(10_000, "stalled"), (7, "budget")])
     def test_gradient_norm_is_at_returned_iterate(self, max_iter, reason):
-        p = halfplane_problem(2, 16, model=arctan_density(0.1))
+        p = halfplane_problem(2, 16, model=DensityModel(kind="arctan", alpha=0.1))
         u, rep = minimize(p, noisy_start(p), tol=1e-8, max_iter=max_iter)
         assert rep.stop_reason == reason
         assert rep.gradient_norm == float(np.max(np.abs(energy_gradient(p, u).values)))
 
     def test_lipschitz_is_final_gradient_modulus(self):
-        p = halfplane_problem(2, 16, model=arctan_density(0.1))
+        p = halfplane_problem(2, 16, model=DensityModel(kind="arctan", alpha=0.1))
         u, rep = minimize(p, noisy_start(p), tol=1e-8, max_iter=15)
         mod = np.sqrt(sum(g * g for g in gradient_arrays(u.values, p.grid.h)))
         assert rep.lipschitz == float(np.max(mod))
@@ -502,7 +502,7 @@ class TestBuffers:
         # eigenvector matrices.  An energy, gradient, Hessian product,
         # preconditioner update or solve that allocated a grid-sized array
         # would exceed it.
-        p = halfplane_problem(dim, n, model=arctan_density(0.1))
+        p = halfplane_problem(dim, n, model=DensityModel(kind="arctan", alpha=0.1))
         u0 = noisy_start(p)
         peak, rep, modes = traced_minimize_peak(p, u0)
         assert rep.iterations == 3
@@ -512,7 +512,7 @@ class TestBuffers:
     def test_linear_density_needs_fewer_buffers(self):
         # no w f'' and no separate D v: the linear Hessian product writes D v
         # into the iterate's edge quotients, dim + 10 arrays in all
-        p = halfplane_problem(3, 40, model=linear_density())
+        p = halfplane_problem(3, 40, model=DensityModel(kind="linear"))
         u0 = noisy_start(p)
         peak, rep, modes = traced_minimize_peak(p, u0)
         assert rep.iterations == 3
@@ -524,41 +524,3 @@ class TestInitialGuess:
         p = halfplane_problem(2, 12)
         u = initial_guess(p)
         assert np.array_equal(u.values, p.boundary.profile(p.grid))
-
-
-class TestDomainVariation:
-    @staticmethod
-    def bump_field(grid, scale=(1.0, 0.5)):
-        x, y = grid.node_mesh()
-        b = (1 - x * x) ** 2 * (1 - y * y) ** 2
-        comps = np.stack([s * b for s in scale], axis=-1)
-        return VectorField(grid, comps)
-
-    def test_zero_state_exact(self):
-        p = halfplane_problem(2, 12)
-        u = ScalarField(p.grid, np.zeros(p.grid.node_shape))
-        res = domain_variation_residual(p, u, [self.bump_field(p.grid)])
-        assert res == [0.0]
-
-    def test_zero_test_field_exact(self):
-        p = halfplane_problem(2, 12)
-        u = initial_guess(p)
-        phi = VectorField(p.grid, np.zeros(p.grid.node_shape + (2,)))
-        assert domain_variation_residual(p, u, [phi]) == [0.0]
-
-    def test_support_touching_boundary(self):
-        p = halfplane_problem(2, 12)
-        u = initial_guess(p)
-        phi = VectorField(p.grid, np.ones(p.grid.node_shape + (2,)))
-        with pytest.raises(GeometryError):
-            domain_variation_residual(p, u, [phi])
-
-    def test_halfplane_residual_shrinks_with_h(self):
-        vals = []
-        for n in (16, 32, 64):
-            p = halfplane_problem(2, n, eps=1e-10)
-            u = initial_guess(p)
-            (r,) = domain_variation_residual(p, u, [self.bump_field(p.grid)])
-            vals.append(abs(r))
-            assert abs(r) <= 6.0 * p.grid.h
-        assert vals[2] <= 0.75 * vals[0]

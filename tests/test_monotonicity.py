@@ -20,7 +20,6 @@ from fbmlab.monotonicity import (
     MonotonicityReport,
     VmoReport,
     cell_energy_density,
-    derivative_identity_report,
     error_term,
     error_term_flux,
     log_radius_derivative,
@@ -238,33 +237,6 @@ class TestErrorTerm:
             error_term_flux(flux, 0.4 * flux.cap_radius)
 
 
-class TestDerivativeIdentity:
-    def test_zero_field_exact(self, grid3):
-        u = ScalarField(grid3, np.zeros(grid3.node_shape))
-        radii = [0.2, 0.25, 0.3]
-        for rec in derivative_identity_report(u, LINEAR, 1.0, ORIGIN3, radii, level=0.0):
-            assert rec.lhs == 0.0 and rec.rhs == 0.0 and rec.gap == 0.0
-
-    def test_halfplane_both_sides_small(self, halfplane3):
-        radii = geometric_radii(0.15, 0.4, 1.1)
-        records = derivative_identity_report(halfplane3, LINEAR, 1.0, ORIGIN3, radii, level=0.0)
-        assert records
-        for rec in records:
-            assert abs(rec.lhs) <= 0.3
-            assert abs(rec.gap) <= 0.3
-
-    def test_noncritical_field_shows_gap(self, quadratic3):
-        # |x|^2 is not energy critical; the defect has the closed form
-        # -48 pi r / 5, and the report must show it rather than hide it
-        radii = np.array([0.4, 0.45, 0.5, 0.55, 0.6])
-        for rec in derivative_identity_report(quadratic3, LINEAR, 1.0, ORIGIN3, radii, level=0.0):
-            assert rec.gap == pytest.approx(-48.0 * np.pi * rec.r / 5.0, rel=0.05)
-
-    def test_needs_three_radii(self, halfplane3):
-        with pytest.raises(ValueError):
-            derivative_identity_report(halfplane3, LINEAR, 1.0, ORIGIN3, [0.2, 0.3], level=0.0)
-
-
 class TestLogRadiusDerivative:
     def test_exact_for_linear_data(self):
         r = np.array([0.1, 0.15, 0.2, 0.3])
@@ -309,7 +281,6 @@ class TestScan:
         assert rep.f0 == 1.0
         assert rep.lam == 1.0
         assert rep.h == pytest.approx(1.0 / 48.0)
-        assert rep.n_sphere_points == 4096
         assert rep.tol_mono > 0.0
 
     def test_single_radius(self, halfplane3):
@@ -391,15 +362,6 @@ class TestSphereKernel:
     def test_scan_columns_match_single_radius_terms_3d(self):
         assert_columns_match_single_radius_terms(*arctan_case_3d())
 
-    def test_derivative_identity_uses_the_same_terms(self):
-        u, z, _, radii = arctan_case_2d()
-        records = derivative_identity_report(u, ARCTAN, 0.7, z, radii, level=0.0)
-        for rec in records:
-            want = radial_derivative(u, ARCTAN, z, rec.r, level=0.0) + error_term(
-                u, ARCTAN, z, rec.r, f0=0.0, level=0.0
-            )
-            assert rec.rhs == want
-
     def test_ghost_on_another_grid_raises(self):
         u, z, phi, radii = arctan_case_2d()
         g = zero_ghost(box_grid(2, 48), z, f0=0.9)
@@ -424,7 +386,7 @@ def face_case_2d():
 
 
 class TestDensityWindow:
-    """Scan, Weiss core and identity report on the window of the largest ball
+    """Scan and Weiss core on the window of the largest ball
     against the full-grid density path, byte for byte."""
 
     @pytest.mark.parametrize("case", [arctan_case_2d, arctan_case_3d, face_case_2d])
@@ -439,7 +401,6 @@ class TestDensityWindow:
             with monkeypatch.context() as m:
                 got = scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9, level=level)
                 cores = [weiss_core(u, ARCTAN, 0.7, z, r, f0=0.9, level=level) for r in radii]
-                identity = derivative_identity_report(u, ARCTAN, 0.7, z, radii, level=level)
                 m.setattr(monotonicity, "_ball_energies", full_grid_ball_energies)
                 want = scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9, level=level)
                 for name, col in want.columns.items():
@@ -447,9 +408,6 @@ class TestDensityWindow:
                 assert cores == [
                     weiss_core(u, ARCTAN, 0.7, z, r, f0=0.9, level=level) for r in radii
                 ]
-                assert identity == derivative_identity_report(
-                    u, ARCTAN, 0.7, z, radii, level=level
-                )
                 assert cores == list(got.weiss_core)
 
     def test_face_case_reaches_the_face(self):
@@ -474,8 +432,7 @@ class TestReportsCopyInputs:
                          "a_prime_formula", "t", "mainid_gap", "osc")
         }
         rep = MonotonicityReport(
-            **cols, z=ORIGIN3, f0=1.0, lam=1.0, h=1.0 / 48.0,
-            n_sphere_points=4096, tol_mono=0.0, violations=(),
+            **cols, z=ORIGIN3, f0=1.0, lam=1.0, h=1.0 / 48.0, tol_mono=0.0, violations=(),
         )
         for name, arr in cols.items():
             assert arr.flags.writeable, name

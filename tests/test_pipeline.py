@@ -351,3 +351,21 @@ class TestPhaseLevel:
             med = float(np.median(a))
             assert np.max(np.abs(a - med)) <= 0.025 * med
             assert med == pytest.approx(2.0 * np.pi / 3.0, rel=0.05)
+
+
+SCENARIO_2D = SCENARIO_3D.parent / "arctan_halfplane_2d.json"
+
+
+class TestDensityScale:
+    @pytest.mark.parametrize("scale", [4.0, 0.25])
+    def test_scaled_scenario_takes_the_same_newton_steps(self, scale):
+        # scale multiplies the energy and its gradient, so with tol scaled
+        # alike the Newton steps are those of scale 1; the preconditioner
+        # reads the smallest slope f'(0) = scale, so CG needs as few steps
+        data = json.loads(SCENARIO_2D.read_text())
+        _, base = stage_minimize(Scenario.from_dict(data))
+        data["density"]["scale"] = scale
+        data["tol"] *= scale
+        _, report = stage_minimize(Scenario.from_dict(data))
+        assert report["stop_reason"] == base["stop_reason"] == "gradient_tol"
+        assert report["cg_history"] == base["cg_history"]
