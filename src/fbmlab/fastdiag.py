@@ -1,16 +1,16 @@
 """Fast diagonalization of separable operators on a box.
 
 An operator that acts along axis a by a matrix K_a and along the other axes
-by diagonal weights is a Kronecker sum, so one symmetric eigendecomposition
-per axis diagonalizes it exactly (Lynch, Rice & Thomas, Numer. Math. 6,
-1964): a solve is a forward transform per axis, a division by the summed
-eigenvalues, and an inverse transform per axis.  Two variants share that
-structure:
+by diagonal weights is a Kronecker sum, so one eigendecomposition per axis
+diagonalizes it exactly (Lynch, Rice & Thomas, Numer. Math. 6, 1964): a
+solve is a forward transform per axis, a division by the summed
+eigenvalues, and an inverse transform per axis.  Two variants, both on the
+edge differences E_a, (u[k + e_a] - u[k]) / h:
 
-  neumann_solve    sum_a D_a^T diag(w) D_a on the whole box, with D the
-                   second order nodal derivative and w the trapezoid
-                   weights; singular with the constant null vector.  It is
-                   the ghost stage's weak Neumann system.
+  neumann_solve    sum_a E_a^T W_a E_a on the whole box, W_a the trapezoid
+                   weights of the other axes: the ghost stage's weak Neumann
+                   system, singular with the constant null vector.  Its
+                   per-axis modes are the DCT-I cosines, in closed form.
   DirichletSolver  c/h^2 sum_a K_a + diag(sum_a sigma_a(x_a)) on the
                    interior nodes, with K_a the tridiagonal (-1, 2, -1), the
                    edge differences' E_a^T E_a with the boundary values
@@ -21,90 +21,69 @@ structure:
                    (Concus & Golub, SIAM J. Numer. Anal. 10, 1973), and
                    redoes one eigh per axis.
 
-The Neumann eigenpairs are cached by axis length and read-only.  The
-Dirichlet solver owns its per-axis eigenvectors and applies its transforms
-with matmul on reshaped views of buffers the caller lends it, so a solve
-allocates no array of the grid's size.  The Neumann variant keeps the
-tensordot order it was written with: a batched matmul rounds differently,
-and the ghost potentials are kept byte for byte.
+Both transform with matmul on reshaped views.  The Dirichlet solver owns
+its per-axis eigenvectors and works in buffers the caller lends it, so a
+solve allocates no array of the grid's size.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-
 import numpy as np
 
-from .fields import gradient_arrays, gradient_transpose, trapezoid_weights
-
-__all__ = ["neumann_modes", "neumann_solve", "DirichletSolver"]
+__all__ = ["neumann_solve", "DirichletSolver"]
 
 
-def _freeze(*arrays: np.ndarray) -> None:
-    for arr in arrays:
-        arr.setflags(write=False)
+def _cosine_modes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(forward, inverse, eigenvalues) of w^{-1} E^T E on m nodes at h = 1.
 
-
-@lru_cache(maxsize=16)
-def neumann_modes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs of S = w^{-1/2} D^T diag(w) D w^{-1/2} on m nodes at h = 1.
-
-    Returns (forward, inverse, eigenvalues) with forward = Q^T w^{-1/2} and
-    inverse = w^{-1/2} Q.  Eigenvalues ascend, so index 0 is the constant
-    mode w^{1/2}, the only null vector of the wide stencil.  At spacing h the
-    eigenvalues scale by 1/h^2.  Results are read-only; they are shared by
-    every solve on a grid with this axis length.
+    The columns of inverse are the DCT-I cosines cos(pi i k / (m - 1)), with
+    eigenvalues 2 - 2 cos(pi k / (m - 1)); mode 0 is the constant.  They are
+    w-orthogonal with squared norms (m - 1) / 2, m - 1 for k = 0 and m - 1;
+    forward is their transpose over those norms: inverse @ forward = 1 / w.
     """
-    w = trapezoid_weights((m,))
-    d = gradient_arrays(np.eye(m), 1.0)[0]
-    k = gradient_transpose(w[:, None] * d, 0, 1.0)
-    scale = 1.0 / np.sqrt(w)
-    s = scale[:, None] * k * scale[None, :]
-    lam, q = np.linalg.eigh(0.5 * (s + s.T))
-    forward = q.T * scale[None, :]
-    inverse = scale[:, None] * q
-    _freeze(forward, inverse, lam)
-    return forward, inverse, lam
-
-
-def _apply_along(mat: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(mat, x, axes=(1, axis)), 0, axis)
+    k = np.arange(m)
+    angle = np.pi / (m - 1)
+    inverse = np.cos(angle * np.outer(k, k))
+    norms = np.full(m, 0.5 * (m - 1))
+    norms[[0, -1]] = m - 1
+    return inverse.T / norms[:, None], inverse, 2.0 - 2.0 * np.cos(angle * k)
 
 
 def neumann_solve(b: np.ndarray, h: float) -> np.ndarray:
-    """Minimum-norm solve of the weak Neumann system for a load b.
+    """phi with sum_a E_a^T W_a E_a phi = b at spacing h, for a load b that sums to zero.
 
-    phi = W^{-1/2} (x Q_a) (sum Lambda_a)^+ (x Q_a)^T W^{-1/2} b / h^dim,
-    with Lambda_a the spacing-h eigenvalues (the h = 1 ones over h^2),
-    applied one axis at a time; the constant mode's coefficient is zeroed.
+    The constant mode's coefficient is zeroed: that drops the part
+    W sum(b) / sum(W) of b (W the trapezoid weights) and leaves sum(W phi) = 0.
+    The operator is 1/h^2 times its h = 1 form, hence the factor h^2.
     """
-    modes = [neumann_modes(m) for m in b.shape]
-    c = b
-    for a, (forward, _, _) in enumerate(modes):
-        c = _apply_along(forward, c, a)
-    denom = reduce(np.add.outer, [lam for _, _, lam in modes])
-    origin = (0,) * b.ndim
-    denom[origin] = 1.0
-    c = c / denom
-    c[origin] = 0.0
-    for a, (_, inverse, _) in enumerate(modes):
-        c = _apply_along(inverse, c, a)
-    return c * h ** (2 - b.ndim)
+    dim = b.ndim
+    forward, inverse, lams = zip(*(_cosine_modes(m) for m in b.shape))
+    c, work = _transform(forward, np.array(b, dtype=float), np.empty(b.shape))
+    denom = sum(lam.reshape((-1,) + (1,) * (dim - 1 - axis)) for axis, lam in enumerate(lams))
+    denom.flat[0] = np.inf  # the constant mode, eigenvalue 0, gets coefficient 0
+    c /= denom
+    phi, _ = _transform(inverse, c, work)
+    phi *= h * h
+    return phi
 
 
-def _matmul_along(mat: np.ndarray, x: np.ndarray, axis: int, out: np.ndarray) -> None:
-    """out = mat applied along one axis of x; x and out are C-contiguous, same shape.
+def _transform(mats, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply mats[axis] along every axis of a, with b as the second buffer.
 
-    The axis is the middle one of a (before, m, after) view: matmul takes
-    the leading axis as a batch, and the last axis is one product with the
-    transposed matrix.
+    a and b are C-contiguous arrays of one shape, both overwritten; returns
+    (the array that holds the result, the other one).  Each axis is the
+    middle one of a (before, m, after) view: matmul takes the leading axis
+    as a batch, and the last axis is one product with the transposed matrix.
     """
-    m = x.shape[axis]
-    if axis == x.ndim - 1:
-        np.matmul(x.reshape(-1, m), mat.T, out=out.reshape(-1, m))
-    else:
-        before = int(np.prod(x.shape[:axis], dtype=np.int64))
-        np.matmul(mat, x.reshape(before, m, -1), out=out.reshape(before, m, -1))
+    for axis, mat in enumerate(mats):
+        m = a.shape[axis]
+        if axis == a.ndim - 1:
+            np.matmul(a.reshape(-1, m), mat.T, out=b.reshape(-1, m))
+        else:
+            before = int(np.prod(a.shape[:axis], dtype=np.int64))
+            np.matmul(mat, a.reshape(before, m, -1), out=b.reshape(before, m, -1))
+        a, b = b, a
+    return a, b
 
 
 class DirichletSolver:
@@ -178,13 +157,9 @@ class DirichletSolver:
         size = self.inv_denom.size
         a, b = (buf.reshape(-1)[:size].reshape(self.inner) for buf in work)
         np.copyto(a, r[self.interior])
-        for axis, q in enumerate(self.vectors):
-            _matmul_along(q.T, a, axis, out=b)
-            a, b = b, a
+        a, b = _transform([q.T for q in self.vectors], a, b)
         a *= self.inv_denom
-        for axis, q in enumerate(self.vectors):
-            _matmul_along(q, a, axis, out=b)
-            a, b = b, a
+        a, b = _transform(self.vectors, a, b)
         out.fill(0.0)
         out[self.interior] = a
         return out

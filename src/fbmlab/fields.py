@@ -6,12 +6,13 @@ Conventions used throughout the package:
   every axis; fields store one float64 per node, row-major;
 * gradients are second order: centered differences inside, one-sided
   three-point stencils on the faces (exact on quadratics).  The derivative
-  and its adjoint treat the interior of each axis as contiguous passes over
-  the flattened C-order array, offset by the axis stride;
+  treats the interior of each axis as one contiguous pass over the
+  flattened C-order array, offset by the axis stride;
 * the minimized energy reads the squared gradient from edge quotients
   instead (edge_gradient_square): at a node it is the mean over the two
   edges along each axis, so no mode but the constant escapes it.  Its
   stencils and their exact adjoints live here beside the centered ones;
+  the ghost stage's weak Neumann system is built on the same edges;
 * sphere integrals use equispaced angles in 2d and a Fibonacci spiral with
   equal weights in 3d, with field values taken by multilinear interpolation;
   the unit directions are built once per (dim, n) and shifted and scaled
@@ -198,11 +199,6 @@ class VectorField:
         object.__setattr__(self, "values", vals)
 
 
-def _require_three_nodes(shape: tuple[int, ...]) -> None:
-    if any(n < 3 for n in shape):
-        raise ValueError("a second order derivative needs 3 nodes on every axis")
-
-
 def _flat(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """a as one C-order row without a copy; a must be C-contiguous and shaped like shape.
 
@@ -231,7 +227,8 @@ def gradient_arrays(
     nodes of different lines; the face formulas overwrite those planes.
     """
     values = np.ascontiguousarray(values, dtype=float)
-    _require_three_nodes(values.shape)
+    if any(n < 3 for n in values.shape):
+        raise ValueError("a second order derivative needs 3 nodes on every axis")
     if out is None:
         out = [np.empty_like(values) for _ in range(values.ndim)]
     flat = values.reshape(-1)
@@ -262,56 +259,6 @@ def gradient(f: ScalarField) -> VectorField:
 def lipschitz(f: ScalarField) -> float:
     """max over nodes of |grad f|, the discrete Lipschitz constant of f."""
     return float(np.max(np.sqrt(sum(g * g for g in gradient_arrays(f.values, f.grid.h)))))
-
-
-def gradient_transpose(
-    v: np.ndarray,
-    axis: int,
-    h: float,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact adjoint of the second order nodal derivative along one axis.
-
-    Satisfies sum(D q * v) == sum(q * gradient_transpose(v)) to round-off,
-    with D the np.gradient edge_order=2 stencil.  out receives the result
-    and work holds c v = v / (2h) with its two face planes along the axis
-    zeroed; both must be C-contiguous and shaped like v (anything else
-    raises ValueError).  With both given, no array of v's size is allocated.
-
-    The interior terms are two contiguous passes over the flattened arrays,
-    offset by the axis stride s: out[k] += work[k - s], out[k] -= work[k + s].
-    A pair that crosses from one line to the next reads a zeroed face value,
-    and x + 0.0, x - 0.0 leave every x unchanged (signed zeros included), so
-    each node gets the same value as the per-line stencil.
-    """
-    v = np.ascontiguousarray(v, dtype=float)
-    if not -v.ndim <= axis < v.ndim:
-        raise ValueError(f"axis {axis} is out of range for an array with ndim {v.ndim}")
-    _require_three_nodes((v.shape[axis],))
-    if out is None:
-        out = np.empty_like(v)
-    if work is None:
-        work = np.empty_like(v)
-    out_row, work_row = _flat(out, v.shape), _flat(work, v.shape)
-    s = v.strides[axis] // v.itemsize
-    c = 1.0 / (2.0 * h)
-    np.multiply(v.reshape(-1), c, out=work_row)
-    faces = work.swapaxes(0, axis)
-    faces[0] = 0.0
-    faces[-1] = 0.0
-    out.fill(0.0)
-    out_row[s:] += work_row[:-s]
-    out_row[:-s] -= work_row[s:]
-    v = v.swapaxes(0, axis)
-    res = out.swapaxes(0, axis)
-    res[0] += -3.0 * c * v[0]
-    res[1] += 4.0 * c * v[0]
-    res[2] += -1.0 * c * v[0]
-    res[-1] += 3.0 * c * v[-1]
-    res[-2] += -4.0 * c * v[-1]
-    res[-3] += 1.0 * c * v[-1]
-    return out
 
 
 def _row_stride(a: np.ndarray, axis: int) -> tuple[np.ndarray, int]:

@@ -13,15 +13,20 @@ every report then return their exact zeros without a pass over the grid.
 The potential part of U is recovered by solving the weak Neumann problem on
 the whole box,
 
-    sum_nodes w grad(phi) . grad(psi) = sum_nodes w U . grad(psi)  for all psi,
+    sum_a sum_edges W_a (E_a phi)(E_a psi) = sum_a sum_edges W_a Ubar_a (E_a psi)
+    for all psi,
 
-directly, by the Neumann variant of fast diagonalization (see fastdiag):
-one symmetric eigendecomposition per axis length diagonalizes the weighted
-operator exactly.  The constant mode is dropped, giving a
-mean-zero potential and a remainder U - grad(phi) that is weakly divergence
-free; the remainder is never stored, it is derived from the flux when a
-check needs it.  Shell averages of the potential are what later corrects
-the monotonicity quantity.
+with E_a the edge differences along axis a (the minimizer's stencil),
+Ubar_a the mean of U_a over each edge's two end nodes, and W_a the
+trapezoid weights of the other axes.  Unlike the centered difference, the
+edges see every mode but the constant, so a node-scale checkerboard in the
+load is not amplified.  The system is solved directly by the Neumann
+variant of fast diagonalization (see fastdiag), whose per-axis modes are
+the DCT-I cosines.  The constant mode is dropped, giving a potential
+whose trapezoid-rule integral is zero and a remainder U - grad(phi) that is
+weakly divergence free; the remainder is never stored, it is derived from
+the flux when a check needs it.  Shell averages of the potential are what
+later corrects the monotonicity quantity.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ from .fields import (
     _sphere_flux,
     _sphere_samples,
     ball_integral,
+    edge_differences,
+    edge_differences_transpose,
     gradient_arrays,
-    gradient_transpose,
     require_positive_radius,
     sphere_quadrature,
     trapezoid_weights,
@@ -233,31 +239,62 @@ def flux_bound_report(flux: FluxField, model: DensityModel, lip: float) -> FluxB
     )
 
 
-def _weak_divergence(comps, w: np.ndarray, h: float) -> np.ndarray:
-    """h^dim sum_a D_a^T(w v_a) with its mean removed: the Galerkin load of v."""
-    out = np.zeros(w.shape)
-    for a, v in enumerate(comps):
-        out += gradient_transpose(w * v, a, h)
-    out *= h ** w.ndim
-    return out - out.mean()
+def _weigh(t: np.ndarray, axis: int) -> np.ndarray:
+    """t *= W_axis in place, the trapezoid weights of the other axes: halve their face planes."""
+    for b in range(t.ndim):
+        if b != axis:
+            faces = t.swapaxes(0, b)
+            faces[0] *= 0.5
+            faces[-1] *= 0.5
+    return t
 
 
-def _relative_residual(u, b: np.ndarray, phi: np.ndarray, w: np.ndarray, h: float) -> float:
-    """||P(b - A phi)|| / ||P b||: weak divergence of U - grad(phi) over the load.
+def _flux_edges(flux: FluxField) -> list[np.ndarray]:
+    """W_a Ubar_a per axis, Ubar_a the mean of U_a over each edge's two end nodes.
 
-    u holds the flux components and b = _weak_divergence(u, w, h) their load;
-    P removes the constant mode.  A zero load returns the absolute norm.
+    Stored at the edge's lower node like edge_differences, zero on the last
+    plane along the axis.
     """
-    r = _weak_divergence([ua - da for ua, da in zip(u, gradient_arrays(phi, h))], w, h)
+    out = []
+    for a in range(flux.grid.dim):
+        t = np.zeros(flux.grid.node_shape)
+        edges, nodes = t.swapaxes(0, a), flux.field.values[..., a].swapaxes(0, a)
+        np.add(nodes[:-1], nodes[1:], out=edges[:-1])
+        t *= 0.5
+        out.append(_weigh(t, a))
+    return out
+
+
+def _weak_divergence(edges: list[np.ndarray], h: float, phi=None) -> np.ndarray:
+    """sum_a E_a^T t_a with its mean removed, t_a = W_a Ubar_a: the Galerkin load.
+
+    With phi, t_a - W_a E_a phi in place of t_a: the weak divergence of the
+    remainder U - grad(phi).  The halvings of W_a are exact, so this is
+    W_a (Ubar_a - E_a phi) to the bit.
+    """
+    shape = edges[0].shape
+    out, work, spare = np.zeros(shape), np.empty(shape), np.empty(shape)
+    for a, t in enumerate(edges):
+        if phi is not None:
+            t = np.subtract(t, _weigh(edge_differences(phi, a, h, out=work), a), out=work)
+        out += edge_differences_transpose(t, a, h, out=spare)
+    out -= out.mean()
+    return out
+
+
+def _relative_residual(edges, b: np.ndarray, phi: np.ndarray, h: float) -> float:
+    """||P(b - A phi)|| / ||P b||, the weak divergence of U - grad(phi) over the load.
+
+    b = _weak_divergence(edges, h); P removes the constant mode.  A zero load
+    returns the absolute norm.
+    """
+    r_norm = float(np.linalg.norm(_weak_divergence(edges, h, phi)))
     b_norm = float(np.linalg.norm(b))
-    r_norm = float(np.linalg.norm(r))
-    if b_norm == 0.0:
-        return r_norm
-    return r_norm / b_norm
+    return r_norm / b_norm if b_norm else r_norm
 
 
 def neumann_solve(flux: FluxField, tol: float = DEFAULT_TOL) -> GhostFunction:
-    """Mean-zero potential whose gradient is the flux's gradient part.
+    """Potential, with zero trapezoid-rule mean, whose gradient is the flux's gradient part.
 
     The weak Neumann system (natural boundary condition taken from the flux
     itself) is singular with constant nullspace; it is solved directly by
@@ -267,20 +304,18 @@ def neumann_solve(flux: FluxField, tol: float = DEFAULT_TOL) -> GhostFunction:
     """
     grid = flux.grid
     if not flux.is_zero:
-        w = trapezoid_weights(grid.node_shape)
-        u = np.moveaxis(flux.field.values, -1, 0)
-        b = _weak_divergence(u, w, grid.h)
+        edges = _flux_edges(flux)
+        b = _weak_divergence(edges, grid.h)
     if flux.is_zero or float(np.linalg.norm(b)) == 0.0:
         phi, res, it = np.zeros(grid.node_shape), 0.0, 0
-        phi.setflags(write=False)  # the potential keeps the zero pages uncopied
     else:
         phi = fast_neumann_solve(b, grid.h)
-        phi -= phi.mean()
-        res, it = _relative_residual(u, b, phi, w, grid.h), 1
+        res, it = _relative_residual(edges, b, phi, grid.h), 1
         if not res <= tol:
             raise SolverError(
                 f"Neumann solve residual {res:.3e} exceeds tol {tol:.1e}"
             )
+    phi.setflags(write=False)  # the potential keeps phi (and zero pages) uncopied
     return GhostFunction(
         potential=ScalarField(grid, phi),
         base_point=flux.base_point,
@@ -295,16 +330,15 @@ def weak_divergence_residual(flux: FluxField, g: GhostFunction) -> float:
     """Weak divergence of the remainder U - grad(phi), relative to the load.
 
     Assembles the same Galerkin functional the solve uses; the value is the
-    norm of sum_a D^T(w (U_a - D_a phi)) over the norm of sum_a D^T(w U_a),
-    both with the constant mode removed.  Zero flux returns the absolute
-    norm, 0 for the zero potential.  g must be the potential of this flux.
+    norm of sum_a E_a^T(W_a (Ubar_a - E_a phi)) over the norm of
+    sum_a E_a^T(W_a Ubar_a), both with the constant mode removed.  Zero flux
+    returns the absolute norm, 0 for the zero potential.  g must be the
+    potential of this flux.
     """
     _check_ghost_contract(g, flux.grid, flux.base_point, flux.f0)
-    grid = flux.grid
-    w = trapezoid_weights(grid.node_shape)
-    u = np.moveaxis(flux.field.values, -1, 0)
-    b = _weak_divergence(u, w, grid.h)
-    return _relative_residual(u, b, g.potential.values, w, grid.h)
+    edges = _flux_edges(flux)
+    b = _weak_divergence(edges, flux.grid.h)
+    return _relative_residual(edges, b, g.potential.values, flux.grid.h)
 
 
 @dataclass(frozen=True)

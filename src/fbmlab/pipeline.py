@@ -123,10 +123,14 @@ def stage_ghost(
 ) -> tuple[GhostFunction, dict]:
     """Flux at z, its gradient potential, and the certification report.
 
-    lip is lipschitz(u); run_pipeline computes it once for all points, and
-    it is computed here when not given.
+    The flux is built from the sharp field (u - l)^+ the scan reads, l =
+    Scenario.phase_level; at l = 0 (a stored field, u >= 0) that is u itself.
+    lip is lipschitz(u) of u as given, which bounds (u - l)^+ too; run_pipeline
+    computes it once for all points, and it is computed here when not given.
     """
-    flux = flux_field(u, s.model, z)
+    level = s.phase_level
+    sharp = u if level == 0.0 else ScalarField(u.grid, np.maximum(u.values - level, 0.0))
+    flux = flux_field(sharp, s.model, z)
     g = neumann_solve(flux, tol=s.ghost_tol)
     stab = stability_report(flux, g)
     bound = flux_bound_report(flux, s.model, lipschitz(u) if lip is None else lip)

@@ -11,7 +11,6 @@ from fbmlab.fields import (
     Grid,
     ScalarField,
     gradient_arrays,
-    gradient_transpose,
     trapezoid_weights,
 )
 from fbmlab.minimizer import (
@@ -46,22 +45,6 @@ def noisy_start(p, amplitude=0.05, seed=3):
     noise = amplitude * np.random.default_rng(seed).standard_normal(vals.shape)
     noise[p.fixed_mask] = 0.0
     return ScalarField(p.grid, vals + noise)
-
-
-def frozen_transpose(v, axis, h):
-    """The adjoint stencil as first written, with fresh arrays throughout."""
-    v = np.moveaxis(v, axis, 0)
-    out = np.zeros_like(v)
-    c = 1.0 / (2.0 * h)
-    out[2:] += c * v[1:-1]
-    out[:-2] -= c * v[1:-1]
-    out[0] += -3.0 * c * v[0]
-    out[1] += 4.0 * c * v[0]
-    out[2] += -1.0 * c * v[0]
-    out[-1] += 3.0 * c * v[-1]
-    out[-2] += -4.0 * c * v[-1]
-    out[-3] += 1.0 * c * v[-1]
-    return np.moveaxis(out, 0, axis)
 
 
 class TestBoundaryData:
@@ -162,17 +145,6 @@ class TestProblem:
 
 
 class TestAdjoint:
-    @pytest.mark.parametrize("shape,axis", [((9,), 0), ((6, 7), 0), ((6, 7), 1), ((4, 5, 6), 2)])
-    def test_transpose_matches_gradient(self, shape, axis):
-        rng = np.random.default_rng(42)
-        h = 0.17
-        q = rng.standard_normal(shape)
-        v = rng.standard_normal(shape)
-        d_q = np.gradient(q, h, axis=axis, edge_order=2)
-        lhs = np.sum(d_q * v)
-        rhs = np.sum(q * gradient_transpose(v, axis, h))
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
     @pytest.mark.parametrize("shape", [(9, 7), (5, 6, 4)])
     def test_derivatives_are_np_gradient_bytes(self, shape):
         rng = np.random.default_rng(7)
@@ -185,18 +157,6 @@ class TestAdjoint:
             want = np.gradient(values, h, axis=axis, edge_order=2)
             assert got[axis].tobytes() == want.tobytes()
             assert gradient_arrays(values, h)[axis].tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("shape", [(9, 7), (5, 6, 4)])
-    def test_transpose_into_buffers_is_frozen_stencil_bytes(self, shape):
-        rng = np.random.default_rng(8)
-        h = 0.13
-        v = rng.standard_normal(shape)
-        out, work = np.full(shape, np.nan), np.full(shape, np.nan)
-        for axis in range(len(shape)):
-            want = frozen_transpose(v, axis, h)
-            assert gradient_transpose(v, axis, h, out=out, work=work) is out
-            assert out.tobytes() == want.tobytes()
-            assert gradient_transpose(v, axis, h).tobytes() == want.tobytes()
 
     def test_node_weights_sum_counts_cells(self):
         w = trapezoid_weights((5, 9))

@@ -16,7 +16,6 @@ from fbmlab.fields import (
     _unit_sphere,
     free_boundary_points,
 )
-from fbmlab.fastdiag import neumann_modes
 from fbmlab.ghost import flux_field, weak_divergence_residual
 from fbmlab.monotonicity import write_report_csv
 from fbmlab.pipeline import (
@@ -129,8 +128,8 @@ class TestDeterminism:
 
     def test_one_and_two_threads_byte_identical(self, first_run, tmp_path, monkeypatch):
         # two explicit points so the pool runs two Neumann solves at once;
-        # the eigendecomposition, ball weight and sphere direction caches
-        # are emptied so both threads also race to fill them
+        # the ball weight and sphere direction caches are emptied so both
+        # threads also race to fill them
         out, _ = first_run
         s = tiny_scenario(
             field_path=str(out / "field.bin"),
@@ -139,7 +138,6 @@ class TestDeterminism:
         trees = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("FBMLAB_THREADS", threads)
-            neumann_modes.cache_clear()
             _ball_weights.cache_clear()
             _unit_sphere.cache_clear()
             summary = run_pipeline(s, tmp_path / threads)
@@ -298,10 +296,13 @@ class TestGhostFiles:
         assert g.residual == meta["residual"]
         assert g.iterations == meta["iterations"]
         # the remainder is derived from the flux, so a read-back ghost
-        # reports the residual the run computed in memory
+        # reports the residual the run computed in memory; the flux is
+        # built as stage_ghost builds it, from (u - l)^+ at the phase level
         s = tiny_scenario()
+        assert s.phase_level > 0.0
         u, _ = read_field(out / "field.bin")
-        flux = flux_field(u, s.model, g.base_point)
+        sharp = ScalarField(u.grid, np.maximum(u.values - s.phase_level, 0.0))
+        flux = flux_field(sharp, s.model, g.base_point)
         assert weak_divergence_residual(flux, g) == meta["weak_divergence_residual"]
         assert meta["weak_divergence_residual"] > 0.0
 
