@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .density import DensityModel, flatness_report
-from .errors import GeometryError, VerdictUnavailable
+from .errors import GeometryError
 from .fields import (
     Grid,
     ScalarField,
@@ -42,7 +42,6 @@ from .fields import (
 __all__ = [
     "BlowupSequence",
     "FlatnessFit",
-    "RegularityReport",
     "rescale",
     "homogeneity_deviation",
     "flatness_deficit",
@@ -53,6 +52,7 @@ __all__ = [
 
 DEFAULT_REF_CELLS = 32
 MIN_SCALE_CELLS = 8
+SCALE_FRACTION = 0.999
 REF_BALL_RADIUS = 0.5
 COARSE_DIRECTIONS = 256
 COARSE_BLOCK = 32
@@ -368,12 +368,12 @@ class BlowupSequence:
 
 
 def default_scales(grid: Grid, z) -> tuple[float, ...]:
-    """Halving ladder from the largest centered reach down to MIN_SCALE_CELLS * h."""
+    """Halving ladder from SCALE_FRACTION of the centered reach down to MIN_SCALE_CELLS * h."""
     z = np.asarray(z, dtype=float)
     reach = min(
         min(z[a] - grid.lo[a], grid.hi[a] - z[a]) for a in range(grid.dim)
     )
-    r = 0.999 * reach
+    r = SCALE_FRACTION * reach
     r_min = MIN_SCALE_CELLS * grid.h
     out = []
     while r >= r_min:
@@ -440,42 +440,20 @@ def build_sequence(
     )
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    base_point: tuple[float, ...]
-    scales: tuple[float, ...]
-    deviations: tuple[float, ...]
-    deficits: tuple[float, ...]
-    directions: tuple[tuple[float, ...], ...]
-    verdict: str
+def regularity_verdict(seq: BlowupSequence, model: DensityModel) -> str:
+    """Classify the base point of seq as "regular" or "inconclusive".
 
-
-def regularity_verdict(u: ScalarField, model: DensityModel, z, scales=None) -> RegularityReport:
-    """Classify z as "regular" or "inconclusive" from the blow-up metrics.
-
-    The regular verdict needs the density to satisfy the structural flatness
-    condition and a 3D field (the flat-implies-smooth step holds in R^3);
-    otherwise VerdictUnavailable is raised.  Both metrics must clear their
+    The verdict needs a 3D field (the flat-implies-smooth step holds in R^3)
+    and a density that satisfies the structural flatness condition;
+    otherwise it is "unavailable".  "regular" needs both metrics under their
     thresholds (DEV_THRESHOLD, DEFICIT_THRESHOLD) at the two smallest
     scales.  There is deliberately no "singular" verdict.
     """
-    if u.grid.dim != 3:
-        raise VerdictUnavailable("regularity verdict is only available in 3D")
-    if not flatness_report(model).passed:
-        raise VerdictUnavailable(
-            "density model fails the flatness condition; no verdict"
-        )
-    seq = build_sequence(u, z, scales=scales)
+    if len(seq.base_point) != 3 or not flatness_report(model).passed:
+        return "unavailable"
     finest = np.argsort(seq.scales)[:2]
     ok = all(
         seq.deviations[i] < DEV_THRESHOLD and seq.deficits[i] < DEFICIT_THRESHOLD
         for i in finest
     )
-    return RegularityReport(
-        base_point=seq.base_point,
-        scales=seq.scales,
-        deviations=seq.deviations,
-        deficits=seq.deficits,
-        directions=seq.directions,
-        verdict="regular" if ok else "inconclusive",
-    )
+    return "regular" if ok else "inconclusive"

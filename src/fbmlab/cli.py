@@ -30,7 +30,7 @@ from .pipeline import (
     stage_scan,
     write_ghost,
 )
-from .scenario import Scenario, load_scenario, validate_dict
+from .scenario import Scenario, load_scenario, read_scenario, validate_dict
 
 __all__ = ["main", "parse_point"]
 
@@ -153,16 +153,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    path = Path(args.config)
-    if not path.exists():
-        print(f"scenario file {path} does not exist", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        print(f"{path}: not valid JSON ({exc})", file=sys.stderr)
-        return EXIT_CONFIG
-    diagnostics = validate_dict(data)
+    diagnostics = validate_dict(read_scenario(args.config))
     for line in diagnostics:
         print(line)
     if diagnostics:

@@ -60,6 +60,11 @@ class DensityModel:
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be finite and > 0, got {self.scale}")
 
+    @property
+    def f0(self) -> float:
+        """F0 = f'(1), the slope at the free-boundary gradient level |grad u| = 1."""
+        return float(self.df(1.0))
+
     def f(self, t, out=None, work=None):
         """Density value f(t).
 
@@ -171,8 +176,7 @@ def slope_deviation(model: DensityModel, t_hi: float = 1.0) -> float:
     if not (t_hi > 0.0 and math.isfinite(t_hi)):
         raise ValueError(f"t_hi must be finite and > 0, got {t_hi}")
     t = _t_samples(t_hi, extra=(1.0,))
-    ref = model.df(1.0)
-    return float(np.max(np.abs(np.asarray(model.df(t)) - ref)))
+    return float(np.max(np.abs(np.asarray(model.df(t)) - model.f0)))
 
 
 def _check_t(t):

@@ -17,7 +17,3 @@ class SolverError(RuntimeError):
 
 class ScenarioError(ValueError):
     """A scenario file violates the configuration schema."""
-
-
-class VerdictUnavailable(RuntimeError):
-    """Preconditions for the regularity verdict do not hold."""

@@ -341,15 +341,24 @@ def edge_gradient_square(
     return q
 
 
+def weigh(x: np.ndarray, skip: int | None = None) -> np.ndarray:
+    """x times the trapezoid weights, in place: each face plane is halved.
+
+    The face planes of axis skip keep their values, which gives the weights
+    of the other axes.  Halving is exact, so the result is bitwise x times
+    trapezoid_weights.
+    """
+    for axis in range(x.ndim):
+        if axis != skip:
+            faces = x.swapaxes(0, axis)
+            faces[0] *= 0.5
+            faces[-1] *= 0.5
+    return x
+
+
 def trapezoid_weights(shape: tuple[int, ...]) -> np.ndarray:
     """Trapezoid rule nodal weights: corner-averaged cell sums as nodal sums."""
-    w = np.ones(shape)
-    for a in range(len(shape)):
-        sl = [slice(None)] * len(shape)
-        for end in (0, -1):
-            sl[a] = end
-            w[tuple(sl)] *= 0.5
-    return w
+    return weigh(np.ones(shape))
 
 
 def _node_rows(values: np.ndarray, grid: Grid) -> np.ndarray:

@@ -2,14 +2,15 @@
 
 For a field u and base point z the flux
 
-    U(x) = (f'(|grad u|^2) - f0) * (2 u / d^2) * (grad u - u (x-z) / d^2),
-    d = max(|x - z|, cap_radius),
+    U(x) = (f'(|grad u|^2) - F0) * (2 u / d^2) * (grad u - u (x-z) / d^2),
+    d = max(|x - z|, h/2),
 
-measures how far the density slope wanders from the reference constant f0
-along u.  A linear density makes U vanish identically; perturbed densities
-produce an O(eps/d) field.  flux_field decides once, from the slope gap
-f'(q) - f0, whether U is identically zero (FluxField.is_zero); the solve and
-every report then return their exact zeros without a pass over the grid.
+measures how far the density slope wanders from the reference slope
+F0 = f'(1) (DensityModel.f0) along u.  A linear density makes U vanish
+identically; perturbed densities produce an O(eps/d) field.  flux_field
+decides once, from the slope gap f'(q) - F0, whether U is identically zero
+(FluxField.is_zero); the solve and every report then return their exact
+zeros without a pass over the grid.
 The potential part of U is recovered by solving the weak Neumann problem on
 the whole box,
 
@@ -55,6 +56,7 @@ from .fields import (
     require_positive_radius,
     sphere_quadrature,
     trapezoid_weights,
+    weigh,
 )
 
 __all__ = [
@@ -77,13 +79,14 @@ DEFAULT_TOL = 1e-8
 BOUND_SLACK = 1e-8
 BASE_POINT_ATOL = 1e-12
 STABILITY_EXPONENT = 1.5
+SHELL_STEP_CELLS = 0.5
 
 
 @dataclass(frozen=True)
 class FluxField:
     """Nodewise flux U about base_point.
 
-    is_zero records that the slope gap f'(q) - f0 has no nonzero entry, so
+    is_zero records that the slope gap f'(q) - F0 has no nonzero entry, so
     U is +-0 at every node; flux_field then leaves U unassembled (field
     holds +0 everywhere), and neumann_solve and the reports return their
     exact zeros without sampling or a pass over the grid.  flux_field sets
@@ -159,18 +162,13 @@ def _capped_distance(grid: Grid, z: np.ndarray, cap: float):
     return diffs, d_true, np.maximum(d_true, cap)
 
 
-def flux_field(
-    u: ScalarField,
-    model: DensityModel,
-    z,
-    f0: float | None = None,
-    cap_radius: float | None = None,
-) -> FluxField:
-    """Nodewise flux of u about z with the singular denominator capped.
+def flux_field(u: ScalarField, model: DensityModel, z) -> FluxField:
+    """Nodewise flux of u about z with the singular denominator capped at h/2.
 
-    A slope gap without a nonzero entry makes U +-0 at every node, since u
-    and its gradient are finite wherever the density accepted q; the flux
-    is then marked is_zero and not assembled.
+    The reference slope is the model's F0 = f'(1).  A slope gap without a
+    nonzero entry makes U +-0 at every node, since u and its gradient are
+    finite wherever the density accepted q; the flux is then marked is_zero
+    and not assembled.
     """
     grid = u.grid
     z = np.asarray(z, dtype=float)
@@ -178,12 +176,7 @@ def flux_field(
         raise ValueError("base point dimension mismatch")
     if not bool(grid.contains_points(z[None, :])[0]):
         raise GeometryError(f"base point {tuple(float(c) for c in z)} outside the grid box")
-    if f0 is None:
-        f0 = float(model.df(1.0))
-    if cap_radius is None:
-        cap_radius = 0.5 * grid.h
-    if not cap_radius > 0.0:
-        raise ValueError("cap_radius must be positive")
+    f0, cap_radius = model.f0, 0.5 * grid.h
     grads = gradient_arrays(u.values, grid.h)
     q = sum(g * g for g in grads)
     gap = model.df(q) - f0
@@ -203,8 +196,8 @@ def flux_field(
     return FluxField(
         field=VectorField(grid, values),
         base_point=tuple(float(c) for c in z),
-        f0=float(f0),
-        cap_radius=float(cap_radius),
+        f0=f0,
+        cap_radius=cap_radius,
         is_zero=is_zero,
     )
 
@@ -225,7 +218,8 @@ def flux_bound_report(flux: FluxField, model: DensityModel, lip: float) -> FluxB
     does not depend on the base point, so one value serves every point.
     eps_star is the slope deviation of the model over the realized gradient
     range and C_lip = 2 Lip (Lip + Lip^2) collects the Lipschitz factors.
-    The check fails when the flux reference constant f0 is not f'(1).
+    A flux built for another density is not held to this bound and can
+    fail it.
     """
     eps_star = slope_deviation(model, t_hi=max(1.0, lip * lip))
     c_lip = 2.0 * lip * (lip + lip * lip)
@@ -237,16 +231,6 @@ def flux_bound_report(flux: FluxField, model: DensityModel, lip: float) -> FluxB
         c_lip=c_lip,
         passed=violation <= BOUND_SLACK,
     )
-
-
-def _weigh(t: np.ndarray, axis: int) -> np.ndarray:
-    """t *= W_axis in place, the trapezoid weights of the other axes: halve their face planes."""
-    for b in range(t.ndim):
-        if b != axis:
-            faces = t.swapaxes(0, b)
-            faces[0] *= 0.5
-            faces[-1] *= 0.5
-    return t
 
 
 def _flux_edges(flux: FluxField) -> list[np.ndarray]:
@@ -261,7 +245,7 @@ def _flux_edges(flux: FluxField) -> list[np.ndarray]:
         edges, nodes = t.swapaxes(0, a), flux.field.values[..., a].swapaxes(0, a)
         np.add(nodes[:-1], nodes[1:], out=edges[:-1])
         t *= 0.5
-        out.append(_weigh(t, a))
+        out.append(weigh(t, skip=a))
     return out
 
 
@@ -276,7 +260,7 @@ def _weak_divergence(edges: list[np.ndarray], h: float, phi=None) -> np.ndarray:
     out, work, spare = np.zeros(shape), np.empty(shape), np.empty(shape)
     for a, t in enumerate(edges):
         if phi is not None:
-            t = np.subtract(t, _weigh(edge_differences(phi, a, h, out=work), a), out=work)
+            t = np.subtract(t, weigh(edge_differences(phi, a, h, out=work), skip=a), out=work)
         out += edge_differences_transpose(t, a, h, out=spare)
     out -= out.mean()
     return out
@@ -384,16 +368,16 @@ def shell_identity_report(flux: FluxField, g: GhostFunction, radii) -> list[Shel
     """Flux through spheres against the radial derivative of shell averages.
 
     Compares r^{1-n} * surface integral of U . nu with the centered finite
-    difference of shell_average(potential) in r, with step dr = h/2.  The
-    remainder drops out of the flux side because its weak divergence
-    vanishes.  g must be the potential of this flux.  A zero flux samples
-    nothing: every side is the +0.0 its sphere sums would give, after the
-    same radius checks.
+    difference of shell_average(potential) in r, with step
+    dr = SHELL_STEP_CELLS * h.  The remainder drops out of the flux side
+    because its weak divergence vanishes.  g must be the potential of this
+    flux.  A zero flux samples nothing: every side is the +0.0 its sphere
+    sums would give, after the same radius checks.
     """
     _check_ghost_contract(g, flux.grid, flux.base_point, flux.f0)
     grid = g.grid
     z = np.asarray(g.base_point, dtype=float)
-    dr = 0.5 * grid.h
+    dr = SHELL_STEP_CELLS * grid.h
     if not flux.is_zero:
         flux_rows = _node_rows(flux.field.values, flux.grid)
         phi_rows = _node_rows(g.potential.values, grid)

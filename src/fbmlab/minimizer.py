@@ -50,6 +50,7 @@ from .fields import (
     edge_gradient_square,
     edge_means_transpose,
     gradient_arrays,
+    weigh,
 )
 
 __all__ = [
@@ -252,15 +253,6 @@ def _require_on_grid(p: Problem, u: ScalarField) -> None:
         raise ValueError("field does not live on the problem grid")
 
 
-def _weigh(x: np.ndarray) -> np.ndarray:
-    """x times the trapezoid weights, in place: each face plane is halved."""
-    for axis in range(x.ndim):
-        faces = x.swapaxes(0, axis)
-        faces[0] *= 0.5
-        faces[-1] *= 0.5
-    return x
-
-
 class _Kernel:
     """Energy, gradient and Hessian-vector product of one problem.
 
@@ -293,7 +285,7 @@ class _Kernel:
             return float("inf")
         p.model.f(q, out=integrand, work=a)
         integrand += np.multiply(ramp(u, p.eps, out=a, work=b), p.lam, out=a)
-        return float(self.cell * np.sum(_weigh(integrand)))
+        return float(self.cell * np.sum(weigh(integrand)))
 
     def gradient(self, u, g, q, out, work) -> np.ndarray:
         """G = sum_a D_a^T[2 D_a u A_a^T(w f'(q))] + lam w H_eps'(u), zero on fixed nodes.
@@ -302,14 +294,14 @@ class _Kernel:
         """
         p = self.p
         ws, v, adj = work
-        _weigh(np.multiply(p.model.df(q, out=ws), 2.0, out=ws))
+        weigh(np.multiply(p.model.df(q, out=ws), 2.0, out=ws))
         out.fill(0.0)
         for axis, ga in enumerate(g):
             edge_means_transpose(ws, axis, out=v)
             v *= ga
             out += edge_differences_transpose(v, axis, self.h, out=adj)
         ramp(u, p.eps, order=1, out=v, work=adj)
-        out += _weigh(np.multiply(v, p.lam, out=v))
+        out += weigh(np.multiply(v, p.lam, out=v))
         out[p.fixed_mask] = 0.0
         return out
 
@@ -322,9 +314,9 @@ class _Kernel:
         """
         p = self.p
         if fcurv is not None:
-            _weigh(p.model.d2f(q, out=fcurv))
-        _weigh(np.multiply(p.model.df(q, out=q), 2.0, out=q))
-        _weigh(np.multiply(ramp(u, p.eps, order=2, out=hcurv, work=work), p.lam, out=hcurv))
+            weigh(p.model.d2f(q, out=fcurv))
+        weigh(np.multiply(p.model.df(q, out=q), 2.0, out=q))
+        weigh(np.multiply(ramp(u, p.eps, order=2, out=hcurv, work=work), p.lam, out=hcurv))
 
     def hessian_product(self, coef, g, fcurv, hcurv, v, out, work) -> np.ndarray:
         """Hv, zero on fixed nodes, for the coefficients of hessian_setup.

@@ -79,10 +79,6 @@ CSV_COLUMNS = (
 TOL_MONO_FACTOR = 5.0
 
 
-def _resolve_f0(model: DensityModel, f0: float | None) -> float:
-    return float(model.df(1.0)) if f0 is None else float(f0)
-
-
 def _base_point(grid: Grid, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.size != grid.dim:
@@ -202,18 +198,16 @@ def weiss_core(
     lam: float,
     z,
     r: float,
-    f0: float | None = None,
     *,
     level: float,
 ) -> float:
     """r^{-n} int_{B_r} [F + lam] 1{u>l}  -  F0 r^{-n-1} int_{dB_r} ((u - l)^+)^2, l = level."""
     grid = u.grid
     z = _base_point(grid, z)
-    f0 = _resolve_f0(model, f0)
     grid.require_ball_inside(z, r)
     bulk = _ball_energies(u, model, lam, level, z, [r])[0]
     _, w, samples = _sphere_samples(_node_rows(u.values, grid), grid, z, r)
-    return _weiss(bulk, w, _above(samples, level)[0], f0, r, grid.dim)
+    return _weiss(bulk, w, _above(samples, level)[0], model.f0, r, grid.dim)
 
 
 def _weiss(bulk: float, w: np.ndarray, uvals: np.ndarray, f0: float, r: float, n: int) -> float:
@@ -286,18 +280,9 @@ def radial_derivative(
     return _sphere_terms_of(u, model, z, r, 0.0, level)[0]
 
 
-def error_term(
-    u: ScalarField,
-    model: DensityModel,
-    z,
-    r: float,
-    f0: float | None = None,
-    *,
-    level: float,
-) -> float:
+def error_term(u: ScalarField, model: DensityModel, z, r: float, *, level: float) -> float:
     """(2/r^{n-1}) int_{dB_r} (F'(|grad u|^2) - F0) (u/r^2) (u_nu - u/r), (u - level)^+ for u."""
-    f0 = _resolve_f0(model, f0)
-    return _sphere_terms_of(u, model, z, r, f0, level)[1]
+    return _sphere_terms_of(u, model, z, r, model.f0, level)[1]
 
 
 def error_term_flux(flux: FluxField, r: float) -> float:
@@ -434,7 +419,6 @@ def scan(
     z,
     radii,
     g: GhostFunction,
-    f0: float | None = None,
     *,
     level: float,
 ) -> MonotonicityReport:
@@ -442,14 +426,15 @@ def scan(
 
     level is the field's phase level (see the module docstring): the bulk
     counts the cells' fractions above it and the sphere terms read
-    (u - level)^+ for u.  Flags transitions where A drops by more than
-    tol_mono, the O(h/r_min) quadrature ceiling 5 (h/r_min) |A(r_max)|.
-    The stored violation indices point at the left radius of each
-    offending pair.
+    (u - level)^+ for u.  g must be the ghost about z with the model's
+    reference slope F0 = f'(1) (ValueError otherwise).  Flags transitions
+    where A drops by more than tol_mono, the O(h/r_min) quadrature ceiling
+    5 (h/r_min) |A(r_max)|.  The stored violation indices point at the
+    left radius of each offending pair.
     """
     grid = u.grid
     z = _base_point(grid, z)
-    f0 = _resolve_f0(model, f0)
+    f0 = model.f0
     _check_ghost_contract(g, grid, z, f0)
     r = _validate_radii(radii)
     for radius in r:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryError, ScenarioError, VerdictUnavailable
+from .errors import GeometryError, ScenarioError
 from .blowup import build_sequence, regularity_verdict
 from .fieldio import read_field, write_csv, write_field, write_points_csv
 from .fields import ScalarField, free_boundary_points, lipschitz
@@ -95,7 +95,7 @@ def obtain_field(s: Scenario) -> tuple[ScalarField, dict]:
 
 
 def select_points(s: Scenario, u: ScalarField) -> tuple[tuple[float, ...], ...]:
-    """Points of interest with the radius ladder guaranteed to fit.
+    """Points of interest whose reach (Scenario.reach) fits in the box.
 
     Explicit points must all be feasible (GeometryError otherwise).  "auto"
     keeps the feasible free-boundary points, the crossings of the
@@ -129,7 +129,12 @@ def stage_ghost(
     computes it once for all points, and it is computed here when not given.
     """
     level = s.phase_level
-    sharp = u if level == 0.0 else ScalarField(u.grid, np.maximum(u.values - level, 0.0))
+    if level == 0.0:
+        sharp = u
+    else:
+        values = np.maximum(u.values - level, 0.0)
+        values.setflags(write=False)  # the field keeps this array uncopied
+        sharp = ScalarField(u.grid, values)
     flux = flux_field(sharp, s.model, z)
     g = neumann_solve(flux, tol=s.ghost_tol)
     stab = stability_report(flux, g)
@@ -147,28 +152,20 @@ def stage_ghost(
 
 
 def stage_scan(s: Scenario, u: ScalarField, g: GhostFunction) -> MonotonicityReport:
-    return scan(
-        u, s.model, s.lam_value, g.base_point, s.radii(), g, f0=g.f0, level=s.phase_level
-    )
+    """Radius scan at the ghost's base point; the ghost must carry the scenario's F'(1)."""
+    return scan(u, s.model, s.lam_value, g.base_point, s.radii(), g, level=s.phase_level)
 
 
 def stage_blowup(s: Scenario, u: ScalarField, z) -> dict:
-    """Rescaling ladder at z; a regularity verdict where one is defined."""
-    try:
-        rep = regularity_verdict(u, s.model, z)
-        scales, devs, defs_, dirs = rep.scales, rep.deviations, rep.deficits, rep.directions
-        verdict = rep.verdict
-    except VerdictUnavailable:
-        seq = build_sequence(u, z)
-        scales, devs, defs_, dirs = seq.scales, seq.deviations, seq.deficits, seq.directions
-        verdict = "unavailable"
+    """Rescaling ladder at z with the regularity verdict read off it."""
+    seq = build_sequence(u, z)
     return {
         "base_point": [float(c) for c in z],
-        "scales": list(scales),
-        "deviations": list(devs),
-        "deficits": list(defs_),
-        "directions": [list(d) for d in dirs],
-        "verdict": verdict,
+        "scales": list(seq.scales),
+        "deviations": list(seq.deviations),
+        "deficits": list(seq.deficits),
+        "directions": [list(d) for d in seq.directions],
+        "verdict": regularity_verdict(seq, s.model),
     }
 
 

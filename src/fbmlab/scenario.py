@@ -4,7 +4,8 @@ A scenario fixes the grid, the density model, boundary data, the points of
 interest with their radius ladder, and solver tolerances.  `validate_dict`
 returns human-readable diagnostics (empty means valid); `Scenario.from_dict`
 turns a valid dictionary into typed objects and raises ScenarioError
-otherwise.  Schema version 1.
+otherwise; `read_scenario` reads the JSON file both start from.  Schema
+version 1.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .blowup import MIN_SCALE_CELLS, SCALE_FRACTION
 from .density import DensityModel, bernoulli_lambda
 from .errors import GeometryError, ScenarioError
 from .fields import Grid, geometric_radii
+from .ghost import SHELL_STEP_CELLS
 from .minimizer import BoundaryData, Problem, ramp_free_boundary
 
 __all__ = [
@@ -27,6 +30,7 @@ __all__ = [
     "RADIUS_MARGIN",
     "Scenario",
     "validate_dict",
+    "read_scenario",
     "load_scenario",
 ]
 
@@ -234,8 +238,8 @@ def validate_dict(data) -> list[str]:
     Returns a list of human-readable problems; an empty list means the
     scenario is valid.  Never raises.  The checks are those of
     `Scenario.from_dict`, plus geometric feasibility of explicit points:
-    the r_max (1 + margin) ball around each must fit in the box, which
-    `Scenario.from_dict` defers to run time (a GeometryError there).
+    the ball of radius Scenario.reach around each must fit in the box,
+    which `Scenario.from_dict` defers to run time (a GeometryError there).
     """
     s, problems = _parse(data)
     if s is not None and s.points != "auto":
@@ -243,7 +247,10 @@ def validate_dict(data) -> list[str]:
             try:
                 s.grid.require_ball_inside(z, s.reach)
             except GeometryError as exc:
-                problems.append(f"points_of_interest[{i}]: with r_max (1 + margin), {exc}")
+                problems.append(
+                    f"points_of_interest[{i}]: with the reach max(r_max (1 + margin), "
+                    f"last radius + shell step, finest blow-up scale), {exc}"
+                )
     return problems
 
 
@@ -290,8 +297,19 @@ class Scenario:
 
     @property
     def reach(self) -> float:
-        """Radius of the ball every point of interest must fit: r_max (1 + margin)."""
-        return self.r_max * (1.0 + RADIUS_MARGIN)
+        """Radius of the ball every point of interest must fit, the largest of three.
+
+        The scan's r_max (1 + margin); the ladder's last radius plus the
+        shell identity's step (ghost.SHELL_STEP_CELLS * h); and the reach the
+        blow-up's finest scale MIN_SCALE_CELLS * h needs, since
+        blowup.default_scales starts at SCALE_FRACTION of the centered reach.
+        """
+        h = self.grid.h
+        return max(
+            self.r_max * (1.0 + RADIUS_MARGIN),
+            float(self.radii()[-1]) + SHELL_STEP_CELLS * h,
+            MIN_SCALE_CELLS * h / SCALE_FRACTION,
+        )
 
     def radii(self) -> np.ndarray:
         return geometric_radii(self.r_min, self.r_max, self.ratio)
@@ -304,13 +322,17 @@ class Scenario:
         return s
 
 
-def load_scenario(path) -> Scenario:
-    """Read and validate a scenario JSON file."""
+def read_scenario(path):
+    """The decoded JSON of a scenario file, not yet validated (ScenarioError if unreadable)."""
     p = Path(path)
     if not p.exists():
         raise ScenarioError(f"scenario file {p} does not exist")
     try:
-        data = json.loads(p.read_text())
+        return json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{p}: not valid JSON ({exc})") from exc
-    return Scenario.from_dict(data)
+
+
+def load_scenario(path) -> Scenario:
+    """Read and validate a scenario JSON file."""
+    return Scenario.from_dict(read_scenario(path))

@@ -285,7 +285,7 @@ def test_05_error_term_form_equivalence(minimized2d):
         flux = flux_field(u, s.model, z)
         for r in radii:
             gap = abs(
-                error_term(u, s.model, z, r, f0=f0, level=0.0) - error_term_flux(flux, r)
+                error_term(u, s.model, z, r, level=0.0) - error_term_flux(flux, r)
             )
             tol_q = interp_sensitivity(u, s.model, f0, flux, z, r)
             ok = ok and gap <= 2.0 * tol_q

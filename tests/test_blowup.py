@@ -17,7 +17,7 @@ from fbmlab.blowup import (
     unit_box,
 )
 from fbmlab.density import DensityModel
-from fbmlab.errors import GeometryError, VerdictUnavailable
+from fbmlab.errors import GeometryError
 from fbmlab.fields import (
     Grid,
     ScalarField,
@@ -521,46 +521,50 @@ class TestVerdict:
     def test_halfplane_regular(self):
         g = box_grid(3, 48)
         u = sample(g, lambda x, y, z: np.maximum(x, 0.0))
-        rep = regularity_verdict(u, DensityModel(kind="linear"), (0.0, 0.0, 0.0))
-        assert rep.verdict == "regular"
-        assert len(rep.scales) >= 2
+        seq = build_sequence(u, (0.0, 0.0, 0.0))
+        assert regularity_verdict(seq, DensityModel(kind="linear")) == "regular"
+        assert len(seq.scales) >= 2
 
     def test_sphere_cap_regular(self):
         # positive part of a gently curved sphere profile, radius 8
         g = Grid((6.5, -1.5, -1.5), (9.5, 1.5, 1.5), (48, 48, 48))
         x, y, z = g.node_mesh()
         u = ScalarField(g, np.clip(np.sqrt(x * x + y * y + z * z) - 8.0, 0.0, None))
-        model = DensityModel(kind="linear")
-        rep = regularity_verdict(u, model, (8.0, 0.0, 0.0), scales=(0.75, 0.5))
-        assert rep.verdict == "regular"
+        seq = build_sequence(u, (8.0, 0.0, 0.0), scales=(0.75, 0.5))
+        assert regularity_verdict(seq, DensityModel(kind="linear")) == "regular"
 
     def test_cone_inconclusive(self):
         g = box_grid(3, 32)
         u = sample(g, lambda x, y, z: np.sqrt(x * x + y * y + z * z))
-        rep = regularity_verdict(u, DensityModel(kind="linear"), (0.0, 0.0, 0.0))
-        assert rep.verdict == "inconclusive"
+        seq = build_sequence(u, (0.0, 0.0, 0.0))
+        assert regularity_verdict(seq, DensityModel(kind="linear")) == "inconclusive"
 
     def test_dim_gate(self):
         g = box_grid(2, 32)
         u = sample(g, lambda x, y: np.maximum(x, 0.0))
-        with pytest.raises(VerdictUnavailable):
-            regularity_verdict(u, DensityModel(kind="linear"), (0.0, 0.0))
+        seq = build_sequence(u, (0.0, 0.0))
+        assert regularity_verdict(seq, DensityModel(kind="linear")) == "unavailable"
 
     def test_dim_gate_skips_the_flatness_scan(self, monkeypatch):
-        # a 2D field gets no verdict whatever the model, so its flatness
-        # report is never computed
+        # a 2D sequence gets no verdict whatever the model or its metrics, so
+        # its flatness report is never computed
         def no_scan(model):
             raise AssertionError("flatness_report called for a 2D field")
 
         monkeypatch.setattr(blowup, "flatness_report", no_scan)
-        g = box_grid(2, 32)
-        u = sample(g, lambda x, y: np.maximum(x, 0.0))
+        flat = BlowupSequence(
+            base_point=(0.0, 0.0),
+            scales=(0.5, 0.25),
+            deviations=(0.0, 0.0),
+            deficits=(0.0, 0.0),
+            directions=((1.0, 0.0), (1.0, 0.0)),
+        )
         for model in (DensityModel(kind="linear"), DensityModel(kind="arctan", alpha=2.0)):
-            with pytest.raises(VerdictUnavailable, match="only available in 3D"):
-                regularity_verdict(u, model, (0.0, 0.0))
+            assert regularity_verdict(flat, model) == "unavailable"
 
     def test_model_gate(self):
         g = box_grid(3, 16)
         u = sample(g, lambda x, y, z: np.maximum(x, 0.0))
-        with pytest.raises(VerdictUnavailable):
-            regularity_verdict(u, DensityModel(kind="arctan", alpha=2.0), (0.0, 0.0, 0.0))
+        seq = build_sequence(u, (0.0, 0.0, 0.0), scales=(0.75, 0.5))
+        assert regularity_verdict(seq, DensityModel(kind="linear")) == "regular"
+        assert regularity_verdict(seq, DensityModel(kind="arctan", alpha=2.0)) == "unavailable"

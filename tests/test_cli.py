@@ -166,6 +166,60 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
         assert "around (0.7, 0.0) leaves the box" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides,validate_rc,pipeline_rc",
+        [
+            # the blow-up's finest scale needs more room than r_max (1 + margin)
+            ({"grid": {"lo": [-0.75, -0.75], "hi": [0.75, 0.75], "n_cells": [32, 32]}}, 0, 0),
+            # the shell identity's last radius plus h/2 needs more room too
+            (
+                {
+                    "grid": {"lo": [-0.75, -0.75], "hi": [0.75, 0.75], "n_cells": [44, 44]},
+                    "points_of_interest": [[-0.434, 0.0]],
+                    "radii": {"r_min": 0.1, "r_max": 0.3, "ratio": 3.0},
+                },
+                2,
+                4,
+            ),
+        ],
+        ids=["blowup_scale", "shell_step"],
+    )
+    def test_validate_and_pipeline_agree(
+        self, tmp_path, capsys, overrides, validate_rc, pipeline_rc
+    ):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["validate", "--config", str(cfg)]) == validate_rc
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == pipeline_rc
+        if pipeline_rc == 0:
+            assert json.loads((out / "summary.json").read_text())["n_points"] >= 1
+        else:
+            assert "ball of radius" in capsys.readouterr().err
+
+    def test_ghost_of_another_density_exits_2(self, config_path, reference_run, tmp_path, capsys):
+        # the scan takes F0 = f'(1) from the scenario, so a ghost built for
+        # another density does not pass its contract check
+        out, summary = reference_run
+        other = write_config(tmp_path, density={"kind": "arctan", "alpha": 1.0})
+        z = summary["per_point"][0]["z"]
+        ghost = tmp_path / "ghost.bin"
+        rc = main([
+            "ghost", "--config", str(other),
+            "--field", str(out / "field.bin"),
+            "--z=" + ",".join(repr(c) for c in z),
+            "--out", str(ghost),
+        ])
+        assert rc == 0
+        rc = main([
+            "monotonicity", "--config", str(config_path),
+            "--field", str(out / "field.bin"),
+            "--ghost", str(ghost),
+            "--out", str(tmp_path / "scan.csv"),
+        ])
+        assert rc == 2
+        assert "reference slope" in capsys.readouterr().err
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_diverging_solver_exits_3(self, tmp_path, capsys):
         # an overflowing lambda makes the initial energy non-finite
         cfg = write_config(tmp_path, **{"lambda": 1e300})

@@ -42,6 +42,8 @@ from fbmlab.fields import (
     interpolate,
     shell_average,
     sphere_quadrature,
+    trapezoid_weights,
+    weigh,
 )
 from fbmlab.minimizer import ramp, ramp_free_boundary
 
@@ -237,6 +239,29 @@ class TestFlatOffsetStencils:
         out = [np.full(n, np.nan)]
         assert gradient_arrays(np.arange(float(n)), 1.0, out=out) is out
         assert out[0].tobytes() == np.gradient(np.arange(float(n)), edge_order=2).tobytes()
+
+
+def frozen_trapezoid_weights(shape, skip=None):
+    """Product of per-axis trapezoid weights (1 inside, 1/2 at both ends), axis skip left out."""
+    w = np.ones(shape)
+    for a, m in enumerate(shape):
+        if a != skip:
+            wa = np.ones(m)
+            wa[[0, -1]] *= 0.5
+            w = w * wa.reshape([m if b == a else 1 for b in range(len(shape))])
+    return w
+
+
+class TestWeigh:
+    @pytest.mark.parametrize("shape", [(7, 5), (6, 4, 5)])
+    def test_bitwise_equal_to_weight_product(self, shape):
+        x = np.random.default_rng(3).normal(size=shape)
+        for skip in (None, *range(len(shape))):
+            got = x.copy()
+            assert weigh(got, skip=skip) is got
+            want = x * frozen_trapezoid_weights(shape, skip)
+            assert got.tobytes() == want.tobytes(), skip
+        assert trapezoid_weights(shape).tobytes() == frozen_trapezoid_weights(shape).tobytes()
 
 
 class TestEdgeStencils:

@@ -343,16 +343,16 @@ def assert_columns_match_single_radius_terms(u, z, phi, radii):
     # one gather per radius in the scan; the standalone functions share its
     # sphere formulas, so every column agrees bit for bit
     g = GhostFunction(
-        potential=phi, base_point=z, f0=0.9, cap_radius=0.5 * u.grid.h,
+        potential=phi, base_point=z, f0=ARCTAN.f0, cap_radius=0.5 * u.grid.h,
         residual=0.0, iterations=0,
     )
-    rep = scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9, level=0.0)
+    rep = scan(u, ARCTAN, 0.7, z, radii, g, level=0.0)
     assert np.any(rep.t != 0.0) and np.any(rep.ghost_term != 0.0)
     for i, r in enumerate(radii):
-        assert rep.weiss_core[i] == weiss_core(u, ARCTAN, 0.7, z, r, f0=0.9, level=0.0)
+        assert rep.weiss_core[i] == weiss_core(u, ARCTAN, 0.7, z, r, level=0.0)
         assert rep.ghost_term[i] == shell_average(phi, z, r)
         assert rep.a_prime_formula[i] == radial_derivative(u, ARCTAN, z, r, level=0.0)
-        assert rep.t[i] == error_term(u, ARCTAN, z, r, f0=0.9, level=0.0)
+        assert rep.t[i] == error_term(u, ARCTAN, z, r, level=0.0)
 
 
 class TestSphereKernel:
@@ -364,9 +364,9 @@ class TestSphereKernel:
 
     def test_ghost_on_another_grid_raises(self):
         u, z, phi, radii = arctan_case_2d()
-        g = zero_ghost(box_grid(2, 48), z, f0=0.9)
+        g = zero_ghost(box_grid(2, 48), z, f0=ARCTAN.f0)
         with pytest.raises(ValueError, match="different grids"):
-            scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9, level=0.0)
+            scan(u, ARCTAN, 0.7, z, radii, g, level=0.0)
 
 
 def full_grid_ball_energies(u, model, lam, level, z, radii):
@@ -393,20 +393,20 @@ class TestDensityWindow:
     def test_bytes_equal_full_grid_density(self, case, monkeypatch):
         u, z, phi, radii = case()
         g = GhostFunction(
-            potential=phi, base_point=z, f0=0.9, cap_radius=0.5 * u.grid.h,
+            potential=phi, base_point=z, f0=ARCTAN.f0, cap_radius=0.5 * u.grid.h,
             residual=0.0, iterations=0,
         )
         # a cell's phase fraction reads only its own corners, at any level
         for level in (0.0, 0.05):
             with monkeypatch.context() as m:
-                got = scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9, level=level)
-                cores = [weiss_core(u, ARCTAN, 0.7, z, r, f0=0.9, level=level) for r in radii]
+                got = scan(u, ARCTAN, 0.7, z, radii, g, level=level)
+                cores = [weiss_core(u, ARCTAN, 0.7, z, r, level=level) for r in radii]
                 m.setattr(monotonicity, "_ball_energies", full_grid_ball_energies)
-                want = scan(u, ARCTAN, 0.7, z, radii, g, f0=0.9, level=level)
+                want = scan(u, ARCTAN, 0.7, z, radii, g, level=level)
                 for name, col in want.columns.items():
                     assert got.columns[name].tobytes() == col.tobytes(), name
                 assert cores == [
-                    weiss_core(u, ARCTAN, 0.7, z, r, f0=0.9, level=level) for r in radii
+                    weiss_core(u, ARCTAN, 0.7, z, r, level=level) for r in radii
                 ]
                 assert cores == list(got.weiss_core)
 

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from fbmlab.blowup import MIN_SCALE_CELLS, SCALE_FRACTION
 from fbmlab.cli import main
 from fbmlab.density import bernoulli_lambda
 from fbmlab.errors import ScenarioError
 from fbmlab.fields import geometric_radii
+from fbmlab.ghost import SHELL_STEP_CELLS
 from fbmlab.scenario import (
     RADIUS_MARGIN,
     SCHEMA_VERSION,
@@ -252,8 +254,30 @@ class TestFromDict:
         assert SCHEMA_VERSION == 1
 
     def test_reach_is_r_max_with_margin(self):
-        s = Scenario.from_dict(good_dict())
-        assert s.reach == s.r_max * (1.0 + RADIUS_MARGIN)
+        # reach is the largest of the scan's r_max (1 + margin), the shell
+        # identity's last radius plus its step, and the reach of the
+        # blow-up's finest scale; each term leads on one of these grids
+        def terms(n_cells, radii):
+            data = good_dict()
+            data["grid"]["n_cells"] = [n_cells, n_cells]
+            data["radii"] = radii
+            s = Scenario.from_dict(data)
+            h = s.grid.h
+            return s, [
+                s.r_max * (1.0 + RADIUS_MARGIN),
+                float(s.radii()[-1]) + SHELL_STEP_CELLS * h,
+                MIN_SCALE_CELLS * h / SCALE_FRACTION,
+            ]
+
+        ladder = {"r_min": 0.1, "r_max": 0.3, "ratio": 1.4}
+        for n_cells, radii, lead in [
+            (128, ladder, 0),
+            (64, {"r_min": 0.1, "r_max": 0.3, "ratio": 3.0}, 1),
+            (32, ladder, 2),
+        ]:
+            s, want = terms(n_cells, radii)
+            assert s.reach == want[lead] == max(want)
+            assert sorted(want)[1] < want[lead]
 
 
 class TestLoadScenario:
