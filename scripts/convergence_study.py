@@ -39,7 +39,7 @@ def manufactured_error(n: int) -> float:
         ],
         axis=-1,
     )
-    flux = FluxField(VectorField(grid, load), (0.0, 0.0), 1.0, 0.5 * grid.h)
+    flux = FluxField(VectorField(grid, load), (0.0, 0.0), 1.0)
     g = neumann_solve(flux, tol=1e-10)
     w = trapezoid_weights(grid.node_shape)
     diff = g.potential.values - phi

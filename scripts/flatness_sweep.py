@@ -4,7 +4,7 @@
 The improvement-of-flatness condition 1 + 2 sup(f''/f') < 4 reduces, for
 the arctan family, to alpha < 3/2; the sweep tabulates the measured
 supremum against that analytic threshold and brackets the flip point by
-bisection.
+bisection.  Exits 1 unless the bisection bracket contains 1.5.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def main() -> int:
     lo, hi = args.lo, args.hi
     if not passes(lo) or passes(hi):
         print("\nsweep interval does not bracket the flip; skipping bisection")
-        return 0
+        return 1
     while hi - lo > args.tol:
         mid = 0.5 * (lo + hi)
         if passes(mid):
@@ -45,7 +45,7 @@ def main() -> int:
         else:
             hi = mid
     print(f"\ngate flips in [{lo:.8f}, {hi:.8f}]  (analytic threshold 1.5)")
-    return 0
+    return 0 if lo <= 1.5 <= hi else 1
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from .errors import GeometryError
 from .fields import (
     Grid,
     ScalarField,
+    _unit_sphere,
     ball_weights,
     gradient_arrays,
     interpolate,
@@ -164,15 +165,6 @@ def homogeneity_deviation(u: ScalarField, z, r: float) -> float:
 class FlatnessFit:
     direction: tuple[float, ...]
     deficit: float
-
-
-def _coarse_directions(dim: int) -> np.ndarray:
-    n = COARSE_DIRECTIONS
-    if dim == 2:
-        ang = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-        return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    pts, _ = sphere_quadrature(3, (0.0, 0.0, 0.0), 1.0, n_points=n)
-    return pts
 
 
 def _coarse_sups(pts: np.ndarray, vals: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -323,7 +315,7 @@ def flatness_deficit(u: ScalarField) -> FlatnessFit:
         plane = np.maximum(pts @ e, 0.0)
         return float(np.max(np.abs(vals - plane)))
 
-    cand = _coarse_directions(grid.dim)
+    cand = _unit_sphere(grid.dim, COARSE_DIRECTIONS)
     e = cand[_coarse_best(pts, vals, cand)]
     if grid.dim == 2:
         width = 2.0 * np.pi / COARSE_DIRECTIONS

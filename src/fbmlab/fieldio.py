@@ -53,8 +53,9 @@ def read_field(path: str | Path) -> tuple[ScalarField, dict | None]:
         raise ValueError(
             f"{data_path}: expected {grid.n_nodes} float64 values, found {raw.size}"
         )
-    values = raw.reshape(grid.node_shape).astype(np.float64)
-    return ScalarField(grid, values), header.get("meta")
+    # the field keeps the read-only view of the file's bytes; ScalarField
+    # converts it to native byte order only on a big-endian host
+    return ScalarField(grid, raw.reshape(grid.node_shape)), header.get("meta")
 
 
 def format_float(x: float) -> str:

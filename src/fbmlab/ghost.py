@@ -32,7 +32,7 @@ later corrects the monotonicity quantity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -96,17 +96,20 @@ class FluxField:
     field: VectorField
     base_point: tuple[float, ...]
     f0: float
-    cap_radius: float
+    _: KW_ONLY
     is_zero: bool = False
 
     def __post_init__(self) -> None:
-        if not self.cap_radius > 0.0:
-            raise ValueError("cap_radius must be positive")
         object.__setattr__(self, "base_point", tuple(float(c) for c in self.base_point))
 
     @property
     def grid(self) -> Grid:
         return self.field.grid
+
+    @property
+    def cap_radius(self) -> float:
+        """The floor h/2 on the singular distance |x - z|."""
+        return 0.5 * self.grid.h
 
     @cached_property
     def norm_sq(self) -> np.ndarray:
@@ -127,13 +130,17 @@ class GhostFunction:
     potential: ScalarField
     base_point: tuple[float, ...]
     f0: float
-    cap_radius: float
     residual: float
     iterations: int
 
     @property
     def grid(self) -> Grid:
         return self.potential.grid
+
+    @property
+    def cap_radius(self) -> float:
+        """The cap h/2 of the flux this potential splits."""
+        return 0.5 * self.grid.h
 
 
 def _check_ghost_contract(g: GhostFunction, grid: Grid, z, f0: float) -> None:
@@ -176,7 +183,7 @@ def flux_field(u: ScalarField, model: DensityModel, z) -> FluxField:
         raise ValueError("base point dimension mismatch")
     if not bool(grid.contains_points(z[None, :])[0]):
         raise GeometryError(f"base point {tuple(float(c) for c in z)} outside the grid box")
-    f0, cap_radius = model.f0, 0.5 * grid.h
+    f0 = model.f0
     grads = gradient_arrays(u.values, grid.h)
     q = sum(g * g for g in grads)
     gap = model.df(q) - f0
@@ -186,7 +193,7 @@ def flux_field(u: ScalarField, model: DensityModel, z) -> FluxField:
         values = np.zeros(grid.node_shape + (grid.dim,))
         values.setflags(write=False)
     else:
-        diffs, _, d = _capped_distance(grid, z, cap_radius)
+        diffs, _, d = _capped_distance(grid, z, 0.5 * grid.h)
         lead = gap * 2.0 * u.values / (d * d)
         comps = [
             lead * (grads[a] - u.values * diffs[a] / (d * d))
@@ -197,7 +204,6 @@ def flux_field(u: ScalarField, model: DensityModel, z) -> FluxField:
         field=VectorField(grid, values),
         base_point=tuple(float(c) for c in z),
         f0=f0,
-        cap_radius=cap_radius,
         is_zero=is_zero,
     )
 
@@ -304,7 +310,6 @@ def neumann_solve(flux: FluxField, tol: float = DEFAULT_TOL) -> GhostFunction:
         potential=ScalarField(grid, phi),
         base_point=flux.base_point,
         f0=flux.f0,
-        cap_radius=flux.cap_radius,
         residual=res,
         iterations=it,
     )

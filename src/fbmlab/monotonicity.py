@@ -354,10 +354,6 @@ class MonotonicityReport:
     t: np.ndarray
     mainid_gap: np.ndarray
     osc: np.ndarray
-    z: tuple[float, ...]
-    f0: float
-    lam: float
-    h: float
     tol_mono: float
     violations: tuple[int, ...]
 
@@ -374,7 +370,6 @@ class MonotonicityReport:
             "osc",
         ):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
-        object.__setattr__(self, "z", tuple(float(c) for c in self.z))
         object.__setattr__(self, "violations", tuple(int(i) for i in self.violations))
 
     @property
@@ -475,10 +470,6 @@ def scan(
         t=t_col,
         mainid_gap=mainid_gap,
         osc=osc,
-        z=tuple(float(c) for c in z),
-        f0=f0,
-        lam=float(lam),
-        h=grid.h,
         tol_mono=tol_mono,
         violations=violations,
     )

@@ -211,7 +211,6 @@ def read_ghost(path) -> GhostFunction:
         potential=phi,
         base_point=tuple(float(c) for c in meta["base_point"]),
         f0=float(meta["f0"]),
-        cap_radius=float(meta["cap_radius"]),
         residual=float(meta["residual"]),
         iterations=int(meta["iterations"]),
     )

@@ -204,7 +204,7 @@ def manufactured_load(n: int):
         ],
         axis=-1,
     )
-    flux = FluxField(VectorField(grid, load), ORIGIN2, 1.0, 0.5 * grid.h)
+    flux = FluxField(VectorField(grid, load), ORIGIN2, 1.0)
     return flux, ScalarField(grid, phi)
 
 

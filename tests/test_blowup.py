@@ -21,6 +21,7 @@ from fbmlab.errors import GeometryError
 from fbmlab.fields import (
     Grid,
     ScalarField,
+    _unit_sphere,
     ball_integral,
     ball_weights,
     gradient_arrays,
@@ -228,7 +229,7 @@ class TestCoarseScan:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_blocked_scan_bitwise_equal_to_one_shot(self, dim):
         rng = np.random.default_rng(dim)
-        cand = blowup._coarse_directions(dim)
+        cand = _unit_sphere(dim, blowup.COARSE_DIRECTIONS)
         # a point count that leaves a ragged last block of rows is covered too
         for n in (1, 777, 6241):
             pts = rng.uniform(-0.5, 0.5, (n, dim))
@@ -283,7 +284,7 @@ def frozen_flatness_deficit(u):
     def deficit_of(e):
         return float(np.max(np.abs(vals - np.maximum(pts @ e, 0.0))))
 
-    cand = blowup._coarse_directions(grid.dim)
+    cand = _unit_sphere(grid.dim, blowup.COARSE_DIRECTIONS)
     e = cand[int(np.argmin(blowup._coarse_sups(pts, vals, cand)))]
     n = blowup.COARSE_DIRECTIONS
     width = 2.0 * np.pi / n if grid.dim == 2 else 2.5 * np.sqrt(4.0 * np.pi / n)
@@ -402,7 +403,7 @@ class TestPrunedCoarseScan:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_random_fits(self, dim, monkeypatch):
         rng = np.random.default_rng(10 + dim)
-        cand = blowup._coarse_directions(dim)
+        cand = _unit_sphere(dim, blowup.COARSE_DIRECTIONS)
         scans = []
         full = blowup._coarse_sups
 
@@ -432,7 +433,7 @@ class TestPrunedCoarseScan:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_constant_field_all_ties(self, dim):
         rng = np.random.default_rng(dim)
-        cand = blowup._coarse_directions(dim)
+        cand = _unit_sphere(dim, blowup.COARSE_DIRECTIONS)
         pts = np.concatenate([np.zeros((1, dim)), rng.uniform(-0.35, 0.35, (999, dim))])
         vals = np.ones(1000)
         sups = blowup._coarse_sups(pts, vals, cand)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from fbmlab.density import (
     DensityModel,
     Kind,
-    _t_samples,
     bernoulli_lambda,
     flatness_report,
     slope_deviation,
@@ -256,32 +255,49 @@ class TestSlopeDeviation:
             slope_deviation(DensityModel(kind="linear"), t_hi=0.0)
 
 
-class TestCachedConstants:
-    """The per-point density constants are computed once per model and arguments."""
+# The dense scan the closed forms replaced: 100,000 log-spaced points of
+# [0, t_hi] with t = 0, the endpoints and the extra points added.
+DENSE_POINTS = 100_000
+REFERENCE_ALPHAS = (0.0, 1e-12, 0.1, 0.5, 1.0, 1.4999999, 1.5, 2.0, 12.0, 1e6)
+REFERENCE_SCALES = (1.0, 0.25, 4.0, 3.7)
+REFERENCE_T_HI = (0.5, 1.0, 1.7, 4.0, 100.0, 1e8)
 
-    def test_slope_deviation_cached_bitwise(self):
-        model = DensityModel(kind="arctan", alpha=0.1)
-        t = _t_samples(1.7, extra=(1.0,))
-        fresh = float(np.max(np.abs(np.asarray(model.df(t)) - model.df(1.0))))
-        first = slope_deviation(model, t_hi=1.7)
-        hits = slope_deviation.cache_info().hits
-        # an equal model built anew hits the same entry
-        again = slope_deviation(DensityModel(kind="arctan", alpha=0.1), t_hi=1.7)
-        assert slope_deviation.cache_info().hits == hits + 1
-        assert first == again == fresh
 
-    def test_flatness_report_cached(self):
-        model = DensityModel(kind="arctan", alpha=0.3)
-        first = flatness_report(model)
-        hits = flatness_report.cache_info().hits
-        assert flatness_report(DensityModel(kind="arctan", alpha=0.3)) is first
-        assert flatness_report.cache_info().hits == hits + 1
-        assert flatness_report(DensityModel(kind="arctan", alpha=0.4)).sup_ratio > first.sup_ratio
+def dense_scan(t_hi: float, extra: tuple[float, ...] = ()) -> np.ndarray:
+    body = np.geomspace(t_hi * 1e-10, t_hi, DENSE_POINTS - 1)
+    pts = np.concatenate(([0.0], body, [e for e in extra if 0.0 <= e <= t_hi]))
+    return np.unique(pts)
 
-    def test_invalid_interval_raises_every_time(self):
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                slope_deviation(DensityModel(kind="linear"), t_hi=float("nan"))
+
+REFERENCE_MODELS = [DensityModel(kind="linear", scale=s) for s in REFERENCE_SCALES] + [
+    DensityModel(kind="arctan", alpha=a, scale=s)
+    for a in REFERENCE_ALPHAS
+    for s in REFERENCE_SCALES
+]
+
+
+class TestDenseScanReference:
+    """The endpoint closed forms equal the dense scan bit for bit."""
+
+    def test_flatness_report_bitwise(self):
+        t = dense_scan(1.0)
+        for model in REFERENCE_MODELS:
+            sup = float(np.max(model.d2f(t) / model.df(t)))
+            rep = flatness_report(model)
+            assert rep.sup_ratio == sup, model
+            assert rep.lhs == 1.0 + 2.0 * sup, model
+            assert rep.passed == (1.0 + 2.0 * sup < 4.0), model
+
+    @pytest.mark.parametrize("t_hi", REFERENCE_T_HI)
+    def test_slope_deviation_bitwise(self, t_hi):
+        t = dense_scan(t_hi, extra=(1.0,))
+        for model in REFERENCE_MODELS:
+            want = float(np.max(np.abs(model.df(t) - model.df(1.0))))
+            assert slope_deviation(model, t_hi=t_hi) == want, model
+
+    def test_nan_interval_raises(self):
+        with pytest.raises(ValueError):
+            slope_deviation(DensityModel(kind="linear"), t_hi=float("nan"))
 
 
 class TestModelValidation:

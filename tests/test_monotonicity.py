@@ -78,7 +78,6 @@ def zero_ghost(grid: Grid, z, f0: float = 1.0) -> GhostFunction:
         potential=ScalarField(grid, np.zeros(grid.node_shape)),
         base_point=z,
         f0=f0,
-        cap_radius=0.5 * grid.h,
         residual=0.0,
         iterations=0,
     )
@@ -275,12 +274,11 @@ class TestScan:
     def test_linear_error_term_zero(self, halfplane_scan):
         assert np.all(halfplane_scan.t == 0.0)
 
-    def test_metadata(self, halfplane_scan):
+    def test_metadata(self, halfplane3, halfplane_scan):
+        # the quadrature ceiling 5 (h/r_min) |A(r_max)|, from the scanned grid
         rep = halfplane_scan
-        assert rep.z == ORIGIN3
-        assert rep.f0 == 1.0
-        assert rep.lam == 1.0
-        assert rep.h == pytest.approx(1.0 / 48.0)
+        h = halfplane3.grid.h
+        assert rep.tol_mono == 5.0 * (h / float(rep.r[0])) * abs(float(rep.a[-1]))
         assert rep.tol_mono > 0.0
 
     def test_single_radius(self, halfplane3):
@@ -312,7 +310,6 @@ class TestScan:
             potential=ScalarField(grid, step),
             base_point=ORIGIN2,
             f0=1.0,
-            cap_radius=0.5 * grid.h,
             residual=0.0,
             iterations=0,
         )
@@ -343,7 +340,7 @@ def assert_columns_match_single_radius_terms(u, z, phi, radii):
     # one gather per radius in the scan; the standalone functions share its
     # sphere formulas, so every column agrees bit for bit
     g = GhostFunction(
-        potential=phi, base_point=z, f0=ARCTAN.f0, cap_radius=0.5 * u.grid.h,
+        potential=phi, base_point=z, f0=ARCTAN.f0,
         residual=0.0, iterations=0,
     )
     rep = scan(u, ARCTAN, 0.7, z, radii, g, level=0.0)
@@ -393,7 +390,7 @@ class TestDensityWindow:
     def test_bytes_equal_full_grid_density(self, case, monkeypatch):
         u, z, phi, radii = case()
         g = GhostFunction(
-            potential=phi, base_point=z, f0=ARCTAN.f0, cap_radius=0.5 * u.grid.h,
+            potential=phi, base_point=z, f0=ARCTAN.f0,
             residual=0.0, iterations=0,
         )
         # a cell's phase fraction reads only its own corners, at any level
@@ -432,7 +429,7 @@ class TestReportsCopyInputs:
                          "a_prime_formula", "t", "mainid_gap", "osc")
         }
         rep = MonotonicityReport(
-            **cols, z=ORIGIN3, f0=1.0, lam=1.0, h=1.0 / 48.0, tol_mono=0.0, violations=(),
+            **cols, tol_mono=0.0, violations=(),
         )
         for name, arr in cols.items():
             assert arr.flags.writeable, name

@@ -1,6 +1,7 @@
 """Pipeline stages, artifact determinism, and stage/pipeline equality."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -306,11 +307,40 @@ class TestGhostFiles:
         assert weak_divergence_residual(flux, g) == meta["weak_divergence_residual"]
         assert meta["weak_divergence_residual"] > 0.0
 
+    def test_read_back_cap_is_half_spacing(self, first_run, tmp_path):
+        out, _ = first_run
+        g = read_ghost(out / "ghost_0.bin")
+        assert g.cap_radius == 0.5 * g.grid.h
+        header = json.loads((out / "ghost_0.json").read_text())
+        assert header["meta"]["cap_radius"] == 0.5 * g.grid.h
+        # the written cap is still part of the contract a ghost file must carry
+        del header["meta"]["cap_radius"]
+        (tmp_path / "g.json").write_text(json.dumps(header))
+        (tmp_path / "g.bin").write_bytes((out / "ghost_0.bin").read_bytes())
+        with pytest.raises(ValueError, match="not a ghost file"):
+            read_ghost(tmp_path / "g.bin")
+
     def test_plain_field_file_rejected(self, first_run):
         out, _ = first_run
         with pytest.raises(ValueError, match="not a ghost file"):
             read_ghost(out / "field.bin")
 
+
+class TestFieldFiles:
+    def test_read_keeps_one_buffer(self, tmp_path):
+        # the field3d benchmark's grid: 41^3 nodes, 0.55 MB of float64
+        grid = Grid((-1.0,) * 3, (1.0,) * 3, (40,) * 3)
+        values = np.random.default_rng(0).standard_normal(grid.node_shape)
+        write_field(ScalarField(grid, values), tmp_path / "f.bin")
+        tracemalloc.start()
+        try:
+            u, _ = read_field(tmp_path / "f.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.values.tobytes() == values.tobytes()
+        assert not u.values.flags.writeable
+        assert peak < 1.25 * values.nbytes
 
 class TestThreadCount:
     @pytest.mark.parametrize(
