@@ -362,9 +362,7 @@ class BlowupSequence:
 def default_scales(grid: Grid, z) -> tuple[float, ...]:
     """Halving ladder from SCALE_FRACTION of the centered reach down to MIN_SCALE_CELLS * h."""
     z = np.asarray(z, dtype=float)
-    reach = min(
-        min(z[a] - grid.lo[a], grid.hi[a] - z[a]) for a in range(grid.dim)
-    )
+    reach = min(min(z[a] - grid.lo[a], grid.hi[a] - z[a]) for a in range(grid.dim))
     r = SCALE_FRACTION * reach
     r_min = MIN_SCALE_CELLS * grid.h
     out = []
@@ -409,9 +407,7 @@ def build_sequence(
             )
     ref = _reference(ref_grid)
     window_shape = tuple(w.stop - w.start for w in ref.window)
-    devs = []
-    deficits = []
-    dirs = []
+    devs, deficits, dirs = [], [], []
     for r in scales:
         vals = _rescaled_values(u, z, r, ref_grid, ref.window_pts)
         if not bool(np.all(grid.contains_points(z[None, :] + r * ref.extent))):

@@ -53,44 +53,29 @@ def parse_point(text: str, dim: int) -> tuple[float, ...]:
     return coords
 
 
+# each subcommand's help, its required options and its optional ones (default None)
+_OPTIONS = {
+    "minimize": ("produce the field for a scenario", "config out", "report"),
+    "ghost": ("flux decomposition at one point", "field config z out", "report"),
+    "monotonicity": ("radius scan against a stored ghost", "field ghost config out", ""),
+    "blowup": ("rescaling ladder at one point", "field config z out", ""),
+    "pipeline": ("run every stage and write all artifacts", "config", "out"),
+    "validate": ("print scenario diagnostics", "config", ""),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fbmlab",
         description="Free-boundary energy lab: minimize, ghost, scans, blow-ups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("minimize", help="produce the field for a scenario")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report", default=None)
-
-    p = sub.add_parser("ghost", help="flux decomposition at one point")
-    p.add_argument("--field", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--z", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report", default=None)
-
-    p = sub.add_parser("monotonicity", help="radius scan against a stored ghost")
-    p.add_argument("--field", required=True)
-    p.add_argument("--ghost", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("blowup", help="rescaling ladder at one point")
-    p.add_argument("--field", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--z", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("pipeline", help="run every stage and write all artifacts")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("validate", help="print scenario diagnostics")
-    p.add_argument("--config", required=True)
-
+    for command, (text, required, optional) in _OPTIONS.items():
+        p = sub.add_parser(command, help=text)
+        for name in required.split():
+            p.add_argument(f"--{name}", required=True)
+        for name in optional.split():
+            p.add_argument(f"--{name}", default=None)
     return parser
 
 

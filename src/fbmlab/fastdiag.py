@@ -54,12 +54,17 @@ def neumann_solve(b: np.ndarray, h: float) -> np.ndarray:
 
     The constant mode's coefficient is zeroed: that drops the part
     W sum(b) / sum(W) of b (W the trapezoid weights) and leaves sum(W phi) = 0.
-    The operator is 1/h^2 times its h = 1 form, hence the factor h^2.
+    The operator is 1/h^2 times its h = 1 form, hence the factor h^2.  The
+    solve overwrites b (C-contiguous float64) and returns phi in it; one more
+    array holds the other transform buffer and the eigenvalue sums.
     """
+    if b.dtype != np.float64 or not b.flags.c_contiguous:
+        raise ValueError("the load must be a C-contiguous float64 array: the solve works in it")
     dim = b.ndim
     forward, inverse, lams = zip(*(_cosine_modes(m) for m in b.shape))
-    c, work = _transform(forward, np.array(b, dtype=float), np.empty(b.shape))
-    denom = sum(lam.reshape((-1,) + (1,) * (dim - 1 - axis)) for axis, lam in enumerate(lams))
+    c, work = _transform(forward, b, np.empty(b.shape))
+    parts = [lam.reshape((-1,) + (1,) * (dim - 1 - axis)) for axis, lam in enumerate(lams)]
+    denom = np.add(sum(parts[:-1]), parts[-1], out=work)
     denom.flat[0] = np.inf  # the constant mode, eigenvalue 0, gets coefficient 0
     c /= denom
     phi, _ = _transform(inverse, c, work)

@@ -220,45 +220,78 @@ def gradient_arrays(
     With out (one C-contiguous array per axis, shaped like values; anything
     else raises ValueError) the derivatives are written there and no array
     of that size is allocated.
-
-    The centered difference along an axis with stride s (in elements) is one
-    contiguous pass over the flattened array, flat[k + s] - flat[k - s] for
-    every k in [s, size - s).  On the axis's two face planes that pairs
-    nodes of different lines; the face formulas overwrite those planes.
     """
+    values = _stencil_input(values)
+    if out is None:
+        out = [np.empty_like(values) for _ in range(values.ndim)]
+    rows = [_flat(d, values.shape) for d in out]
+    for axis, (d, row) in enumerate(zip(out, rows)):
+        axis_derivative(values, axis, h, d, row)
+    return out
+
+
+def _stencil_input(values: np.ndarray) -> np.ndarray:
     values = np.ascontiguousarray(values, dtype=float)
     if any(n < 3 for n in values.shape):
         raise ValueError("a second order derivative needs 3 nodes on every axis")
-    if out is None:
-        out = [np.empty_like(values) for _ in range(values.ndim)]
+    return values
+
+
+def axis_derivative(
+    values: np.ndarray, axis: int, h: float, d: np.ndarray, row: np.ndarray
+) -> np.ndarray:
+    """The derivative of gradient_arrays along one axis, written into d.
+
+    values is C-contiguous with 3 nodes on every axis; d (shaped like values)
+    and row (its nodes as one flat row) may be strided views.  The centered
+    difference along an axis of stride s is one pass over the flattened
+    array, flat[k + s] - flat[k - s] for k in [s, size - s); on the axis's two
+    face planes that pairs nodes of different lines, and the face formulas
+    overwrite those planes.
+    """
     flat = values.reshape(-1)
-    rows = [_flat(d, values.shape) for d in out]
-    for axis, (d, row) in enumerate(zip(out, rows)):
-        s = values.strides[axis] // values.itemsize
-        inner = np.subtract(flat[2 * s :], flat[: -2 * s], out=row[s:-s])
-        inner /= 2.0 * h
-        # swapping the axis to the front gives the same view of every array;
-        # the face planes are length-1 slices so that 1-d input gives arrays
-        f = values.swapaxes(0, axis)
-        d = d.swapaxes(0, axis)
-        first, last = d[:1], d[-1:]
-        np.multiply(f[:1], -1.5 / h, out=first)
-        first += (2.0 / h) * f[1:2]
-        first += (-0.5 / h) * f[2:3]
-        np.multiply(f[-3:-2], 0.5 / h, out=last)
-        last += (-2.0 / h) * f[-2:-1]
-        last += (1.5 / h) * f[-1:]
+    s = values.strides[axis] // values.itemsize
+    inner = np.subtract(flat[2 * s :], flat[: -2 * s], out=row[s:-s])
+    inner /= 2.0 * h
+    # swapping the axis to the front gives the same view of every array;
+    # the face planes are length-1 slices so that 1-d input gives arrays
+    f = values.swapaxes(0, axis)
+    faces = d.swapaxes(0, axis)
+    first, last = faces[:1], faces[-1:]
+    np.multiply(f[:1], -1.5 / h, out=first)
+    first += (2.0 / h) * f[1:2]
+    first += (-0.5 / h) * f[2:3]
+    np.multiply(f[-3:-2], 0.5 / h, out=last)
+    last += (-2.0 / h) * f[-2:-1]
+    last += (1.5 / h) * f[-1:]
+    return d
+
+
+def gradient_square(
+    values: np.ndarray, h: float, out: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """|grad|^2 of a nodal array into out, bitwise sum(g * g for g in gradient_arrays(...)).
+
+    Each axis's derivative is taken in turn into work, squared there and
+    added in axis order; out and work are C-contiguous, shaped like values.
+    """
+    values = _stencil_input(values)
+    out.fill(0.0)
+    for axis in range(values.ndim):
+        g = axis_derivative(values, axis, h, work, _flat(work, values.shape))
+        out += np.multiply(g, g, out=g)
     return out
 
 
 def gradient(f: ScalarField) -> VectorField:
-    comps = gradient_arrays(f.values, f.grid.h)
-    return VectorField(f.grid, np.stack(comps, axis=-1))
+    return VectorField(f.grid, np.stack(gradient_arrays(f.values, f.grid.h), axis=-1))
 
 
 def lipschitz(f: ScalarField) -> float:
     """max over nodes of |grad f|, the discrete Lipschitz constant of f."""
-    return float(np.max(np.sqrt(sum(g * g for g in gradient_arrays(f.values, f.grid.h)))))
+    shape = f.grid.node_shape
+    q = gradient_square(f.values, f.grid.h, np.empty(shape), np.empty(shape))
+    return float(np.max(np.sqrt(q, out=q)))
 
 
 def _row_stride(a: np.ndarray, axis: int) -> tuple[np.ndarray, int]:
@@ -372,10 +405,11 @@ def _node_rows(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _interp_core(rows: np.ndarray, grid: Grid, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of component-major nodal data, shape (k, m).
+    """Multilinear interpolation of nodal data, shape (k, m).
 
-    rows is (k, n_nodes), each row one nodal array flattened in C order (see
-    _node_rows); pts is (m, dim).  The flat base node and the per-axis
+    rows is (k, n_nodes), each row one nodal array flattened in C order: a
+    component-major stack (see _node_rows) or, uncopied, the transpose of a
+    point-major one; pts is (m, dim).  The flat base node and the per-axis
     fractions are computed once, then each of the 2^dim cell corners is one
     gather of all k rows.  Corners are summed in itertools.product order
     with weights multiplied in axis order, so row j equals the
@@ -398,12 +432,17 @@ def _interp_core(rows: np.ndarray, grid: Grid, pts: np.ndarray) -> np.ndarray:
     base = np.ravel_multi_index(idx, grid.node_shape)
     out = np.zeros((rows.shape[0], pts.shape[0]))
     vals = np.empty_like(out)
+    # a point-major stack is gathered by node rows, then turned component-major
+    by_node = None if rows.flags.c_contiguous else np.empty(vals.shape[::-1])
     for corner in itertools.product((0, 1), repeat=grid.dim):
         w = 1.0
         for a, c in enumerate(corner):
             w = w * hats[a][c]
         offset = np.ravel_multi_index(corner, grid.node_shape)
-        np.take(rows, base + offset, axis=1, out=vals, mode="clip")
+        if by_node is None:
+            np.take(rows, base + offset, axis=1, out=vals, mode="clip")
+        else:
+            vals[...] = np.take(rows.T, base + offset, axis=0, out=by_node, mode="clip").T
         vals *= w
         out += vals
     return out
@@ -537,12 +576,13 @@ def _ball_weights(grid: Grid, z: tuple[float, ...], r: float) -> BallWeights:
     function.  Results are read-only; the cache holds a few dozen balls,
     enough for every radius of a scan and its blow-up scales.
 
-    Each subsample coordinate along axis a is one addition, cell centre plus
-    offset, taken on a (borderline cells, SUBSAMPLES) array per axis.  The
+    Each subsample coordinate along axis a is one addition, offset plus cell
+    centre, taken on a (SUBSAMPLES, borderline cells) array per axis.  The
     squared distances are the per-axis squares broadcast along their own
-    subsample axes and added in axis order; that is the order in which numpy reduces
-    the coordinates of one subsample, so every distance, and every weight,
-    is bitwise what the per-subsample sum gives.
+    subsample axes and added in axis order; that is the order in which numpy
+    reduces the coordinates of one subsample, so every distance, and every
+    weight, is bitwise what the per-subsample sum gives.  The borderline
+    cells run along the innermost axis, so each pass is one long row.
     """
     grid.require_ball_inside(z, r)
     h = grid.h
@@ -569,12 +609,12 @@ def _ball_weights(grid: Grid, z: tuple[float, ...], r: float) -> BallWeights:
     offs_1d = ((np.arange(SUBSAMPLES) + 0.5) / SUBSAMPLES - 0.5) * h
     dd2 = 0.0
     for a, c in enumerate(centers):
-        s = c[idx[a]][:, None] + offs_1d[None, :]
-        shape = [n_near] + [1] * dim
-        shape[1 + a] = SUBSAMPLES
+        s = offs_1d[:, None] + c[idx[a]]
+        shape = [1] * dim + [n_near]
+        shape[a] = SUBSAMPLES
         dd2 = dd2 + (s * s).reshape(shape)
-    dd2 = dd2.reshape(n_near, SUBSAMPLES**dim)
-    inside = dd2 <= r * r
+    inside = np.ascontiguousarray((dd2 <= r * r).reshape(SUBSAMPLES**dim, n_near).T)
+    del dd2  # as large as the float copy of the mask the product takes
     cells = sure_in.astype(float)
     cells[near] = inside.mean(axis=1)
     moments = (inside.astype(float) @ _corner_hats(dim)) / SUBSAMPLES**dim

@@ -28,6 +28,16 @@ whose trapezoid-rule integral is zero and a remainder U - grad(phi) that is
 weakly divergence free; the remainder is never stored, it is derived from
 the flux when a check needs it.  Shell averages of the potential are what
 later corrects the monotonicity quantity.
+
+Grid-array budget (one array is a float64 per node; the flux is dim of
+them).  flux_field works in two more: q, turned in place into the slope gap
+and the lead factor, and one for each derivative and then d^2; a component
+is built in its own slot in the formula's operation order, its d_a u taken
+again into the next slot (the last into the spent d^2).  The load and the
+residual take three arrays, assembled one axis at a time from U; the solve
+works in the load's array plus one; the norms and the reach stream through
+two, and FluxField.norm_sq keeps one.  On 41^3 nodes stage_ghost stays
+within 9 arrays above its entry and flux_field within 6.
 """
 
 from __future__ import annotations
@@ -49,13 +59,13 @@ from .fields import (
     _shell_mean,
     _sphere_flux,
     _sphere_samples,
+    axis_derivative,
     ball_integral,
     edge_differences,
     edge_differences_transpose,
-    gradient_arrays,
+    gradient_square,
     require_positive_radius,
     sphere_quadrature,
-    trapezoid_weights,
     weigh,
 )
 
@@ -113,8 +123,10 @@ class FluxField:
 
     @cached_property
     def norm_sq(self) -> np.ndarray:
-        """Nodewise |U|^2, computed once per flux and shared by its reports (read-only)."""
-        out = np.sum(self.field.values**2, axis=-1)
+        """Nodewise |U|^2, shared by the reports: squares added in axis order (read-only)."""
+        out, work = np.zeros(self.grid.node_shape), np.empty(self.grid.node_shape)
+        for c in np.moveaxis(self.field.values, -1, 0):
+            out += np.multiply(c, c, out=work)
         out.setflags(write=False)
         return out
 
@@ -158,15 +170,16 @@ def _check_ghost_contract(g: GhostFunction, grid: Grid, z, f0: float) -> None:
         raise ValueError(f"ghost reference slope {g.f0} does not match requested {f0}")
 
 
-def _capped_distance(grid: Grid, z: np.ndarray, cap: float):
-    """Open-mesh offsets x - z, the distance |x - z| and its value capped below at cap.
+def _node_distance(grid: Grid, z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Open-mesh offsets x - z and the distance |x - z| in one grid array.
 
     The squares are summed in axis order as over a full mesh, so every
     distance has the same bits.
     """
     diffs = grid.node_offsets(z)
-    d_true = np.sqrt(sum(d * d for d in diffs))
-    return diffs, d_true, np.maximum(d_true, cap)
+    squares = [d * d for d in diffs]
+    dist = np.add(sum(squares[:-1]), squares[-1])
+    return diffs, np.sqrt(dist, out=dist)
 
 
 def flux_field(u: ScalarField, model: DensityModel, z) -> FluxField:
@@ -175,7 +188,7 @@ def flux_field(u: ScalarField, model: DensityModel, z) -> FluxField:
     The reference slope is the model's F0 = f'(1).  A slope gap without a
     nonzero entry makes U +-0 at every node, since u and its gradient are
     finite wherever the density accepted q; the flux is then marked is_zero
-    and not assembled.
+    and not assembled.  The build order is the module's grid-array budget.
     """
     grid = u.grid
     z = np.asarray(z, dtype=float)
@@ -184,22 +197,28 @@ def flux_field(u: ScalarField, model: DensityModel, z) -> FluxField:
     if not bool(grid.contains_points(z[None, :])[0]):
         raise GeometryError(f"base point {tuple(float(c) for c in z)} outside the grid box")
     f0 = model.f0
-    grads = gradient_arrays(u.values, grid.h)
-    q = sum(g * g for g in grads)
-    gap = model.df(q) - f0
-    is_zero = not np.any(gap)
+    h, dim = grid.h, grid.dim
+    lead = gradient_square(u.values, h, np.empty(grid.node_shape), np.empty(grid.node_shape))
+    np.subtract(model.df(lead, out=lead), f0, out=lead)
+    is_zero = not np.any(lead)
     if is_zero:
-        # read-only, so the field keeps the lazily zeroed pages uncopied
-        values = np.zeros(grid.node_shape + (grid.dim,))
-        values.setflags(write=False)
+        values = np.zeros(grid.node_shape + (dim,))
     else:
-        diffs, _, d = _capped_distance(grid, z, 0.5 * grid.h)
-        lead = gap * 2.0 * u.values / (d * d)
-        comps = [
-            lead * (grads[a] - u.values * diffs[a] / (d * d))
-            for a in range(grid.dim)
-        ]
-        values = np.stack(comps, axis=-1)
+        diffs, d2 = _node_distance(grid, z)
+        np.square(np.maximum(d2, 0.5 * h, out=d2), out=d2)
+        lead *= 2.0
+        lead *= u.values
+        lead /= d2
+        values = np.empty(grid.node_shape + (dim,))
+        rows = values.reshape(-1, dim)
+        for a in range(dim):
+            comp = np.multiply(u.values, diffs[a], out=values[..., a])
+            comp /= d2
+            slot = (values[..., a + 1], rows[:, a + 1]) if a + 1 < dim else (d2, d2.reshape(-1))
+            np.subtract(axis_derivative(u.values, a, h, *slot), comp, out=comp)
+            np.multiply(lead, comp, out=comp)
+    # read-only, so the field keeps the array (or the lazily zeroed pages) uncopied
+    values.setflags(write=False)
     return FluxField(
         field=VectorField(grid, values),
         base_point=tuple(float(c) for c in z),
@@ -239,48 +258,28 @@ def flux_bound_report(flux: FluxField, model: DensityModel, lip: float) -> FluxB
     )
 
 
-def _flux_edges(flux: FluxField) -> list[np.ndarray]:
-    """W_a Ubar_a per axis, Ubar_a the mean of U_a over each edge's two end nodes.
-
-    Stored at the edge's lower node like edge_differences, zero on the last
-    plane along the axis.
-    """
-    out = []
-    for a in range(flux.grid.dim):
-        t = np.zeros(flux.grid.node_shape)
-        edges, nodes = t.swapaxes(0, a), flux.field.values[..., a].swapaxes(0, a)
-        np.add(nodes[:-1], nodes[1:], out=edges[:-1])
-        t *= 0.5
-        out.append(weigh(t, skip=a))
-    return out
-
-
-def _weak_divergence(edges: list[np.ndarray], h: float, phi=None) -> np.ndarray:
+def _weak_divergence(flux: FluxField, phi=None) -> np.ndarray:
     """sum_a E_a^T t_a with its mean removed, t_a = W_a Ubar_a: the Galerkin load.
 
-    With phi, t_a - W_a E_a phi in place of t_a: the weak divergence of the
-    remainder U - grad(phi).  The halvings of W_a are exact, so this is
-    W_a (Ubar_a - E_a phi) to the bit.
+    Ubar_a is the mean of U_a over each edge's two end nodes, stored at the
+    edge's lower node like edge_differences and zero on the last plane along
+    the axis.  With phi, t_a - W_a E_a phi in place of t_a: the weak
+    divergence of the remainder U - grad(phi).  The halvings of W_a are
+    exact, so this is W_a (Ubar_a - E_a phi) to the bit.
     """
-    shape = edges[0].shape
-    out, work, spare = np.zeros(shape), np.empty(shape), np.empty(shape)
-    for a, t in enumerate(edges):
+    grid = flux.grid
+    out, t, work = np.zeros(grid.node_shape), np.empty(grid.node_shape), np.empty(grid.node_shape)
+    for a in range(grid.dim):
+        edges, nodes = t.swapaxes(0, a), flux.field.values[..., a].swapaxes(0, a)
+        np.add(nodes[:-1], nodes[1:], out=edges[:-1])
+        edges[-1] = 0.0
+        t *= 0.5
+        weigh(t, skip=a)
         if phi is not None:
-            t = np.subtract(t, weigh(edge_differences(phi, a, h, out=work), skip=a), out=work)
-        out += edge_differences_transpose(t, a, h, out=spare)
+            np.subtract(t, weigh(edge_differences(phi, a, grid.h, out=work), skip=a), out=t)
+        out += edge_differences_transpose(t, a, grid.h, out=work)
     out -= out.mean()
     return out
-
-
-def _relative_residual(edges, b: np.ndarray, phi: np.ndarray, h: float) -> float:
-    """||P(b - A phi)|| / ||P b||, the weak divergence of U - grad(phi) over the load.
-
-    b = _weak_divergence(edges, h); P removes the constant mode.  A zero load
-    returns the absolute norm.
-    """
-    r_norm = float(np.linalg.norm(_weak_divergence(edges, h, phi)))
-    b_norm = float(np.linalg.norm(b))
-    return r_norm / b_norm if b_norm else r_norm
 
 
 def neumann_solve(flux: FluxField, tol: float = DEFAULT_TOL) -> GhostFunction:
@@ -293,14 +292,13 @@ def neumann_solve(flux: FluxField, tol: float = DEFAULT_TOL) -> GhostFunction:
     in 0 iterations; a zero flux skips assembling the load as well.
     """
     grid = flux.grid
-    if not flux.is_zero:
-        edges = _flux_edges(flux)
-        b = _weak_divergence(edges, grid.h)
-    if flux.is_zero or float(np.linalg.norm(b)) == 0.0:
+    b = None if flux.is_zero else _weak_divergence(flux)
+    b_norm = 0.0 if b is None else float(np.linalg.norm(b))
+    if b_norm == 0.0:
         phi, res, it = np.zeros(grid.node_shape), 0.0, 0
     else:
-        phi = fast_neumann_solve(b, grid.h)
-        res, it = _relative_residual(edges, b, phi, grid.h), 1
+        phi = fast_neumann_solve(b, grid.h)  # solved in b's own array
+        res, it = float(np.linalg.norm(_weak_divergence(flux, phi))) / b_norm, 1
         if not res <= tol:
             raise SolverError(
                 f"Neumann solve residual {res:.3e} exceeds tol {tol:.1e}"
@@ -325,9 +323,9 @@ def weak_divergence_residual(flux: FluxField, g: GhostFunction) -> float:
     potential of this flux.
     """
     _check_ghost_contract(g, flux.grid, flux.base_point, flux.f0)
-    edges = _flux_edges(flux)
-    b = _weak_divergence(edges, flux.grid.h)
-    return _relative_residual(edges, b, g.potential.values, flux.grid.h)
+    b_norm = float(np.linalg.norm(_weak_divergence(flux)))
+    r_norm = float(np.linalg.norm(_weak_divergence(flux, g.potential.values)))
+    return r_norm / b_norm if b_norm else r_norm
 
 
 @dataclass(frozen=True)
@@ -350,13 +348,15 @@ def stability_report(flux: FluxField, g: GhostFunction) -> StabilityReport:
     s = STABILITY_EXPONENT
     if flux.is_zero:
         return StabilityReport(phi_norm=0.0, flux_norm=0.0, ratio=0.0, s=s)
-    w = trapezoid_weights(grid.node_shape)
     cell = grid.h**grid.dim
+    work = np.sqrt(flux.norm_sq)
+    flux_norm = float((cell * np.sum(weigh(np.power(work, s, out=work)))) ** (1.0 / s))
+    # |grad phi|^s + |phi|^s in two arrays, weighed in place
     phi = g.potential.values
-    dphi = np.sqrt(sum(d * d for d in gradient_arrays(phi, grid.h)))
-    phi_norm = float((cell * np.sum(w * (np.abs(phi) ** s + dphi**s))) ** (1.0 / s))
-    mag = np.sqrt(flux.norm_sq)
-    flux_norm = float((cell * np.sum(w * mag**s)) ** (1.0 / s))
+    total = gradient_square(phi, grid.h, np.empty(grid.node_shape), work)
+    np.power(np.sqrt(total, out=total), s, out=total)
+    total += np.power(np.abs(phi, out=work), s, out=work)
+    phi_norm = float((cell * np.sum(weigh(total))) ** (1.0 / s))
     ratio = phi_norm / flux_norm if flux_norm > 0.0 else 0.0
     return StabilityReport(phi_norm=phi_norm, flux_norm=flux_norm, ratio=ratio, s=s)
 
@@ -384,7 +384,8 @@ def shell_identity_report(flux: FluxField, g: GhostFunction, radii) -> list[Shel
     z = np.asarray(g.base_point, dtype=float)
     dr = SHELL_STEP_CELLS * grid.h
     if not flux.is_zero:
-        flux_rows = _node_rows(flux.field.values, flux.grid)
+        # the point-major flux is gathered through its transpose, uncopied
+        flux_rows = flux.field.values.reshape(grid.n_nodes, grid.dim).T
         phi_rows = _node_rows(g.potential.values, grid)
     out = []
     for r in radii:
@@ -405,14 +406,7 @@ def shell_identity_report(flux: FluxField, g: GhostFunction, radii) -> list[Shel
             hi = _shell_mean(w_hi, phi[:m], r + dr, grid.dim)
             lo = _shell_mean(w_lo, phi[m:], r - dr, grid.dim)
         potential_side = (hi - lo) / (2.0 * dr)
-        out.append(
-            ShellIdentityRecord(
-                r=r,
-                flux_side=flux_side,
-                potential_side=potential_side,
-                gap=flux_side - potential_side,
-            )
-        )
+        out.append(ShellIdentityRecord(r, flux_side, potential_side, flux_side - potential_side))
     return out
 
 
@@ -420,14 +414,11 @@ def flux_reach(flux: FluxField) -> float:
     """max |U(x)| * |x - z| over nodes outside the capped core (0.0 for a zero flux)."""
     if flux.is_zero:
         return 0.0
-    grid = flux.grid
-    z = np.asarray(flux.base_point, dtype=float)
-    _, d_true, _ = _capped_distance(grid, z, flux.cap_radius)
-    mag = np.sqrt(flux.norm_sq)
-    outside = d_true > flux.cap_radius
-    if not np.any(outside):
-        return 0.0
-    return float(np.max(mag[outside] * d_true[outside]))
+    _, d_true = _node_distance(flux.grid, np.asarray(flux.base_point, dtype=float))
+    reach = np.sqrt(flux.norm_sq)
+    reach *= d_true
+    # every product is >= +0, so the empty maximum 0.0 is the no-node answer
+    return float(np.max(reach, where=d_true > flux.cap_radius, initial=0.0))
 
 
 def flux_l2_profile(flux: FluxField, radii) -> list[tuple[float, float]]:

@@ -49,7 +49,7 @@ from .fields import (
     edge_differences_transpose,
     edge_gradient_square,
     edge_means_transpose,
-    gradient_arrays,
+    gradient_square,
     weigh,
 )
 
@@ -548,11 +548,7 @@ def minimize(
         e_now = e_trial
         steps.append(step)
         energies.append(e_now)
-    nodal = gradient_arrays(u, p.grid.h, out=cg[:dim])
-    modulus = np.multiply(nodal[0], nodal[0], out=d)
-    for ga in nodal[1:]:
-        modulus += np.multiply(ga, ga, out=hcurv)
-    lipschitz = float(np.sqrt(np.max(modulus)))
+    lipschitz = float(np.sqrt(np.max(gradient_square(u, p.grid.h, d, hcurv))))
     u.setflags(write=False)  # the returned field adopts it, uncopied
     report = MinimizeReport(
         iterations=len(steps),

@@ -75,6 +75,10 @@ CSV_COLUMNS = (
     "mainid_gap",
     "osc_r",
 )
+# the MonotonicityReport attribute behind each CSV column
+_COLUMN_ATTRS = dict(zip(CSV_COLUMNS, (
+    "r", "weiss_core", "ghost_term", "a", "a_prime_fd", "a_prime_formula", "t", "mainid_gap", "osc"
+)))
 
 TOL_MONO_FACTOR = 5.0
 
@@ -180,7 +184,7 @@ def _sphere_rows(u: ScalarField, *extra: ScalarField) -> np.ndarray:
     """Component-major rows [u, d_1 u, ..., d_n u, extra...] for one sphere gather.
 
     The derivative rows are the gradient stencil written in place, so
-    sampling them equals sampling gradient(u).
+    sampling them equals sampling gradient_arrays(u).
     """
     grid = u.grid
     rows = np.empty((1 + grid.dim + len(extra), grid.n_nodes))
@@ -358,33 +362,13 @@ class MonotonicityReport:
     violations: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for name in (
-            "r",
-            "weiss_core",
-            "ghost_term",
-            "a",
-            "a_prime_fd",
-            "a_prime_formula",
-            "t",
-            "mainid_gap",
-            "osc",
-        ):
+        for name in _COLUMN_ATTRS.values():
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         object.__setattr__(self, "violations", tuple(int(i) for i in self.violations))
 
     @property
     def columns(self) -> dict[str, np.ndarray]:
-        return {
-            "r": self.r,
-            "weiss_core": self.weiss_core,
-            "ghost_term": self.ghost_term,
-            "A": self.a,
-            "A_prime_fd": self.a_prime_fd,
-            "A_prime_formula": self.a_prime_formula,
-            "T": self.t,
-            "mainid_gap": self.mainid_gap,
-            "osc_r": self.osc,
-        }
+        return {col: getattr(self, name) for col, name in _COLUMN_ATTRS.items()}
 
 
 def oscillation_profile(phi: ScalarField, z, radii) -> np.ndarray:
@@ -438,10 +422,7 @@ def scan(
     bulks = _ball_energies(u, model, lam, level, z, r)
     # one gather per radius samples u, grad u and phi together
     rows = _sphere_rows(u, g.potential)
-    core = np.empty(r.size)
-    gt = np.empty(r.size)
-    formula = np.empty(r.size)
-    t_col = np.empty(r.size)
+    core, gt, formula, t_col = (np.empty(r.size) for _ in range(4))
     for i, radius in enumerate(r):
         radius = float(radius)
         pts, w, samples = _sphere_samples(rows, grid, z, radius)

@@ -126,29 +126,35 @@ def stage_ghost(
     The flux is built from the sharp field (u - l)^+ the scan reads, l =
     Scenario.phase_level; at l = 0 (a stored field, u >= 0) that is u itself.
     lip is lipschitz(u) of u as given, which bounds (u - l)^+ too; run_pipeline
-    computes it once for all points, and it is computed here when not given.
+    computes it once for all points, else it is computed first; (u - l)^+ dies with flux_field.
     """
-    level = s.phase_level
-    if level == 0.0:
-        sharp = u
-    else:
-        values = np.maximum(u.values - level, 0.0)
-        values.setflags(write=False)  # the field keeps this array uncopied
-        sharp = ScalarField(u.grid, values)
-    flux = flux_field(sharp, s.model, z)
+    lip = lipschitz(u) if lip is None else lip
+    flux = flux_field(_sharp_field(u, s.phase_level), s.model, z)
     g = neumann_solve(flux, tol=s.ghost_tol)
+    # the sphere sampling runs before the reports that keep flux.norm_sq
+    shell = [asdict(rec) for rec in shell_identity_report(flux, g, s.radii())]
     stab = stability_report(flux, g)
-    bound = flux_bound_report(flux, s.model, lipschitz(u) if lip is None else lip)
+    bound = flux_bound_report(flux, s.model, lip)
     report = {
         **_ghost_contract(g),
         # the solve's checked residual is this same weak-divergence ratio
         "weak_divergence_residual": g.residual,
         "stability": asdict(stab),
         "flux_bound": asdict(bound),
-        "shell_identity": [asdict(rec) for rec in shell_identity_report(flux, g, s.radii())],
+        "shell_identity": shell,
         "flux_l2_profile": [{"r": r, "value": v} for r, v in flux_l2_profile(flux, s.radii())],
     }
     return g, report
+
+
+def _sharp_field(u: ScalarField, level: float) -> ScalarField:
+    """(u - level)^+, built in one array that the field keeps uncopied; u itself at level 0."""
+    if level == 0.0:
+        return u
+    values = np.subtract(u.values, level)
+    np.maximum(values, 0.0, out=values)
+    values.setflags(write=False)
+    return ScalarField(u.grid, values)
 
 
 def stage_scan(s: Scenario, u: ScalarField, g: GhostFunction) -> MonotonicityReport:

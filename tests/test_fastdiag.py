@@ -128,6 +128,19 @@ class TestNeumann:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+    def test_solves_in_the_load_array(self):
+        # the result is returned in b itself, and a load it cannot work in is refused
+        h = 0.05
+        b = np.random.default_rng(5).standard_normal((9, 7))
+        b -= b.mean()
+        want = neumann_solve(b.copy(), h)
+        got = neumann_solve(b, h)
+        assert got is b and got.tobytes() == want.tobytes()
+        for bad in (np.zeros((9, 14))[:, ::2], np.zeros((9, 7), order="F"), np.zeros((9, 7), int)):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                neumann_solve(bad, h)
+
+
 class TestDirichlet:
     @pytest.mark.parametrize("shape", [(7, 9), (5, 6, 8)])
     def test_matches_dense_interior_solve(self, shape):

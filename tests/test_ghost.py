@@ -1,6 +1,7 @@
 """Flux field construction, Neumann splitting, and identity diagnostics."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,17 +12,23 @@ from hypothesis import strategies as st
 from fbmlab.blowup import rescale, unit_box
 from fbmlab.density import DensityModel, slope_deviation
 from fbmlab.errors import GeometryError, SolverError
+from fbmlab.fastdiag import neumann_solve as fast_neumann_solve
 from fbmlab.fields import (
     Grid,
     ScalarField,
     VectorField,
+    _ball_weights,
+    _unit_sphere,
     ball_integral,
+    edge_differences,
+    edge_differences_transpose,
     gradient_arrays,
     interpolate,
     lipschitz,
     shell_average,
     sphere_quadrature,
     trapezoid_weights,
+    weigh,
 )
 from fbmlab.ghost import (
     STABILITY_EXPONENT,
@@ -752,3 +759,195 @@ class TestZeroFlux:
         full = {p.name: p.read_bytes() for p in (tmp_path / "full").iterdir()}
         assert {"ghost_0.bin", "ghost_0.json", "scan_0.csv", "ghost_1.json"} <= set(zero)
         assert zero == full
+
+
+def frozen_weak_divergence(values, h, phi=None):
+    """The Galerkin load (with phi, the remainder's weak divergence) as assembled
+    before: all dim weighted edge means built first and kept."""
+    edges = []
+    for a in range(values.shape[-1]):
+        t = np.zeros(values.shape[:-1])
+        ends, nodes = t.swapaxes(0, a), values[..., a].swapaxes(0, a)
+        np.add(nodes[:-1], nodes[1:], out=ends[:-1])
+        t *= 0.5
+        edges.append(weigh(t, skip=a))
+    out = np.zeros(values.shape[:-1])
+    for a, t in enumerate(edges):
+        if phi is not None:
+            t = t - weigh(edge_differences(phi, a, h, out=np.empty_like(phi)), skip=a)
+        out += edge_differences_transpose(t, a, h, out=np.empty_like(t))
+    out -= out.mean()
+    return out
+
+
+def frozen_ghost(u, model, z):
+    """Everything the ghost stage derives from u, by the formulas as they were
+    written before the grid-array budget: the flux's components stacked,
+    np.sum of their squares, kept edge arrays, full trapezoid weight arrays
+    and a boolean-indexed reach."""
+    grid = u.grid
+    values, d_true = frozen_flux_values(u, model, np.asarray(z), model.f0, 0.5 * grid.h)
+    norm_sq = np.sum(values**2, axis=-1)
+    b = frozen_weak_divergence(values, grid.h)
+    b_norm = float(np.linalg.norm(b))
+    phi = fast_neumann_solve(b.copy(), grid.h) if b_norm else np.zeros(grid.node_shape)
+    r_norm = float(np.linalg.norm(frozen_weak_divergence(values, grid.h, phi)))
+    w = trapezoid_weights(grid.node_shape)
+    cell, s = grid.h**grid.dim, STABILITY_EXPONENT
+    dphi = np.sqrt(sum(d * d for d in gradient_arrays(phi, grid.h)))
+    mag = np.sqrt(norm_sq)
+    outside = d_true > 0.5 * grid.h
+    return {
+        "values": values,
+        "norm_sq": norm_sq,
+        "phi": phi,
+        "residual": r_norm / b_norm if b_norm else r_norm,
+        "phi_norm": float((cell * np.sum(w * (np.abs(phi) ** s + dphi**s))) ** (1.0 / s)),
+        "flux_norm": float((cell * np.sum(w * mag**s)) ** (1.0 / s)),
+        "reach": float(np.max(mag[outside] * d_true[outside])),
+    }
+
+
+def signed_zero_field(grid: Grid, seed: int) -> np.ndarray:
+    """A smooth field with about a third of its nodes set to +0.0 or -0.0."""
+    mesh = grid.node_mesh()
+    x = np.maximum(mesh[0] + 0.4 * mesh[-1] ** 2, 0.0) + 0.05 * mesh[1]
+    noise = np.random.default_rng(seed).standard_normal(grid.node_shape)
+    x[noise > 1.0] = 0.0
+    x[noise < -1.0] = -0.0
+    return x
+
+
+FROZEN_GRIDS = {
+    2: Grid((-0.6, -0.6), (0.9, 0.9), (30, 30)),
+    3: Grid((-1.0,) * 3, (1.0,) * 3, (40,) * 3),
+}
+
+
+class TestFrozenGhostStage:
+    """The in-place flux, the axis-at-a-time load and the streamed norms give
+    the bytes of the formulas they replace."""
+
+    def check(self, u, model, z):
+        want = frozen_ghost(u, model, z)
+        flux = flux_field(u, model, z)
+        assert flux.field.values.tobytes() == want["values"].tobytes()
+        assert flux.norm_sq.tobytes() == want["norm_sq"].tobytes()
+        g = neumann_solve(flux, tol=1e-6)
+        assert g.potential.values.tobytes() == want["phi"].tobytes()
+        assert g.residual == want["residual"]
+        assert weak_divergence_residual(flux, g) == want["residual"]
+        stab = stability_report(flux, g)
+        assert (stab.phi_norm, stab.flux_norm) == (want["phi_norm"], want["flux_norm"])
+        assert flux_reach(flux) == want["reach"]
+        return flux
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("on_node", [False, True])
+    def test_signed_zero_inputs(self, dim, on_node):
+        grid = FROZEN_GRIDS[dim]
+        # a base point on a node puts that node inside the h/2 cap
+        z = np.array([0.15, -0.05, 0.2][:dim])
+        if on_node:
+            z = np.array([grid.axis_nodes(a)[grid.n_cells[a] // 2 + 1] for a in range(dim)])
+        values = signed_zero_field(grid, 3 + dim)
+        for u in (values, np.where(values > 0.0, 0.0, -0.0)):
+            flux = self.check(ScalarField(grid, u), ARCTAN, z)
+            assert not flux.is_zero
+        assert np.any(np.signbit(flux.field.values))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sharp_field_at_a_phase_level(self, dim, monkeypatch):
+        # a minimized scenario reads (u - l)^+ with l > 0; the flux stage_ghost
+        # builds from it is the frozen formula's flux of the frozen (u - l)^+
+        n = 32 if dim == 2 else 16
+        s = Scenario.from_dict({
+            "schema_version": 1,
+            "grid": {"lo": [-1.0] * dim, "hi": [1.0] * dim, "n_cells": [n] * dim},
+            "density": {"kind": "arctan", "alpha": 0.1},
+            "boundary": {"kind": "halfplane", "direction": [0.0] * (dim - 1) + [1.0]},
+            "points_of_interest": [[0.0] * dim],
+            "radii": {"r_min": 0.2, "r_max": 0.4, "ratio": 1.4},
+        })
+        assert s.phase_level > 0.0
+        u = ScalarField(s.grid, signed_zero_field(s.grid, dim))
+        z = (0.05,) * dim
+        built = []
+
+        def spy(sharp, model, point):
+            built.append((sharp, flux_field(sharp, model, point)))
+            return built[-1][1]
+
+        monkeypatch.setattr(pipeline, "flux_field", spy)
+        g, _ = pipeline.stage_ghost(s, u, z)
+        (sharp, flux), = built
+        want_sharp = np.maximum(u.values - s.phase_level, 0.0)
+        assert sharp.values.tobytes() == want_sharp.tobytes()
+        want = frozen_ghost(sharp, s.model, z)
+        assert flux.field.values.tobytes() == want["values"].tobytes()
+        assert g.potential.values.tobytes() == want["phi"].tobytes()
+
+
+def stored_field_3d() -> ScalarField:
+    """The field3d benchmark's stored field: u = max(x3 - 0.1 cos(pi x1 + a) cos(pi x2 + b), 0)
+    on [-1, 1]^3 with 40 cells per axis, 0.55 MB per grid array."""
+    grid = Grid((-1.0,) * 3, (1.0,) * 3, (40,) * 3)
+    x1, x2, x3 = grid.node_mesh()
+    return ScalarField(grid, np.maximum(x3 - surface_3d(x1, x2), 0.0))
+
+
+def surface_3d(x1, x2):
+    return 0.1 * np.cos(np.pi * x1 + 1.3) * np.cos(np.pi * x2 + 4.1)
+
+
+def traced_peak(call) -> float:
+    """tracemalloc peak of call() above the memory traced at its entry."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+class TestGhostBuffers:
+    """The ghost stage's grid-array budget (ghost module docstring) on a stored
+    41^3 arctan field.  One array is one float64 per node; the budgets leave
+    room for the sphere samples and the ball weight builds, which do not grow
+    with the grid."""
+
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        u = stored_field_3d()
+        path = tmp_path_factory.mktemp("stored") / "u.bin"
+        z = (0.45, -0.3, float(surface_3d(0.45, -0.3)))
+        s = Scenario.from_dict({
+            "schema_version": 1,
+            "grid": {"lo": [-1.0] * 3, "hi": [1.0] * 3, "n_cells": [40] * 3},
+            "density": {"kind": "arctan", "alpha": 0.1},
+            "boundary": {"kind": "halfplane", "direction": [0.0, 0.0, 1.0]},
+            "points_of_interest": [list(z)],
+            "radii": {"r_min": 0.15, "r_max": 0.4, "ratio": 1.1},
+            "field_path": str(path),
+        })
+        return s, u, z
+
+    def test_flux_field_holds_two_work_arrays(self, stored):
+        # the dim = 3 components and two work arrays
+        s, u, z = stored
+        flux = flux_field(u, s.model, z)
+        assert not flux.is_zero
+        assert traced_peak(lambda: flux_field(u, s.model, z)) < 6 * u.values.nbytes
+
+    def test_stage_ghost_budget(self, stored):
+        # the flux (3), the potential (1), flux.norm_sq (1) and at most three
+        # work arrays, plus the sphere samples and cold ball weight builds
+        s, u, z = stored
+        assert s.phase_level == 0.0
+        _ball_weights.cache_clear()
+        _unit_sphere.cache_clear()
+        ghost = []
+        peak = traced_peak(lambda: ghost.append(pipeline.stage_ghost(s, u, z)))
+        assert ghost[0][0].iterations == 1
+        assert peak < 9 * u.values.nbytes

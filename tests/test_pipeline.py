@@ -147,6 +147,38 @@ class TestDeterminism:
             trees[threads] = tree_bytes(tmp_path / threads)
         assert trees["1"] == trees["2"]
 
+    def test_one_and_two_threads_byte_identical_3d(self, tmp_path, monkeypatch):
+        # the 3D counterpart on a stored arctan field, whose ghost stage builds
+        # the flux, load and norms in per-call buffers: two points at once must
+        # not share any of them, nor race the emptied caches into other bits
+        def surface(x1, x2):
+            return 0.1 * np.cos(np.pi * x1 + 0.7) * np.cos(np.pi * x2 + 2.9)
+
+        grid = Grid((-1.0,) * 3, (1.0,) * 3, (24,) * 3)
+        x1, x2, x3 = grid.node_mesh()
+        write_field(ScalarField(grid, np.maximum(x3 - surface(x1, x2), 0.0)), tmp_path / "u.bin")
+        s = Scenario.from_dict({
+            "schema_version": 1,
+            "grid": {"lo": [-1.0] * 3, "hi": [1.0] * 3, "n_cells": [24] * 3},
+            "density": {"kind": "arctan", "alpha": 0.1},
+            "boundary": {"kind": "halfplane", "direction": [0.0, 0.0, 1.0]},
+            "points_of_interest": [
+                [x, y, float(surface(x, y))] for x, y in [(0.25, -0.25), (-0.25, 0.0)]
+            ],
+            "radii": {"r_min": 0.2, "r_max": 0.3, "ratio": 1.2},
+            "field_path": str(tmp_path / "u.bin"),
+        })
+        trees = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FBMLAB_THREADS", threads)
+            _ball_weights.cache_clear()
+            _unit_sphere.cache_clear()
+            summary = run_pipeline(s, tmp_path / threads)
+            assert summary["n_points"] == 2
+            assert all(p["ghost"]["iterations"] == 1 for p in summary["per_point"])
+            trees[threads] = tree_bytes(tmp_path / threads)
+        assert trees["1"] == trees["2"]
+
 
 class TestComposability:
     def test_stagewise_equals_pipeline(self, first_run, tmp_path):
