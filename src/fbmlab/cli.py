@@ -2,8 +2,7 @@
 
 Subcommands: minimize | ghost | monotonicity | blowup | pipeline | validate.
 Exit codes: 0 success, 2 configuration or schema problem, 3 solver failure,
-4 geometry infeasibility.  FBMLAB_THREADS caps per-point parallelism in the
-pipeline subcommand.
+4 geometry infeasibility.
 """
 
 from __future__ import annotations

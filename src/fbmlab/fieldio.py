@@ -3,7 +3,9 @@
 A field on disk is a pair of files sharing a stem: `name.json` holds the
 header {dim, lo, hi, n_cells} (plus an optional "meta" object), `name.bin`
 holds the node values as little-endian float64 in row-major order.  Either
-path may be passed to the readers and writers.
+path may be passed to the readers and writers.  A header comes from outside
+the program, so read_field checks its JSON types (the predicates below,
+which scenario files share) and names the file in every ValueError.
 
 CSV files use `repr` formatting so every float round-trips exactly.
 """
@@ -11,11 +13,25 @@ CSV files use `repr` formatting so every float round-trips exactly.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from .fields import Grid, ScalarField
+
+
+def _is_int(v) -> bool:
+    # an integer too large for a float would overflow float() downstream
+    return isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, float) or _is_int(v)
+
+
+def _is_vector(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(_is_number(c) for c in v)
 
 
 def _pair(path: str | Path) -> tuple[Path, Path]:
@@ -46,8 +62,7 @@ def read_field(path: str | Path) -> tuple[ScalarField, dict | None]:
     header_path, data_path = _pair(path)
     if not header_path.exists() or not data_path.exists():
         raise FileNotFoundError(f"field pair {header_path} / {data_path} incomplete")
-    header = json.loads(header_path.read_text())
-    grid = Grid(tuple(header["lo"]), tuple(header["hi"]), tuple(header["n_cells"]))
+    grid, meta = _read_header(header_path)
     raw = np.frombuffer(data_path.read_bytes(), dtype="<f8")
     if raw.size != grid.n_nodes:
         raise ValueError(
@@ -55,7 +70,32 @@ def read_field(path: str | Path) -> tuple[ScalarField, dict | None]:
         )
     # the field keeps the read-only view of the file's bytes; ScalarField
     # converts it to native byte order only on a big-endian host
-    return ScalarField(grid, raw.reshape(grid.node_shape)), header.get("meta")
+    return ScalarField(grid, raw.reshape(grid.node_shape)), meta
+
+
+def _read_header(path: Path) -> tuple[Grid, dict | None]:
+    """The grid and the optional meta object of a field header (ValueError naming path)."""
+    try:
+        header = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: a field header must be a JSON object")
+    lo, hi, n_cells = (header.get(key) for key in ("lo", "hi", "n_cells"))
+    if not (_is_vector(lo) and _is_vector(hi)):
+        raise ValueError(f"{path}: lo and hi must be lists of numbers")
+    if not (isinstance(n_cells, list) and all(_is_int(n) for n in n_cells)):
+        raise ValueError(f"{path}: n_cells must be a list of integers")
+    dim = header.get("dim")
+    if not (_is_int(dim) and dim == len(lo)):
+        raise ValueError(f"{path}: dim must be {len(lo)}, the length of lo, got {dim!r}")
+    meta = header.get("meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise ValueError(f"{path}: meta must be a JSON object")
+    try:
+        return Grid(tuple(lo), tuple(hi), tuple(n_cells)), meta
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def format_float(x: float) -> str:

@@ -2,16 +2,14 @@
 
 Each stage is a pure function of a Scenario plus earlier-stage objects, so a
 full run and a chain of single-stage invocations reading intermediate files
-produce bit-identical artifacts.  Per-point work is independent and may run
-on a thread pool (capped by FBMLAB_THREADS); files are written serially in
-point order, so outputs are byte deterministic.
+produce bit-identical artifacts.  run_pipeline certifies one point at a time:
+a point's files are written as soon as its stages finish, and only its
+summary row outlives it.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -19,7 +17,15 @@ import numpy as np
 
 from .errors import GeometryError, ScenarioError
 from .blowup import build_sequence, regularity_verdict
-from .fieldio import read_field, write_csv, write_field, write_points_csv
+from .fieldio import (
+    _is_int,
+    _is_number,
+    _is_vector,
+    read_field,
+    write_csv,
+    write_field,
+    write_points_csv,
+)
 from .fields import ScalarField, free_boundary_points, lipschitz
 from .ghost import (
     GhostFunction,
@@ -213,37 +219,30 @@ def read_ghost(path) -> GhostFunction:
     phi, meta = read_field(path)
     if meta is None or any(k not in meta for k in GHOST_META_KEYS):
         raise ValueError(f"{path} is not a ghost file: missing contract metadata")
+    z, dim = meta["base_point"], phi.grid.dim
+    if not (_is_vector(z) and len(z) == dim):
+        raise ValueError(f"{path}: ghost base_point must be {dim} numbers, got {z!r}")
+    if not (all(_is_number(meta[k]) for k in ("f0", "cap_radius", "residual"))
+            and _is_int(meta["iterations"])):
+        raise ValueError(
+            f"{path}: ghost f0, cap_radius and residual must be numbers, iterations an integer"
+        )
     return GhostFunction(
         potential=phi,
-        base_point=tuple(float(c) for c in meta["base_point"]),
+        base_point=tuple(float(c) for c in z),
         f0=float(meta["f0"]),
         residual=float(meta["residual"]),
         iterations=int(meta["iterations"]),
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("FBMLAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def _point_job(s: Scenario, u: ScalarField, lip: float, z) -> dict:
-    g, ghost_report = stage_ghost(s, u, z, lip)
-    scan_report = stage_scan(s, u, g)
-    blow = stage_blowup(s, u, z)
-    return {"ghost": g, "ghost_report": ghost_report, "scan": scan_report, "blowup": blow}
-
-
 def run_pipeline(s: Scenario, out_dir=None) -> dict:
     """Execute every stage and write all artifacts under out_dir.
 
-    Writes field.bin/.json, minimize.json, points.csv, and per point i:
-    ghost_i.bin/.json, scan_i.csv, blowup_i.csv; finally summary.json.
-    Monotonicity violations are recorded in the summary, never fatal.
+    Writes field.bin/.json, minimize.json, points.csv, then per point i, in
+    order and as soon as its stages finish: ghost_i.bin/.json, scan_i.csv,
+    blowup_i.csv; summary.json comes last, so a run that stops early leaves
+    none.  Monotonicity violations are recorded in the summary, never fatal.
     Returns the summary dictionary.
     """
     out = Path(out_dir if out_dir is not None else (s.output_dir or "."))
@@ -259,42 +258,7 @@ def run_pipeline(s: Scenario, out_dir=None) -> dict:
     write_points_csv(np.asarray(points, dtype=float), out / "points.csv")
 
     lip = lipschitz(u)
-    threads = _thread_count()
-    if threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda z: _point_job(s, u, lip, z), points))
-    else:
-        results = [_point_job(s, u, lip, z) for z in points]
-
-    per_point = []
-    for i, (z, res) in enumerate(zip(points, results)):
-        write_ghost(res["ghost"], out / f"ghost_{i}.bin", report=res["ghost_report"])
-        write_report_csv(res["scan"], out / f"scan_{i}.csv")
-        write_csv(
-            out / f"blowup_{i}.csv",
-            blowup_columns(s.grid.dim),
-            blowup_rows(res["blowup"]),
-        )
-        rep = res["scan"]
-        per_point.append(
-            {
-                "index": i,
-                "z": [float(c) for c in z],
-                "ghost": {
-                    "residual": res["ghost"].residual,
-                    "iterations": res["ghost"].iterations,
-                },
-                "monotonicity": {
-                    "tol_mono": rep.tol_mono,
-                    "violations": list(rep.violations),
-                },
-                "blowup": {
-                    "verdict": res["blowup"]["verdict"],
-                    "n_scales": len(res["blowup"]["scales"]),
-                },
-            }
-        )
-
+    per_point = [_run_point(s, u, lip, i, z, out) for i, z in enumerate(points)]
     summary = {
         "schema_version": 1,
         "n_points": len(points),
@@ -304,3 +268,23 @@ def run_pipeline(s: Scenario, out_dir=None) -> dict:
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
+
+
+def _run_point(s: Scenario, u: ScalarField, lip: float, i: int, z, out: Path) -> dict:
+    """Point i's three stages with their files; returns its summary row.
+
+    The potential and the reports die on return, before point i + 1 starts.
+    """
+    g, ghost_report = stage_ghost(s, u, z, lip)
+    write_ghost(g, out / f"ghost_{i}.bin", report=ghost_report)
+    rep = stage_scan(s, u, g)
+    write_report_csv(rep, out / f"scan_{i}.csv")
+    blow = stage_blowup(s, u, z)
+    write_csv(out / f"blowup_{i}.csv", blowup_columns(s.grid.dim), blowup_rows(blow))
+    return {
+        "index": i,
+        "z": [float(c) for c in z],
+        "ghost": {"residual": g.residual, "iterations": g.iterations},
+        "monotonicity": {"tol_mono": rep.tol_mono, "violations": list(rep.violations)},
+        "blowup": {"verdict": blow["verdict"], "n_scales": len(blow["scales"])},
+    }

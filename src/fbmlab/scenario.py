@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +20,7 @@ import numpy as np
 from .blowup import MIN_SCALE_CELLS, SCALE_FRACTION
 from .density import DensityModel, bernoulli_lambda
 from .errors import GeometryError, ScenarioError
+from .fieldio import _is_int, _is_number, _is_vector
 from .fields import Grid, geometric_radii
 from .ghost import SHELL_STEP_CELLS
 from .minimizer import BoundaryData, Problem, ramp_free_boundary
@@ -43,19 +43,6 @@ _SOLVER_DEFAULTS = {
     "eps_factor": 2.0,
     "ghost_tol": 1e-8,
 }
-
-
-def _is_int(v) -> bool:
-    # an integer too large for a float would overflow float() downstream
-    return isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, float) or _is_int(v)
-
-
-def _is_vector(v) -> bool:
-    return isinstance(v, (list, tuple)) and all(_is_number(c) for c in v)
 
 
 def _parse(data) -> tuple[Scenario | None, list[str]]:

@@ -242,6 +242,65 @@ class TestExitCodes:
         assert rc == 3
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["ghost", "boundary_file"])
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"dim": 2, "hi": [0.75, 0.75], "n_cells": [48, 48]},
+            [2, [-0.75, -0.75], [0.75, 0.75], [48, 48]],
+            {"dim": 2, "lo": [-0.75, -0.75], "hi": [0.75, 0.75], "n_cells": "44"},
+            {"dim": 3, "lo": [-0.75, -0.75], "hi": [0.75, 0.75], "n_cells": [48, 48]},
+        ],
+        ids=["no_lo", "not_object", "n_cells_string", "dim_mismatch"],
+    )
+    def test_malformed_field_header_exits_2(self, tmp_path, capsys, header, entry):
+        grid = Grid((-0.75, -0.75), (0.75, 0.75), (48, 48))
+        write_field(ScalarField(grid, np.maximum(grid.node_mesh()[1], 0.0)), tmp_path / "f.bin")
+        (tmp_path / "f.json").write_text(json.dumps(header))
+        if entry == "ghost":
+            rc = main([
+                "ghost", "--config", str(write_config(tmp_path)),
+                "--field", str(tmp_path / "f.bin"),
+                "--z", "0,0",
+                "--out", str(tmp_path / "g.bin"),
+            ])
+        else:
+            cfg = write_config(tmp_path, boundary={"kind": "file", "path": str(tmp_path / "f.bin")})
+            rc = main(["minimize", "--config", str(cfg), "--out", str(tmp_path / "u.bin")])
+        assert rc == 2
+        assert str(tmp_path / "f.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("base_point", 5),
+            ("base_point", [0.0, 0.0, 0.0]),
+            ("base_point", ["0", "0"]),
+            ("f0", "1.0"),
+            ("residual", None),
+            ("iterations", 1.0),
+        ],
+        ids=["point_number", "point_count", "point_strings", "f0", "residual", "iterations"],
+    )
+    def test_malformed_ghost_contract_exits_2(
+        self, config_path, reference_run, tmp_path, capsys, key, value
+    ):
+        out, _ = reference_run
+        header = json.loads((out / "ghost_0.json").read_text())
+        header["meta"][key] = value
+        (tmp_path / "g.json").write_text(json.dumps(header))
+        (tmp_path / "g.bin").write_bytes((out / "ghost_0.bin").read_bytes())
+        rc = main([
+            "monotonicity", "--config", str(config_path),
+            "--field", str(out / "field.bin"),
+            "--ghost", str(tmp_path / "g.bin"),
+            "--out", str(tmp_path / "scan.csv"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "g.bin") in err and key in err
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
 

@@ -2,11 +2,14 @@
 
 import json
 import tracemalloc
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fbmlab import pipeline
 from fbmlab.errors import GeometryError, ScenarioError
 from fbmlab.fieldio import read_csv, read_field, write_csv, write_field
 from fbmlab.fields import (
@@ -20,7 +23,6 @@ from fbmlab.fields import (
 from fbmlab.ghost import flux_field, weak_divergence_residual
 from fbmlab.monotonicity import write_report_csv
 from fbmlab.pipeline import (
-    _thread_count,
     blowup_columns,
     blowup_rows,
     obtain_field,
@@ -121,63 +123,83 @@ class TestDeterminism:
         run_pipeline(tiny_scenario(), tmp_path)
         assert tree_bytes(out) == tree_bytes(tmp_path)
 
-    def test_threaded_run_byte_identical(self, first_run, tmp_path, monkeypatch):
-        out, _ = first_run
-        monkeypatch.setenv("FBMLAB_THREADS", "3")
-        run_pipeline(tiny_scenario(), tmp_path)
-        assert tree_bytes(out) == tree_bytes(tmp_path)
-
-    def test_one_and_two_threads_byte_identical(self, first_run, tmp_path, monkeypatch):
-        # two explicit points so the pool runs two Neumann solves at once;
-        # the ball weight and sphere direction caches are emptied so both
-        # threads also race to fill them
+    def test_each_point_matches_its_one_point_run(self, first_run, tmp_path):
+        # two explicit points on the stored minimized field: nothing that
+        # point 0 leaves behind (the ball weight and sphere direction caches
+        # included) may move a bit of point 1's files
         out, _ = first_run
         s = tiny_scenario(
             field_path=str(out / "field.bin"),
             points_of_interest=[[-0.25, 0.0], [0.25, -0.03125]],
         )
-        trees = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("FBMLAB_THREADS", threads)
-            _ball_weights.cache_clear()
-            _unit_sphere.cache_clear()
-            summary = run_pipeline(s, tmp_path / threads)
-            assert summary["n_points"] == 2
-            assert all(p["ghost"]["iterations"] == 1 for p in summary["per_point"])
-            trees[threads] = tree_bytes(tmp_path / threads)
-        assert trees["1"] == trees["2"]
+        assert_points_independent(s, tmp_path)
 
-    def test_one_and_two_threads_byte_identical_3d(self, tmp_path, monkeypatch):
-        # the 3D counterpart on a stored arctan field, whose ghost stage builds
-        # the flux, load and norms in per-call buffers: two points at once must
-        # not share any of them, nor race the emptied caches into other bits
-        def surface(x1, x2):
-            return 0.1 * np.cos(np.pi * x1 + 0.7) * np.cos(np.pi * x2 + 2.9)
+    def test_each_point_matches_its_one_point_run_3d(self, tmp_path):
+        # the 3D counterpart on a stored arctan field, whose ghost stage
+        # builds the flux, load and norms in per-call buffers
+        assert_points_independent(stored_arctan_3d(tmp_path), tmp_path)
 
-        grid = Grid((-1.0,) * 3, (1.0,) * 3, (24,) * 3)
-        x1, x2, x3 = grid.node_mesh()
-        write_field(ScalarField(grid, np.maximum(x3 - surface(x1, x2), 0.0)), tmp_path / "u.bin")
-        s = Scenario.from_dict({
-            "schema_version": 1,
-            "grid": {"lo": [-1.0] * 3, "hi": [1.0] * 3, "n_cells": [24] * 3},
-            "density": {"kind": "arctan", "alpha": 0.1},
-            "boundary": {"kind": "halfplane", "direction": [0.0, 0.0, 1.0]},
-            "points_of_interest": [
-                [x, y, float(surface(x, y))] for x, y in [(0.25, -0.25), (-0.25, 0.0)]
-            ],
-            "radii": {"r_min": 0.2, "r_max": 0.3, "ratio": 1.2},
-            "field_path": str(tmp_path / "u.bin"),
-        })
-        trees = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("FBMLAB_THREADS", threads)
-            _ball_weights.cache_clear()
-            _unit_sphere.cache_clear()
-            summary = run_pipeline(s, tmp_path / threads)
-            assert summary["n_points"] == 2
-            assert all(p["ghost"]["iterations"] == 1 for p in summary["per_point"])
-            trees[threads] = tree_bytes(tmp_path / threads)
-        assert trees["1"] == trees["2"]
+    def test_potential_released_before_next_point(self, first_run, tmp_path, monkeypatch):
+        # run_pipeline keeps one point's potential alive at a time: each
+        # ghost stage starts after every earlier potential is gone
+        out, _ = first_run
+        s = tiny_scenario(
+            field_path=str(out / "field.bin"),
+            points_of_interest=[[-0.25, 0.0], [0.25, -0.03125], [0.0, 0.0]],
+        )
+        original = pipeline.stage_ghost
+        refs, alive = [], []
+
+        def tracked(*args, **kwargs):
+            alive.append([r() is not None for r in refs])
+            g, report = original(*args, **kwargs)
+            refs.extend([weakref.ref(g), weakref.ref(g.potential)])
+            return g, report
+
+        monkeypatch.setattr(pipeline, "stage_ghost", tracked)
+        run_pipeline(s, tmp_path)
+        assert alive == [[], [False] * 2, [False] * 4]
+
+
+def stored_arctan_3d(tmp_path: Path) -> Scenario:
+    """Two explicit points on a stored 24^3 arctan field with a curved free boundary."""
+    def surface(x1, x2):
+        return 0.1 * np.cos(np.pi * x1 + 0.7) * np.cos(np.pi * x2 + 2.9)
+
+    grid = Grid((-1.0,) * 3, (1.0,) * 3, (24,) * 3)
+    x1, x2, x3 = grid.node_mesh()
+    write_field(ScalarField(grid, np.maximum(x3 - surface(x1, x2), 0.0)), tmp_path / "u.bin")
+    return Scenario.from_dict({
+        "schema_version": 1,
+        "grid": {"lo": [-1.0] * 3, "hi": [1.0] * 3, "n_cells": [24] * 3},
+        "density": {"kind": "arctan", "alpha": 0.1},
+        "boundary": {"kind": "halfplane", "direction": [0.0, 0.0, 1.0]},
+        "points_of_interest": [
+            [x, y, float(surface(x, y))] for x, y in [(0.25, -0.25), (-0.25, 0.0)]
+        ],
+        "radii": {"r_min": 0.2, "r_max": 0.3, "ratio": 1.2},
+        "field_path": str(tmp_path / "u.bin"),
+    })
+
+
+def assert_points_independent(s: Scenario, tmp_path: Path) -> None:
+    """Each point's files of a run over s.points equal a run at that point alone.
+
+    Every run starts with the ball weight and sphere direction caches empty.
+    """
+    def run(points, name):
+        _ball_weights.cache_clear()
+        _unit_sphere.cache_clear()
+        summary = run_pipeline(replace(s, points=points), tmp_path / name)
+        assert summary["n_points"] == len(points)
+        assert all(p["ghost"]["iterations"] == 1 for p in summary["per_point"])
+        return tmp_path / name
+
+    both = run(s.points, "all")
+    for i, z in enumerate(s.points):
+        alone = run((z,), f"alone_{i}")
+        for stem in ("ghost_{}.bin", "ghost_{}.json", "scan_{}.csv", "blowup_{}.csv"):
+            assert (both / stem.format(i)).read_bytes() == (alone / stem.format(0)).read_bytes()
 
 
 class TestComposability:
@@ -373,20 +395,6 @@ class TestFieldFiles:
         assert u.values.tobytes() == values.tobytes()
         assert not u.values.flags.writeable
         assert peak < 1.25 * values.nbytes
-
-class TestThreadCount:
-    @pytest.mark.parametrize(
-        "raw,expect",
-        [("4", 4), ("1", 1), ("0", 1), ("-2", 1), ("abc", 1), ("", 1)],
-    )
-    def test_parsing(self, monkeypatch, raw, expect):
-        monkeypatch.setenv("FBMLAB_THREADS", raw)
-        assert _thread_count() == expect
-
-    def test_unset_is_serial(self, monkeypatch):
-        monkeypatch.delenv("FBMLAB_THREADS", raising=False)
-        assert _thread_count() == 1
-
 
 SCENARIO_3D = Path(__file__).resolve().parent.parent / "scenarios" / "halfplane_linear_3d.json"
 
