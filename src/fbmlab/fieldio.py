@@ -55,7 +55,8 @@ def write_field(f: ScalarField, path: str | Path, meta: dict | None = None) -> N
         header["meta"] = meta
     header_path.parent.mkdir(parents=True, exist_ok=True)
     header_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
-    data_path.write_bytes(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+    # the array's own buffer is written, with no bytes copy of the grid
+    data_path.write_bytes(np.ascontiguousarray(f.values, dtype="<f8"))
 
 
 def read_field(path: str | Path) -> tuple[ScalarField, dict | None]:

@@ -355,22 +355,20 @@ def edge_means_transpose(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarra
     return out
 
 
-def edge_gradient_square(
-    u: np.ndarray, h: float, edges: list[np.ndarray], q: np.ndarray, work: np.ndarray
-) -> np.ndarray:
+def edge_gradient_square(u: np.ndarray, h: float, q: np.ndarray, work: np.ndarray) -> np.ndarray:
     """q = sum_a A_a[(E_a u)^2], the squared gradient of the minimized energy.
 
-    E_a u are the edge quotients along axis a (written into edges, one array
-    per axis) and A_a takes the mean of the two edges at a node (a face node
-    takes its one edge).  For a smooth u, q = |grad u|^2 + O(h^2).  Unlike
-    the centered difference of gradient_arrays, which skips a node and so
-    cannot see (-1)^k along an axis, the edges see every mode but the
-    constant.  work is one more array of u's shape.
+    E_a u are the edge quotients along axis a and A_a takes the mean of the
+    two edges at a node (a face node takes its one edge).  For a smooth u,
+    q = |grad u|^2 + O(h^2).  Unlike the centered difference of
+    gradient_arrays, which skips a node and so cannot see (-1)^k along an
+    axis, the edges see every mode but the constant.  The axes stream
+    through work, one more array of u's shape.
     """
     q.fill(0.0)
-    for axis, ea in enumerate(edges):
-        edge_differences(u, axis, h, out=ea)
-        add_edge_means(np.multiply(ea, ea, out=work), axis, q)
+    for axis in range(u.ndim):
+        e = edge_differences(u, axis, h, out=work)
+        add_edge_means(np.multiply(e, e, out=e), axis, q)
     return q
 
 
@@ -574,7 +572,8 @@ def _ball_weights(grid: Grid, z: tuple[float, ...], r: float) -> BallWeights:
     count.  A safe cell gives 1/2^dim to each of its corners; a borderline
     cell gives corner k the mean over inside subsamples of the corner's hat
     function.  Results are read-only; the cache holds a few dozen balls,
-    enough for every radius of a scan and its blow-up scales.
+    enough for every radius of a scan and its blow-up scales, until
+    drop_ball_weights empties it.
 
     Each subsample coordinate along axis a is one addition, offset plus cell
     centre, taken on a (SUBSAMPLES, borderline cells) array per axis.  The
@@ -645,6 +644,11 @@ def ball_weights(grid: Grid, z, r: float) -> BallWeights:
             f"base point dimension mismatch: {len(key)} coordinates on a {grid.dim}D grid"
         )
     return _ball_weights(grid, key, float(r))
+
+
+def drop_ball_weights() -> None:
+    """Empty the ball weight cache; later calls build the weights they need again."""
+    _ball_weights.cache_clear()
 
 
 def ball_integral(f: ScalarField, z, r: float) -> float:

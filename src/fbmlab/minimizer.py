@@ -258,10 +258,11 @@ class _Kernel:
 
     The squared gradient at a node is q = sum_a A_a[(D_a u)^2]: D_a u are
     the edge quotients along axis a and A_a averages the two edges at a node
-    (a face node takes its one edge).  Every method writes into arrays the
-    caller owns and allocates no float array of the grid's size (only
-    boolean masks and face planes).  energy() leaves D u in g and q in q;
-    gradient() and hessian_setup() read them.
+    (a face node takes its one edge).  The edge quotients stream one axis at
+    a time and are recomputed wherever they are read, so no method keeps dim
+    of them.  Every method writes into arrays the caller owns and allocates
+    no float array of the grid's size (only boolean masks and face planes).
+    energy() leaves q in q; gradient() and hessian_setup() read it.
     """
 
     def __init__(self, p: Problem) -> None:
@@ -270,36 +271,36 @@ class _Kernel:
         self.cell = p.grid.h**p.grid.dim
         self.curved = p.model.kind is not Kind.LINEAR
 
-    def differentiate(self, u, g, q, work) -> bool:
-        """Fill g with D u and q; False if q overflowed."""
+    def differentiate(self, u, q, work) -> bool:
+        """Fill q; False if it overflowed."""
         with np.errstate(over="ignore", invalid="ignore"):
-            edge_gradient_square(u, self.h, g, q, work)
+            edge_gradient_square(u, self.h, q, work)
         return bool(np.all(np.isfinite(q)))
 
-    def energy(self, u, g, q, work) -> float:
-        """E(u) from three work arrays; leaves D u in g and q in q."""
+    def energy(self, u, q, work) -> float:
+        """E(u) from three work arrays; leaves q in q."""
         p = self.p
         integrand, a, b = work
-        if not self.differentiate(u, g, q, work=a):
+        if not self.differentiate(u, q, work=a):
             # an overflowing iterate reports +inf instead of tripping the model
             return float("inf")
         p.model.f(q, out=integrand, work=a)
         integrand += np.multiply(ramp(u, p.eps, out=a, work=b), p.lam, out=a)
         return float(self.cell * np.sum(weigh(integrand)))
 
-    def gradient(self, u, g, q, out, work) -> np.ndarray:
+    def gradient(self, u, q, out, work) -> np.ndarray:
         """G = sum_a D_a^T[2 D_a u A_a^T(w f'(q))] + lam w H_eps'(u), zero on fixed nodes.
 
-        Reads the g and q that energy() left for u; work is three arrays.
+        Reads the q that energy() left for u; work is three arrays.
         """
-        p = self.p
+        p, h = self.p, self.h
         ws, v, adj = work
         weigh(np.multiply(p.model.df(q, out=ws), 2.0, out=ws))
         out.fill(0.0)
-        for axis, ga in enumerate(g):
+        for axis in range(u.ndim):
             edge_means_transpose(ws, axis, out=v)
-            v *= ga
-            out += edge_differences_transpose(v, axis, self.h, out=adj)
+            v *= edge_differences(u, axis, h, out=adj)
+            out += edge_differences_transpose(v, axis, h, out=adj)
         ramp(u, p.eps, order=1, out=v, work=adj)
         out += weigh(np.multiply(v, p.lam, out=v))
         out[p.fixed_mask] = 0.0
@@ -318,36 +319,37 @@ class _Kernel:
         weigh(np.multiply(p.model.df(q, out=q), 2.0, out=q))
         weigh(np.multiply(ramp(u, p.eps, order=2, out=hcurv, work=work), p.lam, out=hcurv))
 
-    def hessian_product(self, coef, g, fcurv, hcurv, v, out, work) -> np.ndarray:
-        """Hv, zero on fixed nodes, for the coefficients of hessian_setup.
+    def hessian_product(self, coef, u, fcurv, hcurv, v, out, work) -> np.ndarray:
+        """Hv, zero on fixed nodes, for the coefficients of hessian_setup at u.
 
         Hv = sum_a D_a^T[A_a^T(coef) D_a v + 2 D_a u A_a^T(fcurv dq)]
         + hcurv v, with dq = sum_b A_b[2 D_b u D_b v] the first variation of
-        q along v and g = D u.  work is dim + 2 arrays.
+        q along v.  work is two arrays, or four for a curved density (fcurv
+        not None), whose last two hold fcurv dq and D_a u.
         """
-        h, dim = self.h, len(g)
-        dv, s, t = work[:dim], work[dim], work[dim + 1]
-        for axis, da in enumerate(dv):
-            edge_differences(v, axis, h, out=da)
+        h = self.h
+        t, x = work[0], work[1]
         if fcurv is not None:
+            s, y = work[2], work[3]
             s.fill(0.0)
-            for axis, (ga, da) in enumerate(zip(g, dv)):
-                np.multiply(ga, da, out=t)
+            for axis in range(v.ndim):
+                edge_differences(u, axis, h, out=t)
+                t *= edge_differences(v, axis, h, out=x)
                 t *= 2.0
                 add_edge_means(t, axis, s)
             s *= fcurv
-        for axis, da in enumerate(dv):
+        for axis in range(v.ndim):
             edge_means_transpose(coef, axis, out=t)
-            t *= da
+            t *= edge_differences(v, axis, h, out=x)
             if fcurv is not None:
-                edge_means_transpose(s, axis, out=da)
-                da *= g[axis]
-                da *= 2.0
-                t += da
+                edge_means_transpose(s, axis, out=x)
+                x *= edge_differences(u, axis, h, out=y)
+                x *= 2.0
+                t += x
             if axis == 0:
                 edge_differences_transpose(t, axis, h, out=out)
             else:
-                out += edge_differences_transpose(t, axis, h, out=da)
+                out += edge_differences_transpose(t, axis, h, out=x)
         out += np.multiply(hcurv, v, out=t)
         out[self.p.fixed_mask] = 0.0
         return out
@@ -360,8 +362,8 @@ def _buffers(shape: tuple[int, ...], count: int) -> list[np.ndarray]:
 def energy(p: Problem, u: ScalarField) -> float:
     """Total smoothed energy of u on the problem box."""
     _require_on_grid(p, u)
-    shape, dim = p.grid.node_shape, p.grid.dim
-    return _Kernel(p).energy(u.values, _buffers(shape, dim), np.empty(shape), _buffers(shape, 3))
+    shape = p.grid.node_shape
+    return _Kernel(p).energy(u.values, np.empty(shape), _buffers(shape, 3))
 
 
 def energy_gradient(p: Problem, u: ScalarField) -> ScalarField:
@@ -373,9 +375,9 @@ def energy_gradient(p: Problem, u: ScalarField) -> ScalarField:
     _require_on_grid(p, u)
     kernel = _Kernel(p)
     shape = p.grid.node_shape
-    g, q, work = _buffers(shape, p.grid.dim), np.empty(shape), _buffers(shape, 3)
-    kernel.differentiate(u.values, g, q, work[0])
-    return ScalarField(p.grid, kernel.gradient(u.values, g, q, np.empty(shape), work))
+    q, work = np.empty(shape), _buffers(shape, 3)
+    kernel.differentiate(u.values, q, work[0])
+    return ScalarField(p.grid, kernel.gradient(u.values, q, np.empty(shape), work))
 
 
 def hessian_product(p: Problem, u: ScalarField, v: ScalarField) -> ScalarField:
@@ -386,26 +388,26 @@ def hessian_product(p: Problem, u: ScalarField, v: ScalarField) -> ScalarField:
     _require_on_grid(p, u)
     _require_on_grid(p, v)
     kernel = _Kernel(p)
-    shape, dim = p.grid.node_shape, p.grid.dim
-    g, q, hcurv = _buffers(shape, dim), np.empty(shape), np.empty(shape)
+    shape = p.grid.node_shape
+    q, hcurv = np.empty(shape), np.empty(shape)
     fcurv = np.empty(shape) if kernel.curved else None
-    work = _buffers(shape, dim + 2)
-    kernel.differentiate(u.values, g, q, work[0])
+    work = _buffers(shape, 4 if kernel.curved else 2)
+    kernel.differentiate(u.values, q, work[0])
     kernel.hessian_setup(u.values, q, hcurv, fcurv, work[0])
-    out = kernel.hessian_product(q, g, fcurv, hcurv, v.values, np.empty(shape), work)
+    out = kernel.hessian_product(q, u.values, fcurv, hcurv, v.values, np.empty(shape), work)
     return ScalarField(p.grid, out)
 
 
 def _newton_direction(kernel, precond, hessian, grad, d, cg, work) -> int:
     """d ~ H^{-1} grad by preconditioned CG from d = 0; returns the inner iterations.
 
-    hessian is the (coef, g, fcurv, hcurv) tuple of hessian_product.
+    hessian is the (coef, u, fcurv, hcurv) tuple of hessian_product.
     Stops when |r| <= CG_RTOL |grad| or after CG_MAX_ITER Hessian products.
     On nonpositive curvature it keeps the current d, or takes d = P^{-1}
     grad if the first product meets it.  cg is three arrays (residual,
     search direction, and the preconditioned residual, which also holds the
-    Hessian product); work is the Hessian product's dim + 2 arrays, whose
-    first two also serve the preconditioner.
+    Hessian product); work is the Hessian product's work, whose first two
+    arrays also serve the preconditioner.
     """
     r, pdir, z = cg
     np.copyto(r, grad)
@@ -469,42 +471,41 @@ def minimize(
     and lipschitz the largest |grad u| of fields.gradient there.  Raises
     SolverError if the energy is not finite or the line search collapses.
 
-    Buffers are allocated once per call: 2 dim + 11 arrays of the grid's
-    size for a curved density, dim + 10 for the linear one, one
-    interior-sized array (18 in all for a curved density in 3D, 14 for the
-    linear one), and the preconditioner's per-axis eigenvector matrices of
-    (m - 2)^2 entries, which each step's refit replaces one at a time:
-      u, g (dim), q          the iterate, its edge quotients D u and q; during
-                             the inner solve q holds 2 w f'(q), and the line
-                             search writes each trial's D u into g;
+    Buffers are allocated once per call: 10 arrays of the grid's size for
+    the linear density and 13 for a curved one, in any dimension, one
+    interior-sized array, and the preconditioner's per-axis eigenvector
+    matrices of (m - 2)^2 entries, which each step's refit replaces one at a
+    time:
+      u                      the iterate;
+      q                      its q; during the inner solve 2 w f'(q), the
+                             Hessian's coefficients, and once the direction
+                             is found each trial iterate's q;
       grad, d                the gradient and the Newton direction;
       r, pdir, z             the inner solve's vectors, and the work of the
-                             gradient and of the trial energies;
+                             energy and of the gradient;
       hcurv                  lam w H_eps''(u);
-      spare (2)              the trial iterate and its q, which swap with u
-                             and q on acceptance; in the inner solve the
-                             Hessian product's last two work arrays and the
-                             preconditioner's work;
-      fcurv, dv (dim)        curved density only: w f''(q) and the Hessian
-                             product's D v (the linear one writes D v into g);
+      spare (2)              the trial iterate, which swaps with u on
+                             acceptance, and one more; in the inner solve
+                             the Hessian product's work and the
+                             preconditioner's;
+      fcurv, spare (2 more)  curved density only: w f''(q), and the Hessian
+                             product's w f''(q) dq and D_a u;
       one interior-sized     the preconditioner's reciprocal eigenvalue sums,
                              and during a refit each axis matrix it
                              diagonalizes.
+    u0 is copied before the others are allocated and not held after that, so
+    a caller that passes its only reference does not keep the initial guess.
     """
     _require_on_grid(p, u0)
-    shape, dim = p.grid.node_shape, p.grid.dim
+    shape = p.grid.node_shape
     kernel = _Kernel(p)
     precond = DirichletSolver(shape, p.grid.h, 2.0 * p.model.df(0.0))
     u = u0.values.copy()
-    g, q = _buffers(shape, dim), np.empty(shape)
-    grad, d, hcurv = _buffers(shape, 3)
-    cg, spare = _buffers(shape, 3), _buffers(shape, 2)
-    if kernel.curved:
-        fcurv, dv = np.empty(shape), _buffers(shape, dim)
-    else:
-        # the linear Hessian product never reads g, so it may overwrite it
-        fcurv, dv = None, g
-    e_now = kernel.energy(u, g, q, cg)
+    del u0
+    q, grad, d, hcurv = _buffers(shape, 4)
+    cg, spare = _buffers(shape, 3), _buffers(shape, 4 if kernel.curved else 2)
+    fcurv = np.empty(shape) if kernel.curved else None
+    e_now = kernel.energy(u, q, cg)
     if not np.isfinite(e_now):
         raise SolverError("initial energy is not finite")
     steps: list[float] = []
@@ -512,7 +513,7 @@ def minimize(
     cg_counts: list[int] = []
     stalled = False
     while True:
-        kernel.gradient(u, g, q, grad, cg)
+        kernel.gradient(u, q, grad, cg)
         g_sup = float(np.max(np.abs(grad, out=d)))
         if len(steps) >= max_iter:
             # spent the budget; max_iter = 0 never claims convergence
@@ -526,17 +527,17 @@ def minimize(
             break
         kernel.hessian_setup(u, q, hcurv, fcurv, spare[0])
         precond.update(hcurv)
-        hessian = (q, g, fcurv, hcurv)
+        hessian = (q, u, fcurv, hcurv)
         with np.errstate(over="ignore", invalid="ignore"):
             # a direction or slope that overflows fails every Armijo test below
-            cg_counts.append(_newton_direction(kernel, precond, hessian, grad, d, cg, [*dv, *spare]))
+            cg_counts.append(_newton_direction(kernel, precond, hessian, grad, d, cg, spare))
             slope = kernel.cell * float(np.vdot(grad, d))
-        # the direction is found, so g is spent: trials write their D u there
-        values, trial_q = spare
+        # the direction is found, so the coefficients in q are spent: trials write their q there
+        values = spare[0]
         step = 1.0
         for _ in range(MAX_BACKTRACKS):
             np.subtract(u, np.multiply(d, step, out=values), out=values)
-            e_trial = kernel.energy(values, g, trial_q, cg)
+            e_trial = kernel.energy(values, q, cg)
             if np.isfinite(e_trial) and e_trial <= e_now - ARMIJO_C * step * slope:
                 break
             step *= 0.5
@@ -544,7 +545,7 @@ def minimize(
             raise SolverError("line search collapsed; energy may be diverging")
         # a required decrease below one ulp of E certifies nothing (round-off)
         stalled = ARMIJO_C * step * slope <= np.spacing(abs(e_now))
-        spare, u, q = [u, q], values, trial_q
+        spare[0], u = u, values
         e_now = e_trial
         steps.append(step)
         energies.append(e_now)

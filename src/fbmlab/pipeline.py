@@ -26,7 +26,7 @@ from .fieldio import (
     write_field,
     write_points_csv,
 )
-from .fields import ScalarField, free_boundary_points, lipschitz
+from .fields import ScalarField, drop_ball_weights, free_boundary_points, lipschitz
 from .ghost import (
     GhostFunction,
     flux_bound_report,
@@ -69,10 +69,12 @@ def build_problem(s: Scenario) -> Problem:
 
 
 def stage_minimize(s: Scenario) -> tuple[ScalarField, dict]:
-    """Descend from the boundary-data profile; report solver statistics."""
+    """Descend from the boundary-data profile; report solver statistics.
+
+    The initial guess is passed unnamed, so it dies once minimize has copied it.
+    """
     p = build_problem(s)
-    u0 = initial_guess(p)
-    u, rep = minimize(p, u0, tol=s.tol, max_iter=s.max_iter)
+    u, rep = minimize(p, initial_guess(p), tol=s.tol, max_iter=s.max_iter)
     report = {
         "iterations": rep.iterations,
         "cg_iterations": rep.cg_iterations,
@@ -274,13 +276,20 @@ def _run_point(s: Scenario, u: ScalarField, lip: float, i: int, z, out: Path) ->
     """Point i's three stages with their files; returns its summary row.
 
     The potential and the reports die on return, before point i + 1 starts.
+    So do the ball weights the point built: those of the scan radii, which
+    the ghost stage (for a nonzero flux) and the scan read, are dropped once
+    scan_i is written, and those of the blow-up scales once blowup_i is.  No
+    later stage reads them: every point has its own z, and the blow-up
+    scales are not scan radii.
     """
     g, ghost_report = stage_ghost(s, u, z, lip)
     write_ghost(g, out / f"ghost_{i}.bin", report=ghost_report)
     rep = stage_scan(s, u, g)
     write_report_csv(rep, out / f"scan_{i}.csv")
+    drop_ball_weights()
     blow = stage_blowup(s, u, z)
     write_csv(out / f"blowup_{i}.csv", blowup_columns(s.grid.dim), blowup_rows(blow))
+    drop_ball_weights()
     return {
         "index": i,
         "z": [float(c) for c in z],

@@ -289,8 +289,7 @@ class TestEdgeStencils:
         u = (-1.0) ** (i + j)
         inside = (slice(1, -1),) * 2
         assert not np.any(sum(g * g for g in gradient_arrays(u, 1.0))[inside])
-        q = edge_gradient_square(u, 1.0, [np.empty(shape) for _ in range(2)], np.empty(shape),
-                                 np.empty(shape))
+        q = edge_gradient_square(u, 1.0, np.empty(shape), np.empty(shape))
         assert np.all(q == 8.0)
 
     def test_square_gradient_of_an_affine_field(self):
@@ -298,8 +297,7 @@ class TestEdgeStencils:
         x, y, z = g.node_mesh()
         u = 0.5 * x - 2.0 * y + z
         shape = g.node_shape
-        q = edge_gradient_square(u, g.h, [np.empty(shape) for _ in range(3)], np.empty(shape),
-                                 np.empty(shape))
+        q = edge_gradient_square(u, g.h, np.empty(shape), np.empty(shape))
         assert np.allclose(q, 5.25, rtol=1e-12)
 
     def test_rejects_strided_buffers(self):

@@ -10,8 +10,13 @@ from fbmlab.fieldio import write_field
 from fbmlab.fields import (
     Grid,
     ScalarField,
+    add_edge_means,
+    edge_differences,
+    edge_differences_transpose,
+    edge_means_transpose,
     gradient_arrays,
     trapezoid_weights,
+    weigh,
 )
 from fbmlab.minimizer import (
     BoundaryData,
@@ -21,7 +26,10 @@ from fbmlab.minimizer import (
     hessian_product,
     initial_guess,
     minimize,
+    ramp,
 )
+from fbmlab.pipeline import stage_minimize
+from fbmlab.scenario import Scenario
 
 
 def box_grid(dim, n, half=1.0):
@@ -283,6 +291,61 @@ class TestHessian:
         assert np.sum(ha * b) == pytest.approx(np.sum(a * hb), rel=1e-12)
 
 
+def frozen_kernel(p, u, v):
+    """Energy, gradient and Hessian product with every axis's D u and D v kept,
+    in the operation order the streamed kernel must reproduce bit for bit."""
+    h, dim, curved = p.grid.h, p.grid.dim, p.model.kind.value != "linear"
+    diff = [lambda x, a=a: edge_differences(x, a, h, out=np.empty(x.shape)) for a in range(dim)]
+    spread = [lambda x, a=a: edge_means_transpose(x, a, out=np.empty(x.shape)) for a in range(dim)]
+    back = [lambda x, a=a: edge_differences_transpose(x, a, h, out=np.empty(x.shape))
+            for a in range(dim)]
+    g, dv = [d(u) for d in diff], [d(v) for d in diff]
+    q = np.zeros(u.shape)
+    for a in range(dim):
+        add_edge_means(g[a] * g[a], a, q)
+    e = p.grid.h**dim * np.sum(weigh(p.model.f(q) + ramp(u, p.eps) * p.lam))
+    coef = weigh(p.model.df(q) * 2.0)
+    grad = np.zeros(u.shape)
+    for a in range(dim):
+        grad += back[a](spread[a](coef) * g[a])
+    grad += weigh(ramp(u, p.eps, order=1) * p.lam)
+    grad[p.fixed_mask] = 0.0
+    s = np.zeros(u.shape)
+    for a in range(dim):
+        add_edge_means(g[a] * dv[a] * 2.0, a, s)
+    s *= weigh(p.model.d2f(q))
+    hv = None
+    for a in range(dim):
+        t = spread[a](coef) * dv[a]
+        if curved:
+            t += spread[a](s) * g[a] * 2.0
+        hv = back[a](t) if hv is None else hv + back[a](t)
+    hv += weigh(ramp(u, p.eps, order=2) * p.lam) * v
+    hv[p.fixed_mask] = 0.0
+    return float(e), grad, hv
+
+
+class TestFrozenKernel:
+    """The kernel streams D u and D v one axis at a time; every energy,
+    gradient and Hessian product keeps the bytes of the formulas that keep
+    them all."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 14), (3, 7)])
+    @pytest.mark.parametrize("kind", ["linear", "arctan"])
+    def test_bytes_equal_frozen_formulas(self, dim, n, kind):
+        model = DensityModel(kind="linear") if kind == "linear" else DensityModel(kind="arctan", alpha=0.15)
+        p = halfplane_problem(dim, n, model=model)
+        rng = np.random.default_rng(11 + dim)
+        u = p.eps * rng.standard_normal(p.grid.node_shape)
+        v = rng.standard_normal(p.grid.node_shape)
+        v[p.fixed_mask] = 0.0
+        e, grad, hv = frozen_kernel(p, u, v)
+        uf, vf = ScalarField(p.grid, u), ScalarField(p.grid, v)
+        assert energy(p, uf) == e
+        assert energy_gradient(p, uf).values.tobytes() == grad.tobytes()
+        assert hessian_product(p, uf, vf).values.tobytes() == hv.tobytes()
+
+
 class TestMinimize:
     def test_critical_start_stops_immediately(self):
         p = halfplane_problem(2, 8)
@@ -450,33 +513,66 @@ def traced_minimize_peak(p, u0, max_iter=3):
 
 
 class TestBuffers:
-    @pytest.mark.parametrize("dim,n", [(2, 256), (3, 40)])
+    # The arrays of the grid's size that minimize holds, in any dimension:
+    # the iterate u, its q (the Hessian's coefficients during the inner
+    # solve, then each trial's q), the gradient, the Newton direction, the
+    # three CG vectors, lam w H'' and two spares (the trial iterate, and the
+    # Hessian product's and preconditioner's work) make 10 for the linear
+    # density; a curved one adds w f'' and two more Hessian product work
+    # arrays, 13 in all.  No edge quotient is kept for every axis.  One more
+    # array for the preconditioner's interior-sized eigenvalue sums, one
+    # array's worth for numpy's fixed-size ufunc buffers, boolean masks and
+    # face planes, and the preconditioner's per-axis eigenvector matrices.
+    # An energy, gradient, Hessian product, preconditioner update or solve
+    # that allocated a grid-sized array would exceed it.
+    SIZES = [(2, 256), (3, 40)]
+
+    @pytest.mark.parametrize("dim,n", SIZES)
     def test_minimize_holds_one_fixed_buffer_set(self, dim, n):
-        # 2 dim + 11 grid-sized arrays for a curved density: the iterate u
-        # with its dim edge quotients and q; the gradient and the Newton
-        # direction; the three CG vectors; lam w H'' and w f''; the trial
-        # iterate and its q; the Hessian product's dim edge quotients of v.
-        # One more for the preconditioner's interior-sized eigenvalue sums,
-        # one array's worth for numpy's fixed-size ufunc buffers, boolean
-        # masks and face planes, and the preconditioner's per-axis
-        # eigenvector matrices.  An energy, gradient, Hessian product,
-        # preconditioner update or solve that allocated a grid-sized array
-        # would exceed it.
         p = halfplane_problem(dim, n, model=DensityModel(kind="arctan", alpha=0.1))
         u0 = noisy_start(p)
         peak, rep, modes = traced_minimize_peak(p, u0)
         assert rep.iterations == 3
         assert rep.cg_iterations > 3
-        assert peak < (2 * dim + 11 + 1 + 1) * u0.values.nbytes + modes
+        assert peak < (13 + 1 + 1) * u0.values.nbytes + modes
 
     def test_linear_density_needs_fewer_buffers(self):
-        # no w f'' and no separate D v: the linear Hessian product writes D v
-        # into the iterate's edge quotients, dim + 10 arrays in all
-        p = halfplane_problem(3, 40, model=DensityModel(kind="linear"))
-        u0 = noisy_start(p)
-        peak, rep, modes = traced_minimize_peak(p, u0)
-        assert rep.iterations == 3
-        assert peak < (3 + 10 + 1 + 1) * u0.values.nbytes + modes
+        # no w f'' and a Hessian product with two work arrays
+        for dim, n in self.SIZES:
+            p = halfplane_problem(dim, n, model=DensityModel(kind="linear"))
+            u0 = noisy_start(p)
+            peak, rep, modes = traced_minimize_peak(p, u0)
+            assert rep.iterations == 3
+            assert peak < (10 + 1 + 1) * u0.values.nbytes + modes, (dim, n)
+
+    @pytest.mark.parametrize("dim,n,density,budget", [
+        (3, 40, {"kind": "linear"}, 10),
+        (2, 256, {"kind": "arctan", "alpha": 0.1}, 13),
+    ], ids=["linear-3d", "arctan-2d"])
+    def test_stage_minimize_drops_the_initial_guess(self, dim, n, density, budget):
+        # the stage builds the initial guess and hands it over; minimize
+        # copies it first and the stage keeps no name for it, so it is gone
+        # before the buffers are allocated and the stage fits minimize's budget
+        s = Scenario.from_dict({
+            "schema_version": 1,
+            "grid": {"lo": [-1.0] * dim, "hi": [1.0] * dim, "n_cells": [n] * dim},
+            "density": density,
+            "boundary": {"kind": "halfplane", "direction": [1.0] + [0.0] * (dim - 1)},
+            "points_of_interest": "auto",
+            "radii": {"r_min": 0.1, "r_max": 0.3, "ratio": 1.4},
+            "tol": 1e-8,
+            "max_iter": 3,
+        })
+        node_bytes = 8 * s.grid.n_nodes
+        modes = sum((m - 2) ** 2 for m in s.grid.node_shape) * 8
+        tracemalloc.start()
+        try:
+            _, report = stage_minimize(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["iterations"] == 3
+        assert peak < (budget + 1 + 1) * node_bytes + modes
 
 
 class TestInitialGuess:

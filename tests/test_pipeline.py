@@ -202,6 +202,98 @@ def assert_points_independent(s: Scenario, tmp_path: Path) -> None:
             assert (both / stem.format(i)).read_bytes() == (alone / stem.format(0)).read_bytes()
 
 
+def stored_field_3d_two_points(tmp_path: Path) -> tuple[Scenario, int]:
+    """The field3d benchmark's stored 41^3 arctan field with two points equally
+    far from the box, and the bytes of one grid array."""
+    def surface(x1, x2):
+        return 0.1 * np.cos(np.pi * x1 + 1.3) * np.cos(np.pi * x2 + 4.1)
+
+    grid = Grid((-1.0,) * 3, (1.0,) * 3, (40,) * 3)
+    x1, x2, x3 = grid.node_mesh()
+    write_field(ScalarField(grid, np.maximum(x3 - surface(x1, x2), 0.0)), tmp_path / "u.bin")
+    s = Scenario.from_dict({
+        "schema_version": 1,
+        "grid": {"lo": [-1.0] * 3, "hi": [1.0] * 3, "n_cells": [40] * 3},
+        "density": {"kind": "arctan", "alpha": 0.1},
+        "boundary": {"kind": "halfplane", "direction": [0.0, 0.0, 1.0]},
+        "points_of_interest": [
+            [x, y, float(surface(x, y))] for x, y in [(0.45, -0.3), (-0.3, 0.45)]
+        ],
+        "radii": {"r_min": 0.15, "r_max": 0.4, "ratio": 1.1},
+        "field_path": str(tmp_path / "u.bin"),
+    })
+    return s, 8 * grid.n_nodes
+
+
+class TestPointBuffers:
+    """A point leaves nothing behind that raises the next point's memory."""
+
+    STAGES = ("stage_ghost", "stage_scan", "stage_blowup")
+
+    def test_second_point_peaks_match_the_first(self, tmp_path, monkeypatch):
+        # tracemalloc peak of every stage call, counted from the start of the
+        # run, so anything an earlier point left alive counts; the ball
+        # weights of point 0's scan radii and blow-up scales raised point 1's
+        # peaks by about 2 grid arrays while they stayed cached.  A first run
+        # builds what every run shares once (sphere directions, the blow-up
+        # reference box).
+        s, array = stored_field_3d_two_points(tmp_path)
+        run_pipeline(s, tmp_path / "warm")
+        peaks = {name: [] for name in self.STAGES}
+        cached = {name: [] for name in self.STAGES}
+
+        def traced(name, original):
+            def call(*args, **kwargs):
+                cached[name].append(_ball_weights.cache_info().currsize)
+                tracemalloc.reset_peak()
+                result = original(*args, **kwargs)
+                peaks[name].append(tracemalloc.get_traced_memory()[1])
+                return result
+            return call
+
+        for name in self.STAGES:
+            monkeypatch.setattr(pipeline, name, traced(name, getattr(pipeline, name)))
+        _ball_weights.cache_clear()
+        tracemalloc.start()
+        try:
+            summary = run_pipeline(s, tmp_path / "run")
+        finally:
+            tracemalloc.stop()
+        assert [p["ghost"]["iterations"] for p in summary["per_point"]] == [1, 1]
+        for name, (first, second) in peaks.items():
+            assert second <= first + 0.25 * array, (name, first / array, second / array)
+        # the ghost and the blow-up start with no ball weights cached; the
+        # scan reads those the ghost stage built for the same radii
+        assert cached["stage_ghost"] == cached["stage_blowup"] == [0, 0]
+        assert min(cached["stage_scan"]) > 0
+
+    def test_no_ball_weights_are_rebuilt(self, tmp_path, monkeypatch):
+        # dropping a point's ball weights after its scan and its blow-up
+        # costs no rebuild: a run that never drops them misses as often.  A
+        # drop also resets the cache's counts, so each is read before it.
+        s, _ = stored_field_3d_two_points(tmp_path)
+        drop, counts = pipeline.drop_ball_weights, []
+
+        def counted_drop():
+            counts.append(_ball_weights.cache_info().misses)
+            drop()
+
+        def misses(name):
+            _ball_weights.cache_clear()
+            run_pipeline(s, tmp_path / name)
+            return sum(counts) + _ball_weights.cache_info().misses
+
+        monkeypatch.setattr(pipeline, "drop_ball_weights", counted_drop)
+        dropped = misses("dropped")
+        assert len(counts) == 4
+        monkeypatch.setattr(pipeline, "drop_ball_weights", lambda: None)
+        counts.clear()
+        kept = misses("kept")
+        # the cache never evicted, so kept counts every distinct ball once
+        assert _ball_weights.cache_info().currsize == kept
+        assert dropped == kept
+
+
 class TestComposability:
     def test_stagewise_equals_pipeline(self, first_run, tmp_path):
         out, summary = first_run
@@ -395,6 +487,21 @@ class TestFieldFiles:
         assert u.values.tobytes() == values.tobytes()
         assert not u.values.flags.writeable
         assert peak < 1.25 * values.nbytes
+
+    def test_write_copies_no_grid(self, tmp_path):
+        # write_field hands the float64 buffer itself to the file, not a
+        # bytes copy of it (1.01 grid arrays traced)
+        grid = Grid((-1.0,) * 3, (1.0,) * 3, (40,) * 3)
+        values = np.random.default_rng(0).standard_normal(grid.node_shape)
+        f = ScalarField(grid, values)
+        tracemalloc.start()
+        try:
+            write_field(f, tmp_path / "f.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "f.bin").read_bytes() == values.astype("<f8").tobytes()
+        assert peak < 0.25 * values.nbytes
 
 SCENARIO_3D = Path(__file__).resolve().parent.parent / "scenarios" / "halfplane_linear_3d.json"
 
