@@ -36,8 +36,7 @@ def manufactured_error(n: int) -> float:
         [
             -np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
             -np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-        ],
-        axis=-1,
+        ]
     )
     flux = FluxField(VectorField(grid, load), (0.0, 0.0), 1.0)
     g = neumann_solve(flux, tol=1e-10)

@@ -33,6 +33,7 @@ from .fields import (
     Grid,
     ScalarField,
     _unit_sphere,
+    as_base_point,
     ball_weights,
     gradient_arrays,
     interpolate,
@@ -122,9 +123,9 @@ def _rescaled_values(u: ScalarField, z, r: float, ref_grid: Grid, y: np.ndarray)
     """u(z + r y) / r at the (m, dim) reference points y, checked like rescale."""
     if not r > 0.0:
         raise ValueError(f"scale must be positive, got {r}")
-    z = np.asarray(z, dtype=float)
-    if z.size != u.grid.dim or ref_grid.dim != u.grid.dim:
-        raise ValueError("dimension mismatch between field, point and reference grid")
+    z = as_base_point(u.grid, z)
+    if ref_grid.dim != u.grid.dim:
+        raise ValueError("dimension mismatch between field and reference grid")
     return interpolate(u, z[None, :] + r * y) / r
 
 

@@ -17,14 +17,16 @@ Conventions used throughout the package:
   equal weights in 3d, with field values taken by multilinear interpolation;
   the unit directions are built once per (dim, n) and shifted and scaled
   per sphere;
-* multilinear interpolation is one gather kernel over a component-major
-  (k, n_nodes) stack of nodal arrays: per point set it computes the flat
-  base node and the per-axis fractions once, then takes all k rows at each
-  of the 2^dim cell corners.  A sphere diagnostic stacks every field its
+* a vector field is component-major, shape (dim,) + node_shape: each
+  component is one C-contiguous nodal array, like a scalar field's values;
+* multilinear interpolation is one gather kernel over a sequence of k
+  C-contiguous nodal arrays: per point set it computes the flat base node
+  and the per-axis fractions once, then takes each array's values at each
+  of the 2^dim cell corners.  A sphere diagnostic passes every field its
   formulas need (u, grad u and the ghost potential for the scan; the flux
-  for the shell identity) and samples each sphere in one pass.  Each sphere
-  formula has one implementation, which reads the sampled rows.  Nothing
-  is cached between spheres;
+  components for the shell identity) as they are, uncopied, and samples
+  each sphere in one pass.  Each sphere formula has one implementation,
+  which reads the (k, m) samples.  Nothing is cached between spheres;
 * ball integrals are fixed linear functionals of the data on the window of
   cells meeting the ball.  A cell safely inside counts fully, one safely
   outside not at all, and a cell near the sphere counts at the fraction of a
@@ -145,8 +147,8 @@ class Grid:
     def balls_inside(self, centers: np.ndarray, r: float) -> np.ndarray:
         """Whether the ball of radius r about each row of centers fits the box.
 
-        One array pass with require_ball_inside's slack and comparisons, so
-        the mask is True exactly where that check passes; NaN fails.
+        The box is widened by a slack of 1e-9 max(h, 1); a NaN coordinate or
+        radius fails.
         """
         s = _SLACK * max(self.h, 1.0)
         c = np.asarray(centers, dtype=float).reshape(-1, self.dim)
@@ -156,14 +158,22 @@ class Grid:
         return ok
 
     def require_ball_inside(self, z, r: float) -> None:
-        s = _SLACK * max(self.h, 1.0)
-        for a in range(self.dim):
-            # written so that a NaN coordinate or radius fails
-            if not (self.lo[a] - s <= z[a] - r and z[a] + r <= self.hi[a] + s):
-                raise GeometryError(
-                    f"ball of radius {r} around {tuple(float(c) for c in z)} leaves the box "
-                    f"[{self.lo}, {self.hi}]"
-                )
+        """Raise GeometryError exactly where balls_inside is False for the one center z."""
+        if not self.balls_inside(z, r)[0]:
+            raise GeometryError(
+                f"ball of radius {r} around {tuple(float(c) for c in z)} leaves the box "
+                f"[{self.lo}, {self.hi}]"
+            )
+
+
+def as_base_point(grid: Grid, z) -> np.ndarray:
+    """z as a float array with one coordinate per grid axis (ValueError otherwise)."""
+    z = np.asarray(z, dtype=float).reshape(-1)
+    if z.size != grid.dim:
+        raise ValueError(
+            f"base point dimension mismatch: {z.size} coordinates on a {grid.dim}D grid"
+        )
+    return z
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -188,12 +198,15 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
+    """A nodal vector field, component-major: values has shape (dim,) + node_shape,
+    and values[a] is component a as one C-contiguous nodal array."""
+
     grid: Grid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         vals = _freeze(self.values)
-        want = self.grid.node_shape + (self.grid.dim,)
+        want = (self.grid.dim,) + self.grid.node_shape
         if vals.shape != want:
             raise ValueError(f"values shape {vals.shape} != {want}")
         object.__setattr__(self, "values", vals)
@@ -284,7 +297,10 @@ def gradient_square(
 
 
 def gradient(f: ScalarField) -> VectorField:
-    return VectorField(f.grid, np.stack(gradient_arrays(f.values, f.grid.h), axis=-1))
+    values = np.empty((f.grid.dim,) + f.grid.node_shape)
+    gradient_arrays(f.values, f.grid.h, out=list(values))
+    values.setflags(write=False)  # the field keeps the block uncopied
+    return VectorField(f.grid, values)
 
 
 def lipschitz(f: ScalarField) -> float:
@@ -392,27 +408,17 @@ def trapezoid_weights(shape: tuple[int, ...]) -> np.ndarray:
     return weigh(np.ones(shape))
 
 
-def _node_rows(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Component-major (k, n_nodes) layout of nodal data, the gather kernel's input.
+def _interp_core(arrays, grid: Grid, pts: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of k nodal arrays, shape (k, m).
 
-    values is shaped node_shape or node_shape + (k,).  A scalar array comes
-    back as a one-row view; a vector array is copied so that each component
-    is one contiguous row (a point-major stack makes every gather strided).
+    arrays is a sequence of C-contiguous arrays of shape node_shape (anything
+    else raises ValueError), read in place; pts is (m, dim).  The flat base
+    node and the per-axis fractions are computed once, then at each of the
+    2^dim cell corners every array is gathered into its row.  Corners are
+    summed in itertools.product order with weights multiplied in axis order,
+    so row j equals the interpolation of array j alone, bit for bit.
     """
-    return np.ascontiguousarray(np.moveaxis(values.reshape(grid.n_nodes, -1), -1, 0))
-
-
-def _interp_core(rows: np.ndarray, grid: Grid, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of nodal data, shape (k, m).
-
-    rows is (k, n_nodes), each row one nodal array flattened in C order: a
-    component-major stack (see _node_rows) or, uncopied, the transpose of a
-    point-major one; pts is (m, dim).  The flat base node and the per-axis
-    fractions are computed once, then each of the 2^dim cell corners is one
-    gather of all k rows.  Corners are summed in itertools.product order
-    with weights multiplied in axis order, so row j equals the
-    interpolation of field j alone, bit for bit.
-    """
+    flats = [_flat(a, grid.node_shape) for a in arrays]
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[1] != grid.dim:
         raise ValueError(f"points must have {grid.dim} columns, got {pts.shape[1]}")
@@ -428,19 +434,15 @@ def _interp_core(rows: np.ndarray, grid: Grid, pts: np.ndarray) -> np.ndarray:
         idx.append(i)
         hats.append((1.0 - frac, frac))
     base = np.ravel_multi_index(idx, grid.node_shape)
-    out = np.zeros((rows.shape[0], pts.shape[0]))
+    out = np.zeros((len(flats), pts.shape[0]))
     vals = np.empty_like(out)
-    # a point-major stack is gathered by node rows, then turned component-major
-    by_node = None if rows.flags.c_contiguous else np.empty(vals.shape[::-1])
     for corner in itertools.product((0, 1), repeat=grid.dim):
         w = 1.0
         for a, c in enumerate(corner):
             w = w * hats[a][c]
-        offset = np.ravel_multi_index(corner, grid.node_shape)
-        if by_node is None:
-            np.take(rows, base + offset, axis=1, out=vals, mode="clip")
-        else:
-            vals[...] = np.take(rows.T, base + offset, axis=0, out=by_node, mode="clip").T
+        nodes = base + np.ravel_multi_index(corner, grid.node_shape)
+        for flat, row in zip(flats, vals):
+            np.take(flat, nodes, out=row, mode="clip")
         vals *= w
         out += vals
     return out
@@ -449,8 +451,10 @@ def _interp_core(rows: np.ndarray, grid: Grid, pts: np.ndarray) -> np.ndarray:
 def interpolate(f: ScalarField | VectorField, pts: np.ndarray) -> np.ndarray:
     """Multilinear interpolation; returns (m,) for scalars, (m, dim) for vectors."""
     single = np.asarray(pts).ndim == 1
-    out = _interp_core(_node_rows(f.values, f.grid), f.grid, pts)
-    out = out[0] if f.values.ndim == f.grid.dim else np.ascontiguousarray(out.T)
+    if isinstance(f, VectorField):
+        out = np.ascontiguousarray(_interp_core(list(f.values), f.grid, pts).T)
+    else:
+        out = _interp_core([f.values], f.grid, pts)[0]
     return out[0] if single else out
 
 
@@ -495,14 +499,14 @@ def sphere_quadrature(dim: int, z, r: float, n_points: int | None = None):
     return z[None, :] + r * omega, np.full(n, measure / n)
 
 
-def _sphere_samples(rows: np.ndarray, grid: Grid, z, r: float):
-    """Quadrature points, weights and the (k, m) samples of rows on |x-z| = r.
+def _sphere_samples(arrays, grid: Grid, z, r: float):
+    """Quadrature points, weights and the (k, m) samples of k nodal arrays on |x-z| = r.
 
-    rows is a component-major stack (see _node_rows); every field a sphere
-    formula needs is sampled in this one gather.
+    arrays are C-contiguous nodal arrays (see _interp_core); every field a
+    sphere formula needs is sampled in this one gather.
     """
     pts, wts = sphere_quadrature(grid.dim, z, r)
-    return pts, wts, _interp_core(rows, grid, pts)
+    return pts, wts, _interp_core(arrays, grid, pts)
 
 
 def _shell_mean(wts: np.ndarray, vals: np.ndarray, r: float, dim: int) -> float:
@@ -527,8 +531,9 @@ def shell_average(f: ScalarField, z, r: float) -> float:
     c times the measure of the unit sphere, not c itself.
     """
     grid = f.grid
+    z = as_base_point(grid, z)
     grid.require_ball_inside(z, r)
-    _, wts, vals = _sphere_samples(_node_rows(f.values, grid), grid, z, r)
+    _, wts, vals = _sphere_samples([f.values], grid, z, r)
     return _shell_mean(wts, vals[0], r, grid.dim)
 
 
@@ -638,12 +643,7 @@ def ball_weights(grid: Grid, z, r: float) -> BallWeights:
 
     z must give one coordinate per grid axis (ValueError otherwise).
     """
-    key = tuple(float(c) for c in np.asarray(z, dtype=float).reshape(-1))
-    if len(key) != grid.dim:
-        raise ValueError(
-            f"base point dimension mismatch: {len(key)} coordinates on a {grid.dim}D grid"
-        )
-    return _ball_weights(grid, key, float(r))
+    return _ball_weights(grid, tuple(float(c) for c in as_base_point(grid, z)), float(r))
 
 
 def drop_ball_weights() -> None:

@@ -30,14 +30,16 @@ the flux when a check needs it.  Shell averages of the potential are what
 later corrects the monotonicity quantity.
 
 Grid-array budget (one array is a float64 per node; the flux is dim of
-them).  flux_field works in two more: q, turned in place into the slope gap
-and the lead factor, and one for each derivative and then d^2; a component
-is built in its own slot in the formula's operation order, its d_a u taken
-again into the next slot (the last into the spent d^2).  The load and the
-residual take three arrays, assembled one axis at a time from U; the solve
-works in the load's array plus one; the norms and the reach stream through
-two, and FluxField.norm_sq keeps one.  On 41^3 nodes stage_ghost stays
-within 9 arrays above its entry and flux_field within 6.
+them, one contiguous array per component).  flux_field works in two more:
+q, turned in place into the slope gap and the lead factor, and one for each
+derivative and then d^2; component a is built in values[a] in the
+formula's operation order, its d_a u taken again into values[a + 1] (the
+last into the spent d^2).  The load and the residual take three arrays,
+assembled one axis at a time from U; the solve works in the load's array
+plus one; the norms and the reach stream through two, and
+FluxField.norm_sq keeps one.  The sphere samples read the components in
+place.  On 41^3 nodes stage_ghost stays within 9 arrays above its entry
+and flux_field within 6.
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ from .fields import (
     ScalarField,
     VectorField,
     _interp_core,
-    _node_rows,
     _shell_mean,
     _sphere_flux,
     _sphere_samples,
+    as_base_point,
     axis_derivative,
     ball_integral,
     edge_differences,
@@ -125,7 +127,7 @@ class FluxField:
     def norm_sq(self) -> np.ndarray:
         """Nodewise |U|^2, shared by the reports: squares added in axis order (read-only)."""
         out, work = np.zeros(self.grid.node_shape), np.empty(self.grid.node_shape)
-        for c in np.moveaxis(self.field.values, -1, 0):
+        for c in self.field.values:
             out += np.multiply(c, c, out=work)
         out.setflags(write=False)
         return out
@@ -191,9 +193,7 @@ def flux_field(u: ScalarField, model: DensityModel, z) -> FluxField:
     and not assembled.  The build order is the module's grid-array budget.
     """
     grid = u.grid
-    z = np.asarray(z, dtype=float)
-    if z.size != grid.dim:
-        raise ValueError("base point dimension mismatch")
+    z = as_base_point(grid, z)
     if not bool(grid.contains_points(z[None, :])[0]):
         raise GeometryError(f"base point {tuple(float(c) for c in z)} outside the grid box")
     f0 = model.f0
@@ -202,20 +202,19 @@ def flux_field(u: ScalarField, model: DensityModel, z) -> FluxField:
     np.subtract(model.df(lead, out=lead), f0, out=lead)
     is_zero = not np.any(lead)
     if is_zero:
-        values = np.zeros(grid.node_shape + (dim,))
+        values = np.zeros((dim,) + grid.node_shape)
     else:
         diffs, d2 = _node_distance(grid, z)
         np.square(np.maximum(d2, 0.5 * h, out=d2), out=d2)
         lead *= 2.0
         lead *= u.values
         lead /= d2
-        values = np.empty(grid.node_shape + (dim,))
-        rows = values.reshape(-1, dim)
+        values = np.empty((dim,) + grid.node_shape)
         for a in range(dim):
-            comp = np.multiply(u.values, diffs[a], out=values[..., a])
+            comp = np.multiply(u.values, diffs[a], out=values[a])
             comp /= d2
-            slot = (values[..., a + 1], rows[:, a + 1]) if a + 1 < dim else (d2, d2.reshape(-1))
-            np.subtract(axis_derivative(u.values, a, h, *slot), comp, out=comp)
+            slot = values[a + 1] if a + 1 < dim else d2
+            np.subtract(axis_derivative(u.values, a, h, slot, slot.reshape(-1)), comp, out=comp)
             np.multiply(lead, comp, out=comp)
     # read-only, so the field keeps the array (or the lazily zeroed pages) uncopied
     values.setflags(write=False)
@@ -270,7 +269,7 @@ def _weak_divergence(flux: FluxField, phi=None) -> np.ndarray:
     grid = flux.grid
     out, t, work = np.zeros(grid.node_shape), np.empty(grid.node_shape), np.empty(grid.node_shape)
     for a in range(grid.dim):
-        edges, nodes = t.swapaxes(0, a), flux.field.values[..., a].swapaxes(0, a)
+        edges, nodes = t.swapaxes(0, a), flux.field.values[a].swapaxes(0, a)
         np.add(nodes[:-1], nodes[1:], out=edges[:-1])
         edges[-1] = 0.0
         t *= 0.5
@@ -383,10 +382,6 @@ def shell_identity_report(flux: FluxField, g: GhostFunction, radii) -> list[Shel
     grid = g.grid
     z = np.asarray(g.base_point, dtype=float)
     dr = SHELL_STEP_CELLS * grid.h
-    if not flux.is_zero:
-        # the point-major flux is gathered through its transpose, uncopied
-        flux_rows = flux.field.values.reshape(grid.n_nodes, grid.dim).T
-        phi_rows = _node_rows(g.potential.values, grid)
     out = []
     for r in radii:
         r = float(r)
@@ -396,12 +391,12 @@ def shell_identity_report(flux: FluxField, g: GhostFunction, radii) -> list[Shel
                 require_positive_radius(rad)
             flux_side = hi = lo = 0.0
         else:
-            pts, wts, samples = _sphere_samples(flux_rows, flux.grid, z, r)
+            pts, wts, samples = _sphere_samples(list(flux.field.values), grid, z, r)
             flux_side = _sphere_flux(z, r, pts, wts, samples)
             # both shifted shells in one gather
             pts_hi, w_hi = sphere_quadrature(grid.dim, z, r + dr)
             pts_lo, w_lo = sphere_quadrature(grid.dim, z, r - dr)
-            phi = _interp_core(phi_rows, grid, np.concatenate([pts_hi, pts_lo]))[0]
+            phi = _interp_core([g.potential.values], grid, np.concatenate([pts_hi, pts_lo]))[0]
             m = w_hi.size
             hi = _shell_mean(w_hi, phi[:m], r + dr, grid.dim)
             lo = _shell_mean(w_lo, phi[m:], r - dr, grid.dim)

@@ -33,13 +33,12 @@ from .density import DensityModel
 from .errors import GeometryError
 from .fieldio import write_csv
 from .fields import (
-    Grid,
     ScalarField,
     _freeze,
-    _node_rows,
     _shell_mean,
     _sphere_flux,
     _sphere_samples,
+    as_base_point,
     ball_weights,
     gradient_arrays,
     shell_average,
@@ -81,13 +80,6 @@ _COLUMN_ATTRS = dict(zip(CSV_COLUMNS, (
 )))
 
 TOL_MONO_FACTOR = 5.0
-
-
-def _base_point(grid: Grid, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.size != grid.dim:
-        raise ValueError("base point dimension mismatch")
-    return z
 
 
 def _cell_gradient_arrays(values: np.ndarray, h: float) -> list[np.ndarray]:
@@ -180,20 +172,13 @@ def _ball_energies(
     return out
 
 
-def _sphere_rows(u: ScalarField, *extra: ScalarField) -> np.ndarray:
-    """Component-major rows [u, d_1 u, ..., d_n u, extra...] for one sphere gather.
+def _sphere_rows(u: ScalarField, *extra: ScalarField) -> list[np.ndarray]:
+    """The nodal arrays [u, d_1 u, ..., d_n u, extra...] of one sphere gather.
 
-    The derivative rows are the gradient stencil written in place, so
-    sampling them equals sampling gradient_arrays(u).
+    u and extra are their fields' own values, uncopied; only the dim
+    derivatives, gradient_arrays(u), are new arrays.
     """
-    grid = u.grid
-    rows = np.empty((1 + grid.dim + len(extra), grid.n_nodes))
-    nodal = rows.reshape((-1,) + grid.node_shape)
-    nodal[0] = u.values
-    gradient_arrays(u.values, grid.h, out=list(nodal[1 : 1 + grid.dim]))
-    for j, f in enumerate(extra):
-        nodal[1 + grid.dim + j] = f.values
-    return rows
+    return [u.values, *gradient_arrays(u.values, u.grid.h), *(f.values for f in extra)]
 
 
 def weiss_core(
@@ -207,10 +192,10 @@ def weiss_core(
 ) -> float:
     """r^{-n} int_{B_r} [F + lam] 1{u>l}  -  F0 r^{-n-1} int_{dB_r} ((u - l)^+)^2, l = level."""
     grid = u.grid
-    z = _base_point(grid, z)
+    z = as_base_point(grid, z)
     grid.require_ball_inside(z, r)
     bulk = _ball_energies(u, model, lam, level, z, [r])[0]
-    _, w, samples = _sphere_samples(_node_rows(u.values, grid), grid, z, r)
+    _, w, samples = _sphere_samples([u.values], grid, z, r)
     return _weiss(bulk, w, _above(samples, level)[0], model.f0, r, grid.dim)
 
 
@@ -262,7 +247,7 @@ def _sphere_terms_of(
 ) -> tuple[float, float]:
     """_sphere_terms of (u - level)^+ on one sphere, checked to lie inside the box."""
     grid = u.grid
-    z = _base_point(grid, z)
+    z = as_base_point(grid, z)
     grid.require_ball_inside(z, r)
     pts, w, samples = _sphere_samples(_sphere_rows(u), grid, z, r)
     return _sphere_terms(model, z, r, f0, pts, w, _above(samples, level))
@@ -298,13 +283,13 @@ def error_term_flux(flux: FluxField, r: float) -> float:
     the two to describe the same quantity.
     """
     grid = flux.grid
-    z = _base_point(grid, np.asarray(flux.base_point))
+    z = as_base_point(grid, flux.base_point)
     if r <= flux.cap_radius:
         raise GeometryError(
             f"radius {r} does not clear the capped core {flux.cap_radius}"
         )
     grid.require_ball_inside(z, r)
-    pts, w, samples = _sphere_samples(_node_rows(flux.field.values, grid), grid, z, r)
+    pts, w, samples = _sphere_samples(list(flux.field.values), grid, z, r)
     return _sphere_flux(z, r, pts, w, samples)
 
 
@@ -379,7 +364,7 @@ def oscillation_profile(phi: ScalarField, z, radii) -> np.ndarray:
     ones.  Radii may come in any order.
     """
     grid = phi.grid
-    z = _base_point(grid, z)
+    z = as_base_point(grid, z)
     out = []
     for r in np.asarray(radii, dtype=float):
         bw = ball_weights(grid, z, float(r))
@@ -412,7 +397,7 @@ def scan(
     left radius of each offending pair.
     """
     grid = u.grid
-    z = _base_point(grid, z)
+    z = as_base_point(grid, z)
     f0 = model.f0
     _check_ghost_contract(g, grid, z, f0)
     r = _validate_radii(radii)
@@ -503,7 +488,7 @@ def regular_point_fit(phi: ScalarField, z, radii) -> RegularPointFit:
     radius window.  residual is the max absolute deviation of the fit.
     """
     grid = phi.grid
-    z = _base_point(grid, z)
+    z = as_base_point(grid, z)
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or r.size < 4:
         raise ValueError("need at least 4 radii")

@@ -201,8 +201,7 @@ def manufactured_load(n: int):
         [
             -np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
             -np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-        ],
-        axis=-1,
+        ]
     )
     flux = FluxField(VectorField(grid, load), ORIGIN2, 1.0)
     return flux, ScalarField(grid, phi)
@@ -262,9 +261,7 @@ def interp_sensitivity(u: ScalarField, model: DensityModel, f0: float, flux, z, 
         t_int = float(
             2.0 / r * np.sum(w * (model.df(q) - f0) * (uv / r**2) * (u_nu - uv / r))
         )
-        uvec = np.stack(
-            [ev(flux.field.values[..., 0]), ev(flux.field.values[..., 1])], axis=-1
-        )
+        uvec = np.stack([ev(c) for c in flux.field.values], axis=-1)
         t_flux = float(1.0 / r * np.sum(w * np.sum(uvec * nu, axis=-1)))
         return t_int, t_flux
 

@@ -31,7 +31,6 @@ from fbmlab.fields import (
     edge_gradient_square,
     edge_means_transpose,
     _interp_core,
-    _node_rows,
     _unit_sphere,
     ball_integral,
     ball_weights,
@@ -140,7 +139,7 @@ class TestGradient:
         f = sample(g, lambda x, y, z: a[0] * x + a[1] * y + a[2] * z)
         G = gradient(f).values
         for k in range(3):
-            assert np.max(np.abs(G[..., k] - a[k])) < 1e-13
+            assert np.max(np.abs(G[k] - a[k])) < 1e-13
 
     def test_quadratic_exact_including_faces(self):
         # centered interior stencils and one-sided face stencils are both
@@ -150,7 +149,7 @@ class TestGradient:
         G = gradient(f).values
         mesh = g.node_mesh()
         for k in range(3):
-            assert np.max(np.abs(G[..., k] - 2.0 * mesh[k])) < 1e-10
+            assert np.max(np.abs(G[k] - 2.0 * mesh[k])) < 1e-10
 
 
 def frozen_gradient_arrays(values, h):
@@ -388,52 +387,52 @@ def kernel_points(grid, rng, m=500):
 
 
 class TestGatherKernel:
-    """The component-major gather kernel against the per-field kernel it replaced."""
+    """The gather kernel over plain nodal arrays against the per-field kernel it replaced."""
 
     @pytest.mark.parametrize("dim, n", [(2, 13), (3, 7)])
     def test_bitwise_equal_to_frozen_kernel(self, dim, n):
         rng = np.random.default_rng(dim)
         grid = Grid((-1.3,) * dim, (0.7,) * dim, (n,) * dim)
         scalar = rng.standard_normal(grid.node_shape)
-        vector = rng.standard_normal(grid.node_shape + (dim,))
+        # the frozen kernel reads a point-major stack; the field, its components
+        stack = rng.standard_normal(grid.node_shape + (dim,))
+        vector = np.ascontiguousarray(np.moveaxis(stack, -1, 0))
         pts = kernel_points(grid, rng)
         want_s = frozen_interp(scalar, grid, pts)
-        want_v = frozen_interp(vector, grid, pts)
+        want_v = frozen_interp(stack, grid, pts)
         got_s = interpolate(ScalarField(grid, scalar), pts)
         got_v = interpolate(VectorField(grid, vector), pts)
         assert got_s.tobytes() == want_s.tobytes()
         assert got_v.tobytes() == want_v.tobytes()
-        rows = np.empty((dim + 2, grid.n_nodes))
-        rows[0] = scalar.ravel()
-        rows[1 : dim + 1] = _node_rows(vector, grid)
-        rows[-1] = -scalar.ravel()
-        stacked = _interp_core(rows, grid, pts)
+        stacked = _interp_core([scalar, *vector, -scalar], grid, pts)
         assert stacked[0].tobytes() == want_s.tobytes()
         assert np.ascontiguousarray(stacked[1 : dim + 1].T).tobytes() == want_v.tobytes()
         assert stacked[-1].tobytes() == frozen_interp(-scalar, grid, pts).tobytes()
 
-    def test_node_rows_layout(self):
+    def test_vector_field_is_component_major(self):
         grid = box_grid(3, 4)
-        vector = np.arange(grid.n_nodes * 3, dtype=float).reshape(grid.node_shape + (3,))
-        rows = _node_rows(vector, grid)
-        assert rows.shape == (3, grid.n_nodes) and rows.flags.c_contiguous
-        for a in range(3):
-            assert np.array_equal(rows[a], vector[..., a].ravel())
+        values = np.arange(3 * grid.n_nodes, dtype=float).reshape((3,) + grid.node_shape)
+        field = VectorField(grid, values)
+        assert all(c.flags.c_contiguous and c.shape == grid.node_shape for c in field.values)
+        with pytest.raises(ValueError, match="values shape"):
+            VectorField(grid, np.zeros(grid.node_shape + (3,)))
+        # a strided or misshapen array is refused, not silently copied
+        for bad in (np.zeros(grid.node_shape + (2,))[..., 0], np.zeros(grid.n_nodes)):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                _interp_core([bad], grid, np.zeros((1, 3)))
 
     @pytest.mark.parametrize(
         "bad", [[1.0 + 1e-6, 0.0], [0.0, -1.0 - 1e-6], [float("nan"), 0.0], [0.0, float("inf")]]
     )
     def test_outside_or_nan_points_raise(self, bad):
         grid = box_grid(2, 4)
-        rows = _node_rows(np.zeros(grid.node_shape), grid)
         with pytest.raises(GeometryError):
-            _interp_core(rows, grid, np.array([[0.1, 0.2], bad]))
+            _interp_core([np.zeros(grid.node_shape)], grid, np.array([[0.1, 0.2], bad]))
 
     def test_wrong_column_count_raises(self):
         grid = box_grid(3, 4)
-        rows = _node_rows(np.zeros(grid.node_shape), grid)
         with pytest.raises(ValueError):
-            _interp_core(rows, grid, np.zeros((5, 2)))
+            _interp_core([np.zeros(grid.node_shape)], grid, np.zeros((5, 2)))
 
 
 class TestSphereQuadrature:
@@ -659,6 +658,8 @@ class TestBallWeights:
                 ball_weights(g, z, 0.5)
             with pytest.raises(ValueError, match="base point dimension mismatch"):
                 homogeneity_deviation(f, z, 0.5)
+            with pytest.raises(ValueError, match="base point dimension mismatch"):
+                shell_average(f, z, 0.5)
 
     def test_window_touches_box_face(self):
         g = box_grid(2, 16)

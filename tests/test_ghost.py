@@ -82,8 +82,7 @@ def manufactured_load(n: int):
         [
             -np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
             -np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-        ],
-        axis=-1,
+        ]
     )
     flux = FluxField(
         field=VectorField(grid, load),
@@ -98,7 +97,7 @@ def solenoidal_load(grid: Grid) -> np.ndarray:
     x, y = grid.node_mesh()
     d_dx = 2.0 * (1.0 - x * x) * (-2.0 * x) * (1.0 - y * y) ** 2
     d_dy = (1.0 - x * x) ** 2 * 2.0 * (1.0 - y * y) * (-2.0 * y)
-    return np.stack([d_dy, -d_dx], axis=-1)
+    return np.stack([d_dy, -d_dx])
 
 
 def radial_load(n: int):
@@ -106,7 +105,7 @@ def radial_load(n: int):
     grid = box_grid(2, n)
     x, y = grid.node_mesh()
     flux = FluxField(
-        field=VectorField(grid, np.stack([x, y], axis=-1)),
+        field=VectorField(grid, np.stack([x, y])),
         base_point=(0.0, 0.0),
         f0=1.0,
     )
@@ -178,7 +177,7 @@ class TestFluxField:
     def test_cap_is_not_an_argument(self):
         # a leftover positional cap must not land in is_zero and zero the potential
         grid = box_grid(2, 8)
-        field = VectorField(grid, np.ones(grid.node_shape + (2,)))
+        field = VectorField(grid, np.ones((2,) + grid.node_shape))
         with pytest.raises(TypeError):
             FluxField(field, (0.0, 0.0), 1.0, 0.5 * grid.h)
         assert FluxField(field, (0.0, 0.0), 1.0).cap_radius == 0.5 * grid.h
@@ -209,7 +208,7 @@ def frozen_flux_values(u, model, z, f0, cap):
     d = np.maximum(d_true, cap)
     lead = gap * 2.0 * u.values / (d * d)
     comps = [lead * (grads[a] - u.values * diffs[a] / (d * d)) for a in range(grid.dim)]
-    return np.stack(comps, axis=-1), d_true
+    return np.stack(comps), d_true
 
 
 class TestOpenMesh:
@@ -225,14 +224,14 @@ class TestOpenMesh:
         want, d_true = frozen_flux_values(u, ARCTAN, z, flux.f0, flux.cap_radius)
         assert flux.field.values.tobytes() == want.tobytes()
 
-        mag = np.sqrt(np.sum(want**2, axis=-1))
+        mag = np.sqrt(np.sum(want**2, axis=0))
         outside = d_true > flux.cap_radius
         assert flux_reach(flux) == float(np.max(mag[outside] * d_true[outside]))
         g = neumann_solve(flux)
         w = trapezoid_weights(grid.node_shape)
         norm = float((grid.h**dim * np.sum(w * mag**1.5)) ** (1.0 / 1.5))
         assert stability_report(flux, g).flux_norm == norm
-        mag2 = ScalarField(grid, np.sum(want**2, axis=-1))
+        mag2 = ScalarField(grid, np.sum(want**2, axis=0))
         for r, value in flux_l2_profile(flux, [0.2, 0.35]):
             assert value == float(ball_integral(mag2, z, r) / r)
 
@@ -241,7 +240,7 @@ class TestOpenMesh:
         sq = flux.norm_sq
         assert flux.norm_sq is sq
         assert not sq.flags.writeable
-        assert sq.tobytes() == np.sum(flux.field.values**2, axis=-1).tobytes()
+        assert sq.tobytes() == np.sum(flux.field.values**2, axis=0).tobytes()
 
 
 class TestGhostContract:
@@ -316,7 +315,7 @@ class TestNeumannSolve:
     def test_zero_load(self):
         grid = box_grid(2, 16)
         flux = FluxField(
-            field=VectorField(grid, np.zeros(grid.node_shape + (2,))),
+            field=VectorField(grid, np.zeros((2,) + grid.node_shape)),
             base_point=(0.0, 0.0),
             f0=1.0,
         )
@@ -371,7 +370,7 @@ class TestNeumannSolve:
     def test_linearity(self):
         grid = box_grid(2, 32)
         flux_a, _ = manufactured_load(32)
-        load_b = solenoidal_load(grid) + np.stack(grid.node_mesh(), axis=-1)
+        load_b = solenoidal_load(grid) + np.stack(grid.node_mesh())
         flux_b = FluxField(VectorField(grid, load_b), (0.0, 0.0), 1.0)
         flux_ab = FluxField(
             VectorField(grid, flux_a.field.values + load_b),
@@ -397,7 +396,7 @@ class TestNeumannSolve:
             )
             g = neumann_solve(flux, tol=1e-10)
             ratios[n] = l2_norm(grid, g.potential.values) / l2_norm(
-                grid, np.sqrt(np.sum(flux.field.values**2, axis=-1))
+                grid, np.sqrt(np.sum(flux.field.values**2, axis=0))
             )
         assert ratios[48] <= 1e-3
         assert ratios[96] <= 0.4 * ratios[48]
@@ -432,10 +431,8 @@ def edge_load(grid: Grid, edges) -> np.ndarray:
 
 def edge_means(v: np.ndarray) -> list[np.ndarray]:
     """Mean of component a of a nodal vector field over each edge along axis a."""
-    dim = v.shape[-1]
     return [
-        0.5 * (np.delete(v[..., a], -1, axis=a) + np.delete(v[..., a], 0, axis=a))
-        for a in range(dim)
+        0.5 * (np.delete(c, -1, axis=a) + np.delete(c, 0, axis=a)) for a, c in enumerate(v)
     ]
 
 
@@ -462,7 +459,8 @@ class TestDirectSolve:
         h = 0.125
         grid = Grid((0.0,) * len(n_cells), tuple(h * n for n in n_cells), n_cells)
         rng = np.random.default_rng(7)
-        load = rng.standard_normal(grid.node_shape + (grid.dim,))
+        # the draw of a point-major stack, laid out component-major
+        load = np.moveaxis(rng.standard_normal(grid.node_shape + (grid.dim,)), -1, 0)
         flux = FluxField(VectorField(grid, load), (0.5,) * grid.dim, 1.0)
         g = neumann_solve(flux)
         phi = np.linalg.pinv(dense_operator(grid)) @ galerkin_load(grid, load).ravel()
@@ -513,7 +511,7 @@ class TestStability:
     def test_zero_flux_zero_ratio(self):
         grid = box_grid(2, 16)
         flux = FluxField(
-            VectorField(grid, np.zeros(grid.node_shape + (2,))),
+            VectorField(grid, np.zeros((2,) + grid.node_shape)),
             (0.0, 0.0),
             1.0,
         )
@@ -616,14 +614,12 @@ class TestRescaledFlux:
         direct = flux_field(u, ARCTAN, (0.0, 0.0))
         scaled = rescaled_flux(u, ARCTAN, (0.0, 0.0), theta)
         ref = scaled.grid
-        mesh = np.stack(ref.node_mesh(), axis=-1)
-        pts = (theta * mesh).reshape(-1, ref.dim)
-        expected = theta * interpolate(direct.field, pts).reshape(
-            scaled.field.values.shape
-        )
-        mask = np.sqrt(np.sum(mesh**2, axis=-1)) > 4.0 * ref.h
-        diff = np.sqrt(np.sum((scaled.field.values - expected) ** 2, axis=-1))[mask]
-        mag = np.sqrt(np.sum(expected**2, axis=-1))[mask]
+        mesh = np.stack(ref.node_mesh())
+        pts = (theta * mesh).reshape(ref.dim, -1).T
+        expected = theta * interpolate(direct.field, pts).T.reshape(scaled.field.values.shape)
+        mask = np.sqrt(np.sum(mesh**2, axis=0)) > 4.0 * ref.h
+        diff = np.sqrt(np.sum((scaled.field.values - expected) ** 2, axis=0))[mask]
+        mag = np.sqrt(np.sum(expected**2, axis=0))[mask]
         rel = np.sqrt(np.sum(diff**2) / np.sum(mag**2))
         assert rel <= 0.1
 
@@ -765,13 +761,13 @@ def frozen_weak_divergence(values, h, phi=None):
     """The Galerkin load (with phi, the remainder's weak divergence) as assembled
     before: all dim weighted edge means built first and kept."""
     edges = []
-    for a in range(values.shape[-1]):
-        t = np.zeros(values.shape[:-1])
-        ends, nodes = t.swapaxes(0, a), values[..., a].swapaxes(0, a)
+    for a, comp in enumerate(values):
+        t = np.zeros(comp.shape)
+        ends, nodes = t.swapaxes(0, a), comp.swapaxes(0, a)
         np.add(nodes[:-1], nodes[1:], out=ends[:-1])
         t *= 0.5
         edges.append(weigh(t, skip=a))
-    out = np.zeros(values.shape[:-1])
+    out = np.zeros(values.shape[1:])
     for a, t in enumerate(edges):
         if phi is not None:
             t = t - weigh(edge_differences(phi, a, h, out=np.empty_like(phi)), skip=a)
@@ -787,7 +783,7 @@ def frozen_ghost(u, model, z):
     and a boolean-indexed reach."""
     grid = u.grid
     values, d_true = frozen_flux_values(u, model, np.asarray(z), model.f0, 0.5 * grid.h)
-    norm_sq = np.sum(values**2, axis=-1)
+    norm_sq = np.sum(values**2, axis=0)
     b = frozen_weak_divergence(values, grid.h)
     b_norm = float(np.linalg.norm(b))
     phi = fast_neumann_solve(b.copy(), grid.h) if b_norm else np.zeros(grid.node_shape)
