@@ -9,8 +9,9 @@ fixed reference box.  Two scalar diagnostics track the limit behaviour:
              the distance to the nearest half-plane profile.
 
 The deficit is fitted by a coarse scan over unit directions, then refined
-one spherical coordinate at a time by Brent's bounded minimizer (Brent,
-Algorithms for Minimization without Derivatives, 1973, ch. 5).  Each step
+by a zoom: a pattern search on a tangent stencil about the best direction
+that shrinks every round (Kolda, Lewis & Torczon, SIAM Rev. 45, 2003).  Both
+evaluate blocks of directions with one direction-major kernel.  Each step
 reads only the nodes it needs (the ball's window, the reference nodes the
 fit reads) and gives the same bits as on the full grid.
 
@@ -20,7 +21,6 @@ boundary point; the converse direction is deliberately never claimed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -60,9 +60,9 @@ COARSE_DIRECTIONS = 256
 COARSE_BLOCK = 32
 COARSE_STRIDE = 8
 COARSE_MARGIN = 1e-12
-REFINE_ROUNDS = 3
-BRENT_XATOL = 1e-5
-BRENT_MAX_EVALS = 500
+ZOOM_NODES = 5
+ZOOM_ROUNDS = 13
+ZOOM_SHRINK = 0.4
 DEV_THRESHOLD = 0.05
 DEFICIT_THRESHOLD = 0.1
 
@@ -75,7 +75,8 @@ class _Reference(NamedTuple):
     """What the flatness fit reads on one reference grid (read-only, cached).
 
     inside masks the nodes of the ball of REF_BALL_RADIUS about the origin;
-    pts are the fit points, those nodes followed by the sphere points.
+    pts_t holds the fit points, those nodes followed by the sphere points,
+    one row per axis (the direction-major kernel's layout).
     window is the box of nodes with |y_a| <= REF_BALL_RADIUS + 1.5 h on
     every axis: the ball nodes and every corner of the cells that hold
     sphere points lie within REF_BALL_RADIUS + h, and the extra half cell
@@ -85,7 +86,7 @@ class _Reference(NamedTuple):
 
     inside: np.ndarray
     sphere: np.ndarray
-    pts: np.ndarray
+    pts_t: np.ndarray
     window: tuple[slice, ...]
     window_pts: np.ndarray
     extent: np.ndarray
@@ -109,12 +110,12 @@ def _reference(grid: Grid) -> _Reference:
     ref = _Reference(
         inside=inside,
         sphere=sphere,
-        pts=np.concatenate([node_pts, sphere], axis=0),
+        pts_t=np.ascontiguousarray(np.concatenate([node_pts, sphere], axis=0).T),
         window=window,
         window_pts=window_pts,
         extent=extent,
     )
-    for arr in (ref.inside, ref.sphere, ref.pts, ref.window_pts, ref.extent):
+    for arr in (ref.inside, ref.sphere, ref.pts_t, ref.window_pts, ref.extent):
         arr.setflags(write=False)
     return ref
 
@@ -168,24 +169,25 @@ class FlatnessFit:
     deficit: float
 
 
-def _coarse_sups(pts: np.ndarray, vals: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """sup over points of |vals - (pts . e)+| for every candidate direction e.
+def _coarse_sups(pts_t: np.ndarray, vals: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """sup over points of |vals - (p . e)+| for every candidate direction e.
 
-    Runs over COARSE_BLOCK directions at a time in one reused buffer; a max
-    is exact, so this equals the one-shot (points x directions) expression.
+    pts_t holds the points one row per axis.  Runs over COARSE_BLOCK
+    directions at a time, each a row of one (block, points) buffer; a max is
+    exact, so this equals the one-shot (points x directions) expression.
     """
     sups = np.empty(cand.shape[0])
     for j in range(0, cand.shape[0], COARSE_BLOCK):
-        block = pts @ cand[j : j + COARSE_BLOCK].T
+        block = cand[j : j + COARSE_BLOCK] @ pts_t
         np.maximum(block, 0.0, out=block)
-        np.subtract(vals[:, None], block, out=block)
+        np.subtract(vals, block, out=block)
         np.abs(block, out=block)
-        np.max(block, axis=0, out=sups[j : j + COARSE_BLOCK])
+        np.max(block, axis=1, out=sups[j : j + COARSE_BLOCK])
     return sups
 
 
-def _coarse_best(pts: np.ndarray, vals: np.ndarray, cand: np.ndarray) -> int:
-    """int(np.argmin(_coarse_sups(pts, vals, cand))), without scanning every block.
+def _coarse_best(pts_t: np.ndarray, vals: np.ndarray, cand: np.ndarray) -> int:
+    """int(np.argmin(_coarse_sups(pts_t, vals, cand))), without scanning every block.
 
     The sups over every COARSE_STRIDE-th point bound each direction's sup
     from below.  Blocks of COARSE_BLOCK directions are evaluated exactly by
@@ -196,7 +198,8 @@ def _coarse_best(pts: np.ndarray, vals: np.ndarray, cand: np.ndarray) -> int:
     skipped has a sup strictly above the best: the argmin, the first index
     among ties, is that of the full scan.
     """
-    lower = _coarse_sups(pts[::COARSE_STRIDE], vals[::COARSE_STRIDE], cand)
+    sub = np.ascontiguousarray(pts_t[:, ::COARSE_STRIDE])
+    lower = _coarse_sups(sub, vals[::COARSE_STRIDE], cand)
     starts = np.arange(0, cand.shape[0], COARSE_BLOCK)
     block_lower = np.minimum.reduceat(lower, starts)
     sups = np.full(cand.shape[0], np.inf)
@@ -205,97 +208,34 @@ def _coarse_best(pts: np.ndarray, vals: np.ndarray, cand: np.ndarray) -> int:
         if block_lower[k] > best + COARSE_MARGIN * (best + REF_BALL_RADIUS):
             break
         block = slice(starts[k], starts[k] + COARSE_BLOCK)
-        sups[block] = _coarse_sups(pts, vals, cand[block])
+        sups[block] = _coarse_sups(pts_t, vals, cand[block])
         best = min(best, float(np.min(sups[block])))
     return int(np.argmin(sups))
 
 
-def _spherical_to_unit(coords: np.ndarray) -> np.ndarray:
-    if coords.size == 1:
-        return np.array([np.cos(coords[0]), np.sin(coords[0])])
-    pol, az = coords
-    sp = np.sin(pol)
-    return np.array([sp * np.cos(az), sp * np.sin(az), np.cos(pol)])
+def _zoom(pts_t: np.ndarray, vals: np.ndarray, e: np.ndarray, width: float) -> FlatnessFit:
+    """Refine the unit direction e by ZOOM_ROUNDS rounds of a shrinking stencil.
 
-
-def _unit_to_spherical(e: np.ndarray) -> np.ndarray:
-    if e.size == 2:
-        return np.array([np.arctan2(e[1], e[0])])
-    return np.array([np.arccos(np.clip(e[2], -1.0, 1.0)), np.arctan2(e[1], e[0])])
-
-
-def _bounded_min(func, lo: float, hi: float) -> tuple[float, float, int]:
-    """Brent's bounded minimization of func on [lo, hi]: (x, func(x), evaluations).
-
-    Golden-section steps with parabolic interpolation, stopped at absolute
-    tolerance BRENT_XATOL or after BRENT_MAX_EVALS evaluations.  The steps are
-    those of scipy's minimize_scalar(method="bounded") with its default
-    options, operation for operation, so every probe point is bitwise the same.
+    The stencil holds ZOOM_NODES nodes on [-1, 1] per axis of a tangent basis
+    of e.  Each round evaluates normalize(d + width * node) with
+    _coarse_sups, moves d to the best node (the first among ties) and
+    multiplies width by ZOOM_SHRINK.  d stays unnormalized, so the centre
+    node repeats the last round's best bit for bit and the best sup never
+    rises.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + BRENT_XATOL / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        si = 1.0 if rat >= 0.0 else -1.0
-        x = xf + si * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + BRENT_XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if num >= BRENT_MAX_EVALS:
-            break
-    return xf, fx, num
+    tangent = np.linalg.svd(e[None, :])[2][1:]
+    axis = np.linspace(-1.0, 1.0, ZOOM_NODES)
+    mesh = np.meshgrid(*[axis] * tangent.shape[0], indexing="ij")
+    stencil = np.stack([m.ravel() for m in mesh], axis=-1) @ tangent
+    d = e
+    for _ in range(ZOOM_ROUNDS):
+        trial = d + width * stencil
+        cand = trial / np.linalg.norm(trial, axis=1, keepdims=True)
+        sups = _coarse_sups(pts_t, vals, cand)
+        k = int(np.argmin(sups))
+        d = trial[k]
+        width *= ZOOM_SHRINK
+    return FlatnessFit(direction=tuple(float(c) for c in cand[k]), deficit=float(sups[k]))
 
 
 def flatness_deficit(u: ScalarField) -> FlatnessFit:
@@ -303,38 +243,20 @@ def flatness_deficit(u: ScalarField) -> FlatnessFit:
 
     The sup norm runs over grid nodes inside the ball plus points sampled on
     its sphere, so inter-node peaks of the kinked profile are not missed;
-    u is read nowhere else (see _Reference).  Coarse direction scan first,
-    then REFINE_ROUNDS rounds of bounded Brent refinement of each spherical
-    coordinate in a shrinking bracket.
+    u is read nowhere else (see _Reference).  A coarse scan over
+    COARSE_DIRECTIONS directions picks the start of _zoom, whose first
+    stencil reaches one coarse spacing (2D) or 2.5 (3D) to either side.
     """
     grid = u.grid
     ref = _reference(grid)
-    pts = ref.pts
     vals = np.concatenate([u.values[ref.inside], interpolate(u, ref.sphere)])
-
-    def deficit_of(e: np.ndarray) -> float:
-        plane = np.maximum(pts @ e, 0.0)
-        return float(np.max(np.abs(vals - plane)))
-
     cand = _unit_sphere(grid.dim, COARSE_DIRECTIONS)
-    e = cand[_coarse_best(pts, vals, cand)]
+    e = cand[_coarse_best(ref.pts_t, vals, cand)]
     if grid.dim == 2:
         width = 2.0 * np.pi / COARSE_DIRECTIONS
     else:
         width = 2.5 * np.sqrt(4.0 * np.pi / COARSE_DIRECTIONS)
-    coords = _unit_to_spherical(e)
-    for _ in range(REFINE_ROUNDS):
-        for k in range(coords.size):
-            def line(t, k=k):
-                c = coords.copy()
-                c[k] = t
-                return deficit_of(_spherical_to_unit(c))
-
-            coords[k] = _bounded_min(line, coords[k] - width, coords[k] + width)[0]
-        width *= 0.25
-    e = _spherical_to_unit(coords)
-    e = e / np.linalg.norm(e)
-    return FlatnessFit(direction=tuple(float(c) for c in e), deficit=deficit_of(e))
+    return _zoom(ref.pts_t, vals, e, width)
 
 
 @dataclass(frozen=True)
@@ -362,8 +284,8 @@ class BlowupSequence:
 
 def default_scales(grid: Grid, z) -> tuple[float, ...]:
     """Halving ladder from SCALE_FRACTION of the centered reach down to MIN_SCALE_CELLS * h."""
-    z = np.asarray(z, dtype=float)
-    reach = min(min(z[a] - grid.lo[a], grid.hi[a] - z[a]) for a in range(grid.dim))
+    z = as_base_point(grid, z)
+    reach = float(min(min(z[a] - grid.lo[a], grid.hi[a] - z[a]) for a in range(grid.dim)))
     r = SCALE_FRACTION * reach
     r_min = MIN_SCALE_CELLS * grid.h
     out = []
@@ -391,13 +313,13 @@ def build_sequence(
     must still fit in the grid box at every scale, as rescale requires.
     """
     grid = u.grid
-    z = np.asarray(z, dtype=float)
+    z = as_base_point(grid, z)
     if scales is None:
         scales = default_scales(grid, z)
     scales = tuple(float(s) for s in scales)
     if ref_grid is None:
         ref_grid = unit_box(grid.dim)
-    u_at_z = float(interpolate(u, np.asarray(z)[None, :])[0])
+    u_at_z = float(interpolate(u, z[None, :])[0])
     # the limit max(Lip, 1) h is at least h, so only a larger |u(z)| needs Lip
     if abs(u_at_z) > grid.h:
         limit = max(lipschitz(u), 1.0) * grid.h
@@ -436,7 +358,8 @@ def regularity_verdict(seq: BlowupSequence, model: DensityModel) -> str:
     and a density that satisfies the structural flatness condition;
     otherwise it is "unavailable".  "regular" needs both metrics under their
     thresholds (DEV_THRESHOLD, DEFICIT_THRESHOLD) at the two smallest
-    scales.  There is deliberately no "singular" verdict.
+    scales; a sequence with one scale is judged on that scale alone.  There
+    is deliberately no "singular" verdict.
     """
     if len(seq.base_point) != 3 or not flatness_report(model).passed:
         return "unavailable"

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from fbmlab import fields
-from fbmlab.blowup import homogeneity_deviation
+from fbmlab.blowup import build_sequence, default_scales, homogeneity_deviation
 from fbmlab.errors import GeometryError
 from fbmlab.fields import (
     Grid,
@@ -660,6 +660,11 @@ class TestBallWeights:
                 homogeneity_deviation(f, z, 0.5)
             with pytest.raises(ValueError, match="base point dimension mismatch"):
                 shell_average(f, z, 0.5)
+            with pytest.raises(ValueError, match="base point dimension mismatch"):
+                default_scales(g, z)
+            with pytest.raises(ValueError, match="base point dimension mismatch"):
+                build_sequence(f, z)
+        assert all(type(s) is float for s in default_scales(box_grid(2, 64), (0.1, 0.0)))
 
     def test_window_touches_box_face(self):
         g = box_grid(2, 16)

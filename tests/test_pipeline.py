@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fbmlab import monotonicity, pipeline
+from fbmlab.blowup import DEFICIT_THRESHOLD
 from fbmlab.errors import GeometryError, ScenarioError
 from fbmlab.fieldio import read_csv, read_field, write_csv, write_field
 from fbmlab.fields import (
@@ -617,7 +618,8 @@ class TestPhaseLevel:
     def test_bundled_3d_minimizer_scans_to_the_half_plane_value(self):
         # the minimized field has no zero phase (a positive tail decays below
         # the free boundary); scanned at the phase level, A(r) is constant at
-        # every auto point and sits near the half-plane value 2 pi / 3
+        # every auto point and sits near the half-plane value 2 pi / 3; and
+        # every point's blow-up is flat enough to be called regular
         s = load_scenario(SCENARIO_3D)
         u, report = stage_minimize(s)
         assert report["stop_reason"] == "gradient_tol"
@@ -629,6 +631,9 @@ class TestPhaseLevel:
             med = float(np.median(a))
             assert np.max(np.abs(a - med)) <= 0.025 * med
             assert med == pytest.approx(2.0 * np.pi / 3.0, rel=0.05)
+            blow = stage_blowup(s, u, z)
+            assert blow["verdict"] == "regular"
+            assert max(blow["deficits"]) < DEFICIT_THRESHOLD
 
 
 SCENARIO_2D = SCENARIO_3D.parent / "arctan_halfplane_2d.json"
