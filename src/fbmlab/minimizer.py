@@ -26,6 +26,8 @@ decrease.  The preconditioner is the nearest separable operator to the
 Newton system (Concus & Golub 1973): the edge Laplacian on the interior
 nodes plus the additive part of the ramp curvature, which fast
 diagonalization inverts directly (Lynch, Rice & Thomas 1964).
+initial_guess starts half-plane data from the ramped 1-D profile
+(ramp_profile), so the Hessian sees the ramp from the first step.
 The ramp is C^1, so the gradient is continuous and can reach the
 tolerance; a piecewise linear ramp kept the gradient's sup-norm near
 lam w / eps at its kinks.
@@ -64,6 +66,7 @@ __all__ = [
     "minimize",
     "ramp",
     "ramp_free_boundary",
+    "ramp_profile",
     "initial_guess",
 ]
 
@@ -114,17 +117,21 @@ class BoundaryData:
             if not self.path:
                 raise ValueError("path must name a stored field")
 
+    def plane(self, grid: Grid) -> np.ndarray:
+        """x . e at every grid node for halfplane data, e normalized."""
+        e = np.asarray(self.direction, dtype=float)
+        e = e / np.linalg.norm(e)
+        mesh = grid.node_mesh()
+        return sum(e[a] * mesh[a] for a in range(grid.dim))
+
     def profile(self, grid: Grid) -> np.ndarray:
         """Evaluate the generator at every grid node.
 
         The dimension checks live in Problem, which pairs data with a grid.
         """
-        mesh = grid.node_mesh()
         if self.kind == "halfplane":
-            e = np.asarray(self.direction, dtype=float)
-            e = e / np.linalg.norm(e)
-            plane = sum(e[a] * mesh[a] for a in range(grid.dim))
-            return np.maximum(plane, 0.0)
+            return np.maximum(self.plane(grid), 0.0)
+        mesh = grid.node_mesh()
         if self.kind == "radial":
             c = np.asarray(self.center, dtype=float)
             return np.sqrt(sum((mesh[a] - c[a]) ** 2 for a in range(grid.dim)))
@@ -228,24 +235,73 @@ def ramp(
     return out
 
 
-# s* = 1.5 / cosh^2(sqrt(3)/2 + artanh(1/sqrt(3))), see ramp_free_boundary
-_RAMP_EDGE = 1.5 / math.cosh(0.5 * math.sqrt(3.0) + math.atanh(1.0 / math.sqrt(3.0))) ** 2
+# The linear density's 1-D profile is P = 1.5 eps / cosh^2 v with
+# v = V1 + sqrt(3)/2 (1 - xi / eps): P = eps at v = V1, and s* = P(0) / eps
+_RAMP_V1 = math.atanh(1.0 / math.sqrt(3.0))
+_RAMP_EDGE = 1.5 / math.cosh(_RAMP_V1 + 0.5 * math.sqrt(3.0)) ** 2
+# ramp_profile's table: v on [V1, V1 + span], so P / eps falls from 1 to 6e-11
+_TAIL_NODES = 400
+_TAIL_SPAN = 12.0
 
 
 def ramp_free_boundary(eps: float) -> float:
     """The level s* eps (s* = 0.2593) at which a ramped minimizer's sharp free boundary sits.
 
-    Across a flat free boundary, a minimizer of |u'|^2 + lam H_eps(u)
-    satisfies u'^2 = lam H_eps(u): it is affine where u >= eps and below
-    that decays towards 0 without reaching it, so it has no zero phase and
-    its zero level is round-off.  Its affine part, the sharp half-plane
-    profile it approximates, vanishes where u = s* eps with
-    int_{s*}^1 ds / sqrt(s^2 (3 - 2 s)) = 1, which integrates in closed
-    form to the s* above.  s* belongs to this ramp's shape (ramp) and
-    must follow it; it does not depend on lam.  For a curved density the
-    profile bends slightly and s* is its linear-density estimate.
+    Across a flat free boundary, a minimizer of f(u'^2) + lam H_eps(u) with
+    lam = psi(1) satisfies the first integral psi(u'^2) = lam H_eps(u)
+    (ramp_profile): it is affine where u >= eps and below that decays
+    towards 0 without reaching it, so it has no zero phase and its zero
+    level is round-off.  Its affine part, the sharp half-plane profile it
+    approximates, vanishes where u = s* eps.  For the linear density
+    u'^2 = H_eps(u) and int_{s*}^1 ds / sqrt(s^2 (3 - 2 s)) = 1, which
+    integrates in closed form to the s* above, ramp_profile(0) for that
+    density.  s* belongs to this ramp's shape (ramp) and must follow it; it
+    does not depend on lam.  For a curved density the profile bends slightly
+    and s* is its linear-density estimate.
     """
     return _RAMP_EDGE * eps
+
+
+def ramp_profile(xi: np.ndarray, model: DensityModel, eps: float) -> np.ndarray:
+    """P(xi): the 1-D minimizer of f(P'^2) + lam H_eps(P) at lam = psi(1) that is xi for xi >= eps.
+
+    Below eps, P is the tail of the first integral psi(P'^2) = lam H_eps(P),
+    Bernoulli's balance with the ramp, and decays towards 0 as xi falls.
+    The tail is tabulated explicitly, without inverting psi: at
+    _TAIL_NODES values of t = P'^2, y = psi(t) / lam gives the level
+    s = P / eps = H^{-1}(y) = 1/2 + cos((arccos(1 - 2 y) - 2 pi) / 3), the
+    cubic's root in [0, 1] (here in a form without cancellation at small
+    y), and xi(s) = eps - eps int_s^1 ds' / sqrt(t) by the trapezoid rule.
+    The table is uniform in v = arcosh(sqrt(1.5 / s)), the variable in
+    which the linear density's tail is affine (s = 1.5 / cosh^2 v): its t
+    are that density's P'^2, geometric along the tail, and for it the
+    trapezoid rule and the linear interpolation of v at xi are exact up to
+    round-off.  Below the table's last level (P / eps = 6e-11 for the
+    linear density), P = 0: far from the free boundary the start keeps the
+    data's exact zero phase, where H_eps'' = 0.  A positive P there gives
+    every zero-phase node the ramp's full curvature 6 lam / eps^2, which
+    the preconditioner's additive part fits far worse (on 256^2
+    half-planes, up to 29 CG iterations per Newton step instead of 1-2).
+    """
+    xi = np.asarray(xi, dtype=float)
+    out = xi.copy()
+    tail = xi < eps
+    v = np.linspace(_RAMP_V1, _RAMP_V1 + _TAIL_SPAN, _TAIL_NODES)
+    level = 1.5 / np.cosh(v) ** 2
+    t = 3.0 * (level * np.tanh(v)) ** 2  # the linear density's P'^2 = H_eps at P = level eps
+    y = np.minimum(model.psi(t) / bernoulli_lambda(model), 1.0)
+    # with phi = arccos(1 - 2 y) / 3: 1/2 + cos(phi - 2 pi / 3) = sin^2(phi / 2) + sqrt(3)/2 sin(phi)
+    phi = (2.0 / 3.0) * np.arcsin(np.sqrt(y))
+    s = np.sin(0.5 * phi) ** 2 + 0.5 * math.sqrt(3.0) * np.sin(phi)
+    v = np.arccosh(np.sqrt(1.5 / s))
+    # -d(xi / eps)/dv = -(ds/dv) / sqrt(t), with ds/dv = -2 s tanh v
+    slope = 2.0 * s * np.sqrt(1.0 - s / 1.5) / np.sqrt(t)
+    table = np.empty_like(v)
+    table[0] = eps
+    table[1:] = eps - eps * np.cumsum(0.5 * (slope[1:] + slope[:-1]) * np.diff(v))
+    at = np.interp(xi[tail], table[::-1], v[::-1], left=np.inf)
+    out[tail] = 1.5 * eps / np.cosh(at) ** 2
+    return out
 
 
 def _require_on_grid(p: Problem, u: ScalarField) -> None:
@@ -443,6 +499,10 @@ def minimize(
 ) -> tuple[ScalarField, MinimizeReport]:
     """Truncated Newton-PCG from u0; fixed nodes are never touched.
 
+    From initial_guess's ramped profile the bundled half-plane runs take 4
+    full Newton steps; from the sharp data (x . e)^+ their first step
+    backtracks (to 1/256 in 2D, 1/16 in 3D) and they take 6.
+
     Each outer step solves H d = G by preconditioned CG to the relative
     residual CG_RTOL, in at most CG_MAX_ITER inner iterations (see
     _newton_direction), then backtracks from u - d by halving the step until
@@ -567,5 +627,25 @@ def minimize(
 
 
 def initial_guess(p: Problem) -> ScalarField:
-    """Starting iterate: the boundary generator evaluated on every node."""
-    return ScalarField(p.grid, p.boundary.profile(p.grid))
+    """Starting iterate: the ramped half-plane profile, else the boundary generator.
+
+    For halfplane data at the Bernoulli weight lam = psi(1), Problem's
+    default, every node off the fixed boundary starts from
+    ramp_profile(x . e), the 1-D minimizer the data trace; fixed nodes keep
+    the data.  Started from the sharp data (x . e)^+ instead, the zero
+    phase has H_eps'' = 0, the Hessian cannot see the ramp and the first
+    Newton step backtracks.  Every other case starts from the generator on
+    every node: other kinds, and any other lam, for which the data are no
+    1-D minimizer's trace.
+    """
+    b = p.boundary
+    if b.kind != "halfplane" or p.lam != bernoulli_lambda(p.model):
+        return ScalarField(p.grid, b.profile(p.grid))
+    plane = b.plane(p.grid)
+    u = ramp_profile(plane, p.model, p.eps)
+    # H_eps'' jumps at u = eps, and the discrete minimizer lifts a node there
+    # above eps; one that sits at eps only up to its coordinates' rounding
+    # starts at eps, not an ulp below on the side of negative curvature
+    np.maximum(u, p.eps, out=u, where=plane >= (1.0 - 1e-9) * p.eps)
+    u[p.fixed_mask] = np.maximum(plane[p.fixed_mask], 0.0)
+    return ScalarField(p.grid, u)

@@ -221,14 +221,17 @@ class TestExitCodes:
         assert not (tmp_path / "scan.csv").exists()
 
     def test_diverging_solver_exits_3(self, tmp_path, capsys):
-        # an overflowing lambda makes the initial energy non-finite
+        # lambda = 1e300 leaves the initial energy finite (about 1.08e300),
+        # but the energy overflows at every trial of the first line search
         cfg = write_config(tmp_path, **{"lambda": 1e300})
         rc = main([
             "minimize", "--config", str(cfg),
             "--out", str(tmp_path / "f.bin"),
         ])
         assert rc == 3
-        assert "solver" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver error" in err
+        assert "line search collapsed" in err
 
     def test_nonfinite_start_exits_3(self, tmp_path, capsys):
         # a stored start with a NaN node: the minimizer reports a solver

@@ -27,6 +27,8 @@ from fbmlab.minimizer import (
     initial_guess,
     minimize,
     ramp,
+    ramp_free_boundary,
+    ramp_profile,
 )
 from fbmlab.pipeline import stage_minimize
 from fbmlab.scenario import Scenario
@@ -445,10 +447,12 @@ class TestMinimize:
     def test_curvature_preconditioner_needs_few_cg_iterations(self, dim, n):
         # the ramp curvature of an axis-aligned half-plane is nearly a
         # function of one coordinate, which the preconditioner's additive
-        # part carries.  Not every grid keeps this bound: where the refit
-        # operator's separable part is indefinite, the shift lifts many modes
-        # (linear density from the boundary profile: one step of 3 at 32^2
-        # and 40^3, up to 7 at 128^2 and up to 19 at 192^2).
+        # part carries.  From the sharp data (x . e)^+ not every grid keeps
+        # this bound: where the refit operator's separable part is
+        # indefinite, the shift lifts many modes (linear density: one step
+        # of 3 at 32^2 and 40^3, up to 7 at 128^2 and up to 28 at 256^2).
+        # From initial_guess's ramped profile every step of the box [-1, 1]
+        # half-planes at 96^2-256^2 and 48^3-80^3 took 1 or 2.
         p = halfplane_problem(dim, n)
         _, rep = minimize(p, initial_guess(p), tol=1e-3, max_iter=50)
         assert rep.stop_reason == "gradient_tol"
@@ -577,6 +581,90 @@ class TestBuffers:
 
 class TestInitialGuess:
     def test_profile_matches_generator(self):
-        p = halfplane_problem(2, 12)
-        u = initial_guess(p)
-        assert np.array_equal(u.values, p.boundary.profile(p.grid))
+        # the generator is the start for every kind but halfplane, and for
+        # halfplane data at any lam other than psi(1)
+        g = box_grid(2, 12)
+        cases = [
+            (BoundaryData("radial", center=(0.25, 0.0)), None),
+            (BoundaryData("wedge", angle=2.0), None),
+            (BoundaryData("halfplane", direction=(1.0, 0.0)), 2.0),
+        ]
+        for data, lam in cases:
+            p = Problem(g, DensityModel(kind="arctan", alpha=0.1), data, lam=lam)
+            assert np.array_equal(initial_guess(p).values, data.profile(g)), data.kind
+
+    @pytest.mark.parametrize("dim,n,direction,model", [
+        (2, 96, (1.0, 0.0), DensityModel(kind="linear")),
+        (2, 48, (1.0, 1.0), DensityModel(kind="arctan", alpha=0.1)),
+        (3, 40, (1.0, 1.0, 1.0), DensityModel(kind="arctan", alpha=1.0)),
+    ])
+    def test_start_keeps_the_data_where_it_is_affine(self, dim, n, direction, model):
+        data = BoundaryData("halfplane", direction=direction)
+        p = Problem(box_grid(dim, n), model, data)
+        u = initial_guess(p).values
+        sharp = data.profile(p.grid)
+        keep = p.fixed_mask | (data.plane(p.grid) >= p.eps)
+        assert np.array_equal(u[keep], sharp[keep])
+        # below eps the ramped tail lies above the data; far below the free
+        # boundary the zero phase stays exactly zero
+        tail = ~keep & (sharp > 0.0)
+        assert np.any(tail) and np.all(u[tail] > sharp[tail])
+        far = data.plane(p.grid) < -15.0 * p.eps
+        assert np.any(far) and np.all(u[far] == 0.0)
+
+    def test_node_at_eps_up_to_rounding_starts_at_eps(self):
+        # on 48^2 cells of [-1, 1]^2 the nodes at x = 2h lie an ulp below
+        # eps = 2h, where H_eps'' = -6 / eps^2; the minimizer lifts them above eps
+        p = halfplane_problem(2, 48)
+        plane = p.boundary.plane(p.grid)
+        edge = (plane < p.eps) & (plane >= (1.0 - 1e-9) * p.eps) & ~p.fixed_mask
+        assert np.any(edge)
+        assert np.all(initial_guess(p).values[edge] == p.eps)
+
+    @pytest.mark.parametrize("eps", [1.0 / 32.0, 1.0 / 12.0, 0.3])
+    def test_linear_tail_is_closed_form(self, eps):
+        # u'^2 = H_eps(u) integrates to 1.5 eps / cosh^2(artanh(1/sqrt 3)
+        # + sqrt(3)/2 (1 - xi / eps)), whose value at xi = 0 is s* eps
+        xi = np.linspace(-10.0 * eps, eps, 2001)[:-1]
+        v = math.atanh(1.0 / math.sqrt(3.0)) + 0.5 * math.sqrt(3.0) * (1.0 - xi / eps)
+        exact = 1.5 * eps / np.cosh(v) ** 2
+        tail = ramp_profile(xi, DensityModel(kind="linear"), eps)
+        assert np.max(np.abs(tail / exact - 1.0)) <= 1e-6
+        edge = ramp_profile(np.array([0.0]), DensityModel(kind="linear"), eps)[0]
+        assert edge == pytest.approx(ramp_free_boundary(eps), rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0])
+    def test_curved_tail_solves_its_first_integral(self, alpha):
+        # an independent solution of psi(P'^2) = psi(1) H_eps(P): bisect psi
+        # for t = P'^2 at levels s = P / eps, then xi(s) = eps - eps
+        # int_s^1 ds' / sqrt(t) by a fine trapezoid rule
+        model, eps = DensityModel(kind="arctan", alpha=alpha), 0.1
+        s = np.linspace(0.05, 1.0, 20001)
+        target = bernoulli_lambda(model) * s * s * (3.0 - 2.0 * s)
+        lo, hi = np.zeros_like(s), np.ones_like(s)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            low = model.psi(mid) < target
+            lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
+        g = 1.0 / np.sqrt(0.5 * (lo + hi))
+        rest = np.concatenate((np.cumsum((0.5 * (g[1:] + g[:-1]) * np.diff(s))[::-1])[::-1], [0.0]))
+        xi = eps - eps * rest
+        assert np.max(np.abs(ramp_profile(xi, model, eps) / (eps * s) - 1.0)) <= 1e-3
+
+    @pytest.mark.parametrize("dim,n,direction,model", [
+        (2, 64, (0.0, 1.0), DensityModel(kind="arctan", alpha=0.1)),
+        (3, 24, (0.0, 0.0, 1.0), DensityModel(kind="linear")),
+        (2, 64, (1.0, 1.0), DensityModel(kind="arctan", alpha=0.1)),
+        (3, 16, (1.0, 1.0, 1.0), DensityModel(kind="arctan", alpha=0.1)),
+        (2, 64, (0.0, 1.0), DensityModel(kind="arctan", alpha=1.0)),
+        (2, 64, (0.0, 1.0), DensityModel(kind="arctan", alpha=0.1, scale=4.0)),
+    ], ids=["arctan2d", "linear3d", "diagonal2d", "diagonal3d", "alpha1", "scale4"])
+    def test_first_newton_step_is_taken_in_full(self, dim, n, direction, model):
+        data = BoundaryData("halfplane", direction=direction)
+        p = Problem(box_grid(dim, n), model, data)
+        _, rep = minimize(p, initial_guess(p), tol=1e-3, max_iter=50)
+        _, sharp = minimize(p, ScalarField(p.grid, data.profile(p.grid)), tol=1e-3, max_iter=50)
+        assert rep.stop_reason == sharp.stop_reason == "gradient_tol"
+        assert rep.step_history[0] == 1.0
+        assert rep.iterations <= sharp.iterations
+        assert rep.final_energy == pytest.approx(sharp.final_energy, rel=1e-10)
