@@ -37,7 +37,6 @@ from .fields import (
     ball_weights,
     gradient_arrays,
     interpolate,
-    lipschitz,
     sphere_quadrature,
 )
 
@@ -311,6 +310,7 @@ def build_sequence(
     (see _Reference), into a reference-shaped buffer that is NaN elsewhere,
     so the fit reads the values rescale would give.  The whole reference box
     must still fit in the grid box at every scale, as rescale requires.
+    |u(z)| above max(u.lipschitz, 1) h is no boundary point (ValueError).
     """
     grid = u.grid
     z = as_base_point(grid, z)
@@ -320,14 +320,12 @@ def build_sequence(
     if ref_grid is None:
         ref_grid = unit_box(grid.dim)
     u_at_z = float(interpolate(u, z[None, :])[0])
-    # the limit max(Lip, 1) h is at least h, so only a larger |u(z)| needs Lip
-    if abs(u_at_z) > grid.h:
-        limit = max(lipschitz(u), 1.0) * grid.h
-        if abs(u_at_z) > limit:
-            raise ValueError(
-                f"base point value {u_at_z:.3g} too large for a boundary point "
-                f"(limit {limit:.3g})"
-            )
+    limit = max(u.lipschitz, 1.0) * grid.h
+    if abs(u_at_z) > limit:
+        raise ValueError(
+            f"base point value {u_at_z:.3g} too large for a boundary point "
+            f"(limit {limit:.3g})"
+        )
     ref = _reference(ref_grid)
     window_shape = tuple(w.stop - w.start for w in ref.window)
     devs, deficits, dirs = [], [], []

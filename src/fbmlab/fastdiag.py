@@ -98,15 +98,15 @@ class DirichletSolver:
 
     with K_a the tridiagonal (-1, 2, -1) along axis a, the interior block of
     E_a^T E_a with the boundary values pinned to zero, and sigma_a a function
-    of the axis-a coordinate alone.  It starts at sigma = 0, delta = 0, the
-    edge Laplacian P_0, fit by the first solve unless update ran before it
+    of the axis-a coordinate alone.  update must run before the first solve
     (the minimizer refits before every solve).  update(curv) sets sigma_a to
     the additive part of a diagonal curv, the ANOVA main effects of its
     interior values (sigma_a = the mean over the other axes - mu (dim - 1) /
     dim, mu the grand mean), and redoes one eigh per axis.  delta = max(0,
     lambda_min(P_0) - sum_a lambda_min(c/h^2 K_a + diag(sigma_a))) keeps the
-    smallest eigenvalue at least lambda_min(P_0), so P stays positive
-    definite where a negative sigma_a binds a mode.
+    smallest eigenvalue at least that of the edge Laplacian P_0 = c/h^2 sum_a
+    K_a, which a zero curv gives, so P stays positive definite where a
+    negative sigma_a binds a mode.
 
     solve(r, out, work) reads r's interior and writes x into out, zero on
     the boundary.  work is two arrays of at least the interior's size (any
@@ -125,11 +125,11 @@ class DirichletSolver:
         self.inv_denom = np.empty(self.inner)
         self.vectors: list[np.ndarray | None] = [None] * len(shape)
 
-    def update(self, curv: np.ndarray | None) -> None:
-        """Take sigma from curv's interior (a grid-sized diagonal), or sigma = 0 for None."""
+    def update(self, curv: np.ndarray) -> None:
+        """Take sigma from curv's interior (a grid-sized diagonal)."""
         dim = len(self.inner)
-        core = None if curv is None else curv[self.interior]
-        mean = 0.0 if core is None else float(np.mean(core))
+        core = curv[self.interior]
+        mean = float(np.mean(core))
         flat = self.inv_denom.reshape(-1)
         values, low = [], 0.0
         for axis, n in enumerate(self.inner):
@@ -139,10 +139,8 @@ class DirichletSolver:
             band[1 :: n + 1] = -self.stiffness
             band[n :: n + 1] = -self.stiffness
             diag = band[:: n + 1]
-            if core is not None:
-                others = tuple(b for b in range(dim) if b != axis)
-                np.mean(core, axis=others, out=diag)
-                diag -= mean * (dim - 1) / dim
+            np.mean(core, axis=tuple(b for b in range(dim) if b != axis), out=diag)
+            diag -= mean * (dim - 1) / dim
             diag += 2.0 * self.stiffness
             self.vectors[axis] = None  # release the old matrix before eigh makes the new one
             lam, q = np.linalg.eigh(t)
@@ -157,8 +155,6 @@ class DirichletSolver:
         np.reciprocal(denom, out=denom)
 
     def solve(self, r: np.ndarray, out: np.ndarray, work: list[np.ndarray]) -> np.ndarray:
-        if self.vectors[0] is None:
-            self.update(None)
         size = self.inv_denom.size
         a, b = (buf.reshape(-1)[:size].reshape(self.inner) for buf in work)
         np.copyto(a, r[self.interior])

@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -136,8 +136,8 @@ class Grid:
             mask[tuple(sl)] = True
         return mask
 
-    def contains_points(self, pts: np.ndarray, slack: float | None = None) -> np.ndarray:
-        s = (_SLACK * self.h) if slack is None else slack
+    def contains_points(self, pts: np.ndarray) -> np.ndarray:
+        s = _SLACK * self.h
         pts = np.atleast_2d(pts)
         ok = np.ones(pts.shape[0], dtype=bool)
         for a in range(self.dim):
@@ -194,6 +194,14 @@ class ScalarField:
         if vals.shape != self.grid.node_shape:
             raise ValueError(f"values shape {vals.shape} != nodes {self.grid.node_shape}")
         object.__setattr__(self, "values", vals)
+
+    @cached_property
+    def lipschitz(self) -> float:
+        """max over nodes of |grad u| (gradient_arrays), the discrete Lipschitz
+        constant; computed on first use and kept, since the field is immutable."""
+        shape = self.grid.node_shape
+        q = gradient_square(self.values, self.grid.h, np.empty(shape), np.empty(shape))
+        return float(np.max(np.sqrt(q, out=q)))
 
 
 @dataclass(frozen=True)
@@ -301,13 +309,6 @@ def gradient(f: ScalarField) -> VectorField:
     gradient_arrays(f.values, f.grid.h, out=list(values))
     values.setflags(write=False)  # the field keeps the block uncopied
     return VectorField(f.grid, values)
-
-
-def lipschitz(f: ScalarField) -> float:
-    """max over nodes of |grad f|, the discrete Lipschitz constant of f."""
-    shape = f.grid.node_shape
-    q = gradient_square(f.values, f.grid.h, np.empty(shape), np.empty(shape))
-    return float(np.max(np.sqrt(q, out=q)))
 
 
 def _row_stride(a: np.ndarray, axis: int) -> tuple[np.ndarray, int]:
@@ -478,7 +479,7 @@ def _unit_sphere(dim: int, n: int) -> np.ndarray:
 
 
 def require_positive_radius(r: float) -> None:
-    """Raise GeometryError unless the sphere radius r is positive (NaN fails)."""
+    """Raise GeometryError unless the radius r of a sphere or ball is positive (NaN fails)."""
     if not r > 0.0:
         raise GeometryError(f"sphere radius must be positive, got {r}")
 
@@ -578,7 +579,7 @@ def _ball_weights(grid: Grid, z: tuple[float, ...], r: float) -> BallWeights:
     cell gives corner k the mean over inside subsamples of the corner's hat
     function.  Results are read-only; the cache holds a few dozen balls,
     enough for every radius of a scan and its blow-up scales, until
-    drop_ball_weights empties it.
+    drop_ball_weights empties it.  r must be positive (GeometryError).
 
     Each subsample coordinate along axis a is one addition, offset plus cell
     centre, taken on a (SUBSAMPLES, borderline cells) array per axis.  The
@@ -588,6 +589,7 @@ def _ball_weights(grid: Grid, z: tuple[float, ...], r: float) -> BallWeights:
     weight, is bitwise what the per-subsample sum gives.  The borderline
     cells run along the innermost axis, so each pass is one long row.
     """
+    require_positive_radius(r)
     grid.require_ball_inside(z, r)
     h = grid.h
     dim = grid.dim

@@ -238,8 +238,8 @@ class FluxBoundReport:
 def flux_bound_report(flux: FluxField, model: DensityModel, lip: float) -> FluxBoundReport:
     """Check |U(x)| * |x-z| <= eps_star * C_lip outside the capped core.
 
-    lip is fields.lipschitz(u) of the field u the flux was built from; it
-    does not depend on the base point, so one value serves every point.
+    lip is u.lipschitz of the field u the flux was built from; it does not
+    depend on the base point, so one value serves every point.
     eps_star is the slope deviation of the model over the realized gradient
     range and C_lip = 2 Lip (Lip + Lip^2) collects the Lipschitz factors.
     A flux built for another density is not held to this bound and can
@@ -431,7 +431,8 @@ def flux_l2_profile(flux: FluxField, radii) -> list[tuple[float, float]]:
     for r in radii:
         r = float(r)
         if flux.is_zero:
-            # the ball must fit all the same; its integral of +0 is 0.0
+            # the radius and the ball are checked all the same; its integral of +0 is 0.0
+            require_positive_radius(r)
             grid.require_ball_inside(z, r)
             integral = 0.0
         else:

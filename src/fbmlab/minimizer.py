@@ -51,7 +51,6 @@ from .fields import (
     edge_differences_transpose,
     edge_gradient_square,
     edge_means_transpose,
-    gradient_square,
     weigh,
 )
 
@@ -71,6 +70,11 @@ __all__ = [
 ]
 
 BOUNDARY_KINDS = ("halfplane", "radial", "wedge", "file")
+
+# the solver defaults, which Scenario takes as its own
+DEFAULT_TOL = 1e-6
+DEFAULT_MAX_ITER = 10_000
+DEFAULT_EPS_CELLS = 2.0
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 60
@@ -153,6 +157,7 @@ class Problem:
     """One minimization instance: geometry, density model, weights.
 
     The box boundary nodes are pinned to the boundary data (fixed_mask).
+    eps defaults to DEFAULT_EPS_CELLS grid spacings.
     """
 
     grid: Grid
@@ -175,7 +180,7 @@ class Problem:
         if not 0.0 < self.lam < np.inf:
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if self.eps is None:
-            object.__setattr__(self, "eps", 2.0 * self.grid.h)
+            object.__setattr__(self, "eps", DEFAULT_EPS_CELLS * self.grid.h)
         if not 0.0 < self.eps < np.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         mask = self.grid.boundary_mask()
@@ -191,7 +196,6 @@ class MinimizeReport:
     step_history: list[float]
     converged: bool
     energy_history: list[float]
-    lipschitz: float
     stop_reason: str
     cg_iterations: int
     cg_history: list[int]
@@ -494,8 +498,8 @@ def _newton_direction(kernel, precond, hessian, grad, d, cg, work) -> int:
 def minimize(
     p: Problem,
     u0: ScalarField,
-    tol: float = 1e-6,
-    max_iter: int = 10_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[ScalarField, MinimizeReport]:
     """Truncated Newton-PCG from u0; fixed nodes are never touched.
 
@@ -527,9 +531,10 @@ def minimize(
 
     iterations counts outer steps, step_history their accepted steps,
     cg_history their inner iterations and cg_iterations the sum of those.
-    gradient_norm is the masked gradient sup-norm at the returned iterate,
-    and lipschitz the largest |grad u| of fields.gradient there.  Raises
-    SolverError if the energy is not finite or the line search collapses.
+    gradient_norm is the masked gradient sup-norm at the returned iterate;
+    the returned field's lipschitz is its largest |grad u|, computed when
+    first read, after these buffers are gone.  Raises SolverError if the
+    energy is not finite or the line search collapses.
 
     Buffers are allocated once per call: 10 arrays of the grid's size for
     the linear density and 13 for a curved one, in any dimension, one
@@ -609,7 +614,6 @@ def minimize(
         e_now = e_trial
         steps.append(step)
         energies.append(e_now)
-    lipschitz = float(np.sqrt(np.max(gradient_square(u, p.grid.h, d, hcurv))))
     u.setflags(write=False)  # the returned field adopts it, uncopied
     report = MinimizeReport(
         iterations=len(steps),
@@ -618,7 +622,6 @@ def minimize(
         step_history=steps,
         converged=stop_reason == "gradient_tol",
         energy_history=energies,
-        lipschitz=lipschitz,
         stop_reason=stop_reason,
         cg_iterations=sum(cg_counts),
         cg_history=cg_counts,

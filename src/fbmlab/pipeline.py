@@ -26,7 +26,7 @@ from .fieldio import (
     write_field,
     write_points_csv,
 )
-from .fields import ScalarField, drop_ball_weights, free_boundary_points, lipschitz
+from .fields import ScalarField, drop_ball_weights, free_boundary_points
 from .ghost import (
     GhostFunction,
     flux_bound_report,
@@ -72,6 +72,7 @@ def stage_minimize(s: Scenario) -> tuple[ScalarField, dict]:
     """Descend from the boundary-data profile; report solver statistics.
 
     The initial guess is passed unnamed, so it dies once minimize has copied it.
+    lipschitz is u.lipschitz, computed (and cached on u) after minimize's buffers are freed.
     """
     p = build_problem(s)
     u, rep = minimize(p, initial_guess(p), tol=s.tol, max_iter=s.max_iter)
@@ -83,7 +84,7 @@ def stage_minimize(s: Scenario) -> tuple[ScalarField, dict]:
         "gradient_norm": rep.gradient_norm,
         "converged": rep.converged,
         "stop_reason": rep.stop_reason,
-        "lipschitz": rep.lipschitz,
+        "lipschitz": u.lipschitz,
         "lambda": p.lam,
         "eps": p.eps,
     }
@@ -126,17 +127,16 @@ def select_points(s: Scenario, u: ScalarField) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(c) for c in z) for z in keep[:: s.auto_stride])
 
 
-def stage_ghost(
-    s: Scenario, u: ScalarField, z, lip: float | None = None
-) -> tuple[GhostFunction, dict]:
+def stage_ghost(s: Scenario, u: ScalarField, z) -> tuple[GhostFunction, dict]:
     """Flux at z, its gradient potential, and the certification report.
 
     The flux is built from the sharp field (u - l)^+ the scan reads, l =
     Scenario.phase_level; at l = 0 (a stored field, u >= 0) that is u itself.
-    lip is lipschitz(u) of u as given, which bounds (u - l)^+ too; run_pipeline
-    computes it once for all points, else it is computed first; (u - l)^+ dies with flux_field.
+    The flux bound reads u.lipschitz, which bounds (u - l)^+ too; it is read
+    first, so a first computation is over before the flux is built, and is
+    cached on u for every later point.  (u - l)^+ dies with flux_field.
     """
-    lip = lipschitz(u) if lip is None else lip
+    lip = u.lipschitz
     flux = flux_field(_sharp_field(u, s.phase_level), s.model, z)
     g = neumann_solve(flux, tol=s.ghost_tol)
     # the sphere sampling runs before the reports that keep flux.norm_sq
@@ -245,7 +245,8 @@ def run_pipeline(s: Scenario, out_dir=None) -> dict:
     order and as soon as its stages finish: ghost_i.bin/.json, scan_i.csv,
     blowup_i.csv; summary.json comes last, so a run that stops early leaves
     none.  Monotonicity violations are recorded in the summary, never fatal.
-    Returns the summary dictionary.
+    u.lipschitz is computed once, by stage_minimize or, for a stored field,
+    the first ghost stage.  Returns the summary dictionary.
     """
     out = Path(out_dir if out_dir is not None else (s.output_dir or "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -259,8 +260,7 @@ def run_pipeline(s: Scenario, out_dir=None) -> dict:
     points = select_points(s, u)
     write_points_csv(np.asarray(points, dtype=float), out / "points.csv")
 
-    lip = lipschitz(u)
-    per_point = [_run_point(s, u, lip, i, z, out) for i, z in enumerate(points)]
+    per_point = [_run_point(s, u, i, z, out) for i, z in enumerate(points)]
     summary = {
         "schema_version": 1,
         "n_points": len(points),
@@ -272,7 +272,7 @@ def run_pipeline(s: Scenario, out_dir=None) -> dict:
     return summary
 
 
-def _run_point(s: Scenario, u: ScalarField, lip: float, i: int, z, out: Path) -> dict:
+def _run_point(s: Scenario, u: ScalarField, i: int, z, out: Path) -> dict:
     """Point i's three stages with their files; returns its summary row.
 
     The potential and the reports die on return, before point i + 1 starts.
@@ -282,7 +282,7 @@ def _run_point(s: Scenario, u: ScalarField, lip: float, i: int, z, out: Path) ->
     later stage reads them: every point has its own z, and the blow-up
     scales are not scan radii.
     """
-    g, ghost_report = stage_ghost(s, u, z, lip)
+    g, ghost_report = stage_ghost(s, u, z)
     write_ghost(g, out / f"ghost_{i}.bin", report=ghost_report)
     rep = stage_scan(s, u, g)
     write_report_csv(rep, out / f"scan_{i}.csv")

@@ -22,8 +22,10 @@ from .density import DensityModel, bernoulli_lambda
 from .errors import GeometryError, ScenarioError
 from .fieldio import _is_int, _is_number, _is_vector
 from .fields import Grid, geometric_radii
-from .ghost import SHELL_STEP_CELLS
-from .minimizer import BoundaryData, Problem, ramp_free_boundary
+from .ghost import DEFAULT_TOL as DEFAULT_GHOST_TOL, SHELL_STEP_CELLS
+from .minimizer import (
+    DEFAULT_EPS_CELLS, DEFAULT_MAX_ITER, DEFAULT_TOL, BoundaryData, Problem, ramp_free_boundary
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -36,13 +38,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 RADIUS_MARGIN = 0.05
-
-_SOLVER_DEFAULTS = {
-    "tol": 1e-6,
-    "max_iter": 10_000,
-    "eps_factor": 2.0,
-    "ghost_tol": 1e-8,
-}
 
 
 def _parse(data) -> tuple[Scenario | None, list[str]]:
@@ -187,7 +182,7 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
         if key in data
     ]):
         lam = float(data["lambda"]) if "lambda" in data else None
-        eps_factor = float(data.get("eps_factor", _SOLVER_DEFAULTS["eps_factor"]))
+        eps_factor = float(data.get("eps_factor", DEFAULT_EPS_CELLS))
         if all(x is not None for x in (grid, model, boundary)):
             build(
                 lambda: Problem(grid, model, boundary, lam=lam, eps=eps_factor * grid.h),
@@ -199,7 +194,6 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
 
     if points != "auto":
         points = tuple(tuple(float(c) for c in z) for z in points)
-    solver = {k: data.get(k, v) for k, v in _SOLVER_DEFAULTS.items()}
     return Scenario(
         grid=grid,
         model=model,
@@ -210,10 +204,10 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
         points=points,
         auto_stride=stride,
         lam=lam,
-        tol=float(solver["tol"]),
-        max_iter=int(solver["max_iter"]),
+        tol=float(data.get("tol", DEFAULT_TOL)),
+        max_iter=int(data.get("max_iter", DEFAULT_MAX_ITER)),
         eps_factor=eps_factor,
-        ghost_tol=float(solver["ghost_tol"]),
+        ghost_tol=float(data.get("ghost_tol", DEFAULT_GHOST_TOL)),
         field_path=data.get("field_path"),
         output_dir=data.get("output_dir"),
     ), []
@@ -243,7 +237,8 @@ def validate_dict(data) -> list[str]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Typed view of a validated scenario dictionary."""
+    """Typed view of a validated scenario dictionary; each solver key defaults
+    to the constant of the module that applies it (minimizer, ghost)."""
 
     grid: Grid
     model: DensityModel
@@ -254,10 +249,10 @@ class Scenario:
     points: tuple[tuple[float, ...], ...] | str = "auto"
     auto_stride: int = 1
     lam: float | None = None
-    tol: float = _SOLVER_DEFAULTS["tol"]
-    max_iter: int = _SOLVER_DEFAULTS["max_iter"]
-    eps_factor: float = _SOLVER_DEFAULTS["eps_factor"]
-    ghost_tol: float = _SOLVER_DEFAULTS["ghost_tol"]
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
+    eps_factor: float = DEFAULT_EPS_CELLS
+    ghost_tol: float = DEFAULT_GHOST_TOL
     field_path: str | None = None
     output_dir: str | None = None
 

@@ -25,7 +25,6 @@ from fbmlab.fields import (
     ball_weights,
     gradient_arrays,
     interpolate,
-    lipschitz,
     sphere_quadrature,
 )
 
@@ -510,7 +509,7 @@ class TestSequence:
         near = sample(g, lambda x, y: 3.0 * np.maximum(x, 0.0) + 2.0 * g.h)
         build_sequence(near, (0.0, 0.0), scales=(0.5,))
         far = sample(g, lambda x, y: 3.0 * np.maximum(x, 0.0) + 4.0 * g.h)
-        limit = max(lipschitz(far), 1.0) * g.h
+        limit = max(far.lipschitz, 1.0) * g.h
         with pytest.raises(ValueError, match=rf"\(limit {limit:.3g}\)"):
             build_sequence(far, (0.0, 0.0), scales=(0.5,))
 

@@ -19,6 +19,7 @@ from scipy import integrate
 
 from fbmlab import fields
 from fbmlab.blowup import build_sequence, default_scales, homogeneity_deviation
+from fbmlab.density import DensityModel
 from fbmlab.errors import GeometryError
 from fbmlab.fields import (
     Grid,
@@ -44,7 +45,9 @@ from fbmlab.fields import (
     trapezoid_weights,
     weigh,
 )
+from fbmlab.ghost import flux_field, flux_l2_profile
 from fbmlab.minimizer import ramp, ramp_free_boundary
+from fbmlab.monotonicity import oscillation_profile
 
 
 def box_grid(dim, n, half=1.0):
@@ -433,6 +436,33 @@ class TestGatherKernel:
         grid = box_grid(3, 4)
         with pytest.raises(ValueError):
             _interp_core([np.zeros(grid.node_shape)], grid, np.zeros((5, 2)))
+
+
+class TestBallRadius:
+    """The ball rule rejects a radius that is not positive, as the sphere rule
+    does; before, r = 0 divided by zero and r < 0 read as an empty ball,
+    a perfectly homogeneous point."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("r", [0.0, -0.2])
+    def test_every_ball_entry_point_raises(self, dim, r):
+        grid = box_grid(dim, 16)
+        z = (0.0,) * dim
+        u = sample(grid, lambda x, *rest: np.maximum(x, 0.0) * (1.0 + 0.2 * x))
+        zero = flux_field(u, DensityModel(kind="linear"), z)
+        curved = flux_field(u, DensityModel(kind="arctan", alpha=0.1), z)
+        assert zero.is_zero and not curved.is_zero
+        calls = [
+            lambda: ball_weights(grid, z, r),
+            lambda: ball_integral(u, z, r),
+            lambda: homogeneity_deviation(u, z, r),
+            lambda: oscillation_profile(u, z, [r]),
+            lambda: flux_l2_profile(zero, [r]),
+            lambda: flux_l2_profile(curved, [r]),
+        ]
+        for call in calls:
+            with pytest.raises(GeometryError, match="radius must be positive"):
+                call()
 
 
 class TestSphereQuadrature:

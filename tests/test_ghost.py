@@ -24,7 +24,6 @@ from fbmlab.fields import (
     edge_differences_transpose,
     gradient_arrays,
     interpolate,
-    lipschitz,
     shell_average,
     sphere_quadrature,
     trapezoid_weights,
@@ -290,7 +289,7 @@ class TestFluxBound:
     def test_bound_holds_for_matched_reference(self):
         u = bump_field(96)
         flux = flux_field(u, ARCTAN, (0.0, 0.0))
-        report = flux_bound_report(flux, ARCTAN, lipschitz(u))
+        report = flux_bound_report(flux, ARCTAN, u.lipschitz)
         assert report.passed
         assert report.max_violation < 0.0
 
@@ -298,14 +297,14 @@ class TestFluxBound:
         u = bump_field(96)
         # the flux of a steeper density, checked against ARCTAN's slope deviation
         flux = flux_field(u, STEEP, (0.0, 0.0))
-        report = flux_bound_report(flux, ARCTAN, lipschitz(u))
+        report = flux_bound_report(flux, ARCTAN, u.lipschitz)
         assert not report.passed
         assert report.max_violation > 1.0
 
     def test_eps_star_matches_model(self):
         u = bump_field(48)
         flux = flux_field(u, ARCTAN, (0.0, 0.0))
-        report = flux_bound_report(flux, ARCTAN, lipschitz(u))
+        report = flux_bound_report(flux, ARCTAN, u.lipschitz)
         expected = slope_deviation(ARCTAN, t_hi=max(1.0, report.lip**2))
         assert report.eps_star == expected
         assert report.c_lip == 2.0 * report.lip * (report.lip + report.lip**2)
@@ -694,7 +693,7 @@ class TestZeroFlux:
         g_zero, g_full = neumann_solve(zero), neumann_solve(full)
         assert g_zero.potential.values.tobytes() == g_full.potential.values.tobytes()
         assert (g_zero.residual, g_zero.iterations) == (g_full.residual, g_full.iterations) == (0.0, 0)
-        lip = lipschitz(u)
+        lip = u.lipschitz
         # repr spells out every float, -0.0 included
         for report in (
             lambda f, g: stability_report(f, g),

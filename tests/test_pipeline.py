@@ -395,6 +395,42 @@ class TestTracedNames:
         }
 
 
+class TestLipschitzOnce:
+    """A field's Lipschitz bound is one gradient pass per run, however many
+    stages and points read it."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch) -> list:
+        # every field ScalarField.lipschitz is computed for, in order
+        seen, compute = [], ScalarField.lipschitz.func
+
+        def spy(field):
+            seen.append(field)
+            return compute(field)
+
+        monkeypatch.setattr(ScalarField.lipschitz, "func", spy)
+        return seen
+
+    def test_minimized_run(self, tmp_path, computed):
+        summary = run_pipeline(tiny_scenario(), tmp_path)
+        assert summary["n_points"] == 2
+        assert len(computed) == 1
+        lip = json.loads((tmp_path / "minimize.json").read_text())["lipschitz"]
+        for i in range(2):
+            meta = json.loads((tmp_path / f"ghost_{i}.json").read_text())["meta"]
+            assert meta["flux_bound"]["lip"] == lip
+
+    def test_per_point_ghost_stages(self, first_run, tmp_path, computed):
+        # a stored field, whose first ghost stage computes the bound, called
+        # point by point as a stage-by-stage replay of run_pipeline calls it
+        out, summary = first_run
+        s = replace(tiny_scenario(), field_path=str(out / "field.bin"))
+        u, _ = obtain_field(s)
+        lips = [stage_ghost(s, u, p["z"])[1]["flux_bound"]["lip"] for p in summary["per_point"]]
+        assert len(computed) == 1 and computed[0] is u
+        assert lips == [u.lipschitz] * 2
+
+
 class TestComposability:
     def test_stagewise_equals_pipeline(self, first_run, tmp_path):
         out, summary = first_run
