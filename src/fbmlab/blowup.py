@@ -331,7 +331,7 @@ def build_sequence(
     devs, deficits, dirs = [], [], []
     for r in scales:
         vals = _rescaled_values(u, z, r, ref_grid, ref.window_pts)
-        if not bool(np.all(grid.contains_points(z[None, :] + r * ref.extent))):
+        if not bool(np.all(grid.balls_inside(z[None, :] + r * ref.extent, 0.0))):
             raise GeometryError("interpolation point outside the grid box")
         buf = np.full(ref_grid.node_shape, np.nan)
         buf[ref.window] = vals.reshape(window_shape)

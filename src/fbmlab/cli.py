@@ -8,14 +8,13 @@ Exit codes: 0 success, 2 configuration or schema problem, 3 solver failure,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .errors import GeometryError, ScenarioError, SolverError
-from .fieldio import _pair, write_csv, write_field
+from .fieldio import _pair, write_csv, write_field, write_json
 from .fields import ScalarField
 from .monotonicity import write_report_csv
 from .pipeline import (
@@ -88,7 +87,7 @@ def _cmd_minimize(args) -> int:
     u, report = obtain_field(s)
     write_field(u, args.out)
     if args.report is not None:
-        Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        write_json(args.report, report)
     return EXIT_OK
 
 
@@ -100,7 +99,7 @@ def _cmd_ghost(args) -> int:
     write_ghost(g, args.out, report=report)
     sidecar = _pair(args.out)[0]
     if args.report is not None and Path(args.report).resolve() != sidecar.resolve():
-        Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        write_json(args.report, report)
     return EXIT_OK
 
 

@@ -43,6 +43,11 @@ def _pair(path: str | Path) -> tuple[Path, Path]:
     return p.with_suffix(p.suffix + ".json"), p.with_suffix(p.suffix + ".bin")
 
 
+def write_json(path: str | Path, obj) -> None:
+    """Write obj as a JSON artifact: sorted keys, indent 2, a trailing newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def write_field(f: ScalarField, path: str | Path, meta: dict | None = None) -> None:
     header_path, data_path = _pair(path)
     header = {
@@ -54,7 +59,7 @@ def write_field(f: ScalarField, path: str | Path, meta: dict | None = None) -> N
     if meta is not None:
         header["meta"] = meta
     header_path.parent.mkdir(parents=True, exist_ok=True)
-    header_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+    write_json(header_path, header)
     # the array's own buffer is written, with no bytes copy of the grid
     data_path.write_bytes(np.ascontiguousarray(f.values, dtype="<f8"))
 

@@ -39,7 +39,10 @@ Conventions used throughout the package:
   per-subsample sum over its coordinates, so no (cells, subsamples, dim)
   array is formed.  These weights depend only on (grid, z, r); they are
   built once, cached, and every ball integral is one weighted sum of h^dim
-  times the values on the window.
+  times the values on the window;
+* one box rule, Grid.balls_inside (slack 1e-9 max(h, 1); a point is a ball of
+  radius 0).  The sphere and ball rules call its gate require_ball_inside
+  (r > 0, inside the box) themselves, so no diagnostic built on them checks first.
 
 Fields are immutable after construction; operations return new arrays,
 except that the derivative stencils write into caller buffers given as out.
@@ -136,19 +139,11 @@ class Grid:
             mask[tuple(sl)] = True
         return mask
 
-    def contains_points(self, pts: np.ndarray) -> np.ndarray:
-        s = _SLACK * self.h
-        pts = np.atleast_2d(pts)
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for a in range(self.dim):
-            ok &= (pts[:, a] >= self.lo[a] - s) & (pts[:, a] <= self.hi[a] + s)
-        return ok
-
     def balls_inside(self, centers: np.ndarray, r: float) -> np.ndarray:
         """Whether the ball of radius r about each row of centers fits the box.
 
-        The box is widened by a slack of 1e-9 max(h, 1); a NaN coordinate or
-        radius fails.
+        The one box rule: the box is widened by a slack of 1e-9 max(h, 1), r = 0
+        tests the centers themselves, and a NaN coordinate or radius fails.
         """
         s = _SLACK * max(self.h, 1.0)
         c = np.asarray(centers, dtype=float).reshape(-1, self.dim)
@@ -158,7 +153,8 @@ class Grid:
         return ok
 
     def require_ball_inside(self, z, r: float) -> None:
-        """Raise GeometryError exactly where balls_inside is False for the one center z."""
+        """The gate of every ball and sphere: GeometryError unless r > 0 and the ball fits."""
+        require_positive_radius(r)
         if not self.balls_inside(z, r)[0]:
             raise GeometryError(
                 f"ball of radius {r} around {tuple(float(c) for c in z)} leaves the box "
@@ -423,7 +419,7 @@ def _interp_core(arrays, grid: Grid, pts: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[1] != grid.dim:
         raise ValueError(f"points must have {grid.dim} columns, got {pts.shape[1]}")
-    if not bool(np.all(grid.contains_points(pts))):
+    if not bool(np.all(grid.balls_inside(pts, 0.0))):
         raise GeometryError("interpolation point outside the grid box")
     h = grid.h
     idx = []
@@ -504,8 +500,9 @@ def _sphere_samples(arrays, grid: Grid, z, r: float):
     """Quadrature points, weights and the (k, m) samples of k nodal arrays on |x-z| = r.
 
     arrays are C-contiguous nodal arrays (see _interp_core); every field a
-    sphere formula needs is sampled in this one gather.
+    sphere formula needs is sampled in this one gather, after the gate.
     """
+    grid.require_ball_inside(z, r)
     pts, wts = sphere_quadrature(grid.dim, z, r)
     return pts, wts, _interp_core(arrays, grid, pts)
 
@@ -533,7 +530,6 @@ def shell_average(f: ScalarField, z, r: float) -> float:
     """
     grid = f.grid
     z = as_base_point(grid, z)
-    grid.require_ball_inside(z, r)
     _, wts, vals = _sphere_samples([f.values], grid, z, r)
     return _shell_mean(wts, vals[0], r, grid.dim)
 
@@ -579,7 +575,7 @@ def _ball_weights(grid: Grid, z: tuple[float, ...], r: float) -> BallWeights:
     cell gives corner k the mean over inside subsamples of the corner's hat
     function.  Results are read-only; the cache holds a few dozen balls,
     enough for every radius of a scan and its blow-up scales, until
-    drop_ball_weights empties it.  r must be positive (GeometryError).
+    drop_ball_weights empties it.  The gate (require_ball_inside) comes first.
 
     Each subsample coordinate along axis a is one addition, offset plus cell
     centre, taken on a (SUBSAMPLES, borderline cells) array per axis.  The
@@ -589,7 +585,6 @@ def _ball_weights(grid: Grid, z: tuple[float, ...], r: float) -> BallWeights:
     weight, is bitwise what the per-subsample sum gives.  The borderline
     cells run along the innermost axis, so each pass is one long row.
     """
-    require_positive_radius(r)
     grid.require_ball_inside(z, r)
     h = grid.h
     dim = grid.dim

@@ -66,7 +66,6 @@ from .fields import (
     edge_differences,
     edge_differences_transpose,
     gradient_square,
-    require_positive_radius,
     sphere_quadrature,
     weigh,
 )
@@ -194,7 +193,7 @@ def flux_field(u: ScalarField, model: DensityModel, z) -> FluxField:
     """
     grid = u.grid
     z = as_base_point(grid, z)
-    if not bool(grid.contains_points(z[None, :])[0]):
+    if not bool(grid.balls_inside(z, 0.0)[0]):
         raise GeometryError(f"base point {tuple(float(c) for c in z)} outside the grid box")
     f0 = model.f0
     h, dim = grid.h, grid.dim
@@ -375,8 +374,8 @@ def shell_identity_report(flux: FluxField, g: GhostFunction, radii) -> list[Shel
     difference of shell_average(potential) in r, with step
     dr = SHELL_STEP_CELLS * h.  The remainder drops out of the flux side
     because its weak divergence vanishes.  g must be the potential of this
-    flux.  A zero flux samples nothing: every side is the +0.0 its sphere
-    sums would give, after the same radius checks.
+    flux.  The spheres r and r +- dr pass the sphere rule's gate first; a zero
+    flux then samples nothing: every side is the +0.0 its sphere sums would give.
     """
     _check_ghost_contract(g, flux.grid, flux.base_point, flux.f0)
     grid = g.grid
@@ -385,10 +384,9 @@ def shell_identity_report(flux: FluxField, g: GhostFunction, radii) -> list[Shel
     out = []
     for r in radii:
         r = float(r)
-        grid.require_ball_inside(z, r + dr)
+        for rad in (r + dr, r, r - dr):
+            grid.require_ball_inside(z, rad)
         if flux.is_zero:
-            for rad in (r, r + dr, r - dr):
-                require_positive_radius(rad)
             flux_side = hi = lo = 0.0
         else:
             pts, wts, samples = _sphere_samples(list(flux.field.values), grid, z, r)
@@ -421,7 +419,8 @@ def flux_l2_profile(flux: FluxField, radii) -> list[tuple[float, float]]:
 
     This is the normalized flux energy of the smallness hypothesis in the
     blow-up analysis; reported for inspection, never asserted against the
-    non-constructive smallness constant.
+    non-constructive smallness constant.  A zero flux passes the ball rule's
+    gate and integrates nothing: its integral of +0 is 0.0.
     """
     grid = flux.grid
     z = np.asarray(flux.base_point, dtype=float)
@@ -430,12 +429,7 @@ def flux_l2_profile(flux: FluxField, radii) -> list[tuple[float, float]]:
     out = []
     for r in radii:
         r = float(r)
-        if flux.is_zero:
-            # the radius and the ball are checked all the same; its integral of +0 is 0.0
-            require_positive_radius(r)
-            grid.require_ball_inside(z, r)
-            integral = 0.0
-        else:
-            integral = ball_integral(mag2, z, r)
+        grid.require_ball_inside(z, r)
+        integral = 0.0 if flux.is_zero else ball_integral(mag2, z, r)
         out.append((r, float(integral / r)))
     return out

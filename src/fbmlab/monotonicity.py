@@ -193,7 +193,6 @@ def weiss_core(
     """r^{-n} int_{B_r} [F + lam] 1{u>l}  -  F0 r^{-n-1} int_{dB_r} ((u - l)^+)^2, l = level."""
     grid = u.grid
     z = as_base_point(grid, z)
-    grid.require_ball_inside(z, r)
     bulk = _ball_energies(u, model, lam, level, z, [r])[0]
     _, w, samples = _sphere_samples([u.values], grid, z, r)
     return _weiss(bulk, w, _above(samples, level)[0], model.f0, r, grid.dim)
@@ -245,10 +244,9 @@ def _sphere_terms_of(
     f0: float,
     level: float,
 ) -> tuple[float, float]:
-    """_sphere_terms of (u - level)^+ on one sphere, checked to lie inside the box."""
+    """_sphere_terms of (u - level)^+ on one sphere (the sphere rule checks r and the box)."""
     grid = u.grid
     z = as_base_point(grid, z)
-    grid.require_ball_inside(z, r)
     pts, w, samples = _sphere_samples(_sphere_rows(u), grid, z, r)
     return _sphere_terms(model, z, r, f0, pts, w, _above(samples, level))
 
@@ -288,7 +286,6 @@ def error_term_flux(flux: FluxField, r: float) -> float:
         raise GeometryError(
             f"radius {r} does not clear the capped core {flux.cap_radius}"
         )
-    grid.require_ball_inside(z, r)
     pts, w, samples = _sphere_samples(list(flux.field.values), grid, z, r)
     return _sphere_flux(z, r, pts, w, samples)
 
@@ -319,7 +316,7 @@ def _validate_radii(radii) -> np.ndarray:
     if r.size > 1 and not np.all(np.diff(r) > 0.0):
         raise ValueError("radii must be strictly increasing")
     if not np.all(r > 0.0):
-        raise ValueError("radii must be positive")
+        raise GeometryError("radii must be positive")
     return r
 
 
@@ -401,9 +398,7 @@ def scan(
     f0 = model.f0
     _check_ghost_contract(g, grid, z, f0)
     r = _validate_radii(radii)
-    for radius in r:
-        grid.require_ball_inside(z, radius)
-
+    # the largest ball is built first, so a ladder that leaves the box fails here
     bulks = _ball_energies(u, model, lam, level, z, r)
     # one gather per radius samples u, grad u and phi together
     rows = _sphere_rows(u, g.potential)
@@ -487,15 +482,12 @@ def regular_point_fit(phi: ScalarField, z, radii) -> RegularPointFit:
     remainder so that a0 and a1 are not polluted by it over a finite
     radius window.  residual is the max absolute deviation of the fit.
     """
-    grid = phi.grid
-    z = as_base_point(grid, z)
+    z = as_base_point(phi.grid, z)
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or r.size < 4:
         raise ValueError("need at least 4 radii")
     if np.unique(r).size < 4:
         raise ValueError("radii are degenerate")
-    for radius in r:
-        grid.require_ball_inside(z, float(radius))
     averages = np.array([shell_average(phi, z, float(radius)) for radius in r])
     design = np.stack([np.ones_like(r), r, r * r], axis=-1)
     coef, *_ = np.linalg.lstsq(design, averages, rcond=None)

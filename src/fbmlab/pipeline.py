@@ -9,7 +9,6 @@ summary row outlives it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .fieldio import (
     read_field,
     write_csv,
     write_field,
+    write_json,
     write_points_csv,
 )
 from .fields import ScalarField, drop_ball_weights, free_boundary_points
@@ -253,9 +253,7 @@ def run_pipeline(s: Scenario, out_dir=None) -> dict:
 
     u, minimize_report = obtain_field(s)
     write_field(u, out / "field.bin")
-    (out / "minimize.json").write_text(
-        json.dumps(minimize_report, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "minimize.json", minimize_report)
 
     points = select_points(s, u)
     write_points_csv(np.asarray(points, dtype=float), out / "points.csv")
@@ -268,7 +266,7 @@ def run_pipeline(s: Scenario, out_dir=None) -> dict:
         "per_point": per_point,
         "total_violations": sum(len(p["monotonicity"]["violations"]) for p in per_point),
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(out / "summary.json", summary)
     return summary
 
 

@@ -47,7 +47,8 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
     builds each typed object once (Grid, DensityModel, BoundaryData, the
     radius ladder, Problem) and leaves every value constraint to it; a
     constructor's ValueError comes back tagged with the scenario path.  Only
-    the solver scalars, which no constructor owns, get value checks here.
+    what no constructor owns is checked here: the solver scalars, 2 cells on
+    every grid axis, and an r_min above the shell identity's step.
     Returns the Scenario (None if anything is wrong) and the problems found.
     """
     if not isinstance(data, dict):
@@ -99,6 +100,11 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
                 lambda: Grid(tuple(g["lo"]), tuple(g["hi"]), tuple(g["n_cells"])),
                 "grid", "lo", "hi", "n_cells",
             )
+        # the derivative stencils of every stage need 3 nodes on every axis
+        if grid is not None and min(grid.n_cells) < 2:
+            problems.append(f"grid.n_cells: need at least 2 cells on every axis, "
+                            f"got {list(grid.n_cells)}")
+            grid = None
 
     model = None
     d = section("density")
@@ -139,14 +145,23 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
             "boundary", "kind", "direction", "center", "angle", "path",
         )
 
+    ladder = None
     r = section("radii")
     if r is not None and all([
         need(_is_number(r.get(key)), f"radii.{key}: must be a number")
         for key in ("r_min", "r_max", "ratio")
     ]):
-        build(
+        ladder = build(
             lambda: geometric_radii(r["r_min"], r["r_max"], r["ratio"]),
             "radii", "r_min", "r_max", "ratio",
+        )
+    if grid is not None and ladder is not None:
+        # the shell identity also reads the sphere of radius r_min - step
+        step = SHELL_STEP_CELLS * grid.h
+        need(
+            r["r_min"] > step,
+            f"radii.r_min: must exceed the shell identity's step {SHELL_STEP_CELLS} h "
+            f"= {step}, got {r['r_min']}",
         )
 
     stride = data.get("auto_stride", 1)

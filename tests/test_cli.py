@@ -39,6 +39,18 @@ def reference_run(tmp_path_factory):
     return out, summary
 
 
+def box_3d(n):
+    return {"lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0], "n_cells": [n, n, n]}
+
+
+# the bundled 3D linear scenario's model with r_min 0.03 (grid still to give)
+LINEAR_3D = {
+    "density": {"kind": "linear"},
+    "boundary": {"kind": "halfplane", "direction": [0.0, 0.0, 1.0]},
+    "radii": {"r_min": 0.03, "r_max": 0.4, "ratio": 1.1},
+}
+
+
 def write_config(tmp_path, **overrides):
     data = json.loads(json.dumps(TINY))
     data.update(overrides)
@@ -79,6 +91,14 @@ class TestValidate:
         [
             ({"density": {"kind": "linear", "alpha": 0.5}}, "density"),
             ({"lambda": -1.0}, "lambda"),
+            # h = 1/32: the shell identity would read a sphere of radius 0.01 - h/2
+            ({"radii": {"r_min": 0.01, "r_max": 0.2, "ratio": 1.5}}, "radii.r_min"),
+            # a zero flux, whose shell identity samples nothing, fails the same way
+            ({**LINEAR_3D, "grid": box_3d(24)}, "radii.r_min"),
+            # the derivative stencils need 3 nodes on every axis
+            ({"grid": {"lo": [-0.75, -0.75], "hi": [0.75, 0.75], "n_cells": [1, 1]}}, "grid.n_cells"),
+            ({**LINEAR_3D, "grid": box_3d(1), "radii": {"r_min": 1.5, "r_max": 1.6, "ratio": 1.1}},
+             "grid.n_cells"),
         ],
     )
     def test_rejects_what_pipeline_rejects(self, tmp_path, capsys, overrides, path):
@@ -195,6 +215,16 @@ class TestExitCodes:
             assert json.loads((out / "summary.json").read_text())["n_points"] >= 1
         else:
             assert "ball of radius" in capsys.readouterr().err
+
+    def test_two_cells_run_to_exit_4(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            grid={"lo": [-0.75, -0.75], "hi": [0.75, 0.75], "n_cells": [2, 2]},
+            radii={"r_min": 0.4, "r_max": 0.5, "ratio": 1.2},
+        )
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert "no free-boundary point admits a ball" in capsys.readouterr().err
 
     def test_ghost_of_another_density_exits_2(self, config_path, reference_run, tmp_path, capsys):
         # the scan takes F0 = f'(1) from the scenario, so a ghost built for

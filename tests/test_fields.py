@@ -45,9 +45,17 @@ from fbmlab.fields import (
     trapezoid_weights,
     weigh,
 )
-from fbmlab.ghost import flux_field, flux_l2_profile
+from fbmlab.ghost import flux_field, flux_l2_profile, neumann_solve, shell_identity_report
 from fbmlab.minimizer import ramp, ramp_free_boundary
-from fbmlab.monotonicity import oscillation_profile
+from fbmlab.monotonicity import (
+    error_term,
+    error_term_flux,
+    oscillation_profile,
+    radial_derivative,
+    regular_point_fit,
+    scan,
+    weiss_core,
+)
 
 
 def box_grid(dim, n, half=1.0):
@@ -341,6 +349,17 @@ class TestInterpolation:
         with pytest.raises(GeometryError):
             interpolate(f, np.array([1.5, 0.0]))
 
+    def test_box_slack_is_the_ball_rule(self):
+        # the one box rule widens the box by 1e-9 max(h, 1), not 1e-9 h: a
+        # point 5e-10 outside takes its face's values, 2e-9 outside fails
+        g = box_grid(2, 16)
+        assert g.h == 0.125
+        f = sample(g, lambda x, y: x + 2.0 * y)
+        got = interpolate(f, np.array([[1.0 + 5e-10, 0.25], [0.5, -1.0 - 5e-10]]))
+        assert got.tolist() == [1.5, -1.5]
+        with pytest.raises(GeometryError, match="interpolation point outside the grid box"):
+            interpolate(f, np.array([1.0 + 2e-9, 0.25]))
+
     def test_single_point_shape(self):
         g = box_grid(3, 4)
         f = sample(g, lambda x, y, z: x + y + z)
@@ -439,30 +458,52 @@ class TestGatherKernel:
 
 
 class TestBallRadius:
-    """The ball rule rejects a radius that is not positive, as the sphere rule
-    does; before, r = 0 divided by zero and r < 0 read as an empty ball,
-    a perfectly homogeneous point."""
+    """Every ball and sphere diagnostic rejects a radius that is not positive
+    and a ball or sphere that leaves the box.  The quadrature rules own the
+    check, so no diagnostic checks first, and a zero flux fails with the
+    message of a nonzero one.  Before, the ball rule divided by zero at
+    r = 0 and read r < 0 as an empty ball, a perfectly homogeneous point."""
 
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("r", [0.0, -0.2])
+    @pytest.mark.parametrize("r", [0.0, -0.2, 1.5])
     def test_every_ball_entry_point_raises(self, dim, r):
         grid = box_grid(dim, 16)
         z = (0.0,) * dim
         u = sample(grid, lambda x, *rest: np.maximum(x, 0.0) * (1.0 + 0.2 * x))
-        zero = flux_field(u, DensityModel(kind="linear"), z)
-        curved = flux_field(u, DensityModel(kind="arctan", alpha=0.1), z)
+        linear, arctan = DensityModel(kind="linear"), DensityModel(kind="arctan", alpha=0.1)
+        zero, curved = flux_field(u, linear, z), flux_field(u, arctan, z)
         assert zero.is_zero and not curved.is_zero
+        g_zero, g_curved = neumann_solve(zero), neumann_solve(curved)
+        message = "leaves the box" if r > 0.0 else "radius must be positive"
         calls = [
             lambda: ball_weights(grid, z, r),
             lambda: ball_integral(u, z, r),
             lambda: homogeneity_deviation(u, z, r),
             lambda: oscillation_profile(u, z, [r]),
-            lambda: flux_l2_profile(zero, [r]),
-            lambda: flux_l2_profile(curved, [r]),
+            lambda: shell_average(u, z, r),
+            lambda: weiss_core(u, arctan, 1.0, z, r, level=0.0),
+            lambda: radial_derivative(u, arctan, z, r, level=0.0),
+            lambda: error_term(u, arctan, z, r, level=0.0),
+            lambda: regular_point_fit(u, z, [r, 0.3, 0.4, 0.5]),
         ]
         for call in calls:
-            with pytest.raises(GeometryError, match="radius must be positive"):
+            with pytest.raises(GeometryError, match=message):
                 call()
+        # these two check a non-positive radius before any ball or sphere
+        with pytest.raises(GeometryError, match="leaves the box" if r > 0.0 else "capped core"):
+            error_term_flux(curved, r)
+        with pytest.raises(GeometryError, match=message if r > 0.0 else "radii must be positive"):
+            scan(u, linear, 1.0, z, [r], g_zero, level=0.0)
+        for report in (
+            lambda flux, g: shell_identity_report(flux, g, [r]),
+            lambda flux, g: flux_l2_profile(flux, [r]),
+        ):
+            messages = []
+            for flux, g in ((zero, g_zero), (curved, g_curved)):
+                with pytest.raises(GeometryError, match=message) as exc:
+                    report(flux, g)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
 
 
 class TestSphereQuadrature:

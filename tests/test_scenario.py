@@ -140,6 +140,25 @@ class TestValidateDict:
         with pytest.raises(ScenarioError, match="lambda"):
             Scenario.from_dict(data)
 
+    def test_one_cell_axis_flagged_on_n_cells(self):
+        assert validate_dict(with_changes(grid__n_cells=[1, 1])) == [
+            "grid.n_cells: need at least 2 cells on every axis, got [1, 1]"
+        ]
+
+    def test_r_min_must_clear_the_shell_step(self):
+        # h = 1/16: the shell identity reads the sphere of radius r_min - h/2
+        step = SHELL_STEP_CELLS * 2.0 / 32
+        data = with_changes(radii__r_min=step)
+        assert validate_dict(data) == [
+            f"radii.r_min: must exceed the shell identity's step {SHELL_STEP_CELLS} h "
+            f"= {step}, got {step}"
+        ]
+        assert validate_dict(with_changes(radii__r_min=float(np.nextafter(step, 1.0)))) == []
+        # checked only on a valid grid and a valid ladder
+        for bad in (with_changes(radii__r_min=step, radii__ratio=1.0),
+                    with_changes(radii__r_min=step, grid__n_cells=[1, 1])):
+            assert not any(d.startswith("radii.r_min") for d in validate_dict(bad))
+
     def test_non_dict_top_level(self):
         assert validate_dict([1, 2]) == ["scenario: top level must be a JSON object"]
 
@@ -166,6 +185,7 @@ BAD_SCENARIOS = [
     (with_changes(radii__ratio=math.nan), "radii.ratio"),
     (with_changes(radii__r_max=math.inf), "radii.r_max"),
     (with_changes(grid__n_cells=[32.0, 32]), "grid.n_cells"),
+    (with_changes(radii__r_min=0.03), "radii.r_min"),
     (with_changes(density__alpha=10**400), "density.alpha"),
     (with_changes(**{"lambda": True}), "lambda"),
     (with_changes(boundary__direction=[0.0, 1.0, 0.0]), "boundary.direction"),
