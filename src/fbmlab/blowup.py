@@ -1,7 +1,7 @@
 """Rescaling diagnostics at candidate free boundary points.
 
-Around a base point z the field is rescaled as u_r(y) = u(z + r y) / r on a
-fixed reference box.  Two scalar diagnostics track the limit behaviour:
+Around a base point z the field is rescaled as u_r(y) = u(z + r y) / r.  Two
+scalar diagnostics track the limit behaviour:
 
   deviation  dev(r) = r^-(dim+1) * integral over B_r(z) of |u - grad u . (x-z)|,
              which vanishes for degree-1 homogeneous profiles;
@@ -11,9 +11,11 @@ fixed reference box.  Two scalar diagnostics track the limit behaviour:
 The deficit is fitted by a coarse scan over unit directions, then refined
 by a zoom: a pattern search on a tangent stencil about the best direction
 that shrinks every round (Kolda, Lewis & Torczon, SIAM Rev. 45, 2003).  Both
-evaluate blocks of directions with one direction-major kernel.  Each step
-reads only the nodes it needs (the ball's window, the reference nodes the
-fit reads) and gives the same bits as on the full grid.
+evaluate blocks of directions with one direction-major kernel.  The fit reads
+u_r only at its own points (the nodes of a reference grid inside B_1/2, then
+points on its sphere), so each scale samples u once, at z + r times those
+points.  The deviation reads only the ball's node window, with the same bits
+as on the full grid.
 
 Small values of both at the finest scales support calling z a regular
 boundary point; the converse direction is deliberately never claimed.
@@ -76,19 +78,11 @@ class _Reference(NamedTuple):
     inside masks the nodes of the ball of REF_BALL_RADIUS about the origin;
     pts_t holds the fit points, those nodes followed by the sphere points,
     one row per axis (the direction-major kernel's layout).
-    window is the box of nodes with |y_a| <= REF_BALL_RADIUS + 1.5 h on
-    every axis: the ball nodes and every corner of the cells that hold
-    sphere points lie within REF_BALL_RADIUS + h, and the extra half cell
-    absorbs rounding.  window_pts are its nodes in C order.  extent holds
-    the first and the last node of each axis, two corners of the box.
     """
 
     inside: np.ndarray
     sphere: np.ndarray
     pts_t: np.ndarray
-    window: tuple[slice, ...]
-    window_pts: np.ndarray
-    extent: np.ndarray
 
 
 @lru_cache(maxsize=4)
@@ -99,40 +93,25 @@ def _reference(grid: Grid) -> _Reference:
     inside = r2 <= REF_BALL_RADIUS**2
     node_pts = np.stack([m[inside] for m in mesh], axis=-1)
     sphere, _ = sphere_quadrature(grid.dim, (0.0,) * grid.dim, REF_BALL_RADIUS)
-    window = []
-    for a in range(grid.dim):
-        near = np.nonzero(np.abs(grid.axis_nodes(a)) <= REF_BALL_RADIUS + 1.5 * grid.h)[0]
-        window.append(slice(int(near[0]), int(near[-1]) + 1))
-    window = tuple(window)
-    window_pts = np.stack([m[window] for m in mesh], axis=-1).reshape(-1, grid.dim)
-    extent = np.array([[grid.axis_nodes(a)[end] for a in range(grid.dim)] for end in (0, -1)])
     ref = _Reference(
         inside=inside,
         sphere=sphere,
         pts_t=np.ascontiguousarray(np.concatenate([node_pts, sphere], axis=0).T),
-        window=window,
-        window_pts=window_pts,
-        extent=extent,
     )
-    for arr in (ref.inside, ref.sphere, ref.pts_t, ref.window_pts, ref.extent):
+    for arr in ref:
         arr.setflags(write=False)
     return ref
 
 
-def _rescaled_values(u: ScalarField, z, r: float, ref_grid: Grid, y: np.ndarray) -> np.ndarray:
-    """u(z + r y) / r at the (m, dim) reference points y, checked like rescale."""
+def rescale(u: ScalarField, z, r: float, ref_grid: Grid) -> ScalarField:
+    """u_r(y) = u(z + r y) / r sampled onto ref_grid."""
     if not r > 0.0:
         raise ValueError(f"scale must be positive, got {r}")
     z = as_base_point(u.grid, z)
     if ref_grid.dim != u.grid.dim:
         raise ValueError("dimension mismatch between field and reference grid")
-    return interpolate(u, z[None, :] + r * y) / r
-
-
-def rescale(u: ScalarField, z, r: float, ref_grid: Grid) -> ScalarField:
-    """u_r(y) = u(z + r y) / r sampled onto ref_grid."""
     y = np.stack(ref_grid.node_mesh(), axis=-1).reshape(-1, ref_grid.dim)
-    vals = _rescaled_values(u, z, r, ref_grid, y)
+    vals = interpolate(u, z[None, :] + r * y) / r
     return ScalarField(ref_grid, vals.reshape(ref_grid.node_shape))
 
 
@@ -237,25 +216,30 @@ def _zoom(pts_t: np.ndarray, vals: np.ndarray, e: np.ndarray, width: float) -> F
     return FlatnessFit(direction=tuple(float(c) for c in cand[k]), deficit=float(sups[k]))
 
 
+def _fit(pts_t: np.ndarray, vals: np.ndarray) -> FlatnessFit:
+    """Best half-plane profile fit to the values vals at the points pts_t.
+
+    A coarse scan over COARSE_DIRECTIONS directions picks the start of
+    _zoom, whose first stencil reaches one coarse spacing (2D) or 2.5 (3D)
+    to either side.
+    """
+    dim, n = pts_t.shape[0], COARSE_DIRECTIONS
+    cand = _unit_sphere(dim, n)
+    e = cand[_coarse_best(pts_t, vals, cand)]
+    width = 2.0 * np.pi / n if dim == 2 else 2.5 * np.sqrt(4.0 * np.pi / n)
+    return _zoom(pts_t, vals, e, width)
+
+
 def flatness_deficit(u: ScalarField) -> FlatnessFit:
     """Best half-plane profile fit on the ball of REF_BALL_RADIUS.
 
     The sup norm runs over grid nodes inside the ball plus points sampled on
     its sphere, so inter-node peaks of the kinked profile are not missed;
-    u is read nowhere else (see _Reference).  A coarse scan over
-    COARSE_DIRECTIONS directions picks the start of _zoom, whose first
-    stencil reaches one coarse spacing (2D) or 2.5 (3D) to either side.
+    u is read nowhere else (see _Reference).
     """
-    grid = u.grid
-    ref = _reference(grid)
+    ref = _reference(u.grid)
     vals = np.concatenate([u.values[ref.inside], interpolate(u, ref.sphere)])
-    cand = _unit_sphere(grid.dim, COARSE_DIRECTIONS)
-    e = cand[_coarse_best(ref.pts_t, vals, cand)]
-    if grid.dim == 2:
-        width = 2.0 * np.pi / COARSE_DIRECTIONS
-    else:
-        width = 2.5 * np.sqrt(4.0 * np.pi / COARSE_DIRECTIONS)
-    return _zoom(ref.pts_t, vals, e, width)
+    return _fit(ref.pts_t, vals)
 
 
 @dataclass(frozen=True)
@@ -263,9 +247,9 @@ class BlowupSequence:
     """Per-scale blow-up metrics at one base point.
 
     Entry i of deviations, deficits and directions belongs to scales[i]
-    (strictly decreasing): homogeneity_deviation of u at that scale, and the
-    flatness_deficit fit of the rescaled field u(z + r y) / r.  The rescaled
-    fields themselves are not kept.
+    (strictly decreasing, at least one): homogeneity_deviation of u at that
+    scale, and the flatness fit of the rescaled field u(z + r y) / r.  The
+    rescaled fields themselves are not kept.
     """
 
     base_point: tuple[float, ...]
@@ -275,6 +259,8 @@ class BlowupSequence:
     directions: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
+        if not self.scales:
+            raise ValueError("a blow-up sequence needs at least one scale")
         if any(b >= a for a, b in zip(self.scales, self.scales[1:])):
             raise ValueError("scales must be strictly decreasing")
         if not all(s > 0.0 for s in self.scales):
@@ -298,18 +284,13 @@ def default_scales(grid: Grid, z) -> tuple[float, ...]:
     return tuple(out)
 
 
-def build_sequence(
-    u: ScalarField,
-    z,
-    scales=None,
-    ref_grid: Grid | None = None,
-) -> BlowupSequence:
+def build_sequence(u: ScalarField, z, scales=None) -> BlowupSequence:
     """Rescalings of u about z with per-scale deviation and deficit.
 
-    Each scale samples u only at the reference window the flatness fit reads
-    (see _Reference), into a reference-shaped buffer that is NaN elsewhere,
-    so the fit reads the values rescale would give.  The whole reference box
-    must still fit in the grid box at every scale, as rescale requires.
+    Each scale first computes the deviation, whose ball gate raises
+    GeometryError unless r > 0 and B_r(z) fits the box.  It then samples
+    u(z + r y) / r once, at the fit's own points y (see _Reference, on the
+    unit_box reference grid), and fits those values directly.
     |u(z)| above max(u.lipschitz, 1) h is no boundary point (ValueError).
     """
     grid = u.grid
@@ -317,8 +298,6 @@ def build_sequence(
     if scales is None:
         scales = default_scales(grid, z)
     scales = tuple(float(s) for s in scales)
-    if ref_grid is None:
-        ref_grid = unit_box(grid.dim)
     u_at_z = float(interpolate(u, z[None, :])[0])
     limit = max(u.lipschitz, 1.0) * grid.h
     if abs(u_at_z) > limit:
@@ -326,18 +305,11 @@ def build_sequence(
             f"base point value {u_at_z:.3g} too large for a boundary point "
             f"(limit {limit:.3g})"
         )
-    ref = _reference(ref_grid)
-    window_shape = tuple(w.stop - w.start for w in ref.window)
+    pts_t = _reference(unit_box(grid.dim)).pts_t
     devs, deficits, dirs = [], [], []
     for r in scales:
-        vals = _rescaled_values(u, z, r, ref_grid, ref.window_pts)
-        if not bool(np.all(grid.balls_inside(z[None, :] + r * ref.extent, 0.0))):
-            raise GeometryError("interpolation point outside the grid box")
-        buf = np.full(ref_grid.node_shape, np.nan)
-        buf[ref.window] = vals.reshape(window_shape)
-        buf.setflags(write=False)
-        fit = flatness_deficit(ScalarField(ref_grid, buf))
         devs.append(homogeneity_deviation(u, z, r))
+        fit = _fit(pts_t, interpolate(u, z[None, :] + r * pts_t.T) / r)
         deficits.append(fit.deficit)
         dirs.append(fit.direction)
     return BlowupSequence(

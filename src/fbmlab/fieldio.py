@@ -3,9 +3,10 @@
 A field on disk is a pair of files sharing a stem: `name.json` holds the
 header {dim, lo, hi, n_cells} (plus an optional "meta" object), `name.bin`
 holds the node values as little-endian float64 in row-major order.  Either
-path may be passed to the readers and writers.  A header comes from outside
-the program, so read_field checks its JSON types (the predicates below,
-which scenario files share) and names the file in every ValueError.
+path may be passed to the readers and writers.  A field comes from outside
+the program, so read_field checks its header's JSON types (the predicates
+below, which scenario files share) and that every node value is finite, and
+names the file in every ValueError.
 
 CSV files use `repr` formatting so every float round-trips exactly.
 """
@@ -74,6 +75,9 @@ def read_field(path: str | Path) -> tuple[ScalarField, dict | None]:
         raise ValueError(
             f"{data_path}: expected {grid.n_nodes} float64 values, found {raw.size}"
         )
+    # min and max propagate NaN, so these two reductions see every bad value
+    if not (np.isfinite(raw.min()) and np.isfinite(raw.max())):
+        raise ValueError(f"{data_path}: node values must be finite")
     # the field keeps the read-only view of the file's bytes; ScalarField
     # converts it to native byte order only on a big-endian host
     return ScalarField(grid, raw.reshape(grid.node_shape)), meta

@@ -263,17 +263,41 @@ class TestExitCodes:
         assert "solver error" in err
         assert "line search collapsed" in err
 
-    def test_nonfinite_start_exits_3(self, tmp_path, capsys):
-        # a stored start with a NaN node: the minimizer reports a solver
-        # failure, no density error escapes
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("entry", ["field_path", "boundary_file"])
+    def test_nonfinite_field_exits_2(self, tmp_path, capsys, entry, bad):
+        # a stored field with one bad node is bad input: the run names the
+        # file and stops before it writes any artifact, whether the field is
+        # the one certified or the minimizer's boundary data and start
         grid = Grid((-0.75, -0.75), (0.75, 0.75), (48, 48))
         values = np.maximum(grid.node_mesh()[1], 0.0)
-        values[24, 24] = np.nan
-        write_field(ScalarField(grid, values), tmp_path / "start.bin")
-        cfg = write_config(tmp_path, boundary={"kind": "file", "path": str(tmp_path / "start.bin")})
-        rc = main(["minimize", "--config", str(cfg), "--out", str(tmp_path / "f.bin")])
-        assert rc == 3
-        assert "not finite" in capsys.readouterr().err
+        values[24, 24] = bad
+        write_field(ScalarField(grid, values), tmp_path / "f.bin")
+        if entry == "field_path":
+            cfg = write_config(tmp_path, field_path=str(tmp_path / "f.bin"))
+        else:
+            cfg = write_config(tmp_path, boundary={"kind": "file", "path": str(tmp_path / "f.bin")})
+        out = tmp_path / "run"
+        rc = main(["pipeline", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert f"{tmp_path / 'f.bin'}: node values must be finite" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_nonfinite_ghost_exits_2(self, config_path, reference_run, tmp_path, capsys):
+        out, _ = reference_run
+        (tmp_path / "g.json").write_bytes((out / "ghost_0.json").read_bytes())
+        values = np.frombuffer((out / "ghost_0.bin").read_bytes(), dtype="<f8").copy()
+        values[values.size // 2] = np.nan
+        (tmp_path / "g.bin").write_bytes(values.tobytes())
+        rc = main([
+            "monotonicity", "--config", str(config_path),
+            "--field", str(out / "field.bin"),
+            "--ghost", str(tmp_path / "g.bin"),
+            "--out", str(tmp_path / "scan.csv"),
+        ])
+        assert rc == 2
+        assert f"{tmp_path / 'g.bin'}: node values must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "scan.csv").exists()
 
     @pytest.mark.parametrize("entry", ["ghost", "boundary_file"])
     @pytest.mark.parametrize(
