@@ -19,7 +19,8 @@ edge differences E_a, (u[k + e_a] - u[k]) / h:
                    sets sigma to the additive part of the ramp curvature,
                    the nearest separable operator to the Newton system's
                    (Concus & Golub, SIAM J. Numer. Anal. 10, 1973), and
-                   redoes one eigh per axis.
+                   redoes one eigh per axis; an axis whose sigma_a is
+                   constant takes its sine modes in closed form.
 
 Both transform with matmul on reshaped views.  The Dirichlet solver owns
 its per-axis eigenvectors and works in buffers the caller lends it, so a
@@ -47,6 +48,23 @@ def _cosine_modes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     norms = np.full(m, 0.5 * (m - 1))
     norms[[0, -1]] = m - 1
     return inverse.T / norms[:, None], inverse, 2.0 - 2.0 * np.cos(angle * k)
+
+
+def _sine_modes(diag: float, off: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of the n x n tridiagonal (-off, diag, -off).
+
+    The columns are the sines sqrt(2 / (n + 1)) sin(pi i k / (n + 1)),
+    i, k = 1..n, with eigenvalues diag - 2 off cos(pi k / (n + 1)), ascending
+    in k.  i k is reduced modulo the period 2 (n + 1) exactly before it is
+    scaled, and the matrix is built in place: no other n^2 array is made.
+    """
+    k = np.arange(1.0, n + 1.0)
+    q = np.multiply.outer(k, k)
+    np.fmod(q, 2.0 * (n + 1), out=q)
+    q *= np.pi / (n + 1)
+    np.sin(q, out=q)
+    q *= np.sqrt(2.0 / (n + 1))
+    return diag - 2.0 * off * np.cos(k * (np.pi / (n + 1))), q
 
 
 def neumann_solve(b: np.ndarray, h: float) -> np.ndarray:
@@ -98,11 +116,15 @@ class DirichletSolver:
 
     with K_a the tridiagonal (-1, 2, -1) along axis a, the interior block of
     E_a^T E_a with the boundary values pinned to zero, and sigma_a a function
-    of the axis-a coordinate alone.  update must run before the first solve
-    (the minimizer refits before every solve).  update(curv) sets sigma_a to
-    the additive part of a diagonal curv, the ANOVA main effects of its
-    interior values (sigma_a = the mean over the other axes - mu (dim - 1) /
-    dim, mu the grand mean), and redoes one eigh per axis.  delta = max(0,
+    of the axis-a coordinate alone.  update must run before the first solve;
+    a later solve uses the last update (the minimizer refits only when the
+    ramp's sign pattern moves).  update(curv) sets sigma_a to the additive
+    part of a diagonal curv, the ANOVA main effects of its interior values
+    (sigma_a = the mean over the other axes - mu (dim - 1) / dim, mu the
+    grand mean), and redoes one eigh per axis; an axis whose sigma_a holds
+    one value exactly (sigma = 0, or the tangential axis of a field that
+    does not vary along it) takes its sine modes in closed form instead,
+    with no eigh.  delta = max(0,
     lambda_min(P_0) - sum_a lambda_min(c/h^2 K_a + diag(sigma_a))) keeps the
     smallest eigenvalue at least that of the edge Laplacian P_0 = c/h^2 sum_a
     K_a, which a zero curv gives, so P stays positive definite where a
@@ -113,8 +135,9 @@ class DirichletSolver:
     shape, e.g. two idle grid-sized buffers) that the call overwrites.  The
     solver holds one interior-sized array, the reciprocal eigenvalue sums,
     and per axis its (m - 2)^2 eigenvector matrix, read-only.  update builds
-    each axis matrix in the interior-sized array when it fits there and
-    drops the old eigenvectors of an axis before making the new ones.
+    each axis matrix it diagonalizes by eigh in the interior-sized array
+    when it fits there, and drops the old eigenvectors of an axis before
+    making the new ones.
     """
 
     def __init__(self, shape: tuple[int, ...], h: float, c: float) -> None:
@@ -142,8 +165,11 @@ class DirichletSolver:
             np.mean(core, axis=tuple(b for b in range(dim) if b != axis), out=diag)
             diag -= mean * (dim - 1) / dim
             diag += 2.0 * self.stiffness
-            self.vectors[axis] = None  # release the old matrix before eigh makes the new one
-            lam, q = np.linalg.eigh(t)
+            self.vectors[axis] = None  # release the old matrix before making the new one
+            if np.all(diag == diag[0]):
+                lam, q = _sine_modes(float(diag[0]), self.stiffness, n)
+            else:
+                lam, q = np.linalg.eigh(t)
             q.setflags(write=False)
             self.vectors[axis] = q
             values.append(lam)

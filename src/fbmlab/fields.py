@@ -475,9 +475,12 @@ def _unit_sphere(dim: int, n: int) -> np.ndarray:
 
 
 def require_positive_radius(r: float) -> None:
-    """Raise GeometryError unless the radius r of a sphere or ball is positive (NaN fails)."""
+    """Raise GeometryError unless r is positive (NaN fails).
+
+    The one gate for the radius of a sphere or a ball and for a blow-up scale.
+    """
     if not r > 0.0:
-        raise GeometryError(f"sphere radius must be positive, got {r}")
+        raise GeometryError(f"radius must be positive, got {r}")
 
 
 def sphere_quadrature(dim: int, z, r: float, n_points: int | None = None):

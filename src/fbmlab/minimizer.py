@@ -199,6 +199,7 @@ class MinimizeReport:
     stop_reason: str
     cg_iterations: int
     cg_history: list[int]
+    refit_steps: list[int]
 
 
 def ramp(
@@ -305,6 +306,19 @@ def ramp_profile(xi: np.ndarray, model: DensityModel, eps: float) -> np.ndarray:
     table[1:] = eps - eps * np.cumsum(0.5 * (slope[1:] + slope[:-1]) * np.diff(v))
     at = np.interp(xi[tail], table[::-1], v[::-1], left=np.inf)
     out[tail] = 1.5 * eps / np.cosh(at) ** 2
+    return out
+
+
+def _ramp_classes(u: np.ndarray, eps: float, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The sign class of H_eps''(u) at every node, in the int8 array out.
+
+    0 where H_eps'' = 0 (u <= 0 or u >= eps), 1 where it is positive
+    (0 < u < eps / 2), 2 where it is at most zero (eps / 2 <= u < eps).
+    work is a second int8 array of u's shape.
+    """
+    np.greater(u, 0.0, out=out)
+    out += np.greater_equal(u, 0.5 * eps, out=work)
+    out *= np.less(u, eps, out=work)
     return out
 
 
@@ -503,9 +517,9 @@ def minimize(
 ) -> tuple[ScalarField, MinimizeReport]:
     """Truncated Newton-PCG from u0; fixed nodes are never touched.
 
-    From initial_guess's ramped profile the bundled half-plane runs take 4
-    full Newton steps; from the sharp data (x . e)^+ their first step
-    backtracks (to 1/256 in 2D, 1/16 in 3D) and they take 6.
+    From initial_guess's ramped profile the bundled half-plane runs take 5
+    (2D) and 4 (3D) full Newton steps; from the sharp data (x . e)^+ their
+    first step backtracks (to 1/256 in 2D, 1/16 in 3D) and they take 7 and 6.
 
     Each outer step solves H d = G by preconditioned CG to the relative
     residual CG_RTOL, in at most CG_MAX_ITER inner iterations (see
@@ -515,8 +529,13 @@ def minimize(
     the interior nodes: the Hessian of the linear density's bulk term, with
     f'(0) = scale the density's smallest slope, plus the plane means sigma_a
     of the step's ramp curvature lam w H_eps''(u), shifted so that its
-    smallest eigenvalue is at least the edge Laplacian's.  It is refit at
-    every step and solved by fast diagonalization (fastdiag.DirichletSolver).
+    smallest eigenvalue is at least the edge Laplacian's.  It is solved by
+    fast diagonalization (fastdiag.DirichletSolver) and refit at the first
+    step, and after that only when some node's sign class of H_eps''(u)
+    (_ramp_classes: zero, positive or not positive) differs from its class
+    at the last refit; otherwise the last fit, still positive definite, is
+    kept (a lagged preconditioner; Knoll & Keyes, J. Comput. Phys. 193,
+    2004).
 
     Stops for one of three reasons, named in the report's stop_reason:
 
@@ -530,7 +549,8 @@ def minimize(
                     converges).
 
     iterations counts outer steps, step_history their accepted steps,
-    cg_history their inner iterations and cg_iterations the sum of those.
+    cg_history their inner iterations and cg_iterations the sum of those;
+    refit_steps lists the 0-based steps at which the preconditioner was refit.
     gradient_norm is the masked gradient sup-norm at the returned iterate;
     the returned field's lipschitz is its largest |grad u|, computed when
     first read, after these buffers are gone.  Raises SolverError if the
@@ -538,14 +558,16 @@ def minimize(
 
     Buffers are allocated once per call: 10 arrays of the grid's size for
     the linear density and 13 for a curved one, in any dimension, one
-    interior-sized array, and the preconditioner's per-axis eigenvector
-    matrices of (m - 2)^2 entries, which each step's refit replaces one at a
-    time:
+    interior-sized array, one int8 array of the grid's size, and the
+    preconditioner's per-axis eigenvector matrices of (m - 2)^2 entries,
+    which a refit replaces one at a time:
       u                      the iterate;
       q                      its q; during the inner solve 2 w f'(q), the
                              Hessian's coefficients, and once the direction
                              is found each trial iterate's q;
-      grad, d                the gradient and the Newton direction;
+      grad, d                the gradient and the Newton direction; before
+                             the inner solve d holds |grad|, then the
+                             step's sign classes and their comparison;
       r, pdir, z             the inner solve's vectors, and the work of the
                              energy and of the gradient;
       hcurv                  lam w H_eps''(u);
@@ -557,7 +579,8 @@ def minimize(
                              product's w f''(q) dq and D_a u;
       one interior-sized     the preconditioner's reciprocal eigenvalue sums,
                              and during a refit each axis matrix it
-                             diagonalizes.
+                             diagonalizes;
+      one int8               the sign classes at the last refit.
     u0 is copied before the others are allocated and not held after that, so
     a caller that passes its only reference does not keep the initial guess.
     """
@@ -570,12 +593,18 @@ def minimize(
     q, grad, d, hcurv = _buffers(shape, 4)
     cg, spare = _buffers(shape, 3), _buffers(shape, 4 if kernel.curved else 2)
     fcurv = np.empty(shape) if kernel.curved else None
+    fitted = np.empty(shape, dtype=np.int8)
+    # this step's classes and their comparison live in d, idle until the inner solve
+    bytes_d = d.reshape(-1).view(np.int8)
+    classes = bytes_d[: fitted.size].reshape(shape)
+    changed = bytes_d[fitted.size : 2 * fitted.size].reshape(shape)
     e_now = kernel.energy(u, q, cg)
     if not np.isfinite(e_now):
         raise SolverError("initial energy is not finite")
     steps: list[float] = []
     energies = [e_now]
     cg_counts: list[int] = []
+    refits: list[int] = []
     stalled = False
     while True:
         kernel.gradient(u, q, grad, cg)
@@ -591,7 +620,11 @@ def minimize(
             stop_reason = "stalled"
             break
         kernel.hessian_setup(u, q, hcurv, fcurv, spare[0])
-        precond.update(hcurv)
+        _ramp_classes(u, p.eps, classes, changed)
+        if not refits or np.not_equal(classes, fitted, out=changed).any():
+            precond.update(hcurv)
+            np.copyto(fitted, classes)
+            refits.append(len(steps))
         hessian = (q, u, fcurv, hcurv)
         with np.errstate(over="ignore", invalid="ignore"):
             # a direction or slope that overflows fails every Armijo test below
@@ -625,6 +658,7 @@ def minimize(
         stop_reason=stop_reason,
         cg_iterations=sum(cg_counts),
         cg_history=cg_counts,
+        refit_steps=refits,
     )
     return ScalarField(p.grid, u), report
 

@@ -80,6 +80,7 @@ def stage_minimize(s: Scenario) -> tuple[ScalarField, dict]:
         "iterations": rep.iterations,
         "cg_iterations": rep.cg_iterations,
         "cg_history": rep.cg_history,
+        "refit_steps": rep.refit_steps,
         "final_energy": rep.final_energy,
         "gradient_norm": rep.gradient_norm,
         "converged": rep.converged,

@@ -442,10 +442,12 @@ class TestMinimizeCommand:
         rep = json.loads((tmp_path / "r.json").read_text())
         for key in (
             "iterations", "final_energy", "gradient_norm", "converged",
-            "stop_reason", "lipschitz", "cg_iterations", "cg_history",
+            "stop_reason", "lipschitz", "cg_iterations", "cg_history", "refit_steps",
         ):
             assert key in rep
         assert len(rep["cg_history"]) == rep["iterations"]
+        assert rep["refit_steps"][0] == 0
+        assert len(rep["refit_steps"]) <= rep["iterations"]
         assert sum(rep["cg_history"]) == rep["cg_iterations"]
 
     def test_points_csv_roundtrips_through_z_flag(self, reference_run):

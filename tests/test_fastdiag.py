@@ -174,10 +174,37 @@ class TestDirichlet:
                 assert not q.flags.writeable
             assert np.all(solver.inv_denom > 0.0)
 
+    @pytest.mark.parametrize("shape", [(7, 9), (5, 6, 8)])
+    @pytest.mark.parametrize("level", [0.0, 700.0])
+    def test_flat_axes_take_closed_form_modes(self, shape, level, monkeypatch):
+        # level 0 is sigma = 0 on every axis; otherwise curv varies along
+        # axis 0 alone, so every other axis has a nonzero constant sigma_a
+        # and only axis 0 is diagonalized by eigh
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        rng = np.random.default_rng(len(shape))
+        h, c = 0.2, 2.0
+        profile = level * (1.0 + rng.random(shape[0]))
+        curv = np.broadcast_to(profile.reshape((-1,) + (1,) * (len(shape) - 1)), shape).copy()
+        solver = DirichletSolver(shape, h, c)
+        solver.update(curv)
+        n0 = shape[0] - 2
+        assert calls == ([] if level == 0.0 else [(n0, n0)])
+        for q in solver.vectors:
+            assert np.allclose(q.T @ q, np.eye(q.shape[0]), atol=1e-13)
+            assert not q.flags.writeable
+        mat, _ = dense_preconditioner(shape, h, c, curv)
+        interior = (slice(1, -1),) * len(shape)
+        r = rng.standard_normal(shape)
+        want = np.linalg.solve(mat, r[interior].reshape(-1))
+        got = solver.solve(r, np.empty(shape), [np.empty(shape), np.empty(shape)])
+        assert np.linalg.norm(got[interior].reshape(-1) - want) <= 1e-12 * np.linalg.norm(want)
+
     @pytest.mark.parametrize("shape", [(7, 9), (33, 33), (5, 6, 8), (17, 17, 17)])
     def test_zero_curvature_matches_sine_solve(self, shape):
-        # update of a zero diagonal gives sigma = 0, the edge Laplacian: the
-        # eigh modes reproduce the closed-form sine solve
+        # update of a zero diagonal gives sigma = 0, the edge Laplacian: its
+        # modes reproduce the sine solve as first written
         rng = np.random.default_rng(len(shape) + shape[0])
         h, c = 0.05, 1.7
         r = rng.standard_normal(shape)

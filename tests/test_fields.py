@@ -509,7 +509,7 @@ class TestBallRadius:
 class TestSphereQuadrature:
     @pytest.mark.parametrize("r", [-0.5, float("nan")])
     def test_nan_radius_raises_like_negative(self, r):
-        with pytest.raises(GeometryError, match="sphere radius must be positive"):
+        with pytest.raises(GeometryError, match="^radius must be positive, got"):
             sphere_quadrature(2, (0.0, 0.0), r)
 
     def test_weights_sum_to_surface_measure(self):

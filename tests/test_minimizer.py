@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fbmlab import minimizer as minimizer_module
 from fbmlab.density import DensityModel, bernoulli_lambda
 from fbmlab.errors import SolverError
 from fbmlab.fieldio import write_field
@@ -477,6 +478,49 @@ class TestMinimize:
         assert np.all(np.diff(rep.energy_history) <= 0.0)
 
 
+class TestRefit:
+    def test_settled_pattern_keeps_the_fit(self, monkeypatch):
+        # an axis half-plane on the arctan2d benchmark's box: after the first
+        # step moves the start's exact zeros, the ramp's sign pattern settles
+        # and the preconditioner keeps its fit; the first refit's tangential
+        # axis is flat and takes closed-form modes
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        grid = Grid((-0.5, -0.5), (0.5, 0.5), (128, 128))
+        data = BoundaryData("halfplane", direction=(0.0, 1.0))
+        p = Problem(grid, DensityModel(kind="arctan", alpha=0.1), data)
+        _, rep = minimize(p, initial_guess(p), tol=1e-3)
+        assert rep.stop_reason == "gradient_tol"
+        assert rep.refit_steps[0] == 0
+        assert len(rep.refit_steps) < rep.iterations
+        assert max(rep.cg_history) <= 2
+        assert len(calls) <= 3
+
+    def test_moving_pattern_refits_every_step(self, monkeypatch):
+        # on a diagonal half-plane the pattern moves at every step, so the
+        # run is the one that refits at every step, bit for bit
+        p = Problem(box_grid(2, 128), DensityModel(kind="arctan", alpha=0.1),
+                    BoundaryData("halfplane", direction=(1.0, 1.0)))
+        u, rep = minimize(p, initial_guess(p), tol=1e-3)
+        assert rep.refit_steps == list(range(rep.iterations))
+        assert rep.iterations > 2
+        flips = [0]
+
+        def moving(u, eps, out, work):
+            # a class that differs from the last refit's at every step
+            flips[0] += 1
+            out.fill(1 + flips[0] % 2)
+            return out
+
+        monkeypatch.setattr(minimizer_module, "_ramp_classes", moving)
+        u_ref, ref = minimize(p, initial_guess(p), tol=1e-3)
+        assert ref.refit_steps == rep.refit_steps
+        assert u.values.tobytes() == u_ref.values.tobytes()
+        assert np.array(rep.energy_history).tobytes() == np.array(ref.energy_history).tobytes()
+        assert rep.cg_history == ref.cg_history
+
+
 class TestStopping:
     def test_restart_from_stalled_field_stops_quickly(self):
         # 1e-12 lies below what round-off lets the gradient reach here
@@ -488,7 +532,7 @@ class TestStopping:
         assert rep2.iterations <= 100
         assert np.all(np.diff(rep2.energy_history) <= 0.0)
 
-    @pytest.mark.parametrize("max_iter,reason", [(10_000, "stalled"), (7, "budget")])
+    @pytest.mark.parametrize("max_iter,reason", [(10_000, "stalled"), (5, "budget")])
     def test_gradient_norm_is_at_returned_iterate(self, max_iter, reason):
         p = halfplane_problem(2, 16, model=DensityModel(kind="arctan", alpha=0.1))
         u, rep = minimize(p, noisy_start(p), tol=1e-8, max_iter=max_iter)
