@@ -17,6 +17,11 @@ points on its sphere), so each scale samples u once, at z + r times those
 points.  The deviation reads only the ball's node window, with the same bits
 as on the full grid.
 
+The fit point y = 0 has every (y . e)^+ = 0, so gamma(r) >= |u(z)| / r.  At
+a minimized field's auto points u(z) is the phase level l = s* eps = 0.518 h,
+and on both bundled runs gamma(r) r / l is 1 at every point and scale (to
+3e-10): the deficit there is this floor and carries no geometry.
+
 Small values of both at the finest scales support calling z a regular
 boundary point; the converse direction is deliberately never claimed.
 """

@@ -118,7 +118,7 @@ class DirichletSolver:
     E_a^T E_a with the boundary values pinned to zero, and sigma_a a function
     of the axis-a coordinate alone.  update must run before the first solve;
     a later solve uses the last update (the minimizer refits only when the
-    ramp's sign pattern moves).  update(curv) sets sigma_a to the additive
+    ramp's support 0 < u < eps moves).  update(curv) sets sigma_a to the additive
     part of a diagonal curv, the ANOVA main effects of its interior values
     (sigma_a = the mean over the other axes - mu (dim - 1) / dim, mu the
     grand mean), and redoes one eigh per axis; an axis whose sigma_a holds

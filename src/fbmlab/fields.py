@@ -129,16 +129,6 @@ class Grid:
             out.append((self.axis_nodes(a)[sl] - z[a]).reshape(shape))
         return out
 
-    def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.node_shape, dtype=bool)
-        for a in range(self.dim):
-            sl = [slice(None)] * self.dim
-            sl[a] = 0
-            mask[tuple(sl)] = True
-            sl[a] = -1
-            mask[tuple(sl)] = True
-        return mask
-
     def balls_inside(self, centers: np.ndarray, r: float) -> np.ndarray:
         """Whether the ball of radius r about each row of centers fits the box.
 
@@ -385,6 +375,20 @@ def edge_gradient_square(u: np.ndarray, h: float, q: np.ndarray, work: np.ndarra
     return q
 
 
+def face_planes(x: np.ndarray, skip: int | None = None):
+    """Yield the 2 ndim face planes of x, axis by axis, as writable views.
+
+    Each keeps its axis with length 1, so a write lands in x (for a 1-D x
+    too, where an integer index would copy).  A node on several faces is in
+    one plane per axis; the planes of axis skip are left out.
+    """
+    for axis in range(x.ndim):
+        if axis != skip:
+            planes = x.swapaxes(0, axis)
+            yield planes[:1]
+            yield planes[-1:]
+
+
 def weigh(x: np.ndarray, skip: int | None = None) -> np.ndarray:
     """x times the trapezoid weights, in place: each face plane is halved.
 
@@ -392,11 +396,8 @@ def weigh(x: np.ndarray, skip: int | None = None) -> np.ndarray:
     of the other axes.  Halving is exact, so the result is bitwise x times
     trapezoid_weights.
     """
-    for axis in range(x.ndim):
-        if axis != skip:
-            faces = x.swapaxes(0, axis)
-            faces[0] *= 0.5
-            faces[-1] *= 0.5
+    for plane in face_planes(x, skip):
+        plane *= 0.5
     return x
 
 

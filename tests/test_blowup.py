@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,10 @@ from fbmlab.fields import (
     interpolate,
     sphere_quadrature,
 )
+from fbmlab.pipeline import select_points, stage_minimize
+from fbmlab.scenario import Scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def box_grid(dim, n, half=1.0):
@@ -544,6 +550,45 @@ class TestSequence:
         assert all(d <= 2e-2 for d in seq.deviations)
         assert all(d <= 2e-2 for d in seq.deficits)
         assert all(abs(d[0] - 1.0) <= 1e-2 for d in seq.directions)
+
+
+class TestDeficitFloor:
+    """The reference ball's centre y = 0 is a fit point, where every (y . e)^+
+    vanishes, so a fit at scale s has deficit at least |u(z)| / s; at a
+    minimized field's auto points u(z) is the phase level l."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_deficit_bounds_the_centre_value(self, dim):
+        g = box_grid(dim, 32)
+        tangential = (0.0,) * (dim - 1)
+        z = tangential + (0.3 * g.h,)
+        cases = [
+            (sample(g, lambda *x: np.maximum(x[-1], 0.0) + 0.5 * g.h), z),
+            (sample(g, lambda *x: np.maximum(x[-1] + 0.2 * x[0] ** 2, 0.0) - 0.7 * g.h), z),
+            (curved_boundary_field(dim, 32), tangential + (curved_surface(*tangential) + z[-1],)),
+        ]
+        for u, z in cases:
+            seq = build_sequence(u, z, scales=(0.6, 0.3, 0.15))
+            centre = float(interpolate(u, np.asarray(z)[None, :])[0])
+            assert centre != 0.0
+            for s, deficit in zip(seq.scales, seq.deficits):
+                assert deficit >= abs(centre) / s
+
+    @pytest.mark.parametrize("name,n", [("arctan_halfplane_2d", 96), ("halfplane_linear_3d", 32)])
+    def test_minimized_field_deficit_is_the_phase_level(self, name, n):
+        # the bundled runs on half their grids: the deficit is l / s at
+        # every auto point and scale, the ramp's floor and nothing else
+        data = json.loads((SCENARIOS / f"{name}.json").read_text())
+        data["grid"]["n_cells"] = [n] * len(data["grid"]["n_cells"])
+        s = Scenario.from_dict(data)
+        u, report = stage_minimize(s)
+        assert report["stop_reason"] == "gradient_tol"
+        points = select_points(s, u)
+        assert points
+        for z in points:
+            seq = build_sequence(u, z)
+            for r, deficit in zip(seq.scales, seq.deficits):
+                assert abs(deficit * r / s.phase_level - 1.0) <= 1e-8
 
 
 class TestVerdict:

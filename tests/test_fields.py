@@ -31,6 +31,7 @@ from fbmlab.fields import (
     edge_differences_transpose,
     edge_gradient_square,
     edge_means_transpose,
+    face_planes,
     _interp_core,
     _unit_sphere,
     ball_integral,
@@ -262,8 +263,27 @@ def frozen_trapezoid_weights(shape, skip=None):
     return w
 
 
+class TestFacePlanes:
+    @pytest.mark.parametrize("shape", [(9,), (7, 5), (6, 4, 5)])
+    def test_planes_are_the_face_nodes_and_writes_land(self, shape):
+        # a write through every plane adds one per axis on whose faces a
+        # node lies: the face nodes, corners once per axis, and no other
+        index = np.indices(shape)
+        for skip in (None, *range(len(shape))):
+            x = np.zeros(shape)
+            planes = list(face_planes(x, skip))
+            assert len(planes) == 2 * (len(shape) - (skip is not None))
+            for plane in planes:
+                plane += 1.0
+            want = np.zeros(shape)
+            for a, (i, m) in enumerate(zip(index, shape)):
+                if a != skip:
+                    want += (i == 0) + (i == m - 1).astype(float)
+            assert np.array_equal(x, want), skip
+
+
 class TestWeigh:
-    @pytest.mark.parametrize("shape", [(7, 5), (6, 4, 5)])
+    @pytest.mark.parametrize("shape", [(9,), (7, 5), (6, 4, 5)])
     def test_bitwise_equal_to_weight_product(self, shape):
         x = np.random.default_rng(3).normal(size=shape)
         for skip in (None, *range(len(shape))):

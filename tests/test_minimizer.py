@@ -1,5 +1,8 @@
+import dataclasses
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,12 +38,21 @@ from fbmlab.pipeline import stage_minimize
 from fbmlab.scenario import Scenario
 
 
+SCENARIO_2D = Path(__file__).resolve().parent.parent / "scenarios" / "arctan_halfplane_2d.json"
+
+
 def box_grid(dim, n, half=1.0):
     return Grid((-half,) * dim, (half,) * dim, (n,) * dim)
 
 
 def sample(grid, fn):
     return ScalarField(grid, fn(*grid.node_mesh()))
+
+
+def face_mask(shape):
+    """The nodes with index 0 or n - 1 on some axis: the box faces minimize pins."""
+    index = np.indices(shape)
+    return np.any([(i == 0) | (i == n - 1) for i, n in zip(index, shape)], axis=0)
 
 
 def halfplane_problem(dim, n, model=None, **kw):
@@ -54,7 +66,7 @@ def noisy_start(p, amplitude=0.05, seed=3):
     """Boundary profile plus interior noise; boundary nodes keep their data."""
     vals = initial_guess(p).values
     noise = amplitude * np.random.default_rng(seed).standard_normal(vals.shape)
-    noise[p.fixed_mask] = 0.0
+    noise[face_mask(p.grid.node_shape)] = 0.0
     return ScalarField(p.grid, vals + noise)
 
 
@@ -139,10 +151,13 @@ class TestProblem:
         p = halfplane_problem(2, 16, model=model)
         assert p.lam == bernoulli_lambda(model)
         assert p.eps == 2.0 * p.grid.h
-        assert np.array_equal(p.fixed_mask, p.grid.boundary_mask())
+
+    def test_plain_value_without_arrays(self):
+        p = halfplane_problem(3, 8)
+        assert not any(isinstance(getattr(p, f.name), np.ndarray) for f in dataclasses.fields(p))
 
     def test_equal_inputs_compare_equal(self):
-        # the mask derives from the grid, so it takes no part in == or hash
+        # a plain value: equal fields compare and hash equal
         p = halfplane_problem(2, 8)
         assert p == halfplane_problem(2, 8) and hash(p) == hash(halfplane_problem(2, 8))
         assert p != halfplane_problem(2, 8, lam=2.0)
@@ -231,7 +246,7 @@ class TestEnergyGradient:
         rng = np.random.default_rng(0)
         u = ScalarField(p.grid, rng.standard_normal(p.grid.node_shape))
         g = energy_gradient(p, u)
-        assert np.all(g.values[p.fixed_mask] == 0.0)
+        assert np.all(g.values[face_mask(p.grid.node_shape)] == 0.0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_finite_differences(self, seed):
@@ -242,7 +257,7 @@ class TestEnergyGradient:
         vals = rng.standard_normal(p.grid.node_shape)
         u = ScalarField(p.grid, vals)
         v = rng.standard_normal(p.grid.node_shape)
-        v[p.fixed_mask] = 0.0
+        v[face_mask(p.grid.node_shape)] = 0.0
         g = energy_gradient(p, u)
         analytic = float(np.sum(g.values * v)) * p.grid.h**2
         delta = 1e-6
@@ -257,7 +272,7 @@ class TestEnergyGradient:
         p = halfplane_problem(2, 16, eps=1e-8)
         x, y = p.grid.node_mesh()
         stair = 0.01 * (-1.0) ** np.indices(p.grid.node_shape)[1]
-        stair[p.fixed_mask] = 0.0
+        stair[face_mask(p.grid.node_shape)] = 0.0
         smooth = ScalarField(p.grid, 2.0 + x)
         assert energy(p, ScalarField(p.grid, smooth.values + stair)) > energy(p, smooth) + 1e-3
 
@@ -272,7 +287,7 @@ class TestHessian:
         for _ in range(3):
             vals = p.eps * rng.standard_normal(p.grid.node_shape)
             v = rng.standard_normal(p.grid.node_shape)
-            v[p.fixed_mask] = 0.0
+            v[face_mask(p.grid.node_shape)] = 0.0
             hv = hessian_product(p, ScalarField(p.grid, vals), ScalarField(p.grid, v)).values
             delta = 1e-7
             gp = energy_gradient(p, ScalarField(p.grid, vals + delta * v)).values
@@ -280,15 +295,16 @@ class TestHessian:
             fd = (gp - gm) / (2.0 * delta)
             scale = float(np.max(np.abs(hv)))
             assert np.max(np.abs(hv - fd)) <= 1e-5 * scale
-            assert np.all(hv[p.fixed_mask] == 0.0)
+            assert np.all(hv[face_mask(p.grid.node_shape)] == 0.0)
 
     def test_symmetric(self):
         rng = np.random.default_rng(4)
         p = halfplane_problem(3, 6, model=DensityModel(kind="arctan", alpha=0.2))
         u = ScalarField(p.grid, p.eps * rng.standard_normal(p.grid.node_shape))
         a, b = (rng.standard_normal(p.grid.node_shape) for _ in range(2))
-        a[p.fixed_mask] = 0.0
-        b[p.fixed_mask] = 0.0
+        faces = face_mask(p.grid.node_shape)
+        a[faces] = 0.0
+        b[faces] = 0.0
         ha = hessian_product(p, u, ScalarField(p.grid, a)).values
         hb = hessian_product(p, u, ScalarField(p.grid, b)).values
         assert np.sum(ha * b) == pytest.approx(np.sum(a * hb), rel=1e-12)
@@ -312,7 +328,7 @@ def frozen_kernel(p, u, v):
     for a in range(dim):
         grad += back[a](spread[a](coef) * g[a])
     grad += weigh(ramp(u, p.eps, order=1) * p.lam)
-    grad[p.fixed_mask] = 0.0
+    grad[face_mask(p.grid.node_shape)] = 0.0
     s = np.zeros(u.shape)
     for a in range(dim):
         add_edge_means(g[a] * dv[a] * 2.0, a, s)
@@ -324,7 +340,7 @@ def frozen_kernel(p, u, v):
             t += spread[a](s) * g[a] * 2.0
         hv = back[a](t) if hv is None else hv + back[a](t)
     hv += weigh(ramp(u, p.eps, order=2) * p.lam) * v
-    hv[p.fixed_mask] = 0.0
+    hv[face_mask(p.grid.node_shape)] = 0.0
     return float(e), grad, hv
 
 
@@ -341,7 +357,7 @@ class TestFrozenKernel:
         rng = np.random.default_rng(11 + dim)
         u = p.eps * rng.standard_normal(p.grid.node_shape)
         v = rng.standard_normal(p.grid.node_shape)
-        v[p.fixed_mask] = 0.0
+        v[face_mask(p.grid.node_shape)] = 0.0
         e, grad, hv = frozen_kernel(p, u, v)
         uf, vf = ScalarField(p.grid, u), ScalarField(p.grid, v)
         assert energy(p, uf) == e
@@ -397,8 +413,9 @@ class TestMinimize:
         )
         u0 = ScalarField(p.grid, vals)
         u, _ = minimize(p, u0, tol=0.0, max_iter=40)
-        assert u.values[p.fixed_mask].tobytes() == u0.values[p.fixed_mask].tobytes()
-        assert np.any(u.values[~p.fixed_mask] != u0.values[~p.fixed_mask])
+        faces = face_mask(p.grid.node_shape)
+        assert u.values[faces].tobytes() == u0.values[faces].tobytes()
+        assert np.any(u.values[~faces] != u0.values[~faces])
 
     def test_joint_scaling_reproduces_iterates(self):
         grid = box_grid(2, 16)
@@ -406,7 +423,7 @@ class TestMinimize:
         rng = np.random.default_rng(21)
         base = BoundaryData("halfplane", direction=e).profile(grid)
         noise = 0.1 * rng.standard_normal(grid.node_shape)
-        noise[grid.boundary_mask()] = 0.0
+        noise[face_mask(grid.node_shape)] = 0.0
         u0_vals = base + noise
         outs = []
         reports = []
@@ -478,10 +495,26 @@ class TestMinimize:
         assert np.all(np.diff(rep.energy_history) <= 0.0)
 
 
+def frozen_ramp_classes(u, eps):
+    """The refit trigger's sign classes of H_eps''(u) as first written, int8:
+    0 where it is zero (u <= 0 or u >= eps), 1 where it is positive
+    (0 < u < eps / 2), 2 where it is at most zero (eps / 2 <= u < eps)."""
+    out = np.greater(u, 0.0).astype(np.int8)
+    out += np.greater_equal(u, 0.5 * eps)
+    out *= np.less(u, eps)
+    return out
+
+
+def mask_faces(x):
+    """The face zeroing as first written, on a boolean face mask; yields no plane."""
+    x[face_mask(x.shape)] = 0.0
+    return iter(())
+
+
 class TestRefit:
     def test_settled_pattern_keeps_the_fit(self, monkeypatch):
         # an axis half-plane on the arctan2d benchmark's box: after the first
-        # step moves the start's exact zeros, the ramp's sign pattern settles
+        # step moves the start's exact zeros, the ramp's support settles
         # and the preconditioner keeps its fit; the first refit's tangential
         # axis is flat and takes closed-form modes
         calls = []
@@ -507,18 +540,37 @@ class TestRefit:
         assert rep.iterations > 2
         flips = [0]
 
-        def moving(u, eps, out, work):
-            # a class that differs from the last refit's at every step
+        def moving(u, eps):
+            # a support that differs from the last refit's at every step
             flips[0] += 1
-            out.fill(1 + flips[0] % 2)
-            return out
+            return np.full(u.shape, flips[0] % 2 == 1)
 
-        monkeypatch.setattr(minimizer_module, "_ramp_classes", moving)
+        monkeypatch.setattr(minimizer_module, "_ramp_support", moving)
         u_ref, ref = minimize(p, initial_guess(p), tol=1e-3)
         assert ref.refit_steps == rep.refit_steps
         assert u.values.tobytes() == u_ref.values.tobytes()
         assert np.array(rep.energy_history).tobytes() == np.array(ref.energy_history).tobytes()
         assert rep.cg_history == ref.cg_history
+
+    @pytest.mark.parametrize("data,model,lam,n", [
+        (BoundaryData("halfplane", direction=(0.0, 1.0)), DensityModel(kind="arctan", alpha=0.1), None, 128),
+        (BoundaryData("halfplane", direction=(1.0, 1.0)), DensityModel(kind="arctan", alpha=0.1), None, 128),
+        (BoundaryData("wedge", angle=2.0), DensityModel(kind="arctan", alpha=0.1), None, 64),
+        (BoundaryData("halfplane", direction=(0.0, 1.0)), DensityModel(kind="linear"), 2.0, 64),
+    ], ids=["axis", "diagonal", "wedge", "lam2"])
+    def test_support_trigger_and_face_planes_keep_the_bytes(self, monkeypatch, data, model, lam, n):
+        # the three sign classes never decide a refit that the support alone
+        # misses, and zeroing the face planes is zeroing the face mask
+        p = Problem(box_grid(2, n), model, data, lam=lam)
+        u0 = initial_guess(p)
+        u, rep = minimize(p, u0, tol=1e-3)
+        monkeypatch.setattr(minimizer_module, "_ramp_support", frozen_ramp_classes)
+        monkeypatch.setattr(minimizer_module, "face_planes", mask_faces)
+        u_ref, ref = minimize(p, u0, tol=1e-3)
+        assert u.values.tobytes() == u_ref.values.tobytes()
+        assert np.array(rep.energy_history).tobytes() == np.array(ref.energy_history).tobytes()
+        assert rep.cg_history == ref.cg_history
+        assert rep.refit_steps == ref.refit_steps
 
 
 class TestStopping:
@@ -538,6 +590,15 @@ class TestStopping:
         u, rep = minimize(p, noisy_start(p), tol=1e-8, max_iter=max_iter)
         assert rep.stop_reason == reason
         assert rep.gradient_norm == float(np.max(np.abs(energy_gradient(p, u).values)))
+
+    def test_bundled_2d_geometry_reaches_the_default_tol(self):
+        # a step that lowers E by more than a few ulps is taken: at tol 1e-6
+        # the bundled 2D problem ends at |G| 7.8e-7, where stopping on the
+        # Armijo test's one-ulp required decrease stalled at 1.9e-5
+        data = json.loads(SCENARIO_2D.read_text())
+        data["tol"] = 1e-6
+        _, report = stage_minimize(Scenario.from_dict(data))
+        assert report["gradient_norm"] <= 2e-6
 
     def test_lipschitz_is_final_gradient_modulus(self):
         # minimize.json's lipschitz is the returned field's largest |grad u|,
@@ -657,7 +718,7 @@ class TestInitialGuess:
         p = Problem(box_grid(dim, n), model, data)
         u = initial_guess(p).values
         sharp = data.profile(p.grid)
-        keep = p.fixed_mask | (data.plane(p.grid) >= p.eps)
+        keep = face_mask(p.grid.node_shape) | (data.plane(p.grid) >= p.eps)
         assert np.array_equal(u[keep], sharp[keep])
         # below eps the ramped tail lies above the data; far below the free
         # boundary the zero phase stays exactly zero
@@ -671,7 +732,7 @@ class TestInitialGuess:
         # eps = 2h, where H_eps'' = -6 / eps^2; the minimizer lifts them above eps
         p = halfplane_problem(2, 48)
         plane = p.boundary.plane(p.grid)
-        edge = (plane < p.eps) & (plane >= (1.0 - 1e-9) * p.eps) & ~p.fixed_mask
+        edge = (plane < p.eps) & (plane >= (1.0 - 1e-9) * p.eps) & ~face_mask(p.grid.node_shape)
         assert np.any(edge)
         assert np.all(initial_guess(p).values[edge] == p.eps)
 
