@@ -5,11 +5,18 @@ Part 1: L2 recovery of a manufactured potential cos(pi x) cos(pi y) by the
 weak Neumann splitting, expected to shrink by ~4x per halving of h.
 Part 2: radius-independence of the corrected scan on the exact half-plane
 profile in 3d, expected to tighten under refinement as well.
+
+Each part is held to its acceptance check's bounds, with the sizes given
+read as a halving ladder: the L2 error ratio between consecutive sizes lies
+in [3.5, 4.5] (check 04); the scan's spread is at most 0.02 |median| at
+every size and at most 0.6 times the previous size's spread (check 01).
+Exits 1 if any bound fails, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 from time import perf_counter
 
 import numpy as np
@@ -26,6 +33,10 @@ from fbmlab import (
     scan,
 )
 from fbmlab.fields import trapezoid_weights
+
+MMS_RATIO = (3.5, 4.5)
+SPREAD_OF_MEDIAN = 0.02
+SPREAD_FACTOR = 0.6
 
 
 def manufactured_error(n: int) -> float:
@@ -69,6 +80,7 @@ def main() -> int:
     )
     args = ap.parse_args()
 
+    ok = True
     print("manufactured potential recovery (2d, box [-1,1]^2)")
     print(f"{'n':>5} {'h':>10} {'L2 error':>12} {'ratio':>7} {'time':>7}")
     prev = None
@@ -77,11 +89,14 @@ def main() -> int:
         err = manufactured_error(n)
         ratio = "" if prev is None else f"{prev / err:7.3f}"
         print(f"{n:>5} {2.0 / n:>10.5f} {err:>12.3e} {ratio:>7} {perf_counter() - t0:6.1f}s")
+        if prev is not None:
+            ok &= MMS_RATIO[0] <= prev / err <= MMS_RATIO[1]
         prev = err
 
     print()
     print("half-plane scan constancy (3d, radii 0.15..0.4)")
     print(f"{'n':>5} {'h':>10} {'median A':>10} {'max dev':>12} {'rel':>9} {'time':>7}")
+    prev = None
     for n in args.halfplane_sizes:
         t0 = perf_counter()
         med, dev = halfplane_constancy(n)
@@ -89,7 +104,13 @@ def main() -> int:
             f"{n:>5} {2.0 / n:>10.5f} {med:>10.5f} {dev:>12.3e} "
             f"{dev / abs(med):>9.2e} {perf_counter() - t0:6.1f}s"
         )
-    return 0
+        ok &= dev <= SPREAD_OF_MEDIAN * abs(med)
+        if prev is not None:
+            ok &= dev <= SPREAD_FACTOR * prev
+        prev = dev
+    if not ok:
+        print("a bound of acceptance check 01 or 04 fails", file=sys.stderr)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -12,10 +12,10 @@ The deficit is fitted by a coarse scan over unit directions, then refined
 by a zoom: a pattern search on a tangent stencil about the best direction
 that shrinks every round (Kolda, Lewis & Torczon, SIAM Rev. 45, 2003).  Both
 evaluate blocks of directions with one direction-major kernel.  The fit reads
-u_r only at its own points (the nodes of a reference grid inside B_1/2, then
-points on its sphere), so each scale samples u once, at z + r times those
-points.  The deviation reads only the ball's node window, with the same bits
-as on the full grid.
+u_r only at its own points y (the nodes of unit_box inside B_1/2, then
+points on its sphere): each scale, and flatness_deficit at z = 0, r = 1,
+samples u once at z + r y, behind the gate of B_r/2(z).  The deviation reads
+only the ball's node window, with the same bits as on the full grid.
 
 The fit point y = 0 has every (y . e)^+ = 0, so gamma(r) >= |u(z)| / r.  At
 a minimized field's auto points u(z) is the phase level l = s* eps = 0.518 h,
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +38,13 @@ from .errors import GeometryError
 from .fields import (
     Grid,
     ScalarField,
+    _interp_core,
     _unit_sphere,
     as_base_point,
     ball_weights,
     gradient_arrays,
     interpolate,
+    require_positive_radius,
     sphere_quadrature,
 )
 
@@ -73,45 +74,27 @@ DEV_THRESHOLD = 0.05
 DEFICIT_THRESHOLD = 0.1
 
 
-def unit_box(dim: int, n_cells: int = DEFAULT_REF_CELLS) -> Grid:
-    return Grid((-1.0,) * dim, (1.0,) * dim, (n_cells,) * dim)
+def unit_box(dim: int) -> Grid:
+    """The box [-1, 1]^dim on DEFAULT_REF_CELLS cells per axis; its nodes give the fit points."""
+    return Grid((-1.0,) * dim, (1.0,) * dim, (DEFAULT_REF_CELLS,) * dim)
 
 
-class _Reference(NamedTuple):
-    """What the flatness fit reads on one reference grid (read-only, cached).
-
-    inside masks the nodes of the ball of REF_BALL_RADIUS about the origin;
-    pts_t holds the fit points, those nodes followed by the sphere points,
-    one row per axis (the direction-major kernel's layout).
-    """
-
-    inside: np.ndarray
-    sphere: np.ndarray
-    pts_t: np.ndarray
-
-
-@lru_cache(maxsize=4)
-def _reference(grid: Grid) -> _Reference:
-    grid.require_ball_inside((0.0,) * grid.dim, REF_BALL_RADIUS)
-    mesh = grid.node_mesh()
-    r2 = sum(m * m for m in mesh)
-    inside = r2 <= REF_BALL_RADIUS**2
-    node_pts = np.stack([m[inside] for m in mesh], axis=-1)
-    sphere, _ = sphere_quadrature(grid.dim, (0.0,) * grid.dim, REF_BALL_RADIUS)
-    ref = _Reference(
-        inside=inside,
-        sphere=sphere,
-        pts_t=np.ascontiguousarray(np.concatenate([node_pts, sphere], axis=0).T),
-    )
-    for arr in ref:
-        arr.setflags(write=False)
-    return ref
+@lru_cache(maxsize=2)
+def _fit_points(dim: int) -> np.ndarray:
+    """The fit points, read-only and one row per axis (the direction-major kernel's layout):
+    the nodes of unit_box(dim) in the ball of REF_BALL_RADIUS, then its sphere rule's points."""
+    mesh = unit_box(dim).node_mesh()
+    inside = sum(m * m for m in mesh) <= REF_BALL_RADIUS**2
+    sphere, _ = sphere_quadrature(dim, (0.0,) * dim, REF_BALL_RADIUS)
+    pts = np.concatenate([np.stack([m[inside] for m in mesh], axis=-1), sphere], axis=0)
+    pts_t = np.ascontiguousarray(pts.T)
+    pts_t.setflags(write=False)
+    return pts_t
 
 
 def rescale(u: ScalarField, z, r: float, ref_grid: Grid) -> ScalarField:
     """u_r(y) = u(z + r y) / r sampled onto ref_grid."""
-    if not r > 0.0:
-        raise ValueError(f"scale must be positive, got {r}")
+    require_positive_radius(r)
     z = as_base_point(u.grid, z)
     if ref_grid.dim != u.grid.dim:
         raise ValueError("dimension mismatch between field and reference grid")
@@ -235,16 +218,25 @@ def _fit(pts_t: np.ndarray, vals: np.ndarray) -> FlatnessFit:
     return _zoom(pts_t, vals, e, width)
 
 
-def flatness_deficit(u: ScalarField) -> FlatnessFit:
-    """Best half-plane profile fit on the ball of REF_BALL_RADIUS.
+def _fit_at(u: ScalarField, z: np.ndarray, r: float) -> FlatnessFit:
+    """The fit of u(z + r y) / r at the fit points y, gathered once behind one
+    gate: the ball of radius REF_BALL_RADIUS r about z, which holds them all."""
+    grid = u.grid
+    grid.require_ball_inside(z, REF_BALL_RADIUS * r)
+    pts_t = _fit_points(grid.dim)
+    vals = _interp_core([u.values], grid, z[None, :] + r * pts_t.T)[0] / r
+    return _fit(pts_t, vals)
 
-    The sup norm runs over grid nodes inside the ball plus points sampled on
-    its sphere, so inter-node peaks of the kinked profile are not missed;
-    u is read nowhere else (see _Reference).
+
+def flatness_deficit(u: ScalarField) -> FlatnessFit:
+    """Best half-plane profile fit on the ball of REF_BALL_RADIUS: build_sequence's at z = 0, r = 1.
+
+    The sup norm runs over the fit points (_fit_points), unit_box's nodes in
+    the ball plus its sphere points, so inter-node peaks of the kinked
+    profile are not missed.  u is interpolated there, and on unit_box that
+    reads its nodes exactly.
     """
-    ref = _reference(u.grid)
-    vals = np.concatenate([u.values[ref.inside], interpolate(u, ref.sphere)])
-    return _fit(ref.pts_t, vals)
+    return _fit_at(u, np.zeros(u.grid.dim), 1.0)
 
 
 @dataclass(frozen=True)
@@ -293,9 +285,9 @@ def build_sequence(u: ScalarField, z, scales=None) -> BlowupSequence:
     """Rescalings of u about z with per-scale deviation and deficit.
 
     Each scale first computes the deviation, whose ball gate raises
-    GeometryError unless r > 0 and B_r(z) fits the box.  It then samples
-    u(z + r y) / r once, at the fit's own points y (see _Reference, on the
-    unit_box reference grid), and fits those values directly.
+    GeometryError unless r > 0 and B_r(z) fits the box.  It then fits
+    u(z + r y) / r at the fit points y, sampled once behind the gate of
+    B_r/2(z) (the fit flatness_deficit runs at z = 0 and r = 1).
     |u(z)| above max(u.lipschitz, 1) h is no boundary point (ValueError).
     """
     grid = u.grid
@@ -310,11 +302,10 @@ def build_sequence(u: ScalarField, z, scales=None) -> BlowupSequence:
             f"base point value {u_at_z:.3g} too large for a boundary point "
             f"(limit {limit:.3g})"
         )
-    pts_t = _reference(unit_box(grid.dim)).pts_t
     devs, deficits, dirs = [], [], []
     for r in scales:
         devs.append(homogeneity_deviation(u, z, r))
-        fit = _fit(pts_t, interpolate(u, z[None, :] + r * pts_t.T) / r)
+        fit = _fit_at(u, z, r)
         deficits.append(fit.deficit)
         dirs.append(fit.direction)
     return BlowupSequence(

@@ -41,8 +41,9 @@ Conventions used throughout the package:
   built once, cached, and every ball integral is one weighted sum of h^dim
   times the values on the window;
 * one box rule, Grid.balls_inside (slack 1e-9 max(h, 1); a point is a ball of
-  radius 0).  The sphere and ball rules call its gate require_ball_inside
-  (r > 0, inside the box) themselves, so no diagnostic built on them checks first.
+  radius 0), and one gate per point set, in the rule that makes it: the sphere
+  and ball rules call require_ball_inside (r > 0, inside the box) themselves,
+  and the gather kernel trusts them; only interpolate checks its caller's points.
 
 Fields are immutable after construction; operations return new arrays,
 except that the derivative stencils write into caller buffers given as out.
@@ -410,18 +411,15 @@ def _interp_core(arrays, grid: Grid, pts: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of k nodal arrays, shape (k, m).
 
     arrays is a sequence of C-contiguous arrays of shape node_shape (anything
-    else raises ValueError), read in place; pts is (m, dim).  The flat base
-    node and the per-axis fractions are computed once, then at each of the
-    2^dim cell corners every array is gathered into its row.  Corners are
+    else raises ValueError), read in place; pts is a float (m, dim) array
+    that a sphere, ball or fit gate, or interpolate, has admitted: no box
+    check here, but cells and fractions are clipped to the grid.  The flat
+    base node and the per-axis fractions are computed once, then at each of
+    the 2^dim cell corners every array is gathered into its row.  Corners are
     summed in itertools.product order with weights multiplied in axis order,
     so row j equals the interpolation of array j alone, bit for bit.
     """
     flats = [_flat(a, grid.node_shape) for a in arrays]
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if pts.shape[1] != grid.dim:
-        raise ValueError(f"points must have {grid.dim} columns, got {pts.shape[1]}")
-    if not bool(np.all(grid.balls_inside(pts, 0.0))):
-        raise GeometryError("interpolation point outside the grid box")
     h = grid.h
     idx = []
     hats = []
@@ -447,12 +445,21 @@ def _interp_core(arrays, grid: Grid, pts: np.ndarray) -> np.ndarray:
 
 
 def interpolate(f: ScalarField | VectorField, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation; returns (m,) for scalars, (m, dim) for vectors."""
+    """Multilinear interpolation; returns (m,) for scalars, (m, dim) for vectors.
+
+    Checks the caller's points: dim columns (ValueError), each in the box rule (GeometryError).
+    """
     single = np.asarray(pts).ndim == 1
+    grid = f.grid
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if pts.shape[1] != grid.dim:
+        raise ValueError(f"points must have {grid.dim} columns, got {pts.shape[1]}")
+    if not bool(np.all(grid.balls_inside(pts, 0.0))):
+        raise GeometryError("interpolation point outside the grid box")
     if isinstance(f, VectorField):
-        out = np.ascontiguousarray(_interp_core(list(f.values), f.grid, pts).T)
+        out = np.ascontiguousarray(_interp_core(list(f.values), grid, pts).T)
     else:
-        out = _interp_core([f.values], f.grid, pts)[0]
+        out = _interp_core([f.values], grid, pts)[0]
     return out[0] if single else out
 
 
@@ -484,16 +491,14 @@ def require_positive_radius(r: float) -> None:
         raise GeometryError(f"radius must be positive, got {r}")
 
 
-def sphere_quadrature(dim: int, z, r: float, n_points: int | None = None):
+def sphere_quadrature(dim: int, z, r: float):
     """Points and weights for the surface integral over the sphere |x-z| = r.
 
-    2d: equispaced angles, equal weights 2*pi*r/n.
+    n = DEFAULT_SPHERE_POINTS[dim].  2d: equispaced angles, equal weights 2*pi*r/n.
     3d: Fibonacci spiral directions, equal weights 4*pi*r^2/n.
     """
     require_positive_radius(r)
-    n = DEFAULT_SPHERE_POINTS[dim] if n_points is None else int(n_points)
-    if n < 4:
-        raise ValueError("need at least 4 quadrature points")
+    n = DEFAULT_SPHERE_POINTS[dim]
     z = np.asarray(z, dtype=float)
     omega = _unit_sphere(dim, n)
     measure = 2.0 * math.pi * r if dim == 2 else 4.0 * math.pi * r * r
@@ -504,7 +509,7 @@ def _sphere_samples(arrays, grid: Grid, z, r: float):
     """Quadrature points, weights and the (k, m) samples of k nodal arrays on |x-z| = r.
 
     arrays are C-contiguous nodal arrays (see _interp_core); every field a
-    sphere formula needs is sampled in this one gather, after the gate.
+    sphere formula needs is sampled in this one gather, after the sphere's gate.
     """
     grid.require_ball_inside(z, r)
     pts, wts = sphere_quadrature(grid.dim, z, r)

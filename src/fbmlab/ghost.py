@@ -59,13 +59,13 @@ from .fields import (
     _interp_core,
     _shell_mean,
     _sphere_flux,
-    _sphere_samples,
     as_base_point,
     axis_derivative,
     ball_integral,
     edge_differences,
     edge_differences_transpose,
     gradient_square,
+    require_positive_radius,
     sphere_quadrature,
     weigh,
 )
@@ -162,12 +162,13 @@ def _check_ghost_contract(g: GhostFunction, grid: Grid, z, f0: float) -> None:
         raise ValueError("ghost and field live on different grids")
     z = np.asarray(z, dtype=float)
     gz = np.asarray(g.base_point, dtype=float)
-    if gz.size != z.size or np.max(np.abs(gz - z)) > BASE_POINT_ATOL:
+    # written as not (gap <= atol), so a NaN gap fails the contract
+    if gz.size != z.size or not np.max(np.abs(gz - z)) <= BASE_POINT_ATOL:
         raise ValueError(
             f"ghost base point {g.base_point} does not match requested "
             f"{tuple(float(c) for c in z)}"
         )
-    if abs(g.f0 - f0) > BASE_POINT_ATOL:
+    if not abs(g.f0 - f0) <= BASE_POINT_ATOL:
         raise ValueError(f"ghost reference slope {g.f0} does not match requested {f0}")
 
 
@@ -374,8 +375,9 @@ def shell_identity_report(flux: FluxField, g: GhostFunction, radii) -> list[Shel
     difference of shell_average(potential) in r, with step
     dr = SHELL_STEP_CELLS * h.  The remainder drops out of the flux side
     because its weak divergence vanishes.  g must be the potential of this
-    flux.  The spheres r and r +- dr pass the sphere rule's gate first; a zero
-    flux then samples nothing: every side is the +0.0 its sphere sums would give.
+    flux.  One gate admits the three spheres: the ball of radius r + dr, which
+    holds them, must fit the box and r - dr must be positive.  A zero flux
+    then samples nothing: every side is the +0.0 its sphere sums would give.
     """
     _check_ghost_contract(g, flux.grid, flux.base_point, flux.f0)
     grid = g.grid
@@ -384,12 +386,13 @@ def shell_identity_report(flux: FluxField, g: GhostFunction, radii) -> list[Shel
     out = []
     for r in radii:
         r = float(r)
-        for rad in (r + dr, r, r - dr):
-            grid.require_ball_inside(z, rad)
+        grid.require_ball_inside(z, r + dr)
+        require_positive_radius(r - dr)
         if flux.is_zero:
             flux_side = hi = lo = 0.0
         else:
-            pts, wts, samples = _sphere_samples(list(flux.field.values), grid, z, r)
+            pts, wts = sphere_quadrature(grid.dim, z, r)
+            samples = _interp_core(list(flux.field.values), grid, pts)
             flux_side = _sphere_flux(z, r, pts, wts, samples)
             # both shifted shells in one gather
             pts_hi, w_hi = sphere_quadrature(grid.dim, z, r + dr)
@@ -419,8 +422,9 @@ def flux_l2_profile(flux: FluxField, radii) -> list[tuple[float, float]]:
 
     This is the normalized flux energy of the smallness hypothesis in the
     blow-up analysis; reported for inspection, never asserted against the
-    non-constructive smallness constant.  A zero flux passes the ball rule's
-    gate and integrates nothing: its integral of +0 is 0.0.
+    non-constructive smallness constant.  A nonzero flux meets the ball rule's
+    gate in ball_integral; a zero flux passes the same gate and integrates
+    nothing: its integral of +0 is 0.0.
     """
     grid = flux.grid
     z = np.asarray(flux.base_point, dtype=float)
@@ -429,7 +433,8 @@ def flux_l2_profile(flux: FluxField, radii) -> list[tuple[float, float]]:
     out = []
     for r in radii:
         r = float(r)
-        grid.require_ball_inside(z, r)
+        if flux.is_zero:
+            grid.require_ball_inside(z, r)
         integral = 0.0 if flux.is_zero else ball_integral(mag2, z, r)
         out.append((r, float(integral / r)))
     return out

@@ -9,6 +9,7 @@ summary row outlives it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -59,13 +60,8 @@ GHOST_META_KEYS = ("base_point", "f0", "cap_radius", "residual", "iterations")
 
 
 def build_problem(s: Scenario) -> Problem:
-    return Problem(
-        grid=s.grid,
-        model=s.model,
-        boundary=s.boundary,
-        lam=s.lam,
-        eps=s.eps,
-    )
+    """The scenario's minimization instance, Scenario.problem."""
+    return s.problem
 
 
 def stage_minimize(s: Scenario) -> tuple[ScalarField, dict]:
@@ -168,7 +164,7 @@ def _sharp_field(u: ScalarField, level: float) -> ScalarField:
 
 def stage_scan(s: Scenario, u: ScalarField, g: GhostFunction) -> MonotonicityReport:
     """Radius scan at the ghost's base point; the ghost must carry the scenario's F'(1)."""
-    return scan(u, s.model, s.lam_value, g.base_point, s.radii(), g, level=s.phase_level)
+    return scan(u, s.model, s.problem.lam, g.base_point, s.radii(), g, level=s.phase_level)
 
 
 def stage_blowup(s: Scenario, u: ScalarField, z) -> dict:
@@ -223,13 +219,13 @@ def read_ghost(path) -> GhostFunction:
     if meta is None or any(k not in meta for k in GHOST_META_KEYS):
         raise ValueError(f"{path} is not a ghost file: missing contract metadata")
     z, dim = meta["base_point"], phi.grid.dim
-    if not (_is_vector(z) and len(z) == dim):
-        raise ValueError(f"{path}: ghost base_point must be {dim} numbers, got {z!r}")
-    if not (all(_is_number(meta[k]) for k in ("f0", "cap_radius", "residual"))
+    if not (_is_vector(z) and len(z) == dim and all(map(math.isfinite, z))):
+        raise ValueError(f"{path}: ghost base_point must be {dim} finite numbers, got {z!r}")
+    numbers = [meta[k] for k in ("f0", "cap_radius", "residual")]
+    if not (all(_is_number(v) and math.isfinite(v) for v in numbers)
             and _is_int(meta["iterations"])):
-        raise ValueError(
-            f"{path}: ghost f0, cap_radius and residual must be numbers, iterations an integer"
-        )
+        raise ValueError(f"{path}: ghost f0, cap_radius and residual must be finite numbers, "
+                         "iterations an integer")
     return GhostFunction(
         potential=phi,
         base_point=tuple(float(c) for c in z),

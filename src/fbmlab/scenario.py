@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .blowup import MIN_SCALE_CELLS, SCALE_FRACTION
-from .density import DensityModel, bernoulli_lambda
+from .density import DensityModel
 from .errors import GeometryError, ScenarioError
 from .fieldio import _is_int, _is_number, _is_vector
 from .fields import Grid, geometric_radii
@@ -271,13 +272,11 @@ class Scenario:
     field_path: str | None = None
     output_dir: str | None = None
 
-    @property
-    def lam_value(self) -> float:
-        return bernoulli_lambda(self.model) if self.lam is None else self.lam
-
-    @property
-    def eps(self) -> float:
-        return self.eps_factor * self.grid.h
+    @cached_property
+    def problem(self) -> Problem:
+        """The minimization instance, the one owner of λ and ε = eps_factor h (built once)."""
+        g = self.grid
+        return Problem(g, self.model, self.boundary, self.lam, self.eps_factor * g.h)
 
     @property
     def phase_level(self) -> float:
@@ -290,7 +289,7 @@ class Scenario:
         ramped profile vanishes.  A field read back with --field belongs to
         the scenario, so it gets the scenario's level.
         """
-        return 0.0 if self.field_path is not None else ramp_free_boundary(self.eps)
+        return 0.0 if self.field_path is not None else ramp_free_boundary(self.problem.eps)
 
     @property
     def reach(self) -> float:

@@ -53,7 +53,7 @@ class TestRescale:
     def test_degree_one_field_scale_free(self):
         g = box_grid(2, 64)
         u = sample(g, np.hypot)
-        ref = unit_box(2, 32)
+        ref = box_grid(2, 32)
         a = rescale(u, (0.0, 0.0), 0.5, ref)
         b = rescale(u, (0.0, 0.0), 0.25, ref)
         assert np.max(np.abs(a.values - b.values)) <= g.h
@@ -61,7 +61,7 @@ class TestRescale:
     def test_quadratic_is_linear_in_scale(self):
         g = box_grid(2, 64)
         u = sample(g, lambda x, y: x * x + y * y)
-        ref = unit_box(2, 32)
+        ref = box_grid(2, 32)
         for r in (0.5, 0.25):
             v = rescale(u, (0.0, 0.0), r, ref)
             yy = sum(m * m for m in ref.node_mesh())
@@ -70,7 +70,7 @@ class TestRescale:
     def test_composition(self):
         g = box_grid(2, 96)
         u = sample(g, lambda x, y: np.hypot(x, y) + 0.2 * x)
-        ref = unit_box(2, 48)
+        ref = box_grid(2, 48)
         once = rescale(u, (0.1, 0.0), 0.4, ref)
         twice = rescale(once, (0.0, 0.0), 0.5, ref)
         direct = rescale(u, (0.1, 0.0), 0.2, ref)
@@ -88,7 +88,7 @@ class TestRescale:
     def test_nan_scale_raises_like_negative(self, r):
         g = box_grid(2, 16)
         u = sample(g, lambda x, y: x)
-        with pytest.raises(ValueError, match="scale must be positive"):
+        with pytest.raises(GeometryError, match="radius must be positive"):
             rescale(u, (0.0, 0.0), r, g)
 
 
@@ -124,7 +124,7 @@ class TestHomogeneityDeviation:
 
 class TestFlatnessDeficit:
     def test_exact_profile_recovered(self):
-        ref = unit_box(3, 32)
+        ref = box_grid(3, 32)
         e0 = np.array([2.0, 1.0, 2.0]) / 3.0
         u = sample(ref, lambda x, y, z: np.maximum(e0[0] * x + e0[1] * y + e0[2] * z, 0.0))
         fit = flatness_deficit(u)
@@ -133,19 +133,19 @@ class TestFlatnessDeficit:
 
     def test_zero_field(self):
         for dim in (2, 3):
-            ref = unit_box(dim, 16)
+            ref = box_grid(dim, 16)
             u = ScalarField(ref, np.zeros(ref.node_shape))
             fit = flatness_deficit(u)
             assert fit.deficit == pytest.approx(0.5, rel=1e-2)
 
     def test_two_sided_wedge(self):
-        ref = unit_box(3, 24)
+        ref = box_grid(3, 24)
         u = sample(ref, lambda x, y, z: np.abs(x))
         fit = flatness_deficit(u)
         assert fit.deficit == pytest.approx(0.5, rel=5e-2)
 
     def test_rotation_equivariant(self):
-        ref = unit_box(2, 32)
+        ref = box_grid(2, 32)
         e0 = np.array([0.6, 0.8])
         u = sample(ref, lambda x, y: np.maximum(e0[0] * x + e0[1] * y, 0.0))
         # rotate node data by 90 degrees: (x, y) -> (-y, x)
@@ -334,6 +334,28 @@ class TestSequenceWindow:
         got = flatness_deficit(rescale(u, z, 0.45, unit_box(dim)))
         direction, deficit = frozen_flatness_deficit(frozen_rescale(u, z, 0.45, unit_box(dim)))
         assert fit_bits(got) == (np.array(direction).tobytes(), np.float64(deficit).tobytes())
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unit_scale_sequence_is_the_public_fit(self, dim):
+        # one fit path: build_sequence at z = 0, r = 1 is flatness_deficit
+        v = halfplane_blowup(dim)
+        seq = build_sequence(v, (0.0,) * dim, scales=(1.0,))
+        fit = flatness_deficit(v)
+        assert fit_bits(fit) == (
+            np.array(seq.directions[0]).tobytes(), np.float64(seq.deficits[0]).tobytes()
+        )
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fit_samples_any_grid_at_the_fit_points(self, dim):
+        # a field on another grid than unit_box is interpolated at the fit
+        # points, not read at its own nodes
+        u = curved_boundary_field(dim, 48)
+        assert u.grid != unit_box(dim)
+        pts, _ = reference_points(unit_box(dim))
+        direction, deficit = frozen_fit(pts, interpolate(u, pts))
+        assert fit_bits(flatness_deficit(u)) == (
+            np.array(direction).tobytes(), np.float64(deficit).tobytes()
+        )
 
     def test_reference_box_must_fit(self):
         # the deviation's ball gate rejects a scale whose ball leaves the

@@ -336,8 +336,16 @@ class TestExitCodes:
             ("f0", "1.0"),
             ("residual", None),
             ("iterations", 1.0),
+            # non-finite contract numbers: JSON's NaN and Infinity parse as floats
+            ("base_point", [float("nan"), 0.0]),
+            ("f0", float("nan")),
+            ("cap_radius", float("inf")),
+            ("residual", float("inf")),
         ],
-        ids=["point_number", "point_count", "point_strings", "f0", "residual", "iterations"],
+        ids=[
+            "point_number", "point_count", "point_strings", "f0", "residual", "iterations",
+            "point_nan", "f0_nan", "cap_radius_inf", "residual_inf",
+        ],
     )
     def test_malformed_ghost_contract_exits_2(
         self, config_path, reference_run, tmp_path, capsys, key, value

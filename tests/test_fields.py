@@ -467,14 +467,15 @@ class TestGatherKernel:
         "bad", [[1.0 + 1e-6, 0.0], [0.0, -1.0 - 1e-6], [float("nan"), 0.0], [0.0, float("inf")]]
     )
     def test_outside_or_nan_points_raise(self, bad):
+        # interpolate checks the points its caller gives; the kernel trusts its gate
         grid = box_grid(2, 4)
         with pytest.raises(GeometryError):
-            _interp_core([np.zeros(grid.node_shape)], grid, np.array([[0.1, 0.2], bad]))
+            interpolate(ScalarField(grid, np.zeros(grid.node_shape)), np.array([[0.1, 0.2], bad]))
 
     def test_wrong_column_count_raises(self):
         grid = box_grid(3, 4)
         with pytest.raises(ValueError):
-            _interp_core([np.zeros(grid.node_shape)], grid, np.zeros((5, 2)))
+            interpolate(ScalarField(grid, np.zeros(grid.node_shape)), np.zeros((5, 2)))
 
 
 class TestBallRadius:
@@ -534,16 +535,16 @@ class TestSphereQuadrature:
 
     def test_weights_sum_to_surface_measure(self):
         for dim, area in ((2, 2 * math.pi * 0.7), (3, 4 * math.pi * 0.49)):
-            _, w = sphere_quadrature(dim, (0,) * dim, 0.7, 2000)
+            _, w = sphere_quadrature(dim, (0,) * dim, 0.7)
             assert np.sum(w) == pytest.approx(area, rel=1e-12)
 
     def test_points_on_sphere(self):
-        pts, _ = sphere_quadrature(3, (0.1, -0.2, 0.0), 0.5, 500)
+        pts, _ = sphere_quadrature(3, (0.1, -0.2, 0.0), 0.5)
         radii = np.linalg.norm(pts - np.array([0.1, -0.2, 0.0]), axis=1)
         assert np.max(np.abs(radii - 0.5)) < 1e-12
 
     def test_odd_moment_cancels(self):
-        pts, w = sphere_quadrature(3, (0, 0, 0), 1.0, 4000)
+        pts, w = sphere_quadrature(3, (0, 0, 0), 1.0)
         e = np.array([0.3, -0.5, 0.81])
         e /= np.linalg.norm(e)
         val = np.dot(w, pts @ e)
@@ -551,7 +552,7 @@ class TestSphereQuadrature:
 
     def test_second_moment_3d(self):
         # integral over S^2 of (w.e)^2 equals 4*pi/3
-        pts, w = sphere_quadrature(3, (0, 0, 0), 1.0, 4000)
+        pts, w = sphere_quadrature(3, (0, 0, 0), 1.0)
         e = np.array([0.0, 0.0, 1.0])
         val = np.dot(w, (pts @ e) ** 2)
         assert val == pytest.approx(4 * math.pi / 3, rel=5e-3)
@@ -559,7 +560,7 @@ class TestSphereQuadrature:
     def test_positive_part_second_moment_vs_scipy(self):
         # oracle: 2*pi*int_0^1 c^2 dc = 2*pi/3 for the one-sided second moment
         oracle, _ = integrate.quad(lambda c: 2 * math.pi * c * c, 0.0, 1.0)
-        pts, w = sphere_quadrature(3, (0, 0, 0), 1.0, 4096)
+        pts, w = sphere_quadrature(3, (0, 0, 0), 1.0)
         e = np.array([1.0, 0.0, 0.0])
         val = np.dot(w, np.maximum(pts @ e, 0.0) ** 2)
         assert val == pytest.approx(oracle, rel=5e-3)
@@ -787,12 +788,12 @@ class TestBallWeights:
         assert np.sum(bw.nodes) == pytest.approx(np.sum(bw.cells), rel=1e-14)
 
     def test_sphere_directions_cached_read_only(self):
-        pts, w = sphere_quadrature(3, (0.1, 0.0, 0.0), 0.5, 64)
-        omega = _unit_sphere(3, 64)
+        pts, w = sphere_quadrature(3, (0.1, 0.0, 0.0), 0.5)
+        omega = _unit_sphere(3, 4096)
         assert not omega.flags.writeable
         assert np.array_equal(pts, 0.1 * np.eye(3)[0] + 0.5 * omega)
         assert pts.flags.writeable and w.flags.writeable
-        assert np.all(w == 4.0 * math.pi * 0.5 * 0.5 / 64)
+        assert np.all(w == 4.0 * math.pi * 0.5 * 0.5 / 4096)
 
 
 def frozen_ball_weights(grid, z, r, n_sub, core=False):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbmlab.blowup import rescale, unit_box
+from fbmlab.blowup import rescale
 from fbmlab.density import DensityModel, slope_deviation
 from fbmlab.errors import GeometryError, SolverError
 from fbmlab.fastdiag import neumann_solve as fast_neumann_solve
@@ -579,7 +579,7 @@ def rescaled_flux(u, model, z, theta):
     Algebraically it equals theta * U(z + theta y), so the reach statistic
     max |U_theta| * |y| should not depend on theta.
     """
-    ref = unit_box(u.grid.dim, int(min(u.grid.n_cells)))
+    ref = box_grid(u.grid.dim, int(min(u.grid.n_cells)))
     v = rescale(u, z, theta, ref)
     return flux_field(v, model, (0.0,) * u.grid.dim)
 
@@ -728,6 +728,31 @@ class TestZeroFlux:
             call(full, neumann_solve(full), h)
         with pytest.raises(GeometryError, match=f"^{re.escape(str(want.value))}$"):
             call(zero, neumann_solve(zero), h)
+
+    @pytest.mark.parametrize("model", [LINEAR, ARCTAN], ids=["zero_flux", "nonzero_flux"])
+    def test_one_gate_per_radius_still_rejects(self, model):
+        # the shell identity gates r + h/2, the ball that holds its three
+        # spheres, and r - h/2 > 0; the L2 profile leaves a nonzero flux to
+        # the ball rule's gate and gates a zero flux itself
+        u = curved_linear_field(2)
+        flux = flux_field(u, model, (0.2, 0.3))
+        assert flux.is_zero == (model is LINEAR)
+        g = neumann_solve(flux)
+        h = u.grid.h
+        cases = [
+            (lambda: shell_identity_report(flux, g, [0.5 * h]), "radius must be positive"),
+            (lambda: shell_identity_report(flux, g, [0.25 * h]), "radius must be positive"),
+            (lambda: shell_identity_report(flux, g, [0.6 - 0.25 * h]), "leaves the box"),
+            (lambda: flux_l2_profile(flux, [0.0]), "radius must be positive"),
+            (lambda: flux_l2_profile(flux, [float("nan")]), "radius must be positive"),
+            (lambda: flux_l2_profile(flux, [0.65]), "leaves the box"),
+        ]
+        for call, message in cases:
+            with pytest.raises(GeometryError, match=message):
+                call()
+        # the box reaches 0.6 from z; the extreme feasible radii still run
+        assert len(shell_identity_report(flux, g, [0.6 - 0.5 * h, 0.75 * h])) == 2
+        assert len(flux_l2_profile(flux, [0.6])) == 1
 
     def test_arctan_flux_takes_full_path(self):
         u = curved_linear_field(2)

@@ -646,8 +646,8 @@ SCENARIO_3D = Path(__file__).resolve().parent.parent / "scenarios" / "halfplane_
 class TestPhaseLevel:
     def test_minimized_scenario_uses_the_ramped_free_boundary(self, tmp_path):
         s = tiny_scenario()
-        assert s.phase_level == ramp_free_boundary(s.eps)
-        assert 0.0 < s.phase_level < s.eps
+        assert s.phase_level == ramp_free_boundary(s.problem.eps)
+        assert 0.0 < s.phase_level < s.problem.eps
         stored = tiny_scenario(field_path=str(tmp_path / "u.bin"))
         assert stored.phase_level == 0.0
 

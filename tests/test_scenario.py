@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from fbmlab.blowup import MIN_SCALE_CELLS, SCALE_FRACTION
 from fbmlab.cli import main
 from fbmlab.density import bernoulli_lambda
 from fbmlab.errors import ScenarioError
-from fbmlab.fields import geometric_radii
+from fbmlab.fields import Grid, geometric_radii
 from fbmlab.ghost import SHELL_STEP_CELLS
 from fbmlab.scenario import (
     RADIUS_MARGIN,
@@ -236,7 +237,7 @@ class TestFromDict:
         assert s.max_iter == 10_000
         assert s.eps_factor == 2.0
         assert s.ghost_tol == 1e-8
-        assert s.eps == pytest.approx(2.0 * s.grid.h)
+        assert s.problem.eps == pytest.approx(2.0 * s.grid.h)
 
     def test_radii_match_ladder(self):
         s = Scenario.from_dict(good_dict())
@@ -245,10 +246,18 @@ class TestFromDict:
     def test_lambda_default_and_override(self):
         s = Scenario.from_dict(good_dict())
         assert s.lam is None
-        assert s.lam_value == pytest.approx(bernoulli_lambda(s.model), abs=0.0)
+        assert s.problem.lam == pytest.approx(bernoulli_lambda(s.model), abs=0.0)
         data = good_dict()
         data["lambda"] = 2.5
-        assert Scenario.from_dict(data).lam_value == 2.5
+        assert Scenario.from_dict(data).problem.lam == 2.5
+
+    def test_problem_is_built_once_and_follows_the_grid(self):
+        s = Scenario.from_dict(good_dict())
+        assert s.problem is s.problem
+        assert (s.problem.grid, s.problem.model, s.problem.boundary) == (s.grid, s.model, s.boundary)
+        finer = replace(s, grid=Grid(s.grid.lo, s.grid.hi, tuple(2 * n for n in s.grid.n_cells)))
+        assert finer.eps_factor == s.eps_factor
+        assert finer.problem.eps == s.eps_factor * finer.grid.h == 0.5 * s.problem.eps
 
     def test_explicit_points_become_tuples(self):
         data = good_dict()
