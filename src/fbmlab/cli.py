@@ -10,12 +10,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 from .errors import GeometryError, ScenarioError, SolverError
-from .fieldio import _pair, write_csv, write_field, write_json
-from .fields import ScalarField
+from .fieldio import read_field, write_csv, write_field, write_json
 from .monotonicity import write_report_csv
 from .pipeline import (
     blowup_columns,
@@ -28,7 +25,7 @@ from .pipeline import (
     stage_scan,
     write_ghost,
 )
-from .scenario import Scenario, load_scenario, read_scenario, validate_dict
+from .scenario import load_scenario, read_scenario, validate_dict
 
 __all__ = ["main", "parse_point"]
 
@@ -54,7 +51,7 @@ def parse_point(text: str, dim: int) -> tuple[float, ...]:
 # each subcommand's help, its required options and its optional ones (default None)
 _OPTIONS = {
     "minimize": ("produce the field for a scenario", "config out", "report"),
-    "ghost": ("flux decomposition at one point", "field config z out", "report"),
+    "ghost": ("flux decomposition at one point", "field config z out", ""),
     "monotonicity": ("radius scan against a stored ghost", "field ghost config out", ""),
     "blowup": ("rescaling ladder at one point", "field config z out", ""),
     "pipeline": ("run every stage and write all artifacts", "config", "out"),
@@ -77,11 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_field_for(s: Scenario, path: str) -> ScalarField:
-    """The field stored at path, which must live on the scenario's grid."""
-    return obtain_field(replace(s, field_path=path))[0]
-
-
 def _cmd_minimize(args) -> int:
     s = load_scenario(args.config)
     u, report = obtain_field(s)
@@ -94,24 +86,14 @@ def _cmd_minimize(args) -> int:
 def _cmd_ghost(args) -> int:
     s = load_scenario(args.config)
     z = parse_point(args.z, s.grid.dim)
-    u = _load_field_for(s, args.field)
-    g, report = stage_ghost(s, u, z)
+    g, report = stage_ghost(s, read_field(args.field, s.grid)[0], z)
     write_ghost(g, args.out, report=report)
-    sidecar = _pair(args.out)[0]
-    if args.report is not None and Path(args.report).resolve() != sidecar.resolve():
-        write_json(args.report, report)
     return EXIT_OK
 
 
 def _cmd_monotonicity(args) -> int:
     s = load_scenario(args.config)
-    u = _load_field_for(s, args.field)
-    g = read_ghost(args.ghost)
-    if g.potential.grid != u.grid:
-        raise ScenarioError(
-            f"ghost file {args.ghost} lives on a different grid than the field"
-        )
-    report = stage_scan(s, u, g)
+    report = stage_scan(s, read_field(args.field, s.grid)[0], read_ghost(args.ghost))
     write_report_csv(report, args.out)
     return EXIT_OK
 
@@ -119,9 +101,8 @@ def _cmd_monotonicity(args) -> int:
 def _cmd_blowup(args) -> int:
     s = load_scenario(args.config)
     z = parse_point(args.z, s.grid.dim)
-    u = _load_field_for(s, args.field)
-    blow = stage_blowup(s, u, z)
-    write_csv(args.out, blowup_columns(u.grid.dim), blowup_rows(blow))
+    blow = stage_blowup(s, read_field(args.field, s.grid)[0], z)
+    write_csv(args.out, blowup_columns(s.grid.dim), blowup_rows(blow))
     return EXIT_OK
 
 

@@ -5,8 +5,9 @@ header {dim, lo, hi, n_cells} (plus an optional "meta" object), `name.bin`
 holds the node values as little-endian float64 in row-major order.  Either
 path may be passed to the readers and writers.  A field comes from outside
 the program, so read_field checks its header's JSON types (the predicates
-below, which scenario files share) and that every node value is finite, and
-names the file in every ValueError.
+below, which scenario files share), that every node value is finite and,
+when given the run's grid, that the field lives on it; it names the file in
+every ValueError.
 
 CSV files use `repr` formatting so every float round-trips exactly.
 """
@@ -65,22 +66,28 @@ def write_field(f: ScalarField, path: str | Path, meta: dict | None = None) -> N
     data_path.write_bytes(np.ascontiguousarray(f.values, dtype="<f8"))
 
 
-def read_field(path: str | Path) -> tuple[ScalarField, dict | None]:
+def read_field(path: str | Path, grid: Grid | None = None) -> tuple[ScalarField, dict | None]:
+    """The field stored at path and its header's meta object (or None).
+
+    Given a grid, this is the one check that a stored field lives on it."""
     header_path, data_path = _pair(path)
     if not header_path.exists() or not data_path.exists():
         raise FileNotFoundError(f"field pair {header_path} / {data_path} incomplete")
-    grid, meta = _read_header(header_path)
+    own, meta = _read_header(header_path)
+    if grid is not None and own != grid:
+        raise ValueError(f"{header_path}: the stored field lives on a different grid, "
+                         f"{own}, than the run's {grid}")
     raw = np.frombuffer(data_path.read_bytes(), dtype="<f8")
-    if raw.size != grid.n_nodes:
+    if raw.size != own.n_nodes:
         raise ValueError(
-            f"{data_path}: expected {grid.n_nodes} float64 values, found {raw.size}"
+            f"{data_path}: expected {own.n_nodes} float64 values, found {raw.size}"
         )
     # min and max propagate NaN, so these two reductions see every bad value
     if not (np.isfinite(raw.min()) and np.isfinite(raw.max())):
         raise ValueError(f"{data_path}: node values must be finite")
     # the field keeps the read-only view of the file's bytes; ScalarField
     # converts it to native byte order only on a big-endian host
-    return ScalarField(grid, raw.reshape(grid.node_shape)), meta
+    return ScalarField(own, raw.reshape(own.node_shape)), meta
 
 
 def _read_header(path: Path) -> tuple[Grid, dict | None]:

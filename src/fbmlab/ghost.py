@@ -29,6 +29,10 @@ weakly divergence free; the remainder is never stored, it is derived from
 the flux when a check needs it.  Shell averages of the potential are what
 later corrects the monotonicity quantity.
 
+A ghost file (write_ghost, read_ghost) is the potential's field pair whose
+sidecar meta block holds the contract GHOST_META_KEYS and, from a stage,
+the full report; read_ghost admits only a whole contract whose cap is h/2.
+
 Grid-array budget (one array is a float64 per node; the flux is dim of
 them, one contiguous array per component).  flux_field works in two more:
 q, turned in place into the slope gap and the lead factor, and one for each
@@ -44,6 +48,7 @@ and flux_field within 6.
 
 from __future__ import annotations
 
+import math
 from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 
@@ -52,6 +57,7 @@ import numpy as np
 from .density import DensityModel, slope_deviation
 from .errors import GeometryError, SolverError
 from .fastdiag import neumann_solve as fast_neumann_solve
+from .fieldio import _is_int, _is_number, _is_vector, read_field, write_field
 from .fields import (
     Grid,
     ScalarField,
@@ -84,6 +90,9 @@ __all__ = [
     "shell_identity_report",
     "flux_reach",
     "flux_l2_profile",
+    "GHOST_META_KEYS",
+    "write_ghost",
+    "read_ghost",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -91,6 +100,12 @@ BOUND_SLACK = 1e-8
 BASE_POINT_ATOL = 1e-12
 STABILITY_EXPONENT = 1.5
 SHELL_STEP_CELLS = 0.5
+GHOST_META_KEYS = ("base_point", "f0", "cap_radius", "residual", "iterations")
+
+
+def _cap(grid: Grid) -> float:
+    """The cap h/2, the floor on the singular distance |x - z| of every flux."""
+    return 0.5 * grid.h
 
 
 @dataclass(frozen=True)
@@ -120,7 +135,7 @@ class FluxField:
     @property
     def cap_radius(self) -> float:
         """The floor h/2 on the singular distance |x - z|."""
-        return 0.5 * self.grid.h
+        return _cap(self.grid)
 
     @cached_property
     def norm_sq(self) -> np.ndarray:
@@ -153,7 +168,7 @@ class GhostFunction:
     @property
     def cap_radius(self) -> float:
         """The cap h/2 of the flux this potential splits."""
-        return 0.5 * self.grid.h
+        return _cap(self.grid)
 
 
 def _check_ghost_contract(g: GhostFunction, grid: Grid, z, f0: float) -> None:
@@ -170,6 +185,54 @@ def _check_ghost_contract(g: GhostFunction, grid: Grid, z, f0: float) -> None:
         )
     if not abs(g.f0 - f0) <= BASE_POINT_ATOL:
         raise ValueError(f"ghost reference slope {g.f0} does not match requested {f0}")
+
+
+def write_ghost(g: GhostFunction, path, report: dict | None = None) -> None:
+    """Persist the potential with the ghost contract in the sidecar header.
+
+    The sidecar JSON doubles as the ghost report: its meta block always
+    carries the contract keys and, when given, the full diagnostic report.
+    The divergence-free remainder U - grad(phi) is not stored: it is derived
+    from the flux whenever a check needs it (see weak_divergence_residual).
+    """
+    meta = _ghost_contract(g)
+    if report is not None:
+        meta = {**meta, **report}
+    write_field(g.potential, path, meta=meta)
+
+
+def _ghost_contract(g: GhostFunction) -> dict:
+    """The GHOST_META_KEYS of g, with the base point as a list of floats."""
+    meta = {key: getattr(g, key) for key in GHOST_META_KEYS}
+    meta["base_point"] = [float(c) for c in g.base_point]
+    return meta
+
+
+def read_ghost(path) -> GhostFunction:
+    """The ghost stored at path; ValueError naming path unless its contract is whole,
+    with the cap h/2 of its grid.  Whether it belongs to a run (grid, base point,
+    F0) is _check_ghost_contract's to decide."""
+    phi, meta = read_field(path)
+    if meta is None or any(k not in meta for k in GHOST_META_KEYS):
+        raise ValueError(f"{path} is not a ghost file: missing contract metadata")
+    z, dim = meta["base_point"], phi.grid.dim
+    if not (_is_vector(z) and len(z) == dim and all(map(math.isfinite, z))):
+        raise ValueError(f"{path}: ghost base_point must be {dim} finite numbers, got {z!r}")
+    if not (all(_is_number(meta[k]) and math.isfinite(meta[k]) for k in ("f0", "residual"))
+            and _is_int(meta["iterations"])):
+        raise ValueError(f"{path}: ghost f0 and residual must be finite numbers, "
+                         "iterations an integer")
+    cap = meta["cap_radius"]
+    if not (_is_number(cap) and cap == _cap(phi.grid)):
+        raise ValueError(f"{path}: ghost cap_radius must be h/2 = {_cap(phi.grid)!r} "
+                         f"of its grid, got {cap!r}")
+    return GhostFunction(
+        potential=phi,
+        base_point=tuple(float(c) for c in z),
+        f0=float(meta["f0"]),
+        residual=float(meta["residual"]),
+        iterations=int(meta["iterations"]),
+    )
 
 
 def _node_distance(grid: Grid, z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -205,7 +268,7 @@ def flux_field(u: ScalarField, model: DensityModel, z) -> FluxField:
         values = np.zeros((dim,) + grid.node_shape)
     else:
         diffs, d2 = _node_distance(grid, z)
-        np.square(np.maximum(d2, 0.5 * h, out=d2), out=d2)
+        np.square(np.maximum(d2, _cap(grid), out=d2), out=d2)
         lead *= 2.0
         lead *= u.values
         lead /= d2

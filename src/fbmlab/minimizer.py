@@ -148,10 +148,7 @@ class BoundaryData:
             return np.where(inside, r * np.cos(theta * np.pi / self.angle), 0.0)
         from .fieldio import read_field
 
-        f, _ = read_field(self.path)
-        if f.grid != grid:
-            raise ValueError(f"stored field grid does not match: {self.path}")
-        return np.array(f.values)
+        return np.array(read_field(self.path, grid)[0].values)
 
 
 @dataclass(frozen=True)

@@ -9,33 +9,26 @@ summary row outlives it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryError, ScenarioError
+from .errors import GeometryError
 from .blowup import build_sequence, regularity_verdict
-from .fieldio import (
-    _is_int,
-    _is_number,
-    _is_vector,
-    read_field,
-    write_csv,
-    write_field,
-    write_json,
-    write_points_csv,
-)
+from .fieldio import read_field, write_csv, write_field, write_json, write_points_csv
 from .fields import ScalarField, drop_ball_weights, free_boundary_points
 from .ghost import (
     GhostFunction,
+    _ghost_contract,
     flux_bound_report,
     flux_field,
     flux_l2_profile,
     neumann_solve,
+    read_ghost,
     shell_identity_report,
     stability_report,
+    write_ghost,
 )
 from .minimizer import Problem, initial_guess, minimize
 from .monotonicity import MonotonicityReport, scan, write_report_csv
@@ -49,14 +42,10 @@ __all__ = [
     "stage_ghost",
     "stage_scan",
     "stage_blowup",
-    "write_ghost",
-    "read_ghost",
     "blowup_rows",
     "blowup_columns",
     "run_pipeline",
 ]
-
-GHOST_META_KEYS = ("base_point", "f0", "cap_radius", "residual", "iterations")
 
 
 def build_problem(s: Scenario) -> Problem:
@@ -92,12 +81,7 @@ def obtain_field(s: Scenario) -> tuple[ScalarField, dict]:
     """Load the scenario's field file if one is named, else minimize."""
     if s.field_path is None:
         return stage_minimize(s)
-    u, _ = read_field(s.field_path)
-    if u.grid != s.grid:
-        raise ScenarioError(
-            f"field file {s.field_path} lives on a different grid than the scenario"
-        )
-    return u, {"loaded_from": s.field_path}
+    return read_field(s.field_path, s.grid)[0], {"loaded_from": s.field_path}
 
 
 def select_points(s: Scenario, u: ScalarField) -> tuple[tuple[float, ...], ...]:
@@ -128,10 +112,12 @@ def stage_ghost(s: Scenario, u: ScalarField, z) -> tuple[GhostFunction, dict]:
     """Flux at z, its gradient potential, and the certification report.
 
     The flux is built from the sharp field (u - l)^+ the scan reads, l =
-    Scenario.phase_level; at l = 0 (a stored field, u >= 0) that is u itself.
-    The flux bound reads u.lipschitz, which bounds (u - l)^+ too; it is read
-    first, so a first computation is over before the flux is built, and is
-    cached on u for every later point.  (u - l)^+ dies with flux_field.
+    Scenario.phase_level, at every level: a stored field (l = 0) with
+    negative nodes is split as its positive part, and for u >= 0 the
+    positive part is u bit for bit.  The flux bound reads u.lipschitz,
+    which bounds (u - l)^+ too; it is read first, so a first computation is
+    over before the flux is built, and is cached on u for every later
+    point.  (u - l)^+ dies with flux_field.
     """
     lip = u.lipschitz
     flux = flux_field(_sharp_field(u, s.phase_level), s.model, z)
@@ -153,9 +139,7 @@ def stage_ghost(s: Scenario, u: ScalarField, z) -> tuple[GhostFunction, dict]:
 
 
 def _sharp_field(u: ScalarField, level: float) -> ScalarField:
-    """(u - level)^+, built in one array that the field keeps uncopied; u itself at level 0."""
-    if level == 0.0:
-        return u
+    """(u - level)^+, built in one array that the field keeps uncopied."""
     values = np.subtract(u.values, level)
     np.maximum(values, 0.0, out=values)
     values.setflags(write=False)
@@ -191,48 +175,6 @@ def blowup_rows(blow: dict) -> list[tuple]:
             blow["scales"], blow["deviations"], blow["deficits"], blow["directions"]
         )
     ]
-
-
-def write_ghost(g: GhostFunction, path, report: dict | None = None) -> None:
-    """Persist the potential with the ghost contract in the sidecar header.
-
-    The sidecar JSON doubles as the ghost report: its meta block always
-    carries the contract keys and, when given, the full diagnostic report.
-    The divergence-free remainder U - grad(phi) is not stored: it is derived
-    from the flux whenever a check needs it (see weak_divergence_residual).
-    """
-    meta = _ghost_contract(g)
-    if report is not None:
-        meta = {**meta, **report}
-    write_field(g.potential, path, meta=meta)
-
-
-def _ghost_contract(g: GhostFunction) -> dict:
-    """The GHOST_META_KEYS of g, with the base point as a list of floats."""
-    meta = {key: getattr(g, key) for key in GHOST_META_KEYS}
-    meta["base_point"] = [float(c) for c in g.base_point]
-    return meta
-
-
-def read_ghost(path) -> GhostFunction:
-    phi, meta = read_field(path)
-    if meta is None or any(k not in meta for k in GHOST_META_KEYS):
-        raise ValueError(f"{path} is not a ghost file: missing contract metadata")
-    z, dim = meta["base_point"], phi.grid.dim
-    if not (_is_vector(z) and len(z) == dim and all(map(math.isfinite, z))):
-        raise ValueError(f"{path}: ghost base_point must be {dim} finite numbers, got {z!r}")
-    numbers = [meta[k] for k in ("f0", "cap_radius", "residual")]
-    if not (all(_is_number(v) and math.isfinite(v) for v in numbers)
-            and _is_int(meta["iterations"])):
-        raise ValueError(f"{path}: ghost f0, cap_radius and residual must be finite numbers, "
-                         "iterations an integer")
-    return GhostFunction(
-        potential=phi,
-        base_point=tuple(float(c) for c in z),
-        f0=float(meta["f0"]),
-        residual=float(meta["residual"]),
-        iterations=int(meta["iterations"]),
-    )
 
 
 def run_pipeline(s: Scenario, out_dir=None) -> dict:

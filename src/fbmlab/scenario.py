@@ -46,7 +46,8 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
 
     Checks here that each key is present with the right JSON type, then
     builds each typed object once (Grid, DensityModel, BoundaryData, the
-    radius ladder, Problem) and leaves every value constraint to it; a
+    radius ladder, Problem) and leaves every value constraint to it; the
+    Problem it builds seeds Scenario.problem, which is not built again.  A
     constructor's ValueError comes back tagged with the scenario path.  Only
     what no constructor owns is checked here: the solver scalars, 2 cells on
     every grid axis, and an r_min above the shell identity's step.
@@ -192,6 +193,7 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
     for key in ("field_path", "output_dir"):
         if key in data:
             need(isinstance(data[key], str), f"{key}: must be a path string")
+    problem = None
     if all([
         need(_is_number(data[key]), f"{key}: must be a number")
         for key in ("lambda", "eps_factor")
@@ -200,7 +202,7 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
         lam = float(data["lambda"]) if "lambda" in data else None
         eps_factor = float(data.get("eps_factor", DEFAULT_EPS_CELLS))
         if all(x is not None for x in (grid, model, boundary)):
-            build(
+            problem = build(
                 lambda: Problem(grid, model, boundary, lam=lam, eps=eps_factor * grid.h),
                 "boundary", "direction", "center",
                 lam="lambda: ", eps="eps_factor: ",
@@ -210,7 +212,7 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
 
     if points != "auto":
         points = tuple(tuple(float(c) for c in z) for z in points)
-    return Scenario(
+    s = Scenario(
         grid=grid,
         model=model,
         boundary=boundary,
@@ -226,7 +228,10 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
         ghost_tol=float(data.get("ghost_tol", DEFAULT_GHOST_TOL)),
         field_path=data.get("field_path"),
         output_dir=data.get("output_dir"),
-    ), []
+    )
+    # cached_property reads the instance dict, which a frozen dataclass leaves writable
+    s.__dict__["problem"] = problem
+    return s, []
 
 
 def validate_dict(data) -> list[str]:
@@ -274,7 +279,8 @@ class Scenario:
 
     @cached_property
     def problem(self) -> Problem:
-        """The minimization instance, the one owner of λ and ε = eps_factor h (built once)."""
+        """The minimization instance, the one owner of λ and ε = eps_factor h: the
+        parse's, or built once for a Scenario made otherwise (dataclasses.replace)."""
         g = self.grid
         return Problem(g, self.model, self.boundary, self.lam, self.eps_factor * g.h)
 

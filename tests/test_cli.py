@@ -9,6 +9,7 @@ from fbmlab.cli import main, parse_point
 from fbmlab.errors import ScenarioError
 from fbmlab.fieldio import read_csv, write_field
 from fbmlab.fields import Grid, ScalarField
+from fbmlab.ghost import GhostFunction, write_ghost
 from fbmlab.pipeline import run_pipeline
 from fbmlab.scenario import Scenario
 
@@ -283,6 +284,54 @@ class TestExitCodes:
         assert f"{tmp_path / 'f.bin'}: node values must be finite" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "entry", ["field_path", "boundary_file", "ghost", "monotonicity", "blowup"]
+    )
+    def test_field_on_another_grid_exits_2(
+        self, config_path, reference_run, tmp_path, capsys, entry
+    ):
+        # every way a stored field enters a run meets the one grid check in
+        # read_field, which names the header that holds the other grid
+        out, _ = reference_run
+        grid = Grid((-0.75, -0.75), (0.75, 0.75), (32, 32))
+        f = tmp_path / "f.bin"
+        write_field(ScalarField(grid, np.maximum(grid.node_mesh()[1], 0.0)), f)
+        result = tmp_path / "result"
+        if entry in ("field_path", "boundary_file"):
+            if entry == "field_path":
+                cfg = write_config(tmp_path, field_path=str(f))
+            else:
+                cfg = write_config(tmp_path, boundary={"kind": "file", "path": str(f)})
+            rc = main(["pipeline", "--config", str(cfg), "--out", str(result)])
+        else:
+            where = ["--ghost", str(out / "ghost_0.bin")] if entry == "monotonicity" else ["--z", "0,0"]
+            rc = main([
+                entry, "--config", str(config_path), "--field", str(f), *where, "--out", str(result),
+            ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'f.json'}: the stored field lives on a different grid" in err
+        assert not result.exists() or not any(result.iterdir())
+
+    def test_ghost_on_another_grid_exits_2(self, config_path, reference_run, tmp_path, capsys):
+        # a whole ghost contract (its cap is h/2 of its own grid) about the
+        # run's point and F0, on a grid other than the field's
+        out, _ = reference_run
+        meta = json.loads((out / "ghost_0.json").read_text())["meta"]
+        grid = Grid((-0.75, -0.75), (0.75, 0.75), (32, 32))
+        g = GhostFunction(ScalarField(grid, np.zeros(grid.node_shape)),
+                          tuple(meta["base_point"]), meta["f0"], 0.0, 0)
+        write_ghost(g, tmp_path / "g.bin")
+        rc = main([
+            "monotonicity", "--config", str(config_path),
+            "--field", str(out / "field.bin"),
+            "--ghost", str(tmp_path / "g.bin"),
+            "--out", str(tmp_path / "scan.csv"),
+        ])
+        assert rc == 2
+        assert "different grids" in capsys.readouterr().err
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_nonfinite_ghost_exits_2(self, config_path, reference_run, tmp_path, capsys):
         out, _ = reference_run
         (tmp_path / "g.json").write_bytes((out / "ghost_0.json").read_bytes())
@@ -341,10 +390,12 @@ class TestExitCodes:
             ("f0", float("nan")),
             ("cap_radius", float("inf")),
             ("residual", float("inf")),
+            # a finite cap other than h/2 of the ghost's grid
+            ("cap_radius", 0.3),
         ],
         ids=[
             "point_number", "point_count", "point_strings", "f0", "residual", "iterations",
-            "point_nan", "f0_nan", "cap_radius_inf", "residual_inf",
+            "point_nan", "f0_nan", "cap_radius_inf", "residual_inf", "cap_radius_other",
         ],
     )
     def test_malformed_ghost_contract_exits_2(
@@ -414,7 +465,6 @@ class TestStageChain:
             "--field", str(field),
             zflag,
             "--out", str(ghost),
-            "--report", str(tmp_path / "ghost.json"),
         ])
         assert rc == 0
         assert ghost.read_bytes() == (out / "ghost_0.bin").read_bytes()

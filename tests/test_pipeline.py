@@ -11,7 +11,7 @@ import pytest
 
 from fbmlab import monotonicity, pipeline
 from fbmlab.blowup import DEFICIT_THRESHOLD
-from fbmlab.errors import GeometryError, ScenarioError
+from fbmlab.errors import GeometryError
 from fbmlab.fieldio import read_csv, read_field, write_csv, write_field
 from fbmlab.fields import (
     _SLACK,
@@ -471,8 +471,26 @@ class TestObtainField:
         other = Grid((-1.0, -1.0), (1.0, 1.0), (16, 16))
         write_field(ScalarField(other, np.zeros(other.node_shape)), tmp_path / "f.bin")
         s = tiny_scenario(field_path=str(tmp_path / "f.bin"))
-        with pytest.raises(ScenarioError, match="different grid"):
+        with pytest.raises(ValueError, match="different grid"):
             obtain_field(s)
+
+    def test_signed_field_ghost_is_its_positive_parts(self, tmp_path):
+        # a stored field with negative nodes is split as (u - 0)^+, the
+        # field the scan reads: its ghost is that of u^+ stored as its own file
+        grid = Grid((-1.0, -1.0), (1.0, 1.0), (64, 64))
+        x, y = grid.node_mesh()
+        u = y + 0.1 * np.sin(3.0 * x)
+        assert u.min() < 0.0
+        write_field(ScalarField(grid, u), tmp_path / "signed.bin")
+        write_field(ScalarField(grid, np.maximum(u, 0.0)), tmp_path / "plus.bin")
+        ghosts = []
+        for name in ("signed", "plus"):
+            s = tiny_scenario(grid={"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "n_cells": [64, 64]},
+                              field_path=str(tmp_path / f"{name}.bin"))
+            assert s.phase_level == 0.0
+            g, report = stage_ghost(s, obtain_field(s)[0], (0.0, 0.0))
+            ghosts.append((g.potential.values.tobytes(), json.dumps(report)))
+        assert ghosts[0] == ghosts[1]
 
 
 class TestSelectPoints:

@@ -12,7 +12,9 @@ from fbmlab.cli import main
 from fbmlab.density import bernoulli_lambda
 from fbmlab.errors import ScenarioError
 from fbmlab.fields import Grid, geometric_radii
+from fbmlab import scenario
 from fbmlab.ghost import SHELL_STEP_CELLS
+from fbmlab.minimizer import Problem
 from fbmlab.scenario import (
     RADIUS_MARGIN,
     SCHEMA_VERSION,
@@ -258,6 +260,21 @@ class TestFromDict:
         finer = replace(s, grid=Grid(s.grid.lo, s.grid.hi, tuple(2 * n for n in s.grid.n_cells)))
         assert finer.eps_factor == s.eps_factor
         assert finer.problem.eps == s.eps_factor * finer.grid.h == 0.5 * s.problem.eps
+
+    def test_parse_is_the_problems_only_builder(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(Problem(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(scenario, "Problem", counting)
+        s = Scenario.from_dict(good_dict())
+        assert len(built) == 1
+        assert s.problem is built[0]
+        # a replaced scenario builds its own, for its own grid
+        finer = replace(s, grid=Grid(s.grid.lo, s.grid.hi, tuple(2 * n for n in s.grid.n_cells)))
+        assert finer.problem is not s.problem and len(built) == 2
 
     def test_explicit_points_become_tuples(self):
         data = good_dict()
