@@ -93,7 +93,7 @@ def _cmd_ghost(args) -> int:
 
 def _cmd_monotonicity(args) -> int:
     s = load_scenario(args.config)
-    report = stage_scan(s, read_field(args.field, s.grid)[0], read_ghost(args.ghost))
+    report = stage_scan(s, read_field(args.field, s.grid)[0], read_ghost(args.ghost, s.grid))
     write_report_csv(report, args.out)
     return EXIT_OK
 

@@ -4,10 +4,13 @@ A field on disk is a pair of files sharing a stem: `name.json` holds the
 header {dim, lo, hi, n_cells} (plus an optional "meta" object), `name.bin`
 holds the node values as little-endian float64 in row-major order.  Either
 path may be passed to the readers and writers.  A field comes from outside
-the program, so read_field checks its header's JSON types (the predicates
-below, which scenario files share), that every node value is finite and,
-when given the run's grid, that the field lives on it; it names the file in
-every ValueError.
+the program, so read_field checks its header's JSON types, that every node
+value is finite and, when given the run's grid, that the field lives on it;
+it names the file in every ValueError.
+
+check_keys is the one JSON key check of every file a run reads: the field
+header, the ghost contract and the scenario declare their keys' JSON types
+in tables, and a missing or mistyped key becomes one line naming its path.
 
 CSV files use `repr` formatting so every float round-trips exactly.
 """
@@ -15,8 +18,10 @@ CSV files use `repr` formatting so every float round-trips exactly.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,8 +37,42 @@ def _is_number(v) -> bool:
     return isinstance(v, float) or _is_int(v)
 
 
-def _is_vector(v) -> bool:
-    return isinstance(v, (list, tuple)) and all(_is_number(c) for c in v)
+class JsonType(NamedTuple):
+    """A JSON type a key must have: its test, the words that name it in a
+    problem, and the conversion to the value a typed object holds."""
+
+    test: Callable[[object], bool]
+    words: str
+    held: Callable = lambda v: v
+
+
+NUMBER = JsonType(_is_number, "a number", float)
+FINITE = JsonType(lambda v: _is_number(v) and math.isfinite(v), "a finite number", float)
+NUMBERS = JsonType(lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                   "a list of numbers", lambda v: tuple(map(float, v)))
+INTEGER = JsonType(_is_int, "an integer")
+INTEGERS = JsonType(lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                    "a list of integers", tuple)
+STRING = JsonType(lambda v: isinstance(v, str), "a string")
+OBJECT = JsonType(lambda v: isinstance(v, dict), "a JSON object")
+
+
+def check_keys(obj: dict, keys: dict, optional: dict | None = None,
+               where: str = "") -> tuple[dict, dict[str, str]]:
+    """The held value of each key of obj that the tables (key -> JsonType) type
+    right, and a problem line, starting with where + key, for each other key
+    they name: missing, if required, or mistyped.  Other keys are left out."""
+    values, problems = {}, {}
+    for table in (keys, optional or {}):
+        for key, (test, words, held) in table.items():
+            if key not in obj:
+                if table is keys:
+                    problems[key] = f"{where}{key}: required"
+            elif test(obj[key]):
+                values[key] = held(obj[key])
+            else:
+                problems[key] = f"{where}{key}: must be {words}"
+    return values, problems
 
 
 def _pair(path: str | Path) -> tuple[Path, Path]:
@@ -90,6 +129,9 @@ def read_field(path: str | Path, grid: Grid | None = None) -> tuple[ScalarField,
     return ScalarField(own, raw.reshape(own.node_shape)), meta
 
 
+_HEADER_KEYS = {"dim": INTEGER, "lo": NUMBERS, "hi": NUMBERS, "n_cells": INTEGERS}
+
+
 def _read_header(path: Path) -> tuple[Grid, dict | None]:
     """The grid and the optional meta object of a field header (ValueError naming path)."""
     try:
@@ -98,19 +140,14 @@ def _read_header(path: Path) -> tuple[Grid, dict | None]:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise ValueError(f"{path}: a field header must be a JSON object")
-    lo, hi, n_cells = (header.get(key) for key in ("lo", "hi", "n_cells"))
-    if not (_is_vector(lo) and _is_vector(hi)):
-        raise ValueError(f"{path}: lo and hi must be lists of numbers")
-    if not (isinstance(n_cells, list) and all(_is_int(n) for n in n_cells)):
-        raise ValueError(f"{path}: n_cells must be a list of integers")
-    dim = header.get("dim")
-    if not (_is_int(dim) and dim == len(lo)):
+    values, problems = check_keys(header, _HEADER_KEYS, {"meta": OBJECT}, f"{path}: ")
+    if problems:
+        raise ValueError("; ".join(problems.values()))
+    dim, lo = values["dim"], values["lo"]
+    if dim != len(lo):
         raise ValueError(f"{path}: dim must be {len(lo)}, the length of lo, got {dim!r}")
-    meta = header.get("meta")
-    if meta is not None and not isinstance(meta, dict):
-        raise ValueError(f"{path}: meta must be a JSON object")
     try:
-        return Grid(tuple(lo), tuple(hi), tuple(n_cells)), meta
+        return Grid(lo, values["hi"], values["n_cells"]), values.get("meta")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

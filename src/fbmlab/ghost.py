@@ -57,7 +57,7 @@ import numpy as np
 from .density import DensityModel, slope_deviation
 from .errors import GeometryError, SolverError
 from .fastdiag import neumann_solve as fast_neumann_solve
-from .fieldio import _is_int, _is_number, _is_vector, read_field, write_field
+from .fieldio import FINITE, INTEGER, NUMBER, NUMBERS, check_keys, read_field, write_field
 from .fields import (
     Grid,
     ScalarField,
@@ -100,7 +100,8 @@ BOUND_SLACK = 1e-8
 BASE_POINT_ATOL = 1e-12
 STABILITY_EXPONENT = 1.5
 SHELL_STEP_CELLS = 0.5
-GHOST_META_KEYS = ("base_point", "f0", "cap_radius", "residual", "iterations")
+GHOST_META_KEYS = {"base_point": NUMBERS, "f0": FINITE, "cap_radius": NUMBER,
+                   "residual": FINITE, "iterations": INTEGER}
 
 
 def _cap(grid: Grid) -> float:
@@ -208,31 +209,22 @@ def _ghost_contract(g: GhostFunction) -> dict:
     return meta
 
 
-def read_ghost(path) -> GhostFunction:
+def read_ghost(path, grid: Grid | None = None) -> GhostFunction:
     """The ghost stored at path; ValueError naming path unless its contract is whole,
-    with the cap h/2 of its grid.  Whether it belongs to a run (grid, base point,
-    F0) is _check_ghost_contract's to decide."""
-    phi, meta = read_field(path)
-    if meta is None or any(k not in meta for k in GHOST_META_KEYS):
-        raise ValueError(f"{path} is not a ghost file: missing contract metadata")
-    z, dim = meta["base_point"], phi.grid.dim
-    if not (_is_vector(z) and len(z) == dim and all(map(math.isfinite, z))):
+    of the JSON types GHOST_META_KEYS gives, with the cap h/2 of its grid.  Given
+    a grid, read_field checks that the potential lives on it; whether the ghost
+    belongs to a run (grid, base point, F0) is _check_ghost_contract's to decide."""
+    phi, meta = read_field(path, grid)
+    values, problems = check_keys(meta or {}, GHOST_META_KEYS, where="meta.")
+    if problems:
+        raise ValueError(f"{path} is not a ghost file: " + "; ".join(problems.values()))
+    z, dim, cap = values["base_point"], phi.grid.dim, values["cap_radius"]
+    if not (len(z) == dim and all(map(math.isfinite, z))):
         raise ValueError(f"{path}: ghost base_point must be {dim} finite numbers, got {z!r}")
-    if not (all(_is_number(meta[k]) and math.isfinite(meta[k]) for k in ("f0", "residual"))
-            and _is_int(meta["iterations"])):
-        raise ValueError(f"{path}: ghost f0 and residual must be finite numbers, "
-                         "iterations an integer")
-    cap = meta["cap_radius"]
-    if not (_is_number(cap) and cap == _cap(phi.grid)):
+    if cap != _cap(phi.grid):
         raise ValueError(f"{path}: ghost cap_radius must be h/2 = {_cap(phi.grid)!r} "
                          f"of its grid, got {cap!r}")
-    return GhostFunction(
-        potential=phi,
-        base_point=tuple(float(c) for c in z),
-        f0=float(meta["f0"]),
-        residual=float(meta["residual"]),
-        iterations=int(meta["iterations"]),
-    )
+    return GhostFunction(phi, z, values["f0"], values["residual"], values["iterations"])
 
 
 def _node_distance(grid: Grid, z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:

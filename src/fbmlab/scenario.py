@@ -1,11 +1,12 @@
 """Scenario files: the JSON configuration for a full experiment run.
 
 A scenario fixes the grid, the density model, boundary data, the points of
-interest with their radius ladder, and solver tolerances.  `validate_dict`
-returns human-readable diagnostics (empty means valid); `Scenario.from_dict`
-turns a valid dictionary into typed objects and raises ScenarioError
-otherwise; `read_scenario` reads the JSON file both start from.  Schema
-version 1.
+interest with their radius ladder, and solver tolerances.  The key tables
+below are the schema (version 1): each key's JSON type, checked by
+fieldio.check_keys, and any other key is reported as unknown.
+`validate_dict` returns human-readable diagnostics (empty means valid);
+`Scenario.from_dict` turns a valid dictionary into typed objects and raises
+ScenarioError otherwise; `read_scenario` reads the JSON file both start from.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .blowup import MIN_SCALE_CELLS, SCALE_FRACTION
 from .density import DensityModel
 from .errors import GeometryError, ScenarioError
-from .fieldio import _is_int, _is_number, _is_vector
+from .fieldio import INTEGER, INTEGERS, NUMBER, NUMBERS, OBJECT, STRING, JsonType, check_keys
 from .fields import Grid, geometric_radii
 from .ghost import DEFAULT_TOL as DEFAULT_GHOST_TOL, SHELL_STEP_CELLS
 from .minimizer import (
@@ -41,40 +42,74 @@ SCHEMA_VERSION = 1
 RADIUS_MARGIN = 0.05
 
 
+# Each section's JSON keys, required and optional, are the keywords of the
+# constructor it feeds: Grid, DensityModel, BoundaryData, geometric_radii.
+_SECTIONS = {
+    "grid": ({"lo": NUMBERS, "hi": NUMBERS, "n_cells": INTEGERS}, {}),
+    "density": ({"kind": STRING}, {"alpha": NUMBER, "scale": NUMBER}),
+    "boundary": (
+        {"kind": STRING},
+        {"direction": NUMBERS, "center": NUMBERS, "angle": NUMBER, "path": STRING},
+    ),
+    "radii": ({"r_min": NUMBER, "r_max": NUMBER, "ratio": NUMBER}, {}),
+}
+_TOP = {"schema_version": INTEGER, **{name: OBJECT for name in _SECTIONS}}
+_TOP_OPTIONAL = {
+    "points_of_interest": JsonType(
+        lambda v: v == "auto" or (isinstance(v, list) and len(v) > 0),
+        '"auto" or a nonempty list of points',
+    ),
+    "auto_stride": INTEGER,
+    "lambda": NUMBER,
+    "eps_factor": NUMBER,
+    "tol": NUMBER,
+    "max_iter": INTEGER,
+    "ghost_tol": NUMBER,
+    "field_path": STRING,
+    "output_dir": STRING,
+}
+# the top-level keys that are Scenario fields of the same name
+_FIELD_KEYS = ("auto_stride", "tol", "max_iter", "ghost_tol", "field_path", "output_dir")
+
+
+def _read_keys(obj: dict, keys: dict, optional: dict, where: str,
+               problems: list[str]) -> tuple[dict, bool]:
+    """check_keys's held values of obj, and whether no key the tables name is
+    faulty; every problem, a key that no table names too, goes to problems."""
+    values, bad = check_keys(obj, keys, optional, where)
+    unknown = [f"{where}{key}: unknown key" for key in obj
+               if key not in keys and key not in optional]
+    problems += [*bad.values(), *unknown]
+    return values, not bad
+
+
 def _parse(data) -> tuple[Scenario | None, list[str]]:
     """The one parse behind validate_dict and Scenario.from_dict.
 
-    Checks here that each key is present with the right JSON type, then
-    builds each typed object once (Grid, DensityModel, BoundaryData, the
-    radius ladder, Problem) and leaves every value constraint to it; the
-    Problem it builds seeds Scenario.problem, which is not built again.  A
-    constructor's ValueError comes back tagged with the scenario path.  Only
-    what no constructor owns is checked here: the solver scalars, 2 cells on
-    every grid axis, and an r_min above the shell identity's step.
-    Returns the Scenario (None if anything is wrong) and the problems found.
+    The key tables above are the schema: a key missing, mistyped or named by
+    no table is one problem naming its path.  Each section that types right
+    builds its typed object once, its keys the constructor's keywords, and
+    then Problem; a constructor's ValueError comes back tagged with the
+    scenario path.  The Problem and the ladder seed the Scenario.  Only what
+    no constructor owns is checked here: the schema version, the solver
+    scalars, 2 cells on every grid axis, an r_min above the shell identity's
+    step, and the points' dimension.  A fault never hides one in an unrelated
+    key.  Returns the Scenario (None if anything is wrong) and the problems.
     """
     if not isinstance(data, dict):
         return None, ["scenario: top level must be a JSON object"]
     problems: list[str] = []
 
-    def need(ok: bool, problem: str) -> bool:
-        # record the problem unless ok; callers list checks in all([...]) so
-        # every one of them runs and reports
+    def need(ok: bool, problem: str) -> None:
         if not ok:
             problems.append(problem)
-        return ok
 
-    def section(name: str) -> dict | None:
-        sec = data.get(name)
-        ok = need(isinstance(sec, dict), f"{name}: required section missing or not an object")
-        return sec if ok else None
-
-    def build(make, path: str, *fields: str, **elsewhere: str):
+    def build(make, kwargs: dict, path: str, fields, **elsewhere: str):
         # A constructor message about one field starts with that field's
         # name: one of `fields` reads "path.field ...", one in `elsewhere`
         # takes the prefix given there, any other message "path: ...".
         try:
-            return make()
+            return make(**kwargs)
         except ValueError as exc:
             msg = str(exc)
             word = msg.split(" ", 1)[0]
@@ -82,155 +117,64 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
             problems.append(prefix + msg)
             return None
 
-    version = data.get("schema_version")
+    top, _ = _read_keys(data, _TOP, _TOP_OPTIONAL, "", problems)
+    version = top.get("schema_version", SCHEMA_VERSION)
     need(version == SCHEMA_VERSION, f"schema_version: must be {SCHEMA_VERSION}, got {version!r}")
 
-    grid = None
-    g = section("grid")
-    if g is not None:
-        missing = [key for key in ("lo", "hi", "n_cells") if key not in g]
-        problems += [f"grid.{key}: required" for key in missing]
-        if not missing and all([
-            need(_is_vector(g["lo"]), "grid.lo: need a list of numbers"),
-            need(_is_vector(g["hi"]), "grid.hi: need a list of numbers"),
-            need(
-                isinstance(g["n_cells"], list) and all(_is_int(n) for n in g["n_cells"]),
-                "grid.n_cells: need a list of integers",
-            ),
-        ]):
-            grid = build(
-                lambda: Grid(tuple(g["lo"]), tuple(g["hi"]), tuple(g["n_cells"])),
-                "grid", "lo", "hi", "n_cells",
-            )
-        # the derivative stencils of every stage need 3 nodes on every axis
-        if grid is not None and min(grid.n_cells) < 2:
-            problems.append(f"grid.n_cells: need at least 2 cells on every axis, "
-                            f"got {list(grid.n_cells)}")
-            grid = None
-
-    model = None
-    d = section("density")
-    if d is not None and all([
-        need(isinstance(d.get("kind"), str), "density.kind: need a string"),
-        need(_is_number(d.get("alpha", 0.0)), "density.alpha: must be a number"),
-        need(_is_number(d.get("scale", 1.0)), "density.scale: must be a number"),
-    ]):
-        model = build(
-            lambda: DensityModel(
-                kind=d["kind"],
-                alpha=float(d.get("alpha", 0.0)),
-                scale=float(d.get("scale", 1.0)),
-            ),
-            "density", "kind", "alpha", "scale",
-        )
-
-    boundary = None
-    b = section("boundary")
-    if b is not None and all([
-        need(isinstance(b.get("kind"), str), "boundary.kind: need a string"),
-        *[
-            need(_is_vector(b[key]), f"boundary.{key}: need a list of numbers")
-            for key in ("direction", "center")
-            if key in b
-        ],
-        need(_is_number(b.get("angle", 0.0)), "boundary.angle: must be a number"),
-        need(isinstance(b.get("path", ""), str), "boundary.path: must be a path string"),
-    ]):
-        boundary = build(
-            lambda: BoundaryData(
-                kind=b["kind"],
-                direction=tuple(b["direction"]) if "direction" in b else None,
-                center=tuple(b["center"]) if "center" in b else None,
-                angle=float(b["angle"]) if "angle" in b else None,
-                path=b.get("path"),
-            ),
-            "boundary", "kind", "direction", "center", "angle", "path",
-        )
-
-    ladder = None
-    r = section("radii")
-    if r is not None and all([
-        need(_is_number(r.get(key)), f"radii.{key}: must be a number")
-        for key in ("r_min", "r_max", "ratio")
-    ]):
-        ladder = build(
-            lambda: geometric_radii(r["r_min"], r["r_max"], r["ratio"]),
-            "radii", "r_min", "r_max", "ratio",
-        )
+    sections, made = {}, {}
+    for name, make in (("grid", Grid), ("density", DensityModel), ("boundary", BoundaryData),
+                       ("radii", geometric_radii)):
+        keys, optional = _SECTIONS[name]
+        if name in top:
+            kwargs, whole = _read_keys(top[name], keys, optional, f"{name}.", problems)
+            if whole:
+                sections[name] = kwargs
+                made[name] = build(make, kwargs, name, keys | optional)
+    grid, ladder = made.get("grid"), made.get("radii")
+    # the derivative stencils of every stage need 3 nodes on every axis
+    if grid is not None and min(grid.n_cells) < 2:
+        problems.append(f"grid.n_cells: need at least 2 cells on every axis, "
+                        f"got {list(grid.n_cells)}")
+        grid = None
     if grid is not None and ladder is not None:
         # the shell identity also reads the sphere of radius r_min - step
-        step = SHELL_STEP_CELLS * grid.h
-        need(
-            r["r_min"] > step,
-            f"radii.r_min: must exceed the shell identity's step {SHELL_STEP_CELLS} h "
-            f"= {step}, got {r['r_min']}",
-        )
+        step, r_min = SHELL_STEP_CELLS * grid.h, sections["radii"]["r_min"]
+        need(r_min > step, f"radii.r_min: must exceed the shell identity's step "
+                           f"{SHELL_STEP_CELLS} h = {step}, got {r_min}")
 
-    stride = data.get("auto_stride", 1)
-    need(_is_int(stride) and stride >= 1, "auto_stride: must be a positive integer")
-    points = data.get("points_of_interest", "auto")
-    if points != "auto" and need(
-        isinstance(points, list) and len(points) > 0,
-        'points_of_interest: must be "auto" or a nonempty list of points',
-    ) and grid is not None:
+    need(top.get("auto_stride", 1) >= 1, "auto_stride: must be a positive integer")
+    points = top.get("points_of_interest", "auto")
+    if points != "auto" and grid is not None:
         for i, z in enumerate(points):
-            need(
-                _is_vector(z) and len(z) == grid.dim,
-                f"points_of_interest[{i}]: need {grid.dim} coordinates",
-            )
-
+            need(NUMBERS.test(z) and len(z) == grid.dim,
+                 f"points_of_interest[{i}]: need {grid.dim} coordinates")
     for key in ("tol", "ghost_tol"):
-        if key in data:
-            need(
-                _is_number(data[key]) and 0.0 < data[key] < math.inf,
-                f"{key}: must be a positive finite number",
-            )
-    if "max_iter" in data:
-        need(
-            _is_int(data["max_iter"]) and data["max_iter"] >= 0,
-            "max_iter: must be a nonnegative integer",
-        )
-    for key in ("field_path", "output_dir"):
-        if key in data:
-            need(isinstance(data[key], str), f"{key}: must be a path string")
+        need(0.0 < top.get(key, 1.0) < math.inf, f"{key}: must be a positive finite number")
+    need(top.get("max_iter", 0) >= 0, "max_iter: must be a nonnegative integer")
+
     problem = None
-    if all([
-        need(_is_number(data[key]), f"{key}: must be a number")
-        for key in ("lambda", "eps_factor")
-        if key in data
-    ]):
-        lam = float(data["lambda"]) if "lambda" in data else None
-        eps_factor = float(data.get("eps_factor", DEFAULT_EPS_CELLS))
-        if all(x is not None for x in (grid, model, boundary)):
-            problem = build(
-                lambda: Problem(grid, model, boundary, lam=lam, eps=eps_factor * grid.h),
-                "boundary", "direction", "center",
-                lam="lambda: ", eps="eps_factor: ",
-            )
+    lam, eps_factor = top.get("lambda"), top.get("eps_factor", DEFAULT_EPS_CELLS)
+    model, boundary = made.get("density"), made.get("boundary")
+    if (all(x is not None for x in (grid, model, boundary))
+            and all(key in top for key in ("lambda", "eps_factor") if key in data)):
+        problem = build(
+            Problem,
+            dict(grid=grid, model=model, boundary=boundary, lam=lam, eps=eps_factor * grid.h),
+            "boundary", ("direction", "center"), lam="lambda: ", eps="eps_factor: ",
+        )
     if problems:
         return None, problems
 
     if points != "auto":
         points = tuple(tuple(float(c) for c in z) for z in points)
     s = Scenario(
-        grid=grid,
-        model=model,
-        boundary=boundary,
-        r_min=float(r["r_min"]),
-        r_max=float(r["r_max"]),
-        ratio=float(r["ratio"]),
-        points=points,
-        auto_stride=stride,
-        lam=lam,
-        tol=float(data.get("tol", DEFAULT_TOL)),
-        max_iter=int(data.get("max_iter", DEFAULT_MAX_ITER)),
-        eps_factor=eps_factor,
-        ghost_tol=float(data.get("ghost_tol", DEFAULT_GHOST_TOL)),
-        field_path=data.get("field_path"),
-        output_dir=data.get("output_dir"),
+        grid=grid, model=model, boundary=boundary, **sections["radii"],
+        points=points, lam=lam, eps_factor=eps_factor,
+        **{key: top[key] for key in _FIELD_KEYS if key in top},
     )
     # cached_property reads the instance dict, which a frozen dataclass leaves writable
-    s.__dict__["problem"] = problem
+    ladder.setflags(write=False)
+    s.__dict__.update(problem=problem, _ladder=ladder)
     return s, []
 
 
@@ -313,8 +257,16 @@ class Scenario:
             MIN_SCALE_CELLS * h / SCALE_FRACTION,
         )
 
+    @cached_property
+    def _ladder(self) -> np.ndarray:
+        ladder = geometric_radii(float(self.r_min), float(self.r_max), float(self.ratio))
+        ladder.setflags(write=False)
+        return ladder
+
     def radii(self) -> np.ndarray:
-        return geometric_radii(self.r_min, self.r_max, self.ratio)
+        """The radius ladder (read-only float64): the parse's, or built once for a
+        Scenario made otherwise (dataclasses.replace)."""
+        return self._ladder
 
     @staticmethod
     def from_dict(data: dict) -> "Scenario":

@@ -329,7 +329,8 @@ class TestExitCodes:
             "--out", str(tmp_path / "scan.csv"),
         ])
         assert rc == 2
-        assert "different grids" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "different grid" in err and str(tmp_path / "g.json") in err
         assert not (tmp_path / "scan.csv").exists()
 
     def test_nonfinite_ghost_exits_2(self, config_path, reference_run, tmp_path, capsys):

@@ -626,6 +626,14 @@ class TestGhostFiles:
         with pytest.raises(ValueError, match="not a ghost file"):
             read_ghost(out / "field.bin")
 
+    def test_ghost_on_another_grid_names_its_file(self, first_run):
+        out, _ = first_run
+        g = read_ghost(out / "ghost_0.bin")
+        assert read_ghost(out / "ghost_0.bin", g.grid).grid == g.grid
+        other = Grid(g.grid.lo, g.grid.hi, tuple(2 * n for n in g.grid.n_cells))
+        with pytest.raises(ValueError, match=f"{out / 'ghost_0.json'}: .* different grid"):
+            read_ghost(out / "ghost_0.bin", other)
+
 
 class TestFieldFiles:
     def test_read_keeps_one_buffer(self, tmp_path):
@@ -657,6 +665,19 @@ class TestFieldFiles:
             tracemalloc.stop()
         assert (tmp_path / "f.bin").read_bytes() == values.astype("<f8").tobytes()
         assert peak < 0.25 * values.nbytes
+
+    def test_header_names_every_faulty_key(self, tmp_path):
+        grid = Grid((-1.0, -1.0), (1.0, 1.0), (4, 4))
+        write_field(ScalarField(grid, np.zeros(grid.node_shape)), tmp_path / "f.bin")
+        header = tmp_path / "f.json"
+        header.write_text(json.dumps({"dim": 2, "hi": [1.0, 1.0], "n_cells": "4", "meta": 1}))
+        with pytest.raises(ValueError) as err:
+            read_field(tmp_path / "f.bin")
+        assert str(err.value) == "; ".join([
+            f"{header}: lo: required",
+            f"{header}: n_cells: must be a list of integers",
+            f"{header}: meta: must be a JSON object",
+        ])
 
 SCENARIO_3D = Path(__file__).resolve().parent.parent / "scenarios" / "halfplane_linear_3d.json"
 

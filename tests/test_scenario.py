@@ -218,6 +218,84 @@ class TestBadScenarios:
         assert path in capsys.readouterr().out
 
 
+# a near miss of each JSON type a scenario key can have, by the type's words
+WRONG_TYPE = {
+    "a number": "1.0",
+    "a list of numbers": [1.0, "2"],
+    "an integer": 2.5,
+    "a list of integers": [32.0, 32],
+    "a string": 5,
+    "a JSON object": [],
+    '"auto" or a nonempty list of points': [],
+}
+TABLE_KEYS = [*scenario._TOP.items(), *scenario._TOP_OPTIONAL.items()] + [
+    (f"{name}.{key}", kind)
+    for name, (keys, optional) in scenario._SECTIONS.items()
+    for key, kind in {**keys, **optional}.items()
+]
+
+
+def with_wrong_type(path: str, kind) -> dict:
+    data = good_dict()
+    section, _, key = path.rpartition(".")
+    (data[section] if section else data)[key] = WRONG_TYPE[kind.words]
+    return data
+
+
+@pytest.mark.parametrize("path,kind", TABLE_KEYS, ids=[path for path, _ in TABLE_KEYS])
+class TestKeyTable:
+    """Every key of the scenario's key tables, given a value of the wrong JSON type."""
+
+    def test_validate_dict_names_the_key_once(self, path, kind):
+        assert validate_dict(with_wrong_type(path, kind)) == [f"{path}: must be {kind.words}"]
+
+    def test_from_dict_names_the_key(self, path, kind):
+        with pytest.raises(ScenarioError) as err:
+            Scenario.from_dict(with_wrong_type(path, kind))
+        assert str(err.value) == f"{path}: must be {kind.words}"
+
+    def test_cli_validate_exits_2(self, path, kind, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(with_wrong_type(path, kind)))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out.splitlines() == [f"{path}: must be {kind.words}"]
+
+
+class TestSchema:
+    def test_unknown_key_named_at_each_level(self):
+        for section in ("", "grid", "density", "boundary", "radii"):
+            data = good_dict()
+            (data[section] if section else data)["typo"] = 1.0
+            path = f"{section}.typo" if section else "typo"
+            assert validate_dict(data) == [f"{path}: unknown key"]
+
+    def test_misspelt_keys_are_named(self):
+        data = json.loads(open(BUNDLED[1]).read())
+        data["max_iters"] = data.pop("max_iter")
+        data["grid"]["n_cell"] = data["grid"].pop("n_cells")
+        data["density"]["alpah"] = data["density"].pop("alpha")
+        assert validate_dict(data) == [
+            "max_iters: unknown key",
+            "grid.n_cells: required",
+            "grid.n_cell: unknown key",
+            "density.alpah: unknown key",
+        ]
+
+    def test_faults_in_unrelated_keys_all_reported(self):
+        data = json.loads(open(BUNDLED[1]).read())
+        data["tol"], data["lambda"], data["radii"]["ratio"] = -1, -1.0, 1.0
+        assert validate_dict(data) == [
+            "radii.ratio must exceed 1",
+            "tol: must be a positive finite number",
+            "lambda: lam must be positive and finite, got -1.0",
+        ]
+
+    def test_missing_sections_required(self):
+        assert validate_dict({}) == [
+            f"{key}: required" for key in ("schema_version", "grid", "density", "boundary", "radii")
+        ]
+
+
 class TestFromDict:
     def test_roundtrip_fields(self):
         s = Scenario.from_dict(good_dict())
@@ -244,6 +322,28 @@ class TestFromDict:
     def test_radii_match_ladder(self):
         s = Scenario.from_dict(good_dict())
         assert np.array_equal(s.radii(), geometric_radii(0.1, 0.3, 1.4))
+
+    def test_parse_is_the_ladders_only_builder(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(geometric_radii(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(scenario, "geometric_radii", counting)
+        data = good_dict()
+        data["radii"] = {"r_min": 1, "r_max": 4, "ratio": 2}
+        data["grid"] = {"lo": [-8, -8], "hi": [8, 8], "n_cells": [32, 32]}
+        s = Scenario.from_dict(data)
+        s.reach, s.radii(), s.radii()
+        assert len(built) == 1 and s.radii() is built[0]
+        # float64 from integer JSON, as the Scenario's own fields, and read-only
+        assert s.radii().dtype == np.float64 and (s.r_min, s.ratio) == (1.0, 2.0)
+        assert isinstance(s.r_min, float) and not s.radii().flags.writeable
+        # a replaced scenario builds its own from its own fields
+        wider = replace(s, r_max=8.0)
+        assert wider.radii().tolist() == [1.0, 2.0, 4.0, 8.0] and len(built) == 2
+        assert not wider.radii().flags.writeable
 
     def test_lambda_default_and_override(self):
         s = Scenario.from_dict(good_dict())
