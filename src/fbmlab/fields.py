@@ -37,9 +37,10 @@ Conventions used throughout the package:
   subsamples.  A subsample's squared distance to z is summed from per-axis
   squares in axis order, ((x_0^2 + x_1^2) + x_2^2), which is bitwise the
   per-subsample sum over its coordinates, so no (cells, subsamples, dim)
-  array is formed.  These weights depend only on (grid, z, r); they are
-  built once, cached, and every ball integral is one weighted sum of h^dim
-  times the values on the window;
+  array is formed.  These weights depend only on (grid, z, r); every ball
+  integral is one weighted sum of h^dim times the values on the window, and
+  they are cached by one rule: what two stages share, for one point, until
+  its scan is written (so a blow-up scale's ball, read once, is not);
 * one box rule, Grid.balls_inside (slack 1e-9 max(h, 1); a point is a ball of
   radius 0), and one gate per point set, in the rule that makes it: the sphere
   and ball rules call require_ball_inside (r > 0, inside the box) themselves,
@@ -414,29 +415,30 @@ def _interp_core(arrays, grid: Grid, pts: np.ndarray) -> np.ndarray:
     else raises ValueError), read in place; pts is a float (m, dim) array
     that a sphere, ball or fit gate, or interpolate, has admitted: no box
     check here, but cells and fractions are clipped to the grid.  The flat
-    base node and the per-axis fractions are computed once, then at each of
-    the 2^dim cell corners every array is gathered into its row.  Corners are
-    summed in itertools.product order with weights multiplied in axis order,
-    so row j equals the interpolation of array j alone, bit for bit.
+    base node (from the node strides) and the per-axis fractions are computed
+    once, then at each of the 2^dim cell corners every array is gathered into
+    its row.  Corners are summed in itertools.product order with weights
+    multiplied in axis order, so row j equals the interpolation of array j
+    alone, bit for bit.
     """
     flats = [_flat(a, grid.node_shape) for a in arrays]
-    h = grid.h
-    idx = []
-    hats = []
-    for a in range(grid.dim):
-        x = (pts[:, a] - grid.lo[a]) / h
-        i = np.clip(np.floor(x).astype(np.int64), 0, grid.n_cells[a] - 1)
-        frac = np.clip(x - i, 0.0, 1.0)
-        idx.append(i)
+    strides = [math.prod(grid.node_shape[a + 1 :]) for a in range(grid.dim)]
+    base, hats = 0, []
+    for a, k in enumerate(strides):
+        x = (pts[:, a] - grid.lo[a]) / grid.h
+        i = np.floor(x).astype(np.int64)
+        np.minimum(np.maximum(i, 0, out=i), grid.n_cells[a] - 1, out=i)
+        frac = x - i
+        np.minimum(np.maximum(frac, 0.0, out=frac), 1.0, out=frac)
+        base = base + i * k
         hats.append((1.0 - frac, frac))
-    base = np.ravel_multi_index(idx, grid.node_shape)
     out = np.zeros((len(flats), pts.shape[0]))
     vals = np.empty_like(out)
     for corner in itertools.product((0, 1), repeat=grid.dim):
         w = 1.0
         for a, c in enumerate(corner):
             w = w * hats[a][c]
-        nodes = base + np.ravel_multi_index(corner, grid.node_shape)
+        nodes = base + sum(c * k for c, k in zip(corner, strides))
         for flat, row in zip(flats, vals):
             np.take(flat, nodes, out=row, mode="clip")
         vals *= w
@@ -444,8 +446,8 @@ def _interp_core(arrays, grid: Grid, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def interpolate(f: ScalarField | VectorField, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation; returns (m,) for scalars, (m, dim) for vectors.
+def interpolate(f: ScalarField, pts: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of a scalar field; returns (m,), or a float for one point.
 
     Checks the caller's points: dim columns (ValueError), each in the box rule (GeometryError).
     """
@@ -456,10 +458,7 @@ def interpolate(f: ScalarField | VectorField, pts: np.ndarray) -> np.ndarray:
         raise ValueError(f"points must have {grid.dim} columns, got {pts.shape[1]}")
     if not bool(np.all(grid.balls_inside(pts, 0.0))):
         raise GeometryError("interpolation point outside the grid box")
-    if isinstance(f, VectorField):
-        out = np.ascontiguousarray(_interp_core(list(f.values), grid, pts).T)
-    else:
-        out = _interp_core([f.values], grid, pts)[0]
+    out = _interp_core([f.values], grid, pts)[0]
     return out[0] if single else out
 
 
@@ -573,18 +572,15 @@ def _corner_hats(dim: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _ball_weights(grid: Grid, z: tuple[float, ...], r: float) -> BallWeights:
-    """Build the cell and node weights of the ball |x-z| <= r (cached).
+def _build_ball_weights(grid: Grid, z: tuple[float, ...], r: float) -> BallWeights:
+    """Build the cell and node weights of the ball |x-z| <= r.
 
     Cells whose bounding sphere lies inside the ball are safe, cells whose
     bounding sphere misses it are out, and the rest are borderline: each is
     split into SUBSAMPLES^dim subsample points, of which the inside ones
     count.  A safe cell gives 1/2^dim to each of its corners; a borderline
     cell gives corner k the mean over inside subsamples of the corner's hat
-    function.  Results are read-only; the cache holds a few dozen balls,
-    enough for every radius of a scan and its blow-up scales, until
-    drop_ball_weights empties it.  The gate (require_ball_inside) comes first.
+    function.  Results are read-only; the gate (require_ball_inside) comes first.
 
     Each subsample coordinate along axis a is one addition, offset plus cell
     centre, taken on a (SUBSAMPLES, borderline cells) array per axis.  The
@@ -644,16 +640,23 @@ def _ball_weights(grid: Grid, z: tuple[float, ...], r: float) -> BallWeights:
     )
 
 
-def ball_weights(grid: Grid, z, r: float) -> BallWeights:
-    """Cached quadrature weights of the ball |x-z| <= r.
+@lru_cache(maxsize=None)
+def _ball_weights(grid: Grid, z: tuple[float, ...], r: float) -> BallWeights:
+    """The cached builder, with no capacity: it holds what two stages share (the
+    flux profile's and the scan's ladder), for one point, until its scan is written."""
+    return _build_ball_weights(grid, z, r)
 
-    z must give one coordinate per grid axis (ValueError otherwise).
-    """
-    return _ball_weights(grid, tuple(float(c) for c in as_base_point(grid, z)), float(r))
+
+def ball_weights(grid: Grid, z, r: float, cached: bool = True) -> BallWeights:
+    """Quadrature weights of the ball |x-z| <= r; cached=False builds a ball that
+    one call reads (a blow-up scale) outside the cache.  z must give one
+    coordinate per grid axis (ValueError otherwise)."""
+    build = _ball_weights if cached else _build_ball_weights
+    return build(grid, tuple(float(c) for c in as_base_point(grid, z)), float(r))
 
 
 def drop_ball_weights() -> None:
-    """Empty the ball weight cache; later calls build the weights they need again."""
+    """Empty the ball weight cache: once per point, when its scan is written."""
     _ball_weights.cache_clear()
 
 

@@ -213,11 +213,9 @@ def _run_point(s: Scenario, u: ScalarField, i: int, z, out: Path) -> dict:
     """Point i's three stages with their files; returns its summary row.
 
     The potential and the reports die on return, before point i + 1 starts.
-    So do the ball weights the point built: those of the scan radii, which
-    the ghost stage (for a nonzero flux) and the scan read, are dropped once
-    scan_i is written, and those of the blow-up scales once blowup_i is.  No
-    later stage reads them: every point has its own z, and the blow-up
-    scales are not scan radii.
+    Its ball weights follow one rule: cache what two stages share (the ghost
+    stage's flux profile and the scan read one ladder), for one point, until
+    its scan is written, so they are dropped then; the blow-up caches none.
     """
     g, ghost_report = stage_ghost(s, u, z)
     write_ghost(g, out / f"ghost_{i}.bin", report=ghost_report)
@@ -226,7 +224,6 @@ def _run_point(s: Scenario, u: ScalarField, i: int, z, out: Path) -> dict:
     drop_ball_weights()
     blow = stage_blowup(s, u, z)
     write_csv(out / f"blowup_{i}.csv", blowup_columns(s.grid.dim), blowup_rows(blow))
-    drop_ball_weights()
     return {
         "index": i,
         "z": [float(c) for c in z],

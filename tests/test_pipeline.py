@@ -270,9 +270,9 @@ class TestPointBuffers:
         assert min(cached["stage_scan"]) > 0
 
     def test_no_ball_weights_are_rebuilt(self, tmp_path, monkeypatch):
-        # dropping a point's ball weights after its scan and its blow-up
-        # costs no rebuild: a run that never drops them misses as often.  A
-        # drop also resets the cache's counts, so each is read before it.
+        # dropping a point's ball weights once, after its scan, costs no
+        # rebuild: a run that never drops them misses as often.  A drop also
+        # resets the cache's counts, so each is read before it.
         s, _ = stored_field_3d_two_points(tmp_path)
         drop, counts = pipeline.drop_ball_weights, []
 
@@ -287,7 +287,7 @@ class TestPointBuffers:
 
         monkeypatch.setattr(pipeline, "drop_ball_weights", counted_drop)
         dropped = misses("dropped")
-        assert len(counts) == 4
+        assert len(counts) == 2
         monkeypatch.setattr(pipeline, "drop_ball_weights", lambda: None)
         counts.clear()
         kept = misses("kept")
@@ -314,6 +314,31 @@ def linear_halfplane_3d(tmp_path: Path, **extra) -> Scenario:
         write_field(ScalarField(grid, np.maximum(grid.node_mesh()[2], 0.0)), tmp_path / "u.bin")
         data["field_path"] = str(tmp_path / "u.bin")
     return Scenario.from_dict({**data, **extra})
+
+
+class TestLongLadder:
+    """r_min 0.1, r_max 0.4 and ratio 1.03 give 47 radii, more than a cache of
+    32 balls held: it built every ball once per pass over the ladder, 141
+    times for a nonzero flux (flux profile, scan bulk, oscillation) and 95 for
+    a zero one (the scan's first read of the largest ball, bulk, oscillation)."""
+
+    FIELDS = {
+        "field3d": lambda tmp_path: stored_field_3d_two_points(tmp_path)[0],
+        "linear3d": linear_halfplane_3d,
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_each_ball_built_once_and_blowup_caches_none(self, tmp_path, name):
+        s = replace(self.FIELDS[name](tmp_path), r_min=0.1, ratio=1.03)
+        assert len(s.radii()) == 47
+        u, _ = obtain_field(s)
+        _ball_weights.cache_clear()
+        stage_scan(s, u, stage_ghost(s, u, s.points[0])[0])
+        assert _ball_weights.cache_info().misses == 47
+        _ball_weights.cache_clear()
+        # every scale's homogeneity_deviation builds its ball uncached
+        assert stage_blowup(s, u, s.points[0])["scales"]
+        assert _ball_weights.cache_info().currsize == 0
 
 
 class TestScanBuffers:
