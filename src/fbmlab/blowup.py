@@ -38,10 +38,10 @@ from .errors import GeometryError
 from .fields import (
     Grid,
     ScalarField,
+    _build_ball_weights,
     _interp_core,
     _unit_sphere,
     as_base_point,
-    ball_weights,
     gradient_arrays,
     interpolate,
     require_positive_radius,
@@ -107,15 +107,15 @@ def homogeneity_deviation(u: ScalarField, z, r: float) -> float:
     """Normalized L1 distance of u from its own tangent cone at z.
 
     r^-(dim+1) times the ball integral of |u - grad u . (x - z)| over B_r(z),
-    weighted like ball_integral but uncached (each scale's ball is read once)
-    and formed only on the ball's node window.  The derivative runs on that
-    window padded by one node per side, clipped at the box, so the window's
-    nodes see the centered difference they see on the full grid and the face
-    formula only where the window meets a box face: bitwise the full-grid values.
+    weighted like ball_integral but built outside the cache (each scale reads
+    its ball once) and formed only on the ball's node window.  The derivative
+    runs on that window padded by one node per side, clipped at the box, so the
+    window's nodes see the centered difference they see on the full grid and the
+    face formula only where the window meets a box face: bitwise the full-grid values.
     """
     grid = u.grid
-    z = np.asarray(z, dtype=float)
-    bw = ball_weights(grid, z, r, cached=False)
+    z = as_base_point(grid, z)
+    bw = _build_ball_weights(grid, z, r)
     pad = tuple(
         slice(max(w.start - 1, 0), min(w.stop + 1, n))
         for w, n in zip(bw.node_window, grid.node_shape)

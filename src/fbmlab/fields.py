@@ -38,9 +38,9 @@ Conventions used throughout the package:
   squares in axis order, ((x_0^2 + x_1^2) + x_2^2), which is bitwise the
   per-subsample sum over its coordinates, so no (cells, subsamples, dim)
   array is formed.  These weights depend only on (grid, z, r); every ball
-  integral is one weighted sum of h^dim times the values on the window, and
-  they are cached by one rule: what two stages share, for one point, until
-  its scan is written (so a blow-up scale's ball, read once, is not);
+  integral is one weighted sum of h^dim times the values on the window.  A
+  point's radius ladder, built by the flux profile and read by the scan, is
+  cached until the scan returns (a blow-up scale's ball, read once, is not);
 * one box rule, Grid.balls_inside (slack 1e-9 max(h, 1); a point is a ball of
   radius 0), and one gate per point set, in the rule that makes it: the sphere
   and ball rules call require_ball_inside (r > 0, inside the box) themselves,
@@ -572,7 +572,7 @@ def _corner_hats(dim: int) -> np.ndarray:
     return out
 
 
-def _build_ball_weights(grid: Grid, z: tuple[float, ...], r: float) -> BallWeights:
+def _build_ball_weights(grid: Grid, z, r: float) -> BallWeights:
     """Build the cell and node weights of the ball |x-z| <= r.
 
     Cells whose bounding sphere lies inside the ball are safe, cells whose
@@ -642,21 +642,19 @@ def _build_ball_weights(grid: Grid, z: tuple[float, ...], r: float) -> BallWeigh
 
 @lru_cache(maxsize=None)
 def _ball_weights(grid: Grid, z: tuple[float, ...], r: float) -> BallWeights:
-    """The cached builder, with no capacity: it holds what two stages share (the
-    flux profile's and the scan's ladder), for one point, until its scan is written."""
+    """The cached builder, with no capacity: it holds one point's radius ladder,
+    built by the flux profile and read by the scan, until the scan returns."""
     return _build_ball_weights(grid, z, r)
 
 
-def ball_weights(grid: Grid, z, r: float, cached: bool = True) -> BallWeights:
-    """Quadrature weights of the ball |x-z| <= r; cached=False builds a ball that
-    one call reads (a blow-up scale) outside the cache.  z must give one
-    coordinate per grid axis (ValueError otherwise)."""
-    build = _ball_weights if cached else _build_ball_weights
-    return build(grid, tuple(float(c) for c in as_base_point(grid, z)), float(r))
+def ball_weights(grid: Grid, z, r: float) -> BallWeights:
+    """Quadrature weights of the ball |x-z| <= r, cached until a scan returns.
+    z must give one coordinate per grid axis (ValueError otherwise)."""
+    return _ball_weights(grid, tuple(float(c) for c in as_base_point(grid, z)), float(r))
 
 
 def drop_ball_weights() -> None:
-    """Empty the ball weight cache: once per point, when its scan is written."""
+    """Empty the ball weight cache; the scan calls it when it returns or raises."""
     _ball_weights.cache_clear()
 
 
@@ -667,7 +665,7 @@ def ball_integral(f: ScalarField, z, r: float) -> float:
     (see ball_weights) integrate the multilinear interpolant, with the
     cell-midpoint rule on interior cells and the subsample rule on borderline
     cells, which keeps the shell contribution second order.  They are built
-    once per (grid, z, r) and cached.
+    once per (grid, z, r) and cached until a scan returns.
     """
     grid = f.grid
     bw = ball_weights(grid, z, r)

@@ -40,6 +40,7 @@ from .fields import (
     _sphere_samples,
     as_base_point,
     ball_weights,
+    drop_ball_weights,
     gradient_arrays,
     shell_average,
 )
@@ -391,49 +392,51 @@ def scan(
     reference slope F0 = f'(1) (ValueError otherwise).  Flags transitions
     where A drops by more than tol_mono, the O(h/r_min) quadrature ceiling
     5 (h/r_min) |A(r_max)|.  The stored violation indices point at the
-    left radius of each offending pair.
+    left radius of each offending pair.  The scan is the last reader of the
+    point's ball ladder, so it empties the ball weight cache on any exit.
     """
-    grid = u.grid
-    z = as_base_point(grid, z)
-    f0 = model.f0
-    _check_ghost_contract(g, grid, z, f0)
-    r = _validate_radii(radii)
-    # the largest ball is built first, so a ladder that leaves the box fails here
-    bulks = _ball_energies(u, model, lam, level, z, r)
-    # one gather per radius samples u, grad u and phi together
-    rows = _sphere_rows(u, g.potential)
-    core, gt, formula, t_col = (np.empty(r.size) for _ in range(4))
-    for i, radius in enumerate(r):
-        radius = float(radius)
-        pts, w, samples = _sphere_samples(rows, grid, z, radius)
-        _above(samples, level)
-        core[i] = _weiss(bulks[i], w, samples[0], f0, radius, grid.dim)
-        gt[i] = _shell_mean(w, samples[-1], radius, grid.dim)
-        formula[i], t_col[i] = _sphere_terms(model, z, radius, f0, pts, w, samples)
+    try:
+        grid = u.grid
+        z = as_base_point(grid, z)
+        f0 = model.f0
+        _check_ghost_contract(g, grid, z, f0)
+        r = _validate_radii(radii)
+        # the largest ball is built first, so a ladder that leaves the box fails here
+        bulks = _ball_energies(u, model, lam, level, z, r)
+        # one gather per radius samples u, grad u and phi together
+        rows = _sphere_rows(u, g.potential)
+        core, gt, formula, t_col = (np.empty(r.size) for _ in range(4))
+        for i, radius in enumerate(r):
+            radius = float(radius)
+            pts, w, samples = _sphere_samples(rows, grid, z, radius)
+            _above(samples, level)
+            core[i] = _weiss(bulks[i], w, samples[0], f0, radius, grid.dim)
+            gt[i] = _shell_mean(w, samples[-1], radius, grid.dim)
+            formula[i], t_col[i] = _sphere_terms(model, z, radius, f0, pts, w, samples)
 
-    a = core - gt
-    a_prime_fd = log_radius_derivative(a, r)
-    ghost_rate = log_radius_derivative(gt, r)
-    mainid_gap = a_prime_fd - formula - t_col + ghost_rate
-    osc = oscillation_profile(g.potential, z, r)
+        a = core - gt
+        a_prime_fd = log_radius_derivative(a, r)
+        ghost_rate = log_radius_derivative(gt, r)
+        mainid_gap = a_prime_fd - formula - t_col + ghost_rate
+        osc = oscillation_profile(g.potential, z, r)
 
-    tol_mono = TOL_MONO_FACTOR * (grid.h / float(r[0])) * abs(float(a[-1]))
-    violations = tuple(
-        int(i) for i in range(r.size - 1) if a[i + 1] < a[i] - tol_mono
-    )
-    return MonotonicityReport(
-        r=r,
-        weiss_core=core,
-        ghost_term=gt,
-        a=a,
-        a_prime_fd=a_prime_fd,
-        a_prime_formula=formula,
-        t=t_col,
-        mainid_gap=mainid_gap,
-        osc=osc,
-        tol_mono=tol_mono,
-        violations=violations,
-    )
+        tol_mono = TOL_MONO_FACTOR * (grid.h / float(r[0])) * abs(float(a[-1]))
+        violations = tuple(int(i) for i in range(r.size - 1) if a[i + 1] < a[i] - tol_mono)
+        return MonotonicityReport(
+            r=r,
+            weiss_core=core,
+            ghost_term=gt,
+            a=a,
+            a_prime_fd=a_prime_fd,
+            a_prime_formula=formula,
+            t=t_col,
+            mainid_gap=mainid_gap,
+            osc=osc,
+            tol_mono=tol_mono,
+            violations=violations,
+        )
+    finally:
+        drop_ball_weights()
 
 
 @dataclass(frozen=True)

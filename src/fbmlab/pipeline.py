@@ -17,7 +17,7 @@ import numpy as np
 from .errors import GeometryError
 from .blowup import build_sequence, regularity_verdict
 from .fieldio import read_field, write_csv, write_field, write_json, write_points_csv
-from .fields import ScalarField, drop_ball_weights, free_boundary_points
+from .fields import ScalarField, free_boundary_points
 from .ghost import (
     GhostFunction,
     _ghost_contract,
@@ -213,15 +213,13 @@ def _run_point(s: Scenario, u: ScalarField, i: int, z, out: Path) -> dict:
     """Point i's three stages with their files; returns its summary row.
 
     The potential and the reports die on return, before point i + 1 starts.
-    Its ball weights follow one rule: cache what two stages share (the ghost
-    stage's flux profile and the scan read one ladder), for one point, until
-    its scan is written, so they are dropped then; the blow-up caches none.
+    Its ball weights need no call here: the scan empties their cache when it
+    returns, and the blow-up caches none.
     """
     g, ghost_report = stage_ghost(s, u, z)
     write_ghost(g, out / f"ghost_{i}.bin", report=ghost_report)
     rep = stage_scan(s, u, g)
     write_report_csv(rep, out / f"scan_{i}.csv")
-    drop_ball_weights()
     blow = stage_blowup(s, u, z)
     write_csv(out / f"blowup_{i}.csv", blowup_columns(s.grid.dim), blowup_rows(blow))
     return {

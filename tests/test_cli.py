@@ -125,6 +125,26 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "density" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,bad",
+        [
+            # a directory as the scenario file (IsADirectoryError)
+            ("validate --config {dir}", "{dir}"),
+            # an existing file as the output directory (FileExistsError)
+            ("pipeline --config {cfg} --out {file}", "{file}"),
+            # an output file under an existing file (FileExistsError)
+            ("minimize --config {cfg} --out {file}/x.bin", "{file}"),
+        ],
+    )
+    def test_path_error_exits_2_naming_the_path(
+        self, config_path, tmp_path, capsys, command, bad
+    ):
+        (tmp_path / "file").write_text("")
+        names = {"dir": tmp_path, "cfg": config_path, "file": tmp_path / "file"}
+        assert main(command.format(**names).split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(bad.format(**names)) in err
+
     def test_z_outside_grid_exits_4(self, config_path, reference_run, tmp_path, capsys):
         out, _ = reference_run
         rc = main([

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbmlab import monotonicity, pipeline
+from fbmlab import fields, monotonicity, pipeline
 from fbmlab.blowup import DEFICIT_THRESHOLD
 from fbmlab.errors import GeometryError
 from fbmlab.fieldio import read_csv, read_field, write_csv, write_field
@@ -23,7 +23,7 @@ from fbmlab.fields import (
     free_boundary_points,
 )
 from fbmlab.ghost import flux_field, weak_divergence_residual
-from fbmlab.monotonicity import write_report_csv
+from fbmlab.monotonicity import scan, write_report_csv
 from fbmlab.pipeline import (
     blowup_columns,
     blowup_rows,
@@ -227,6 +227,21 @@ def stored_field_3d_two_points(tmp_path: Path) -> tuple[Scenario, int]:
     return s, 8 * grid.n_nodes
 
 
+@pytest.fixture
+def cache_builds(monkeypatch):
+    """The balls the ball weight cache builds, counted from an empty cache by a
+    spy on the builder: emptying the cache also zeroes its cache_info counts."""
+    build, builds = fields._build_ball_weights, []
+
+    def counted(grid, z, r):
+        builds.append((z, r))
+        return build(grid, z, r)
+
+    monkeypatch.setattr(fields, "_build_ball_weights", counted)
+    _ball_weights.cache_clear()
+    return builds
+
+
 class TestPointBuffers:
     """A point leaves nothing behind that raises the next point's memory."""
 
@@ -269,28 +284,27 @@ class TestPointBuffers:
         assert cached["stage_ghost"] == cached["stage_blowup"] == [0, 0]
         assert min(cached["stage_scan"]) > 0
 
-    def test_no_ball_weights_are_rebuilt(self, tmp_path, monkeypatch):
-        # dropping a point's ball weights once, after its scan, costs no
-        # rebuild: a run that never drops them misses as often.  A drop also
-        # resets the cache's counts, so each is read before it.
+    def test_no_ball_weights_are_rebuilt(self, tmp_path, monkeypatch, cache_builds):
+        # each scan empties the cache once, as it returns, which costs no
+        # rebuild: a run that never empties it builds as many balls
         s, _ = stored_field_3d_two_points(tmp_path)
-        drop, counts = pipeline.drop_ball_weights, []
+        drop, drops = monotonicity.drop_ball_weights, []
 
         def counted_drop():
-            counts.append(_ball_weights.cache_info().misses)
+            drops.append(_ball_weights.cache_info().currsize)
             drop()
 
-        def misses(name):
-            _ball_weights.cache_clear()
+        def builds(name):
+            cache_builds.clear()
             run_pipeline(s, tmp_path / name)
-            return sum(counts) + _ball_weights.cache_info().misses
+            return len(cache_builds)
 
-        monkeypatch.setattr(pipeline, "drop_ball_weights", counted_drop)
-        dropped = misses("dropped")
-        assert len(counts) == 2
-        monkeypatch.setattr(pipeline, "drop_ball_weights", lambda: None)
-        counts.clear()
-        kept = misses("kept")
+        monkeypatch.setattr(monotonicity, "drop_ball_weights", counted_drop)
+        dropped = builds("dropped")
+        assert len(drops) == 2 and min(drops) > 0
+        assert _ball_weights.cache_info().currsize == 0
+        monkeypatch.setattr(monotonicity, "drop_ball_weights", lambda: None)
+        kept = builds("kept")
         # the cache never evicted, so kept counts every distinct ball once
         assert _ball_weights.cache_info().currsize == kept
         assert dropped == kept
@@ -328,16 +342,45 @@ class TestLongLadder:
     }
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
-    def test_each_ball_built_once_and_blowup_caches_none(self, tmp_path, name):
+    def test_each_ball_built_once_and_blowup_caches_none(self, tmp_path, name, cache_builds):
         s = replace(self.FIELDS[name](tmp_path), r_min=0.1, ratio=1.03)
         assert len(s.radii()) == 47
         u, _ = obtain_field(s)
-        _ball_weights.cache_clear()
+        cache_builds.clear()
         stage_scan(s, u, stage_ghost(s, u, s.points[0])[0])
-        assert _ball_weights.cache_info().misses == 47
-        _ball_weights.cache_clear()
-        # every scale's homogeneity_deviation builds its ball uncached
+        assert len(cache_builds) == 47
+        # every scale's homogeneity_deviation builds its ball outside the cache
         assert stage_blowup(s, u, s.points[0])["scales"]
+        assert len(cache_builds) == 47
+        assert _ball_weights.cache_info().currsize == 0
+
+
+class TestBallWeightRelease:
+    """The scan, the last reader of a point's ball ladder, empties the ball
+    weight cache on any exit.  So a loop over the stages that keeps every
+    result, as a traced replay does, holds no ball after a point; without
+    the release it held the point's whole ladder (11 balls here)."""
+
+    @pytest.mark.parametrize("name", sorted(TestLongLadder.FIELDS))
+    def test_stage_loop_keeping_every_result_caches_no_ball(self, tmp_path, name):
+        s = TestLongLadder.FIELDS[name](tmp_path)
+        u, _ = obtain_field(s)
+        _ball_weights.cache_clear()
+        kept = []
+        for z in s.points:
+            g, report = stage_ghost(s, u, z)
+            kept.append((g, report, stage_scan(s, u, g), stage_blowup(s, u, z)))
+            assert _ball_weights.cache_info().currsize == 0
+        assert len(kept) == len(s.points) >= 1
+
+    def test_scan_that_leaves_the_box_empties_the_cache(self, tmp_path):
+        s, _ = stored_field_3d_two_points(tmp_path)
+        u, _ = obtain_field(s)
+        _ball_weights.cache_clear()
+        g, _ = stage_ghost(s, u, s.points[0])
+        assert _ball_weights.cache_info().currsize == len(s.radii())
+        with pytest.raises(GeometryError, match="leaves the box"):
+            scan(u, s.model, s.problem.lam, g.base_point, [0.2, 0.9], g, level=s.phase_level)
         assert _ball_weights.cache_info().currsize == 0
 
 
