@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from .errors import GeometryError, ScenarioError, SolverError
 from .fieldio import read_field, write_csv, write_field, write_json
@@ -54,7 +55,7 @@ _OPTIONS = {
     "ghost": ("flux decomposition at one point", "field config z out", ""),
     "monotonicity": ("radius scan against a stored ghost", "field ghost config out", ""),
     "blowup": ("rescaling ladder at one point", "field config z out", ""),
-    "pipeline": ("run every stage and write all artifacts", "config", "out"),
+    "pipeline": ("run every stage and write all artifacts", "config out", ""),
     "validate": ("print scenario diagnostics", "config", ""),
 }
 
@@ -108,7 +109,7 @@ def _cmd_blowup(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     s = load_scenario(args.config)
-    summary = run_pipeline(s, out_dir=args.out)
+    summary = run_pipeline(s, args.out)
     print(
         f"pipeline done: {summary['n_points']} point(s), "
         f"{summary['total_violations']} monotonicity violation(s)"
@@ -143,6 +144,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        # an unusable output path fails here, naming itself, before a stage runs
+        for path in filter(None, map(vars(args).get, ("out", "report"))):
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args)
     except GeometryError as exc:
         print(f"geometry error: {exc}", file=sys.stderr)

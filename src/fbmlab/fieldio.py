@@ -12,7 +12,8 @@ check_keys is the one JSON key check of every file a run reads: the field
 header, the ghost contract and the scenario declare their keys' JSON types
 in tables, and a missing or mistyped key becomes one line naming its path.
 
-CSV files use `repr` formatting so every float round-trips exactly.
+CSV files use `repr` formatting so every float round-trips exactly.  No
+writer makes a directory: the entry point handed a path does (cli.main, run_pipeline).
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ def write_field(f: ScalarField, path: str | Path, meta: dict | None = None) -> N
     }
     if meta is not None:
         header["meta"] = meta
-    header_path.parent.mkdir(parents=True, exist_ok=True)
     write_json(header_path, header)
     # the array's own buffer is written, with no bytes copy of the grid
     data_path.write_bytes(np.ascontiguousarray(f.values, dtype="<f8"))
@@ -152,17 +152,11 @@ def _read_header(path: Path) -> tuple[Grid, dict | None]:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def write_csv(path: str | Path, columns: list[str], rows: list[tuple]) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    p.write_text("\n".join(lines) + "\n")
+        lines.append(",".join(repr(float(v)) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_points_csv(points: np.ndarray, path: str | Path) -> None:

@@ -40,7 +40,8 @@ Conventions used throughout the package:
   array is formed.  These weights depend only on (grid, z, r); every ball
   integral is one weighted sum of h^dim times the values on the window.  A
   point's radius ladder, built by the flux profile and read by the scan, is
-  cached until the scan returns (a blow-up scale's ball, read once, is not);
+  cached until the scan returns or another point's ball is asked for (a
+  blow-up scale's ball, read once, is not);
 * one box rule, Grid.balls_inside (slack 1e-9 max(h, 1); a point is a ball of
   radius 0), and one gate per point set, in the rule that makes it: the sphere
   and ball rules call require_ball_inside (r > 0, inside the box) themselves,
@@ -642,15 +643,23 @@ def _build_ball_weights(grid: Grid, z, r: float) -> BallWeights:
 
 @lru_cache(maxsize=None)
 def _ball_weights(grid: Grid, z: tuple[float, ...], r: float) -> BallWeights:
-    """The cached builder, with no capacity: it holds one point's radius ladder,
-    built by the flux profile and read by the scan, until the scan returns."""
+    """The cached builder: it holds one point's balls, the radius ladder built
+    by the flux profile and read by the scan, until the scan returns."""
     return _build_ball_weights(grid, z, r)
 
 
+_ball_point = None  # the (grid, z) of the balls _ball_weights holds
+
+
 def ball_weights(grid: Grid, z, r: float) -> BallWeights:
-    """Quadrature weights of the ball |x-z| <= r, cached until a scan returns.
-    z must give one coordinate per grid axis (ValueError otherwise)."""
-    return _ball_weights(grid, tuple(float(c) for c in as_base_point(grid, z)), float(r))
+    """Quadrature weights of the ball |x-z| <= r, cached until a scan returns or a
+    ball about another point is asked for; z needs one coordinate per grid axis."""
+    global _ball_point
+    point = (grid, tuple(float(c) for c in as_base_point(grid, z)))
+    if point != _ball_point:
+        drop_ball_weights()
+        _ball_point = point
+    return _ball_weights(*point, float(r))
 
 
 def drop_ball_weights() -> None:

@@ -101,7 +101,7 @@ BASE_POINT_ATOL = 1e-12
 STABILITY_EXPONENT = 1.5
 SHELL_STEP_CELLS = 0.5
 GHOST_META_KEYS = {"base_point": NUMBERS, "f0": FINITE, "cap_radius": NUMBER,
-                   "residual": FINITE, "iterations": INTEGER}
+                   "residual": FINITE, "iterations": INTEGER, "level": FINITE}
 
 
 def _cap(grid: Grid) -> float:
@@ -154,6 +154,7 @@ class GhostFunction:
 
     residual is the checked relative residual of the weak Neumann system;
     iterations is 0 for a zero load (exact zero potential) and 1 otherwise.
+    level is the phase level l of the (u - l)^+ whose flux it splits (0 by default).
     """
 
     potential: ScalarField
@@ -161,6 +162,7 @@ class GhostFunction:
     f0: float
     residual: float
     iterations: int
+    level: float = 0.0
 
     @property
     def grid(self) -> Grid:
@@ -172,8 +174,8 @@ class GhostFunction:
         return _cap(self.grid)
 
 
-def _check_ghost_contract(g: GhostFunction, grid: Grid, z, f0: float) -> None:
-    """Raise ValueError unless g was built on grid, about z, with reference slope f0."""
+def _check_ghost_contract(g: GhostFunction, grid: Grid, z, f0: float, level=None) -> None:
+    """Raise ValueError unless g was built on grid, about z, with slope f0, at level if given."""
     if g.grid != grid:
         raise ValueError("ghost and field live on different grids")
     z = np.asarray(z, dtype=float)
@@ -186,6 +188,8 @@ def _check_ghost_contract(g: GhostFunction, grid: Grid, z, f0: float) -> None:
         )
     if not abs(g.f0 - f0) <= BASE_POINT_ATOL:
         raise ValueError(f"ghost reference slope {g.f0} does not match requested {f0}")
+    if level is not None and not abs(g.level - level) <= BASE_POINT_ATOL:
+        raise ValueError(f"ghost phase level {g.level} does not match requested {level}")
 
 
 def write_ghost(g: GhostFunction, path, report: dict | None = None) -> None:
@@ -213,7 +217,7 @@ def read_ghost(path, grid: Grid | None = None) -> GhostFunction:
     """The ghost stored at path; ValueError naming path unless its contract is whole,
     of the JSON types GHOST_META_KEYS gives, with the cap h/2 of its grid.  Given
     a grid, read_field checks that the potential lives on it; whether the ghost
-    belongs to a run (grid, base point, F0) is _check_ghost_contract's to decide."""
+    belongs to a run (grid, base point, F0, level) is _check_ghost_contract's to decide."""
     phi, meta = read_field(path, grid)
     values, problems = check_keys(meta or {}, GHOST_META_KEYS, where="meta.")
     if problems:
@@ -224,7 +228,8 @@ def read_ghost(path, grid: Grid | None = None) -> GhostFunction:
     if cap != _cap(phi.grid):
         raise ValueError(f"{path}: ghost cap_radius must be h/2 = {_cap(phi.grid)!r} "
                          f"of its grid, got {cap!r}")
-    return GhostFunction(phi, z, values["f0"], values["residual"], values["iterations"])
+    return GhostFunction(phi, z, values["f0"], values["residual"], values["iterations"],
+                         values["level"])
 
 
 def _node_distance(grid: Grid, z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:

@@ -389,17 +389,17 @@ def scan(
     level is the field's phase level (see the module docstring): the bulk
     counts the cells' fractions above it and the sphere terms read
     (u - level)^+ for u.  g must be the ghost about z with the model's
-    reference slope F0 = f'(1) (ValueError otherwise).  Flags transitions
-    where A drops by more than tol_mono, the O(h/r_min) quadrature ceiling
-    5 (h/r_min) |A(r_max)|.  The stored violation indices point at the
-    left radius of each offending pair.  The scan is the last reader of the
-    point's ball ladder, so it empties the ball weight cache on any exit.
+    reference slope F0 = f'(1), built at this level (ValueError otherwise).
+    Flags transitions where A drops by more than tol_mono, the O(h/r_min)
+    quadrature ceiling 5 (h/r_min) |A(r_max)|.  The stored violation indices
+    point at the left radius of each offending pair.  The scan, the last
+    reader of the point's ball ladder, empties the ball weight cache on any exit.
     """
     try:
         grid = u.grid
         z = as_base_point(grid, z)
         f0 = model.f0
-        _check_ghost_contract(g, grid, z, f0)
+        _check_ghost_contract(g, grid, z, f0, level)
         r = _validate_radii(radii)
         # the largest ball is built first, so a ladder that leaves the box fails here
         bulks = _ball_energies(u, model, lam, level, z, r)

@@ -9,7 +9,7 @@ summary row outlives it.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,6 @@ from .fieldio import read_field, write_csv, write_field, write_json, write_point
 from .fields import ScalarField, free_boundary_points
 from .ghost import (
     GhostFunction,
-    _ghost_contract,
     flux_bound_report,
     flux_field,
     flux_l2_profile,
@@ -117,17 +116,16 @@ def stage_ghost(s: Scenario, u: ScalarField, z) -> tuple[GhostFunction, dict]:
     positive part is u bit for bit.  The flux bound reads u.lipschitz,
     which bounds (u - l)^+ too; it is read first, so a first computation is
     over before the flux is built, and is cached on u for every later
-    point.  (u - l)^+ dies with flux_field.
+    point.  (u - l)^+ dies with flux_field; the ghost records l.
     """
     lip = u.lipschitz
     flux = flux_field(_sharp_field(u, s.phase_level), s.model, z)
-    g = neumann_solve(flux, tol=s.ghost_tol)
+    g = replace(neumann_solve(flux, tol=s.ghost_tol), level=s.phase_level)
     # the sphere sampling runs before the reports that keep flux.norm_sq
     shell = [asdict(rec) for rec in shell_identity_report(flux, g, s.radii())]
     stab = stability_report(flux, g)
     bound = flux_bound_report(flux, s.model, lip)
     report = {
-        **_ghost_contract(g),
         # the solve's checked residual is this same weak-divergence ratio
         "weak_divergence_residual": g.residual,
         "stability": asdict(stab),
@@ -147,7 +145,7 @@ def _sharp_field(u: ScalarField, level: float) -> ScalarField:
 
 
 def stage_scan(s: Scenario, u: ScalarField, g: GhostFunction) -> MonotonicityReport:
-    """Radius scan at the ghost's base point; the ghost must carry the scenario's F'(1)."""
+    """Radius scan at the ghost's base point, which must carry the scenario's F'(1) and level."""
     return scan(u, s.model, s.problem.lam, g.base_point, s.radii(), g, level=s.phase_level)
 
 
@@ -177,8 +175,8 @@ def blowup_rows(blow: dict) -> list[tuple]:
     ]
 
 
-def run_pipeline(s: Scenario, out_dir=None) -> dict:
-    """Execute every stage and write all artifacts under out_dir.
+def run_pipeline(s: Scenario, out_dir) -> dict:
+    """Execute every stage and write all artifacts under out_dir, made first.
 
     Writes field.bin/.json, minimize.json, points.csv, then per point i, in
     order and as soon as its stages finish: ghost_i.bin/.json, scan_i.csv,
@@ -187,7 +185,7 @@ def run_pipeline(s: Scenario, out_dir=None) -> dict:
     u.lipschitz is computed once, by stage_minimize or, for a stored field,
     the first ghost stage.  Returns the summary dictionary.
     """
-    out = Path(out_dir if out_dir is not None else (s.output_dir or "."))
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     u, minimize_report = obtain_field(s)

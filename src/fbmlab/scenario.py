@@ -66,10 +66,9 @@ _TOP_OPTIONAL = {
     "max_iter": INTEGER,
     "ghost_tol": NUMBER,
     "field_path": STRING,
-    "output_dir": STRING,
 }
 # the top-level keys that are Scenario fields of the same name
-_FIELD_KEYS = ("auto_stride", "tol", "max_iter", "ghost_tol", "field_path", "output_dir")
+_FIELD_KEYS = ("auto_stride", "tol", "max_iter", "ghost_tol", "field_path")
 
 
 def _read_keys(obj: dict, keys: dict, optional: dict, where: str,
@@ -219,7 +218,6 @@ class Scenario:
     eps_factor: float = DEFAULT_EPS_CELLS
     ghost_tol: float = DEFAULT_GHOST_TOL
     field_path: str | None = None
-    output_dir: str | None = None
 
     @cached_property
     def problem(self) -> Problem:

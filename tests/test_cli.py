@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from fbmlab import pipeline
 from fbmlab.cli import main, parse_point
 from fbmlab.errors import ScenarioError
 from fbmlab.fieldio import read_csv, write_field
@@ -144,6 +145,58 @@ class TestExitCodes:
         assert main(command.format(**names).split()) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(bad.format(**names)) in err
+
+    def test_pipeline_without_out_exits_2_writing_nothing(
+        self, config_path, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_unusable_output_path_exits_2_before_minimizing(
+        self, config_path, tmp_path, monkeypatch, capsys
+    ):
+        def no_minimize(*args, **kwargs):
+            raise AssertionError("minimize ran before the output path was made")
+
+        monkeypatch.setattr(pipeline, "minimize", no_minimize)
+        (tmp_path / "file").write_text("")
+        for out, report in (("file/x.bin", "r.json"), ("u.bin", "file/r.json")):
+            rc = main([
+                "minimize", "--config", str(config_path),
+                "--out", str(tmp_path / out), "--report", str(tmp_path / report),
+            ])
+            assert rc == 2
+            assert repr(str(tmp_path / "file")) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_ghost_at_another_phase_level_exits_2(
+        self, config_path, reference_run, tmp_path, capsys
+    ):
+        # a ghost built from the run's field as a stored field (level 0),
+        # scanned by the minimizing scenario (its level s*eps > 0)
+        out, summary = reference_run
+        stored = write_config(tmp_path, field_path=str(out / "field.bin"))
+        z = ",".join(repr(c) for c in summary["per_point"][0]["z"])
+        rc = main([
+            "ghost", "--config", str(stored), "--field", str(out / "field.bin"),
+            f"--z={z}", "--out", str(tmp_path / "g.bin"),
+        ])
+        assert rc == 0
+        assert json.loads((tmp_path / "g.json").read_text())["meta"]["level"] == 0.0
+        rc = main([
+            "monotonicity", "--config", str(config_path),
+            "--field", str(out / "field.bin"),
+            "--ghost", str(tmp_path / "g.bin"),
+            "--out", str(tmp_path / "scan.csv"),
+        ])
+        assert rc == 2
+        level = Scenario.from_dict(json.loads(json.dumps(TINY))).phase_level
+        assert level > 0.0
+        err = capsys.readouterr().err
+        assert f"ghost phase level 0.0 does not match requested {level}" in err
+        assert not (tmp_path / "scan.csv").exists()
 
     def test_z_outside_grid_exits_4(self, config_path, reference_run, tmp_path, capsys):
         out, _ = reference_run
@@ -528,6 +581,18 @@ class TestMinimizeCommand:
         assert rep["refit_steps"][0] == 0
         assert len(rep["refit_steps"]) <= rep["iterations"]
         assert sum(rep["cg_history"]) == rep["cg_iterations"]
+
+    def test_makes_the_directories_of_its_outputs(self, config_path, reference_run, tmp_path):
+        out, _ = reference_run
+        rc = main([
+            "minimize", "--config", str(config_path),
+            "--out", str(tmp_path / "fields" / "f.bin"),
+            "--report", str(tmp_path / "reports" / "r.json"),
+        ])
+        assert rc == 0
+        assert (tmp_path / "fields" / "f.bin").read_bytes() == (out / "field.bin").read_bytes()
+        report = json.loads((tmp_path / "reports" / "r.json").read_text())
+        assert report == json.loads((out / "minimize.json").read_text())
 
     def test_points_csv_roundtrips_through_z_flag(self, reference_run):
         out, summary = reference_run

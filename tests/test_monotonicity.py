@@ -8,6 +8,7 @@ from fbmlab.errors import GeometryError
 from fbmlab.fieldio import read_csv
 from fbmlab import monotonicity
 from fbmlab.fields import (
+    _ball_weights,
     Grid,
     ScalarField,
     ball_weights,
@@ -389,12 +390,12 @@ class TestDensityWindow:
     @pytest.mark.parametrize("case", [arctan_case_2d, arctan_case_3d, face_case_2d])
     def test_bytes_equal_full_grid_density(self, case, monkeypatch):
         u, z, phi, radii = case()
-        g = GhostFunction(
-            potential=phi, base_point=z, f0=ARCTAN.f0,
-            residual=0.0, iterations=0,
-        )
         # a cell's phase fraction reads only its own corners, at any level
         for level in (0.0, 0.05):
+            g = GhostFunction(
+                potential=phi, base_point=z, f0=ARCTAN.f0,
+                residual=0.0, iterations=0, level=level,
+            )
             with monkeypatch.context() as m:
                 got = scan(u, ARCTAN, 0.7, z, radii, g, level=level)
                 cores = [weiss_core(u, ARCTAN, 0.7, z, r, level=level) for r in radii]
@@ -496,6 +497,15 @@ class TestVmo:
         rep = vmo_check(ScalarField(grid, 0.5 * np.log(d2)), ORIGIN2, dyadic)
         assert not rep.passed
         assert rep.limit_estimate > rep.floor
+
+    def test_loop_keeps_one_points_balls(self, dyadic):
+        # each point's balls empty the cache of the point before
+        grid = box_grid(2, 64)
+        phi = ScalarField(grid, np.ones(grid.node_shape))
+        _ball_weights.cache_clear()
+        for x in (-0.2, -0.1, 0.0, 0.1, 0.2):
+            vmo_check(phi, (x, 0.0), dyadic)
+            assert _ball_weights.cache_info().currsize == len(dyadic)
 
     def test_requires_decreasing_radii(self):
         grid = box_grid(2, 64)

@@ -305,8 +305,9 @@ class TestPointBuffers:
         assert _ball_weights.cache_info().currsize == 0
         monkeypatch.setattr(monotonicity, "drop_ball_weights", lambda: None)
         kept = builds("kept")
-        # the cache never evicted, so kept counts every distinct ball once
-        assert _ball_weights.cache_info().currsize == kept
+        # a ball about a new point empties the cache, so it ends with the last
+        # point's balls, those the dropped run's last scan emptied
+        assert _ball_weights.cache_info().currsize == drops[-1]
         assert dropped == kept
 
 
@@ -675,6 +676,19 @@ class TestGhostFiles:
         flux = flux_field(sharp, s.model, g.base_point)
         assert weak_divergence_residual(flux, g) == meta["weak_divergence_residual"]
         assert meta["weak_divergence_residual"] > 0.0
+
+    def test_level_is_the_phase_level(self, first_run, tmp_path):
+        out, _ = first_run
+        s = tiny_scenario()
+        header = json.loads((out / "ghost_0.json").read_text())
+        assert header["meta"]["level"] == s.phase_level > 0.0
+        assert read_ghost(out / "ghost_0.bin").level == s.phase_level
+        # the level is part of the contract a ghost file must carry
+        del header["meta"]["level"]
+        (tmp_path / "g.json").write_text(json.dumps(header))
+        (tmp_path / "g.bin").write_bytes((out / "ghost_0.bin").read_bytes())
+        with pytest.raises(ValueError, match="meta.level: required"):
+            read_ghost(tmp_path / "g.bin")
 
     def test_read_back_cap_is_half_spacing(self, first_run, tmp_path):
         out, _ = first_run

@@ -262,6 +262,16 @@ class TestKeyTable:
 
 
 class TestSchema:
+    def test_output_dir_is_an_unknown_key(self, tmp_path, capsys):
+        # the command line names every output path; a scenario names none
+        data = good_dict()
+        data["output_dir"] = "runs"
+        assert validate_dict(data) == ["output_dir: unknown key"]
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out.splitlines() == ["output_dir: unknown key"]
+
     def test_unknown_key_named_at_each_level(self):
         for section in ("", "grid", "density", "boundary", "radii"):
             data = good_dict()
