@@ -1,6 +1,9 @@
 """Command line front end.
 
 Subcommands: minimize | ghost | monotonicity | blowup | pipeline | validate.
+A command reads every input it names (--config, --z, --field, --ghost)
+before it makes the directories of its outputs (--out, --report), and
+makes those before its stage runs, so a bad input leaves no directory.
 Exit codes: 0 success, 2 configuration or schema problem, 3 solver failure,
 4 geometry infeasibility.
 """
@@ -75,66 +78,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_minimize(args) -> int:
+def _run(args) -> int:
+    """Read every input the command names, then make its output directories, then run.
+
+    The inputs are read once each, in order: the scenario, the point, the
+    stored field and the ghost (on the scenario's grid).  So a bad input
+    exits 2 before a directory is made; an output path that cannot be made
+    exits 2 before a stage runs.  Files the scenario names (field_path,
+    boundary.path) are read by the stage that uses them.
+    """
+    if args.command == "validate":
+        diagnostics = validate_dict(read_scenario(args.config))
+        print("\n".join(diagnostics) or "ok")
+        return EXIT_CONFIG if diagnostics else EXIT_OK
+    given = vars(args)
     s = load_scenario(args.config)
-    u, report = obtain_field(s)
-    write_field(u, args.out)
-    if args.report is not None:
-        write_json(args.report, report)
+    z = parse_point(args.z, s.grid.dim) if "z" in given else None
+    u = read_field(args.field, s.grid)[0] if "field" in given else None
+    g = read_ghost(args.ghost, s.grid) if "ghost" in given else None
+    for path in filter(None, map(given.get, ("out", "report"))):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+    if args.command == "minimize":
+        u, report = obtain_field(s)
+        write_field(u, args.out)
+        if args.report is not None:
+            write_json(args.report, report)
+    elif args.command == "ghost":
+        g, report = stage_ghost(s, u, z)
+        write_ghost(g, args.out, report=report)
+    elif args.command == "monotonicity":
+        write_report_csv(stage_scan(s, u, g), args.out)
+    elif args.command == "blowup":
+        write_csv(args.out, blowup_columns(s.grid.dim), blowup_rows(stage_blowup(s, u, z)))
+    else:
+        summary = run_pipeline(s, args.out)
+        print(
+            f"pipeline done: {summary['n_points']} point(s), "
+            f"{summary['total_violations']} monotonicity violation(s)"
+        )
     return EXIT_OK
-
-
-def _cmd_ghost(args) -> int:
-    s = load_scenario(args.config)
-    z = parse_point(args.z, s.grid.dim)
-    g, report = stage_ghost(s, read_field(args.field, s.grid)[0], z)
-    write_ghost(g, args.out, report=report)
-    return EXIT_OK
-
-
-def _cmd_monotonicity(args) -> int:
-    s = load_scenario(args.config)
-    report = stage_scan(s, read_field(args.field, s.grid)[0], read_ghost(args.ghost, s.grid))
-    write_report_csv(report, args.out)
-    return EXIT_OK
-
-
-def _cmd_blowup(args) -> int:
-    s = load_scenario(args.config)
-    z = parse_point(args.z, s.grid.dim)
-    blow = stage_blowup(s, read_field(args.field, s.grid)[0], z)
-    write_csv(args.out, blowup_columns(s.grid.dim), blowup_rows(blow))
-    return EXIT_OK
-
-
-def _cmd_pipeline(args) -> int:
-    s = load_scenario(args.config)
-    summary = run_pipeline(s, args.out)
-    print(
-        f"pipeline done: {summary['n_points']} point(s), "
-        f"{summary['total_violations']} monotonicity violation(s)"
-    )
-    return EXIT_OK
-
-
-def _cmd_validate(args) -> int:
-    diagnostics = validate_dict(read_scenario(args.config))
-    for line in diagnostics:
-        print(line)
-    if diagnostics:
-        return EXIT_CONFIG
-    print("ok")
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "minimize": _cmd_minimize,
-    "ghost": _cmd_ghost,
-    "monotonicity": _cmd_monotonicity,
-    "blowup": _cmd_blowup,
-    "pipeline": _cmd_pipeline,
-    "validate": _cmd_validate,
-}
 
 
 def main(argv=None) -> int:
@@ -144,10 +127,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        # an unusable output path fails here, naming itself, before a stage runs
-        for path in filter(None, map(vars(args).get, ("out", "report"))):
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](args)
+        return _run(args)
     except GeometryError as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY

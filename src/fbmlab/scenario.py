@@ -22,12 +22,12 @@ import numpy as np
 from .blowup import MIN_SCALE_CELLS, SCALE_FRACTION
 from .density import DensityModel
 from .errors import GeometryError, ScenarioError
-from .fieldio import INTEGER, INTEGERS, NUMBER, NUMBERS, OBJECT, STRING, JsonType, check_keys
+from .fieldio import (
+    INTEGER, INTEGERS, NUMBER, NUMBERS, OBJECT, STRING, JsonType, check_keys, read_field
+)
 from .fields import Grid, geometric_radii
 from .ghost import DEFAULT_TOL as DEFAULT_GHOST_TOL, SHELL_STEP_CELLS
-from .minimizer import (
-    DEFAULT_EPS_CELLS, DEFAULT_MAX_ITER, DEFAULT_TOL, BoundaryData, Problem, ramp_free_boundary
-)
+from .minimizer import DEFAULT_MAX_ITER, DEFAULT_TOL, BoundaryData, Problem, ramp_free_boundary
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -60,8 +60,6 @@ _TOP_OPTIONAL = {
         '"auto" or a nonempty list of points',
     ),
     "auto_stride": INTEGER,
-    "lambda": NUMBER,
-    "eps_factor": NUMBER,
     "tol": NUMBER,
     "max_iter": INTEGER,
     "ghost_tol": NUMBER,
@@ -92,8 +90,9 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
     scenario path.  The Problem and the ladder seed the Scenario.  Only what
     no constructor owns is checked here: the schema version, the solver
     scalars, 2 cells on every grid axis, an r_min above the shell identity's
-    step, and the points' dimension.  A fault never hides one in an unrelated
-    key.  Returns the Scenario (None if anything is wrong) and the problems.
+    step, and the points' dimension and finiteness.  A fault never hides one
+    in an unrelated key.  Returns the Scenario (None if anything is wrong)
+    and the problems.
     """
     if not isinstance(data, dict):
         return None, ["scenario: top level must be a JSON object"]
@@ -103,16 +102,14 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
         if not ok:
             problems.append(problem)
 
-    def build(make, kwargs: dict, path: str, fields, **elsewhere: str):
+    def build(make, kwargs: dict, path: str, fields):
         # A constructor message about one field starts with that field's
-        # name: one of `fields` reads "path.field ...", one in `elsewhere`
-        # takes the prefix given there, any other message "path: ...".
+        # name: one of `fields` reads "path.field ...", any other "path: ...".
         try:
             return make(**kwargs)
         except ValueError as exc:
             msg = str(exc)
-            word = msg.split(" ", 1)[0]
-            prefix = f"{path}." if word in fields else elsewhere.get(word, f"{path}: ")
+            prefix = f"{path}." if msg.split(" ", 1)[0] in fields else f"{path}: "
             problems.append(prefix + msg)
             return None
 
@@ -145,22 +142,17 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
     points = top.get("points_of_interest", "auto")
     if points != "auto" and grid is not None:
         for i, z in enumerate(points):
-            need(NUMBERS.test(z) and len(z) == grid.dim,
-                 f"points_of_interest[{i}]: need {grid.dim} coordinates")
+            need(NUMBERS.test(z) and len(z) == grid.dim and all(map(math.isfinite, z)),
+                 f"points_of_interest[{i}]: need {grid.dim} finite coordinates")
     for key in ("tol", "ghost_tol"):
         need(0.0 < top.get(key, 1.0) < math.inf, f"{key}: must be a positive finite number")
     need(top.get("max_iter", 0) >= 0, "max_iter: must be a nonnegative integer")
 
     problem = None
-    lam, eps_factor = top.get("lambda"), top.get("eps_factor", DEFAULT_EPS_CELLS)
     model, boundary = made.get("density"), made.get("boundary")
-    if (all(x is not None for x in (grid, model, boundary))
-            and all(key in top for key in ("lambda", "eps_factor") if key in data)):
-        problem = build(
-            Problem,
-            dict(grid=grid, model=model, boundary=boundary, lam=lam, eps=eps_factor * grid.h),
-            "boundary", ("direction", "center"), lam="lambda: ", eps="eps_factor: ",
-        )
+    if all(x is not None for x in (grid, model, boundary)):
+        problem = build(Problem, dict(grid=grid, model=model, boundary=boundary),
+                        "boundary", ("direction", "center"))
     if problems:
         return None, problems
 
@@ -168,7 +160,7 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
         points = tuple(tuple(float(c) for c in z) for z in points)
     s = Scenario(
         grid=grid, model=model, boundary=boundary, **sections["radii"],
-        points=points, lam=lam, eps_factor=eps_factor,
+        points=points,
         **{key: top[key] for key in _FIELD_KEYS if key in top},
     )
     # cached_property reads the instance dict, which a frozen dataclass leaves writable
@@ -182,12 +174,21 @@ def validate_dict(data) -> list[str]:
 
     Returns a list of human-readable problems; an empty list means the
     scenario is valid.  Never raises.  The checks are those of
-    `Scenario.from_dict`, plus geometric feasibility of explicit points:
-    the ball of radius Scenario.reach around each must fit in the box,
-    which `Scenario.from_dict` defers to run time (a GeometryError there).
+    `Scenario.from_dict`, plus two that it defers to run time: each stored
+    field the scenario names (field_path, boundary.path) must pass
+    read_field on the scenario's grid, and the ball of radius
+    Scenario.reach around each explicit point must fit in the box.
     """
     s, problems = _parse(data)
-    if s is not None and s.points != "auto":
+    if s is None:
+        return problems
+    for key, path in (("field_path", s.field_path), ("boundary.path", s.boundary.path)):
+        if path is not None:
+            try:
+                read_field(path, s.grid)
+            except (ValueError, OSError) as exc:
+                problems.append(f"{key}: {exc}")
+    if s.points != "auto":
         for i, z in enumerate(s.points):
             try:
                 s.grid.require_ball_inside(z, s.reach)
@@ -212,19 +213,16 @@ class Scenario:
     ratio: float
     points: tuple[tuple[float, ...], ...] | str = "auto"
     auto_stride: int = 1
-    lam: float | None = None
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    eps_factor: float = DEFAULT_EPS_CELLS
     ghost_tol: float = DEFAULT_GHOST_TOL
     field_path: str | None = None
 
     @cached_property
     def problem(self) -> Problem:
-        """The minimization instance, the one owner of λ and ε = eps_factor h: the
+        """The minimization instance at Problem's own λ = ψ(1) and ε = 2h: the
         parse's, or built once for a Scenario made otherwise (dataclasses.replace)."""
-        g = self.grid
-        return Problem(g, self.model, self.boundary, self.lam, self.eps_factor * g.h)
+        return Problem(self.grid, self.model, self.boundary)
 
     @property
     def phase_level(self) -> float:

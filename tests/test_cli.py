@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, diagnostics, stage/pipeline equality."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -110,6 +111,37 @@ class TestValidate:
         assert out.startswith(f"{path}: ") and "ok" not in out.split()
         assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
 
+    @pytest.mark.parametrize("key", ["field_path", "boundary.path"])
+    @pytest.mark.parametrize("fault", ["missing", "other_grid", "nonfinite"])
+    def test_rejects_the_stored_fields_pipeline_rejects(self, tmp_path, capsys, key, fault):
+        # each stored field the scenario names passes read_field on its grid
+        n = 32 if fault == "other_grid" else 48
+        grid = Grid((-0.75, -0.75), (0.75, 0.75), (n, n))
+        values = np.maximum(grid.node_mesh()[1], 0.0)
+        if fault == "nonfinite":
+            values[n // 2, n // 2] = np.nan
+        if fault != "missing":
+            write_field(ScalarField(grid, values), tmp_path / "f.bin")
+        f = str(tmp_path / "f.bin")
+        if key == "field_path":
+            cfg = write_config(tmp_path, field_path=f)
+        else:
+            cfg = write_config(tmp_path, boundary={"kind": "file", "path": f})
+        assert main(["validate", "--config", str(cfg)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"{key}: ") and "ok" not in out.split()
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_point_exits_2(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path, points_of_interest=[[bad, 0.0]])
+        message = "points_of_interest[0]: need 2 finite coordinates"
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out.splitlines() == [message]
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_broken_json(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{")
@@ -153,6 +185,31 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(config_path)]) == 2
         assert "--out" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("bad", ["scenario", "field", "ghost"])
+    def test_bad_input_exits_2_making_no_directory(
+        self, config_path, reference_run, tmp_path, capsys, bad
+    ):
+        # every input is read before the output directories are made
+        out, _ = reference_run
+        new = tmp_path / "new"
+        if bad == "scenario":
+            (tmp_path / "s.json").write_text("{}")
+            argv = ["minimize", "--config", str(tmp_path / "s.json")]
+        elif bad == "field":
+            argv = ["ghost", "--config", str(config_path), "--field", str(tmp_path / "absent.bin"),
+                    "--z", "0,0"]
+        else:
+            # a ghost file whose contract lacks meta.level
+            header = json.loads((out / "ghost_0.json").read_text())
+            del header["meta"]["level"]
+            (tmp_path / "g.json").write_text(json.dumps(header))
+            (tmp_path / "g.bin").write_bytes((out / "ghost_0.bin").read_bytes())
+            argv = ["monotonicity", "--config", str(config_path),
+                    "--field", str(out / "field.bin"), "--ghost", str(tmp_path / "g.bin")]
+        assert main([*argv, "--out", str(new / "x.bin")]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not new.exists()
 
     def test_unusable_output_path_exits_2_before_minimizing(
         self, config_path, tmp_path, monkeypatch, capsys
@@ -325,17 +382,18 @@ class TestExitCodes:
         assert not (tmp_path / "scan.csv").exists()
 
     def test_diverging_solver_exits_3(self, tmp_path, capsys):
-        # lambda = 1e300 leaves the initial energy finite (about 1.08e300),
-        # but the energy overflows at every trial of the first line search
-        cfg = write_config(tmp_path, **{"lambda": 1e300})
+        # boundary data 1e160 y+ give gradients whose squares overflow, so the
+        # energy is not finite from the start
+        grid = Grid((-0.75, -0.75), (0.75, 0.75), (48, 48))
+        data = 1e160 * np.maximum(grid.node_mesh()[1], 0.0)
+        write_field(ScalarField(grid, data), tmp_path / "b.bin")
+        cfg = write_config(tmp_path, boundary={"kind": "file", "path": str(tmp_path / "b.bin")})
         rc = main([
             "minimize", "--config", str(cfg),
             "--out", str(tmp_path / "f.bin"),
         ])
         assert rc == 3
-        err = capsys.readouterr().err
-        assert "solver error" in err
-        assert "line search collapsed" in err
+        assert "solver error: initial energy is not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("entry", ["field_path", "boundary_file"])

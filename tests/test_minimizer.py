@@ -446,6 +446,15 @@ class TestMinimize:
             with pytest.raises(SolverError, match="not finite"):
                 minimize(p, ScalarField(p.grid, vals), tol=1e-8, max_iter=10)
 
+    def test_overflowing_trials_collapse_the_line_search(self):
+        # lam = 1e300 leaves the initial energy finite (about 1.08e300), but
+        # the energy overflows at every trial of the first line search
+        grid = Grid((-0.75, -0.75), (0.75, 0.75), (48, 48))
+        p = Problem(grid, DensityModel(kind="arctan", alpha=0.1),
+                    BoundaryData("halfplane", direction=(0.0, 1.0)), lam=1e300)
+        with pytest.raises(SolverError, match="line search collapsed"):
+            minimize(p, initial_guess(p), tol=1e-3, max_iter=150)
+
     @pytest.mark.parametrize("dim,n,model", [(2, 32, DensityModel(kind="arctan", alpha=0.1)), (3, 12, DensityModel(kind="linear"))])
     def test_newton_reaches_gradient_tol(self, dim, n, model):
         p = halfplane_problem(dim, n, model=model)

@@ -136,11 +136,11 @@ class TestValidateDict:
         assert validate_dict(data) == ["density: the linear density has no alpha parameter"]
 
     def test_negative_lambda(self):
+        # lambda is Problem's alone: a scenario naming it, at any value, is rejected
         data = good_dict()
         data["lambda"] = -1.0
-        diags = validate_dict(data)
-        assert len(diags) == 1 and diags[0].startswith("lambda: lam must be positive")
-        with pytest.raises(ScenarioError, match="lambda"):
+        assert validate_dict(data) == ["lambda: unknown key"]
+        with pytest.raises(ScenarioError, match="lambda: unknown key"):
             Scenario.from_dict(data)
 
     def test_one_cell_axis_flagged_on_n_cells(self):
@@ -272,6 +272,17 @@ class TestSchema:
         assert main(["validate", "--config", str(cfg)]) == 2
         assert capsys.readouterr().out.splitlines() == ["output_dir: unknown key"]
 
+    @pytest.mark.parametrize("key,value", [("lambda", 2.0), ("eps_factor", 2)])
+    def test_lambda_and_eps_factor_are_unknown_keys(self, tmp_path, capsys, key, value):
+        # Problem alone owns lambda = psi(1) and eps = 2h; a scenario sets neither
+        data = good_dict()
+        data[key] = value
+        assert validate_dict(data) == [f"{key}: unknown key"]
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out.splitlines() == [f"{key}: unknown key"]
+
     def test_unknown_key_named_at_each_level(self):
         for section in ("", "grid", "density", "boundary", "radii"):
             data = good_dict()
@@ -295,9 +306,9 @@ class TestSchema:
         data = json.loads(open(BUNDLED[1]).read())
         data["tol"], data["lambda"], data["radii"]["ratio"] = -1, -1.0, 1.0
         assert validate_dict(data) == [
+            "lambda: unknown key",
             "radii.ratio must exceed 1",
             "tol: must be a positive finite number",
-            "lambda: lam must be positive and finite, got -1.0",
         ]
 
     def test_missing_sections_required(self):
@@ -325,9 +336,8 @@ class TestFromDict:
         s = Scenario.from_dict(data)
         assert s.tol == 1e-6
         assert s.max_iter == 10_000
-        assert s.eps_factor == 2.0
         assert s.ghost_tol == 1e-8
-        assert s.problem.eps == pytest.approx(2.0 * s.grid.h)
+        assert s.problem.eps == 2.0 * s.grid.h
 
     def test_radii_match_ladder(self):
         s = Scenario.from_dict(good_dict())
@@ -356,20 +366,23 @@ class TestFromDict:
         assert not wider.radii().flags.writeable
 
     def test_lambda_default_and_override(self):
+        # a scenario runs at lambda = psi(1); another lambda is set through Problem alone
         s = Scenario.from_dict(good_dict())
-        assert s.lam is None
-        assert s.problem.lam == pytest.approx(bernoulli_lambda(s.model), abs=0.0)
-        data = good_dict()
-        data["lambda"] = 2.5
-        assert Scenario.from_dict(data).problem.lam == 2.5
+        assert s.problem.lam == bernoulli_lambda(s.model)
+        assert Problem(s.grid, s.model, s.boundary, lam=2.5).lam == 2.5
+
+    @pytest.mark.parametrize("path", BUNDLED)
+    def test_bundled_problems_take_problems_defaults(self, path):
+        s = load_scenario(path)
+        assert s.problem.lam == bernoulli_lambda(s.model)
+        assert s.problem.eps == 2.0 * s.grid.h
 
     def test_problem_is_built_once_and_follows_the_grid(self):
         s = Scenario.from_dict(good_dict())
         assert s.problem is s.problem
         assert (s.problem.grid, s.problem.model, s.problem.boundary) == (s.grid, s.model, s.boundary)
         finer = replace(s, grid=Grid(s.grid.lo, s.grid.hi, tuple(2 * n for n in s.grid.n_cells)))
-        assert finer.eps_factor == s.eps_factor
-        assert finer.problem.eps == s.eps_factor * finer.grid.h == 0.5 * s.problem.eps
+        assert finer.problem.eps == 2.0 * finer.grid.h == 0.5 * s.problem.eps
 
     def test_parse_is_the_problems_only_builder(self, monkeypatch):
         built = []
