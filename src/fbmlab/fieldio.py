@@ -55,6 +55,8 @@ INTEGER = JsonType(_is_int, "an integer")
 INTEGERS = JsonType(lambda v: isinstance(v, list) and all(map(_is_int, v)),
                     "a list of integers", tuple)
 STRING = JsonType(lambda v: isinstance(v, str), "a string")
+# a string that names a stored field, which validate reads
+STORED_FIELD = JsonType(STRING.test, "a string")
 OBJECT = JsonType(lambda v: isinstance(v, dict), "a JSON object")
 
 

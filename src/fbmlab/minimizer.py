@@ -37,12 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .density import DensityModel, Kind, bernoulli_lambda
 from .errors import SolverError
 from .fastdiag import DirichletSolver
+from .fieldio import NUMBER, NUMBERS, STORED_FIELD, STRING, read_field
 from .fields import (
     Grid,
     ScalarField,
@@ -58,6 +60,7 @@ from .fields import (
 __all__ = [
     "BOUNDARY_KINDS",
     "BoundaryData",
+    "boundary_keys",
     "Problem",
     "MinimizeReport",
     "energy",
@@ -69,8 +72,6 @@ __all__ = [
     "ramp_profile",
     "initial_guess",
 ]
-
-BOUNDARY_KINDS = ("halfplane", "radial", "wedge", "file")
 
 # the solver defaults, which Scenario takes as its own
 DEFAULT_TOL = 1e-6
@@ -88,13 +89,9 @@ STALL_ULPS = 16
 class BoundaryData:
     """Named generator for boundary (and initial) data.
 
-    kinds:
-      halfplane: u = max(x . e, 0) for the unit direction e.
-      radial:    u = |x - c|, the distance cone about c.
-      wedge:     2D sector of opening `angle` about the +x axis,
-                 u = r cos(theta pi / angle) inside, 0 outside; angle = pi
-                 reduces to halfplane((1, 0)).
-      file:      nodal values read back from a stored field.
+    kind names an entry of BOUNDARY_KINDS, the one table of boundary kinds,
+    which gives the keywords the kind takes (all required, and no other
+    kind's), their checks, its generator of node values and its start.
     """
 
     kind: str
@@ -104,51 +101,118 @@ class BoundaryData:
     path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in BOUNDARY_KINDS:
-            raise ValueError(f"kind must be one of {BOUNDARY_KINDS}, got {self.kind!r}")
-        if self.kind == "halfplane":
-            e = () if self.direction is None else tuple(float(c) for c in self.direction)
-            if not (all(np.isfinite(e)) and any(c != 0.0 for c in e)):
-                raise ValueError("direction must be a finite nonzero vector")
-            object.__setattr__(self, "direction", e)
-        elif self.kind == "radial":
-            c = () if self.center is None else tuple(float(v) for v in self.center)
-            if not (c and all(np.isfinite(c))):
-                raise ValueError("center must be a finite point")
-            object.__setattr__(self, "center", c)
-        elif self.kind == "wedge":
-            if self.angle is None or not 0.0 < self.angle < 2.0 * np.pi:
-                raise ValueError("angle must lie in (0, 2 pi)")
-        elif self.kind == "file":
-            if not self.path:
-                raise ValueError("path must name a stored field")
-
-    def plane(self, grid: Grid) -> np.ndarray:
-        """x . e at every grid node for halfplane data, e normalized."""
-        e = np.asarray(self.direction, dtype=float)
-        e = e / np.linalg.norm(e)
-        mesh = grid.node_mesh()
-        return sum(e[a] * mesh[a] for a in range(grid.dim))
+        kinds = tuple(BOUNDARY_KINDS)  # a tuple, so an unhashable kind fails the test too
+        if self.kind not in kinds:
+            raise ValueError(f"kind must be one of {kinds}, got {self.kind!r}")
+        entry = BOUNDARY_KINDS[self.kind]
+        for key, value in list(vars(self).items())[1:]:  # the fields after kind
+            if (key in entry.keys) != (value is not None):
+                raise ValueError(f"{key} is {'required by' if value is None else 'not a key of'} "
+                                 f"{self.kind} data")
+            if value is not None:
+                object.__setattr__(self, key, entry.keys[key].held(value))
+        entry.check(self, None)
 
     def profile(self, grid: Grid) -> np.ndarray:
-        """Evaluate the generator at every grid node.
+        """Evaluate the generator at every grid node; Problem checks that the data fit the grid."""
+        return BOUNDARY_KINDS[self.kind].generate(self, grid)
 
-        The dimension checks live in Problem, which pairs data with a grid.
-        """
-        if self.kind == "halfplane":
-            return np.maximum(self.plane(grid), 0.0)
-        mesh = grid.node_mesh()
-        if self.kind == "radial":
-            c = np.asarray(self.center, dtype=float)
-            return np.sqrt(sum((mesh[a] - c[a]) ** 2 for a in range(grid.dim)))
-        if self.kind == "wedge":
-            r = np.hypot(mesh[0], mesh[1])
-            theta = np.arctan2(mesh[1], mesh[0])
-            inside = np.abs(theta) < 0.5 * self.angle
-            return np.where(inside, r * np.cos(theta * np.pi / self.angle), 0.0)
-        from .fieldio import read_field
 
-        return np.array(read_field(self.path, grid)[0].values)
+def _plane(b: BoundaryData, grid: Grid) -> np.ndarray:
+    """x . e at every grid node for halfplane data, e normalized."""
+    e = np.asarray(b.direction, dtype=float)
+    e = e / np.linalg.norm(e)
+    mesh = grid.node_mesh()
+    return sum(e[a] * mesh[a] for a in range(grid.dim))
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _check_halfplane(b: BoundaryData, grid: Grid | None) -> None:
+    with np.errstate(over="ignore"):  # _plane's divisor, which a finite direction can overflow
+        norm = float(np.linalg.norm(b.direction))
+    _require(0.0 < norm < math.inf, "direction must be a finite nonzero vector whose float64 "
+             f"norm is finite and positive, got norm {norm}")
+    if grid is not None:
+        _require(len(b.direction) == grid.dim,
+                 f"direction must have {grid.dim} components, got {len(b.direction)}")
+
+
+def _ramped_halfplane(p: Problem) -> np.ndarray:
+    """ramp_profile(x . e), the 1-D minimizer the data trace at lam = psi(1), off
+    the fixed boundary, and the data on it.  Started from the sharp data
+    instead, the zero phase has H_eps'' = 0, the Hessian cannot see the ramp
+    and the first Newton step backtracks."""
+    plane = _plane(p.boundary, p.grid)
+    u = ramp_profile(plane, p.model, p.eps)
+    # H_eps'' jumps at u = eps, and the discrete minimizer lifts a node there
+    # above eps; one that sits at eps only up to its coordinates' rounding
+    # starts at eps, not an ulp below on the side of negative curvature
+    np.maximum(u, p.eps, out=u, where=plane >= (1.0 - 1e-9) * p.eps)
+    for face, data in zip(face_planes(u), face_planes(plane)):
+        np.maximum(data, 0.0, out=face)
+    return u
+
+
+def _check_radial(b: BoundaryData, grid: Grid | None) -> None:
+    _require(b.center and all(map(math.isfinite, b.center)), "center must be a finite point")
+    if grid is not None:
+        _require(len(b.center) == grid.dim,
+                 f"center must have {grid.dim} coordinates, got {len(b.center)}")
+        # the generator's largest sum of squares, at the node farthest from c
+        far = sum(max((x - c) * (x - c) for x in grid.axis_nodes(a)[[0, -1]].tolist())
+                  for a, c in enumerate(b.center))
+        _require(math.isfinite(far), "center must be so near the grid that the squared "
+                 "distance to its farthest node is finite")
+
+
+def _check_wedge(b: BoundaryData, grid: Grid | None) -> None:
+    _require(0.0 < b.angle < 2.0 * np.pi, "angle must lie in (0, 2 pi)")
+    _require(grid is None or grid.dim == 2, "wedge data is two dimensional only")
+
+
+def _wedge(b: BoundaryData, grid: Grid) -> np.ndarray:
+    x, y = grid.node_mesh()
+    r = np.hypot(x, y)
+    theta = np.arctan2(y, x)
+    inside = np.abs(theta) < 0.5 * b.angle
+    return np.where(inside, r * np.cos(theta * np.pi / b.angle), 0.0)
+
+
+class _Kind(NamedTuple):
+    keys: dict  # the BoundaryData keywords the kind takes, each with its fieldio JsonType
+    check: Callable  # check(data, grid or None): ValueError on a bad value or, given a grid, fit
+    generate: Callable  # generate(data, grid): the node values
+    start: Callable | None  # start(problem) at lam = psi(1), or None: start from the generator
+
+
+# The one table of boundary kinds.  halfplane: u = (x . e)^+, e the normalized
+# direction; radial: u = |x - c|; wedge (2D): u = r cos(theta pi / angle) in
+# the sector |theta| < angle / 2 and 0 outside (angle = pi is halfplane
+# (1, 0)); file: a stored field, which read_field checks against the grid.
+BOUNDARY_KINDS = {
+    "halfplane": _Kind({"direction": NUMBERS}, _check_halfplane,
+                       lambda b, grid: np.maximum(_plane(b, grid), 0.0), _ramped_halfplane),
+    "radial": _Kind({"center": NUMBERS}, _check_radial, lambda b, grid: np.sqrt(
+        sum((m - c) ** 2 for m, c in zip(grid.node_mesh(), b.center))), None),
+    "wedge": _Kind({"angle": NUMBER}, _check_wedge, _wedge, None),
+    "file": _Kind({"path": STORED_FIELD},
+                  lambda b, grid: _require(bool(b.path), "path must name a stored field"),
+                  lambda b, grid: np.array(read_field(b.path, grid)[0].values), None),
+}
+
+
+def boundary_keys(obj: dict) -> tuple[dict, dict]:
+    """The key tables (required, optional) of a scenario's boundary object: "kind" and
+    its kind's keys, all required, or, under no known kind, every kind's keys as
+    optional, so that only the kind is at fault."""
+    kind = obj.get("kind")
+    if kind in tuple(BOUNDARY_KINDS):
+        return {"kind": STRING, **BOUNDARY_KINDS[kind].keys}, {}
+    return {"kind": STRING}, {k: t for e in BOUNDARY_KINDS.values() for k, t in e.keys.items()}
 
 
 @dataclass(frozen=True)
@@ -166,13 +230,7 @@ class Problem:
     eps: float | None = None
 
     def __post_init__(self) -> None:
-        dim, b = self.grid.dim, self.boundary
-        if b.kind == "halfplane" and len(b.direction) != dim:
-            raise ValueError(f"direction must have {dim} components, got {len(b.direction)}")
-        if b.kind == "radial" and len(b.center) != dim:
-            raise ValueError(f"center must have {dim} coordinates, got {len(b.center)}")
-        if b.kind == "wedge" and dim != 2:
-            raise ValueError("wedge data is two dimensional only")
+        BOUNDARY_KINDS[self.boundary.kind].check(self.boundary, self.grid)
         if self.lam is None:
             object.__setattr__(self, "lam", bernoulli_lambda(self.model))
         if not 0.0 < self.lam < np.inf:
@@ -650,26 +708,11 @@ def minimize(
 
 
 def initial_guess(p: Problem) -> ScalarField:
-    """Starting iterate: the ramped half-plane profile, else the boundary generator.
-
-    For halfplane data at the Bernoulli weight lam = psi(1), Problem's
-    default, every node off the fixed boundary starts from
-    ramp_profile(x . e), the 1-D minimizer the data trace; fixed nodes keep
-    the data.  Started from the sharp data (x . e)^+ instead, the zero
-    phase has H_eps'' = 0, the Hessian cannot see the ramp and the first
-    Newton step backtracks.  Every other case starts from the generator on
-    every node: other kinds, and any other lam, for which the data are no
-    1-D minimizer's trace.
-    """
+    """Starting iterate: the data kind's own start (BOUNDARY_KINDS) at the
+    Bernoulli weight lam = psi(1), Problem's default, else the generator on
+    every node: for any other lam the data trace no 1-D minimizer."""
     b = p.boundary
-    if b.kind != "halfplane" or p.lam != bernoulli_lambda(p.model):
+    start = BOUNDARY_KINDS[b.kind].start
+    if start is None or p.lam != bernoulli_lambda(p.model):
         return ScalarField(p.grid, b.profile(p.grid))
-    plane = b.plane(p.grid)
-    u = ramp_profile(plane, p.model, p.eps)
-    # H_eps'' jumps at u = eps, and the discrete minimizer lifts a node there
-    # above eps; one that sits at eps only up to its coordinates' rounding
-    # starts at eps, not an ulp below on the side of negative curvature
-    np.maximum(u, p.eps, out=u, where=plane >= (1.0 - 1e-9) * p.eps)
-    for face, data in zip(face_planes(u), face_planes(plane)):
-        np.maximum(data, 0.0, out=face)
-    return ScalarField(p.grid, u)
+    return ScalarField(p.grid, start(p))

@@ -23,11 +23,14 @@ from .blowup import MIN_SCALE_CELLS, SCALE_FRACTION
 from .density import DensityModel
 from .errors import GeometryError, ScenarioError
 from .fieldio import (
-    INTEGER, INTEGERS, NUMBER, NUMBERS, OBJECT, STRING, JsonType, check_keys, read_field
+    INTEGER, INTEGERS, NUMBER, NUMBERS, OBJECT, STORED_FIELD, STRING, JsonType, check_keys,
+    read_field,
 )
 from .fields import Grid, geometric_radii
 from .ghost import DEFAULT_TOL as DEFAULT_GHOST_TOL, SHELL_STEP_CELLS
-from .minimizer import DEFAULT_MAX_ITER, DEFAULT_TOL, BoundaryData, Problem, ramp_free_boundary
+from .minimizer import (
+    DEFAULT_MAX_ITER, DEFAULT_TOL, BoundaryData, Problem, boundary_keys, ramp_free_boundary
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -44,13 +47,11 @@ RADIUS_MARGIN = 0.05
 
 # Each section's JSON keys, required and optional, are the keywords of the
 # constructor it feeds: Grid, DensityModel, BoundaryData, geometric_radii.
+# Boundary data's keys are its kind's (minimizer.boundary_keys).
 _SECTIONS = {
     "grid": ({"lo": NUMBERS, "hi": NUMBERS, "n_cells": INTEGERS}, {}),
     "density": ({"kind": STRING}, {"alpha": NUMBER, "scale": NUMBER}),
-    "boundary": (
-        {"kind": STRING},
-        {"direction": NUMBERS, "center": NUMBERS, "angle": NUMBER, "path": STRING},
-    ),
+    "boundary": boundary_keys,
     "radii": ({"r_min": NUMBER, "r_max": NUMBER, "ratio": NUMBER}, {}),
 }
 _TOP = {"schema_version": INTEGER, **{name: OBJECT for name in _SECTIONS}}
@@ -63,7 +64,7 @@ _TOP_OPTIONAL = {
     "tol": NUMBER,
     "max_iter": INTEGER,
     "ghost_tol": NUMBER,
-    "field_path": STRING,
+    "field_path": STORED_FIELD,
 }
 # the top-level keys that are Scenario fields of the same name
 _FIELD_KEYS = ("auto_stride", "tol", "max_iter", "ghost_tol", "field_path")
@@ -120,8 +121,9 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
     sections, made = {}, {}
     for name, make in (("grid", Grid), ("density", DensityModel), ("boundary", BoundaryData),
                        ("radii", geometric_radii)):
-        keys, optional = _SECTIONS[name]
         if name in top:
+            tables = _SECTIONS[name]
+            keys, optional = tables(top[name]) if callable(tables) else tables
             kwargs, whole = _read_keys(top[name], keys, optional, f"{name}.", problems)
             if whole:
                 sections[name] = kwargs
@@ -152,7 +154,7 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
     model, boundary = made.get("density"), made.get("boundary")
     if all(x is not None for x in (grid, model, boundary)):
         problem = build(Problem, dict(grid=grid, model=model, boundary=boundary),
-                        "boundary", ("direction", "center"))
+                        "boundary", sections["boundary"])
     if problems:
         return None, problems
 
@@ -175,14 +177,18 @@ def validate_dict(data) -> list[str]:
     Returns a list of human-readable problems; an empty list means the
     scenario is valid.  Never raises.  The checks are those of
     `Scenario.from_dict`, plus two that it defers to run time: each stored
-    field the scenario names (field_path, boundary.path) must pass
-    read_field on the scenario's grid, and the ball of radius
-    Scenario.reach around each explicit point must fit in the box.
+    field the scenario names (each key typed STORED_FIELD: field_path, and
+    the file boundary kind's) must pass read_field on the scenario's grid,
+    and the ball of radius Scenario.reach around each explicit point must
+    fit in the box.
     """
     s, problems = _parse(data)
     if s is None:
         return problems
-    for key, path in (("field_path", s.field_path), ("boundary.path", s.boundary.path)):
+    stored = [(key, data.get(key)) for key, t in _TOP_OPTIONAL.items() if t is STORED_FIELD]
+    stored += [(f"boundary.{key}", data["boundary"][key])
+               for key, t in boundary_keys(data["boundary"])[0].items() if t is STORED_FIELD]
+    for key, path in stored:
         if path is not None:
             try:
                 read_field(path, s.grid)

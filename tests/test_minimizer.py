@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -129,6 +130,8 @@ class TestBoundaryData:
     def test_invalid_kinds(self):
         with pytest.raises(ValueError):
             BoundaryData("spiral")
+        with pytest.raises(ValueError, match="kind must be one of"):
+            BoundaryData(["halfplane"])
         with pytest.raises(ValueError):
             BoundaryData("wedge", angle=7.0)
         with pytest.raises(ValueError):
@@ -143,6 +146,72 @@ class TestBoundaryData:
         assert np.array_equal(b.profile(g), u.values)
         with pytest.raises(ValueError):
             b.profile(box_grid(2, 8))
+
+    @pytest.mark.parametrize("kind,own,key,value", [
+        ("wedge", {"angle": 2.0}, "center", (0.0, 0.0)),
+        ("halfplane", {"direction": (1.0, 0.0)}, "path", "stored.bin"),
+        ("radial", {"center": (0.0, 0.0)}, "angle", 0.0),
+        ("file", {"path": "stored.bin"}, "direction", (1.0, 0.0)),
+    ])
+    def test_another_kinds_keyword_is_named(self, kind, own, key, value):
+        with pytest.raises(ValueError, match=f"^{key} is not a key of {kind} data$"):
+            BoundaryData(kind, **own, **{key: value})
+
+    @pytest.mark.parametrize("direction", [(1e-200, 1e-200), (1e308, 1e308)])
+    def test_halfplane_norm_must_be_finite_and_positive(self, direction):
+        # the generator divides by the norm, which underflows to 0 or overflows
+        with pytest.raises(ValueError, match="^direction must be"):
+            BoundaryData("halfplane", direction=direction)
+
+    def test_radial_distance_must_be_finite_on_the_grid(self):
+        b = BoundaryData("radial", center=(1e200, 0.0))
+        with pytest.raises(ValueError, match="^center must be so near the grid"):
+            Problem(box_grid(2, 4), DensityModel(kind="linear"), b)
+
+
+# SHA-256 of BoundaryData.profile(grid).tobytes() for each kind, taken before
+# the kinds moved into one table: each generator keeps its arithmetic bit for
+# bit.  All but the wedge's use only IEEE-exact operations; the wedge's
+# arctan2 and cos give the same digest with numpy's AVX-512 kernels disabled
+# (NPY_DISABLE_CPU_FEATURES), so it is not tied to one kind of CPU.
+FROZEN_GRIDS = {
+    2: Grid((-1.0, -0.75), (1.0, 1.25), (16, 16)),
+    3: Grid((-1.0, -0.75, -0.5), (1.0, 1.25, 1.5), (8, 8, 8)),
+}
+FROZEN_PROFILES = [
+    (2, "halfplane", {"direction": (0.0, 1.0)},
+     "476016c6aa2bc188056fc89e65c4a8fb65755f2919a6b683f0bf07acd0703e03"),
+    (2, "halfplane", {"direction": (1.0, 1.0)},
+     "a31caa522d7886786fa7a9c9ee4d6f16c733623c4aaecd9846f72385c52f5250"),
+    (2, "radial", {"center": (0.3, -0.2)},
+     "a5bb869cb3a5b9ecffd7878a96db6b20cb09bebfabeafea0e9b390e2673e0876"),
+    (2, "wedge", {"angle": 2.0},
+     "8be07e269f2cbbf5562062805563348d4c27338b78cbe9b6d38763b6aee3f91c"),
+    (2, "file", {},
+     "7de504a30b9171d1edf48fde8051a117fdc1b019ca10beb0fcce87579a06429d"),
+    (3, "halfplane", {"direction": (0.0, 0.0, 1.0)},
+     "50a4758fa198aa6f0bcd4beba08bdf672538592e262dab5cbe27ac9b7e981949"),
+    (3, "halfplane", {"direction": (1.0, 1.0, 1.0)},
+     "cca01a505cf421af552f314a78a7286f1b3afd869a3f0cd98c4329503608455e"),
+    (3, "radial", {"center": (0.3, -0.2, 0.1)},
+     "411486f32020b9ba8fe3d0f0df6aa7b049a3c122c849b97f85f90fca040f66f4"),
+    (3, "file", {},
+     "f72b598ea20d0f80a02325c5ad1f3c451ad726e984e4f615776d4c97594942a1"),
+]
+
+
+@pytest.mark.parametrize("dim,kind,keys,digest", FROZEN_PROFILES,
+                         ids=[f"{kind}-{dim}d-{i}" for i, (dim, kind, _, _) in
+                              enumerate(FROZEN_PROFILES)])
+def test_profile_bytes_are_frozen(tmp_path, dim, kind, keys, digest):
+    grid = FROZEN_GRIDS[dim]
+    if kind == "file":
+        mesh = grid.node_mesh()
+        values = sum((a + 1.0) * m * m for a, m in enumerate(mesh)) - 0.5 * mesh[0]
+        write_field(ScalarField(grid, values), tmp_path / "stored.bin")
+        keys = {"path": str(tmp_path / "stored.bin")}
+    values = BoundaryData(kind, **keys).profile(grid)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 class TestProblem:
@@ -727,20 +796,20 @@ class TestInitialGuess:
         p = Problem(box_grid(dim, n), model, data)
         u = initial_guess(p).values
         sharp = data.profile(p.grid)
-        keep = face_mask(p.grid.node_shape) | (data.plane(p.grid) >= p.eps)
+        keep = face_mask(p.grid.node_shape) | (minimizer_module._plane(data, p.grid) >= p.eps)
         assert np.array_equal(u[keep], sharp[keep])
         # below eps the ramped tail lies above the data; far below the free
         # boundary the zero phase stays exactly zero
         tail = ~keep & (sharp > 0.0)
         assert np.any(tail) and np.all(u[tail] > sharp[tail])
-        far = data.plane(p.grid) < -15.0 * p.eps
+        far = minimizer_module._plane(data, p.grid) < -15.0 * p.eps
         assert np.any(far) and np.all(u[far] == 0.0)
 
     def test_node_at_eps_up_to_rounding_starts_at_eps(self):
         # on 48^2 cells of [-1, 1]^2 the nodes at x = 2h lie an ulp below
         # eps = 2h, where H_eps'' = -6 / eps^2; the minimizer lifts them above eps
         p = halfplane_problem(2, 48)
-        plane = p.boundary.plane(p.grid)
+        plane = minimizer_module._plane(p.boundary, p.grid)
         edge = (plane < p.eps) & (plane >= (1.0 - 1e-9) * p.eps) & ~face_mask(p.grid.node_shape)
         assert np.any(edge)
         assert np.all(initial_guess(p).values[edge] == p.eps)

@@ -17,7 +17,7 @@ import pytest
 
 from fbmlab.density import DensityModel
 from fbmlab.fields import Grid
-from fbmlab.minimizer import BoundaryData, Problem, initial_guess, minimize, ramp_profile
+from fbmlab.minimizer import BoundaryData, Problem, _plane, initial_guess, minimize, ramp_profile
 from fbmlab.pipeline import obtain_field, select_points, stage_ghost, stage_scan
 from fbmlab.scenario import Scenario
 
@@ -47,7 +47,7 @@ def test_minimizer_is_the_ramped_profile(dim, n, direction, model):
     u, rep = minimize(p, initial_guess(p), tol=1e-3)
     assert rep.stop_reason == "gradient_tol"
     assert rep.iterations <= 5
-    exact = ramp_profile(data.plane(grid), p.model, p.eps)
+    exact = ramp_profile(_plane(data, grid), p.model, p.eps)
     inner = (slice(3, -3),) * dim
     assert np.max(np.abs(u.values - exact)[inner]) <= 0.25 * grid.h
 

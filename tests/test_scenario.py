@@ -13,8 +13,9 @@ from fbmlab.density import bernoulli_lambda
 from fbmlab.errors import ScenarioError
 from fbmlab.fields import Grid, geometric_radii
 from fbmlab import scenario
+from fbmlab.fieldio import STRING
 from fbmlab.ghost import SHELL_STEP_CELLS
-from fbmlab.minimizer import Problem
+from fbmlab.minimizer import BOUNDARY_KINDS, Problem
 from fbmlab.scenario import (
     RADIUS_MARGIN,
     SCHEMA_VERSION,
@@ -198,14 +199,50 @@ BAD_SCENARIOS = [
     ),
 ]
 
+# each boundary kind's own keys, with values valid for the kind
+OWN_KEYS = {
+    "halfplane": {"direction": [0.0, 1.0]},
+    "radial": {"center": [0.0, 0.0]},
+    "wedge": {"angle": 2.0},
+    "file": {"path": "never-read.bin"},
+}
+# boundary data that names a key of another kind, and data whose generator
+# overflows on the grid: validate rejects both before any stage runs
+BOUNDARY_FAULTS = [
+    pytest.param(
+        with_changes(boundary={"kind": kind, **OWN_KEYS[kind], key: value}),
+        f"boundary.{key}: unknown key", id=f"{kind}-with-{key}",
+    )
+    for kind in OWN_KEYS
+    for other, own in OWN_KEYS.items() if other != kind
+    for key, value in own.items()
+] + [
+    pytest.param(
+        with_changes(boundary={"kind": "radial", "center": [0, 0], "direction": [1, 0],
+                               "angle": 9.0}),
+        "boundary.direction: unknown key", id="radial-with-direction-and-angle",
+    ),
+    # the norm _plane divides by underflows to 0, or overflows
+    pytest.param(with_changes(boundary__direction=[1e-200, 1e-200]),
+                 "boundary.direction must be", id="halfplane-underflowing-norm"),
+    pytest.param(with_changes(boundary__direction=[1e308, 1e308]),
+                 "boundary.direction must be", id="halfplane-overflowing-norm"),
+    # the squared distance from the center to the farthest node overflows
+    pytest.param(with_changes(boundary={"kind": "radial", "center": [1e200, 0]},
+                              points_of_interest=[[0.0, 0.0]]),
+                 "boundary.center must be", id="radial-overflowing-distance"),
+]
+
 
 @pytest.mark.parametrize(
-    "data,path", BAD_SCENARIOS, ids=[path.split(":")[0] for _, path in BAD_SCENARIOS]
+    "data,path",
+    [pytest.param(data, path, id=path.split(":")[0]) for data, path in BAD_SCENARIOS]
+    + BOUNDARY_FAULTS,
 )
 class TestBadScenarios:
     def test_validate_dict_tags_the_path(self, data, path):
         diags = validate_dict(data)
-        assert diags and any(d.startswith(path) for d in diags)
+        assert sum(d.startswith(path) for d in diags) == 1
 
     def test_from_dict_raises(self, data, path):
         with pytest.raises(ScenarioError, match=path.split(":")[0]):
@@ -228,16 +265,26 @@ WRONG_TYPE = {
     "a JSON object": [],
     '"auto" or a nonempty list of points': [],
 }
+# every section's keys; boundary data's keys follow its kind, so each kind's
+# own keys come from its entry in the table of boundary kinds
 TABLE_KEYS = [*scenario._TOP.items(), *scenario._TOP_OPTIONAL.items()] + [
     (f"{name}.{key}", kind)
-    for name, (keys, optional) in scenario._SECTIONS.items()
-    for key, kind in {**keys, **optional}.items()
+    for name, tables in scenario._SECTIONS.items() if not callable(tables)
+    for key, kind in {**tables[0], **tables[1]}.items()
+] + [("boundary.kind", STRING)] + [
+    (f"boundary.{key}", kind)
+    for entry in BOUNDARY_KINDS.values()
+    for key, kind in entry.keys.items()
 ]
 
 
 def with_wrong_type(path: str, kind) -> dict:
+    """good_dict() with the key at path given a wrong type; a boundary kind's
+    own key is given under that kind."""
     data = good_dict()
     section, _, key = path.rpartition(".")
+    if section == "boundary" and key != "kind":
+        data["boundary"] = {"kind": next(k for k, e in BOUNDARY_KINDS.items() if key in e.keys)}
     (data[section] if section else data)[key] = WRONG_TYPE[kind.words]
     return data
 
@@ -282,6 +329,18 @@ class TestSchema:
         cfg.write_text(json.dumps(data))
         assert main(["validate", "--config", str(cfg)]) == 2
         assert capsys.readouterr().out.splitlines() == [f"{key}: unknown key"]
+
+    def test_another_kinds_keys_are_unknown_keys(self, tmp_path, capsys):
+        # radial data carrying a halfplane's direction and a wedge's angle,
+        # out of the wedge's range: neither is read, so both are named
+        data = json.loads(open(BUNDLED[1]).read())
+        data["boundary"] = {"kind": "radial", "center": [0, 0], "direction": [1, 0], "angle": 9.0}
+        lines = ["boundary.direction: unknown key", "boundary.angle: unknown key"]
+        assert validate_dict(data) == lines
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out.splitlines() == lines
 
     def test_unknown_key_named_at_each_level(self):
         for section in ("", "grid", "density", "boundary", "radii"):
