@@ -21,12 +21,14 @@ Conventions used throughout the package:
   component is one C-contiguous nodal array, like a scalar field's values;
 * multilinear interpolation is one gather kernel over a sequence of k
   C-contiguous nodal arrays: per point set it computes the flat base node
-  and the per-axis fractions once, then takes each array's values at each
-  of the 2^dim cell corners.  A sphere diagnostic passes every field its
-  formulas need (u, grad u and the ghost potential for the scan; the flux
-  components for the shell identity) as they are, uncopied, and samples
-  each sphere in one pass.  Each sphere formula has one implementation,
-  which reads the (k, m) samples.  Nothing is cached between spheres;
+  and the per-axis hats once, then at each of the 2^dim cell corners forms
+  the weight and the node index in buffers of its own and takes each
+  array's values into its row, allocating nothing per corner.  A sphere
+  diagnostic passes every field its formulas need (u, grad u and a nonzero
+  ghost potential for the scan; the flux components for the shell
+  identity) as they are, uncopied, and samples each sphere in one pass.
+  Each sphere formula has one implementation, which reads the (k, m)
+  samples.  Nothing is cached between spheres;
 * ball integrals are fixed linear functionals of the data on the window of
   cells meeting the ball.  A cell safely inside counts fully, one safely
   outside not at all, and a cell near the sphere counts at the fraction of a
@@ -38,10 +40,13 @@ Conventions used throughout the package:
   squares in axis order, ((x_0^2 + x_1^2) + x_2^2), which is bitwise the
   per-subsample sum over its coordinates, so no (cells, subsamples, dim)
   array is formed.  These weights depend only on (grid, z, r); every ball
-  integral is one weighted sum of h^dim times the values on the window.  A
-  point's radius ladder, built by the flux profile and read by the scan, is
-  cached until the scan returns or another point's ball is asked for (a
-  blow-up scale's ball, read once, is not);
+  integral is one weighted sum of h^dim times the values on the window.
+  The builder has a cell half (ball_cells) and a node half, which only a
+  reader of node weights pays for.  A point's radius ladder, built by the
+  flux profile and read by the scan, is cached until the scan returns or
+  another point's ball is asked for (a blow-up scale's ball, read once, is
+  not, and neither is a zero potential's ladder, whose scan reads the cell
+  half alone);
 * one box rule, Grid.balls_inside (slack 1e-9 max(h, 1); a point is a ball of
   radius 0), and one gate per point set, in the rule that makes it: the sphere
   and ball rules call require_ball_inside (r > 0, inside the box) themselves,
@@ -416,32 +421,36 @@ def _interp_core(arrays, grid: Grid, pts: np.ndarray) -> np.ndarray:
     else raises ValueError), read in place; pts is a float (m, dim) array
     that a sphere, ball or fit gate, or interpolate, has admitted: no box
     check here, but cells and fractions are clipped to the grid.  The flat
-    base node (from the node strides) and the per-axis fractions are computed
-    once, then at each of the 2^dim cell corners every array is gathered into
-    its row.  Corners are summed in itertools.product order with weights
-    multiplied in axis order, so row j equals the interpolation of array j
-    alone, bit for bit.
+    base node (from the node strides) and the per-axis hats are computed
+    once; then each of the 2^dim cell corners forms its weight and node
+    index in two buffers and gathers every array into its row of a third,
+    so no array is allocated per corner.  Corners are summed in
+    itertools.product order with weights multiplied in axis order, so row j
+    equals the interpolation of array j alone, bit for bit.
     """
     flats = [_flat(a, grid.node_shape) for a in arrays]
     strides = [math.prod(grid.node_shape[a + 1 :]) for a in range(grid.dim)]
-    base, hats = 0, []
-    for a, k in enumerate(strides):
-        x = (pts[:, a] - grid.lo[a]) / grid.h
-        i = np.floor(x).astype(np.int64)
-        np.minimum(np.maximum(i, 0, out=i), grid.n_cells[a] - 1, out=i)
-        frac = x - i
-        np.minimum(np.maximum(frac, 0.0, out=frac), 1.0, out=frac)
-        base = base + i * k
-        hats.append((1.0 - frac, frac))
+    # one row per axis: the coordinate in cells, the cell (clipped to the
+    # grid, a whole number of float64), the fraction and the two hats
+    x = np.subtract(pts.T, np.array(grid.lo)[:, None], order="C")
+    x /= grid.h
+    cell = np.floor(x)
+    np.minimum(np.maximum(cell, 0.0, out=cell), np.array(grid.n_cells)[:, None] - 1.0, out=cell)
+    frac = np.subtract(x, cell, out=x)
+    np.minimum(np.maximum(frac, 0.0, out=frac), 1.0, out=frac)
+    hats = (1.0 - frac, frac)
+    base = (np.array(strides, dtype=float) @ cell).astype(np.int64)
     out = np.zeros((len(flats), pts.shape[0]))
     vals = np.empty_like(out)
+    w = np.empty(pts.shape[0])
+    nodes = np.empty_like(base)
     for corner in itertools.product((0, 1), repeat=grid.dim):
-        w = 1.0
-        for a, c in enumerate(corner):
-            w = w * hats[a][c]
-        nodes = base + sum(c * k for c, k in zip(corner, strides))
+        np.multiply(hats[corner[0]][0], hats[corner[1]][1], out=w)
+        for a in range(2, grid.dim):
+            w *= hats[corner[a]][a]
+        np.add(base, sum(c * k for c, k in zip(corner, strides)), out=nodes)
         for flat, row in zip(flats, vals):
-            np.take(flat, nodes, out=row, mode="clip")
+            flat.take(nodes, out=row, mode="clip")
         vals *= w
         out += vals
     return out
@@ -543,6 +552,14 @@ def shell_average(f: ScalarField, z, r: float) -> float:
     return _shell_mean(wts, vals[0], r, grid.dim)
 
 
+class BallCells(NamedTuple):
+    """The cell half of BallWeights: the window of cells the ball meets and
+    their weights (see BallWeights.cells)."""
+
+    cell_window: tuple[slice, ...]
+    cells: np.ndarray
+
+
 class BallWeights(NamedTuple):
     """Quadrature weights of one ball on the windows of cells and nodes it meets.
 
@@ -573,15 +590,16 @@ def _corner_hats(dim: int) -> np.ndarray:
     return out
 
 
-def _build_ball_weights(grid: Grid, z, r: float) -> BallWeights:
-    """Build the cell and node weights of the ball |x-z| <= r.
+def _ball_cell_parts(grid: Grid, z, r: float):
+    """The cell half of the ball rule: (BallCells, sure_in, near, inside).
 
-    Cells whose bounding sphere lies inside the ball are safe, cells whose
-    bounding sphere misses it are out, and the rest are borderline: each is
-    split into SUBSAMPLES^dim subsample points, of which the inside ones
-    count.  A safe cell gives 1/2^dim to each of its corners; a borderline
-    cell gives corner k the mean over inside subsamples of the corner's hat
-    function.  Results are read-only; the gate (require_ball_inside) comes first.
+    Cells whose bounding sphere lies inside the ball are safe (sure_in), cells
+    whose bounding sphere misses it are out, and the rest are borderline
+    (near): each is split into SUBSAMPLES^dim subsample points, and inside,
+    shaped (SUBSAMPLES^dim, borderline cells), marks those inside the ball.
+    A borderline cell weighs the fraction of them inside; a count of at most
+    SUBSAMPLES^dim is exact in any summation order.  The gate
+    (require_ball_inside) comes first.
 
     Each subsample coordinate along axis a is one addition, offset plus cell
     centre, taken on a (SUBSAMPLES, borderline cells) array per axis.  The
@@ -620,23 +638,45 @@ def _build_ball_weights(grid: Grid, z, r: float) -> BallWeights:
         shape = [1] * dim + [n_near]
         shape[a] = SUBSAMPLES
         dd2 = dd2 + (s * s).reshape(shape)
-    inside = np.ascontiguousarray((dd2 <= r * r).reshape(SUBSAMPLES**dim, n_near).T)
-    del dd2  # as large as the float copy of the mask the product takes
+    inside = (dd2 <= r * r).reshape(SUBSAMPLES**dim, n_near)
     cells = sure_in.astype(float)
-    cells[near] = inside.mean(axis=1)
-    moments = (inside.astype(float) @ _corner_hats(dim)) / SUBSAMPLES**dim
+    cells[near] = inside.mean(axis=0)
+    cells.setflags(write=False)
+    return BallCells(tuple(slice(lo, hi) for lo, hi in win), cells), sure_in, near, inside
+
+
+def ball_cells(grid: Grid, z, r: float) -> BallCells:
+    """The cell weights of the ball |x-z| <= r alone, built outside the cache.
+
+    The cell half of _build_ball_weights, bitwise its cell window and cells,
+    for a caller that never reads node weights; z needs one coordinate per
+    grid axis.
+    """
+    return _ball_cell_parts(grid, as_base_point(grid, z), float(r))[0]
+
+
+def _build_ball_weights(grid: Grid, z, r: float) -> BallWeights:
+    """Build the cell and node weights of the ball |x-z| <= r.
+
+    The cell half is _ball_cell_parts; this adds the node half.  A safe cell
+    gives 1/2^dim to each of its corners; a borderline cell gives corner k
+    the mean over inside subsamples of the corner's hat function (the
+    moments).  Results are read-only.
+    """
+    cell, sure_in, near, inside = _ball_cell_parts(grid, z, r)
+    dim = grid.dim
+    moments = (inside.T.astype(float, order="C") @ _corner_hats(dim)) / SUBSAMPLES**dim
 
     corner_share = np.where(sure_in, 0.5**dim, 0.0)
     nodes = np.zeros(tuple(n + 1 for n in near.shape))
     for k, corner in enumerate(itertools.product((0, 1), repeat=dim)):
         corner_share[near] = moments[:, k]
         nodes[tuple(slice(c, c + n) for c, n in zip(corner, near.shape))] += corner_share
-    for arr in (cells, nodes):
-        arr.setflags(write=False)
+    nodes.setflags(write=False)
     return BallWeights(
-        cell_window=tuple(slice(lo, hi) for lo, hi in win),
-        cells=cells,
-        node_window=tuple(slice(lo, hi + 1) for lo, hi in win),
+        cell_window=cell.cell_window,
+        cells=cell.cells,
+        node_window=tuple(slice(w.start, w.stop + 1) for w in cell.cell_window),
         nodes=nodes,
     )
 

@@ -39,6 +39,7 @@ from .fields import (
     _sphere_flux,
     _sphere_samples,
     as_base_point,
+    ball_cells,
     ball_weights,
     drop_ball_weights,
     gradient_arrays,
@@ -149,23 +150,26 @@ def _above(samples: np.ndarray, level: float) -> np.ndarray:
 
 
 def _ball_energies(
-    u: ScalarField, model: DensityModel, lam: float, level: float, z: np.ndarray, radii
+    u: ScalarField, model: DensityModel, lam: float, level: float, balls
 ) -> list[float]:
-    """int_{B_r(z)} [F + lam] 1{u>level} for each radius, by the cell ball rule.
+    """int_{B_r(z)} [F + lam] 1{u>level} for each ball, by the cell ball rule.
 
-    The density is evaluated only on the cell window of the largest ball.  A
-    cell's value depends on its own corners alone, so it is bitwise the value
-    of cell_energy_density there; every smaller ball's window lies inside
-    that one and is sliced at its offset.
+    balls are the cell weights of the balls (BallCells or BallWeights); only
+    their cell windows and cells are read.  The density is evaluated only on
+    the window holding every ball's.  A cell's value depends on its own
+    corners alone, so it is bitwise the value of cell_energy_density there;
+    each ball's window is sliced at its offset.
     """
     grid = u.grid
-    outer = ball_weights(grid, z, float(max(radii))).cell_window
+    outer = tuple(
+        slice(min(w.start for w in ws), max(w.stop for w in ws))
+        for ws in zip(*(b.cell_window for b in balls))
+    )
     density = _energy_density(
         u.values[tuple(slice(w.start, w.stop + 1) for w in outer)], grid.h, model, lam, level
     )
     out = []
-    for r in radii:
-        bw = ball_weights(grid, z, float(r))
+    for bw in balls:
         win = tuple(
             slice(w.start - o.start, w.stop - o.start) for w, o in zip(bw.cell_window, outer)
         )
@@ -194,7 +198,7 @@ def weiss_core(
     """r^{-n} int_{B_r} [F + lam] 1{u>l}  -  F0 r^{-n-1} int_{dB_r} ((u - l)^+)^2, l = level."""
     grid = u.grid
     z = as_base_point(grid, z)
-    bulk = _ball_energies(u, model, lam, level, z, [r])[0]
+    bulk = _ball_energies(u, model, lam, level, [ball_cells(grid, z, r)])[0]
     _, w, samples = _sphere_samples([u.values], grid, z, r)
     return _weiss(bulk, w, _above(samples, level)[0], model.f0, r, grid.dim)
 
@@ -227,10 +231,14 @@ def _sphere_terms(
     """
     n = pts.shape[1]
     uvals = samples[0]
-    grads = np.ascontiguousarray(samples[1 : 1 + n].T)
-    nu = (pts - z[None, :]) / r
-    q = np.sum(grads * grads, axis=-1)
-    u_nu = np.sum(grads * nu, axis=-1)
+    # one row per axis; q = |grad u|^2 and u_nu = grad u . nu add the axes in
+    # order onto +0.0, bitwise np.sum over the short last axis of a point-major copy
+    nu = np.subtract(pts.T, z[:, None], order="C")
+    nu /= r
+    q, u_nu = np.zeros(uvals.size), np.zeros(uvals.size)
+    for g, nu_a in zip(samples[1 : 1 + n], nu):
+        q += g * g
+        u_nu += g * nu_a
     slope = model.df(q)
     formula = 2.0 / r**n * np.sum(w * slope * (u_nu - uvals / r) ** 2)
     t = 2.0 / r ** (n - 1) * np.sum(w * (slope - f0) * (uvals / r**2) * (u_nu - uvals / r))
@@ -354,17 +362,30 @@ class MonotonicityReport:
         return {col: getattr(self, name) for col, name in _COLUMN_ATTRS.items()}
 
 
+def _is_zero(phi: ScalarField) -> bool:
+    """Whether every node of phi is +-0 (a NaN counts as nonzero): the one test
+    of a zero potential, read from the values as flux_field reads its slope gap."""
+    return not np.any(phi.values)
+
+
 def oscillation_profile(phi: ScalarField, z, radii) -> np.ndarray:
     """Mean over B_r(z) of |phi - ball mean|^2, one value per radius.
 
     The squared-oscillation profile: bounded across dyadic radii for
     bounded-mean-oscillation prototypes, decaying to zero at vanishing
-    ones.  Radii may come in any order.
+    ones.  Radii may come in any order.  Each ball passes the ball gate; a
+    phi without a nonzero node then reads no ball and gives +0.0 per radius,
+    the bits its sums give (every deviation from the mean is +-0).
     """
     grid = phi.grid
     z = as_base_point(grid, z)
+    radii = np.asarray(radii, dtype=float)
+    if _is_zero(phi):
+        for r in radii:
+            grid.require_ball_inside(z, float(r))
+        return np.zeros(radii.size)
     out = []
-    for r in np.asarray(radii, dtype=float):
+    for r in radii:
         bw = ball_weights(grid, z, float(r))
         # ball means: the h^dim cell volume cancels between integral and volume
         vol = np.sum(bw.cells)
@@ -394,6 +415,12 @@ def scan(
     quadrature ceiling 5 (h/r_min) |A(r_max)|.  The stored violation indices
     point at the left radius of each offending pair.  The scan, the last
     reader of the point's ball ladder, empties the ball weight cache on any exit.
+
+    Whether the potential has a nonzero node is decided once, from its
+    values (a read-back ghost's iterations may say otherwise).  A zero
+    potential is not sampled: its ghost_term and osc columns are the +0.0
+    that the shell means and oscillation_profile give, and the bulk reads
+    the ladder's cell weights, built once each outside the cache.
     """
     try:
         grid = u.grid
@@ -401,17 +428,22 @@ def scan(
         f0 = model.f0
         _check_ghost_contract(g, grid, z, f0, level)
         r = _validate_radii(radii)
+        zero = _is_zero(g.potential)
         # the largest ball is built first, so a ladder that leaves the box fails here
-        bulks = _ball_energies(u, model, lam, level, z, r)
-        # one gather per radius samples u, grad u and phi together
-        rows = _sphere_rows(u, g.potential)
-        core, gt, formula, t_col = (np.empty(r.size) for _ in range(4))
+        ball = ball_cells if zero else ball_weights
+        bulks = _ball_energies(
+            u, model, lam, level, [ball(grid, z, float(x)) for x in r[::-1]][::-1]
+        )
+        # one gather per radius samples u, grad u and a nonzero phi together
+        rows = _sphere_rows(u) if zero else _sphere_rows(u, g.potential)
+        core, gt, formula, t_col = (np.zeros(r.size) for _ in range(4))
         for i, radius in enumerate(r):
             radius = float(radius)
             pts, w, samples = _sphere_samples(rows, grid, z, radius)
             _above(samples, level)
             core[i] = _weiss(bulks[i], w, samples[0], f0, radius, grid.dim)
-            gt[i] = _shell_mean(w, samples[-1], radius, grid.dim)
+            if not zero:
+                gt[i] = _shell_mean(w, samples[-1], radius, grid.dim)
             formula[i], t_col[i] = _sphere_terms(model, z, radius, f0, pts, w, samples)
 
         a = core - gt

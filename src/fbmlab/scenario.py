@@ -90,10 +90,10 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
     then Problem; a constructor's ValueError comes back tagged with the
     scenario path.  The Problem and the ladder seed the Scenario.  Only what
     no constructor owns is checked here: the schema version, the solver
-    scalars, 2 cells on every grid axis, an r_min above the shell identity's
-    step, and the points' dimension and finiteness.  A fault never hides one
-    in an unrelated key.  Returns the Scenario (None if anything is wrong)
-    and the problems.
+    scalars, 2 cells on every grid axis, 2 radii in the ladder, an r_min
+    above the shell identity's step, and the points' dimension and
+    finiteness.  A fault never hides one in an unrelated key.  Returns the
+    Scenario (None if anything is wrong) and the problems.
     """
     if not isinstance(data, dict):
         return None, ["scenario: top level must be a JSON object"]
@@ -134,6 +134,12 @@ def _parse(data) -> tuple[Scenario | None, list[str]]:
         problems.append(f"grid.n_cells: need at least 2 cells on every axis, "
                         f"got {list(grid.n_cells)}")
         grid = None
+    # log_radius_derivative needs two radii; one would write NaN columns
+    if ladder is not None and ladder.size < 2:
+        problems.append(f"radii: need at least 2 radii for the log-radius derivative, got "
+                        f"{ladder.size} from r_min {sections['radii']['r_min']}, r_max "
+                        f"{sections['radii']['r_max']} and ratio {sections['radii']['ratio']}")
+        ladder = None
     if grid is not None and ladder is not None:
         # the shell identity also reads the sphere of radius r_min - step
         step, r_min = SHELL_STEP_CELLS * grid.h, sections["radii"]["r_min"]

@@ -34,6 +34,7 @@ from fbmlab.fields import (
     face_planes,
     _interp_core,
     _unit_sphere,
+    ball_cells,
     ball_integral,
     ball_weights,
     free_boundary_points,
@@ -444,10 +445,14 @@ class TestGatherKernel:
         want_v = frozen_interp(stack, grid, pts)
         got_s = interpolate(ScalarField(grid, scalar), pts)
         assert got_s.tobytes() == want_s.tobytes()
-        stacked = _interp_core([scalar, *vector, -scalar], grid, pts)
+        # a zero array with -0.0 nodes samples +0.0 everywhere, as a sum from +0.0 gives
+        signed_zero = np.where(rng.random(grid.node_shape) < 0.5, -0.0, 0.0)
+        stacked = _interp_core([scalar, *vector, -scalar, signed_zero], grid, pts)
         assert stacked[0].tobytes() == want_s.tobytes()
         assert np.ascontiguousarray(stacked[1 : dim + 1].T).tobytes() == want_v.tobytes()
-        assert stacked[-1].tobytes() == frozen_interp(-scalar, grid, pts).tobytes()
+        assert stacked[-2].tobytes() == frozen_interp(-scalar, grid, pts).tobytes()
+        assert stacked[-1].tobytes() == frozen_interp(signed_zero, grid, pts).tobytes()
+        assert stacked[-1].tobytes() == np.zeros(len(pts)).tobytes()
 
     def test_vector_field_is_component_major(self):
         grid = box_grid(3, 4)
@@ -493,12 +498,16 @@ class TestBallRadius:
         zero, curved = flux_field(u, linear, z), flux_field(u, arctan, z)
         assert zero.is_zero and not curved.is_zero
         g_zero, g_curved = neumann_solve(zero), neumann_solve(curved)
+        assert not g_zero.potential.values.any()
         message = "leaves the box" if r > 0.0 else "radius must be positive"
         calls = [
             lambda: ball_weights(grid, z, r),
+            lambda: ball_cells(grid, z, r),
             lambda: ball_integral(u, z, r),
             lambda: homogeneity_deviation(u, z, r),
             lambda: oscillation_profile(u, z, [r]),
+            # a zero potential reads no ball but passes each ball's gate
+            lambda: oscillation_profile(g_zero.potential, z, [r]),
             lambda: shell_average(u, z, r),
             lambda: weiss_core(u, arctan, 1.0, z, r, level=0.0),
             lambda: radial_derivative(u, arctan, z, r, level=0.0),

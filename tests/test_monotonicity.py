@@ -6,7 +6,7 @@ import pytest
 from fbmlab.density import DensityModel
 from fbmlab.errors import GeometryError
 from fbmlab.fieldio import read_csv
-from fbmlab import monotonicity
+from fbmlab import fields, monotonicity
 from fbmlab.fields import (
     _ball_weights,
     Grid,
@@ -14,6 +14,7 @@ from fbmlab.fields import (
     ball_weights,
     geometric_radii,
     shell_average,
+    sphere_quadrature,
 )
 from fbmlab.ghost import GhostFunction, flux_field, neumann_solve
 from fbmlab.monotonicity import (
@@ -353,7 +354,37 @@ def assert_columns_match_single_radius_terms(u, z, phi, radii):
         assert rep.t[i] == error_term(u, ARCTAN, z, r, level=0.0)
 
 
+def frozen_sphere_terms(model, z, r, f0, pts, w, samples):
+    """The sphere terms from a point-major copy of the gradient samples, the
+    form the per-axis rows replaced."""
+    n = pts.shape[1]
+    uvals = samples[0]
+    grads = np.ascontiguousarray(samples[1 : 1 + n].T)
+    nu = (pts - z[None, :]) / r
+    q = np.sum(grads * grads, axis=-1)
+    u_nu = np.sum(grads * nu, axis=-1)
+    slope = model.df(q)
+    formula = 2.0 / r**n * np.sum(w * slope * (u_nu - uvals / r) ** 2)
+    t = 2.0 / r ** (n - 1) * np.sum(w * (slope - f0) * (uvals / r**2) * (u_nu - uvals / r))
+    return float(formula), float(t)
+
+
 class TestSphereKernel:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("model", [ARCTAN, LINEAR], ids=["arctan", "linear"])
+    def test_sphere_terms_bytes_equal_point_major_form(self, dim, model):
+        rng = np.random.default_rng(dim)
+        z, r = rng.uniform(-0.1, 0.1, dim), 0.3
+        pts, w = sphere_quadrature(dim, z, r)
+        samples = rng.standard_normal((1 + dim, len(w)))
+        # signed zeros, and a sphere where u and grad u are all +-0
+        samples[rng.random(samples.shape) < 0.3] = -0.0
+        zeros = np.where(rng.random(samples.shape) < 0.5, -0.0, 0.0)
+        for s in (samples, zeros):
+            got = monotonicity._sphere_terms(model, z, r, model.f0, pts, w, s.copy())
+            want = frozen_sphere_terms(model, z, r, model.f0, pts, w, s)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
     def test_scan_columns_match_single_radius_terms(self):
         assert_columns_match_single_radius_terms(*arctan_case_2d())
 
@@ -367,14 +398,13 @@ class TestSphereKernel:
             scan(u, ARCTAN, 0.7, z, radii, g, level=0.0)
 
 
-def full_grid_ball_energies(u, model, lam, level, z, radii):
+def full_grid_ball_energies(u, model, lam, level, balls):
     """The bulk integrals from the full-grid density, as the scan formed them before."""
     density = cell_energy_density(u, model, lam, level)
-    out = []
-    for r in radii:
-        bw = ball_weights(u.grid, z, r)
-        out.append(float(u.grid.h**u.grid.dim * np.sum(bw.cells * density[bw.cell_window])))
-    return out
+    return [
+        float(u.grid.h**u.grid.dim * np.sum(bw.cells * density[bw.cell_window]))
+        for bw in balls
+    ]
 
 
 def face_case_2d():
@@ -412,6 +442,57 @@ class TestDensityWindow:
         u, z, _, radii = face_case_2d()
         window = ball_weights(u.grid, z, float(radii[-1])).cell_window
         assert window[0].stop == u.grid.n_cells[0]
+
+
+def signed_zero_ghost(grid: Grid, z, level: float) -> GhostFunction:
+    """A zero potential about z with -0.0 at every other node."""
+    values = np.zeros(grid.node_shape)
+    values.reshape(-1)[::2] = -0.0
+    return GhostFunction(
+        potential=ScalarField(grid, values), base_point=z, f0=ARCTAN.f0,
+        residual=0.0, iterations=0, level=level,
+    )
+
+
+class TestZeroPotential:
+    """A potential with no nonzero node is not sampled: the scan writes the
+    +0.0 that its shell means and oscillations give, also for -0.0 nodes,
+    and its bulk reads the ladder's cell weights alone, built outside the
+    cache."""
+
+    @pytest.mark.parametrize("case", [arctan_case_2d, arctan_case_3d])
+    @pytest.mark.parametrize("level", [0.0, 0.05])
+    def test_csv_bytes_equal_general_path(self, case, level, tmp_path, monkeypatch):
+        u, z, _, radii = case()
+        g = signed_zero_ghost(u.grid, z, level)
+        rep = scan(u, ARCTAN, 0.7, z, radii, g, level=level)
+        assert not np.signbit(rep.ghost_term).any() and not np.signbit(rep.osc).any()
+        assert not rep.ghost_term.any() and not rep.osc.any()
+        write_report_csv(rep, tmp_path / "zero.csv")
+        monkeypatch.setattr(monotonicity, "_is_zero", lambda phi: False)
+        write_report_csv(scan(u, ARCTAN, 0.7, z, radii, g, level=level), tmp_path / "full.csv")
+        assert (tmp_path / "zero.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+    def test_cells_built_once_each_and_no_ball_cached(self, monkeypatch):
+        u, z, _, radii = arctan_case_3d()
+        cell_parts, built = fields._ball_cell_parts, []
+
+        def counted(grid, z, r):
+            built.append(r)
+            return cell_parts(grid, z, r)
+
+        def node_half(*args):
+            raise AssertionError("a zero potential's scan built node weights")
+
+        monkeypatch.setattr(fields, "_ball_cell_parts", counted)
+        monkeypatch.setattr(fields, "_build_ball_weights", node_half)
+        # the scan's release would hide a ball it cached
+        monkeypatch.setattr(monotonicity, "drop_ball_weights", lambda: None)
+        _ball_weights.cache_clear()
+        scan(u, ARCTAN, 0.7, z, radii, signed_zero_ghost(u.grid, z, 0.0), level=0.0)
+        # largest first: the ladder's gate
+        assert built == sorted(map(float, radii), reverse=True)
+        assert _ball_weights.cache_info().currsize == 0
 
 
 class TestReportsCopyInputs:

@@ -335,24 +335,37 @@ class TestLongLadder:
     """r_min 0.1, r_max 0.4 and ratio 1.03 give 47 radii, more than a cache of
     32 balls held: it built every ball once per pass over the ladder, 141
     times for a nonzero flux (flux profile, scan bulk, oscillation) and 95 for
-    a zero one (the scan's first read of the largest ball, bulk, oscillation)."""
+    a zero one (the scan's first read of the largest ball, bulk, oscillation).
+    Now a nonzero flux's ladder goes through the cache once, and a zero
+    one's scan builds each ball's cell weights once, outside the cache."""
 
     FIELDS = {
         "field3d": lambda tmp_path: stored_field_3d_two_points(tmp_path)[0],
         "linear3d": linear_halfplane_3d,
     }
+    # (cached full builds, cell-only builds) of the ghost stage and the scan
+    BUILDS = {"field3d": (47, 0), "linear3d": (0, 47)}
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
-    def test_each_ball_built_once_and_blowup_caches_none(self, tmp_path, name, cache_builds):
+    def test_each_ball_built_once_and_blowup_caches_none(
+        self, tmp_path, name, cache_builds, monkeypatch
+    ):
         s = replace(self.FIELDS[name](tmp_path), r_min=0.1, ratio=1.03)
         assert len(s.radii()) == 47
         u, _ = obtain_field(s)
+        cells, cell_builds = monotonicity.ball_cells, []
+
+        def counted(grid, z, r):
+            cell_builds.append(r)
+            return cells(grid, z, r)
+
+        monkeypatch.setattr(monotonicity, "ball_cells", counted)
         cache_builds.clear()
         stage_scan(s, u, stage_ghost(s, u, s.points[0])[0])
-        assert len(cache_builds) == 47
+        assert (len(cache_builds), len(cell_builds)) == self.BUILDS[name]
         # every scale's homogeneity_deviation builds its ball outside the cache
         assert stage_blowup(s, u, s.points[0])["scales"]
-        assert len(cache_builds) == 47
+        assert (len(cache_builds), len(cell_builds)) == self.BUILDS[name]
         assert _ball_weights.cache_info().currsize == 0
 
 
@@ -389,8 +402,10 @@ class TestScanBuffers:
     """stage_scan's peak on 41^3 grids, above the memory traced at its entry and
     with the scan radii's ball weights built cold.  u and phi are sampled
     in place; the gradient of u is the only grid-sized block the
-    scan allocates (8.29 and 6.24 arrays here).  Gathering from one block
-    that held copies of u and phi as well read 10.23 and 8.18."""
+    scan allocates (5.40 and 6.17 arrays here).  The zero potential's scan
+    read 8.16 while it built node weights that only its zero integrals
+    read; gathering from one block that held copies of u and phi as well
+    read 10.23 and 8.18."""
 
     def peak(self, s: Scenario) -> float:
         u, _ = obtain_field(s)
@@ -407,7 +422,7 @@ class TestScanBuffers:
 
     def test_zero_flux_linear_field(self, tmp_path):
         s = linear_halfplane_3d(tmp_path)
-        assert self.peak(s) < 8.5
+        assert self.peak(s) < 5.6
 
     def test_curved_stored_field(self, tmp_path):
         s, _ = stored_field_3d_two_points(tmp_path)

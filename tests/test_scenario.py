@@ -163,6 +163,15 @@ class TestValidateDict:
                     with_changes(radii__r_min=step, grid__n_cells=[1, 1])):
             assert not any(d.startswith("radii.r_min") for d in validate_dict(bad))
 
+    def test_one_radius_ladder(self):
+        # log_radius_derivative needs two radii; one wrote NaN columns and exit 0
+        for r_max, ratio in ((0.1, 1.4), (0.3, 3.5)):
+            assert validate_dict(with_changes(radii__r_max=r_max, radii__ratio=ratio)) == [
+                f"radii: need at least 2 radii for the log-radius derivative, got 1 "
+                f"from r_min 0.1, r_max {r_max} and ratio {ratio}"
+            ]
+        assert validate_dict(with_changes(radii__r_max=0.14, radii__ratio=1.4)) == []
+
     def test_non_dict_top_level(self):
         assert validate_dict([1, 2]) == ["scenario: top level must be a JSON object"]
 
@@ -190,6 +199,7 @@ BAD_SCENARIOS = [
     (with_changes(radii__r_max=math.inf), "radii.r_max"),
     (with_changes(grid__n_cells=[32.0, 32]), "grid.n_cells"),
     (with_changes(radii__r_min=0.03), "radii.r_min"),
+    (with_changes(radii__r_max=0.1), "radii: need at least 2 radii"),
     (with_changes(density__alpha=10**400), "density.alpha"),
     (with_changes(**{"lambda": True}), "lambda"),
     (with_changes(boundary__direction=[0.0, 1.0, 0.0]), "boundary.direction"),
