@@ -22,32 +22,42 @@ edge differences E_a, (u[k + e_a] - u[k]) / h:
                    redoes one eigh per axis; an axis whose sigma_a is
                    constant takes its sine modes in closed form.
 
-Both transform with matmul on reshaped views.  The Dirichlet solver owns
-its per-axis eigenvectors and works in buffers the caller lends it, so a
-solve allocates no array of the grid's size.
+Both transform with matmul on reshaped views.  The Neumann cosine modes
+are built once per axis length and kept read-only; the Dirichlet solver owns
+its per-axis eigenvectors.  Both work in buffers the caller lends them, so a
+solve given its buffers allocates no array of the grid's size.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+from .fields import _scratch
 
 __all__ = ["neumann_solve", "DirichletSolver"]
 
 
+@lru_cache(maxsize=8)
 def _cosine_modes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(forward, inverse, eigenvalues) of w^{-1} E^T E on m nodes at h = 1.
+    """(forward, inverse, eigenvalues) of w^{-1} E^T E on m nodes at h = 1, read-only.
 
     The columns of inverse are the DCT-I cosines cos(pi i k / (m - 1)), with
     eigenvalues 2 - 2 cos(pi k / (m - 1)); mode 0 is the constant.  They are
     w-orthogonal with squared norms (m - 1) / 2, m - 1 for k = 0 and m - 1;
     forward is their transpose over those norms: inverse @ forward = 1 / w.
+    Built once per axis length and shared by every solve.
     """
     k = np.arange(m)
     angle = np.pi / (m - 1)
     inverse = np.cos(angle * np.outer(k, k))
     norms = np.full(m, 0.5 * (m - 1))
     norms[[0, -1]] = m - 1
-    return inverse.T / norms[:, None], inverse, 2.0 - 2.0 * np.cos(angle * k)
+    modes = inverse.T / norms[:, None], inverse, 2.0 - 2.0 * np.cos(angle * k)
+    for a in modes:
+        a.setflags(write=False)
+    return modes
 
 
 def _sine_modes(diag: float, off: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -67,20 +77,25 @@ def _sine_modes(diag: float, off: float, n: int) -> tuple[np.ndarray, np.ndarray
     return diag - 2.0 * off * np.cos(k * (np.pi / (n + 1))), q
 
 
-def neumann_solve(b: np.ndarray, h: float) -> np.ndarray:
+def neumann_solve(b: np.ndarray, h: float, work: np.ndarray | None = None) -> np.ndarray:
     """phi with sum_a E_a^T W_a E_a phi = b at spacing h, for a load b that sums to zero.
 
     The constant mode's coefficient is zeroed: that drops the part
     W sum(b) / sum(W) of b (W the trapezoid weights) and leaves sum(W phi) = 0.
     The operator is 1/h^2 times its h = 1 form, hence the factor h^2.  The
     solve overwrites b (C-contiguous float64) and returns phi in it; one more
-    array holds the other transform buffer and the eigenvalue sums.
+    array holds the other transform buffer and the eigenvalue sums: work if
+    lent (a writable C-contiguous float64 array shaped like b and apart from
+    it, ValueError otherwise), else a fresh one.
     """
     if b.dtype != np.float64 or not b.flags.c_contiguous:
         raise ValueError("the load must be a C-contiguous float64 array: the solve works in it")
+    if work is None:
+        work = np.empty(b.shape)
+    _scratch((b, work), 2, b.shape)  # both writable, the same layout, and apart
     dim = b.ndim
     forward, inverse, lams = zip(*(_cosine_modes(m) for m in b.shape))
-    c, work = _transform(forward, b, np.empty(b.shape))
+    c, work = _transform(forward, b, work)
     parts = [lam.reshape((-1,) + (1,) * (dim - 1 - axis)) for axis, lam in enumerate(lams)]
     denom = np.add(sum(parts[:-1]), parts[-1], out=work)
     denom.flat[0] = np.inf  # the constant mode, eigenvalue 0, gets coefficient 0

@@ -225,6 +225,29 @@ def _flat(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return a.reshape(-1)
 
 
+def _scratch(work, count: int, shape: tuple[int, ...]) -> list[np.ndarray]:
+    """count scratch arrays of shape: fresh from np.empty without work, else work's first count.
+
+    A lent array must be a writable C-contiguous float64 array of shape,
+    sharing no memory with another lent one; anything else raises
+    ValueError here, before the caller writes to any of them.
+    """
+    if work is None:
+        return [np.empty(shape) for _ in range(count)]
+    work = list(work)[:count]
+    if len(work) < count:
+        raise ValueError(f"need {count} work arrays, got {len(work)}")
+    for i, a in enumerate(work):
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape
+                and a.flags.c_contiguous and a.flags.writeable):
+            raise ValueError(
+                f"work arrays must be writable C-contiguous float64 arrays of shape {shape}"
+            )
+        if any(np.may_share_memory(a, b) for b in work[:i]):
+            raise ValueError("work arrays must not share memory")
+    return work
+
+
 def gradient_arrays(
     values: np.ndarray, h: float, out: list[np.ndarray] | None = None
 ) -> list[np.ndarray]:
@@ -534,10 +557,17 @@ def _shell_mean(wts: np.ndarray, vals: np.ndarray, r: float, dim: int) -> float:
 
 
 def _sphere_flux(z: np.ndarray, r: float, pts: np.ndarray, wts: np.ndarray, samples) -> float:
-    """r^(1-dim) times the sphere quadrature of V . nu from the (dim, m) samples of V."""
-    vals = np.ascontiguousarray(samples.T)
-    nu = (pts - z[None, :]) / r
-    return float(r ** (1 - pts.shape[1]) * np.sum(wts * np.sum(vals * nu, axis=-1)))
+    """r^(1-dim) times the sphere quadrature of V . nu from the (dim, m) samples of V.
+
+    V . nu adds the axes in order onto +0.0, one row per axis: bitwise
+    np.sum over the short last axis of a point-major copy, without the copy.
+    """
+    nu = np.subtract(pts.T, z[:, None], order="C")
+    nu /= r
+    v_nu = np.zeros(wts.size)
+    for v, nu_a in zip(samples, nu):
+        v_nu += v * nu_a
+    return float(r ** (1 - pts.shape[1]) * np.sum(wts * v_nu))
 
 
 def shell_average(f: ScalarField, z, r: float) -> float:

@@ -375,7 +375,9 @@ def oscillation_profile(phi: ScalarField, z, radii) -> np.ndarray:
     bounded-mean-oscillation prototypes, decaying to zero at vanishing
     ones.  Radii may come in any order.  Each ball passes the ball gate; a
     phi without a nonzero node then reads no ball and gives +0.0 per radius,
-    the bits its sums give (every deviation from the mean is +-0).
+    the bits its sums give (every deviation from the mean is +-0).  A ball
+    that holds no subsample point has no volume and no mean; it gives +0.0
+    too, the value its ball_integral takes.
     """
     grid = phi.grid
     z = as_base_point(grid, z)
@@ -389,6 +391,9 @@ def oscillation_profile(phi: ScalarField, z, radii) -> np.ndarray:
         bw = ball_weights(grid, z, float(r))
         # ball means: the h^dim cell volume cancels between integral and volume
         vol = np.sum(bw.cells)
+        if vol == 0.0:
+            out.append(0.0)
+            continue
         window = phi.values[bw.node_window]
         mean = np.sum(bw.nodes * window) / vol
         out.append(np.sum(bw.nodes * (window - mean) ** 2) / vol)

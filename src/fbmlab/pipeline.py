@@ -116,15 +116,19 @@ def stage_ghost(s: Scenario, u: ScalarField, z) -> tuple[GhostFunction, dict]:
     positive part is u bit for bit.  The flux bound reads u.lipschitz,
     which bounds (u - l)^+ too; it is read first, so a first computation is
     over before the flux is built, and is cached on u for every later
-    point.  (u - l)^+ dies with flux_field; the ghost records l.
+    point.  (u - l)^+ dies with flux_field; the ghost records l.  The
+    stage's one scratch set, three grid arrays from np.empty, is lent to
+    every step that works in grid arrays (see the ghost module's grid-array
+    budget) and dropped before the sphere samples and the ball builds.
     """
     lip = u.lipschitz
-    flux = flux_field(_sharp_field(u, s.phase_level), s.model, z)
-    g = replace(neumann_solve(flux, tol=s.ghost_tol), level=s.phase_level)
-    # the sphere sampling runs before the reports that keep flux.norm_sq
+    work = [np.empty(s.grid.node_shape) for _ in range(3)]
+    flux = flux_field(_sharp_field(u, s.phase_level), s.model, z, work=work)
+    g = replace(neumann_solve(flux, tol=s.ghost_tol, work=work), level=s.phase_level)
+    stab = stability_report(flux, g, work=work)
+    bound = flux_bound_report(flux, s.model, lip, work=work)
+    del work
     shell = [asdict(rec) for rec in shell_identity_report(flux, g, s.radii())]
-    stab = stability_report(flux, g)
-    bound = flux_bound_report(flux, s.model, lip)
     report = {
         # the solve's checked residual is this same weak-divergence ratio
         "weak_divergence_residual": g.residual,

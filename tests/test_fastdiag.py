@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fbmlab.density import DensityModel
+from fbmlab import fastdiag
 from fbmlab.fastdiag import DirichletSolver, neumann_solve
 from fbmlab.fields import Grid, ScalarField, trapezoid_weights
 from fbmlab.minimizer import BoundaryData, Problem, hessian_product
@@ -139,6 +140,59 @@ class TestNeumann:
         for bad in (np.zeros((9, 14))[:, ::2], np.zeros((9, 7), order="F"), np.zeros((9, 7), int)):
             with pytest.raises(ValueError, match="C-contiguous float64"):
                 neumann_solve(bad, h)
+
+
+    def test_lent_buffer_gives_the_same_bytes(self):
+        h = 0.05
+        for shape in ((9, 7), (5, 6, 8)):
+            b = np.random.default_rng(6).standard_normal(shape)
+            b -= b.mean()
+            want = neumann_solve(b.copy(), h)
+            work = np.full(shape, np.nan)
+            assert neumann_solve(b.copy(), h, work).tobytes() == want.tobytes()
+
+    def test_bad_buffer_raises_before_any_write(self):
+        h = 0.05
+        b = np.random.default_rng(7).standard_normal((9, 7))
+        b -= b.mean()
+        kept = b.copy()
+        read_only = np.zeros((9, 7))
+        read_only.setflags(write=False)
+        for bad in (
+            np.zeros((9, 14))[:, ::2],
+            np.zeros((9, 7), order="F"),
+            np.zeros((9, 7), np.float32),
+            np.zeros((7, 9)),
+            read_only,
+            b[:],
+        ):
+            with pytest.raises(ValueError):
+                neumann_solve(b, h, bad)
+            assert b.tobytes() == kept.tobytes()
+
+
+class TestCosineModes:
+    """The DCT-I modes of the Neumann solve are built once per axis length."""
+
+    @pytest.mark.parametrize("m", [2, 3, 41, 129])
+    def test_cached_modes_are_read_only_and_fresh_bytes(self, m):
+        cached = fastdiag._cosine_modes(m)
+        fresh = fastdiag._cosine_modes.__wrapped__(m)
+        assert fastdiag._cosine_modes(m) is cached
+        for got, want in zip(cached, fresh):
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+
+    def test_second_solve_builds_no_modes(self):
+        fastdiag._cosine_modes.cache_clear()
+        b = np.random.default_rng(8).standard_normal((9, 7, 9))
+        b -= b.mean()
+        neumann_solve(b.copy(), 0.05)
+        # one build per axis length, 9 and 7; a second solve on the grid builds none
+        assert fastdiag._cosine_modes.cache_info().misses == 2
+        neumann_solve(b.copy(), 0.05)
+        info = fastdiag._cosine_modes.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
 
 
 class TestDirichlet:

@@ -771,8 +771,8 @@ class TestZeroFlux:
         s = linear_scenario(dim)
         run_pipeline(s, tmp_path / "zero")
 
-        def full_flux(u, model, z):
-            return assembled(flux_field(u, model, z), u, model)
+        def full_flux(u, model, z, work=None):
+            return assembled(flux_field(u, model, z, work=work), u, model)
 
         monkeypatch.setattr(pipeline, "flux_field", full_flux)
         run_pipeline(s, tmp_path / "full")
@@ -895,8 +895,8 @@ class TestFrozenGhostStage:
         z = (0.05,) * dim
         built = []
 
-        def spy(sharp, model, point):
-            built.append((sharp, flux_field(sharp, model, point)))
+        def spy(sharp, model, point, work=None):
+            built.append((sharp, flux_field(sharp, model, point, work=work)))
             return built[-1][1]
 
         monkeypatch.setattr(pipeline, "flux_field", spy)
@@ -972,3 +972,132 @@ class TestGhostBuffers:
         peak = traced_peak(lambda: ghost.append(pipeline.stage_ghost(s, u, z)))
         assert ghost[0][0].iterations == 1
         assert peak < 9 * u.values.nbytes
+
+    def test_lent_steps_allocate_only_their_outputs(self, stored):
+        # with the scratch lent, each step allocates no grid array beyond what
+        # it returns or keeps: the flux's 3 components, the potential, and
+        # |U|^2 cached on the flux; the rest is boolean masks and the solve's
+        # transform temporaries (unlent, the solve alone reads 4.3 arrays)
+        s, u, z = stored
+        lip, array = u.lipschitz, u.values.nbytes
+        work = [np.empty(u.grid.node_shape) for _ in range(3)]
+        made = {}
+        peak = traced_peak(lambda: made.update(flux=flux_field(u, s.model, z, work=work)))
+        assert peak < 3.25 * array
+        flux = made["flux"]
+        peak = traced_peak(lambda: made.update(g=neumann_solve(flux, tol=s.ghost_tol, work=work)))
+        assert peak < 1.5 * array
+        assert traced_peak(lambda: stability_report(flux, made["g"], work=work)) < 1.25 * array
+        assert traced_peak(lambda: flux_bound_report(flux, s.model, lip, work=work)) < 0.5 * array
+
+
+def dirty_scratch(grid: Grid, count: int = 3) -> list[np.ndarray]:
+    """count scratch arrays full of NaN, so a read before a write shows."""
+    return [np.full(grid.node_shape, np.nan) for _ in range(count)]
+
+
+def unlent(fn):
+    """fn with its work argument dropped, so it allocates the arrays it works in."""
+    def call(*args, work=None, **kwargs):
+        return fn(*args, **kwargs)
+    return call
+
+
+class TestGhostScratch:
+    """A lent scratch set gives the bytes of the arrays each step allocates
+    without it, and one it cannot use is refused before any write."""
+
+    def sharp_case(self, dim: int, level: float):
+        u = curved_linear_field(dim)
+        return pipeline._sharp_field(u, level), (0.13, -0.05, 0.2)[:dim]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("model", [LINEAR, ARCTAN], ids=["zero_flux", "nonzero_flux"])
+    @pytest.mark.parametrize("level", [0.0, 0.05])
+    def test_lent_calls_equal_unlent(self, dim, model, level):
+        u, z = self.sharp_case(dim, level)
+        lip = u.lipschitz
+        work = dirty_scratch(u.grid)
+        flux, lent = flux_field(u, model, z), flux_field(u, model, z, work=work)
+        assert lent.is_zero == flux.is_zero == (model is LINEAR)
+        assert lent.field.values.tobytes() == flux.field.values.tobytes()
+        g, lent_g = neumann_solve(flux), neumann_solve(lent, work=work)
+        assert lent_g.potential.values.tobytes() == g.potential.values.tobytes()
+        assert (lent_g.residual, lent_g.iterations) == (g.residual, g.iterations)
+        # |U|^2 is squared in the scratch by the first report that reads it:
+        # stability_report for lent, flux_reach for again
+        again = flux_field(u, model, z, work=work)
+        assert repr(stability_report(lent, lent_g, work=work)) == repr(stability_report(flux, g))
+        assert flux_reach(again, work=work) == flux_reach(flux)
+        assert repr(flux_bound_report(lent, model, lip, work=work)) == repr(
+            flux_bound_report(flux, model, lip)
+        )
+        assert lent.norm_sq.tobytes() == again.norm_sq.tobytes() == flux.norm_sq.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["linear", "arctan"], ids=["zero_flux", "nonzero_flux"])
+    @pytest.mark.parametrize("stored", [True, False], ids=["level_0", "level_l"])
+    def test_stage_equals_unlent_stage(self, dim, kind, stored, tmp_path, monkeypatch):
+        n = 32 if dim == 2 else 16
+        data = {
+            "schema_version": 1,
+            "grid": {"lo": [-1.0] * dim, "hi": [1.0] * dim, "n_cells": [n] * dim},
+            "density": {"kind": kind} if kind == "linear" else {"kind": kind, "alpha": 0.1},
+            "boundary": {"kind": "halfplane", "direction": [0.0] * (dim - 1) + [1.0]},
+            "points_of_interest": [[0.0] * dim],
+            "radii": {"r_min": 0.2, "r_max": 0.4, "ratio": 1.4},
+        }
+        if stored:
+            data["field_path"] = str(tmp_path / "u.bin")
+        s = Scenario.from_dict(data)
+        assert (s.phase_level == 0.0) == stored
+        u = ScalarField(s.grid, signed_zero_field(s.grid, dim))
+        z = (0.05,) * dim
+        g, report = pipeline.stage_ghost(s, u, z)
+        for name in ("flux_field", "neumann_solve", "stability_report", "flux_bound_report"):
+            monkeypatch.setattr(pipeline, name, unlent(getattr(pipeline, name)))
+        want, want_report = pipeline.stage_ghost(s, u, z)
+        assert g.potential.values.tobytes() == want.potential.values.tobytes()
+        assert (g.iterations == 0) == (kind == "linear")
+        assert repr(replace(g, potential=None)) == repr(replace(want, potential=None))
+        assert repr(report) == repr(want_report)
+
+    @pytest.mark.parametrize(
+        "step, count",
+        [("flux_field", 2), ("neumann_solve", 3), ("stability_report", 2),
+         ("flux_reach", 2), ("flux_bound_report", 2)],
+    )
+    def test_unusable_work_raises_before_any_write(self, step, count):
+        u, z = self.sharp_case(2, 0.0)
+        shape = u.grid.node_shape
+        solved = flux_field(u, ARCTAN, z)
+        g = neumann_solve(solved)
+        calls = {
+            "flux_field": lambda w: flux_field(u, ARCTAN, z, work=w),
+            "neumann_solve": lambda w: neumann_solve(solved, work=w),
+            # a fresh flux, so the first read of |U|^2 would write the scratch
+            "stability_report": lambda w: stability_report(flux_field(u, ARCTAN, z), g, work=w),
+            "flux_reach": lambda w: flux_reach(flux_field(u, ARCTAN, z), work=w),
+            "flux_bound_report": lambda w: flux_bound_report(
+                flux_field(u, ARCTAN, z), ARCTAN, 1.0, work=w
+            ),
+        }
+        read_only = np.full(shape, np.nan)
+        read_only.setflags(write=False)
+        shared = np.full(shape, np.nan)
+        bad = {
+            "shape": np.full((shape[0], shape[1] - 1), np.nan),
+            "dtype": np.full(shape, np.nan, dtype=np.float32),
+            "layout": np.full(shape, np.nan, order="F"),
+            "strided": np.full((shape[0], 2 * shape[1]), np.nan)[:, ::2],
+            "read_only": read_only,
+            "list": np.full(shape, np.nan).tolist(),
+        }
+        cases = [dirty_scratch(u.grid, count - 1) + [b] for b in bad.values()]
+        cases.append(dirty_scratch(u.grid, count - 2) + [shared, shared])
+        cases.append(dirty_scratch(u.grid, count - 1))
+        for work in cases:
+            kept = [np.array(w).tobytes() for w in work]
+            with pytest.raises(ValueError, match="work arrays"):
+                calls[step](work)
+            assert [np.array(w).tobytes() for w in work] == kept

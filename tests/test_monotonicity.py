@@ -11,6 +11,7 @@ from fbmlab.fields import (
     _ball_weights,
     Grid,
     ScalarField,
+    ball_integral,
     ball_weights,
     geometric_radii,
     shell_average,
@@ -369,6 +370,14 @@ def frozen_sphere_terms(model, z, r, f0, pts, w, samples):
     return float(formula), float(t)
 
 
+def frozen_sphere_flux(z, r, pts, wts, samples):
+    """The sphere flux from a point-major copy of the samples, the form the
+    per-axis rows replaced."""
+    vals = np.ascontiguousarray(samples.T)
+    nu = (pts - z[None, :]) / r
+    return float(r ** (1 - pts.shape[1]) * np.sum(wts * np.sum(vals * nu, axis=-1)))
+
+
 class TestSphereKernel:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("model", [ARCTAN, LINEAR], ids=["arctan", "linear"])
@@ -383,6 +392,19 @@ class TestSphereKernel:
         for s in (samples, zeros):
             got = monotonicity._sphere_terms(model, z, r, model.f0, pts, w, s.copy())
             want = frozen_sphere_terms(model, z, r, model.f0, pts, w, s)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sphere_flux_bytes_equal_point_major_form(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        z, r = rng.uniform(-0.1, 0.1, dim), 0.3
+        pts, w = sphere_quadrature(dim, z, r)
+        samples = rng.standard_normal((dim, len(w)))
+        samples[rng.random(samples.shape) < 0.3] = -0.0
+        zeros = np.where(rng.random(samples.shape) < 0.5, -0.0, 0.0)
+        for s in (samples, zeros):
+            got = fields._sphere_flux(z, r, pts, w, s)
+            want = frozen_sphere_flux(z, r, pts, w, s)
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_scan_columns_match_single_radius_terms(self):
@@ -549,6 +571,24 @@ class TestOscillation:
         profile = oscillation_profile(phi, ORIGIN2, [0.4, 0.2, 0.1])
         # analytic variance of log|x| over any ball is 1/4
         assert np.all(np.abs(profile - 0.25) <= 0.02)
+
+    @pytest.mark.filterwarnings("error")
+    def test_ball_without_volume_gives_the_zero_potentials_bits(self):
+        # on 32^3 cells of [-1, 1]^3 a ball of radius 0.01 about a node holds
+        # no subsample point: its cell weights sum to 0 and it has no mean
+        grid = box_grid(3, 32)
+        radii = [0.012, 0.01]
+        assert all(np.sum(ball_weights(grid, ORIGIN3, r).cells) == 0.0 for r in radii)
+        phi = ScalarField(grid, grid.node_mesh()[0])
+        zero = ScalarField(grid, np.zeros(grid.node_shape))
+        got = oscillation_profile(phi, ORIGIN3, radii)
+        assert got.tobytes() == oscillation_profile(zero, ORIGIN3, radii).tobytes()
+        assert got.tobytes() == np.zeros(2).tobytes()
+        rep = vmo_check(phi, ORIGIN3, radii)
+        assert rep.profile.tobytes() == vmo_check(zero, ORIGIN3, radii).profile.tobytes()
+        assert rep.passed
+        # ball_integral of the same ball is 0.0 as well
+        assert ball_integral(phi, ORIGIN3, 0.01) == 0.0
 
 
 DYADIC_LEVELS = [0.32, 0.16, 0.08, 0.04]
