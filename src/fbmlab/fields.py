@@ -225,29 +225,6 @@ def _flat(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return a.reshape(-1)
 
 
-def _scratch(work, count: int, shape: tuple[int, ...]) -> list[np.ndarray]:
-    """count scratch arrays of shape: fresh from np.empty without work, else work's first count.
-
-    A lent array must be a writable C-contiguous float64 array of shape,
-    sharing no memory with another lent one; anything else raises
-    ValueError here, before the caller writes to any of them.
-    """
-    if work is None:
-        return [np.empty(shape) for _ in range(count)]
-    work = list(work)[:count]
-    if len(work) < count:
-        raise ValueError(f"need {count} work arrays, got {len(work)}")
-    for i, a in enumerate(work):
-        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape
-                and a.flags.c_contiguous and a.flags.writeable):
-            raise ValueError(
-                f"work arrays must be writable C-contiguous float64 arrays of shape {shape}"
-            )
-        if any(np.may_share_memory(a, b) for b in work[:i]):
-            raise ValueError("work arrays must not share memory")
-    return work
-
-
 def gradient_arrays(
     values: np.ndarray, h: float, out: list[np.ndarray] | None = None
 ) -> list[np.ndarray]:

@@ -34,24 +34,22 @@ sidecar meta block holds the contract GHOST_META_KEYS and, from a stage,
 the full report; read_ghost admits only a whole contract whose cap is h/2.
 
 Grid-array budget (one array is a float64 per node; the flux is dim of
-them, one contiguous array per component).  stage_ghost makes one scratch
-set of three arrays with np.empty and lends it, as work, to every step
-below that works in grid arrays; a step called without work allocates the
-arrays it works in itself.  No returned object keeps a scratch array.
-flux_field works in two: q, turned in place into the slope gap and the
-lead factor, and one for each derivative and then d^2; component a is
-built in values[a] in the formula's operation order, its d_a u taken
-again into values[a + 1] (the last into the spent d^2).  A zero flux
-writes only those two.  The load is assembled one axis at a time from U
-into the array that becomes the potential, through two edge arrays; the
-solve's second transform buffer and the residual take the third, the
-residual's edges the same two.  stability_report and flux_reach stream
-through two; the first read of FluxField.norm_sq, the one array the
-reports keep, squares the components in the first of them.  The sphere
-samples read the components in place, and the stage drops its scratch
-before them.  On 41^3 nodes stage_ghost stays within 9 arrays above its
-entry (the scratch, the flux, the potential and |U|^2, plus the samples)
-and flux_field within 6.
+them, one contiguous array per component).  Each step allocates the grid
+arrays it works in and drops them on return; it keeps only what it
+returns.  flux_field works in two: q, turned in place into the slope gap
+and the lead factor, and one for each derivative, freed and then made
+again for d^2; component a is built in values[a] in the formula's
+operation order, its d_a u taken again into values[a + 1] (the last into
+the spent d^2).  A zero flux writes only the first two.  The load is
+assembled one axis at a time from U through two edge arrays; the solve
+works in the load's array, which becomes the potential, plus one; the
+residual takes three more, like the load.  The first read of
+FluxField.norm_sq, the one array the reports keep, squares the components
+in one temporary; stability_report and flux_reach then stream through
+two.  The sphere samples read the components in place.  On 41^3 nodes
+stage_ghost stays within 9 arrays above its entry (the flux, the
+potential and |U|^2, plus each step's temporaries and the samples) and
+flux_field within 6.
 """
 
 from __future__ import annotations
@@ -71,7 +69,6 @@ from .fields import (
     ScalarField,
     VectorField,
     _interp_core,
-    _scratch,
     _shell_mean,
     _sphere_flux,
     as_base_point,
@@ -151,22 +148,14 @@ class FluxField:
     def norm_sq(self) -> np.ndarray:
         """Nodewise |U|^2, shared by the reports: squares added in axis order (read-only).
 
-        Built on first read, each square taken in one work array; a report
-        given work lends it that array (_norm_sq).
+        Built on first read in one kept array, each square taken in one
+        temporary array.
         """
-        return _norm_sq(self, np.empty(self.grid.node_shape))
-
-
-def _norm_sq(flux: FluxField, work: np.ndarray) -> np.ndarray:
-    """flux.norm_sq, built on first read with each square taken in work."""
-    cache = flux.__dict__  # where cached_property keeps norm_sq
-    if "norm_sq" not in cache:
-        out = np.zeros(flux.grid.node_shape)
-        for c in flux.field.values:
+        out, work = np.zeros(self.grid.node_shape), np.empty(self.grid.node_shape)
+        for c in self.field.values:
             out += np.multiply(c, c, out=work)
         out.setflags(write=False)
-        cache["norm_sq"] = out
-    return cache["norm_sq"]
+        return out
 
 
 @dataclass(frozen=True)
@@ -253,43 +242,40 @@ def read_ghost(path, grid: Grid | None = None) -> GhostFunction:
                          values["level"])
 
 
-def _node_distance(
-    grid: Grid, z: np.ndarray, out: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Open-mesh offsets x - z and the distance |x - z|, written into the grid array out.
+def _node_distance(grid: Grid, z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Open-mesh offsets x - z and the distance |x - z| in one grid array.
 
     The squares are summed in axis order as over a full mesh, so every
     distance has the same bits.
     """
     diffs = grid.node_offsets(z)
     squares = [d * d for d in diffs]
-    dist = np.add(sum(squares[:-1]), squares[-1], out=out)
+    dist = np.add(sum(squares[:-1]), squares[-1])
     return diffs, np.sqrt(dist, out=dist)
 
 
-def flux_field(u: ScalarField, model: DensityModel, z, work=None) -> FluxField:
+def flux_field(u: ScalarField, model: DensityModel, z) -> FluxField:
     """Nodewise flux of u about z with the singular denominator capped at h/2.
 
     The reference slope is the model's F0 = f'(1).  A slope gap without a
     nonzero entry makes U +-0 at every node, since u and its gradient are
     finite wherever the density accepted q; the flux is then marked is_zero
-    and not assembled.  The build order is the module's grid-array budget;
-    work lends its two grid arrays (see _scratch), else they are allocated.
+    and not assembled.  The build order and the two grid arrays it works in
+    are the module's grid-array budget.
     """
     grid = u.grid
     z = as_base_point(grid, z)
     if not bool(grid.balls_inside(z, 0.0)[0]):
         raise GeometryError(f"base point {tuple(float(c) for c in z)} outside the grid box")
-    lead, spare = _scratch(work, 2, grid.node_shape)
     f0 = model.f0
     h, dim = grid.h, grid.dim
-    gradient_square(u.values, h, lead, spare)
+    lead = gradient_square(u.values, h, np.empty(grid.node_shape), np.empty(grid.node_shape))
     np.subtract(model.df(lead, out=lead), f0, out=lead)
     is_zero = not np.any(lead)
     if is_zero:
         values = np.zeros((dim,) + grid.node_shape)
     else:
-        diffs, d2 = _node_distance(grid, z, spare)
+        diffs, d2 = _node_distance(grid, z)
         np.square(np.maximum(d2, _cap(grid), out=d2), out=d2)
         lead *= 2.0
         lead *= u.values
@@ -320,9 +306,7 @@ class FluxBoundReport:
     passed: bool
 
 
-def flux_bound_report(
-    flux: FluxField, model: DensityModel, lip: float, work=None
-) -> FluxBoundReport:
+def flux_bound_report(flux: FluxField, model: DensityModel, lip: float) -> FluxBoundReport:
     """Check |U(x)| * |x-z| <= eps_star * C_lip outside the capped core.
 
     lip is u.lipschitz of the field u the flux was built from; it does not
@@ -330,11 +314,11 @@ def flux_bound_report(
     eps_star is the slope deviation of the model over the realized gradient
     range and C_lip = 2 Lip (Lip + Lip^2) collects the Lipschitz factors.
     A flux built for another density is not held to this bound and can
-    fail it.  work is flux_reach's.
+    fail it.  Its grid arrays are flux_reach's.
     """
     eps_star = slope_deviation(model, t_hi=max(1.0, lip * lip))
     c_lip = 2.0 * lip * (lip + lip * lip)
-    violation = flux_reach(flux, work) - eps_star * c_lip
+    violation = flux_reach(flux) - eps_star * c_lip
     return FluxBoundReport(
         max_violation=violation,
         eps_star=eps_star,
@@ -344,22 +328,21 @@ def flux_bound_report(
     )
 
 
-def _weak_divergence(flux: FluxField, phi=None, out=None, work=None) -> np.ndarray:
+def _weak_divergence(flux: FluxField, phi=None) -> np.ndarray:
     """sum_a E_a^T t_a with its mean removed, t_a = W_a Ubar_a: the Galerkin load.
 
     Ubar_a is the mean of U_a over each edge's two end nodes, stored at the
     edge's lower node like edge_differences and zero on the last plane along
     the axis.  With phi, t_a - W_a E_a phi in place of t_a: the weak
     divergence of the remainder U - grad(phi).  The halvings of W_a are
-    exact, so this is W_a (Ubar_a - E_a phi) to the bit.  The sum goes into
-    out (zeroed first), else a fresh array; the edges into work's two arrays.
+    exact, so this is W_a (Ubar_a - E_a phi) to the bit.  The sum and the
+    two edge arrays are fresh.
     """
     grid = flux.grid
-    t, work = _scratch(work, 2, grid.node_shape)
-    if out is None:
-        out = np.zeros(grid.node_shape)
-    else:
-        out.fill(0.0)
+    # the returned sum is made after the edge arrays, so the memory they free
+    # lies below it in the heap, where the next temporaries reuse it, and is
+    # not handed back to the system: fewer page faults in a fresh process
+    t, work, out = np.empty(grid.node_shape), np.empty(grid.node_shape), np.zeros(grid.node_shape)
     for a in range(grid.dim):
         edges, nodes = t.swapaxes(0, a), flux.field.values[a].swapaxes(0, a)
         np.add(nodes[:-1], nodes[1:], out=edges[:-1])
@@ -373,27 +356,25 @@ def _weak_divergence(flux: FluxField, phi=None, out=None, work=None) -> np.ndarr
     return out
 
 
-def neumann_solve(flux: FluxField, tol: float = DEFAULT_TOL, work=None) -> GhostFunction:
+def neumann_solve(flux: FluxField, tol: float = DEFAULT_TOL) -> GhostFunction:
     """Potential, with zero trapezoid-rule mean, whose gradient is the flux's gradient part.
 
     The weak Neumann system (natural boundary condition taken from the flux
     itself) is singular with constant nullspace; it is solved directly by
     fast diagonalization and the true residual is checked against tol.
     A zero flux or a zero load short-circuits to an exactly zero potential
-    in 0 iterations; a zero flux skips assembling the load as well.  work
-    lends the three grid arrays of the load's edges, the solve's second
-    buffer and the residual (see _scratch); the potential is a fresh array.
+    in 0 iterations; a zero flux skips assembling the load as well.  The
+    potential is solved in the load's array; the solve's second buffer and
+    the residual with its edges are fresh and dropped on return.
     """
     grid = flux.grid
-    spare, *edges = _scratch(work, 3, grid.node_shape)
-    b = None if flux.is_zero else _weak_divergence(flux, work=edges)
+    b = None if flux.is_zero else _weak_divergence(flux)
     b_norm = 0.0 if b is None else float(np.linalg.norm(b))
     if b_norm == 0.0:
         phi, res, it = np.zeros(grid.node_shape), 0.0, 0
     else:
-        phi = fast_neumann_solve(b, grid.h, spare)  # solved in b's own array
-        residual = _weak_divergence(flux, phi, out=spare, work=edges)
-        res, it = float(np.linalg.norm(residual)) / b_norm, 1
+        phi = fast_neumann_solve(b, grid.h)  # solved in b's own array
+        res, it = float(np.linalg.norm(_weak_divergence(flux, phi))) / b_norm, 1
         if not res <= tol:
             raise SolverError(
                 f"Neumann solve residual {res:.3e} exceeds tol {tol:.1e}"
@@ -431,26 +412,25 @@ class StabilityReport:
     s: float
 
 
-def stability_report(flux: FluxField, g: GhostFunction, work=None) -> StabilityReport:
+def stability_report(flux: FluxField, g: GhostFunction) -> StabilityReport:
     """W^{1,s} norm of the potential over the L^s norm of the flux, s = STABILITY_EXPONENT.
 
     The ratio tracks the stability constant of the splitting; it is a
     regression statistic, not an asserted bound.  s lies strictly between 1
-    and the dimension.  g must be the potential of this flux.  work lends
-    the two grid arrays it streams through (see _scratch).
+    and the dimension.  g must be the potential of this flux.  It streams
+    through two fresh grid arrays, after the first read of flux.norm_sq.
     """
     _check_ghost_contract(g, flux.grid, flux.base_point, flux.f0)
     grid = g.grid
     s = STABILITY_EXPONENT
-    work, total = _scratch(work, 2, grid.node_shape)
     if flux.is_zero:
         return StabilityReport(phi_norm=0.0, flux_norm=0.0, ratio=0.0, s=s)
     cell = grid.h**grid.dim
-    np.sqrt(_norm_sq(flux, work), out=work)
+    work = np.sqrt(flux.norm_sq)
     flux_norm = float((cell * np.sum(weigh(np.power(work, s, out=work)))) ** (1.0 / s))
     # |grad phi|^s + |phi|^s in two arrays, weighed in place
     phi = g.potential.values
-    gradient_square(phi, grid.h, total, work)
+    total = gradient_square(phi, grid.h, np.empty(grid.node_shape), work)
     np.power(np.sqrt(total, out=total), s, out=total)
     total += np.power(np.abs(phi, out=work), s, out=work)
     phi_norm = float((cell * np.sum(weigh(total))) ** (1.0 / s))
@@ -504,16 +484,15 @@ def shell_identity_report(flux: FluxField, g: GhostFunction, radii) -> list[Shel
     return out
 
 
-def flux_reach(flux: FluxField, work=None) -> float:
+def flux_reach(flux: FluxField) -> float:
     """max |U(x)| * |x - z| over nodes outside the capped core (0.0 for a zero flux).
 
-    work lends the two grid arrays of the product and the distance (see _scratch).
+    The distance and the product take one fresh grid array each.
     """
-    reach, d_true = _scratch(work, 2, flux.grid.node_shape)
     if flux.is_zero:
         return 0.0
-    _node_distance(flux.grid, np.asarray(flux.base_point, dtype=float), d_true)
-    np.sqrt(_norm_sq(flux, reach), out=reach)
+    _, d_true = _node_distance(flux.grid, np.asarray(flux.base_point, dtype=float))
+    reach = np.sqrt(flux.norm_sq)
     reach *= d_true
     # every product is >= +0, so the empty maximum 0.0 is the no-node answer
     return float(np.max(reach, where=d_true > flux.cap_radius, initial=0.0))

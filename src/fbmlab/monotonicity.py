@@ -320,12 +320,15 @@ def log_radius_derivative(values, radii) -> np.ndarray:
 
 def _validate_radii(radii) -> np.ndarray:
     r = np.asarray(radii, dtype=float)
-    if r.ndim != 1 or r.size == 0:
-        raise ValueError("radii must be a nonempty 1d sequence")
-    if r.size > 1 and not np.all(np.diff(r) > 0.0):
+    if r.ndim != 1:
+        raise ValueError("radii must be a 1d sequence")
+    if not np.all(np.diff(r) > 0.0):
         raise ValueError("radii must be strictly increasing")
     if not np.all(r > 0.0):
         raise GeometryError("radii must be positive")
+    # log_radius_derivative needs two radii; one would write NaN columns
+    if r.size < 2:
+        raise ValueError(f"radii: need at least 2 for the log-radius derivative, got {r.size}")
     return r
 
 

@@ -521,7 +521,7 @@ class TestBallRadius:
         with pytest.raises(GeometryError, match="leaves the box" if r > 0.0 else "capped core"):
             error_term_flux(curved, r)
         with pytest.raises(GeometryError, match=message if r > 0.0 else "radii must be positive"):
-            scan(u, linear, 1.0, z, [r], g_zero, level=0.0)
+            scan(u, linear, 1.0, z, [r, r + 0.1], g_zero, level=0.0)
         for report in (
             lambda flux, g: shell_identity_report(flux, g, [r]),
             lambda flux, g: flux_l2_profile(flux, [r]),

@@ -155,12 +155,12 @@ class TestMonotonicityValue:
     def test_linear_ghost_is_identity(self, halfplane3):
         g = zero_ghost(halfplane3.grid, ORIGIN3)
         core = weiss_core(halfplane3, LINEAR, 1.0, ORIGIN3, 0.25, level=0.0)
-        assert scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.25], g, level=0.0).a[0] == core
+        assert scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.25, 0.3], g, level=0.0).a[0] == core
 
     def test_zero_field(self, grid3):
         u = ScalarField(grid3, np.zeros(grid3.node_shape))
         g = zero_ghost(grid3, ORIGIN3)
-        assert scan(u, LINEAR, 1.0, ORIGIN3, [0.3], g, level=0.0).a[0] == 0.0
+        assert scan(u, LINEAR, 1.0, ORIGIN3, [0.3, 0.35], g, level=0.0).a[0] == 0.0
 
     def test_base_point_mismatch_raises(self, halfplane3):
         g = zero_ghost(halfplane3.grid, (0.25, 0.0, 0.0))
@@ -285,11 +285,18 @@ class TestScan:
         assert rep.tol_mono > 0.0
 
     def test_single_radius(self, halfplane3):
-        g = zero_ghost(halfplane3.grid, ORIGIN3)
-        rep = scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.25], g, level=0.0)
-        assert rep.r.size == 1
-        assert rep.violations == ()
-        assert np.isnan(rep.a_prime_fd[0])
+        # one radius has no log-radius derivative: its columns would be NaN.
+        # fbmlab validate rejects such a ladder too
+        u, z, phi, radii = arctan_case_2d()
+        g = GhostFunction(potential=phi, base_point=z, f0=ARCTAN.f0, residual=0.0, iterations=0)
+        zero = zero_ghost(halfplane3.grid, ORIGIN3)
+        for call in (
+            lambda: scan(halfplane3, LINEAR, 1.0, ORIGIN3, [0.25], zero, level=0.0),
+            lambda: scan(halfplane3, LINEAR, 1.0, ORIGIN3, [], zero, level=0.0),
+            lambda: scan(u, ARCTAN, 0.7, z, radii[:1], g, level=0.0),
+        ):
+            with pytest.raises(ValueError, match="radii: need at least 2 for"):
+                call()
 
     def test_unsorted_radii_raise(self, halfplane3):
         g = zero_ghost(halfplane3.grid, ORIGIN3)
